@@ -12,6 +12,7 @@ from .scalar import (
     qfactorial,
     qpoch,
     qpoch_multi,
+    qpoch_table,
     sample_point,
 )
 from .series import (

@@ -1,8 +1,9 @@
 """Command-line front end: list identities, run verification suites.
 
 Exit codes: 0 all selected identities passed, 1 at least one failure,
-2 configuration error.  Reports are deterministic in (config, seed); only the
-per-identity millisecond timings vary between runs.
+2 configuration error or no pole-free sample point found.  Reports are
+deterministic in (config, seed); only the per-identity millisecond timings
+vary between runs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .identities import CHECKS_BY_ID, REGISTRY, CheckReport, Sizes, run_check
+from .scalar import SamplingExhausted
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,9 @@ def run_suite(config: SuiteConfig) -> tuple[list[CheckReport], dict]:
         v = getattr(config, size_name)
         if v is not None and v < 0:
             raise ConfigError(f"--{size_name.replace('_', '')} must be nonnegative")
+    if config.height is not None and config.height < 2:
+        # height 1 leaves q only the excluded values +-1; height 0 has no values
+        raise ConfigError("--height must be at least 2")
     reports = []
     for check_id in config.ids:
         check = CHECKS_BY_ID.get(check_id)
@@ -173,6 +178,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_verify(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except SamplingExhausted as exc:
+        print(f"sampling exhausted: {exc}", file=sys.stderr)
         return 2
 
 

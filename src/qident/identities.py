@@ -57,6 +57,7 @@ from .scalar import (
     gamma_int,
     qpoch,
     qpoch_multi,
+    qpoch_table,
     sample_point,
 )
 from .series import (
@@ -112,6 +113,28 @@ def _alpha(k: int, q: Scalar, e: int) -> Scalar:
     """((-1)^k q^(k(k-1)/2))^e with signed integer exponent e."""
     sign = -1 if (k * e) % 2 else 1
     return sign * q ** (k * (k - 1) // 2 * e)
+
+
+def _quotient(num: Scalar, den: Scalar, what: str) -> Scalar:
+    """num / den, reporting a vanishing denominator as a pole."""
+    if den == 0:
+        raise PoleError(f"{what} vanishes")
+    return num / den
+
+
+def _poch_products(params: tuple[Scalar, ...], q: Scalar, n: int) -> list[Scalar]:
+    """[(params;q)_k for k = 0..n], each base's products from one prefix table."""
+    out = [Fraction(1)] * (n + 1)
+    for a in params:
+        out = [x * y for x, y in zip(out, qpoch_table(a, q, n))]
+    return out
+
+
+def _hankel_ratios(num: Scalar, den: Scalar, q: Scalar, top: int, what: str) -> list[Scalar]:
+    """[(num;q)_k / (den;q)_k for k = 0..top]; callers read every one of them."""
+    nums = qpoch_table(num, q, max(top, 0))
+    dens = qpoch_table(den, q, max(top, 0))
+    return [_quotient(nums[k], dens[k], what) for k in range(top + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +414,20 @@ def build_bordered_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
         * [ c + d - 2x + (1-cd)(a q^i + b q^(j-1)) - ab(c + d - 2cd x) q^(i+j-1) ].
     """
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    abcd = p.abcd
     x = pt.x
+    ab_t = qpoch_table(a * b, q, 2 * n)
+    abcd_t = qpoch_table(p.abcd, q, 2 * n)
+    # ratio[k] = (ab;q)_k / (abcd;q)_(k+1), read at every k = i+j-1 in 0..2n-2
+    ratio = [_quotient(ab_t[k], abcd_t[k + 1], "(abcd;q)_(i+j)") for k in range(2 * n - 1)]
 
     def entry(i: int, jj: int) -> Scalar:
         j = jj + 1
-        den = qpoch(abcd, q, i + j)
-        if den == 0:
-            raise PoleError("(abcd;q)_(i+j) vanishes")
         bracket = (
             c + d - 2 * x
             + (1 - c * d) * (a * q**i + b * q ** (j - 1))
             - a * b * (c + d - 2 * c * d * x) * q ** (i + j - 1)
         )
-        return qpoch(a * b, q, i + j - 1) * (-b * q ** (j - 1)) / den * bracket
+        return ratio[i + j - 1] * (-b * q ** (j - 1)) * bracket
 
     return Matrix.build(n, n, entry)
 
@@ -418,11 +441,10 @@ def det_prefactor(n: int, p: AWParams) -> Scalar:
         * b ** (n * (n + 1) // 2)
         * q ** (n * (n - 1) * (2 * n - 1) // 6)
     )
+    abcd_t = qpoch_table(p.abcd, q, 2 * n)
+    pochs = _poch_products((a * b, p.c * p.d, q), q, n)
     for i in range(n):
-        den = qpoch(p.abcd, q, n + i)
-        if den == 0:
-            raise PoleError("(abcd;q)_(n+i) vanishes")
-        out *= qpoch_multi((a * b, p.c * p.d, q), q, i) / den
+        out *= _quotient(pochs[i], abcd_t[n + i], "(abcd;q)_(n+i)")
     return out
 
 
@@ -438,21 +460,16 @@ def build_gram_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
     last row: (bz, b/z; q)_j.
     """
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    abcd = p.abcd
     z = pt.z
+    hankel = _hankel_ratios(a * b, p.abcd, q, 2 * n - 1, "(abcd;q)_(i+j)")
+    row = _poch_products((a * c, a * d), q, n)
+    col = _poch_products((b * c, b * d), q, n)
+    last = _poch_products((b * z, b / z), q, n)
 
     def entry(i: int, j: int) -> Scalar:
         if i == n:
-            return qpoch_multi((b * z, b / z), q, j)
-        den = qpoch(abcd, q, i + j)
-        if den == 0:
-            raise PoleError("(abcd;q)_(i+j) vanishes")
-        return (
-            qpoch_multi((a * c, a * d), q, i)
-            * qpoch_multi((b * c, b * d), q, j)
-            * qpoch(a * b, q, i + j)
-            / den
-        )
+            return last[j]
+        return row[i] * col[j] * hankel[i + j]
 
     return Matrix.build(n + 1, n + 1, entry)
 
@@ -467,13 +484,10 @@ def gram_prefactor(n: int, p: AWParams) -> Scalar:
         * b ** (n * (n + 1) // 2)
         * q ** (n * (n - 1) * (2 * n - 1) // 6)
     )
+    abcd_t = qpoch_table(p.abcd, q, 2 * n)
+    pochs = _poch_products((a * b, a * c, a * d, b * c, b * d, c * d, q), q, n)
     for i in range(n):
-        den = qpoch(p.abcd, q, n + i)
-        if den == 0:
-            raise PoleError("(abcd;q)_(n+i) vanishes")
-        out *= (
-            qpoch_multi((a * b, a * c, a * d, b * c, b * d, c * d, q), q, i) / den
-        )
+        out *= _quotient(pochs[i], abcd_t[n + i], "(abcd;q)_(n+i)")
     return out
 
 
@@ -494,20 +508,18 @@ def gram_elimination_residuals(n: int, p: AWParams, pt: XPoint) -> list[Scalar]:
     x = pt.x
     A = build_gram_matrix(n, p, pt)
     B = build_bordered_matrix(n, p, pt)
+    row = _poch_products((a * c, a * d), q, n)
+    col = _poch_products((b * c, b * d), q, n)
     out: list[Scalar] = []
     for j in range(1, n + 1):
         mult = 1 - 2 * b * x * q ** (j - 1) + b**2 * q ** (2 * j - 2)
         for i in range(n):
-            expected = (
-                qpoch_multi((a * c, a * d), q, i)
-                * qpoch_multi((b * c, b * d), q, j - 1)
-                * B[i, j - 1]
-            )
+            expected = row[i] * col[j - 1] * B[i, j - 1]
             out.append(A[i, j] - mult * A[i, j - 1] - expected)
         out.append(A[n, j] - mult * A[n, j - 1])
     scaling = Fraction(1)
     for i in range(n):
-        scaling *= qpoch_multi((a * c, a * d, b * c, b * d), q, i)
+        scaling *= row[i] * col[i]
     out.append(
         det_fraction_free(A) - Fraction(-1) ** n * scaling * det_fraction_free(B)
     )
@@ -516,16 +528,8 @@ def gram_elimination_residuals(n: int, p: AWParams, pt: XPoint) -> list[Scalar]:
 
 def build_hankel_little_qjacobi(n: int, p: AWParams) -> Matrix:
     """n x n Hankel matrix of little q-Jacobi type: (ab;q)_(i+j)/(abcd;q)_(i+j)."""
-    q = p.q
-    ab, abcd = p.a * p.b, p.abcd
-
-    def entry(i: int, j: int) -> Scalar:
-        den = qpoch(abcd, q, i + j)
-        if den == 0:
-            raise PoleError("(abcd;q)_(i+j) vanishes")
-        return qpoch(ab, q, i + j) / den
-
-    return Matrix.build(n, n, entry)
+    hankel = _hankel_ratios(p.a * p.b, p.abcd, p.q, 2 * n - 2, "(abcd;q)_(i+j)")
+    return Matrix.build(n, n, lambda i, j: hankel[i + j])
 
 
 def rhs_hankel(n: int, p: AWParams) -> Scalar:
@@ -533,11 +537,10 @@ def rhs_hankel(n: int, p: AWParams) -> Scalar:
     q = p.q
     ab = p.a * p.b
     out = ab ** (n * (n - 1) // 2) * q ** (n * (n - 1) * (n - 2) // 3)
+    abcd_t = qpoch_table(p.abcd, q, 2 * n)
+    pochs = _poch_products((q, ab, p.c * p.d), q, n)
     for k in range(n):
-        den = qpoch(p.abcd, q, k + n - 1)
-        if den == 0:
-            raise PoleError("(abcd;q)_(k+n-1) vanishes")
-        out *= qpoch_multi((q, ab, p.c * p.d), q, k) / den
+        out *= _quotient(pochs[k], abcd_t[k + n - 1], "(abcd;q)_(k+n-1)")
     return out
 
 
@@ -545,21 +548,18 @@ def build_hankel_decorated(n: int, p: AWParams) -> Matrix:
     """Hankel matrix with row factors (ac,ad;q)_i and column factors (bc,bd;q)_j."""
     base = build_hankel_little_qjacobi(n, p)
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    return Matrix.build(
-        n,
-        n,
-        lambda i, j: qpoch_multi((a * c, a * d), q, i)
-        * qpoch_multi((b * c, b * d), q, j)
-        * base[i, j],
-    )
+    row = _poch_products((a * c, a * d), q, n)
+    col = _poch_products((b * c, b * d), q, n)
+    return Matrix.build(n, n, lambda i, j: row[i] * col[j] * base[i, j])
 
 
 def rhs_hankel_decorated(n: int, p: AWParams) -> Scalar:
     """Decorated closed form: plain closed form times prod_j (ac,ad,bc,bd;q)_j."""
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     out = rhs_hankel(n, p)
+    pochs = _poch_products((a * c, a * d, b * c, b * d), q, n)
     for j in range(1, n):
-        out *= qpoch_multi((a * c, a * d, b * c, b * d), q, j)
+        out *= pochs[j]
     return out
 
 
@@ -576,15 +576,8 @@ def mehta_wang_params(pt: ParamPoint) -> tuple[Scalar, Scalar, Scalar, Scalar, S
 def build_mehta_wang_matrix(n: int, pt: ParamPoint) -> Matrix:
     """n x n matrix (q^(i-1) - c q^(j-1)) (aq;q)_(i+j-2) / (abq^2;q)_(i+j-2)."""
     a, b, c, _, _, q = mehta_wang_params(pt)
-
-    def entry(i0: int, j0: int) -> Scalar:
-        i, j = i0 + 1, j0 + 1
-        den = qpoch(a * b * q**2, q, i + j - 2)
-        if den == 0:
-            raise PoleError("(abq^2;q)_(i+j-2) vanishes")
-        return (q ** (i - 1) - c * q ** (j - 1)) * qpoch(a * q, q, i + j - 2) / den
-
-    return Matrix.build(n, n, entry)
+    hankel = _hankel_ratios(a * q, a * b * q**2, q, 2 * n - 2, "(abq^2;q)_(i+j-2)")
+    return Matrix.build(n, n, lambda i, j: (q**i - c * q**j) * hankel[i + j])
 
 
 def rhs_mehta_wang(n: int, pt: ParamPoint) -> Scalar:
@@ -601,11 +594,15 @@ def rhs_mehta_wang(n: int, pt: ParamPoint) -> Scalar:
         * q ** (n * (n + 1) * (2 * n - 5) // 6)
         * qpoch(u**2 * v**2, q**2, n)
     )
+    den_t = qpoch_table(a * b * q**2, q, 2 * n)
+    q_t = qpoch_table(q, q, n)
+    aq_t = qpoch_table(a * q, q, n)
+    bq_t = qpoch_table(b * q, q, n)
     for k in range(1, n + 1):
-        den = qpoch(a * b * q**2, q, k + n - 2)
-        if den == 0:
-            raise PoleError("(abq^2;q)_(k+n-2) vanishes")
-        pref *= qpoch(q, q, k - 1) * qpoch(a * q, q, k) * qpoch(b * q, q, k - 2) / den
+        # (bq;q)_(-1) = 1/(1-b) has a pole of its own at b = 1
+        bq = qpoch(b * q, q, -1) if k == 1 else bq_t[k - 2]
+        num = q_t[k - 1] * aq_t[k] * bq
+        pref *= _quotient(num, den_t[k + n - 2], "(abq^2;q)_(k+n-2)")
     spec = HypergeometricSpec(
         (q**-n, a * b * q**n, u, -u), (a * q, u * v, -u * v), q
     )
@@ -615,25 +612,22 @@ def rhs_mehta_wang(n: int, pt: ParamPoint) -> Scalar:
 def build_even_det(m: int, a: Scalar, b: Scalar, q: Scalar) -> SkewMatrix:
     """2m x 2m skew matrix (q^(i-1) - q^(j-1)) (aq;q)_(i+j-2) / (abq^2;q)_(i+j-2)."""
 
-    def upper(i0: int, j0: int) -> Scalar:
-        i, j = i0 + 1, j0 + 1
-        den = qpoch(a * b * q**2, q, i + j - 2)
-        if den == 0:
-            raise PoleError("(abq^2;q)_(i+j-2) vanishes")
-        return (q ** (i - 1) - q ** (j - 1)) * qpoch(a * q, q, i + j - 2) / den
-
-    return SkewMatrix.from_upper(2 * m, upper)
+    # the strict upper triangle reads i+j-2 = 1..4m-3 only, so a vanishing
+    # (abq^2;q)_(4m-2) is no pole of this matrix
+    hankel = _hankel_ratios(a * q, a * b * q**2, q, 4 * m - 3, "(abq^2;q)_(i+j-2)")
+    return SkewMatrix.from_upper(2 * m, lambda i, j: (q**i - q**j) * hankel[i + j])
 
 
 def rhs_pfaffian(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
     """a^(m(m-1)) q^(m(m-1)(4m+1)/3) prod_k (q,aq;q)_(2k-1)(bq;q)_(2k-2)
        / (abq^2;q)_(2(k+m)-3); the even-order determinant is its square."""
     out = a ** (m * (m - 1)) * q ** (m * (m - 1) * (4 * m + 1) // 3)
+    den_t = qpoch_table(a * b * q**2, q, 4 * m)
+    pochs = _poch_products((q, a * q), q, 2 * m)
+    bq_t = qpoch_table(b * q, q, 2 * m)
     for k in range(1, m + 1):
-        den = qpoch(a * b * q**2, q, 2 * (k + m) - 3)
-        if den == 0:
-            raise PoleError("(abq^2;q)_(2(k+m)-3) vanishes")
-        out *= qpoch_multi((q, a * q), q, 2 * k - 1) * qpoch(b * q, q, 2 * k - 2) / den
+        num = pochs[2 * k - 1] * bq_t[2 * k - 2]
+        out *= _quotient(num, den_t[2 * (k + m) - 3], "(abq^2;q)_(2(k+m)-3)")
     return out
 
 
@@ -651,18 +645,16 @@ def check_pfaffian(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
 
 def build_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> SkewMatrix:
     """2m x 2m skew matrix (q^i - q^j)(q^alpha; q)_(i+j), 0-based indices."""
-    qa = q**alpha
-    return SkewMatrix.from_upper(
-        2 * m, lambda i, j: (q**i - q**j) * qpoch(qa, q, i + j)
-    )
+    qa_t = qpoch_table(q**alpha, q, 4 * m)
+    return SkewMatrix.from_upper(2 * m, lambda i, j: (q**i - q**j) * qa_t[i + j])
 
 
 def rhs_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> Scalar:
     """q^(m(m-1)(alpha-1) + m(m-1)(4m+1)/3) prod_k (q, q^alpha; q)_(2k-1)."""
     out = q ** (m * (m - 1) * (alpha - 1) + m * (m - 1) * (4 * m + 1) // 3)
-    qa = q**alpha
+    pochs = _poch_products((q, q**alpha), q, 2 * m)
     for k in range(1, m + 1):
-        out *= qpoch_multi((q, qa), q, 2 * k - 1)
+        out *= pochs[2 * k - 1]
     return out
 
 
@@ -1045,20 +1037,20 @@ def _square_names(size: int) -> tuple[str, ...]:
     return tuple(f"m{i}_{j}" for i in range(size) for j in range(size))
 
 
-def _square_from(pt: ParamPoint, k: int, size: int) -> Matrix:
+def _square_from(pt: ParamPoint, k: int) -> Matrix:
     return Matrix.build(k, k, lambda i, j: pt[f"m{i}_{j}"])
 
 
 def _run_desnanot_jacobi(pt: ParamPoint, sizes: Sizes) -> list:
     top = min(sizes.n_max, 6)
-    return [desnanot_jacobi_residual(_square_from(pt, k, 6)) for k in range(2, top + 1)]
+    return [desnanot_jacobi_residual(_square_from(pt, k)) for k in range(2, top + 1)]
 
 
 def _run_det_engines(pt: ParamPoint, sizes: Sizes) -> list:
     top = min(sizes.n_max, 6)
     out = []
     for k in range(1, top + 1):
-        M = _square_from(pt, k, 6)
+        M = _square_from(pt, k)
         d = det_fraction_free(M)
         out.append(det_cofactor(M) - d)
         out.append(det_condensation(M) - d)

@@ -46,12 +46,7 @@ def qpoch(a: Scalar, q: Scalar, n: int) -> Scalar:
     (a;q)_{-n} = 1 / prod_{k=1}^{n} (1 - a q^{-k}) for n > 0.
     """
     if n >= 0:
-        out = Fraction(1)
-        f = a
-        for _ in range(n):
-            out *= 1 - f
-            f *= q
-        return out
+        return qpoch_table(a, q, n)[n]
     out = Fraction(1)
     f = a
     for _ in range(-n):
@@ -61,6 +56,25 @@ def qpoch(a: Scalar, q: Scalar, n: int) -> Scalar:
             raise PoleError(f"(a;q)_{n} undefined: factor 1 - a*q^k vanishes")
         out *= factor
     return 1 / out
+
+
+def qpoch_table(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
+    """Prefix table [(a;q)_0, (a;q)_1, ..., (a;q)_n], one running product.
+
+    Builders that read (a;q)_k at many k take it from one table instead of
+    recomputing each product from scratch.  Entries may be zero; only a
+    caller dividing by one knows whether that is a pole.
+    """
+    if n < 0:
+        raise DomainError("qpoch_table needs n >= 0")
+    prod = Fraction(1)
+    out = [prod]
+    f = a
+    for _ in range(n):
+        prod *= 1 - f
+        out.append(prod)
+        f *= q
+    return out
 
 
 def qpoch_multi(params: Iterable[Scalar], q: Scalar, n: int) -> Scalar:

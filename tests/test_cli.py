@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from qident.cli import main
-from qident.identities import CHECKS_BY_ID, REGISTRY
+from qident.identities import CHECKS_BY_ID, REGISTRY, IdentityCheck, Sizes
+from qident.scalar import PoleError
 
 from test_identities import MUTATED
 
@@ -145,6 +146,28 @@ def test_all_plus_identity_is_config_error(capsys):
 def test_negative_trials_is_config_error(capsys):
     rc = main(["verify", "--all", "--trials", "-1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("height", ["0", "1"])
+def test_height_below_two_is_config_error(height, capsys):
+    rc = main(["verify", "--identity", "three_term_kernel", "--height", height])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--height must be at least 2" in err
+    assert "Traceback" not in err
+
+
+def test_sampling_exhausted_exits_2(monkeypatch, capsys):
+    def always_pole(pt, sizes):
+        raise PoleError("every point is a pole")
+
+    check = IdentityCheck("always_pole", "test", ("q",), Sizes(), always_pole)
+    monkeypatch.setitem(CHECKS_BY_ID, check.id, check)
+    rc = main(["verify", "--identity", check.id, "--trials", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sampling exhausted: always_pole")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_parse_error_exits_2():

@@ -189,3 +189,54 @@ def test_perfect_matchings_count_and_signs():
     assert matching_sign([(0, 1), (2, 3)]) == 1
     assert matching_sign([(0, 2), (1, 3)]) == -1
     assert matching_sign([(0, 3), (1, 2)]) == 1
+
+
+def test_pfaffian_elimination_large_orders_square_to_det():
+    rng = random.Random(8)
+    for n in (10, 12):
+        M = rand_skew(rng, n)
+        assert pfaffian_expansion(M) ** 2 == det_condensation(M)
+
+
+def test_pfaffian_elimination_zero_pivot_swaps():
+    rng = random.Random(9)
+    for n in (4, 6, 8):
+        rows = rand_skew(rng, n).to_lists()
+        rows[0][1] = rows[1][0] = F(0)
+        M = SkewMatrix.from_rows(rows)
+        assert pfaffian_expansion(M) == pfaffian_matchings(M)
+
+
+def test_pfaffian_elimination_zero_first_row():
+    rng = random.Random(10)
+    rows = rand_skew(rng, 6).to_lists()
+    for j in range(6):
+        rows[0][j] = rows[j][0] = F(0)
+    assert pfaffian_expansion(SkewMatrix.from_rows(rows)) == 0
+
+
+def test_bareiss_mixed_denominators():
+    M = Matrix.from_rows(
+        [[F(1, 2), F(2, 3), F(-5, 7)], [F(3, 4), F(1, 6), F(2)], [F(-7, 9), F(4, 5), F(1, 10)]]
+    )
+    assert det_fraction_free(M) == det_cofactor(M)
+    rng = random.Random(11)
+    M = Matrix.build(6, 6, lambda i, j: F(rng.randint(-30, 30), rng.randint(1, 40)))
+    assert det_fraction_free(M) == det_cofactor(M)
+
+
+def test_bareiss_zero_leading_pivot():
+    M = Matrix.from_rows([[0, F(1, 3), 2], [F(5, 2), 0, 1], [1, F(2, 7), 0]])
+    assert det_fraction_free(M) == det_cofactor(M)
+
+
+def test_bareiss_singular_with_fractions():
+    M = Matrix.from_rows([[F(1, 2), F(1, 3)], [F(3, 2), 1]])
+    assert det_fraction_free(M) == 0
+
+
+def test_bareiss_on_int_entries():
+    M = Matrix(3, 3, (2, -1, 0, 4, 3, 1, 0, 5, 7))
+    d = det_fraction_free(M)
+    assert d == det_cofactor(Matrix.from_rows(M.to_lists()))
+    assert isinstance(d, F)

@@ -14,6 +14,7 @@ from qident.scalar import (
     qint,
     qpoch,
     qpoch_multi,
+    qpoch_table,
     sample_point,
 )
 
@@ -66,6 +67,24 @@ def test_qpoch_inverse_law(a, q, n):
 @given(x=small_fractions, y=small_fractions)
 def test_scalar_roundtrip(x, y):
     assert (x * y) / y == x
+
+
+def test_qpoch_table_matches_qpoch():
+    a, q = F(3, 7), F(-2, 5)
+    table = qpoch_table(a, q, 6)
+    assert table == [qpoch(a, q, k) for k in range(7)]
+    assert qpoch_table(a, q, 0) == [1]
+    with pytest.raises(DomainError):
+        qpoch_table(a, q, -1)
+
+
+def test_qpoch_table_holds_zero_without_raising():
+    # a = q^-2: the factor 1 - a q^2 vanishes, so (a;q)_k = 0 from k = 3 on
+    q = F(2, 3)
+    table = qpoch_table(q**-2, q, 5)
+    assert table[:3] == [qpoch(q**-2, q, k) for k in range(3)]
+    assert all(v != 0 for v in table[:3])
+    assert table[3:] == [0, 0, 0]
 
 
 def test_qpoch_multi():
