@@ -60,6 +60,7 @@ from .linalg import (
 from .identities import (
     REGISTRY,
     CheckReport,
+    EmptyResiduals,
     IdentityCheck,
     Sizes,
     run_check,

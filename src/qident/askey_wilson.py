@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .scalar import DomainError, PoleError, Scalar, qpoch, qpoch_multi
+from .scalar import (
+    DomainError,
+    PoleError,
+    Scalar,
+    qpoch,
+    qpoch_multi,
+    qpoch_multi_table,
+    qpoch_table,
+)
 from .series import HypergeometricSpec, phi_terminating
 
 N_MAX_DEFAULT = 8
@@ -195,10 +203,20 @@ def aw_norm_ratio(n: int, p: AWParams) -> Scalar:
 
 def basis_moment(n: int, p: AWParams) -> Scalar:
     """L((a*z, a/z; q)_n) = (ab,ac,ad;q)_n / (abcd;q)_n."""
-    den = qpoch(p.abcd, p.q, n)
-    if den == 0:
+    return _basis_moments(n, p)[n]
+
+
+def _basis_moments(n: int, p: AWParams) -> list[Scalar]:
+    """[L((a*z, a/z; q)_k) for k = 0..n], from one prefix table per base.
+
+    A zero (abcd;q)_k also zeroes every later entry of its table, so this
+    raises PoleError exactly when (abcd;q)_n vanishes.
+    """
+    nums = qpoch_multi_table((p.a * p.b, p.a * p.c, p.a * p.d), p.q, n)
+    dens = qpoch_table(p.abcd, p.q, n)
+    if dens[n] == 0:
         raise PoleError("(abcd;q)_n vanishes")
-    return qpoch_multi((p.a * p.b, p.a * p.c, p.a * p.d), p.q, n) / den
+    return [num / den for num, den in zip(nums, dens)]
 
 
 def lattice_nodes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
@@ -212,23 +230,27 @@ def lattice_nodes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
     return out
 
 
-def _lattice_inner_coeff(
-    fvals: Sequence[Scalar], a: Scalar, q: Scalar, k: int
-) -> Scalar:
-    """Inner j-sum of the lattice Newton coefficient u_k."""
+def _lattice_coeffs(fvals: Sequence[Scalar], a: Scalar, q: Scalar) -> list[Scalar]:
+    """u_0..u_n of the lattice Newton expansion, n = len(fvals) - 1.
+
+    Node j enters every u_k with k >= j.  Its head (q, q^(1-2j)/a^2; q)_j and
+    weight q^(-j^2) a^(-2j) f(b_j) are formed once; (q;q)_(k-j) is read from
+    one table shared by all j, and (q^(2j+1) a^2; q)_(k-j) from one table per
+    j.  Every entry of these tables is read, so any zero is a pole.
+    """
+    n = len(fvals) - 1
     a2 = Fraction(a) ** 2
-    total = Fraction(0)
-    for j in range(k + 1):
-        den = (
-            qpoch(q, q, j)
-            * qpoch(q ** (-2 * j + 1) / a2, q, j)
-            * qpoch(q, q, k - j)
-            * qpoch(q ** (2 * j + 1) * a2, q, k - j)
-        )
-        if den == 0:
+    qq = qpoch_table(q, q, n)
+    sums = [Fraction(0)] * (n + 1)
+    for j in range(n + 1):
+        head = qq[j] * qpoch(q ** (1 - 2 * j) / a2, q, j)
+        tail = qpoch_table(q ** (2 * j + 1) * a2, q, n - j)
+        if head == 0 or qq[n - j] * tail[n - j] == 0:
             raise PoleError("lattice Newton denominator vanishes")
-        total += q ** (k - j * j) * a ** (-2 * j) * fvals[j] / den
-    return total
+        weight = q ** (-j * j) * a ** (-2 * j) * fvals[j] / head
+        for i in range(n - j + 1):
+            sums[j + i] += weight / (qq[i] * tail[i])
+    return [q**k * total for k, total in enumerate(sums)]
 
 
 def newton_lattice_coeffs(
@@ -241,14 +263,16 @@ def newton_lattice_coeffs(
 
         u_k = sum_{j=0}^k q^(k - j^2) a^(-2j) f(b_j)
               / ( (q, q^(1-2j)/a^2; q)_j (q, q^(2j+1) a^2; q)_{k-j} ).
+
+    All u_k come from one pass over the nodes, with each Pochhammer product
+    read from one prefix table per base.
     """
     if f.degree > n:
         raise DomainError(f"degree {f.degree} exceeds expansion order {n}")
     nodes = lattice_nodes(a, q, n)
     if len(set(nodes)) != len(nodes):
         raise DegenerateLattice("lattice nodes collided; resample a or q")
-    fvals = [f(b) for b in nodes]
-    return [_lattice_inner_coeff(fvals, a, q, k) for k in range(n + 1)]
+    return _lattice_coeffs([f(b) for b in nodes], a, q)
 
 
 def moment_functional(f: PolynomialInX, p: AWParams, n_max: int = N_MAX_DEFAULT) -> Scalar:
@@ -256,9 +280,8 @@ def moment_functional(f: PolynomialInX, p: AWParams, n_max: int = N_MAX_DEFAULT)
     if f.degree > n_max:
         raise DomainError(f"degree {f.degree} exceeds configured cap {n_max}")
     coeffs = newton_lattice_coeffs(f, p.a, p.q, f.degree)
-    return sum(
-        (u * basis_moment(k, p) for k, u in enumerate(coeffs)), Fraction(0)
-    )
+    moments = _basis_moments(f.degree, p)
+    return sum((u * m for u, m in zip(coeffs, moments)), Fraction(0))
 
 
 def aw_moment(n: int, t: Scalar, p: AWParams) -> Scalar:
@@ -267,19 +290,16 @@ def aw_moment(n: int, t: Scalar, p: AWParams) -> Scalar:
     L((t+x)^n) = sum_{k=0}^n (ac,ab,ad;q)_k/(abcd;q)_k *
                  sum_{j=0}^k q^(k-j^2) a^(-2j) (t + (q^j a + q^-j/a)/2)^n
                  / ( (q, q^(1-2j)/a^2; q)_j (q, q^(2j+1) a^2; q)_{k-j} ).
+
+    The inner sums are the lattice coefficients u_k of newton_lattice_coeffs
+    and the outer factors are the basis moments; both read every Pochhammer
+    product from one prefix table per base.
     """
     t = Fraction(t)
-    a, q = p.a, p.q
-    nodes = lattice_nodes(a, q, n)
-    fvals = [(t + b) ** n for b in nodes]
-    total = Fraction(0)
-    for k in range(n + 1):
-        den = qpoch(p.abcd, q, k)
-        if den == 0:
-            raise PoleError("(abcd;q)_k vanishes")
-        outer = qpoch_multi((a * p.c, a * p.b, a * p.d), q, k) / den
-        total += outer * _lattice_inner_coeff(fvals, a, q, k)
-    return total
+    fvals = [(t + b) ** n for b in lattice_nodes(p.a, p.q, n)]
+    inner = _lattice_coeffs(fvals, p.a, p.q)
+    outer = _basis_moments(n, p)
+    return sum((o * u for o, u in zip(outer, inner)), Fraction(0))
 
 
 def newton_coeffs(nodes: Sequence[Scalar], values: Sequence[Scalar]) -> list[Scalar]:

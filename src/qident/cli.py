@@ -1,9 +1,13 @@
 """Command-line front end: list identities, run verification suites.
 
-Exit codes: 0 all selected identities passed, 1 at least one failure,
-2 configuration error or no pole-free sample point found.  Reports are
-deterministic in (config, seed); only the per-identity millisecond timings
-vary between runs.
+Exit codes:
+  0  every selected identity passed;
+  1  at least one identity failed (a nonzero residual);
+  2  configuration error, no pole-free sample point found, sizes that
+     leave a check no residual to compare, or an unwritable --json path;
+  3  internal error: a check raised an unexpected exception.
+Reports are deterministic in (config, seed); only the per-identity
+millisecond timings vary between runs.
 """
 
 from __future__ import annotations
@@ -13,7 +17,14 @@ import json
 import sys
 from dataclasses import dataclass, replace
 
-from .identities import CHECKS_BY_ID, REGISTRY, CheckReport, Sizes, run_check
+from .identities import (
+    CHECKS_BY_ID,
+    REGISTRY,
+    CheckReport,
+    EmptyResiduals,
+    Sizes,
+    run_check,
+)
 from .scalar import SamplingExhausted
 
 
@@ -37,6 +48,13 @@ class SuiteConfig:
 
 class ConfigError(ValueError):
     pass
+
+
+class CheckCrashed(RuntimeError):
+    """A check raised an exception that is neither a verdict nor bad input."""
+
+    def __init__(self, check_id: str, exc: Exception):
+        super().__init__(f"{check_id}: {type(exc).__name__}: {exc}")
 
 
 def resolve_sizes(check_defaults: Sizes, config: SuiteConfig) -> Sizes:
@@ -69,7 +87,12 @@ def run_suite(config: SuiteConfig) -> tuple[list[CheckReport], dict]:
         if check is None:
             raise ConfigError(f"unknown identity: {check_id}")
         sizes = resolve_sizes(check.defaults, config)
-        reports.append(run_check(check, config.trials, config.seed, sizes))
+        try:
+            reports.append(run_check(check, config.trials, config.seed, sizes))
+        except (EmptyResiduals, SamplingExhausted):
+            raise
+        except Exception as exc:
+            raise CheckCrashed(check_id, exc) from exc
     document = {
         "suite": config.suite_name,
         "seed": config.seed,
@@ -181,6 +204,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SamplingExhausted as exc:
         print(f"sampling exhausted: {exc}", file=sys.stderr)
+        return 2
+    except EmptyResiduals as exc:
+        print(f"vacuous check: {exc}", file=sys.stderr)
+        return 2
+    except CheckCrashed as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
         return 2
 
 

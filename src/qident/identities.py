@@ -57,6 +57,7 @@ from .scalar import (
     gamma_int,
     qpoch,
     qpoch_multi,
+    qpoch_multi_table,
     qpoch_table,
     sample_point,
 )
@@ -94,6 +95,10 @@ class IdentityCheck:
     note: str = ""
 
 
+class EmptyResiduals(ValueError):
+    """A trial returned no residual, so its pass could not have caught an error."""
+
+
 @dataclass(frozen=True)
 class CheckReport:
     id: str
@@ -120,14 +125,6 @@ def _quotient(num: Scalar, den: Scalar, what: str) -> Scalar:
     if den == 0:
         raise PoleError(f"{what} vanishes")
     return num / den
-
-
-def _poch_products(params: tuple[Scalar, ...], q: Scalar, n: int) -> list[Scalar]:
-    """[(params;q)_k for k = 0..n], each base's products from one prefix table."""
-    out = [Fraction(1)] * (n + 1)
-    for a in params:
-        out = [x * y for x, y in zip(out, qpoch_table(a, q, n))]
-    return out
 
 
 def _hankel_ratios(num: Scalar, den: Scalar, q: Scalar, top: int, what: str) -> list[Scalar]:
@@ -197,50 +194,92 @@ def check_main_quadratic(r: int, s: int, pt: ParamPoint, order: int) -> Truncate
     )
 
 
-def six_term_parts(
-    k: int, n: int, pt: ParamPoint, r: int, s: int
-) -> tuple[Scalar, Scalar, Scalar]:
-    """The three z^n-coefficient products A_k, B_k, C_k (zero at k = n+1)."""
-    if not 0 <= k <= n + 1:
-        raise DomainError("need 0 <= k <= n+1")
-    zero = Fraction(0)
-    if k == n + 1:
-        return (zero, zero, zero)
+def _six_term_specs(pt: ParamPoint, r: int, s: int) -> list[tuple]:
+    """(prefactor, nums_k, nums_m, dens_k, dens_m) of A, B and C, in order.
+
+    The z^n coefficient of each prefactored product is
+    prefactor * alpha * (nums_k;q)_k (nums_m;q)_m / ((dens_k;q)_k (dens_m;q)_m)
+    with m = n - k.
+    """
     a, b, c, d, q = pt["a"], pt["b"], pt["c"], pt["d"], pt["q"]
     es, fs = _vector(pt, "e", r), _vector(pt, "f", s)
     esq = tuple(x * q for x in es)
     fsq = tuple(x * q for x in fs)
     bc = b * c
+    return [
+        (
+            (a - b) * (a - c) * (bc - d) * (1 - d),
+            (bc / a, bc / q**2, c, d / q) + es,
+            (bc / a, bc, c, d * q) + esq,
+            (q, a / q, b / q, bc / d) + fs,
+            (q, a * q, b * q, bc / d) + fsq,
+        ),
+        (
+            (a - d) * (1 - b) * (1 - c) * (bc - a * d),
+            (bc / a, bc / q**2, c / q, d) + es,
+            (bc / a, bc, c * q, d) + esq,
+            (q, a / q, b, bc / (d * q)) + fs,
+            (q, a * q, b, bc * q / d) + fsq,
+        ),
+        (
+            (1 - a) * (b - d) * (c - d) * (a - bc),
+            (bc / (a * q), bc / q**2, c, d) + es,
+            (bc * q / a, bc, c, d) + esq,
+            (q, a, b / q, bc / (d * q)) + fs,
+            (q, a, b * q, bc * q / d) + fsq,
+        ),
+    ]
+
+
+def _six_term_table(
+    top: int, pt: ParamPoint, r: int, s: int
+) -> Callable[[int, int], tuple[Scalar, Scalar, Scalar]]:
+    """(k, n) -> (A_k, B_k, C_k) at z^n, for 0 <= k <= n+1 and n <= top.
+
+    The twelve Pochhammer products of A, B and C (numerator and denominator,
+    k-side and m-side) are built once as prefix tables up to top; each (k, n)
+    reads its entries and divides only by the two denominators it reads, so a
+    zero elsewhere in a table is not a pole at this (k, n).
+    """
+    q = pt["q"]
     e = s - r
-    al = _alpha(k, q, e) * _alpha(n - k + 1, q, e)
-    m = n - k
+    zero = Fraction(0)
+    alphas = [_alpha(k, q, e) for k in range(top + 2)]
+    tables = [
+        (pref,) + tuple(qpoch_multi_table(params, q, top) for params in sides)
+        for pref, *sides in _six_term_specs(pt, r, s)
+    ]
 
-    def ratio(nums_k, nums_m, dens_k, dens_m):
-        num = qpoch_multi(nums_k, q, k) * qpoch_multi(nums_m, q, m)
-        den = qpoch_multi(dens_k, q, k) * qpoch_multi(dens_m, q, m)
-        if den == 0:
-            raise PoleError("coefficient denominator vanishes")
-        return num / den
+    def parts(k: int, n: int) -> tuple[Scalar, Scalar, Scalar]:
+        if k == n + 1:
+            return (zero, zero, zero)
+        m = n - k
+        al = alphas[k] * alphas[m + 1]
+        return tuple(
+            pref * al * _quotient(
+                nums_k[k] * nums_m[m], dens_k[k] * dens_m[m], "coefficient denominator"
+            )
+            for pref, nums_k, nums_m, dens_k, dens_m in tables
+        )
 
-    A = (a - b) * (a - c) * (bc - d) * (1 - d) * al * ratio(
-        (bc / a, bc / q**2, c, d / q) + es,
-        (bc / a, bc, c, d * q) + esq,
-        (q, a / q, b / q, bc / d) + fs,
-        (q, a * q, b * q, bc / d) + fsq,
-    )
-    B = (a - d) * (1 - b) * (1 - c) * (bc - a * d) * al * ratio(
-        (bc / a, bc / q**2, c / q, d) + es,
-        (bc / a, bc, c * q, d) + esq,
-        (q, a / q, b, bc / (d * q)) + fs,
-        (q, a * q, b, bc * q / d) + fsq,
-    )
-    C = (1 - a) * (b - d) * (c - d) * (a - bc) * al * ratio(
-        (bc / (a * q), bc / q**2, c, d) + es,
-        (bc * q / a, bc, c, d) + esq,
-        (q, a, b / q, bc / (d * q)) + fs,
-        (q, a, b * q, bc * q / d) + fsq,
-    )
-    return (A, B, C)
+    return parts
+
+
+def six_term_parts(
+    k: int, n: int, pt: ParamPoint, r: int, s: int
+) -> tuple[Scalar, Scalar, Scalar]:
+    """The three z^n-coefficient products A_k, B_k, C_k (zero at k = n+1).
+
+    The products come from one prefix table per base, built up to this n;
+    the six-term checks build those tables once per (r, s) and read every
+    (k, n) from them.
+    """
+    if not 0 <= k <= n + 1:
+        raise DomainError("need 0 <= k <= n+1")
+    if k == n + 1:  # reads no table, so no parameter value can make it raise
+        zero = Fraction(0)
+        return (zero, zero, zero)
+    return _six_term_table(n, pt, r, s)(k, n)
 
 
 def six_term_g(k: int, pt: ParamPoint, r: int, s: int) -> Scalar:
@@ -285,29 +324,30 @@ def six_term_xi(n: int, pt: ParamPoint, r: int, s: int) -> Scalar:
     return num / den
 
 
+def _six_term_split(
+    k: int, n: int, q: Scalar, parts: tuple, g_k: Scalar, g_m: Scalar
+) -> tuple[Scalar, Scalar]:
+    """(A_k - B_k + C_k, (q^(n-k+1) - q^k) G_k G_(n-k+1)): the factorization
+    says the first equals the second times Xi."""
+    A, B, C = parts
+    return A - B + C, (q ** (n - k + 1) - q**k) * g_k * g_m
+
+
+def _six_term_split_at(k: int, n: int, pt: ParamPoint, r: int, s: int) -> tuple[Scalar, Scalar]:
+    parts = six_term_parts(k, n, pt, r, s)
+    g_k, g_m = six_term_g(k, pt, r, s), six_term_g(n - k + 1, pt, r, s)
+    return _six_term_split(k, n, pt["q"], parts, g_k, g_m)
+
+
 def six_term_certificate(k: int, n: int, pt: ParamPoint, r: int, s: int) -> Scalar:
     """Residual of A_k - B_k + C_k = (q^(n-k+1) - q^k) G_k G_(n-k+1) Xi."""
-    q = pt["q"]
-    A, B, C = six_term_parts(k, n, pt, r, s)
-    rhs = (
-        (q ** (n - k + 1) - q**k)
-        * six_term_g(k, pt, r, s)
-        * six_term_g(n - k + 1, pt, r, s)
-        * six_term_xi(n, pt, r, s)
-    )
-    return A - B + C - rhs
+    total, pre = _six_term_split_at(k, n, pt, r, s)
+    return total - pre * six_term_xi(n, pt, r, s)
 
 
 def extract_xi(k: int, n: int, pt: ParamPoint, r: int, s: int) -> Scalar:
     """Solve the factorization for Xi at one k (prefactor must be nonzero)."""
-    q = pt["q"]
-    pre = (q ** (n - k + 1) - q**k) * six_term_g(k, pt, r, s) * six_term_g(
-        n - k + 1, pt, r, s
-    )
-    if pre == 0:
-        raise PoleError("prefactor vanishes; pick another k")
-    A, B, C = six_term_parts(k, n, pt, r, s)
-    return (A - B + C) / pre
+    return _quotient(*_six_term_split_at(k, n, pt, r, s), "prefactor")
 
 
 def check_three_term_kernel(pt: ParamPoint) -> Scalar:
@@ -442,7 +482,7 @@ def det_prefactor(n: int, p: AWParams) -> Scalar:
         * q ** (n * (n - 1) * (2 * n - 1) // 6)
     )
     abcd_t = qpoch_table(p.abcd, q, 2 * n)
-    pochs = _poch_products((a * b, p.c * p.d, q), q, n)
+    pochs = qpoch_multi_table((a * b, p.c * p.d, q), q, n)
     for i in range(n):
         out *= _quotient(pochs[i], abcd_t[n + i], "(abcd;q)_(n+i)")
     return out
@@ -462,9 +502,9 @@ def build_gram_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     z = pt.z
     hankel = _hankel_ratios(a * b, p.abcd, q, 2 * n - 1, "(abcd;q)_(i+j)")
-    row = _poch_products((a * c, a * d), q, n)
-    col = _poch_products((b * c, b * d), q, n)
-    last = _poch_products((b * z, b / z), q, n)
+    row = qpoch_multi_table((a * c, a * d), q, n)
+    col = qpoch_multi_table((b * c, b * d), q, n)
+    last = qpoch_multi_table((b * z, b / z), q, n)
 
     def entry(i: int, j: int) -> Scalar:
         if i == n:
@@ -485,7 +525,7 @@ def gram_prefactor(n: int, p: AWParams) -> Scalar:
         * q ** (n * (n - 1) * (2 * n - 1) // 6)
     )
     abcd_t = qpoch_table(p.abcd, q, 2 * n)
-    pochs = _poch_products((a * b, a * c, a * d, b * c, b * d, c * d, q), q, n)
+    pochs = qpoch_multi_table((a * b, a * c, a * d, b * c, b * d, c * d, q), q, n)
     for i in range(n):
         out *= _quotient(pochs[i], abcd_t[n + i], "(abcd;q)_(n+i)")
     return out
@@ -508,8 +548,8 @@ def gram_elimination_residuals(n: int, p: AWParams, pt: XPoint) -> list[Scalar]:
     x = pt.x
     A = build_gram_matrix(n, p, pt)
     B = build_bordered_matrix(n, p, pt)
-    row = _poch_products((a * c, a * d), q, n)
-    col = _poch_products((b * c, b * d), q, n)
+    row = qpoch_multi_table((a * c, a * d), q, n)
+    col = qpoch_multi_table((b * c, b * d), q, n)
     out: list[Scalar] = []
     for j in range(1, n + 1):
         mult = 1 - 2 * b * x * q ** (j - 1) + b**2 * q ** (2 * j - 2)
@@ -538,7 +578,7 @@ def rhs_hankel(n: int, p: AWParams) -> Scalar:
     ab = p.a * p.b
     out = ab ** (n * (n - 1) // 2) * q ** (n * (n - 1) * (n - 2) // 3)
     abcd_t = qpoch_table(p.abcd, q, 2 * n)
-    pochs = _poch_products((q, ab, p.c * p.d), q, n)
+    pochs = qpoch_multi_table((q, ab, p.c * p.d), q, n)
     for k in range(n):
         out *= _quotient(pochs[k], abcd_t[k + n - 1], "(abcd;q)_(k+n-1)")
     return out
@@ -548,8 +588,8 @@ def build_hankel_decorated(n: int, p: AWParams) -> Matrix:
     """Hankel matrix with row factors (ac,ad;q)_i and column factors (bc,bd;q)_j."""
     base = build_hankel_little_qjacobi(n, p)
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    row = _poch_products((a * c, a * d), q, n)
-    col = _poch_products((b * c, b * d), q, n)
+    row = qpoch_multi_table((a * c, a * d), q, n)
+    col = qpoch_multi_table((b * c, b * d), q, n)
     return Matrix.build(n, n, lambda i, j: row[i] * col[j] * base[i, j])
 
 
@@ -557,7 +597,7 @@ def rhs_hankel_decorated(n: int, p: AWParams) -> Scalar:
     """Decorated closed form: plain closed form times prod_j (ac,ad,bc,bd;q)_j."""
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     out = rhs_hankel(n, p)
-    pochs = _poch_products((a * c, a * d, b * c, b * d), q, n)
+    pochs = qpoch_multi_table((a * c, a * d, b * c, b * d), q, n)
     for j in range(1, n):
         out *= pochs[j]
     return out
@@ -623,7 +663,7 @@ def rhs_pfaffian(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
        / (abq^2;q)_(2(k+m)-3); the even-order determinant is its square."""
     out = a ** (m * (m - 1)) * q ** (m * (m - 1) * (4 * m + 1) // 3)
     den_t = qpoch_table(a * b * q**2, q, 4 * m)
-    pochs = _poch_products((q, a * q), q, 2 * m)
+    pochs = qpoch_multi_table((q, a * q), q, 2 * m)
     bq_t = qpoch_table(b * q, q, 2 * m)
     for k in range(1, m + 1):
         num = pochs[2 * k - 1] * bq_t[2 * k - 2]
@@ -652,7 +692,7 @@ def build_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> SkewMatrix:
 def rhs_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> Scalar:
     """q^(m(m-1)(alpha-1) + m(m-1)(4m+1)/3) prod_k (q, q^alpha; q)_(2k-1)."""
     out = q ** (m * (m - 1) * (alpha - 1) + m * (m - 1) * (4 * m + 1) // 3)
-    pochs = _poch_products((q, q**alpha), q, 2 * m)
+    pochs = qpoch_multi_table((q, q**alpha), q, 2 * m)
     for k in range(1, m + 1):
         out *= pochs[2 * k - 1]
     return out
@@ -766,42 +806,51 @@ def _run_main_quadratic(pt: ParamPoint, sizes: Sizes) -> list:
     return [check_main_quadratic(r, s, pt, sizes.order) for r, s in RS_PAIRS]
 
 
+def _six_term_excesses(pt: ParamPoint, sizes: Sizes, r: int, s: int) -> list[list[Scalar]]:
+    """[[A_k - B_k + C_k for k = 0..n+1] for n = 0..n_max], from one table set."""
+    parts = _six_term_table(sizes.n_max, pt, r, s)
+    return [
+        [A - B + C for A, B, C in (parts(k, n) for k in range(n + 2))]
+        for n in range(sizes.n_max + 1)
+    ]
+
+
 def _run_six_term_sums(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for r, s in ((0, 0), (1, 1), (2, 1)):
-        for n in range(sizes.n_max + 1):
-            total = Fraction(0)
-            for k in range(n + 1):
-                A, B, C = six_term_parts(k, n, pt, r, s)
-                total += A - B + C
-            out.append(total)
+        out.extend(sum(excess, Fraction(0)) for excess in _six_term_excesses(pt, sizes, r, s))
     return out
 
 
 def _run_six_term_pairs(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for r, s in ((0, 0), (1, 1), (2, 1)):
-        for n in range(sizes.n_max + 1):
-            for k in range(n + 2):
-                A1, B1, C1 = six_term_parts(k, n, pt, r, s)
-                A2, B2, C2 = six_term_parts(n - k + 1, n, pt, r, s)
-                out.append((A1 - B1 + C1) + (A2 - B2 + C2))
+        for n, excess in enumerate(_six_term_excesses(pt, sizes, r, s)):
+            out.extend(excess[k] + excess[n - k + 1] for k in range(n + 2))
     return out
 
 
 def _run_six_term_factorization(pt: ParamPoint, sizes: Sizes) -> list:
     r = s = 1
+    q = pt["q"]
+    top = max(2, sizes.n_max)
+    g = {k: six_term_g(k, pt, r, s) for k in range(1, top + 1)}
+    parts = _six_term_table(top, pt, r, s)
+
+    def split(k: int, n: int) -> tuple[Scalar, Scalar]:
+        return _six_term_split(k, n, q, parts(k, n), g[k], g[n - k + 1])
+
     out = []
     for n in range(1, sizes.n_max + 1):
+        xi = six_term_xi(n, pt, r, s)
         for k in range(1, n + 1):
-            out.append(six_term_certificate(k, n, pt, r, s))
+            total, pre = split(k, n)
+            out.append(total - pre * xi)
     # the k-independent factor extracted at two admissible k values agrees
-    n = max(2, sizes.n_max)
-    ks = [k for k in range(1, n + 1) if 2 * k != n + 1][:2]
-    xi1 = extract_xi(ks[0], n, pt, r, s)
-    xi2 = extract_xi(ks[1], n, pt, r, s)
+    ks = [k for k in range(1, top + 1) if 2 * k != top + 1][:2]
+    xi1, xi2 = (_quotient(*split(k, top), "prefactor") for k in ks)
     out.append(xi1 - xi2)
-    out.append(xi1 - six_term_xi(n, pt, r, s))
+    out.append(xi1 - six_term_xi(top, pt, r, s))
     return out
 
 
@@ -1323,20 +1372,30 @@ def run_check(
     seed: int = 0,
     sizes: Sizes | None = None,
 ) -> CheckReport:
-    """Run `trials` independent random-point trials of one identity."""
+    """Run `trials` independent random-point trials of one identity.
+
+    Raises EmptyResiduals, after the last trial, when any trial returned no
+    residual: the sizes leave the check nothing to compare, and a pass would
+    be vacuous.
+    """
     if trials < 0:
         raise DomainError("trials must be nonnegative")
     sizes = sizes if sizes is not None else check.defaults
     t0 = time.perf_counter()
-    passes = 0
+    passes = empty = 0
     witnesses: list[int] = []
     for trial in range(trials):
         trial_seed = _trial_seed(check.id, seed, trial)
         residuals, pt = run_trial(check, trial_seed, sizes)
+        empty += not residuals
         if all(_is_zero(r) for r in residuals):
             passes += 1
         else:
             witnesses.append(pt.seed)
+    if empty:
+        raise EmptyResiduals(
+            f"{check.id} compared nothing in {empty} of {trials} trials at {sizes}"
+        )
     millis = int((time.perf_counter() - t0) * 1000)
     return CheckReport(
         id=check.id,

@@ -77,6 +77,14 @@ def qpoch_table(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
     return out
 
 
+def qpoch_multi_table(params: Iterable[Scalar], q: Scalar, n: int) -> list[Scalar]:
+    """Prefix table [(params;q)_0, ..., (params;q)_n], one qpoch_table per base."""
+    out = [Fraction(1)] * (n + 1)
+    for a in params:
+        out = [x * y for x, y in zip(out, qpoch_table(a, q, n))]
+    return out
+
+
 def qpoch_multi(params: Iterable[Scalar], q: Scalar, n: int) -> Scalar:
     """Product (a_1, ..., a_r; q)_n = (a_1;q)_n ... (a_r;q)_n."""
     out = Fraction(1)

@@ -4,13 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import rand_fraction
+from helpers import rand_fraction, rand_q
 from qident.askey_wilson import (
     AWParams,
     DegenerateLattice,
     DuplicateNodes,
     PolynomialInX,
     XPoint,
+    _lattice_coeffs,
     aw_leading_coeff,
     aw_moment,
     aw_norm_ratio,
@@ -27,7 +28,7 @@ from qident.askey_wilson import (
     poly_power,
     poly_x_plus,
 )
-from qident.scalar import qpoch, qpoch_multi
+from qident.scalar import PoleError, qpoch, qpoch_multi
 
 P = AWParams(F(2, 3), F(1, 5), F(3, 7), F(-5, 11), F(2, 7))
 PT = XPoint(F(7, 3))
@@ -303,3 +304,66 @@ def test_quadratic_relation_for_polynomials():
             * aw_poly(n - 1, p_a, PT) * aw_poly(n - 1, p_b, PT)
         )
         assert lhs == rhs
+
+
+def lattice_coeff_oracle(fvals, a, q, k):
+    """u_k as the docstring's double sum, every product formed term by term."""
+    a2 = a * a
+    total = F(0)
+    for j in range(k + 1):
+        den = (
+            qpoch(q, q, j)
+            * qpoch(q ** (1 - 2 * j) / a2, q, j)
+            * qpoch(q, q, k - j)
+            * qpoch(q ** (2 * j + 1) * a2, q, k - j)
+        )
+        if den == 0:
+            raise PoleError("oracle denominator vanishes")
+        total += q ** (k - j * j) * a ** (-2 * j) * fvals[j] / den
+    return total
+
+
+def aw_moment_oracle(n, t, p):
+    fvals = [(t + b) ** n for b in lattice_nodes(p.a, p.q, n)]
+    total = F(0)
+    for k in range(n + 1):
+        den = qpoch(p.abcd, p.q, k)
+        if den == 0:
+            raise PoleError("oracle (abcd;q)_k vanishes")
+        outer = qpoch_multi((p.a * p.b, p.a * p.c, p.a * p.d), p.q, k) / den
+        total += outer * lattice_coeff_oracle(fvals, p.a, p.q, k)
+    return total
+
+
+def test_lattice_coeffs_and_moments_match_term_by_term_oracle():
+    rng = random.Random(2024)
+    for _ in range(24):
+        a, b, c, d = (rand_fraction(rng) for _ in range(4))
+        q, t = rand_q(rng), rand_fraction(rng)
+        p = AWParams(a, b, c, d, q)
+        for n in range(7):
+            f = PolynomialInX([rand_fraction(rng) for _ in range(n + 1)])
+            fvals = [f(x) for x in lattice_nodes(a, q, n)]
+            oracle = [lattice_coeff_oracle(fvals, a, q, k) for k in range(n + 1)]
+            assert newton_lattice_coeffs(f, a, q, n) == oracle
+            assert aw_moment(n, t, p) == aw_moment_oracle(n, t, p)
+
+
+def test_vanishing_lattice_denominator_is_a_pole():
+    # a^2 q^4 = 1 zeroes (q^3 a^2; q)_2, read at (j, k) = (1, 3), and the head
+    # (q^-5/a^2; q)_3 at j = 3; n = 2 reads neither.
+    q = F(1, 2)
+    p = AWParams(F(4), F(3), F(5, 7), F(-2, 9), q)
+    t = F(1, 3)
+    assert aw_moment(2, t, p) == aw_moment_oracle(2, t, p)
+    for n in (3, 4):
+        with pytest.raises(PoleError):
+            aw_moment_oracle(n, t, p)
+        with pytest.raises(PoleError):
+            aw_moment(n, t, p)
+        with pytest.raises(PoleError):
+            _lattice_coeffs([F(1)] * (n + 1), p.a, q)
+        # every vanishing denominator is a node collision too (here b_1 = b_3),
+        # which newton_lattice_coeffs reports first
+        with pytest.raises(DegenerateLattice):
+            newton_lattice_coeffs(poly_power(poly_x_plus(t), n), p.a, q, n)

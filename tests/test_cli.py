@@ -220,3 +220,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "three_term_kernel" in proc.stdout
+
+
+def test_sizes_leaving_no_residual_exit_2(capsys):
+    rc = main(["verify", "--all", "--nmax", "0", "--mmax", "0", "--trials", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vacuous check: bordered_det ")
+    assert "n_max=0, m_max=0" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unexpected_exception_in_check_exits_3(monkeypatch, capsys):
+    def crash(pt, sizes):
+        raise RuntimeError("boom")
+
+    check = IdentityCheck("crashes", "test", ("q",), Sizes(), crash)
+    monkeypatch.setitem(CHECKS_BY_ID, check.id, check)
+    rc = main(["verify", "--identity", check.id, "--trials", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: crashes: RuntimeError: boom\n"
+
+
+def test_unwritable_json_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing_dir" / "report.json"
+    rc = main(["verify", "--identity", "three_term_kernel", "--trials", "1", "--json", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write report: ")
+    assert len(err.strip().splitlines()) == 1

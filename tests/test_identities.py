@@ -9,6 +9,7 @@ from qident.askey_wilson import AWParams, XPoint, aw_poly
 from qident.identities import (
     CHECKS_BY_ID,
     REGISTRY,
+    EmptyResiduals,
     IdentityCheck,
     Sizes,
     build_bordered_matrix,
@@ -39,12 +40,13 @@ from qident.identities import (
     rhs_pfaffian,
     run_check,
     six_term_certificate,
+    six_term_g,
     six_term_parts,
     six_term_xi,
     run_trial,
 )
 from qident.linalg import det_cofactor, det_fraction_free, pfaffian_matchings
-from qident.scalar import ParamPoint, qpoch, qpoch_multi, sample_point
+from qident.scalar import ParamPoint, PoleError, qpoch, qpoch_multi, sample_point
 from qident.series import HypergeometricSpec, phi_series, phi_terminating, series_mul
 
 PT = ParamPoint(
@@ -155,6 +157,149 @@ def test_xi_extraction_agrees():
         x1 = extract_xi(ks[0], n, PT, 1, 1)
         x2 = extract_xi(ks[1], n, PT, 1, 1)
         assert x1 == x2 == six_term_xi(n, PT, 1, 1)
+
+
+def six_term_parts_per_index(k, n, pt, r, s):
+    """A_k, B_k, C_k with every product formed afresh by qpoch_multi."""
+    if k == n + 1:
+        return (F(0), F(0), F(0))
+    a, b, c, d, q = pt["a"], pt["b"], pt["c"], pt["d"], pt["q"]
+    es = tuple(pt[f"e{i}"] for i in range(1, r + 1))
+    fs = tuple(pt[f"f{i}"] for i in range(1, s + 1))
+    esq = tuple(x * q for x in es)
+    fsq = tuple(x * q for x in fs)
+    bc = b * c
+    m = n - k
+    e = s - r
+    al = (-1) ** ((k * e) % 2) * q ** (k * (k - 1) // 2 * e)
+    al *= (-1) ** (((m + 1) * e) % 2) * q ** ((m + 1) * m // 2 * e)
+
+    def ratio(nums_k, nums_m, dens_k, dens_m):
+        num = qpoch_multi(nums_k, q, k) * qpoch_multi(nums_m, q, m)
+        den = qpoch_multi(dens_k, q, k) * qpoch_multi(dens_m, q, m)
+        if den == 0:
+            raise PoleError("coefficient denominator vanishes")
+        return num / den
+
+    A = (a - b) * (a - c) * (bc - d) * (1 - d) * al * ratio(
+        (bc / a, bc / q**2, c, d / q) + es,
+        (bc / a, bc, c, d * q) + esq,
+        (q, a / q, b / q, bc / d) + fs,
+        (q, a * q, b * q, bc / d) + fsq,
+    )
+    B = (a - d) * (1 - b) * (1 - c) * (bc - a * d) * al * ratio(
+        (bc / a, bc / q**2, c / q, d) + es,
+        (bc / a, bc, c * q, d) + esq,
+        (q, a / q, b, bc / (d * q)) + fs,
+        (q, a * q, b, bc * q / d) + fsq,
+    )
+    C = (1 - a) * (b - d) * (c - d) * (a - bc) * al * ratio(
+        (bc / (a * q), bc / q**2, c, d) + es,
+        (bc * q / a, bc, c, d) + esq,
+        (q, a, b / q, bc / (d * q)) + fs,
+        (q, a, b * q, bc * q / d) + fsq,
+    )
+    return (A, B, C)
+
+
+def six_term_excess_per_index(k, n, pt, r, s):
+    A, B, C = six_term_parts_per_index(k, n, pt, r, s)
+    return A - B + C
+
+
+def six_term_sums_per_index(pt, sizes):
+    return [
+        sum((six_term_excess_per_index(k, n, pt, r, s) for k in range(n + 1)), F(0))
+        for r, s in ((0, 0), (1, 1), (2, 1))
+        for n in range(sizes.n_max + 1)
+    ]
+
+
+def six_term_pairs_per_index(pt, sizes):
+    return [
+        six_term_excess_per_index(k, n, pt, r, s)
+        + six_term_excess_per_index(n - k + 1, n, pt, r, s)
+        for r, s in ((0, 0), (1, 1), (2, 1))
+        for n in range(sizes.n_max + 1)
+        for k in range(n + 2)
+    ]
+
+
+def six_term_factorization_per_index(pt, sizes):
+    q = pt["q"]
+
+    def split(k, n):
+        total = six_term_excess_per_index(k, n, pt, 1, 1)
+        g = six_term_g(k, pt, 1, 1) * six_term_g(n - k + 1, pt, 1, 1)
+        return total, (q ** (n - k + 1) - q**k) * g
+
+    out = []
+    for n in range(1, sizes.n_max + 1):
+        for k in range(1, n + 1):
+            total, pre = split(k, n)
+            out.append(total - pre * six_term_xi(n, pt, 1, 1))
+    top = max(2, sizes.n_max)
+    xis = []
+    for k in [k for k in range(1, top + 1) if 2 * k != top + 1][:2]:
+        total, pre = split(k, top)
+        if pre == 0:
+            raise PoleError("prefactor vanishes")
+        xis.append(total / pre)
+    return out + [xis[0] - xis[1], xis[0] - six_term_xi(top, pt, 1, 1)]
+
+
+SIX_TERM_PER_INDEX = {
+    "six_term_sums": six_term_sums_per_index,
+    "six_term_pairs": six_term_pairs_per_index,
+    "six_term_factorization": six_term_factorization_per_index,
+}
+
+
+def test_six_term_parts_pole_only_at_entries_read():
+    # a = q^-3 puts (aq;q)_3 = 0 in the m-side table of A at n = 3: k = 0
+    # reads it (m = 3), k = 1 reads only (aq;q)_2 and has a value.
+    pt = ParamPoint({"a": F(1, 8), "b": F(3), "c": F(5), "d": F(7), "q": F(2)})
+    assert qpoch(pt["a"] * pt["q"], pt["q"], 3) == 0
+    value = six_term_parts(1, 3, pt, 0, 0)
+    assert value == six_term_parts_per_index(1, 3, pt, 0, 0)
+    assert any(v != 0 for v in value)
+    with pytest.raises(PoleError):
+        six_term_parts(0, 3, pt, 0, 0)
+    with pytest.raises(PoleError):
+        six_term_parts_per_index(0, 3, pt, 0, 0)
+
+
+def test_six_term_parts_match_per_index_products():
+    names = ("a", "b", "c", "d", "q", "e1", "e2", "f1")
+    for seed in range(12):
+        pt = sample_point(names, None, seed, height=3)
+        for r, s in ((0, 0), (2, 1), (0, 1)):
+            for n in range(5):
+                for k in range(n + 2):
+                    try:
+                        expected = six_term_parts_per_index(k, n, pt, r, s)
+                    except PoleError:
+                        with pytest.raises(PoleError):
+                            six_term_parts(k, n, pt, r, s)
+                    else:
+                        assert six_term_parts(k, n, pt, r, s) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_six_term_residual_lists_match_per_index_runs(seed):
+    # every sampled attempt, poles included, at a height low enough to hit poles
+    sizes = Sizes(n_max=4, height=3)
+    for check_id, per_index in SIX_TERM_PER_INDEX.items():
+        check = CHECKS_BY_ID[check_id]
+        for attempt in range(8):
+            pt = sample_point(check.param_names, None, seed * 1000 + attempt, sizes.height)
+            try:
+                expected = per_index(pt, sizes)
+            except (PoleError, ZeroDivisionError) as exc:
+                with pytest.raises(type(exc)):
+                    check.run(pt, sizes)
+            else:
+                assert check.run(pt, sizes) == expected
 
 
 def test_three_term_kernel_random_and_special_points():
@@ -505,6 +650,12 @@ def test_run_check_zero_trials():
     report = run_check(CHECKS_BY_ID["three_term_kernel"], trials=0, seed=0)
     assert report.trials == report.passes == report.failures == 0
     assert report.witness_seeds == ()
+
+
+def test_run_check_rejects_empty_residual_lists():
+    check = IdentityCheck("checks_nothing", "test", ("q",), Sizes(), lambda pt, sizes: [])
+    with pytest.raises(EmptyResiduals, match="checks_nothing compared nothing in 3 of 3"):
+        run_check(check, trials=3)
 
 
 def test_run_check_deterministic():
