@@ -72,8 +72,8 @@ def resolve_sizes(check_defaults: Sizes, config: SuiteConfig) -> Sizes:
 
 
 def run_suite(config: SuiteConfig) -> tuple[list[CheckReport], dict]:
-    if config.trials < 0:
-        raise ConfigError("--trials must be nonnegative")
+    if config.trials < 1:  # zero trials would compare nothing and pass
+        raise ConfigError("--trials must be at least 1")
     for size_name in ("n_max", "m_max", "order", "height"):
         v = getattr(config, size_name)
         if v is not None and v < 0:

@@ -10,7 +10,6 @@ witness.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import zlib
@@ -39,6 +38,8 @@ from .askey_wilson import (
     poly_x_plus,
 )
 from .linalg import (
+    COFACTOR_CAP,
+    MATCHINGS_CAP,
     Matrix,
     SkewMatrix,
     desnanot_jacobi_residual,
@@ -104,7 +105,6 @@ class CheckReport:
     id: str
     anchor: str
     trials: int
-    passes: int
     failures: int
     witness_seeds: tuple[int, ...]
     millis: int
@@ -139,64 +139,10 @@ def _hankel_ratios(num: Scalar, den: Scalar, q: Scalar, top: int, what: str) -> 
 # ---------------------------------------------------------------------------
 
 
-def _main_specs(
-    pt: ParamPoint, r: int, s: int
-) -> tuple[list[tuple[HypergeometricSpec, HypergeometricSpec]], list[Scalar], Scalar]:
-    """The three (series, shifted series) pairs and prefactors of the formula."""
-    a, b, c, d, q = pt["a"], pt["b"], pt["c"], pt["d"], pt["q"]
-    es, fs = _vector(pt, "e", r), _vector(pt, "f", s)
-    esq = tuple(x * q for x in es)
-    fsq = tuple(x * q for x in fs)
-    bc = b * c
-    pairs = [
-        (
-            HypergeometricSpec((bc / a, bc / q**2, c, d / q) + es, (a / q, b / q, bc / d) + fs, q),
-            HypergeometricSpec((bc / a, bc, c, d * q) + esq, (a * q, b * q, bc / d) + fsq, q),
-        ),
-        (
-            HypergeometricSpec((bc / a, bc / q**2, c / q, d) + es, (a / q, b, bc / (d * q)) + fs, q),
-            HypergeometricSpec((bc / a, bc, c * q, d) + esq, (a * q, b, bc * q / d) + fsq, q),
-        ),
-        (
-            HypergeometricSpec((bc / (a * q), bc / q**2, c, d) + es, (a, b / q, bc / (d * q)) + fs, q),
-            HypergeometricSpec((bc * q / a, bc, c, d) + esq, (a, b * q, bc * q / d) + fsq, q),
-        ),
-    ]
-    prefactors = [
-        (a - b) * (a - c) * (bc - d) * (1 - d),
-        (a - d) * (1 - b) * (1 - c) * (bc - a * d),
-        (1 - a) * (b - d) * (c - d) * (a - bc),
-    ]
-    return pairs, prefactors, q ** (s - r)
-
-
-def main_quadratic_products(
-    pt: ParamPoint, r: int, s: int, order: int
-) -> tuple[list[TruncatedSeries], list[Scalar]]:
-    """The three prefactored series products (in z) entering the formula."""
-    pairs, prefactors, scale = _main_specs(pt, r, s)
-    products = [
-        series_mul(phi_series(u, Fraction(1), order), phi_series(v, scale, order))
-        for u, v in pairs
-    ]
-    return products, prefactors
-
-
-def check_main_quadratic(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSeries:
-    """Residual series: LHS product - first RHS product + second RHS product."""
-    products, prefactors = main_quadratic_products(pt, r, s, order)
-    return series_linear_combine(
-        [
-            (prefactors[0], products[0]),
-            (-prefactors[1], products[1]),
-            (prefactors[2], products[2]),
-        ]
-    )
-
-
 def _six_term_specs(pt: ParamPoint, r: int, s: int) -> list[tuple]:
     """(prefactor, nums_k, nums_m, dens_k, dens_m) of A, B and C, in order.
 
+    This is the one table of the three 4+4 parameter lists of the formula.
     The z^n coefficient of each prefactored product is
     prefactor * alpha * (nums_k;q)_k (nums_m;q)_m / ((dens_k;q)_k (dens_m;q)_m)
     with m = n - k.
@@ -229,6 +175,37 @@ def _six_term_specs(pt: ParamPoint, r: int, s: int) -> list[tuple]:
             (q, a, b * q, bc * q / d) + fsq,
         ),
     ]
+
+
+def main_quadratic_products(
+    pt: ParamPoint, r: int, s: int, order: int
+) -> tuple[list[TruncatedSeries], list[Scalar]]:
+    """The three prefactored series products (in z) entering the formula.
+
+    Each product pairs the two sides of one six-term product.  The series
+    denominators are the six-term ones without their leading q, because
+    phi_series divides by (q;q)_k itself; the second series has argument
+    q^(s-r) z.
+    """
+    q = pt["q"]
+    scale = q ** (s - r)
+    specs = _six_term_specs(pt, r, s)
+    products = [
+        series_mul(
+            phi_series(HypergeometricSpec(nums_k, dens_k[1:], q), Fraction(1), order),
+            phi_series(HypergeometricSpec(nums_m, dens_m[1:], q), scale, order),
+        )
+        for _, nums_k, nums_m, dens_k, dens_m in specs
+    ]
+    return products, [spec[0] for spec in specs]
+
+
+def check_main_quadratic(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSeries:
+    """Residual series: LHS product - first RHS product + second RHS product."""
+    products, prefactors = main_quadratic_products(pt, r, s, order)
+    return series_linear_combine(
+        [(sign * pref, prod) for sign, pref, prod in zip((1, -1, 1), prefactors, products)]
+    )
 
 
 def _six_term_table(
@@ -296,9 +273,7 @@ def six_term_g(k: int, pt: ParamPoint, r: int, s: int) -> Scalar:
         * _alpha(k, q, s - r)
     )
     den = qpoch_multi((a, b, bc / d, q), q, k) * qpoch_multi(fs, q, k)
-    if den == 0:
-        raise PoleError("G_k denominator vanishes")
-    return num / den
+    return _quotient(num, den, "G_k denominator")
 
 
 def six_term_xi(n: int, pt: ParamPoint, r: int, s: int) -> Scalar:
@@ -319,9 +294,7 @@ def six_term_xi(n: int, pt: ParamPoint, r: int, s: int) -> Scalar:
         * (1 - a / q) * (1 - b / q) * (1 - bc / (d * q))
         * qpoch_multi(es, q, 1)
     )
-    if den == 0:
-        raise PoleError("Xi denominator vanishes")
-    return num / den
+    return _quotient(num, den, "Xi denominator")
 
 
 def _six_term_split(
@@ -493,17 +466,29 @@ def rhs_det_formula(n: int, p: AWParams, pt: XPoint) -> Scalar:
     return det_prefactor(n, p) * aw_poly(n, p, pt)
 
 
+def _decorations(n: int, p: AWParams) -> tuple[list[Scalar], list[Scalar]]:
+    """Row factors (ac,ad;q)_i and column factors (bc,bd;q)_j, for i, j = 0..n.
+
+    They turn the plain Hankel entries into the Gram and decorated Hankel ones.
+    """
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    return qpoch_multi_table((a * c, a * d), q, n), qpoch_multi_table((b * c, b * d), q, n)
+
+
+def _decoration_det(n: int, row: list[Scalar], col: list[Scalar]) -> Scalar:
+    """prod_(i<n) (ac,ad,bc,bd;q)_i, the factor the decorations put on an order-n det."""
+    return math.prod((row[i] * col[i] for i in range(n)), start=Fraction(1))
+
+
 def build_gram_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
     """(n+1) x (n+1) moment matrix bordered by the polynomial row.
 
     Rows i = 0..n-1: entry (ac,ad;q)_i (bc,bd;q)_j (ab;q)_(i+j) / (abcd;q)_(i+j);
     last row: (bz, b/z; q)_j.
     """
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    z = pt.z
-    hankel = _hankel_ratios(a * b, p.abcd, q, 2 * n - 1, "(abcd;q)_(i+j)")
-    row = qpoch_multi_table((a * c, a * d), q, n)
-    col = qpoch_multi_table((b * c, b * d), q, n)
+    b, q, z = p.b, p.q, pt.z
+    hankel = _hankel_ratios(p.a * b, p.abcd, q, 2 * n - 1, "(abcd;q)_(i+j)")
+    row, col = _decorations(n, p)
     last = qpoch_multi_table((b * z, b / z), q, n)
 
     def entry(i: int, j: int) -> Scalar:
@@ -516,19 +501,9 @@ def build_gram_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
 
 def gram_prefactor(n: int, p: AWParams) -> Scalar:
     """C = (-1)^n a^(n(n-1)/2) b^(n(n+1)/2) q^(n(n-1)(2n-1)/6)
-           prod_i (ab,ac,ad,bc,bd,cd,q;q)_i / (abcd;q)_(n+i)."""
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    out = (
-        Fraction(-1) ** n
-        * a ** (n * (n - 1) // 2)
-        * b ** (n * (n + 1) // 2)
-        * q ** (n * (n - 1) * (2 * n - 1) // 6)
-    )
-    abcd_t = qpoch_table(p.abcd, q, 2 * n)
-    pochs = qpoch_multi_table((a * b, a * c, a * d, b * c, b * d, c * d, q), q, n)
-    for i in range(n):
-        out *= _quotient(pochs[i], abcd_t[n + i], "(abcd;q)_(n+i)")
-    return out
+           prod_i (ab,ac,ad,bc,bd,cd,q;q)_i / (abcd;q)_(n+i),
+    that is (-1)^n D_n prod_i (ac,ad,bc,bd;q)_i."""
+    return Fraction(-1) ** n * det_prefactor(n, p) * _decoration_det(n, *_decorations(n, p))
 
 
 def rhs_gram_formula(n: int, p: AWParams, pt: XPoint) -> Scalar:
@@ -544,12 +519,10 @@ def gram_elimination_residuals(n: int, p: AWParams, pt: XPoint) -> list[Scalar]:
     (ac,ad;q)_i (bc,bd;q)_(j-1) B[i,j] elsewhere; the determinant consequence
     det A = (-1)^n prod_i (ac,ad,bc,bd;q)_i * det B is checked as well.
     """
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    x = pt.x
+    b, q, x = p.b, p.q, pt.x
     A = build_gram_matrix(n, p, pt)
     B = build_bordered_matrix(n, p, pt)
-    row = qpoch_multi_table((a * c, a * d), q, n)
-    col = qpoch_multi_table((b * c, b * d), q, n)
+    row, col = _decorations(n, p)
     out: list[Scalar] = []
     for j in range(1, n + 1):
         mult = 1 - 2 * b * x * q ** (j - 1) + b**2 * q ** (2 * j - 2)
@@ -557,12 +530,8 @@ def gram_elimination_residuals(n: int, p: AWParams, pt: XPoint) -> list[Scalar]:
             expected = row[i] * col[j - 1] * B[i, j - 1]
             out.append(A[i, j] - mult * A[i, j - 1] - expected)
         out.append(A[n, j] - mult * A[n, j - 1])
-    scaling = Fraction(1)
-    for i in range(n):
-        scaling *= row[i] * col[i]
-    out.append(
-        det_fraction_free(A) - Fraction(-1) ** n * scaling * det_fraction_free(B)
-    )
+    scaling = Fraction(-1) ** n * _decoration_det(n, row, col)
+    out.append(det_fraction_free(A) - scaling * det_fraction_free(B))
     return out
 
 
@@ -587,20 +556,13 @@ def rhs_hankel(n: int, p: AWParams) -> Scalar:
 def build_hankel_decorated(n: int, p: AWParams) -> Matrix:
     """Hankel matrix with row factors (ac,ad;q)_i and column factors (bc,bd;q)_j."""
     base = build_hankel_little_qjacobi(n, p)
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    row = qpoch_multi_table((a * c, a * d), q, n)
-    col = qpoch_multi_table((b * c, b * d), q, n)
+    row, col = _decorations(n, p)
     return Matrix.build(n, n, lambda i, j: row[i] * col[j] * base[i, j])
 
 
 def rhs_hankel_decorated(n: int, p: AWParams) -> Scalar:
     """Decorated closed form: plain closed form times prod_j (ac,ad,bc,bd;q)_j."""
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    out = rhs_hankel(n, p)
-    pochs = qpoch_multi_table((a * c, a * d, b * c, b * d), q, n)
-    for j in range(1, n):
-        out *= pochs[j]
-    return out
+    return rhs_hankel(n, p) * _decoration_det(n, *_decorations(n, p))
 
 
 def mehta_wang_params(pt: ParamPoint) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar, Scalar]:
@@ -676,11 +638,19 @@ def rhs_even_det(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
     return rhs_pfaffian(m, a, b, q) ** 2
 
 
+def _pfaffian(M: SkewMatrix, eliminated: Scalar | None = None) -> Scalar:
+    """pf(M) from the matchings oracle up to its order cap, by elimination beyond.
+
+    A caller that already holds pfaffian_expansion(M) passes it as `eliminated`.
+    """
+    if M.rows <= MATCHINGS_CAP:
+        return pfaffian_matchings(M)
+    return pfaffian_expansion(M) if eliminated is None else eliminated
+
+
 def check_pfaffian(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
     """Residual pf(matrix) - closed form, with the sign fixed to +1."""
-    M = build_even_det(m, a, b, q)
-    pf = pfaffian_matchings(M) if 2 * m <= 8 else pfaffian_expansion(M)
-    return pf - rhs_pfaffian(m, a, b, q)
+    return _pfaffian(build_even_det(m, a, b, q)) - rhs_pfaffian(m, a, b, q)
 
 
 def build_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> SkewMatrix:
@@ -706,7 +676,7 @@ def check_gamma_pfaffian(m: int, a_int: int) -> Scalar:
     M = SkewMatrix.from_upper(
         2 * m, lambda i, j: Fraction(j - i) * gamma_int(a_int + i + j)
     )
-    pf = pfaffian_matchings(M) if 2 * m <= 8 else pfaffian_expansion(M)
+    pf = _pfaffian(M)
     rhs = Fraction(1)
     for k in range(1, m + 1):
         rhs *= math.factorial(2 * k - 1) * gamma_int(a_int + 2 * k - 1)
@@ -781,27 +751,35 @@ def check_contiguous(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSer
     return t1 - t2 - shifted
 
 
-def check_orthogonality(m: int, n: int, p: AWParams) -> Scalar:
-    """Residual L(p_m p_n) - delta_mn h_n/h_0, via the moment functional."""
-    if max(m, n) > 4:
-        raise DomainError("orthogonality check capped at degree 4")
-    pm = aw_poly_as_polynomial(m, p)
-    pn = pm if m == n else aw_poly_as_polynomial(n, p)
-    value = moment_functional(pm * pn, p)
-    if m == n:
-        value -= aw_norm_ratio(n, p)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # check registry
 # ---------------------------------------------------------------------------
+
+_REGISTERED: list[IdentityCheck] = []
+
+
+def _check(
+    id: str, anchor: str, param_names: tuple[str, ...], defaults: Sizes, note: str = ""
+) -> Callable:
+    """Register the decorated run function as a check; REGISTRY keeps this order."""
+
+    def register(run: Callable[[ParamPoint, Sizes], list]) -> Callable:
+        _REGISTERED.append(IdentityCheck(id, anchor, param_names, defaults, run, note))
+        return run
+
+    return register
+
+
+_ABCDQZ = ("a", "b", "c", "d", "q", "z")
+_MAIN_NAMES = ("a", "b", "c", "d", "q", "e1", "e2", "f1", "f2")
 
 
 def _aw_from(pt: ParamPoint) -> AWParams:
     return AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"])
 
 
+@_check("main_quadratic", "Thm 1.1 / Eq. (main)", _MAIN_NAMES, Sizes(order=10),
+        note="(r,s) in " + str(RS_PAIRS))
 def _run_main_quadratic(pt: ParamPoint, sizes: Sizes) -> list:
     return [check_main_quadratic(r, s, pt, sizes.order) for r, s in RS_PAIRS]
 
@@ -815,6 +793,7 @@ def _six_term_excesses(pt: ParamPoint, sizes: Sizes, r: int, s: int) -> list[lis
     ]
 
 
+@_check("six_term_sums", "§2 / Eq. (eq:sums)", _MAIN_NAMES, Sizes(n_max=5))
 def _run_six_term_sums(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for r, s in ((0, 0), (1, 1), (2, 1)):
@@ -822,6 +801,7 @@ def _run_six_term_sums(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
+@_check("six_term_pairs", "§2 / Eq. (eq:6terms)", _MAIN_NAMES, Sizes(n_max=5))
 def _run_six_term_pairs(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for r, s in ((0, 0), (1, 1), (2, 1)):
@@ -830,6 +810,8 @@ def _run_six_term_pairs(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
+@_check("six_term_factorization", "§2 / Eq. (eqkkare)", ("a", "b", "c", "d", "q", "e1", "f1"),
+        Sizes(n_max=5), note="r = s = 1; 1 <= k <= n")
 def _run_six_term_factorization(pt: ParamPoint, sizes: Sizes) -> list:
     r = s = 1
     q = pt["q"]
@@ -854,22 +836,28 @@ def _run_six_term_factorization(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
+@_check("three_term_kernel", "§2 / Eq. (eqkxyz)", ("a", "b", "c", "d", "x", "y", "z"), Sizes())
 def _run_three_term_kernel(pt: ParamPoint, sizes: Sizes) -> list:
     return [check_three_term_kernel(pt)]
 
 
+@_check("quadratic_specialization", "Cor. 1.2 / Eq. (eq:GZ)",
+        ("q", "a0", "a1", "a2", "a3", "b1", "b2", "b3"), Sizes(order=10), note="r = 1..3")
 def _run_quadratic_specialization(pt: ParamPoint, sizes: Sizes) -> list:
     return [
         check_quadratic_specialization(r, pt, sizes.order) for r in (1, 2, 3)
     ]
 
 
+@_check("aw_quadratic", "Cor. 1.3 / Eq. (eq:conj)", _ABCDQZ, Sizes(n_max=6), note="n = 2..6")
 def _run_aw_quadratic(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
     return [check_aw_quadratic(n, p, x) for n in range(2, max(sizes.n_max, 2) + 1)]
 
 
+@_check("bordered_det", "Thm 3.1 / Eq. (eq:det)", _ABCDQZ, Sizes(n_max=5),
+        note="all three det engines")
 def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
@@ -880,11 +868,13 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
         d_ff = det_fraction_free(M)
         out.append(d_ff - rhs)
         out.append(det_condensation(M) - d_ff)
-        if n <= 8:
+        if n <= COFACTOR_CAP:  # the factorial oracle refuses larger orders
             out.append(det_cofactor(M) - d_ff)
     return out
 
 
+@_check("mehta_wang_det", "Cor. 3.2 / Eq. (eq:ITZ1)", ("a", "u", "v", "q"), Sizes(n_max=5),
+        note="b = v^2, c = u^2/(aq)")
 def _run_mehta_wang(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for n in range(1, sizes.n_max + 1):
@@ -893,6 +883,7 @@ def _run_mehta_wang(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
+@_check("even_order_det", "Cor. 3.3", ("a", "b", "q"), Sizes(m_max=3))
 def _run_even_det(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, q = pt["a"], pt["b"], pt["q"]
     out = []
@@ -902,18 +893,21 @@ def _run_even_det(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
+@_check("pfaffian_eval", "Cor. 3.4 / Eq. (eq:key1)", ("a", "b", "q"), Sizes(m_max=3),
+        note="sign +1; pf^2 = det")
 def _run_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, q = pt["a"], pt["b"], pt["q"]
     out = []
     for m in range(1, sizes.m_max + 1):
-        out.append(check_pfaffian(m, a, b, q))
         M = build_even_det(m, a, b, q)
+        rhs = rhs_pfaffian(m, a, b, q)
         pf = pfaffian_expansion(M)
-        out.append(pf - rhs_pfaffian(m, a, b, q))
-        out.append(pf**2 - det_fraction_free(M))
+        out += [_pfaffian(M, pf) - rhs, pf - rhs, pf**2 - det_fraction_free(M)]
     return out
 
 
+@_check("pfaffian_integer_exp", "Eq. (eq:key2)", ("q",), Sizes(m_max=3),
+        note="integer exponents 1..4")
 def _run_integer_exp_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     q = pt["q"]
     out = []
@@ -929,6 +923,7 @@ def _run_integer_exp_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
+@_check("gamma_pfaffian", "Eq. (eq:CK)", (), Sizes(m_max=3), note="integer arguments 1..4")
 def _run_gamma_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     return [
         check_gamma_pfaffian(m, a)
@@ -937,11 +932,13 @@ def _run_gamma_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     ]
 
 
+@_check("andrews_qwatson", "§3 / Andrews' q-Watson sum", ("a", "b", "q"), Sizes(n_max=8))
 def _run_andrews_watson(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, q = pt["a"], pt["b"], pt["q"]
     return [check_andrews_watson(n, a, b, q) for n in range(sizes.n_max + 1)]
 
 
+@_check("gram_det", "Thm 4.1 / Eq. (Gramdet)", _ABCDQZ, Sizes(n_max=4))
 def _run_gram_det(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
@@ -952,6 +949,8 @@ def _run_gram_det(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
+@_check("gram_to_bordered", "Prop. 4.2", _ABCDQZ, Sizes(n_max=4),
+        note="entrywise column elimination")
 def _run_gram_to_bordered(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
@@ -961,6 +960,8 @@ def _run_gram_to_bordered(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
+@_check("little_qjacobi_hankel", "Eq. (littlejacobi) / (littlejacobibis)",
+        ("a", "b", "c", "d", "q"), Sizes(n_max=5))
 def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     out = []
@@ -970,6 +971,8 @@ def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
+@_check("moment_double_sum", "Thm 4.3 / Eq. (eq:mom)", ("a", "b", "c", "d", "q", "t"),
+        Sizes(n_max=6), note="vs Newton-route functional")
 def _run_moment_double_sum(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     t = pt["t"]
@@ -980,19 +983,26 @@ def _run_moment_double_sum(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
+# aw_moment reads b, c and d only through _basis_moments, which is symmetric in
+# them (the basis_moments check tests that).  A permutation of (a, b, c, d) can
+# therefore change the moment only through its first slot, and swapping a with
+# b, c or d reaches every first slot.
+_A_SWAPS = ("bacd", "cbad", "dbca")
+
+
+@_check("moment_symmetry", "§4 weight symmetry of Eq. (eq:mom)", ("a", "b", "c", "d", "q", "t"),
+        Sizes(n_max=6), note="a swapped with b, c and d")
 def _run_moment_symmetry(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     t = pt["t"]
     out = []
     for n in range(sizes.n_max + 1):
         base = aw_moment(n, t, p)
-        for perm in itertools.permutations("abcd"):
-            if perm == ("a", "b", "c", "d"):
-                continue
-            out.append(aw_moment(n, t, p.permuted(perm)) - base)
+        out += [aw_moment(n, t, p.permuted(perm)) - base for perm in _A_SWAPS]
     return out
 
 
+@_check("basis_moments", "Eq. (linfunc)", ("a", "b", "c", "d", "q"), Sizes(n_max=6))
 def _run_basis_moments(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
@@ -1006,6 +1016,8 @@ def _run_basis_moments(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
+@_check("orthogonality", "Eq. (orth), algebraic form", ("a", "b", "c", "d", "q"), Sizes(n_max=4),
+        note="L(p_m p_n) = delta h_n/h_0")
 def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     top = min(sizes.n_max, 4)
@@ -1020,10 +1032,15 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
+@_check("contiguous_relation", "§4 Remark, contiguous relation", ("a", "b", "q", "A1", "B1"),
+        Sizes(order=10), note="(r,s) in {(1,1),(2,1),(2,2)}")
 def _run_contiguous(pt: ParamPoint, sizes: Sizes) -> list:
     return [check_contiguous(r, s, pt, sizes.order) for r, s in ((1, 1), (2, 1), (2, 2))]
 
 
+@_check("newton_interpolation", "Eq. (newton) / (newtonspecial)",
+        tuple(f"c{i}" for i in range(9)) + tuple(f"n{i}" for i in range(9)) + ("a", "q"),
+        Sizes(n_max=8))
 def _run_newton_interpolation(pt: ParamPoint, sizes: Sizes) -> list:
     deg = min(sizes.n_max, 8)
     f = PolynomialInX([pt[f"c{i}"] for i in range(deg + 1)])
@@ -1043,6 +1060,8 @@ def _run_newton_interpolation(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
+@_check("connection_coeffs", "Cor. 4.4 / Eq. (man)",
+        tuple(f"p{i}" for i in range(8)) + tuple(f"n{i}" for i in range(9)), Sizes(n_max=8))
 def _run_connection_coeffs(pt: ParamPoint, sizes: Sizes) -> list:
     n_top = min(sizes.n_max, 8)
     a_nodes = [pt[f"p{i}"] for i in range(n_top)]
@@ -1090,11 +1109,15 @@ def _square_from(pt: ParamPoint, k: int) -> Matrix:
     return Matrix.build(k, k, lambda i, j: pt[f"m{i}_{j}"])
 
 
+@_check("desnanot_jacobi", "Eq. (eq:Desnanot-Jacobi)", _square_names(6), Sizes(n_max=6),
+        note="orders 2..6")
 def _run_desnanot_jacobi(pt: ParamPoint, sizes: Sizes) -> list:
     top = min(sizes.n_max, 6)
     return [desnanot_jacobi_residual(_square_from(pt, k)) for k in range(2, top + 1)]
 
 
+@_check("det_engines", "engine cross-check (det)", _square_names(6), Sizes(n_max=6),
+        note="orders 1..6")
 def _run_det_engines(pt: ParamPoint, sizes: Sizes) -> list:
     top = min(sizes.n_max, 6)
     out = []
@@ -1110,6 +1133,8 @@ def _skew_names(size: int) -> tuple[str, ...]:
     return tuple(f"w{i}_{j}" for i in range(size) for j in range(i + 1, size))
 
 
+@_check("pfaffian_engines", "engine cross-check (pf, pf^2 = det)", _skew_names(8), Sizes(m_max=4),
+        note="orders 2,4,6,8")
 def _run_pfaffian_engines(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for m in range(1, min(sizes.m_max, 4) + 1):
@@ -1120,219 +1145,7 @@ def _run_pfaffian_engines(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
-_ABCDQZ = ("a", "b", "c", "d", "q", "z")
-_MAIN_NAMES = ("a", "b", "c", "d", "q", "e1", "e2", "f1", "f2")
-
-REGISTRY: tuple[IdentityCheck, ...] = (
-    IdentityCheck(
-        "main_quadratic",
-        "Thm 1.1 / Eq. (main)",
-        _MAIN_NAMES,
-        Sizes(order=10),
-        _run_main_quadratic,
-        note="(r,s) in " + str(RS_PAIRS),
-    ),
-    IdentityCheck(
-        "six_term_sums",
-        "§2 / Eq. (eq:sums)",
-        _MAIN_NAMES,
-        Sizes(n_max=5),
-        _run_six_term_sums,
-    ),
-    IdentityCheck(
-        "six_term_pairs",
-        "§2 / Eq. (eq:6terms)",
-        _MAIN_NAMES,
-        Sizes(n_max=5),
-        _run_six_term_pairs,
-    ),
-    IdentityCheck(
-        "six_term_factorization",
-        "§2 / Eq. (eqkkare)",
-        ("a", "b", "c", "d", "q", "e1", "f1"),
-        Sizes(n_max=5),
-        _run_six_term_factorization,
-        note="r = s = 1; 1 <= k <= n",
-    ),
-    IdentityCheck(
-        "three_term_kernel",
-        "§2 / Eq. (eqkxyz)",
-        ("a", "b", "c", "d", "x", "y", "z"),
-        Sizes(),
-        _run_three_term_kernel,
-    ),
-    IdentityCheck(
-        "quadratic_specialization",
-        "Cor. 1.2 / Eq. (eq:GZ)",
-        ("q", "a0", "a1", "a2", "a3", "b1", "b2", "b3"),
-        Sizes(order=10),
-        _run_quadratic_specialization,
-        note="r = 1..3",
-    ),
-    IdentityCheck(
-        "aw_quadratic",
-        "Cor. 1.3 / Eq. (eq:conj)",
-        _ABCDQZ,
-        Sizes(n_max=6),
-        _run_aw_quadratic,
-        note="n = 2..6",
-    ),
-    IdentityCheck(
-        "bordered_det",
-        "Thm 3.1 / Eq. (eq:det)",
-        _ABCDQZ,
-        Sizes(n_max=5),
-        _run_bordered_det,
-        note="all three det engines",
-    ),
-    IdentityCheck(
-        "mehta_wang_det",
-        "Cor. 3.2 / Eq. (eq:ITZ1)",
-        ("a", "u", "v", "q"),
-        Sizes(n_max=5),
-        _run_mehta_wang,
-        note="b = v^2, c = u^2/(aq)",
-    ),
-    IdentityCheck(
-        "even_order_det",
-        "Cor. 3.3",
-        ("a", "b", "q"),
-        Sizes(m_max=3),
-        _run_even_det,
-    ),
-    IdentityCheck(
-        "pfaffian_eval",
-        "Cor. 3.4 / Eq. (eq:key1)",
-        ("a", "b", "q"),
-        Sizes(m_max=3),
-        _run_pfaffian,
-        note="sign +1; pf^2 = det",
-    ),
-    IdentityCheck(
-        "pfaffian_integer_exp",
-        "Eq. (eq:key2)",
-        ("q",),
-        Sizes(m_max=3),
-        _run_integer_exp_pfaffian,
-        note="integer exponents 1..4",
-    ),
-    IdentityCheck(
-        "gamma_pfaffian",
-        "Eq. (eq:CK)",
-        (),
-        Sizes(m_max=3),
-        _run_gamma_pfaffian,
-        note="integer arguments 1..4",
-    ),
-    IdentityCheck(
-        "andrews_qwatson",
-        "§3 / Andrews' q-Watson sum",
-        ("a", "b", "q"),
-        Sizes(n_max=8),
-        _run_andrews_watson,
-    ),
-    IdentityCheck(
-        "gram_det",
-        "Thm 4.1 / Eq. (Gramdet)",
-        _ABCDQZ,
-        Sizes(n_max=4),
-        _run_gram_det,
-    ),
-    IdentityCheck(
-        "gram_to_bordered",
-        "Prop. 4.2",
-        _ABCDQZ,
-        Sizes(n_max=4),
-        _run_gram_to_bordered,
-        note="entrywise column elimination",
-    ),
-    IdentityCheck(
-        "little_qjacobi_hankel",
-        "Eq. (littlejacobi) / (littlejacobibis)",
-        ("a", "b", "c", "d", "q"),
-        Sizes(n_max=5),
-        _run_hankel,
-    ),
-    IdentityCheck(
-        "moment_double_sum",
-        "Thm 4.3 / Eq. (eq:mom)",
-        ("a", "b", "c", "d", "q", "t"),
-        Sizes(n_max=6),
-        _run_moment_double_sum,
-        note="vs Newton-route functional",
-    ),
-    IdentityCheck(
-        "moment_symmetry",
-        "§4 weight symmetry of Eq. (eq:mom)",
-        ("a", "b", "c", "d", "q", "t"),
-        Sizes(n_max=6),
-        _run_moment_symmetry,
-        note="all 24 permutations",
-    ),
-    IdentityCheck(
-        "basis_moments",
-        "Eq. (linfunc)",
-        ("a", "b", "c", "d", "q"),
-        Sizes(n_max=6),
-        _run_basis_moments,
-    ),
-    IdentityCheck(
-        "orthogonality",
-        "Eq. (orth), algebraic form",
-        ("a", "b", "c", "d", "q"),
-        Sizes(n_max=4),
-        _run_orthogonality,
-        note="L(p_m p_n) = delta h_n/h_0",
-    ),
-    IdentityCheck(
-        "contiguous_relation",
-        "§4 Remark, contiguous relation",
-        ("a", "b", "q", "A1", "B1"),
-        Sizes(order=10),
-        _run_contiguous,
-        note="(r,s) in {(1,1),(2,1),(2,2)}",
-    ),
-    IdentityCheck(
-        "newton_interpolation",
-        "Eq. (newton) / (newtonspecial)",
-        tuple(f"c{i}" for i in range(9))
-        + tuple(f"n{i}" for i in range(9))
-        + ("a", "q"),
-        Sizes(n_max=8),
-        _run_newton_interpolation,
-    ),
-    IdentityCheck(
-        "connection_coeffs",
-        "Cor. 4.4 / Eq. (man)",
-        tuple(f"p{i}" for i in range(8)) + tuple(f"n{i}" for i in range(9)),
-        Sizes(n_max=8),
-        _run_connection_coeffs,
-    ),
-    IdentityCheck(
-        "desnanot_jacobi",
-        "Eq. (eq:Desnanot-Jacobi)",
-        _square_names(6),
-        Sizes(n_max=6),
-        _run_desnanot_jacobi,
-        note="orders 2..6",
-    ),
-    IdentityCheck(
-        "det_engines",
-        "engine cross-check (det)",
-        _square_names(6),
-        Sizes(n_max=6),
-        _run_det_engines,
-        note="orders 1..6",
-    ),
-    IdentityCheck(
-        "pfaffian_engines",
-        "engine cross-check (pf, pf^2 = det)",
-        _skew_names(8),
-        Sizes(m_max=4),
-        _run_pfaffian_engines,
-        note="orders 2,4,6,8",
-    ),
-)
+REGISTRY: tuple[IdentityCheck, ...] = tuple(_REGISTERED)
 
 CHECKS_BY_ID = {check.id: check for check in REGISTRY}
 
@@ -1382,27 +1195,16 @@ def run_check(
         raise DomainError("trials must be nonnegative")
     sizes = sizes if sizes is not None else check.defaults
     t0 = time.perf_counter()
-    passes = empty = 0
+    empty = 0
     witnesses: list[int] = []
     for trial in range(trials):
-        trial_seed = _trial_seed(check.id, seed, trial)
-        residuals, pt = run_trial(check, trial_seed, sizes)
+        residuals, pt = run_trial(check, _trial_seed(check.id, seed, trial), sizes)
         empty += not residuals
-        if all(_is_zero(r) for r in residuals):
-            passes += 1
-        else:
+        if not all(_is_zero(r) for r in residuals):
             witnesses.append(pt.seed)
     if empty:
         raise EmptyResiduals(
             f"{check.id} compared nothing in {empty} of {trials} trials at {sizes}"
         )
     millis = int((time.perf_counter() - t0) * 1000)
-    return CheckReport(
-        id=check.id,
-        anchor=check.anchor,
-        trials=trials,
-        passes=passes,
-        failures=trials - passes,
-        witness_seeds=tuple(witnesses),
-        millis=millis,
-    )
+    return CheckReport(check.id, check.anchor, trials, len(witnesses), tuple(witnesses), millis)

@@ -155,6 +155,21 @@ def test_aw_moment_full_symmetry():
             assert aw_moment(n, t, P.permuted(perm)) == base
 
 
+def test_aw_moment_takes_one_value_per_first_slot():
+    # b, c and d enter only symmetrically, so the moment_symmetry check needs
+    # only the swaps of a with b, c and d: every other permutation repeats one
+    rng = random.Random(11)
+    for _ in range(4):
+        p = AWParams(*(rand_fraction(rng) for _ in range(4)), rand_q(rng))
+        t = rand_fraction(rng)
+        for n in range(5):
+            values = {}
+            for perm in itertools.permutations("abcd"):
+                values.setdefault(perm[0], set()).add(aw_moment(n, t, p.permuted(perm)))
+            assert sorted(values) == list("abcd")
+            assert all(len(v) == 1 for v in values.values())
+
+
 def test_moment_functional_constant_and_monomials():
     assert moment_functional(PolynomialInX([F(1)]), P) == 1
     for n in range(5):

@@ -148,6 +148,18 @@ def test_negative_trials_is_config_error(capsys):
     assert rc == 2
 
 
+def test_zero_trials_is_config_error(capsys):
+    rc = main(["verify", "--identity", "gram_det", "--trials", "0"])
+    assert rc == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err
+
+
+def test_bordered_det_past_the_cofactor_cap(capsys):
+    # order 9 exceeds the cofactor oracle's cap; the other engines still run
+    rc = main(["verify", "--identity", "bordered_det", "--nmax", "9", "--trials", "1"])
+    assert rc == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("height", ["0", "1"])
 def test_height_below_two_is_config_error(height, capsys):
     rc = main(["verify", "--identity", "three_term_kernel", "--height", height])
