@@ -1009,10 +1009,12 @@ def _run_basis_moments(pt: ParamPoint, sizes: Sizes) -> list:
     out = [basis_moment(1, p) - (1 - a * b) * (1 - a * c) * (1 - a * d) / (1 - p.abcd)]
     for n in range(sizes.n_max + 1):
         f = pochhammer_basis_poly(a, q, n)
-        out.append(moment_functional(f, p, n_max=max(n, 1)) - basis_moment(n, p))
+        value = moment_functional(f, p, n_max=max(n, 1))
+        moment = basis_moment(n, p)
+        out.append(value - moment)
         # symmetric in b, c, d
-        out.append(basis_moment(n, replace(p, b=c, c=d, d=b)) - basis_moment(n, p))
-        out.append(basis_moment(n, replace(p, b=d, d=b)) - basis_moment(n, p))
+        out.append(basis_moment(n, replace(p, b=c, c=d, d=b)) - moment)
+        out.append(basis_moment(n, replace(p, b=d, d=b)) - moment)
     return out
 
 
@@ -1066,26 +1068,24 @@ def _run_connection_coeffs(pt: ParamPoint, sizes: Sizes) -> list:
     n_top = min(sizes.n_max, 8)
     a_nodes = [pt[f"p{i}"] for i in range(n_top)]
     b_nodes = [pt[f"n{i}"] for i in range(n_top + 1)]
+    # every closed-form sum u(n, k), 0 <= k <= n <= n_top, computed once
+    u = [[connection_u(n, k, a_nodes, b_nodes) for k in range(n + 1)] for n in range(n_top + 1)]
     out = []
     # boundary values
-    u00 = connection_u(0, 0, a_nodes, b_nodes)
-    out.append(u00 - 1)
+    out.append(u[0][0] - 1)
     for n in range(1, n_top + 1):
         prod = Fraction(1)
         for i in range(n):
             prod *= a_nodes[i] + b_nodes[0]
-        out.append(connection_u(n, 0, a_nodes, b_nodes) - prod)
+        out.append(u[n][0] - prod)
     # recurrence u(n,k) = u(n-1,k-1) + (a_(n-1) + b_k) u(n-1,k)
     for n in range(2, n_top + 1):
         for k in range(1, n):
-            lhs = connection_u(n, k, a_nodes, b_nodes)
-            rhs = connection_u(n - 1, k - 1, a_nodes, b_nodes) + (
-                a_nodes[n - 1] + b_nodes[k]
-            ) * connection_u(n - 1, k, a_nodes, b_nodes)
-            out.append(lhs - rhs)
+            rhs = u[n - 1][k - 1] + (a_nodes[n - 1] + b_nodes[k]) * u[n - 1][k]
+            out.append(u[n][k] - rhs)
     # basis expansion evaluated at n_top+1 points determines the polynomial
     n = n_top
-    us = [connection_u(n, k, a_nodes, b_nodes) for k in range(n + 1)]
+    us = u[n]
     for xi in range(n + 1):
         x = Fraction(xi)
         lhs = Fraction(1)

@@ -2,7 +2,10 @@
 
 Every quantity in this package is a ``fractions.Fraction`` (aliased ``Scalar``):
 arithmetic is exact, values are kept in lowest terms with positive denominator,
-and division by zero raises instead of producing a NaN.  Identities are
+and division by zero raises instead of producing a NaN.  The Pochhammer
+kernels run their loops on plain-int numerator/denominator pairs and build one
+canonical ``Fraction`` per value they return: the values of running
+``Fraction`` products, without a gcd at every factor.  Identities are
 certified by evaluating both sides at random small-height rational points
 (Schwartz-Zippel style), so the sampler here is the only source of randomness
 and is fully deterministic in its seed.
@@ -46,7 +49,8 @@ def qpoch(a: Scalar, q: Scalar, n: int) -> Scalar:
     (a;q)_{-n} = 1 / prod_{k=1}^{n} (1 - a q^{-k}) for n > 0.
     """
     if n >= 0:
-        return qpoch_table(a, q, n)[n]
+        nums, dens = _qpoch_prefix(a, q, n)
+        return Fraction(nums[n], dens[n])
     out = Fraction(1)
     f = a
     for _ in range(-n):
@@ -58,6 +62,29 @@ def qpoch(a: Scalar, q: Scalar, n: int) -> Scalar:
     return 1 / out
 
 
+def _qpoch_prefix(a: Scalar, q: Scalar, n: int) -> tuple[list[int], list[int]]:
+    """Integer numerators and positive denominators of (a;q)_0, ..., (a;q)_n.
+
+    With a = a_n/a_d and q = q_n/q_d in lowest terms, the factor 1 - a q^k is
+    (a_d q_d^k - a_n q_n^k) / (a_d q_d^k); the pairs are its running products,
+    left unreduced.
+    """
+    if n < 0:
+        raise DomainError("qpoch_table needs n >= 0")
+    an, ad = a.numerator, a.denominator
+    qn, qd = q.numerator, q.denominator
+    num = den = 1
+    nums, dens = [1], [1]
+    for _ in range(n):
+        num *= ad - an
+        den *= ad
+        nums.append(num)
+        dens.append(den)
+        an *= qn
+        ad *= qd
+    return nums, dens
+
+
 def qpoch_table(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
     """Prefix table [(a;q)_0, (a;q)_1, ..., (a;q)_n], one running product.
 
@@ -65,32 +92,33 @@ def qpoch_table(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
     recomputing each product from scratch.  Entries may be zero; only a
     caller dividing by one knows whether that is a pole.
     """
-    if n < 0:
-        raise DomainError("qpoch_table needs n >= 0")
-    prod = Fraction(1)
-    out = [prod]
-    f = a
-    for _ in range(n):
-        prod *= 1 - f
-        out.append(prod)
-        f *= q
-    return out
+    return [Fraction(x, y) for x, y in zip(*_qpoch_prefix(a, q, n))]
 
 
 def qpoch_multi_table(params: Iterable[Scalar], q: Scalar, n: int) -> list[Scalar]:
-    """Prefix table [(params;q)_0, ..., (params;q)_n], one qpoch_table per base."""
-    out = [Fraction(1)] * (n + 1)
+    """Prefix table [(params;q)_0, ..., (params;q)_n].
+
+    The integer prefix products of every base are multiplied entrywise and
+    each entry becomes one canonical Fraction.
+    """
+    nums, dens = [1] * (n + 1), [1] * (n + 1)
     for a in params:
-        out = [x * y for x, y in zip(out, qpoch_table(a, q, n))]
-    return out
+        a_nums, a_dens = _qpoch_prefix(a, q, n)
+        nums = [x * y for x, y in zip(nums, a_nums)]
+        dens = [x * y for x, y in zip(dens, a_dens)]
+    return [Fraction(x, y) for x, y in zip(nums, dens)]
 
 
 def qpoch_multi(params: Iterable[Scalar], q: Scalar, n: int) -> Scalar:
     """Product (a_1, ..., a_r; q)_n = (a_1;q)_n ... (a_r;q)_n."""
-    out = Fraction(1)
+    if n < 0:
+        return math.prod((qpoch(a, q, n) for a in params), start=Fraction(1))
+    num = den = 1
     for a in params:
-        out *= qpoch(a, q, n)
-    return out
+        nums, dens = _qpoch_prefix(a, q, n)
+        num *= nums[n]
+        den *= dens[n]
+    return Fraction(num, den)
 
 
 def qint(k: int, q: Scalar) -> Scalar:

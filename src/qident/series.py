@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .scalar import PoleError, Scalar, qpoch, qpoch_multi
+from .scalar import PoleError, Scalar, qpoch_multi
 
 DEFAULT_ORDER = 12
 
@@ -97,7 +97,7 @@ def phi_term(spec: HypergeometricSpec, n: int) -> Scalar:
     if n < 0:
         raise ValueError("term index must be nonnegative")
     q = spec.q
-    den = qpoch(q, q, n) * qpoch_multi(spec.denominators, q, n)
+    den = qpoch_multi((q,) + tuple(spec.denominators), q, n)
     if den == 0:
         raise PoleError(f"denominator Pochhammer vanishes at term {n}")
     num = qpoch_multi(spec.numerators, q, n)
@@ -112,29 +112,46 @@ def phi_series(
     """The series with argument (argument_scale * z), truncated at `order`.
 
     Coefficient n equals phi_term(spec, n) * argument_scale^n; computed by the
-    term-ratio recurrence, which keeps the cost linear in the order.
+    term-ratio recurrence, which keeps the cost linear in the order.  The term
+    is carried as an integer numerator/denominator pair: each step multiplies
+    in the integer ratio and reduces it once, through the canonical Fraction
+    that becomes coefficient n.
     """
-    q = spec.q
+    qn, qd = spec.q.numerator, spec.q.denominator
     e = spec.sign_exponent
     scale = Fraction(argument_scale)
+    nums = [(a.numerator, a.denominator) for a in spec.numerators]
+    dens = [(b.numerator, b.denominator) for b in spec.denominators]
+    # ((-1)^n q^C(n,2))^e contributes (-q^(n-1))^e to the ratio of term n
+    sign = -1 if e % 2 else 1
     coeffs = [Fraction(1)]
-    term = Fraction(1)
-    num_f = list(spec.numerators)
-    den_f = list(spec.denominators)
-    qn = Fraction(1)  # q^(n-1) while computing term n
+    t_num, t_den = 1, 1
+    pn, pd = 1, 1  # q^(n-1) = pn/pd while computing term n
     for n in range(1, order + 1):
-        den = 1 - qn * q
-        for b in den_f:
-            den *= 1 - b * qn
-        if den == 0:
+        # (1 - q^n) prod_b (1 - b q^(n-1)), numerator and denominator
+        r_den = pd * qd - pn * qn
+        r_num = pd * qd
+        for bn, bd in dens:
+            r_den *= bd * pd - bn * pn
+            r_num *= bd * pd
+        if r_den == 0:
             raise PoleError(f"denominator Pochhammer vanishes at term {n}")
-        for a in num_f:
-            term *= 1 - a * qn
-        term = term / den * scale
-        if e:
-            term *= (-1 if e % 2 else 1) * qn**e
+        for an, ad in nums:
+            r_num *= ad * pd - an * pn
+            r_den *= ad * pd
+        r_num *= scale.numerator
+        r_den *= scale.denominator
+        if e > 0:
+            r_num *= sign * pn**e
+            r_den *= pd**e
+        elif e < 0:
+            r_num *= sign * pd**-e
+            r_den *= pn**-e
+        term = Fraction(t_num * r_num, t_den * r_den)
         coeffs.append(term)
-        qn *= q
+        t_num, t_den = term.numerator, term.denominator
+        pn *= qn
+        pd *= qd
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -157,15 +174,29 @@ def phi_terminating(spec: HypergeometricSpec, z_value: Scalar, m: int) -> Scalar
 
 
 def series_mul(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order."""
+    """Cauchy product truncated at the common order.
+
+    Each operand is scaled to integers over the lcm of its denominators; the
+    integer numerators are convolved and each coefficient becomes one
+    canonical Fraction.
+    """
     if u.order != v.order:
         raise OrderMismatch(f"orders differ: {u.order} vs {v.order}")
-    n = u.order
-    a, b = u.coeffs, v.coeffs
-    out = []
-    for k in range(n + 1):
-        out.append(sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)))
-    return TruncatedSeries(tuple(out))
+    a, da = _common_denominator(u.coeffs)
+    b, db = _common_denominator(v.coeffs)
+    den = da * db
+    return TruncatedSeries(
+        tuple(
+            Fraction(sum(a[i] * b[k - i] for i in range(k + 1)), den)
+            for k in range(u.order + 1)
+        )
+    )
+
+
+def _common_denominator(coeffs: Sequence[Scalar]) -> tuple[list[int], int]:
+    """Integers c_k * L and L, for L the lcm of the denominators of the c_k."""
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (lcm // c.denominator) for c in coeffs], lcm
 
 
 def series_linear_combine(
