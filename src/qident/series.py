@@ -124,11 +124,12 @@ def phi_series(
     dens = [(b.numerator, b.denominator) for b in spec.denominators]
     # ((-1)^n q^C(n,2))^e contributes (-q^(n-1))^e to the ratio of term n
     sign = -1 if e % 2 else 1
-    coeffs = [Fraction(1)]
-    t_num, t_den = 1, 1
+    term = Fraction(1)
+    coeffs = [term]
     pn, pd = 1, 1  # q^(n-1) = pn/pd while computing term n
     for n in range(1, order + 1):
-        # (1 - q^n) prod_b (1 - b q^(n-1)), numerator and denominator
+        # term n / term n-1 = r_num / r_den; the denominator factor
+        # (1 - q^n) prod_b (1 - b q^(n-1)) enters inverted
         r_den = pd * qd - pn * qn
         r_num = pd * qd
         for bn, bd in dens:
@@ -147,9 +148,8 @@ def phi_series(
         elif e < 0:
             r_num *= sign * pd**-e
             r_den *= pn**-e
-        term = Fraction(t_num * r_num, t_den * r_den)
+        term = Fraction(term.numerator * r_num, term.denominator * r_den)
         coeffs.append(term)
-        t_num, t_den = term.numerator, term.denominator
         pn *= qn
         pd *= qd
     return TruncatedSeries(tuple(coeffs))
