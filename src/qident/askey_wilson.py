@@ -9,10 +9,17 @@ with x = (z + 1/z)/2.  Everything here stays inside exact rationals: the
 substitution z for e^(i*theta) makes each evaluation a rational number, and the
 orthogonality functional L is characterised algebraically by its values on the
 basis (a*z, a/z; q)_n rather than by the contour integral.
+
+L is reached through Newton interpolation on the q-quadratic lattice
+b_j = (q^j a + q^-j / a)/2: the lattice coefficients, the moment weights
+L(f) = sum_j w_j f(b_j), the connection coefficients and polynomial evaluation
+and products run on plain-int numerator/denominator pairs and build one
+canonical Fraction per value they return.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,12 +28,13 @@ from .scalar import (
     DomainError,
     PoleError,
     Scalar,
+    _qpoch_prefix,
     qpoch,
     qpoch_multi,
     qpoch_multi_table,
     qpoch_table,
 )
-from .series import HypergeometricSpec, phi_terminating
+from .series import HypergeometricSpec, _common_denominator, _convolve, phi_terminating
 
 N_MAX_DEFAULT = 8
 
@@ -95,10 +103,14 @@ class PolynomialInX:
         return len(self.coeffs) - 1
 
     def __call__(self, x: Scalar) -> Scalar:
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        """Horner's rule on the integers c_k * L, for L the lcm of the denominators."""
+        cs, lcm = _common_denominator(self.coeffs)
+        xn, xd = x.numerator, x.denominator
+        acc, scale = cs[-1], 1
+        for c in reversed(cs[:-1]):
+            scale *= xd
+            acc = acc * xn + c * scale
+        return Fraction(acc, lcm * scale)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolynomialInX) and self.coeffs == other.coeffs
@@ -113,11 +125,8 @@ class PolynomialInX:
         return self + other.scale(Fraction(-1))
 
     def __mul__(self, other: "PolynomialInX") -> "PolynomialInX":
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return PolynomialInX(out)
+        length = len(self.coeffs) + len(other.coeffs) - 1
+        return PolynomialInX(_convolve(self.coeffs, other.coeffs, length))
 
     def scale(self, c: Scalar) -> "PolynomialInX":
         c = Fraction(c)
@@ -230,27 +239,60 @@ def lattice_nodes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
     return out
 
 
+def _distinct_lattice_nodes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
+    nodes = lattice_nodes(a, q, n)
+    if len(set(nodes)) != len(nodes):
+        raise DegenerateLattice("lattice nodes collided; resample a or q")
+    return nodes
+
+
+def _lattice_denominators(
+    a: Scalar, q: Scalar, n: int
+) -> list[tuple[int, int, list[int], list[int]]]:
+    """The lattice Newton matrix M_kj, 0 <= j <= k <= n, as integer pairs.
+
+    M_kj = q^(k-j^2) a^(-2j) / ((q, q^(1-2j)/a^2; q)_j (q, q^(2j+1) a^2; q)_(k-j))
+    is the weight of f(b_j) in u_k.  Node j yields (cn, cd, dn, dd) with
+    M_(j+i)j = (cn/cd) (dn[i]/dd[i]): the head q^(j-j^2) a^(-2j) / (q, q^(1-2j)/a^2; q)_j
+    and, for i = 0..n-j, the tail q^i / (q, q^(2j+1) a^2; q)_i.  The products
+    are read from integer prefix tables and left unreduced.  Every entry up to
+    order n is read, so any zero raises PoleError.
+    """
+    a, q = Fraction(a), Fraction(q)
+    a2 = a * a
+    qn, qd = q.numerator, q.denominator
+    qq_n, qq_d = _qpoch_prefix(q, q, n)
+    out = []
+    for j in range(n + 1):
+        head_n, head_d = _qpoch_prefix(q ** (1 - 2 * j) / a2, q, j)
+        tail_n, tail_d = _qpoch_prefix(q ** (2 * j + 1) * a2, q, n - j)
+        if qq_n[j] * head_n[j] == 0 or qq_n[n - j] * tail_n[n - j] == 0:
+            raise PoleError("lattice Newton denominator vanishes")
+        e = j * (j - 1)
+        cn = qd**e * a2.denominator**j * qq_d[j] * head_d[j]
+        cd = qn**e * a2.numerator**j * qq_n[j] * head_n[j]
+        dn = [qn**i * qq_d[i] * tail_d[i] for i in range(n - j + 1)]
+        dd = [qd**i * qq_n[i] * tail_n[i] for i in range(n - j + 1)]
+        out.append((cn, cd, dn, dd))
+    return out
+
+
 def _lattice_coeffs(fvals: Sequence[Scalar], a: Scalar, q: Scalar) -> list[Scalar]:
     """u_0..u_n of the lattice Newton expansion, n = len(fvals) - 1.
 
-    Node j enters every u_k with k >= j.  Its head (q, q^(1-2j)/a^2; q)_j and
-    weight q^(-j^2) a^(-2j) f(b_j) are formed once; (q;q)_(k-j) is read from
-    one table shared by all j, and (q^(2j+1) a^2; q)_(k-j) from one table per
-    j.  Every entry of these tables is read, so any zero is a pole.
+    u_k = sum_{j<=k} M_kj f(b_j), with M_kj from _lattice_denominators.  Each
+    u_k is accumulated as an unreduced integer pair and becomes one canonical
+    Fraction.
     """
     n = len(fvals) - 1
-    a2 = Fraction(a) ** 2
-    qq = qpoch_table(q, q, n)
-    sums = [Fraction(0)] * (n + 1)
-    for j in range(n + 1):
-        head = qq[j] * qpoch(q ** (1 - 2 * j) / a2, q, j)
-        tail = qpoch_table(q ** (2 * j + 1) * a2, q, n - j)
-        if head == 0 or qq[n - j] * tail[n - j] == 0:
-            raise PoleError("lattice Newton denominator vanishes")
-        weight = q ** (-j * j) * a ** (-2 * j) * fvals[j] / head
+    nums, dens = [0] * (n + 1), [1] * (n + 1)
+    for j, (f, (cn, cd, dn, dd)) in enumerate(zip(fvals, _lattice_denominators(a, q, n))):
+        wn, wd = f.numerator * cn, f.denominator * cd
         for i in range(n - j + 1):
-            sums[j + i] += weight / (qq[i] * tail[i])
-    return [q**k * total for k, total in enumerate(sums)]
+            k = j + i
+            tn, td = wn * dn[i], wd * dd[i]
+            nums[k], dens[k] = nums[k] * td + tn * dens[k], dens[k] * td
+    return [Fraction(x, y) for x, y in zip(nums, dens)]
 
 
 def newton_lattice_coeffs(
@@ -264,15 +306,36 @@ def newton_lattice_coeffs(
         u_k = sum_{j=0}^k q^(k - j^2) a^(-2j) f(b_j)
               / ( (q, q^(1-2j)/a^2; q)_j (q, q^(2j+1) a^2; q)_{k-j} ).
 
-    All u_k come from one pass over the nodes, with each Pochhammer product
-    read from one prefix table per base.
+    All u_k come from one pass over the nodes, on integer pairs read from one
+    prefix table per base.
     """
     if f.degree > n:
         raise DomainError(f"degree {f.degree} exceeds expansion order {n}")
-    nodes = lattice_nodes(a, q, n)
-    if len(set(nodes)) != len(nodes):
-        raise DegenerateLattice("lattice nodes collided; resample a or q")
+    nodes = _distinct_lattice_nodes(a, q, n)
     return _lattice_coeffs([f(b) for b in nodes], a, q)
+
+
+def moment_weights(p: AWParams, n: int) -> tuple[list[Scalar], list[Scalar]]:
+    """Nodes b_0..b_n and weights w_j with L(f) = sum_j w_j f(b_j) for deg f <= n.
+
+    L is linear and L(f) = sum_k mu_k u_k, with mu_k = L((a*z, a/z; q)_k) and
+    u_k = sum_{j<=k} M_kj f(b_j), so w_j = sum_{k>=j} mu_k M_kj.  M_kj comes
+    from the same integer lattice tables as the u_k.  Raises DegenerateLattice
+    or PoleError exactly when moment_functional does for a polynomial of
+    degree n.
+    """
+    nodes = _distinct_lattice_nodes(p.a, p.q, n)
+    tables = _lattice_denominators(p.a, p.q, n)
+    moments = _basis_moments(n, p)
+    weights = []
+    for j, (cn, cd, dn, dd) in enumerate(tables):
+        sn, sd = 0, 1
+        for i in range(n - j + 1):
+            mu = moments[j + i]
+            tn, td = mu.numerator * dn[i], mu.denominator * dd[i]
+            sn, sd = sn * td + tn * sd, sd * td
+        weights.append(Fraction(cn * sn, cd * sd))
+    return nodes, weights
 
 
 def moment_functional(f: PolynomialInX, p: AWParams, n_max: int = N_MAX_DEFAULT) -> Scalar:
@@ -343,14 +406,18 @@ def connection_u(
     bs = [Fraction(b) for b in b_nodes[: k + 1]]
     if len(set(bs)) != len(bs):
         raise DuplicateNodes("b-nodes must be distinct")
-    total = Fraction(0)
-    for r in range(k + 1):
-        num = Fraction(1)
-        for j in range(n):
-            num *= bs[r] + a_nodes[j]
-        den = Fraction(1)
-        for j in range(k + 1):
-            if j != r:
-                den *= bs[r] - bs[j]
-        total += num / den
-    return total
+    a_pairs = [(a_nodes[j].numerator, a_nodes[j].denominator) for j in range(n)]
+    b_pairs = [(b.numerator, b.denominator) for b in bs]
+    # with b_r = rn/rd, the r-term is P_r B / (A rd^(n-k+1) D_r): P_r and D_r
+    # are the integer products below, A and B the products of the a- and
+    # b-node denominators
+    num, den = 0, 1
+    for r, (rn, rd) in enumerate(b_pairs):
+        tn = math.prod(rn * ad + an * rd for an, ad in a_pairs)
+        td = rd ** (n - k + 1) * math.prod(
+            rn * sd - sn * rd for s, (sn, sd) in enumerate(b_pairs) if s != r
+        )
+        num, den = num * td + tn * den, den * td
+    a_den = math.prod(ad for _, ad in a_pairs)
+    b_den = math.prod(bd for _, bd in b_pairs)
+    return Fraction(b_den * num, a_den * den)

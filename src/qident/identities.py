@@ -23,6 +23,7 @@ from .askey_wilson import (
     DuplicateNodes,
     PolynomialInX,
     XPoint,
+    _basis_moments,
     aw_moment,
     aw_norm_ratio,
     aw_poly,
@@ -30,6 +31,7 @@ from .askey_wilson import (
     basis_moment,
     connection_u,
     moment_functional,
+    moment_weights,
     newton_coeffs,
     newton_lattice_coeffs,
     newton_to_monomial,
@@ -1004,34 +1006,76 @@ def _run_moment_symmetry(pt: ParamPoint, sizes: Sizes) -> list:
 
 @_check("basis_moments", "Eq. (linfunc)", ("a", "b", "c", "d", "q"), Sizes(n_max=6))
 def _run_basis_moments(pt: ParamPoint, sizes: Sizes) -> list:
+    """L((az, a/z; q)_n) by the Newton route against the closed form, and its
+    symmetry in b, c and d, for n = 0..n_max.
+
+    Each parameter order reads its moments from one _basis_moments table.  The
+    functional values come first, in order of n, so a DegenerateLattice or a
+    zero (abcd;q)_n is raised where the per-n route raised it; once they pass,
+    (abcd;q)_(n_max) is nonzero, and since a zero stays zero in a running
+    product, the tables cannot raise.
+    """
     p = _aw_from(pt)
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     out = [basis_moment(1, p) - (1 - a * b) * (1 - a * c) * (1 - a * d) / (1 - p.abcd)]
-    for n in range(sizes.n_max + 1):
-        f = pochhammer_basis_poly(a, q, n)
-        value = moment_functional(f, p, n_max=max(n, 1))
-        moment = basis_moment(n, p)
-        out.append(value - moment)
-        # symmetric in b, c, d
-        out.append(basis_moment(n, replace(p, b=c, c=d, d=b)) - moment)
-        out.append(basis_moment(n, replace(p, b=d, d=b)) - moment)
+    values = [
+        moment_functional(pochhammer_basis_poly(a, q, n), p, n_max=max(n, 1))
+        for n in range(sizes.n_max + 1)
+    ]
+    # symmetric in b, c, d
+    moments, *swapped = (
+        _basis_moments(sizes.n_max, order)
+        for order in (p, replace(p, b=c, c=d, d=b), replace(p, b=d, d=b))
+    )
+    for n, value in enumerate(values):
+        out.append(value - moments[n])
+        out += [other[n] - moments[n] for other in swapped]
     return out
 
 
 @_check("orthogonality", "Eq. (orth), algebraic form", ("a", "b", "c", "d", "q"), Sizes(n_max=4),
         note="L(p_m p_n) = delta h_n/h_0")
 def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
+    """L(p_m p_n) - delta_mn h_n/h_0 for 0 <= m <= n <= min(n_max, 4).
+
+    L is applied through one weight vector per trial, at twice the largest
+    degree N, and each p_m is evaluated once per node.  A product of degree d
+    reads only table entries that are also entries at N, and a zero in a
+    running product stays zero, so the weights raise exactly when the
+    per-product route raises at some product.  When they raise, the products
+    are taken one by one through moment_functional, so that the first failing
+    product raises the same exception as before.
+    """
     p = _aw_from(pt)
     top = min(sizes.n_max, 4)
     polys = [aw_poly_as_polynomial(k, p) for k in range(top + 1)]
+    try:
+        nodes, weights = moment_weights(p, 2 * max(f.degree for f in polys))
+    except (DegenerateLattice, PoleError):
+        values = None
+    else:
+        values = [[f(b) for b in nodes] for f in polys]
     out = []
     for m in range(top + 1):
         for n in range(m, top + 1):
-            value = moment_functional(polys[m] * polys[n], p)
+            if values is None:
+                value = moment_functional(polys[m] * polys[n], p)
+            else:
+                value = _weighted_sum(weights, values[m], values[n])
             if m == n:
                 value -= aw_norm_ratio(n, p)
             out.append(value)
     return out
+
+
+def _weighted_sum(weights: list[Scalar], xs: list[Scalar], ys: list[Scalar]) -> Scalar:
+    """sum_j w_j x_j y_j, accumulated as an unreduced integer pair."""
+    num, den = 0, 1
+    for w, x, y in zip(weights, xs, ys):
+        tn = w.numerator * x.numerator * y.numerator
+        td = w.denominator * x.denominator * y.denominator
+        num, den = num * td + tn * den, den * td
+    return Fraction(num, den)
 
 
 @_check("contiguous_relation", "§4 Remark, contiguous relation", ("a", "b", "q", "A1", "B1"),
@@ -1044,6 +1088,12 @@ def _run_contiguous(pt: ParamPoint, sizes: Sizes) -> list:
         tuple(f"c{i}" for i in range(9)) + tuple(f"n{i}" for i in range(9)) + ("a", "q"),
         Sizes(n_max=8))
 def _run_newton_interpolation(pt: ParamPoint, sizes: Sizes) -> list:
+    """Newton interpolation through free nodes, and on the q-quadratic lattice.
+
+    The lattice variant reads (az, a/z; q)_k, k = 0..deg, from one prefix
+    table per z.  The table raises nothing, and a zero factor zeroes every
+    later entry as the per-k products did, so pole outcomes are unchanged.
+    """
     deg = min(sizes.n_max, 8)
     f = PolynomialInX([pt[f"c{i}"] for i in range(deg + 1)])
     nodes = [pt[f"n{i}"] for i in range(deg + 1)]
@@ -1055,10 +1105,8 @@ def _run_newton_interpolation(pt: ParamPoint, sizes: Sizes) -> list:
     u = newton_lattice_coeffs(f, a, q, deg)
     for z in (Fraction(2), Fraction(3), Fraction(5, 2)):
         x = (z + 1 / z) / 2
-        total = Fraction(0)
-        for k, uk in enumerate(u):
-            total += uk * qpoch_multi((a * z, a / z), q, k)
-        out.append(total - f(x))
+        basis = qpoch_multi_table((a * z, a / z), q, deg)
+        out.append(sum((uk * bk for uk, bk in zip(u, basis)), Fraction(0)) - f(x))
     return out
 
 

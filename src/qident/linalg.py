@@ -2,7 +2,9 @@
 
 The working engines are polynomial in the order: integer Bareiss elimination
 for determinants and block elimination for Pfaffians.  Cofactor expansion and
-signed perfect matchings are factorial-cost oracles capped at order 8, and
+signed perfect matchings are factorial-cost oracles capped at order 8; they
+scale the whole matrix by the lcm of all its denominators, expand on ints over
+that one common denominator, and share no code with the engines they check.
 Dodgson condensation is a further cross-check; the condensation route is
 itself one of the verified identities, via
 
@@ -130,21 +132,36 @@ def _require_square(M: Matrix):
         raise NonSquare(f"{M.rows}x{M.cols} matrix is not square")
 
 
+def _integer_rows(M: Matrix) -> tuple[list[list[int]], int]:
+    """The rows of L*M as ints, for L the lcm of the denominators of all entries.
+
+    Only the factorial-cost oracles use this whole-matrix scaling; the
+    engines they check scale their own way.
+    """
+    lcm = math.lcm(*(x.denominator for x in M.entries))
+    rows = [[x.numerator * (lcm // x.denominator) for x in M.row(i)] for i in range(M.rows)]
+    return rows, lcm
+
+
 def det_cofactor(M: Matrix) -> Scalar:
-    """Laplace expansion along the first row; reference oracle, order <= 8."""
+    """Laplace expansion along the first row; reference oracle, order <= 8.
+
+    The expansion runs on the integer matrix L*M, and det M = det(L*M) / L^n.
+    """
     _require_square(M)
     if M.rows > COFACTOR_CAP:
         raise OrderTooLarge(f"cofactor expansion capped at order {COFACTOR_CAP}")
-    return _det_laplace(M.to_lists())
+    rows, lcm = _integer_rows(M)
+    return Fraction(_det_laplace(rows), lcm**M.rows)
 
 
-def _det_laplace(rows: list[list[Scalar]]) -> Scalar:
+def _det_laplace(rows: list[list[int]]) -> int:
     n = len(rows)
     if n == 0:
-        return Fraction(1)
+        return 1
     if n == 1:
         return rows[0][0]
-    total = Fraction(0)
+    total = 0
     sign = 1
     for j in range(n):
         a = rows[0][j]
@@ -283,17 +300,21 @@ def matching_sign(pairs: Sequence[tuple[int, int]]) -> int:
 
 
 def pfaffian_matchings(M: Matrix) -> Scalar:
-    """Pfaffian as the signed sum over perfect matchings (order <= 8)."""
+    """Pfaffian as the signed sum over perfect matchings (order <= 8).
+
+    The sum runs on the integer matrix L*M, and pf M = pf(L*M) / L^(n/2).
+    """
     _check_even_skew(M)
     if M.rows > MATCHINGS_CAP:
         raise OrderTooLarge(f"matching enumeration capped at order {MATCHINGS_CAP}")
-    total = Fraction(0)
+    rows, lcm = _integer_rows(M)
+    total = 0
     for pairs in perfect_matchings(range(M.rows)):
-        term = Fraction(matching_sign(pairs))
+        term = matching_sign(pairs)
         for i, j in pairs:
-            term *= M[i, j]
+            term *= rows[i][j]
         total += term
-    return total
+    return Fraction(total, lcm ** (M.rows // 2))
 
 
 def pfaffian_expansion(M: Matrix) -> Scalar:

@@ -37,11 +37,6 @@ class SamplingExhausted(RuntimeError):
     """No parameter point satisfying the constraints was found in the retry cap."""
 
 
-def as_scalar(x) -> Scalar:
-    """Coerce ints / strings like "3/7" to an exact Scalar."""
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def qpoch(a: Scalar, q: Scalar, n: int) -> Scalar:
     """q-shifted factorial (a;q)_n for any integer n.
 

@@ -174,23 +174,27 @@ def phi_terminating(spec: HypergeometricSpec, z_value: Scalar, m: int) -> Scalar
 
 
 def series_mul(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order.
+    """Cauchy product truncated at the common order, by integer convolution."""
+    if u.order != v.order:
+        raise OrderMismatch(f"orders differ: {u.order} vs {v.order}")
+    return TruncatedSeries(tuple(_convolve(u.coeffs, v.coeffs, u.order + 1)))
+
+
+def _convolve(u: Sequence[Scalar], v: Sequence[Scalar], length: int) -> list[Scalar]:
+    """The first `length` coefficients of the product of two coefficient lists.
 
     Each operand is scaled to integers over the lcm of its denominators; the
     integer numerators are convolved and each coefficient becomes one
     canonical Fraction.
     """
-    if u.order != v.order:
-        raise OrderMismatch(f"orders differ: {u.order} vs {v.order}")
-    a, da = _common_denominator(u.coeffs)
-    b, db = _common_denominator(v.coeffs)
+    a, da = _common_denominator(u)
+    b, db = _common_denominator(v)
     den = da * db
-    return TruncatedSeries(
-        tuple(
-            Fraction(sum(a[i] * b[k - i] for i in range(k + 1)), den)
-            for k in range(u.order + 1)
-        )
-    )
+    out = []
+    for k in range(length):
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        out.append(Fraction(sum(a[i] * b[k - i] for i in range(lo, hi + 1)), den))
+    return out
 
 
 def _common_denominator(coeffs: Sequence[Scalar]) -> tuple[list[int], int]:
