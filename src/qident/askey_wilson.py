@@ -229,13 +229,18 @@ def _basis_moments(n: int, p: AWParams) -> list[Scalar]:
 
 
 def lattice_nodes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
-    """Nodes b_j = (q^j a + q^-j / a)/2 of the q-quadratic lattice, j = 0..n."""
+    """Nodes b_j = (q^j a + q^-j / a)/2 of the q-quadratic lattice, j = 0..n.
+
+    With q^j a = u/w as an unreduced integer pair, b_j = (u^2 + w^2) / (2uw):
+    one canonical Fraction per node.
+    """
+    u, w = a.numerator, a.denominator
+    qn, qd = q.numerator, q.denominator
     out = []
-    qa, qia = Fraction(a), 1 / Fraction(a)
     for _ in range(n + 1):
-        out.append((qa + qia) / 2)
-        qa *= q
-        qia /= q
+        out.append(Fraction(u * u + w * w, 2 * u * w))
+        u *= qn
+        w *= qd
     return out
 
 

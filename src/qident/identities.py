@@ -6,6 +6,13 @@ that must all be exactly zero.  run_check samples one random rational point per
 trial, resampling deterministically when a point hits a pole of the identity
 under test; a nonzero residual is a failure and its seed is the reproduction
 witness.
+
+The matrix builders, the six-term coefficient tables and the determinant and
+Pfaffian closed forms read their Pochhammer products from integer prefix
+tables (scalar._qpoch_prefix, scalar._qpoch_multi_prefix) and form each
+entry, coefficient or closed-form value from unreduced integer products as
+one canonical Fraction.  Each divides only by the table entries it reads, so
+a zero elsewhere in a table is no pole.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import time
 import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .askey_wilson import (
     AWParams,
@@ -57,16 +64,18 @@ from .scalar import (
     PoleError,
     SamplingExhausted,
     Scalar,
+    _qpoch_multi_prefix,
+    _qpoch_prefix,
     gamma_int,
     qpoch,
     qpoch_multi,
     qpoch_multi_table,
-    qpoch_table,
     sample_point,
 )
 from .series import (
     HypergeometricSpec,
     TruncatedSeries,
+    _common_denominator,
     phi_series,
     phi_terminating,
     series_linear_combine,
@@ -116,10 +125,21 @@ def _vector(pt: ParamPoint, prefix: str, count: int) -> tuple[Scalar, ...]:
     return tuple(pt[f"{prefix}{i}"] for i in range(1, count + 1))
 
 
-def _alpha(k: int, q: Scalar, e: int) -> Scalar:
-    """((-1)^k q^(k(k-1)/2))^e with signed integer exponent e."""
+def _alpha(k: int, q: Scalar, e: int) -> tuple[int, int]:
+    """((-1)^k q^(k(k-1)/2))^e with signed integer exponent e, as an integer
+    pair (numerator, nonzero denominator)."""
     sign = -1 if (k * e) % 2 else 1
-    return sign * q ** (k * (k - 1) // 2 * e)
+    power = k * (k - 1) // 2 * e
+    qn, qd = (q.numerator, q.denominator) if power >= 0 else (q.denominator, q.numerator)
+    return sign * qn ** abs(power), qd ** abs(power)
+
+
+def _powers(x: int, top: int) -> list[int]:
+    """[x^0, x^1, ..., x^top]."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
 
 
 def _quotient(num: Scalar, den: Scalar, what: str) -> Scalar:
@@ -129,11 +149,48 @@ def _quotient(num: Scalar, den: Scalar, what: str) -> Scalar:
     return num / den
 
 
-def _hankel_ratios(num: Scalar, den: Scalar, q: Scalar, top: int, what: str) -> list[Scalar]:
-    """[(num;q)_k / (den;q)_k for k = 0..top]; callers read every one of them."""
-    nums = qpoch_table(num, q, max(top, 0))
-    dens = qpoch_table(den, q, max(top, 0))
-    return [_quotient(nums[k], dens[k], what) for k in range(top + 1)]
+def _ratio_table(
+    num: Scalar, den: Scalar, q: Scalar, top: int, what: str, shift: int = 0
+) -> tuple[list[int], list[int]]:
+    """(num;q)_k / (den;q)_(k+shift) for k = 0..top, as unreduced integer pairs.
+
+    Callers read every entry, so a zero (den;q)_(k+shift) raises PoleError;
+    a zero stays zero in a running product, so the last entry decides.
+    """
+    nn, nd = _qpoch_prefix(num, q, max(top, 0))
+    dn, dd = _qpoch_prefix(den, q, max(top + shift, 0))
+    if top >= 0 and dn[top + shift] == 0:
+        raise PoleError(f"{what} vanishes")
+    return (
+        [nn[k] * dd[k + shift] for k in range(top + 1)],
+        [nd[k] * dn[k + shift] for k in range(top + 1)],
+    )
+
+
+def _closed_form(
+    powers: Iterable[tuple[Scalar, int]],
+    factors: Iterable[tuple[int, int, int, int]],
+    what: str = "",
+) -> Scalar:
+    """The shape of the determinant and Pfaffian closed forms: a monomial
+    prod base^e over `powers` times prod (pn/pd) / (rn/rd) over `factors`.
+
+    Each factor is a Pochhammer product pn/pd over a Pochhammer denominator
+    rn/rd, both integer pairs read from prefix tables.  A zero rn raises
+    PoleError, so a closed form divides only by the entries it reads; the
+    value is built as one canonical Fraction at the end.
+    """
+    num = den = 1
+    for base, e in powers:
+        bn, bd = (base.numerator, base.denominator) if e >= 0 else (base.denominator, base.numerator)
+        num *= bn ** abs(e)
+        den *= bd ** abs(e)
+    for pn, pd, rn, rd in factors:
+        if rn == 0:
+            raise PoleError(f"{what} vanishes")
+        num *= pn * rd
+        den *= pd * rn
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -212,36 +269,50 @@ def check_main_quadratic(r: int, s: int, pt: ParamPoint, order: int) -> Truncate
 
 def _six_term_table(
     top: int, pt: ParamPoint, r: int, s: int
-) -> Callable[[int, int], tuple[Scalar, Scalar, Scalar]]:
-    """(k, n) -> (A_k, B_k, C_k) at z^n, for 0 <= k <= n+1 and n <= top.
+) -> Callable[[int, int], list[tuple[int, int]]]:
+    """(k, n) -> integer pairs of (A_k, B_k, C_k) at z^n, for 0 <= k <= n+1 and n <= top.
 
     The twelve Pochhammer products of A, B and C (numerator and denominator,
-    k-side and m-side) are built once as prefix tables up to top; each (k, n)
-    reads its entries and divides only by the two denominators it reads, so a
-    zero elsewhere in a table is not a pole at this (k, n).
+    k-side and m-side) are built once as integer prefix tables up to top.
+    Each product's k-side entry carries its prefactor and alpha_k, and its
+    m-side entry alpha_(m+1), so one (k, n) multiplies two entries per
+    product.  It divides only by the two denominators it reads, so a zero
+    elsewhere in a table is not a pole at this (k, n).
     """
     q = pt["q"]
-    e = s - r
-    zero = Fraction(0)
-    alphas = [_alpha(k, q, e) for k in range(top + 2)]
-    tables = [
-        (pref,) + tuple(qpoch_multi_table(params, q, top) for params in sides)
-        for pref, *sides in _six_term_specs(pt, r, s)
-    ]
+    alphas = [_alpha(k, q, s - r) for k in range(top + 2)]
+    tables = []
+    for pref, nums_k, nums_m, dens_k, dens_m in _six_term_specs(pt, r, s):
+        nk_n, nk_d = _qpoch_multi_prefix(nums_k, q, top)
+        dk_n, dk_d = _qpoch_multi_prefix(dens_k, q, top)
+        nm_n, nm_d = _qpoch_multi_prefix(nums_m, q, top)
+        dm_n, dm_d = _qpoch_multi_prefix(dens_m, q, top)
+        pn, pd = pref.numerator, pref.denominator
+        tables.append((
+            [pn * alphas[k][0] * nk_n[k] * dk_d[k] for k in range(top + 1)],
+            [pd * alphas[k][1] * nk_d[k] * dk_n[k] for k in range(top + 1)],
+            [alphas[m + 1][0] * nm_n[m] * dm_d[m] for m in range(top + 1)],
+            [alphas[m + 1][1] * nm_d[m] * dm_n[m] for m in range(top + 1)],
+        ))
 
-    def parts(k: int, n: int) -> tuple[Scalar, Scalar, Scalar]:
+    def parts(k: int, n: int) -> list[tuple[int, int]]:
         if k == n + 1:
-            return (zero, zero, zero)
+            return [(0, 1)] * 3
         m = n - k
-        al = alphas[k] * alphas[m + 1]
-        return tuple(
-            pref * al * _quotient(
-                nums_k[k] * nums_m[m], dens_k[k] * dens_m[m], "coefficient denominator"
-            )
-            for pref, nums_k, nums_m, dens_k, dens_m in tables
-        )
+        out = []
+        for kn, kd, mn, md in tables:
+            if kd[k] == 0 or md[m] == 0:
+                raise PoleError("coefficient denominator vanishes")
+            out.append((kn[k] * mn[m], kd[k] * md[m]))
+        return out
 
     return parts
+
+
+def _six_term_excess(parts: list[tuple[int, int]]) -> Scalar:
+    """A_k - B_k + C_k from the integer pairs of one (k, n), as one Fraction."""
+    (an, ad), (bn, bd), (cn, cd) = parts
+    return Fraction((an * bd - bn * ad) * cd + cn * ad * bd, ad * bd * cd)
 
 
 def six_term_parts(
@@ -258,7 +329,7 @@ def six_term_parts(
     if k == n + 1:  # reads no table, so no parameter value can make it raise
         zero = Fraction(0)
         return (zero, zero, zero)
-    return _six_term_table(n, pt, r, s)(k, n)
+    return tuple(Fraction(x, y) for x, y in _six_term_table(n, pt, r, s)(k, n))
 
 
 def six_term_g(k: int, pt: ParamPoint, r: int, s: int) -> Scalar:
@@ -272,7 +343,7 @@ def six_term_g(k: int, pt: ParamPoint, r: int, s: int) -> Scalar:
         * qpoch_multi((bc / a, c, d), q, k - 1)
         * qpoch(bc, q, k - 2)
         * qpoch_multi(es, q, k)
-        * _alpha(k, q, s - r)
+        * Fraction(*_alpha(k, q, s - r))
     )
     den = qpoch_multi((a, b, bc / d, q), q, k) * qpoch_multi(fs, q, k)
     return _quotient(num, den, "G_k denominator")
@@ -299,19 +370,16 @@ def six_term_xi(n: int, pt: ParamPoint, r: int, s: int) -> Scalar:
     return _quotient(num, den, "Xi denominator")
 
 
-def _six_term_split(
-    k: int, n: int, q: Scalar, parts: tuple, g_k: Scalar, g_m: Scalar
-) -> tuple[Scalar, Scalar]:
-    """(A_k - B_k + C_k, (q^(n-k+1) - q^k) G_k G_(n-k+1)): the factorization
-    says the first equals the second times Xi."""
-    A, B, C = parts
-    return A - B + C, (q ** (n - k + 1) - q**k) * g_k * g_m
+def _six_term_pre(k: int, n: int, q: Scalar, g_k: Scalar, g_m: Scalar) -> Scalar:
+    """(q^(n-k+1) - q^k) G_k G_(n-k+1): the factorization says A_k - B_k + C_k
+    equals this times Xi."""
+    return (q ** (n - k + 1) - q**k) * g_k * g_m
 
 
 def _six_term_split_at(k: int, n: int, pt: ParamPoint, r: int, s: int) -> tuple[Scalar, Scalar]:
-    parts = six_term_parts(k, n, pt, r, s)
+    A, B, C = six_term_parts(k, n, pt, r, s)
     g_k, g_m = six_term_g(k, pt, r, s), six_term_g(n - k + 1, pt, r, s)
-    return _six_term_split(k, n, pt["q"], parts, g_k, g_m)
+    return A - B + C, _six_term_pre(k, n, pt["q"], g_k, g_m)
 
 
 def six_term_certificate(k: int, n: int, pt: ParamPoint, r: int, s: int) -> Scalar:
@@ -427,40 +495,42 @@ def build_bordered_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
     Entry (row i = 0..n-1, column j = 1..n):
         (ab;q)_(i+j-1) (-b q^(j-1)) / (abcd;q)_(i+j)
         * [ c + d - 2x + (1-cd)(a q^i + b q^(j-1)) - ab(c + d - 2cd x) q^(i+j-1) ].
+
+    The bracket's four coefficients share one denominator L, so with k = i+j-1
+    its numerator over L q_d^k is an integer sum, and each entry is one
+    Fraction of integer products.
     """
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     x = pt.x
-    ab_t = qpoch_table(a * b, q, 2 * n)
-    abcd_t = qpoch_table(p.abcd, q, 2 * n)
-    # ratio[k] = (ab;q)_k / (abcd;q)_(k+1), read at every k = i+j-1 in 0..2n-2
-    ratio = [_quotient(ab_t[k], abcd_t[k + 1], "(abcd;q)_(i+j)") for k in range(2 * n - 1)]
-
-    def entry(i: int, jj: int) -> Scalar:
-        j = jj + 1
-        bracket = (
-            c + d - 2 * x
-            + (1 - c * d) * (a * q**i + b * q ** (j - 1))
-            - a * b * (c + d - 2 * c * d * x) * q ** (i + j - 1)
-        )
-        return ratio[i + j - 1] * (-b * q ** (j - 1)) * bracket
-
-    return Matrix.build(n, n, entry)
+    # ratio k = (ab;q)_k / (abcd;q)_(k+1), read at every k = i+j-1 in 0..2n-2
+    rn, rd = _ratio_table(a * b, p.abcd, q, 2 * n - 2, "(abcd;q)_(i+j)", shift=1)
+    (k0, k1, k2, k3), L = _common_denominator(
+        (c + d - 2 * x, (1 - c * d) * a, (1 - c * d) * b, a * b * (c + d - 2 * c * d * x))
+    )
+    qn, qd = _powers(q.numerator, 2 * n), _powers(q.denominator, 2 * n)
+    bn, bd = b.numerator, b.denominator
+    entries = []
+    for i in range(n):
+        for j in range(n):  # column j+1: q^(j-1) above is q^j here
+            k = i + j
+            bracket = k0 * qd[k] + k1 * qn[i] * qd[j] + k2 * qn[j] * qd[i] - k3 * qn[k]
+            entries.append(
+                Fraction(-bn * qn[j] * rn[k] * bracket, bd * qd[j] * rd[k] * L * qd[k])
+            )
+    return Matrix(n, n, tuple(entries))
 
 
 def det_prefactor(n: int, p: AWParams) -> Scalar:
     """D_n = a^(n(n-1)/2) b^(n(n+1)/2) q^(n(n-1)(2n-1)/6)
              prod_i (ab,cd,q;q)_i / (abcd;q)_(n+i)."""
     a, b, q = p.a, p.b, p.q
-    out = (
-        a ** (n * (n - 1) // 2)
-        * b ** (n * (n + 1) // 2)
-        * q ** (n * (n - 1) * (2 * n - 1) // 6)
+    nn, nd = _qpoch_multi_prefix((a * b, p.c * p.d, q), q, n)
+    dn, dd = _qpoch_prefix(p.abcd, q, 2 * n)
+    return _closed_form(
+        ((a, n * (n - 1) // 2), (b, n * (n + 1) // 2), (q, n * (n - 1) * (2 * n - 1) // 6)),
+        ((nn[i], nd[i], dn[n + i], dd[n + i]) for i in range(n)),
+        "(abcd;q)_(n+i)",
     )
-    abcd_t = qpoch_table(p.abcd, q, 2 * n)
-    pochs = qpoch_multi_table((a * b, p.c * p.d, q), q, n)
-    for i in range(n):
-        out *= _quotient(pochs[i], abcd_t[n + i], "(abcd;q)_(n+i)")
-    return out
 
 
 def rhs_det_formula(n: int, p: AWParams, pt: XPoint) -> Scalar:
@@ -468,18 +538,34 @@ def rhs_det_formula(n: int, p: AWParams, pt: XPoint) -> Scalar:
     return det_prefactor(n, p) * aw_poly(n, p, pt)
 
 
-def _decorations(n: int, p: AWParams) -> tuple[list[Scalar], list[Scalar]]:
-    """Row factors (ac,ad;q)_i and column factors (bc,bd;q)_j, for i, j = 0..n.
+def _decorations(n: int, p: AWParams) -> tuple[tuple[list[int], list[int]], ...]:
+    """Row factors (ac,ad;q)_i and column factors (bc,bd;q)_j, for i, j = 0..n,
+    as integer pairs.
 
     They turn the plain Hankel entries into the Gram and decorated Hankel ones.
     """
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    return qpoch_multi_table((a * c, a * d), q, n), qpoch_multi_table((b * c, b * d), q, n)
+    return _qpoch_multi_prefix((a * c, a * d), q, n), _qpoch_multi_prefix((b * c, b * d), q, n)
 
 
-def _decoration_det(n: int, row: list[Scalar], col: list[Scalar]) -> Scalar:
+def _decoration_det(n: int, row: tuple, col: tuple) -> Scalar:
     """prod_(i<n) (ac,ad,bc,bd;q)_i, the factor the decorations put on an order-n det."""
-    return math.prod((row[i] * col[i] for i in range(n)), start=Fraction(1))
+    return Fraction(
+        math.prod(row[0][:n]) * math.prod(col[0][:n]),
+        math.prod(row[1][:n]) * math.prod(col[1][:n]),
+    )
+
+
+def _decorated_hankel(rows: int, cols: int, p: AWParams) -> list[Scalar]:
+    """(ac,ad;q)_i (bc,bd;q)_j (ab;q)_(i+j) / (abcd;q)_(i+j), i < rows, j < cols,
+    row-major."""
+    hn, hd = _ratio_table(p.a * p.b, p.abcd, p.q, rows + cols - 2, "(abcd;q)_(i+j)")
+    (rn, rd), (cn, cd) = _decorations(max(rows, cols), p)
+    return [
+        Fraction(rn[i] * cn[j] * hn[i + j], rd[i] * cd[j] * hd[i + j])
+        for i in range(rows)
+        for j in range(cols)
+    ]
 
 
 def build_gram_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
@@ -488,17 +574,9 @@ def build_gram_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
     Rows i = 0..n-1: entry (ac,ad;q)_i (bc,bd;q)_j (ab;q)_(i+j) / (abcd;q)_(i+j);
     last row: (bz, b/z; q)_j.
     """
-    b, q, z = p.b, p.q, pt.z
-    hankel = _hankel_ratios(p.a * b, p.abcd, q, 2 * n - 1, "(abcd;q)_(i+j)")
-    row, col = _decorations(n, p)
-    last = qpoch_multi_table((b * z, b / z), q, n)
-
-    def entry(i: int, j: int) -> Scalar:
-        if i == n:
-            return last[j]
-        return row[i] * col[j] * hankel[i + j]
-
-    return Matrix.build(n + 1, n + 1, entry)
+    b, z = p.b, pt.z
+    last = qpoch_multi_table((b * z, b / z), p.q, n)
+    return Matrix(n + 1, n + 1, tuple(_decorated_hankel(n, n + 1, p) + last))
 
 
 def gram_prefactor(n: int, p: AWParams) -> Scalar:
@@ -525,11 +603,12 @@ def gram_elimination_residuals(n: int, p: AWParams, pt: XPoint) -> list[Scalar]:
     A = build_gram_matrix(n, p, pt)
     B = build_bordered_matrix(n, p, pt)
     row, col = _decorations(n, p)
+    (rn, rd), (cn, cd) = row, col
     out: list[Scalar] = []
     for j in range(1, n + 1):
         mult = 1 - 2 * b * x * q ** (j - 1) + b**2 * q ** (2 * j - 2)
         for i in range(n):
-            expected = row[i] * col[j - 1] * B[i, j - 1]
+            expected = Fraction(rn[i] * cn[j - 1], rd[i] * cd[j - 1]) * B[i, j - 1]
             out.append(A[i, j] - mult * A[i, j - 1] - expected)
         out.append(A[n, j] - mult * A[n, j - 1])
     scaling = Fraction(-1) ** n * _decoration_det(n, row, col)
@@ -539,27 +618,29 @@ def gram_elimination_residuals(n: int, p: AWParams, pt: XPoint) -> list[Scalar]:
 
 def build_hankel_little_qjacobi(n: int, p: AWParams) -> Matrix:
     """n x n Hankel matrix of little q-Jacobi type: (ab;q)_(i+j)/(abcd;q)_(i+j)."""
-    hankel = _hankel_ratios(p.a * p.b, p.abcd, p.q, 2 * n - 2, "(abcd;q)_(i+j)")
-    return Matrix.build(n, n, lambda i, j: hankel[i + j])
+    hankel = [
+        Fraction(x, y)
+        for x, y in zip(*_ratio_table(p.a * p.b, p.abcd, p.q, 2 * n - 2, "(abcd;q)_(i+j)"))
+    ]
+    return Matrix(n, n, tuple(hankel[i + j] for i in range(n) for j in range(n)))
 
 
 def rhs_hankel(n: int, p: AWParams) -> Scalar:
     """(ab)^(n(n-1)/2) q^(n(n-1)(n-2)/3) prod_k (q,ab,cd;q)_k / (abcd;q)_(k+n-1)."""
     q = p.q
     ab = p.a * p.b
-    out = ab ** (n * (n - 1) // 2) * q ** (n * (n - 1) * (n - 2) // 3)
-    abcd_t = qpoch_table(p.abcd, q, 2 * n)
-    pochs = qpoch_multi_table((q, ab, p.c * p.d), q, n)
-    for k in range(n):
-        out *= _quotient(pochs[k], abcd_t[k + n - 1], "(abcd;q)_(k+n-1)")
-    return out
+    nn, nd = _qpoch_multi_prefix((q, ab, p.c * p.d), q, n)
+    dn, dd = _qpoch_prefix(p.abcd, q, 2 * n)
+    return _closed_form(
+        ((ab, n * (n - 1) // 2), (q, n * (n - 1) * (n - 2) // 3)),
+        ((nn[k], nd[k], dn[k + n - 1], dd[k + n - 1]) for k in range(n)),
+        "(abcd;q)_(k+n-1)",
+    )
 
 
 def build_hankel_decorated(n: int, p: AWParams) -> Matrix:
     """Hankel matrix with row factors (ac,ad;q)_i and column factors (bc,bd;q)_j."""
-    base = build_hankel_little_qjacobi(n, p)
-    row, col = _decorations(n, p)
-    return Matrix.build(n, n, lambda i, j: row[i] * col[j] * base[i, j])
+    return Matrix(n, n, tuple(_decorated_hankel(n, n, p)))
 
 
 def rhs_hankel_decorated(n: int, p: AWParams) -> Scalar:
@@ -580,8 +661,17 @@ def mehta_wang_params(pt: ParamPoint) -> tuple[Scalar, Scalar, Scalar, Scalar, S
 def build_mehta_wang_matrix(n: int, pt: ParamPoint) -> Matrix:
     """n x n matrix (q^(i-1) - c q^(j-1)) (aq;q)_(i+j-2) / (abq^2;q)_(i+j-2)."""
     a, b, c, _, _, q = mehta_wang_params(pt)
-    hankel = _hankel_ratios(a * q, a * b * q**2, q, 2 * n - 2, "(abq^2;q)_(i+j-2)")
-    return Matrix.build(n, n, lambda i, j: (q**i - c * q**j) * hankel[i + j])
+    hn, hd = _ratio_table(a * q, a * b * q**2, q, 2 * n - 2, "(abq^2;q)_(i+j-2)")
+    qn, qd = _powers(q.numerator, 2 * n), _powers(q.denominator, 2 * n)
+    cn, cd = c.numerator, c.denominator
+    entries = (
+        Fraction(
+            (qn[i] * qd[j] * cd - cn * qn[j] * qd[i]) * hn[i + j], qd[i + j] * cd * hd[i + j]
+        )
+        for i in range(n)
+        for j in range(n)
+    )
+    return Matrix(n, n, tuple(entries))
 
 
 def rhs_mehta_wang(n: int, pt: ParamPoint) -> Scalar:
@@ -592,21 +682,30 @@ def rhs_mehta_wang(n: int, pt: ParamPoint) -> Scalar:
     * 4phi3[ q^-n, ab q^n, u, -u ; aq, uv, -uv ; q, q ].
     """
     a, b, _, u, v, q = mehta_wang_params(pt)
-    pref = (
-        Fraction(-1) ** n
-        * a ** (n * (n - 3) // 2)
-        * q ** (n * (n + 1) * (2 * n - 5) // 6)
-        * qpoch(u**2 * v**2, q**2, n)
+    powers = (
+        (Fraction(-1), n),
+        (a, n * (n - 3) // 2),
+        (q, n * (n + 1) * (2 * n - 5) // 6),
+        (qpoch(u**2 * v**2, q**2, n), 1),
     )
-    den_t = qpoch_table(a * b * q**2, q, 2 * n)
-    q_t = qpoch_table(q, q, n)
-    aq_t = qpoch_table(a * q, q, n)
-    bq_t = qpoch_table(b * q, q, n)
-    for k in range(1, n + 1):
-        # (bq;q)_(-1) = 1/(1-b) has a pole of its own at b = 1
-        bq = qpoch(b * q, q, -1) if k == 1 else bq_t[k - 2]
-        num = q_t[k - 1] * aq_t[k] * bq
-        pref *= _quotient(num, den_t[k + n - 2], "(abq^2;q)_(k+n-2)")
+    qq_n, qq_d = _qpoch_prefix(q, q, n)
+    aq_n, aq_d = _qpoch_prefix(a * q, q, n)
+    dn, dd = _qpoch_prefix(a * b * q**2, q, 2 * n)
+    # bq_n[k-1] / bq_d[k-1] = (bq;q)_(k-2); (bq;q)_(-1) = 1/(1-b) has a pole
+    # of its own at b = 1
+    bq_n, bq_d = _qpoch_prefix(b * q, q, max(n - 2, 0))
+    if n:
+        first = qpoch(b * q, q, -1)
+        bq_n, bq_d = [first.numerator] + bq_n, [first.denominator] + bq_d
+    pref = _closed_form(
+        powers,
+        (
+            (qq_n[k - 1] * aq_n[k] * bq_n[k - 1], qq_d[k - 1] * aq_d[k] * bq_d[k - 1],
+             dn[k + n - 2], dd[k + n - 2])
+            for k in range(1, n + 1)
+        ),
+        "(abq^2;q)_(k+n-2)",
+    )
     spec = HypergeometricSpec(
         (q**-n, a * b * q**n, u, -u), (a * q, u * v, -u * v), q
     )
@@ -618,21 +717,36 @@ def build_even_det(m: int, a: Scalar, b: Scalar, q: Scalar) -> SkewMatrix:
 
     # the strict upper triangle reads i+j-2 = 1..4m-3 only, so a vanishing
     # (abq^2;q)_(4m-2) is no pole of this matrix
-    hankel = _hankel_ratios(a * q, a * b * q**2, q, 4 * m - 3, "(abq^2;q)_(i+j-2)")
-    return SkewMatrix.from_upper(2 * m, lambda i, j: (q**i - q**j) * hankel[i + j])
+    hn, hd = _ratio_table(a * q, a * b * q**2, q, 4 * m - 3, "(abq^2;q)_(i+j-2)")
+    return _skew_hankel(m, q, hn, hd)
+
+
+def _skew_hankel(m: int, q: Scalar, hn: list[int], hd: list[int]) -> SkewMatrix:
+    """2m x 2m skew matrix (q^i - q^j) h_(i+j), 0-based, for h_k = hn[k]/hd[k]."""
+    qn, qd = _powers(q.numerator, 4 * m), _powers(q.denominator, 4 * m)
+    return SkewMatrix.from_upper(
+        2 * m,
+        lambda i, j: Fraction(
+            (qn[i] * qd[j] - qn[j] * qd[i]) * hn[i + j], qd[i + j] * hd[i + j]
+        ),
+    )
 
 
 def rhs_pfaffian(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
     """a^(m(m-1)) q^(m(m-1)(4m+1)/3) prod_k (q,aq;q)_(2k-1)(bq;q)_(2k-2)
        / (abq^2;q)_(2(k+m)-3); the even-order determinant is its square."""
-    out = a ** (m * (m - 1)) * q ** (m * (m - 1) * (4 * m + 1) // 3)
-    den_t = qpoch_table(a * b * q**2, q, 4 * m)
-    pochs = qpoch_multi_table((q, a * q), q, 2 * m)
-    bq_t = qpoch_table(b * q, q, 2 * m)
-    for k in range(1, m + 1):
-        num = pochs[2 * k - 1] * bq_t[2 * k - 2]
-        out *= _quotient(num, den_t[2 * (k + m) - 3], "(abq^2;q)_(2(k+m)-3)")
-    return out
+    nn, nd = _qpoch_multi_prefix((q, a * q), q, 2 * m)
+    bq_n, bq_d = _qpoch_prefix(b * q, q, 2 * m)
+    dn, dd = _qpoch_prefix(a * b * q**2, q, 4 * m)
+    return _closed_form(
+        ((a, m * (m - 1)), (q, m * (m - 1) * (4 * m + 1) // 3)),
+        (
+            (nn[2 * k - 1] * bq_n[2 * k - 2], nd[2 * k - 1] * bq_d[2 * k - 2],
+             dn[2 * (k + m) - 3], dd[2 * (k + m) - 3])
+            for k in range(1, m + 1)
+        ),
+        "(abq^2;q)_(2(k+m)-3)",
+    )
 
 
 def rhs_even_det(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
@@ -657,17 +771,16 @@ def check_pfaffian(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
 
 def build_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> SkewMatrix:
     """2m x 2m skew matrix (q^i - q^j)(q^alpha; q)_(i+j), 0-based indices."""
-    qa_t = qpoch_table(q**alpha, q, 4 * m)
-    return SkewMatrix.from_upper(2 * m, lambda i, j: (q**i - q**j) * qa_t[i + j])
+    return _skew_hankel(m, q, *_qpoch_prefix(q**alpha, q, 4 * m))
 
 
 def rhs_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> Scalar:
     """q^(m(m-1)(alpha-1) + m(m-1)(4m+1)/3) prod_k (q, q^alpha; q)_(2k-1)."""
-    out = q ** (m * (m - 1) * (alpha - 1) + m * (m - 1) * (4 * m + 1) // 3)
-    pochs = qpoch_multi_table((q, q**alpha), q, 2 * m)
-    for k in range(1, m + 1):
-        out *= pochs[2 * k - 1]
-    return out
+    nn, nd = _qpoch_multi_prefix((q, q**alpha), q, 2 * m)
+    return _closed_form(
+        ((q, m * (m - 1) * (alpha - 1) + m * (m - 1) * (4 * m + 1) // 3),),
+        ((nn[2 * k - 1], nd[2 * k - 1], 1, 1) for k in range(1, m + 1)),
+    )
 
 
 def check_gamma_pfaffian(m: int, a_int: int) -> Scalar:
@@ -790,7 +903,7 @@ def _six_term_excesses(pt: ParamPoint, sizes: Sizes, r: int, s: int) -> list[lis
     """[[A_k - B_k + C_k for k = 0..n+1] for n = 0..n_max], from one table set."""
     parts = _six_term_table(sizes.n_max, pt, r, s)
     return [
-        [A - B + C for A, B, C in (parts(k, n) for k in range(n + 2))]
+        [_six_term_excess(parts(k, n)) for k in range(n + 2)]
         for n in range(sizes.n_max + 1)
     ]
 
@@ -822,7 +935,7 @@ def _run_six_term_factorization(pt: ParamPoint, sizes: Sizes) -> list:
     parts = _six_term_table(top, pt, r, s)
 
     def split(k: int, n: int) -> tuple[Scalar, Scalar]:
-        return _six_term_split(k, n, q, parts(k, n), g[k], g[n - k + 1])
+        return _six_term_excess(parts(k, n)), _six_term_pre(k, n, q, g[k], g[n - k + 1])
 
     out = []
     for n in range(1, sizes.n_max + 1):
@@ -1038,6 +1151,11 @@ def _run_basis_moments(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
     """L(p_m p_n) - delta_mn h_n/h_0 for 0 <= m <= n <= min(n_max, 4).
 
+    A p_m of degree below m is a pole of the check.  Its leading coefficient
+    2^m (abcd q^(m-1);q)_m vanishes, so abcd = q^(-j) with j <= 2m-2, and the
+    moments of degree above j have poles: the relation holds there only as a
+    limit, which the exact value at this point need not match.
+
     L is applied through one weight vector per trial, at twice the largest
     degree N, and each p_m is evaluated once per node.  A product of degree d
     reads only table entries that are also entries at N, and a zero in a
@@ -1049,6 +1167,8 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     top = min(sizes.n_max, 4)
     polys = [aw_poly_as_polynomial(k, p) for k in range(top + 1)]
+    if any(f.degree < m for m, f in enumerate(polys)):
+        raise PoleError("leading coefficient of p_m vanishes")
     try:
         nodes, weights = moment_weights(p, 2 * max(f.degree for f in polys))
     except (DegenerateLattice, PoleError):

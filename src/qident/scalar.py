@@ -90,30 +90,42 @@ def qpoch_table(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
     return [Fraction(x, y) for x, y in zip(*_qpoch_prefix(a, q, n))]
 
 
-def qpoch_multi_table(params: Iterable[Scalar], q: Scalar, n: int) -> list[Scalar]:
-    """Prefix table [(params;q)_0, ..., (params;q)_n].
+def _qpoch_multi_prefix(params: Iterable[Scalar], q: Scalar, n: int) -> tuple[list[int], list[int]]:
+    """Integer numerators and positive denominators of (params;q)_0, ..., (params;q)_n.
 
-    The integer prefix products of every base are multiplied entrywise and
-    each entry becomes one canonical Fraction.
+    One running product over every base's factors 1 - a q^k, as in
+    _qpoch_prefix, left unreduced; with no base every entry is 1/1.
+    _qpoch_prefix keeps its own loop because it is the faster of the two
+    for a single base, and it is the most called kernel.
     """
-    nums, dens = [1] * (n + 1), [1] * (n + 1)
-    for a in params:
-        a_nums, a_dens = _qpoch_prefix(a, q, n)
-        nums = [x * y for x, y in zip(nums, a_nums)]
-        dens = [x * y for x, y in zip(dens, a_dens)]
-    return [Fraction(x, y) for x, y in zip(nums, dens)]
+    if n < 0:
+        raise DomainError("qpoch_table needs n >= 0")
+    qn, qd = q.numerator, q.denominator
+    bases = [[a.numerator, a.denominator] for a in params]
+    num = den = 1
+    nums, dens = [1], [1]
+    for _ in range(n):
+        for base in bases:
+            an, ad = base
+            num *= ad - an
+            den *= ad
+            base[0], base[1] = an * qn, ad * qd
+        nums.append(num)
+        dens.append(den)
+    return nums, dens
+
+
+def qpoch_multi_table(params: Iterable[Scalar], q: Scalar, n: int) -> list[Scalar]:
+    """Prefix table [(params;q)_0, ..., (params;q)_n], one canonical Fraction per entry."""
+    return [Fraction(x, y) for x, y in zip(*_qpoch_multi_prefix(params, q, n))]
 
 
 def qpoch_multi(params: Iterable[Scalar], q: Scalar, n: int) -> Scalar:
     """Product (a_1, ..., a_r; q)_n = (a_1;q)_n ... (a_r;q)_n."""
     if n < 0:
         return math.prod((qpoch(a, q, n) for a in params), start=Fraction(1))
-    num = den = 1
-    for a in params:
-        nums, dens = _qpoch_prefix(a, q, n)
-        num *= nums[n]
-        den *= dens[n]
-    return Fraction(num, den)
+    nums, dens = _qpoch_multi_prefix(params, q, n)
+    return Fraction(nums[n], dens[n])
 
 
 def qint(k: int, q: Scalar) -> Scalar:

@@ -16,16 +16,42 @@ from qident.askey_wilson import (
     DegenerateLattice,
     DuplicateNodes,
     PolynomialInX,
+    XPoint,
     _lattice_coeffs,
     aw_moment,
     aw_norm_ratio,
     aw_poly_as_polynomial,
     connection_u,
+    lattice_nodes,
     moment_functional,
     moment_weights,
     newton_lattice_coeffs,
 )
-from qident.identities import CHECKS_BY_ID, Sizes
+from qident.identities import (
+    _MAIN_NAMES,
+    CHECKS_BY_ID,
+    RS_PAIRS,
+    Sizes,
+    _six_term_excesses,
+    _six_term_specs,
+    build_bordered_matrix,
+    build_even_det,
+    build_gram_matrix,
+    build_hankel_decorated,
+    build_hankel_little_qjacobi,
+    build_integer_exp_pfaffian,
+    build_mehta_wang_matrix,
+    det_prefactor,
+    gram_elimination_residuals,
+    gram_prefactor,
+    mehta_wang_params,
+    rhs_hankel,
+    rhs_hankel_decorated,
+    rhs_integer_exp_pfaffian,
+    rhs_mehta_wang,
+    rhs_pfaffian,
+    six_term_parts,
+)
 from qident.linalg import (
     Matrix,
     SkewMatrix,
@@ -44,7 +70,13 @@ from qident.scalar import (
     qpoch_table,
     sample_point,
 )
-from qident.series import HypergeometricSpec, TruncatedSeries, phi_series, series_mul
+from qident.series import (
+    HypergeometricSpec,
+    TruncatedSeries,
+    phi_series,
+    phi_terminating,
+    series_mul,
+)
 
 SEEDS = range(40)
 
@@ -542,6 +574,8 @@ def per_product_orthogonality(pt, sizes):
     p = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"])
     top = min(sizes.n_max, 4)
     polys = [aw_poly_as_polynomial(k, p) for k in range(top + 1)]
+    if any(f.degree < m for m, f in enumerate(polys)):
+        raise PoleError("leading coefficient of p_m vanishes")
     out = []
     for m in range(top + 1):
         for n in range(m, top + 1):
@@ -560,11 +594,10 @@ def orthogonality_outcome(run, pt, sizes):
 
 
 # abcd = q^-6 zeroes the leading coefficient of p_4 but no (abcd;q)_k up to
-# k = 6, so p_4 drops to degree 3 and every product still has a value;
-# abcd = q^-2 also drops p_2 and p_3, and then the products of degree 3 raise.
-# abcd = q^-1 with a^2 q^6 = 1 drops p_2, and (abcd;q)_3 vanishes before the
-# nodes collide at order 4: the weights at N = 8 meet the collision, while
-# the first failing product, p_0 p_3, meets the zero moment.
+# k = 6, so p_4 drops to degree 3 while every product would still have a
+# value; abcd = q^-2 also drops p_2 and p_3.  abcd = q^-1 with a^2 q^6 = 1
+# drops p_2, and (abcd;q)_3 vanishes before the nodes collide at order 4.
+# Each degree drop is a pole of the check.
 DEGREE_DROPS = [
     {"a": F(3), "b": F(5), "c": F(7), "d": F(64, 105), "q": F(1, 2)},
     {"a": F(3), "b": F(5), "c": F(-7), "d": F(-1, 6720), "q": F(-2)},
@@ -589,18 +622,378 @@ def test_orthogonality_weights_match_per_product_route(height):
 
 def test_orthogonality_degree_drops_are_covered():
     check = CHECKS_BY_ID["orthogonality"]
-    dropped, raised = [ParamPoint(v, 0) for v in DEGREE_DROPS[:2]], ParamPoint(DEGREE_DROPS[2], 0)
-    for pt in dropped:
+    for values, drops in zip(DEGREE_DROPS, (4, 4, 2, 2)):
+        pt = ParamPoint(values, 0)
         p = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"])
-        assert aw_poly_as_polynomial(4, p).degree < 4
-        assert len(check.run(pt, check.defaults)) == 15
-    p = AWParams(raised["a"], raised["b"], raised["c"], raised["d"], raised["q"])
-    assert aw_poly_as_polynomial(2, p).degree < 2
-    with pytest.raises(PoleError):
-        check.run(raised, check.defaults)
+        assert aw_poly_as_polynomial(drops, p).degree < drops
+        assert attempt(check.run, pt, check.defaults) == (
+            PoleError, "leading coefficient of p_m vanishes"
+        )
+    # below the dropped degree the relation holds exactly: at abcd = q^-6
+    # every product up to p_3 p_3 reads moments of degree <= 6
+    pt = ParamPoint(DEGREE_DROPS[0], 0)
+    residuals = check.run(pt, Sizes(n_max=3))
+    assert len(residuals) == 10 and all(r == 0 for r in residuals)
     crossed = ParamPoint(DEGREE_DROPS[3], 0)
     p = AWParams(crossed["a"], crossed["b"], crossed["c"], crossed["d"], crossed["q"])
     with pytest.raises(DegenerateLattice):
         moment_weights(p, 8)
-    with pytest.raises(PoleError):
-        check.run(crossed, check.defaults)
+
+
+# ---------------------------------------------------------------------------
+# matrix builders, six-term tables and closed forms: one Fraction per entry
+# ---------------------------------------------------------------------------
+
+
+def ref_quotient(num, den, what):
+    if den == 0:
+        raise PoleError(f"{what} vanishes")
+    return num / den
+
+
+def ref_hankel_ratios(num, den, q, top, what):
+    nums = ref_qpoch_table(num, q, max(top, 0))
+    dens = ref_qpoch_table(den, q, max(top, 0))
+    return [ref_quotient(nums[k], dens[k], what) for k in range(top + 1)]
+
+
+def ref_square(n, entry):
+    return [entry(i, j) for i in range(n) for j in range(n)]
+
+
+def ref_skew(order, upper):
+    rows = [[F(0)] * order for _ in range(order)]
+    for i in range(order):
+        for j in range(i + 1, order):
+            rows[i][j], rows[j][i] = upper(i, j), -upper(i, j)
+    return [x for row in rows for x in row]
+
+
+def ref_bordered(n, p, pt):
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    x = pt.x
+    ab_t = ref_qpoch_table(a * b, q, 2 * n)
+    abcd_t = ref_qpoch_table(p.abcd, q, 2 * n)
+    ratio = [ref_quotient(ab_t[k], abcd_t[k + 1], "(abcd;q)_(i+j)") for k in range(2 * n - 1)]
+
+    def entry(i, jj):
+        j = jj + 1
+        bracket = (
+            c + d - 2 * x
+            + (1 - c * d) * (a * q**i + b * q ** (j - 1))
+            - a * b * (c + d - 2 * c * d * x) * q ** (i + j - 1)
+        )
+        return ratio[i + j - 1] * (-b * q ** (j - 1)) * bracket
+
+    return ref_square(n, entry)
+
+
+def ref_decorations(n, p):
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    return ref_qpoch_multi_table((a * c, a * d), q, n), ref_qpoch_multi_table((b * c, b * d), q, n)
+
+
+def ref_decoration_det(n, p):
+    row, col = ref_decorations(n, p)
+    out = F(1)
+    for i in range(n):
+        out *= row[i] * col[i]
+    return out
+
+
+def ref_gram(n, p, pt):
+    b, q, z = p.b, p.q, pt.z
+    hankel = ref_hankel_ratios(p.a * b, p.abcd, q, 2 * n - 1, "(abcd;q)_(i+j)")
+    row, col = ref_decorations(n, p)
+    last = ref_qpoch_multi_table((b * z, b / z), q, n)
+    return [
+        last[j] if i == n else row[i] * col[j] * hankel[i + j]
+        for i in range(n + 1)
+        for j in range(n + 1)
+    ]
+
+
+def ref_hankel(n, p):
+    hankel = ref_hankel_ratios(p.a * p.b, p.abcd, p.q, 2 * n - 2, "(abcd;q)_(i+j)")
+    return ref_square(n, lambda i, j: hankel[i + j])
+
+
+def ref_hankel_decorated(n, p):
+    base = ref_hankel(n, p)
+    row, col = ref_decorations(n, p)
+    return ref_square(n, lambda i, j: row[i] * col[j] * base[i * n + j])
+
+
+def ref_mehta_wang(n, pt):
+    a, b, c, _, _, q = mehta_wang_params(pt)
+    hankel = ref_hankel_ratios(a * q, a * b * q**2, q, 2 * n - 2, "(abq^2;q)_(i+j-2)")
+    return ref_square(n, lambda i, j: (q**i - c * q**j) * hankel[i + j])
+
+
+def ref_even_det(m, a, b, q):
+    hankel = ref_hankel_ratios(a * q, a * b * q**2, q, 4 * m - 3, "(abq^2;q)_(i+j-2)")
+    return ref_skew(2 * m, lambda i, j: (q**i - q**j) * hankel[i + j])
+
+
+def ref_integer_exp(m, alpha, q):
+    qa_t = ref_qpoch_table(q**alpha, q, 4 * m)
+    return ref_skew(2 * m, lambda i, j: (q**i - q**j) * qa_t[i + j])
+
+
+def ref_det_prefactor(n, p):
+    a, b, q = p.a, p.b, p.q
+    out = a ** (n * (n - 1) // 2) * b ** (n * (n + 1) // 2) * q ** (n * (n - 1) * (2 * n - 1) // 6)
+    abcd_t = ref_qpoch_table(p.abcd, q, 2 * n)
+    pochs = ref_qpoch_multi_table((a * b, p.c * p.d, q), q, n)
+    for i in range(n):
+        out *= ref_quotient(pochs[i], abcd_t[n + i], "(abcd;q)_(n+i)")
+    return out
+
+
+def ref_rhs_hankel(n, p):
+    q, ab = p.q, p.a * p.b
+    out = ab ** (n * (n - 1) // 2) * q ** (n * (n - 1) * (n - 2) // 3)
+    abcd_t = ref_qpoch_table(p.abcd, q, 2 * n)
+    pochs = ref_qpoch_multi_table((q, ab, p.c * p.d), q, n)
+    for k in range(n):
+        out *= ref_quotient(pochs[k], abcd_t[k + n - 1], "(abcd;q)_(k+n-1)")
+    return out
+
+
+def ref_rhs_pfaffian(m, a, b, q):
+    out = a ** (m * (m - 1)) * q ** (m * (m - 1) * (4 * m + 1) // 3)
+    den_t = ref_qpoch_table(a * b * q**2, q, 4 * m)
+    pochs = ref_qpoch_multi_table((q, a * q), q, 2 * m)
+    bq_t = ref_qpoch_table(b * q, q, 2 * m)
+    for k in range(1, m + 1):
+        num = pochs[2 * k - 1] * bq_t[2 * k - 2]
+        out *= ref_quotient(num, den_t[2 * (k + m) - 3], "(abq^2;q)_(2(k+m)-3)")
+    return out
+
+
+def ref_rhs_integer_exp(m, alpha, q):
+    out = q ** (m * (m - 1) * (alpha - 1) + m * (m - 1) * (4 * m + 1) // 3)
+    pochs = ref_qpoch_multi_table((q, q**alpha), q, 2 * m)
+    for k in range(1, m + 1):
+        out *= pochs[2 * k - 1]
+    return out
+
+
+def ref_rhs_mehta_wang(n, pt):
+    a, b, _, u, v, q = mehta_wang_params(pt)
+    pref = F(-1) ** n * a ** (n * (n - 3) // 2) * q ** (n * (n + 1) * (2 * n - 5) // 6)
+    pref *= ref_qpoch(u**2 * v**2, q**2, n)
+    den_t = ref_qpoch_table(a * b * q**2, q, 2 * n)
+    q_t, aq_t, bq_t = (ref_qpoch_table(x, q, n) for x in (q, a * q, b * q))
+    for k in range(1, n + 1):
+        bq = qpoch(b * q, q, -1) if k == 1 else bq_t[k - 2]  # unchanged route
+        pref *= ref_quotient(q_t[k - 1] * aq_t[k] * bq, den_t[k + n - 2], "(abq^2;q)_(k+n-2)")
+    spec = HypergeometricSpec((q**-n, a * b * q**n, u, -u), (a * q, u * v, -u * v), q)
+    return pref * phi_terminating(spec, q, n)
+
+
+def ref_alpha(k, q, e):
+    sign = -1 if (k * e) % 2 else 1
+    return sign * q ** (k * (k - 1) // 2 * e)
+
+
+def ref_six_term_parts(top, pt, r, s):
+    q = pt["q"]
+    alphas = [ref_alpha(k, q, s - r) for k in range(top + 2)]
+    tables = [
+        (pref,) + tuple(ref_qpoch_multi_table(params, q, top) for params in sides)
+        for pref, *sides in _six_term_specs(pt, r, s)
+    ]
+
+    def parts(k, n):
+        if k == n + 1:
+            return (F(0),) * 3
+        m = n - k
+        return tuple(
+            pref * alphas[k] * alphas[m + 1]
+            * ref_quotient(nk[k] * nm[m], dk[k] * dm[m], "coefficient denominator")
+            for pref, nk, nm, dk, dm in tables
+        )
+
+    return parts
+
+
+def ref_six_term_excesses(pt, n_max, r, s):
+    parts = ref_six_term_parts(n_max, pt, r, s)
+    return [[A - B + C for A, B, C in (parts(k, n) for k in range(n + 2))] for n in range(n_max + 1)]
+
+
+def ref_lattice_nodes(a, q, n):
+    out, qa, qia = [], F(a), 1 / F(a)
+    for _ in range(n + 1):
+        out.append((qa + qia) / 2)
+        qa *= q
+        qia /= q
+    return out
+
+
+def matrix_outcome(fn, *args):
+    """attempt() of a matrix builder, compared on its row-major entries."""
+    return attempt(lambda: list(fn(*args).entries))
+
+
+def point(seed, names):
+    """A seeded point at height 2, 3 or 40; the low heights hit poles often."""
+    return sample_point(names, None, seed, (2, 3, 40)[seed % 3])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_aw_matrix_builders_match_fraction_builders(seed):
+    pt = point(seed, ("a", "b", "c", "d", "q", "z"))
+    p, x = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"]), XPoint(pt["z"])
+    for n in range(6):
+        assert matrix_outcome(build_bordered_matrix, n, p, x) == attempt(ref_bordered, n, p, x)
+        assert matrix_outcome(build_gram_matrix, n, p, x) == attempt(ref_gram, n, p, x)
+        assert matrix_outcome(build_hankel_little_qjacobi, n, p) == attempt(ref_hankel, n, p)
+        assert matrix_outcome(build_hankel_decorated, n, p) == attempt(ref_hankel_decorated, n, p)
+    for n in range(4):
+        def ref_elimination():
+            A = Matrix(n + 1, n + 1, tuple(ref_gram(n, p, x)))
+            B = Matrix(n, n, tuple(ref_bordered(n, p, x)))
+            row, col = ref_decorations(n, p)
+            out = []
+            for j in range(1, n + 1):
+                mult = 1 - 2 * p.b * x.x * p.q ** (j - 1) + p.b**2 * p.q ** (2 * j - 2)
+                for i in range(n):
+                    expected = row[i] * col[j - 1] * B[i, j - 1]
+                    out.append(A[i, j] - mult * A[i, j - 1] - expected)
+                out.append(A[n, j] - mult * A[n, j - 1])
+            return out
+
+        got = attempt(gram_elimination_residuals, n, p, x)
+        expected = attempt(ref_elimination)
+        assert got[0] == expected[0]
+        if got[0] == "value":  # the last residual compares two determinants
+            assert got[1][:-1] == expected[1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pfaffian_and_mehta_wang_builders_match_fraction_builders(seed):
+    pt = point(seed, ("a", "u", "v", "q"))
+    a, b, q = pt["a"], pt["v"] ** 2, pt["q"]
+    for n in range(6):
+        assert matrix_outcome(build_mehta_wang_matrix, n, pt) == attempt(ref_mehta_wang, n, pt)
+    for m in range(4):
+        assert matrix_outcome(build_even_det, m, a, b, q) == attempt(ref_even_det, m, a, b, q)
+        for alpha in range(5):
+            assert matrix_outcome(build_integer_exp_pfaffian, m, alpha, q) == attempt(
+                ref_integer_exp, m, alpha, q
+            )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_closed_forms_match_fraction_products(seed):
+    pt = point(seed, ("a", "b", "c", "d", "q", "u", "v"))
+    p = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"])
+    a, b, q = pt["a"], pt["b"], pt["q"]
+    for n in range(6):
+        assert attempt(det_prefactor, n, p) == attempt(ref_det_prefactor, n, p)
+        assert attempt(gram_prefactor, n, p) == attempt(
+            lambda: F(-1) ** n * ref_det_prefactor(n, p) * ref_decoration_det(n, p)
+        )
+        assert attempt(rhs_hankel, n, p) == attempt(ref_rhs_hankel, n, p)
+        assert attempt(rhs_hankel_decorated, n, p) == attempt(
+            lambda: ref_rhs_hankel(n, p) * ref_decoration_det(n, p)
+        )
+        assert attempt(rhs_mehta_wang, n, pt) == attempt(ref_rhs_mehta_wang, n, pt)
+    for m in range(5):
+        assert attempt(rhs_pfaffian, m, a, b, q) == attempt(ref_rhs_pfaffian, m, a, b, q)
+        assert attempt(rhs_pfaffian, m, a, F(0), q) == attempt(ref_rhs_pfaffian, m, a, F(0), q)
+        for alpha in range(5):
+            assert attempt(rhs_integer_exp_pfaffian, m, alpha, q) == attempt(
+                ref_rhs_integer_exp, m, alpha, q
+            )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_six_term_tables_match_fraction_products(seed):
+    pt = point(seed, _MAIN_NAMES)
+    for r, s in RS_PAIRS:
+        for n in range(5):
+            ref = ref_six_term_parts(n, pt, r, s)
+            for k in range(n + 2):
+                assert attempt(lambda: list(six_term_parts(k, n, pt, r, s))) == attempt(
+                    lambda: list(ref(k, n))
+                )
+        got = attempt(lambda: sum(_six_term_excesses(pt, Sizes(n_max=4), r, s), []))
+        assert got == attempt(lambda: sum(ref_six_term_excesses(pt, 4, r, s), []))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lattice_nodes_match_fraction_steps(seed):
+    rng = random.Random(seed)
+    a, q = lattice_point(rng)
+    assert canon(lattice_nodes(a, q, 8)) == canon(ref_lattice_nodes(a, F(q), 8))
+    assert canon(lattice_nodes(a, q, 0)) == canon(ref_lattice_nodes(a, F(q), 0))
+
+
+def test_builders_raise_only_at_denominators_they_read():
+    # abcd = q^-2: (abcd;q)_k vanishes for k >= 3 and nowhere below
+    q = F(1, 2)
+    p = AWParams(F(3), F(5), F(7), F(4, 105), q)
+    x = XPoint(F(2))
+    read = {  # the first n whose entries read (abcd;q)_3
+        "bordered": (build_bordered_matrix, ref_bordered, (p, x), 2, "(abcd;q)_(i+j)"),
+        "gram": (build_gram_matrix, ref_gram, (p, x), 2, "(abcd;q)_(i+j)"),
+        "hankel": (build_hankel_little_qjacobi, ref_hankel, (p,), 3, "(abcd;q)_(i+j)"),
+        "decorated": (build_hankel_decorated, ref_hankel_decorated, (p,), 3, "(abcd;q)_(i+j)"),
+    }
+    for build, ref, args, first, what in read.values():
+        for n in range(first + 2):
+            got = matrix_outcome(build, n, *args)
+            assert got == attempt(ref, n, *args)
+            assert got[0] == ("value" if n < first else PoleError)
+        assert got == (PoleError, f"{what} vanishes")
+    for closed, ref, first, what in (
+        (det_prefactor, ref_det_prefactor, 2, "(abcd;q)_(n+i)"),
+        (rhs_hankel, ref_rhs_hankel, 3, "(abcd;q)_(k+n-1)"),
+    ):
+        for n in range(first + 2):
+            got = attempt(closed, n, p)
+            assert got == attempt(ref, n, p)
+            assert got[0] == ("value" if n < first else PoleError)
+        assert got == (PoleError, f"{what} vanishes")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_even_det_does_not_read_its_last_denominator(m):
+    # ab q^2 = q^(3-4m) zeroes (abq^2;q)_(4m-2), one past the last entry read
+    q, a = F(1, 3), F(2)
+    b = q ** (1 - 4 * m) / a
+    assert ref_qpoch(a * b * q**2, q, 4 * m - 2) == 0 != ref_qpoch(a * b * q**2, q, 4 * m - 3)
+    got = matrix_outcome(build_even_det, m, a, b, q)
+    assert got[0] == "value" and got == attempt(ref_even_det, m, a, b, q)
+    assert attempt(rhs_pfaffian, m, a, b, q) == attempt(ref_rhs_pfaffian, m, a, b, q)
+    got = matrix_outcome(build_even_det, m + 1, a, b, q)
+    assert got == (PoleError, "(abq^2;q)_(i+j-2) vanishes")
+    assert got == attempt(ref_even_det, m + 1, a, b, q)
+
+
+def test_mehta_wang_closed_form_pole_at_b_one():
+    for v in (F(1), F(-1)):
+        pt = ParamPoint({"a": F(3, 5), "u": F(2, 7), "v": v, "q": F(-1, 3)})
+        assert attempt(rhs_mehta_wang, 0, pt)[0] == "value"
+        for n in range(1, 4):
+            got = attempt(rhs_mehta_wang, n, pt)
+            assert got == attempt(ref_rhs_mehta_wang, n, pt)
+            assert got == (PoleError, "(a;q)_-1 undefined: factor 1 - a*q^k vanishes")
+
+
+def test_six_term_table_pole_at_a_to_q_minus_three():
+    # (aq;q)_3 = 0 sits in the m-side table of A: only the (k, n) reading it raise
+    pt = ParamPoint({"a": F(1, 8), "b": F(3), "c": F(5), "d": F(7), "q": F(2)})
+    outcomes = set()
+    for n in range(6):
+        for k in range(n + 2):
+            got = attempt(lambda: list(six_term_parts(k, n, pt, 0, 0)))
+            assert got == attempt(lambda: list(ref_six_term_parts(n, pt, 0, 0)(k, n)))
+            outcomes.add(got[0])
+    assert outcomes == {"value", PoleError}
+    got = attempt(_six_term_excesses, pt, Sizes(n_max=3), 0, 0)
+    assert got == (PoleError, "coefficient denominator vanishes")
+    assert got == attempt(ref_six_term_excesses, pt, 3, 0, 0)
