@@ -682,30 +682,23 @@ def rhs_mehta_wang(n: int, pt: ParamPoint) -> Scalar:
     * 4phi3[ q^-n, ab q^n, u, -u ; aq, uv, -uv ; q, q ].
     """
     a, b, _, u, v, q = mehta_wang_params(pt)
-    powers = (
-        (Fraction(-1), n),
-        (a, n * (n - 3) // 2),
-        (q, n * (n + 1) * (2 * n - 5) // 6),
-        (qpoch(u**2 * v**2, q**2, n), 1),
-    )
+    scale = qpoch(u**2 * v**2, q**2, n)
     qq_n, qq_d = _qpoch_prefix(q, q, n)
     aq_n, aq_d = _qpoch_prefix(a * q, q, n)
-    dn, dd = _qpoch_prefix(a * b * q**2, q, 2 * n)
-    # bq_n[k-1] / bq_d[k-1] = (bq;q)_(k-2); (bq;q)_(-1) = 1/(1-b) has a pole
-    # of its own at b = 1
     bq_n, bq_d = _qpoch_prefix(b * q, q, max(n - 2, 0))
+    dn, dd = _qpoch_prefix(a * b * q**2, q, 2 * n)
+    factors = [
+        (qq_n[k - 1] * aq_n[k], qq_d[k - 1] * aq_d[k], dn[k + n - 2], dd[k + n - 2])
+        for k in range(1, n + 1)
+    ]
+    factors += [(bq_n[k - 2], bq_d[k - 2], 1, 1) for k in range(2, n + 1)]
     if n:
+        # (bq;q)_(k-2) at k = 1 is (bq;q)_(-1) = 1/(1-b), with a pole of its
+        # own at b = 1, raised here before any (abq^2;q) pole
         first = qpoch(b * q, q, -1)
-        bq_n, bq_d = [first.numerator] + bq_n, [first.denominator] + bq_d
-    pref = _closed_form(
-        powers,
-        (
-            (qq_n[k - 1] * aq_n[k] * bq_n[k - 1], qq_d[k - 1] * aq_d[k] * bq_d[k - 1],
-             dn[k + n - 2], dd[k + n - 2])
-            for k in range(1, n + 1)
-        ),
-        "(abq^2;q)_(k+n-2)",
-    )
+        factors.append((first.numerator, first.denominator, 1, 1))
+    powers = ((Fraction(-1), n), (a, n * (n - 3) // 2), (q, n * (n + 1) * (2 * n - 5) // 6))
+    pref = scale * _closed_form(powers, factors, "(abq^2;q)_(k+n-2)")
     spec = HypergeometricSpec(
         (q**-n, a * b * q**n, u, -u), (a * q, u * v, -u * v), q
     )
@@ -1156,32 +1149,26 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
     moments of degree above j have poles: the relation holds there only as a
     limit, which the exact value at this point need not match.
 
-    L is applied through one weight vector per trial, at twice the largest
-    degree N, and each p_m is evaluated once per node.  A product of degree d
-    reads only table entries that are also entries at N, and a zero in a
-    running product stays zero, so the weights raise exactly when the
-    per-product route raises at some product.  When they raise, the products
-    are taken one by one through moment_functional, so that the first failing
-    product raises the same exception as before.
+    L is applied through one weight vector per trial, at twice the top degree
+    T, and each p_m is evaluated once per node.  The weights raise what the
+    first failing product p_m p_n raises when L is applied to each product on
+    its own.  With no degree drop, abcd = q^(-j) only for j >= 2T-1, so a zero
+    (abcd;q)_k is read only at k = 2T, by the last product.  A zero lattice
+    Newton denominator at order d means a^2 q^e = 1 with 1 <= e <= 2d-1, which
+    is a node collision at the same order, and both routes check the nodes
+    first.
     """
     p = _aw_from(pt)
     top = min(sizes.n_max, 4)
     polys = [aw_poly_as_polynomial(k, p) for k in range(top + 1)]
     if any(f.degree < m for m, f in enumerate(polys)):
         raise PoleError("leading coefficient of p_m vanishes")
-    try:
-        nodes, weights = moment_weights(p, 2 * max(f.degree for f in polys))
-    except (DegenerateLattice, PoleError):
-        values = None
-    else:
-        values = [[f(b) for b in nodes] for f in polys]
+    nodes, weights = moment_weights(p, 2 * top)
+    values = [[f(b) for b in nodes] for f in polys]
     out = []
     for m in range(top + 1):
         for n in range(m, top + 1):
-            if values is None:
-                value = moment_functional(polys[m] * polys[n], p)
-            else:
-                value = _weighted_sum(weights, values[m], values[n])
+            value = _weighted_sum(weights, values[m], values[n])
             if m == n:
                 value -= aw_norm_ratio(n, p)
             out.append(value)

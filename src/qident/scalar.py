@@ -58,26 +58,8 @@ def qpoch(a: Scalar, q: Scalar, n: int) -> Scalar:
 
 
 def _qpoch_prefix(a: Scalar, q: Scalar, n: int) -> tuple[list[int], list[int]]:
-    """Integer numerators and positive denominators of (a;q)_0, ..., (a;q)_n.
-
-    With a = a_n/a_d and q = q_n/q_d in lowest terms, the factor 1 - a q^k is
-    (a_d q_d^k - a_n q_n^k) / (a_d q_d^k); the pairs are its running products,
-    left unreduced.
-    """
-    if n < 0:
-        raise DomainError("qpoch_table needs n >= 0")
-    an, ad = a.numerator, a.denominator
-    qn, qd = q.numerator, q.denominator
-    num = den = 1
-    nums, dens = [1], [1]
-    for _ in range(n):
-        num *= ad - an
-        den *= ad
-        nums.append(num)
-        dens.append(den)
-        an *= qn
-        ad *= qd
-    return nums, dens
+    """Integer numerators and positive denominators of (a;q)_0, ..., (a;q)_n."""
+    return _qpoch_multi_prefix((a,), q, n)
 
 
 def qpoch_table(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
@@ -93,10 +75,9 @@ def qpoch_table(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
 def _qpoch_multi_prefix(params: Iterable[Scalar], q: Scalar, n: int) -> tuple[list[int], list[int]]:
     """Integer numerators and positive denominators of (params;q)_0, ..., (params;q)_n.
 
-    One running product over every base's factors 1 - a q^k, as in
-    _qpoch_prefix, left unreduced; with no base every entry is 1/1.
-    _qpoch_prefix keeps its own loop because it is the faster of the two
-    for a single base, and it is the most called kernel.
+    With a = a_n/a_d and q = q_n/q_d in lowest terms, the factor 1 - a q^k is
+    (a_d q_d^k - a_n q_n^k) / (a_d q_d^k); the pairs are the running products
+    of every base's factors, left unreduced.  With no base every entry is 1/1.
     """
     if n < 0:
         raise DomainError("qpoch_table needs n >= 0")

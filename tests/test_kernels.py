@@ -590,19 +590,27 @@ def orthogonality_outcome(run, pt, sizes):
     try:
         return "value", canon(run(pt, sizes))
     except (PoleError, ZeroDivisionError, DegenerateLattice, DuplicateNodes, DomainError) as exc:
-        return type(exc), None
+        return type(exc), str(exc)
 
 
 # abcd = q^-6 zeroes the leading coefficient of p_4 but no (abcd;q)_k up to
 # k = 6, so p_4 drops to degree 3 while every product would still have a
 # value; abcd = q^-2 also drops p_2 and p_3.  abcd = q^-1 with a^2 q^6 = 1
-# drops p_2, and (abcd;q)_3 vanishes before the nodes collide at order 4.
-# Each degree drop is a pole of the check.
+# drops p_2, and its nodes collide at order 4.  Each degree drop is a pole of
+# the check, raised before the weights are formed.
 DEGREE_DROPS = [
     {"a": F(3), "b": F(5), "c": F(7), "d": F(64, 105), "q": F(1, 2)},
     {"a": F(3), "b": F(5), "c": F(-7), "d": F(-1, 6720), "q": F(-2)},
     {"a": F(3), "b": F(5), "c": F(7), "d": F(4, 105), "q": F(1, 2)},
     {"a": F(8), "b": F(3), "c": F(5), "d": F(1, 60), "q": F(1, 2)},
+]
+
+# No p_m drops degree at these points, yet the weights at order 8 raise:
+# abcd = q^-7 zeroes (abcd;q)_8, read by p_4 p_4 alone, and a^2 q^5 = 1 makes
+# the nodes collide at order 3.
+WEIGHT_POLES = [
+    ({"a": F(3), "b": F(5), "c": F(7), "d": F(128, 105), "q": F(1, 2)}, PoleError),
+    ({"a": F(32), "b": F(5), "c": F(7), "d": F(3, 11), "q": F(1, 4)}, DegenerateLattice),
 ]
 
 
@@ -612,6 +620,7 @@ def test_orthogonality_weights_match_per_product_route(height):
     outcomes = set()
     points = [sample_point(check.param_names, None, 31 * s + height, height) for s in range(24)]
     points += [ParamPoint(values, 0) for values in DEGREE_DROPS]
+    points += [ParamPoint(values, 0) for values, _ in WEIGHT_POLES]
     for pt in points:
         for sizes in (check.defaults, Sizes(n_max=2)):
             got = orthogonality_outcome(check.run, pt, sizes)
@@ -634,10 +643,20 @@ def test_orthogonality_degree_drops_are_covered():
     pt = ParamPoint(DEGREE_DROPS[0], 0)
     residuals = check.run(pt, Sizes(n_max=3))
     assert len(residuals) == 10 and all(r == 0 for r in residuals)
-    crossed = ParamPoint(DEGREE_DROPS[3], 0)
-    p = AWParams(crossed["a"], crossed["b"], crossed["c"], crossed["d"], crossed["q"])
-    with pytest.raises(DegenerateLattice):
-        moment_weights(p, 8)
+
+
+def test_orthogonality_weight_poles_are_covered():
+    check = CHECKS_BY_ID["orthogonality"]
+    for values, error in WEIGHT_POLES:
+        pt = ParamPoint(values, 0)
+        p = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"])
+        assert all(aw_poly_as_polynomial(m, p).degree == m for m in range(5))
+        with pytest.raises(error):
+            check.run(pt, check.defaults)
+    # below those orders the relation holds exactly
+    for (values, _), n_max in zip(WEIGHT_POLES, (2, 1)):
+        residuals = check.run(ParamPoint(values, 0), Sizes(n_max=n_max))
+        assert residuals and all(r == 0 for r in residuals)
 
 
 # ---------------------------------------------------------------------------
