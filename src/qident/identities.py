@@ -17,6 +17,7 @@ a zero elsewhere in a table is no pole.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import zlib
@@ -55,6 +56,8 @@ from .linalg import (
     det_cofactor,
     det_condensation,
     det_fraction_free,
+    leading_minors,
+    minor,
     pfaffian_expansion,
     pfaffian_matchings,
 )
@@ -206,34 +209,49 @@ def _six_term_specs(pt: ParamPoint, r: int, s: int) -> list[tuple]:
     prefactor * alpha * (nums_k;q)_k (nums_m;q)_m / ((dens_k;q)_k (dens_m;q)_m)
     with m = n - k.
     """
-    a, b, c, d, q = pt["a"], pt["b"], pt["c"], pt["d"], pt["q"]
+    base = _six_term_base(*pt.values("abcdq"))
+    q = pt["q"]
     es, fs = _vector(pt, "e", r), _vector(pt, "f", s)
     esq = tuple(x * q for x in es)
     fsq = tuple(x * q for x in fs)
-    bc = b * c
     return [
+        (pref, nums_k + es, nums_m + esq, dens_k + fs, dens_m + fsq)
+        for pref, nums_k, nums_m, dens_k, dens_m in base
+    ]
+
+
+@functools.lru_cache(maxsize=1)
+def _six_term_base(a: Scalar, b: Scalar, c: Scalar, d: Scalar, q: Scalar) -> tuple[tuple, ...]:
+    """The (r, s)-independent part of _six_term_specs: each entry without the
+    e and f parameters.
+
+    The checks read the specs for several (r, s) at one point, so the lists
+    of the last point are kept and built once per trial.
+    """
+    bc = b * c
+    return (
         (
             (a - b) * (a - c) * (bc - d) * (1 - d),
-            (bc / a, bc / q**2, c, d / q) + es,
-            (bc / a, bc, c, d * q) + esq,
-            (q, a / q, b / q, bc / d) + fs,
-            (q, a * q, b * q, bc / d) + fsq,
+            (bc / a, bc / q**2, c, d / q),
+            (bc / a, bc, c, d * q),
+            (q, a / q, b / q, bc / d),
+            (q, a * q, b * q, bc / d),
         ),
         (
             (a - d) * (1 - b) * (1 - c) * (bc - a * d),
-            (bc / a, bc / q**2, c / q, d) + es,
-            (bc / a, bc, c * q, d) + esq,
-            (q, a / q, b, bc / (d * q)) + fs,
-            (q, a * q, b, bc * q / d) + fsq,
+            (bc / a, bc / q**2, c / q, d),
+            (bc / a, bc, c * q, d),
+            (q, a / q, b, bc / (d * q)),
+            (q, a * q, b, bc * q / d),
         ),
         (
             (1 - a) * (b - d) * (c - d) * (a - bc),
-            (bc / (a * q), bc / q**2, c, d) + es,
-            (bc * q / a, bc, c, d) + esq,
-            (q, a, b / q, bc / (d * q)) + fs,
-            (q, a, b * q, bc * q / d) + fsq,
+            (bc / (a * q), bc / q**2, c, d),
+            (bc * q / a, bc, c, d),
+            (q, a, b / q, bc / (d * q)),
+            (q, a, b * q, bc * q / d),
         ),
-    ]
+    )
 
 
 def main_quadratic_products(
@@ -579,6 +597,18 @@ def build_gram_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
     return Matrix(n + 1, n + 1, tuple(_decorated_hankel(n, n + 1, p) + last))
 
 
+def _gram_dets(G: Matrix) -> list[Scalar]:
+    """det build_gram_matrix(n) for n = 1..N, read from G = build_gram_matrix(N).
+
+    Moved to the top, the polynomial row makes the Gram matrices nested: the
+    order-n one is the leading (n+1) x (n+1) block, and moving its last row
+    to the top multiplies its determinant by (-1)^n.
+    """
+    cut = (G.rows - 1) * G.cols
+    lifted = Matrix(G.rows, G.cols, G.entries[cut:] + G.entries[:cut])
+    return [-d if n % 2 else d for n, d in enumerate(leading_minors(lifted)) if n]
+
+
 def gram_prefactor(n: int, p: AWParams) -> Scalar:
     """C = (-1)^n a^(n(n-1)/2) b^(n(n+1)/2) q^(n(n-1)(2n-1)/6)
            prod_i (ab,ac,ad,bc,bd,cd,q;q)_i / (abcd;q)_(n+i),
@@ -591,28 +621,40 @@ def rhs_gram_formula(n: int, p: AWParams, pt: XPoint) -> Scalar:
     return gram_prefactor(n, p) * aw_poly(n, p, pt)
 
 
-def gram_elimination_residuals(n: int, p: AWParams, pt: XPoint) -> list[Scalar]:
-    """Column elimination turning the moment matrix into the bordered one.
+def gram_elimination_residuals(n_max: int, p: AWParams, pt: XPoint) -> list[Scalar]:
+    """Column elimination turning the moment matrix into the bordered one,
+    at each order n = 1..n_max in turn.
 
-    Subtracting (1 - 2bx q^(j-1) + b^2 q^(2j-2)) times column j-1 from column j
-    (j = n..1) must zero the last row except its first entry and produce
-    (ac,ad;q)_i (bc,bd;q)_(j-1) B[i,j] elsewhere; the determinant consequence
-    det A = (-1)^n prod_i (ac,ad,bc,bd;q)_i * det B is checked as well.
+    At order n, subtracting (1 - 2bx q^(j-1) + b^2 q^(2j-2)) times column j-1
+    from column j (j = n..1) must zero the last row except its first entry
+    and produce (ac,ad;q)_i (bc,bd;q)_(j-1) B[i,j] elsewhere; the determinant
+    consequence det A = (-1)^n prod_i (ac,ad,bc,bd;q)_i * det B is checked as
+    well.  No entry residual depends on n, so each is computed once from the
+    order-n_max matrices and listed again at every order that contains it;
+    the determinants of all orders come from one elimination per matrix.
     """
     b, q, x = p.b, p.q, pt.x
-    A = build_gram_matrix(n, p, pt)
-    B = build_bordered_matrix(n, p, pt)
-    row, col = _decorations(n, p)
+    top = max(n_max, 0)
+    A = build_gram_matrix(top, p, pt)
+    B = build_bordered_matrix(top, p, pt)
+    row, col = _decorations(top, p)
     (rn, rd), (cn, cd) = row, col
-    out: list[Scalar] = []
-    for j in range(1, n + 1):
+    columns = []  # column j's residuals: moment rows i < top, then the polynomial row
+    for j in range(1, top + 1):
         mult = 1 - 2 * b * x * q ** (j - 1) + b**2 * q ** (2 * j - 2)
-        for i in range(n):
-            expected = Fraction(rn[i] * cn[j - 1], rd[i] * cd[j - 1]) * B[i, j - 1]
-            out.append(A[i, j] - mult * A[i, j - 1] - expected)
-        out.append(A[n, j] - mult * A[n, j - 1])
-    scaling = Fraction(-1) ** n * _decoration_det(n, row, col)
-    out.append(det_fraction_free(A) - scaling * det_fraction_free(B))
+        moments = [
+            A[i, j] - mult * A[i, j - 1]
+            - Fraction(rn[i] * cn[j - 1], rd[i] * cd[j - 1]) * B[i, j - 1]
+            for i in range(top)
+        ]
+        columns.append((moments, A[top, j] - mult * A[top, j - 1]))
+    out: list[Scalar] = []
+    for n, (det_a, det_b) in enumerate(zip(_gram_dets(A), leading_minors(B)), 1):
+        for moments, last in columns[:n]:
+            out += moments[:n]
+            out.append(last)
+        scaling = Fraction(-1) ** n * _decoration_det(n, row, col)
+        out.append(det_a - scaling * det_b)
     return out
 
 
@@ -969,26 +1011,23 @@ def _run_aw_quadratic(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
+    top = max(sizes.n_max, 0)
+    M = build_bordered_matrix(top, p, x)
     out = []
-    for n in range(1, sizes.n_max + 1):
-        M = build_bordered_matrix(n, p, x)
-        rhs = rhs_det_formula(n, p, x)
-        d_ff = det_fraction_free(M)
-        out.append(d_ff - rhs)
-        out.append(det_condensation(M) - d_ff)
+    for n, d_ff in enumerate(leading_minors(M), 1):
+        block = minor(M, range(n, top), range(n, top))
+        out.append(d_ff - rhs_det_formula(n, p, x))
+        out.append(det_condensation(block) - d_ff)
         if n <= COFACTOR_CAP:  # the factorial oracle refuses larger orders
-            out.append(det_cofactor(M) - d_ff)
+            out.append(det_cofactor(block) - d_ff)
     return out
 
 
 @_check("mehta_wang_det", "Cor. 3.2 / Eq. (eq:ITZ1)", ("a", "u", "v", "q"), Sizes(n_max=5),
         note="b = v^2, c = u^2/(aq)")
 def _run_mehta_wang(pt: ParamPoint, sizes: Sizes) -> list:
-    out = []
-    for n in range(1, sizes.n_max + 1):
-        M = build_mehta_wang_matrix(n, pt)
-        out.append(det_fraction_free(M) - rhs_mehta_wang(n, pt))
-    return out
+    dets = leading_minors(build_mehta_wang_matrix(max(sizes.n_max, 0), pt))
+    return [d - rhs_mehta_wang(n, pt) for n, d in enumerate(dets, 1)]
 
 
 @_check("even_order_det", "Cor. 3.3", ("a", "b", "q"), Sizes(m_max=3))
@@ -1050,32 +1089,27 @@ def _run_andrews_watson(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_gram_det(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
-    out = []
-    for n in range(1, sizes.n_max + 1):
-        M = build_gram_matrix(n, p, x)
-        out.append(det_fraction_free(M) - rhs_gram_formula(n, p, x))
-    return out
+    dets = _gram_dets(build_gram_matrix(max(sizes.n_max, 0), p, x))
+    return [d - rhs_gram_formula(n, p, x) for n, d in enumerate(dets, 1)]
 
 
 @_check("gram_to_bordered", "Prop. 4.2", _ABCDQZ, Sizes(n_max=4),
         note="entrywise column elimination")
 def _run_gram_to_bordered(pt: ParamPoint, sizes: Sizes) -> list:
-    p = _aw_from(pt)
-    x = XPoint(pt["z"])
-    out = []
-    for n in range(1, sizes.n_max + 1):
-        out.extend(gram_elimination_residuals(n, p, x))
-    return out
+    return gram_elimination_residuals(sizes.n_max, _aw_from(pt), XPoint(pt["z"]))
 
 
 @_check("little_qjacobi_hankel", "Eq. (littlejacobi) / (littlejacobibis)",
         ("a", "b", "c", "d", "q"), Sizes(n_max=5))
 def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
+    top = max(sizes.n_max, 0)
+    plain = leading_minors(build_hankel_little_qjacobi(top, p))
+    decorated = leading_minors(build_hankel_decorated(top, p))
     out = []
-    for n in range(1, sizes.n_max + 1):
-        out.append(det_fraction_free(build_hankel_little_qjacobi(n, p)) - rhs_hankel(n, p))
-        out.append(det_fraction_free(build_hankel_decorated(n, p)) - rhs_hankel_decorated(n, p))
+    for n, (d, e) in enumerate(zip(plain, decorated), 1):
+        out.append(d - rhs_hankel(n, p))
+        out.append(e - rhs_hankel_decorated(n, p))
     return out
 
 
@@ -1275,12 +1309,14 @@ def _run_desnanot_jacobi(pt: ParamPoint, sizes: Sizes) -> list:
         note="orders 1..6")
 def _run_det_engines(pt: ParamPoint, sizes: Sizes) -> list:
     top = min(sizes.n_max, 6)
+    minors = leading_minors(_square_from(pt, max(top, 0)))
     out = []
     for k in range(1, top + 1):
         M = _square_from(pt, k)
         d = det_fraction_free(M)
         out.append(det_cofactor(M) - d)
         out.append(det_condensation(M) - d)
+        out.append(minors[k - 1] - d)
     return out
 
 

@@ -1,7 +1,14 @@
 """Exact matrices over Scalar: determinant and Pfaffian engines.
 
 The working engines are polynomial in the order: integer Bareiss elimination
-for determinants and block elimination for Pfaffians.  Cofactor expansion and
+for determinants and block elimination for Pfaffians.  One Bareiss loop
+serves two entry points: det_fraction_free, which swaps rows past a zero
+pivot, and leading_minors, which swaps none and reads the determinant of
+every leading block of a matrix as that elimination's pivots.  The
+determinant families whose matrices are nested (entry (i, j) independent of
+the order) read all their orders from one leading_minors call.  The skew
+families do not: the odd leading minors of a skew matrix vanish, so the
+swap-free pass stops at the first step.  Cofactor expansion and
 signed perfect matchings are factorial-cost oracles capped at order 8; they
 scale the whole matrix by the lcm of all its denominators, expand on ints over
 that one common denominator, and share no code with the engines they check.
@@ -19,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .scalar import Scalar
 
@@ -172,37 +179,43 @@ def _det_laplace(rows: list[list[int]]) -> int:
     return total
 
 
-def det_fraction_free(M: Matrix) -> Scalar:
-    """Bareiss fraction-free elimination on integers, with row-swap pivoting.
-
-    Each row is scaled by the lcm of its denominators, so elimination runs on
-    Python ints and every Bareiss division is exact (``//``); the scaling is
-    divided out at the end.  A column with no available pivot proves the
-    matrix singular, so the determinant is 0 outright.
-    """
-    _require_square(M)
-    n = M.rows
-    if n == 0:
-        return Fraction(1)
-    a = []
-    scale = 1
+def _row_scaled(M: Matrix) -> tuple[list[list[int]], list[int]]:
+    """The rows of M as ints, each scaled by the lcm of its own denominators,
+    and those row scales."""
+    rows, scales = [], []
     for row in M.to_lists():
         s = math.lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (s // x.denominator) for x in row])
-        scale *= s
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+        scales.append(s)
+    return rows, scales
+
+
+def _bareiss(a: list[list[int]], pivoting: bool) -> Iterator[int]:
+    """Bareiss fraction-free elimination of the square int rows `a`, in place.
+
+    Yields the pivot of each step k = 0..n-1, read before the step, times the
+    sign of the row swaps so far.  By Sylvester's identity that pivot is the
+    determinant of the leading (k+1)x(k+1) block of the row-swapped matrix,
+    so every division is exact (``//``) and the last value is det a.  With
+    `pivoting`, a zero pivot is first swapped for a nonzero entry below it.
+    A zero pivot that remains ends the elimination: the leading block, and
+    with pivoting the whole matrix, is singular.
+    """
+    n = len(a)
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
+    for k in range(n):
+        if pivoting and a[k][k] == 0:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
                     a[k], a[r] = a[r], a[k]
                     sign = -sign
                     break
-            else:
-                return Fraction(0)
         pivot_row = a[k]
         pivot = pivot_row[k]
+        yield sign * pivot
+        if pivot == 0:
+            return
         for i in range(k + 1, n):
             row = a[i]
             f = row[k]
@@ -210,7 +223,44 @@ def det_fraction_free(M: Matrix) -> Scalar:
                 row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
             row[k] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)
+
+
+def det_fraction_free(M: Matrix) -> Scalar:
+    """Bareiss fraction-free elimination on integers, with row-swap pivoting.
+
+    Each row is scaled by the lcm of its denominators, so elimination runs on
+    Python ints; the scaling is divided out at the end.  A column with no
+    available pivot proves the matrix singular, so the determinant is 0
+    outright.
+    """
+    _require_square(M)
+    a, scales = _row_scaled(M)
+    det = 1
+    for det in _bareiss(a, pivoting=True):
+        pass
+    return Fraction(det, math.prod(scales))
+
+
+def leading_minors(M: Matrix) -> list[Scalar]:
+    """det of the leading k x k block of M for k = 1..n, from one elimination.
+
+    Bareiss elimination without row swaps on the row-scaled integer matrix
+    reads the order-k leading minor of that matrix as its pivot before step
+    k-1, and det M_k is that pivot over the product of the first k row
+    scales.  A zero pivot makes its minor 0 and ends the elimination; each
+    later order then falls back to det_fraction_free of its leading block.
+    """
+    _require_square(M)
+    n = M.rows
+    a, scales = _row_scaled(M)
+    out = []
+    scale = 1
+    for s, pivot in zip(scales, _bareiss(a, pivoting=False)):
+        scale *= s
+        out.append(Fraction(pivot, scale))
+    for k in range(len(out) + 1, n + 1):
+        out.append(det_fraction_free(minor(M, range(k, n), range(k, n))))
+    return out
 
 
 def det_condensation(M: Matrix) -> Scalar:

@@ -6,6 +6,7 @@ return the canonical Fraction, not just an equal value.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -29,9 +30,15 @@ from qident.askey_wilson import (
 )
 from qident.identities import (
     _MAIN_NAMES,
+    _RESAMPLE_ERRORS,
     CHECKS_BY_ID,
+    COFACTOR_CAP,
     RS_PAIRS,
     Sizes,
+    _aw_from,
+    _decoration_det,
+    _decorations,
+    _gram_dets,
     _six_term_excesses,
     _six_term_specs,
     build_bordered_matrix,
@@ -45,6 +52,8 @@ from qident.identities import (
     gram_elimination_residuals,
     gram_prefactor,
     mehta_wang_params,
+    rhs_det_formula,
+    rhs_gram_formula,
     rhs_hankel,
     rhs_hankel_decorated,
     rhs_integer_exp_pfaffian,
@@ -56,7 +65,10 @@ from qident.linalg import (
     Matrix,
     SkewMatrix,
     det_cofactor,
+    det_condensation,
+    det_fraction_free,
     matching_sign,
+    minor,
     perfect_matchings,
     pfaffian_matchings,
 )
@@ -870,25 +882,24 @@ def test_aw_matrix_builders_match_fraction_builders(seed):
         assert matrix_outcome(build_gram_matrix, n, p, x) == attempt(ref_gram, n, p, x)
         assert matrix_outcome(build_hankel_little_qjacobi, n, p) == attempt(ref_hankel, n, p)
         assert matrix_outcome(build_hankel_decorated, n, p) == attempt(ref_hankel_decorated, n, p)
-    for n in range(4):
+    for n_max in range(4):
         def ref_elimination():
-            A = Matrix(n + 1, n + 1, tuple(ref_gram(n, p, x)))
-            B = Matrix(n, n, tuple(ref_bordered(n, p, x)))
-            row, col = ref_decorations(n, p)
             out = []
-            for j in range(1, n + 1):
-                mult = 1 - 2 * p.b * x.x * p.q ** (j - 1) + p.b**2 * p.q ** (2 * j - 2)
-                for i in range(n):
-                    expected = row[i] * col[j - 1] * B[i, j - 1]
-                    out.append(A[i, j] - mult * A[i, j - 1] - expected)
-                out.append(A[n, j] - mult * A[n, j - 1])
+            for n in range(1, n_max + 1):
+                A = Matrix(n + 1, n + 1, tuple(ref_gram(n, p, x)))
+                B = Matrix(n, n, tuple(ref_bordered(n, p, x)))
+                row, col = ref_decorations(n, p)
+                for j in range(1, n + 1):
+                    mult = 1 - 2 * p.b * x.x * p.q ** (j - 1) + p.b**2 * p.q ** (2 * j - 2)
+                    for i in range(n):
+                        expected = row[i] * col[j - 1] * B[i, j - 1]
+                        out.append(A[i, j] - mult * A[i, j - 1] - expected)
+                    out.append(A[n, j] - mult * A[n, j - 1])
+                scaling = (-1) ** n * ref_decoration_det(n, p)
+                out.append(ref_det(A.to_lists()) - scaling * ref_det(B.to_lists()))
             return out
 
-        got = attempt(gram_elimination_residuals, n, p, x)
-        expected = attempt(ref_elimination)
-        assert got[0] == expected[0]
-        if got[0] == "value":  # the last residual compares two determinants
-            assert got[1][:-1] == expected[1]
+        assert attempt(gram_elimination_residuals, n_max, p, x) == attempt(ref_elimination)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -1016,3 +1027,154 @@ def test_six_term_table_pole_at_a_to_q_minus_three():
     got = attempt(_six_term_excesses, pt, Sizes(n_max=3), 0, 0)
     assert got == (PoleError, "coefficient denominator vanishes")
     assert got == attempt(ref_six_term_excesses, pt, 3, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# nested determinant families: every order from one leading_minors call
+# ---------------------------------------------------------------------------
+
+
+def leading_block(M, k):
+    return minor(M, range(k, M.rows), range(k, M.rows))
+
+
+def lifted(G):
+    """A Gram matrix with its polynomial (last) row moved to the top."""
+    cut = (G.rows - 1) * G.cols
+    return Matrix(G.rows, G.cols, G.entries[cut:] + G.entries[:cut])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nested_builders_are_leading_blocks_of_the_top_order(seed):
+    pt = point(seed, ("a", "b", "c", "d", "q", "z", "u", "v"))
+    p, x = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"]), XPoint(pt["z"])
+    top = 6
+    builders = {
+        "bordered": (lambda n: build_bordered_matrix(n, p, x), 0),
+        "gram": (lambda n: lifted(build_gram_matrix(n, p, x)), 1),
+        "hankel": (lambda n: build_hankel_little_qjacobi(n, p), 0),
+        "decorated": (lambda n: build_hankel_decorated(n, p), 0),
+        "mehta_wang": (lambda n: build_mehta_wang_matrix(n, pt), 0),
+    }
+    for build, extra in builders.values():
+        try:
+            M = build(top)
+        except PoleError:  # a pole of the top order need not be one of a lower order
+            continue
+        for n in range(top + 1):
+            assert canon(build(n).entries) == canon(leading_block(M, n + extra).entries)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gram_dets_carry_the_row_move_sign(seed):
+    pt = point(seed, ("a", "b", "c", "d", "q", "z"))
+    p, x = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"]), XPoint(pt["z"])
+    top = 5
+    try:
+        G = build_gram_matrix(top, p, x)
+    except PoleError:
+        return
+    expected = [det_fraction_free(build_gram_matrix(n, p, x)) for n in range(1, top + 1)]
+    assert canon(_gram_dets(G)) == canon(expected)
+
+
+# The per-order runners of the five checks that now read every order from one
+# elimination: each builds and eliminates a fresh matrix for every n.
+
+
+def per_order_bordered(pt, sizes):
+    p, x = _aw_from(pt), XPoint(pt["z"])
+    out = []
+    for n in range(1, sizes.n_max + 1):
+        M = build_bordered_matrix(n, p, x)
+        rhs = rhs_det_formula(n, p, x)
+        d_ff = det_fraction_free(M)
+        out.append(d_ff - rhs)
+        out.append(det_condensation(M) - d_ff)
+        if n <= COFACTOR_CAP:
+            out.append(det_cofactor(M) - d_ff)
+    return out
+
+
+def per_order_mehta_wang(pt, sizes):
+    return [
+        det_fraction_free(build_mehta_wang_matrix(n, pt)) - rhs_mehta_wang(n, pt)
+        for n in range(1, sizes.n_max + 1)
+    ]
+
+
+def per_order_gram(pt, sizes):
+    p, x = _aw_from(pt), XPoint(pt["z"])
+    return [
+        det_fraction_free(build_gram_matrix(n, p, x)) - rhs_gram_formula(n, p, x)
+        for n in range(1, sizes.n_max + 1)
+    ]
+
+
+def per_order_elimination(n, p, pt):
+    b, q, x = p.b, p.q, pt.x
+    A = build_gram_matrix(n, p, pt)
+    B = build_bordered_matrix(n, p, pt)
+    row, col = _decorations(n, p)
+    (rn, rd), (cn, cd) = row, col
+    out = []
+    for j in range(1, n + 1):
+        mult = 1 - 2 * b * x * q ** (j - 1) + b**2 * q ** (2 * j - 2)
+        for i in range(n):
+            expected = F(rn[i] * cn[j - 1], rd[i] * cd[j - 1]) * B[i, j - 1]
+            out.append(A[i, j] - mult * A[i, j - 1] - expected)
+        out.append(A[n, j] - mult * A[n, j - 1])
+    scaling = F(-1) ** n * _decoration_det(n, row, col)
+    out.append(det_fraction_free(A) - scaling * det_fraction_free(B))
+    return out
+
+
+def per_order_gram_to_bordered(pt, sizes):
+    p, x = _aw_from(pt), XPoint(pt["z"])
+    out = []
+    for n in range(1, sizes.n_max + 1):
+        out.extend(per_order_elimination(n, p, x))
+    return out
+
+
+def per_order_hankel(pt, sizes):
+    p = _aw_from(pt)
+    out = []
+    for n in range(1, sizes.n_max + 1):
+        out.append(det_fraction_free(build_hankel_little_qjacobi(n, p)) - rhs_hankel(n, p))
+        out.append(det_fraction_free(build_hankel_decorated(n, p)) - rhs_hankel_decorated(n, p))
+    return out
+
+
+PER_ORDER_RUNNERS = {
+    "bordered_det": per_order_bordered,
+    "mehta_wang_det": per_order_mehta_wang,
+    "gram_det": per_order_gram,
+    "gram_to_bordered": per_order_gram_to_bordered,
+    "little_qjacobi_hankel": per_order_hankel,
+}
+
+
+def run_outcome(run, pt, sizes):
+    """The residual reprs, or 'resample' for an exception run_trial resamples."""
+    try:
+        return [repr(r) for r in run(pt, sizes)]
+    except _RESAMPLE_ERRORS:
+        return "resample"
+
+
+@pytest.mark.parametrize("height", [2, 3, 40])
+@pytest.mark.parametrize("check_id", sorted(PER_ORDER_RUNNERS))
+def test_one_elimination_runners_match_per_order_runners(check_id, height):
+    check = CHECKS_BY_ID[check_id]
+    outcomes = set()
+    for seed in range(5):
+        pt = sample_point(check.param_names, None, 1000 * height + seed, height)
+        for n_max in (0, 1, 2, 5, 8):
+            sizes = replace(check.defaults, n_max=n_max, height=height)
+            got = run_outcome(check.run, pt, sizes)
+            assert got == run_outcome(PER_ORDER_RUNNERS[check_id], pt, sizes)
+            outcomes.add(got == "resample")
+    assert False in outcomes  # some residuals were compared
+    if height == 2:  # and the low height hit poles of both sides
+        assert True in outcomes

@@ -14,6 +14,7 @@ from qident.linalg import (
     det_cofactor,
     det_condensation,
     det_fraction_free,
+    leading_minors,
     matching_sign,
     minor,
     perfect_matchings,
@@ -77,6 +78,52 @@ def test_det_fraction_free_singular():
 def test_det_fraction_free_needs_pivoting():
     M = Matrix.from_rows([[0, 1, 2], [1, 0, 3], [4, 5, 0]])
     assert det_fraction_free(M) == det_cofactor(M)
+
+
+def leading_block(M, k):
+    return minor(M, range(k, M.rows), range(k, M.rows))
+
+
+def canon(values):
+    """(type, numerator, denominator) of each value: equal only if canonical."""
+    return [(type(x), x.numerator, x.denominator) for x in values]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_leading_minors_match_det_of_each_leading_block(seed):
+    rng = random.Random(seed)
+    for n in range(9):
+        # zeros and small ints make vanishing leading minors, so the fallback, common
+        M = Matrix.build(
+            n, n, lambda i, j: rng.choice((rand_fraction(rng, 20), F(0), rng.randint(-2, 2)))
+        )
+        expected = [det_fraction_free(leading_block(M, k)) for k in range(1, n + 1)]
+        assert canon(leading_minors(M)) == canon(expected)
+
+
+@pytest.mark.parametrize(
+    "rows, zero_orders",
+    [
+        ([[0, 1, 2], [1, 0, 3], [2, 5, 1]], {1}),
+        ([[1, 2, 1, 0], [2, 4, 0, 1], [F(1, 3), 1, 2, 5], [3, 0, 1, 1]], {2}),
+        ([[F(1, 2), 2, 3], [4, F(5, 3), 6], [F(9, 2), F(11, 3), 9]], {3}),
+        ([[F(1, 2), 1, 3], [0, 0, 0], [2, F(5, 7), 1]], {2, 3}),  # singular
+    ],
+    ids=["first", "middle", "last", "singular"],
+)
+def test_leading_minors_where_a_leading_minor_vanishes(rows, zero_orders):
+    M = Matrix.from_rows(rows)
+    got = leading_minors(M)
+    expected = [det_cofactor(leading_block(M, k)) for k in range(1, M.rows + 1)]
+    assert canon(got) == canon(expected)
+    assert {k for k, d in enumerate(got, 1) if d == 0} == zero_orders
+
+
+def test_leading_minors_order_zero_and_non_square():
+    assert leading_minors(Matrix(0, 0, ())) == []
+    assert canon(leading_minors(Matrix(1, 1, (F(-6, 4),)))) == canon([F(-3, 2)])
+    with pytest.raises(NonSquare):
+        leading_minors(Matrix.build(2, 3, lambda i, j: F(1)))
 
 
 def test_det_condensation_agrees():
