@@ -9,7 +9,6 @@ from .scalar import (
     SamplingExhausted,
     Scalar,
     gamma_int,
-    qfactorial,
     qpoch,
     qpoch_multi,
     qpoch_table,
@@ -36,7 +35,6 @@ from .askey_wilson import (
     aw_norm_ratio,
     aw_poly,
     aw_poly_as_polynomial,
-    aw_params,
     basis_moment,
     connection_u,
     moment_functional,

@@ -36,8 +36,6 @@ from .scalar import (
 )
 from .series import HypergeometricSpec, _common_denominator, _convolve, phi_terminating
 
-N_MAX_DEFAULT = 8
-
 
 class DuplicateNodes(ValueError):
     """Interpolation nodes must be pairwise distinct."""
@@ -66,10 +64,6 @@ class AWParams:
         vals = {k: getattr(self, k) for k in "abcd"}
         a, b, c, d = (vals[k] for k in order)
         return AWParams(a, b, c, d, self.q)
-
-
-def aw_params(a, b, c, d, q) -> AWParams:
-    return AWParams(Fraction(a), Fraction(b), Fraction(c), Fraction(d), Fraction(q))
 
 
 @dataclass(frozen=True)
@@ -343,10 +337,8 @@ def moment_weights(p: AWParams, n: int) -> tuple[list[Scalar], list[Scalar]]:
     return nodes, weights
 
 
-def moment_functional(f: PolynomialInX, p: AWParams, n_max: int = N_MAX_DEFAULT) -> Scalar:
+def moment_functional(f: PolynomialInX, p: AWParams) -> Scalar:
     """L(f) by expanding f on the (a*z, a/z; q)_k basis and applying basis_moment."""
-    if f.degree > n_max:
-        raise DomainError(f"degree {f.degree} exceeds configured cap {n_max}")
     coeffs = newton_lattice_coeffs(f, p.a, p.q, f.degree)
     moments = _basis_moments(f.degree, p)
     return sum((u * m for u, m in zip(coeffs, moments)), Fraction(0))

@@ -81,11 +81,12 @@ def run_suite(config: SuiteConfig) -> tuple[list[CheckReport], dict]:
     if config.height is not None and config.height < 2:
         # height 1 leaves q only the excluded values +-1; height 0 has no values
         raise ConfigError("--height must be at least 2")
+    for check_id in config.ids:  # all of them before the first check runs
+        if check_id not in CHECKS_BY_ID:
+            raise ConfigError(f"unknown identity: {check_id}")
     reports = []
     for check_id in config.ids:
-        check = CHECKS_BY_ID.get(check_id)
-        if check is None:
-            raise ConfigError(f"unknown identity: {check_id}")
+        check = CHECKS_BY_ID[check_id]
         sizes = resolve_sizes(check.defaults, config)
         try:
             reports.append(run_check(check, config.trials, config.seed, sizes))

@@ -62,6 +62,7 @@ from .linalg import (
     pfaffian_matchings,
 )
 from .scalar import (
+    DEFAULT_HEIGHT,
     DomainError,
     ParamPoint,
     PoleError,
@@ -97,7 +98,7 @@ class Sizes:
     n_max: int = 5
     m_max: int = 3
     order: int = 10
-    height: int = 40
+    height: int = DEFAULT_HEIGHT
 
 
 @dataclass(frozen=True)
@@ -333,23 +334,6 @@ def _six_term_excess(parts: list[tuple[int, int]]) -> Scalar:
     return Fraction((an * bd - bn * ad) * cd + cn * ad * bd, ad * bd * cd)
 
 
-def six_term_parts(
-    k: int, n: int, pt: ParamPoint, r: int, s: int
-) -> tuple[Scalar, Scalar, Scalar]:
-    """The three z^n-coefficient products A_k, B_k, C_k (zero at k = n+1).
-
-    The products come from one prefix table per base, built up to this n;
-    the six-term checks build those tables once per (r, s) and read every
-    (k, n) from them.
-    """
-    if not 0 <= k <= n + 1:
-        raise DomainError("need 0 <= k <= n+1")
-    if k == n + 1:  # reads no table, so no parameter value can make it raise
-        zero = Fraction(0)
-        return (zero, zero, zero)
-    return tuple(Fraction(x, y) for x, y in _six_term_table(n, pt, r, s)(k, n))
-
-
 def six_term_g(k: int, pt: ParamPoint, r: int, s: int) -> Scalar:
     """The k-dependent factor G_k of the six-term factorization."""
     a, b, c, d, q = pt["a"], pt["b"], pt["c"], pt["d"], pt["q"]
@@ -392,23 +376,6 @@ def _six_term_pre(k: int, n: int, q: Scalar, g_k: Scalar, g_m: Scalar) -> Scalar
     """(q^(n-k+1) - q^k) G_k G_(n-k+1): the factorization says A_k - B_k + C_k
     equals this times Xi."""
     return (q ** (n - k + 1) - q**k) * g_k * g_m
-
-
-def _six_term_split_at(k: int, n: int, pt: ParamPoint, r: int, s: int) -> tuple[Scalar, Scalar]:
-    A, B, C = six_term_parts(k, n, pt, r, s)
-    g_k, g_m = six_term_g(k, pt, r, s), six_term_g(n - k + 1, pt, r, s)
-    return A - B + C, _six_term_pre(k, n, pt["q"], g_k, g_m)
-
-
-def six_term_certificate(k: int, n: int, pt: ParamPoint, r: int, s: int) -> Scalar:
-    """Residual of A_k - B_k + C_k = (q^(n-k+1) - q^k) G_k G_(n-k+1) Xi."""
-    total, pre = _six_term_split_at(k, n, pt, r, s)
-    return total - pre * six_term_xi(n, pt, r, s)
-
-
-def extract_xi(k: int, n: int, pt: ParamPoint, r: int, s: int) -> Scalar:
-    """Solve the factorization for Xi at one k (prefactor must be nonzero)."""
-    return _quotient(*_six_term_split_at(k, n, pt, r, s), "prefactor")
 
 
 def check_three_term_kernel(pt: ParamPoint) -> Scalar:
@@ -799,11 +766,6 @@ def _pfaffian(M: SkewMatrix, eliminated: Scalar | None = None) -> Scalar:
     return pfaffian_expansion(M) if eliminated is None else eliminated
 
 
-def check_pfaffian(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
-    """Residual pf(matrix) - closed form, with the sign fixed to +1."""
-    return _pfaffian(build_even_det(m, a, b, q)) - rhs_pfaffian(m, a, b, q)
-
-
 def build_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> SkewMatrix:
     """2m x 2m skew matrix (q^i - q^j)(q^alpha; q)_(i+j), 0-based indices."""
     return _skew_hankel(m, q, *_qpoch_prefix(q**alpha, q, 4 * m))
@@ -1121,7 +1083,7 @@ def _run_moment_double_sum(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for n in range(sizes.n_max + 1):
         f = poly_power(poly_x_plus(t), n)
-        out.append(aw_moment(n, t, p) - moment_functional(f, p, n_max=max(n, 1)))
+        out.append(aw_moment(n, t, p) - moment_functional(f, p))
     return out
 
 
@@ -1159,8 +1121,7 @@ def _run_basis_moments(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     out = [basis_moment(1, p) - (1 - a * b) * (1 - a * c) * (1 - a * d) / (1 - p.abcd)]
     values = [
-        moment_functional(pochhammer_basis_poly(a, q, n), p, n_max=max(n, 1))
-        for n in range(sizes.n_max + 1)
+        moment_functional(pochhammer_basis_poly(a, q, n), p) for n in range(sizes.n_max + 1)
     ]
     # symmetric in b, c, d
     moments, *swapped = (
@@ -1358,9 +1319,7 @@ _RESAMPLE_CAP = 50
 def run_trial(check: IdentityCheck, trial_seed: int, sizes: Sizes) -> tuple[list, ParamPoint]:
     """Evaluate one trial, resampling deterministically away from poles."""
     for attempt in range(_RESAMPLE_CAP):
-        pt = sample_point(
-            check.param_names, None, trial_seed + 1_000_003 * attempt, sizes.height
-        )
+        pt = sample_point(check.param_names, trial_seed + 1_000_003 * attempt, sizes.height)
         try:
             return check.run(pt, sizes), pt
         except _RESAMPLE_ERRORS:

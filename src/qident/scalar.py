@@ -17,12 +17,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 
 DEFAULT_HEIGHT = 40
-DEFAULT_RETRY_CAP = 1000
+RETRY_CAP = 1000  # draws before sample_point gives up on a q away from +-1
 
 
 class PoleError(ArithmeticError):
@@ -34,27 +34,22 @@ class DomainError(ValueError):
 
 
 class SamplingExhausted(RuntimeError):
-    """No parameter point satisfying the constraints was found in the retry cap."""
+    """No usable parameter point was found within the retry cap."""
 
 
 def qpoch(a: Scalar, q: Scalar, n: int) -> Scalar:
     """q-shifted factorial (a;q)_n for any integer n.
 
     (a;q)_n = prod_{k=0}^{n-1} (1 - a q^k) for n >= 0, and
-    (a;q)_{-n} = 1 / prod_{k=1}^{n} (1 - a q^{-k}) for n > 0.
+    (a;q)_n = 1 / (a q^n; q)_{-n} for n < 0, a pole when that product vanishes.
     """
     if n >= 0:
         nums, dens = _qpoch_prefix(a, q, n)
         return Fraction(nums[n], dens[n])
-    out = Fraction(1)
-    f = a
-    for _ in range(-n):
-        f /= q
-        factor = 1 - f
-        if factor == 0:
-            raise PoleError(f"(a;q)_{n} undefined: factor 1 - a*q^k vanishes")
-        out *= factor
-    return 1 / out
+    nums, dens = _qpoch_prefix(Fraction(a) / q**-n, q, -n)
+    if nums[-n] == 0:
+        raise PoleError(f"(a;q)_{n} undefined: factor 1 - a*q^k vanishes")
+    return Fraction(dens[-n], nums[-n])
 
 
 def _qpoch_prefix(a: Scalar, q: Scalar, n: int) -> tuple[list[int], list[int]]:
@@ -109,25 +104,6 @@ def qpoch_multi(params: Iterable[Scalar], q: Scalar, n: int) -> Scalar:
     return Fraction(nums[n], dens[n])
 
 
-def qint(k: int, q: Scalar) -> Scalar:
-    """q-integer [k]_q = (1 - q^k)/(1 - q)."""
-    if q == 1:
-        raise ZeroDivisionError("[k]_q undefined at q = 1")
-    return (1 - q**k) / (1 - q)
-
-
-def qfactorial(n: int, q: Scalar) -> Scalar:
-    """q-factorial [n]_q! = [1]_q [2]_q ... [n]_q."""
-    if n < 0:
-        raise DomainError("qfactorial needs n >= 0")
-    if q == 1:
-        raise ZeroDivisionError("[n]_q! undefined at q = 1")
-    out = Fraction(1)
-    for k in range(1, n + 1):
-        out *= qint(k, q)
-    return out
-
-
 def gamma_int(n: int) -> Scalar:
     """Gamma at a positive integer: Gamma(n) = (n-1)!."""
     if n <= 0:
@@ -145,49 +121,24 @@ class ParamPoint:
     def __getitem__(self, name: str) -> Scalar:
         return self.assignments[name]
 
-    def get(self, name: str, default: Scalar | None = None) -> Scalar | None:
-        return self.assignments.get(name, default)
-
     def values(self, names: Sequence[str]) -> tuple[Scalar, ...]:
         return tuple(self.assignments[n] for n in names)
 
 
-Constraint = Callable[[ParamPoint], bool]
-
-
-def sample_point(
-    names: Sequence[str],
-    constraints: Constraint | None = None,
-    seed: int = 0,
-    height: int = DEFAULT_HEIGHT,
-    retry_cap: int = DEFAULT_RETRY_CAP,
-) -> ParamPoint:
+def sample_point(names: Sequence[str], seed: int = 0, height: int = DEFAULT_HEIGHT) -> ParamPoint:
     """Draw a random small-height rational assignment for `names`.
 
     Each parameter gets p/r with 1 <= |p|, r <= height (never 0); the parameter
-    named "q" is additionally kept away from 1 and -1.  Candidates violating
-    `constraints` are redrawn, up to `retry_cap` attempts.  Deterministic in
-    `seed`.  A constraint that raises PoleError/ZeroDivisionError counts as a
-    violation, so pole guards can simply evaluate the guarded expression.
+    named "q" is additionally kept away from 1 and -1 by redrawing the whole
+    point, up to RETRY_CAP draws.  Deterministic in `seed`.
     """
     rng = random.Random(seed)
-    for _ in range(retry_cap):
+    for _ in range(RETRY_CAP):
         assignments: dict[str, Scalar] = {}
         for name in names:
             num = rng.randint(1, height) * rng.choice((1, -1))
             den = rng.randint(1, height)
             assignments[name] = Fraction(num, den)
-        q = assignments.get("q")
-        if q is not None and q in (1, -1):
-            continue
-        point = ParamPoint(assignments, seed)
-        if constraints is not None:
-            try:
-                if not constraints(point):
-                    continue
-            except (PoleError, ZeroDivisionError):
-                continue
-        return point
-    raise SamplingExhausted(
-        f"no point for {list(names)} satisfied the constraints in {retry_cap} tries"
-    )
+        if assignments.get("q") not in (1, -1):
+            return ParamPoint(assignments, seed)
+    raise SamplingExhausted(f"no point for {list(names)} had q != +-1 in {RETRY_CAP} draws")

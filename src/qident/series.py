@@ -88,10 +88,6 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(c * x for x in self.coeffs))
 
 
-def series_one(order: int) -> TruncatedSeries:
-    return TruncatedSeries((Fraction(1),) + (Fraction(0),) * order)
-
-
 def phi_term(spec: HypergeometricSpec, n: int) -> Scalar:
     """Coefficient of z^n in the series (argument factored out)."""
     if n < 0:

@@ -133,6 +133,15 @@ def test_unknown_identity_is_config_error(capsys):
     assert "unknown identity" in capsys.readouterr().err
 
 
+def test_unknown_identity_rejected_before_any_check_runs(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("qident.cli.run_check", lambda *args: calls.append(args))
+    rc = main(["verify", "--identity", "orthogonality", "--identity", "bogus"])
+    assert rc == 2
+    assert "unknown identity: bogus" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_no_selection_is_config_error(capsys):
     rc = main(["verify"])
     assert rc == 2

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import rand_fraction, rand_q
+from helpers import rand_fraction, rand_q, six_term_parts
 from qident.askey_wilson import AWParams, XPoint, aw_poly
 from qident.identities import (
     CHECKS_BY_ID,
@@ -23,11 +23,9 @@ from qident.identities import (
     check_contiguous,
     check_gamma_pfaffian,
     check_main_quadratic,
-    check_pfaffian,
     check_quadratic_specialization,
     check_three_term_kernel,
     det_prefactor,
-    extract_xi,
     gram_prefactor,
     main_quadratic_products,
     mehta_wang_params,
@@ -38,11 +36,11 @@ from qident.identities import (
     rhs_mehta_wang,
     rhs_pfaffian,
     run_check,
-    six_term_certificate,
     six_term_g,
-    six_term_parts,
     six_term_xi,
     run_trial,
+    _six_term_table,
+    _trial_seed,
 )
 from qident.linalg import det_cofactor, det_fraction_free, pfaffian_matchings
 from qident.scalar import ParamPoint, PoleError, qpoch, qpoch_multi, sample_point
@@ -116,7 +114,7 @@ def test_main_quadratic_coefficients_match_sums(rs):
 
 
 def test_six_term_parts_vanish_beyond_n():
-    assert six_term_parts(4, 3, PT, 1, 1) == (0, 0, 0)
+    assert _six_term_table(3, PT, 1, 1)(4, 3) == [(0, 1)] * 3
 
 
 def test_six_term_sums_vanish():
@@ -133,9 +131,10 @@ def test_six_term_pair_cancellation():
 
 
 def test_six_term_certificate_zero():
-    for n in range(1, 6):
-        for k in range(1, n + 1):
-            assert six_term_certificate(k, n, PT, 1, 1) == 0
+    # A_k - B_k + C_k - (q^(n-k+1) - q^k) G_k G_(n-k+1) Xi for 1 <= k <= n <= 5,
+    # then the two Xi extractions at n = 5
+    residuals = CHECKS_BY_ID["six_term_factorization"].run(PT, Sizes(n_max=5))
+    assert residuals == [0] * (15 + 2)
 
 
 def test_six_term_certificate_antisymmetry():
@@ -151,11 +150,11 @@ def test_six_term_certificate_antisymmetry():
 
 
 def test_xi_extraction_agrees():
+    # the runner's last two residuals: Xi extracted at two admissible k at
+    # n = n_max agree with each other and with six_term_xi
+    run = CHECKS_BY_ID["six_term_factorization"].run
     for n in (2, 4, 5):
-        ks = [k for k in range(1, n + 1) if 2 * k != n + 1][:2]
-        x1 = extract_xi(ks[0], n, PT, 1, 1)
-        x2 = extract_xi(ks[1], n, PT, 1, 1)
-        assert x1 == x2 == six_term_xi(n, PT, 1, 1)
+        assert run(PT, Sizes(n_max=n))[-2:] == [0, 0]
 
 
 def six_term_parts_per_index(k, n, pt, r, s):
@@ -271,7 +270,7 @@ def test_six_term_parts_pole_only_at_entries_read():
 def test_six_term_parts_match_per_index_products():
     names = ("a", "b", "c", "d", "q", "e1", "e2", "f1")
     for seed in range(12):
-        pt = sample_point(names, None, seed, height=3)
+        pt = sample_point(names, seed, height=3)
         for r, s in ((0, 0), (2, 1), (0, 1)):
             for n in range(5):
                 for k in range(n + 2):
@@ -291,7 +290,7 @@ def test_six_term_residual_lists_match_per_index_runs(seed):
     for check_id, per_index in SIX_TERM_PER_INDEX.items():
         check = CHECKS_BY_ID[check_id]
         for attempt in range(8):
-            pt = sample_point(check.param_names, None, seed * 1000 + attempt, sizes.height)
+            pt = sample_point(check.param_names, seed * 1000 + attempt, sizes.height)
             try:
                 expected = per_index(pt, sizes)
             except (PoleError, ZeroDivisionError) as exc:
@@ -567,7 +566,10 @@ def test_pfaffian_random_orders():
             a, b, q = rand_fraction(rng), rand_fraction(rng), rand_q(rng)
             if qpoch(a * b * q**2, q, 4 * m - 2) == 0:
                 continue
-            assert check_pfaffian(m, a, b, q) == 0
+            pt = ParamPoint({"a": a, "b": b, "q": q})
+            # per order: pf - closed form by the oracle, by elimination, pf^2 - det
+            residuals = CHECKS_BY_ID["pfaffian_eval"].run(pt, Sizes(m_max=m))
+            assert residuals == [0] * (3 * m)
             M = build_even_det(m, a, b, q)
             assert pfaffian_matchings(M) ** 2 == det_fraction_free(M)
 
@@ -695,13 +697,18 @@ MUTATED = IdentityCheck(
 
 
 def test_mutated_identity_is_detected():
-    report = run_check(MUTATED, trials=10, seed=0)
-    assert report.failures == report.trials == 10
-    assert len(report.witness_seeds) == 10
-    # witnesses reproduce the failing residual
-    pt = sample_point(MUTATED.param_names, None, report.witness_seeds[0])
-    residuals = MUTATED.run(pt, MUTATED.defaults)
-    assert any(r != 0 for r in residuals)
+    # at the default height and at a --height override
+    for sizes in (MUTATED.defaults, replace(MUTATED.defaults, height=7)):
+        report = run_check(MUTATED, trials=10, seed=0, sizes=sizes)
+        assert report.failures == report.trials == 10
+        assert len(report.witness_seeds) == 10
+        # the README's replay regenerates the point of the trial, at the run's height
+        _, trial_pt = run_trial(MUTATED, _trial_seed(MUTATED.id, 0, 0), sizes)
+        assert trial_pt.seed == report.witness_seeds[0]
+        pt = sample_point(MUTATED.param_names, report.witness_seeds[0], sizes.height)
+        assert pt.assignments == trial_pt.assignments
+        # and the replayed point reproduces the failing residual
+        assert any(r != 0 for r in MUTATED.run(pt, sizes))
 
 
 def test_sampling_exhaustion_surfaces_per_trial():
