@@ -10,11 +10,14 @@ substitution z for e^(i*theta) makes each evaluation a rational number, and the
 orthogonality functional L is characterised algebraically by its values on the
 basis (a*z, a/z; q)_n rather than by the contour integral.
 
-L is reached through Newton interpolation on the q-quadratic lattice
-b_j = (q^j a + q^-j / a)/2: the lattice coefficients, the moment weights
-L(f) = sum_j w_j f(b_j), the connection coefficients and polynomial evaluation
-and products run on plain-int numerator/denominator pairs and build one
-canonical Fraction per value they return.
+moment_functional applies that definition directly: it expands f on the basis
+by peeling off leading coefficients.  The double-sum moments and the moment
+weights L(f) = sum_j w_j f(b_j) go through Newton interpolation on the
+q-quadratic lattice b_j = (q^j a + q^-j / a)/2 instead, so the two routes
+check each other.  The lattice coefficients, the moment weights, the
+connection coefficients and polynomial evaluation and products run on
+plain-int numerator/denominator pairs and build one canonical Fraction per
+value they return.
 """
 
 from __future__ import annotations
@@ -142,12 +145,13 @@ def poly_power(p: PolynomialInX, n: int) -> PolynomialInX:
     return out
 
 
-def pochhammer_basis_poly(a: Scalar, q: Scalar, k: int) -> PolynomialInX:
-    """(a*z, a/z; q)_k as a polynomial in x: prod_i (1 - 2 a q^i x + a^2 q^(2i))."""
-    out = PolynomialInX([1])
+def pochhammer_basis_polys(a: Scalar, q: Scalar, n: int) -> list[PolynomialInX]:
+    """[(a*z, a/z; q)_k as a polynomial in x for k = 0..n], each the last times
+    one factor: (a*z, a/z; q)_k = prod_(i<k) (1 - 2 a q^i x + a^2 q^(2i))."""
+    out = [PolynomialInX([1])]
     aq = Fraction(a)
-    for _ in range(k):
-        out = out * PolynomialInX([1 + aq * aq, -2 * aq])
+    for _ in range(n):
+        out.append(out[-1] * PolynomialInX([1 + aq * aq, -2 * aq]))
         aq *= q
     return out
 
@@ -338,10 +342,25 @@ def moment_weights(p: AWParams, n: int) -> tuple[list[Scalar], list[Scalar]]:
 
 
 def moment_functional(f: PolynomialInX, p: AWParams) -> Scalar:
-    """L(f) by expanding f on the (a*z, a/z; q)_k basis and applying basis_moment."""
-    coeffs = newton_lattice_coeffs(f, p.a, p.q, f.degree)
-    moments = _basis_moments(f.degree, p)
-    return sum((u * m for u, m in zip(coeffs, moments)), Fraction(0))
+    """L(f) from L's definition on the basis: f = sum_k u_k (a*z, a/z; q)_k and
+    L(f) = sum_k u_k L((a*z, a/z; q)_k).
+
+    The u_k are peeled off from the top degree down: (a*z, a/z; q)_k has
+    leading coefficient (-2a)^k q^(k(k-1)/2), so u_k is the x^k coefficient
+    of what is left once the terms above k are subtracted.  No lattice node
+    enters, so this is independent of the Newton route of aw_moment.
+    """
+    n = f.degree
+    moments = _basis_moments(n, p)
+    basis = pochhammer_basis_polys(p.a, p.q, n)
+    rest = list(f.coeffs)
+    total = Fraction(0)
+    for k in range(n, -1, -1):
+        u = rest[k] / (Fraction(-2 * p.a) ** k * p.q ** (k * (k - 1) // 2))
+        for i, c in enumerate(basis[k].coeffs):
+            rest[i] -= u * c
+        total += u * moments[k]
+    return total
 
 
 def aw_moment(n: int, t: Scalar, p: AWParams) -> Scalar:

@@ -7,12 +7,15 @@ trial, resampling deterministically when a point hits a pole of the identity
 under test; a nonzero residual is a failure and its seed is the reproduction
 witness.
 
-The matrix builders, the six-term coefficient tables and the determinant and
+The six-term coefficients of the quadratic formula are the terms of the
+Cauchy products it compares: main_quadratic_factors returns the two
+basic hypergeometric series of each product, and the six-term checks read
+every coefficient from them.  The matrix builders and the determinant and
 Pfaffian closed forms read their Pochhammer products from integer prefix
 tables (scalar._qpoch_prefix, scalar._qpoch_multi_prefix) and form each
-entry, coefficient or closed-form value from unreduced integer products as
-one canonical Fraction.  Each divides only by the table entries it reads, so
-a zero elsewhere in a table is no pole.
+entry or closed-form value from unreduced integer products as one canonical
+Fraction.  Each divides only by the table entries it reads, so a zero
+elsewhere in a table is no pole.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import time
 import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Iterable
 
 from .askey_wilson import (
@@ -43,7 +47,7 @@ from .askey_wilson import (
     newton_coeffs,
     newton_lattice_coeffs,
     newton_to_monomial,
-    pochhammer_basis_poly,
+    pochhammer_basis_polys,
     poly_power,
     poly_x_plus,
 )
@@ -127,15 +131,6 @@ class CheckReport:
 
 def _vector(pt: ParamPoint, prefix: str, count: int) -> tuple[Scalar, ...]:
     return tuple(pt[f"{prefix}{i}"] for i in range(1, count + 1))
-
-
-def _alpha(k: int, q: Scalar, e: int) -> tuple[int, int]:
-    """((-1)^k q^(k(k-1)/2))^e with signed integer exponent e, as an integer
-    pair (numerator, nonzero denominator)."""
-    sign = -1 if (k * e) % 2 else 1
-    power = k * (k - 1) // 2 * e
-    qn, qd = (q.numerator, q.denominator) if power >= 0 else (q.denominator, q.numerator)
-    return sign * qn ** abs(power), qd ** abs(power)
 
 
 def _powers(x: int, top: int) -> list[int]:
@@ -255,83 +250,63 @@ def _six_term_base(a: Scalar, b: Scalar, c: Scalar, d: Scalar, q: Scalar) -> tup
     )
 
 
-def main_quadratic_products(
+def main_quadratic_factors(
     pt: ParamPoint, r: int, s: int, order: int
-) -> tuple[list[TruncatedSeries], list[Scalar]]:
-    """The three prefactored series products (in z) entering the formula.
+) -> list[tuple[Scalar, TruncatedSeries, TruncatedSeries]]:
+    """(prefactor, F, G) of A, B and C: the two series (in z) of each
+    prefactored product of the formula, not yet multiplied.
 
-    Each product pairs the two sides of one six-term product.  The series
-    denominators are the six-term ones without their leading q, because
-    phi_series divides by (q;q)_k itself; the second series has argument
-    q^(s-r) z.
+    The series denominators are the six-term ones without their leading q,
+    because phi_series divides by (q;q)_k itself; G has argument q^(s-r) z.
+    The (k, n) six-term coefficient of a product is
+    (-1)^(s-r) prefactor F[k] G[n-k], the k-th term of its Cauchy product.
     """
     q = pt["q"]
     scale = q ** (s - r)
-    specs = _six_term_specs(pt, r, s)
-    products = [
-        series_mul(
+    return [
+        (
+            pref,
             phi_series(HypergeometricSpec(nums_k, dens_k[1:], q), Fraction(1), order),
             phi_series(HypergeometricSpec(nums_m, dens_m[1:], q), scale, order),
         )
-        for _, nums_k, nums_m, dens_k, dens_m in specs
+        for pref, nums_k, nums_m, dens_k, dens_m in _six_term_specs(pt, r, s)
     ]
-    return products, [spec[0] for spec in specs]
 
 
 def check_main_quadratic(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSeries:
     """Residual series: LHS product - first RHS product + second RHS product."""
-    products, prefactors = main_quadratic_products(pt, r, s, order)
     return series_linear_combine(
-        [(sign * pref, prod) for sign, pref, prod in zip((1, -1, 1), prefactors, products)]
+        [
+            (sign * pref, series_mul(f, g))
+            for sign, (pref, f, g) in zip((1, -1, 1), main_quadratic_factors(pt, r, s, order))
+        ]
     )
 
 
-def _six_term_table(
-    top: int, pt: ParamPoint, r: int, s: int
-) -> Callable[[int, int], list[tuple[int, int]]]:
-    """(k, n) -> integer pairs of (A_k, B_k, C_k) at z^n, for 0 <= k <= n+1 and n <= top.
+def _six_term_excesses(pt: ParamPoint, top: int, r: int, s: int) -> list[list[Scalar]]:
+    """[[A_k - B_k + C_k for k = 0..n+1] for n = 0..top].
 
-    The twelve Pochhammer products of A, B and C (numerator and denominator,
-    k-side and m-side) are built once as integer prefix tables up to top.
-    Each product's k-side entry carries its prefactor and alpha_k, and its
-    m-side entry alpha_(m+1), so one (k, n) multiplies two entries per
-    product.  It divides only by the two denominators it reads, so a zero
-    elsewhere in a table is not a pole at this (k, n).
+    Each six-term coefficient is (-1)^(s-r) prefactor F[k] G[n-k] from
+    main_quadratic_factors, formed as an unreduced integer pair, and each
+    excess becomes one canonical Fraction; A_(n+1), B_(n+1), C_(n+1) are zero.
+    The series read every denominator up to `top`, so a zero one raises
+    PoleError.
     """
-    q = pt["q"]
-    alphas = [_alpha(k, q, s - r) for k in range(top + 2)]
-    tables = []
-    for pref, nums_k, nums_m, dens_k, dens_m in _six_term_specs(pt, r, s):
-        nk_n, nk_d = _qpoch_multi_prefix(nums_k, q, top)
-        dk_n, dk_d = _qpoch_multi_prefix(dens_k, q, top)
-        nm_n, nm_d = _qpoch_multi_prefix(nums_m, q, top)
-        dm_n, dm_d = _qpoch_multi_prefix(dens_m, q, top)
-        pn, pd = pref.numerator, pref.denominator
-        tables.append((
-            [pn * alphas[k][0] * nk_n[k] * dk_d[k] for k in range(top + 1)],
-            [pd * alphas[k][1] * nk_d[k] * dk_n[k] for k in range(top + 1)],
-            [alphas[m + 1][0] * nm_n[m] * dm_d[m] for m in range(top + 1)],
-            [alphas[m + 1][1] * nm_d[m] * dm_n[m] for m in range(top + 1)],
-        ))
+    sign = -1 if (s - r) % 2 else 1
+    factors = [
+        (sign * pref.numerator, pref.denominator, f.coeffs, g.coeffs)
+        for pref, f, g in main_quadratic_factors(pt, r, s, top)
+    ]
 
-    def parts(k: int, n: int) -> list[tuple[int, int]]:
-        if k == n + 1:
-            return [(0, 1)] * 3
+    def excess(k: int, n: int) -> Scalar:
         m = n - k
-        out = []
-        for kn, kd, mn, md in tables:
-            if kd[k] == 0 or md[m] == 0:
-                raise PoleError("coefficient denominator vanishes")
-            out.append((kn[k] * mn[m], kd[k] * md[m]))
-        return out
+        (an, ad), (bn, bd), (cn, cd) = (
+            (pn * f[k].numerator * g[m].numerator, pd * f[k].denominator * g[m].denominator)
+            for pn, pd, f, g in factors
+        )
+        return Fraction((an * bd - bn * ad) * cd + cn * ad * bd, ad * bd * cd)
 
-    return parts
-
-
-def _six_term_excess(parts: list[tuple[int, int]]) -> Scalar:
-    """A_k - B_k + C_k from the integer pairs of one (k, n), as one Fraction."""
-    (an, ad), (bn, bd), (cn, cd) = parts
-    return Fraction((an * bd - bn * ad) * cd + cn * ad * bd, ad * bd * cd)
+    return [[excess(k, n) for k in range(n + 1)] + [Fraction(0)] for n in range(top + 1)]
 
 
 def six_term_g(k: int, pt: ParamPoint, r: int, s: int) -> Scalar:
@@ -345,7 +320,8 @@ def six_term_g(k: int, pt: ParamPoint, r: int, s: int) -> Scalar:
         * qpoch_multi((bc / a, c, d), q, k - 1)
         * qpoch(bc, q, k - 2)
         * qpoch_multi(es, q, k)
-        * Fraction(*_alpha(k, q, s - r))
+        * Fraction(-1) ** (k * (s - r))
+        * q ** (k * (k - 1) // 2 * (s - r))
     )
     den = qpoch_multi((a, b, bc / d, q), q, k) * qpoch_multi(fs, q, k)
     return _quotient(num, den, "G_k denominator")
@@ -370,12 +346,6 @@ def six_term_xi(n: int, pt: ParamPoint, r: int, s: int) -> Scalar:
         * qpoch_multi(es, q, 1)
     )
     return _quotient(num, den, "Xi denominator")
-
-
-def _six_term_pre(k: int, n: int, q: Scalar, g_k: Scalar, g_m: Scalar) -> Scalar:
-    """(q^(n-k+1) - q^k) G_k G_(n-k+1): the factorization says A_k - B_k + C_k
-    equals this times Xi."""
-    return (q ** (n - k + 1) - q**k) * g_k * g_m
 
 
 def check_three_term_kernel(pt: ParamPoint) -> Scalar:
@@ -756,16 +726,6 @@ def rhs_even_det(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
     return rhs_pfaffian(m, a, b, q) ** 2
 
 
-def _pfaffian(M: SkewMatrix, eliminated: Scalar | None = None) -> Scalar:
-    """pf(M) from the matchings oracle up to its order cap, by elimination beyond.
-
-    A caller that already holds pfaffian_expansion(M) passes it as `eliminated`.
-    """
-    if M.rows <= MATCHINGS_CAP:
-        return pfaffian_matchings(M)
-    return pfaffian_expansion(M) if eliminated is None else eliminated
-
-
 def build_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> SkewMatrix:
     """2m x 2m skew matrix (q^i - q^j)(q^alpha; q)_(i+j), 0-based indices."""
     return _skew_hankel(m, q, *_qpoch_prefix(q**alpha, q, 4 * m))
@@ -780,19 +740,21 @@ def rhs_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> Scalar:
     )
 
 
-def check_gamma_pfaffian(m: int, a_int: int) -> Scalar:
-    """Residual of pf((j-i) Gamma(a+i+j))_[0..2m-1] = prod_k (2k-1)! Gamma(a+2k-1)
-    at positive integer a."""
+def check_gamma_pfaffian(m: int, a_int: int) -> list[Scalar]:
+    """Residuals of pf((j-i) Gamma(a+i+j))_[0..2m-1] = prod_k (2k-1)! Gamma(a+2k-1)
+    at positive integer a: pf by elimination, and by matchings up to their cap."""
     if a_int < 1:
         raise DomainError("needs a positive integer argument")
     M = SkewMatrix.from_upper(
         2 * m, lambda i, j: Fraction(j - i) * gamma_int(a_int + i + j)
     )
-    pf = _pfaffian(M)
     rhs = Fraction(1)
     for k in range(1, m + 1):
         rhs *= math.factorial(2 * k - 1) * gamma_int(a_int + 2 * k - 1)
-    return pf - rhs
+    out = [pfaffian_expansion(M) - rhs]
+    if M.rows <= MATCHINGS_CAP:
+        out.append(pfaffian_matchings(M) - rhs)
+    return out
 
 
 def check_andrews_watson(n: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
@@ -896,20 +858,11 @@ def _run_main_quadratic(pt: ParamPoint, sizes: Sizes) -> list:
     return [check_main_quadratic(r, s, pt, sizes.order) for r, s in RS_PAIRS]
 
 
-def _six_term_excesses(pt: ParamPoint, sizes: Sizes, r: int, s: int) -> list[list[Scalar]]:
-    """[[A_k - B_k + C_k for k = 0..n+1] for n = 0..n_max], from one table set."""
-    parts = _six_term_table(sizes.n_max, pt, r, s)
-    return [
-        [_six_term_excess(parts(k, n)) for k in range(n + 2)]
-        for n in range(sizes.n_max + 1)
-    ]
-
-
 @_check("six_term_sums", "§2 / Eq. (eq:sums)", _MAIN_NAMES, Sizes(n_max=5))
 def _run_six_term_sums(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for r, s in ((0, 0), (1, 1), (2, 1)):
-        out.extend(sum(excess, Fraction(0)) for excess in _six_term_excesses(pt, sizes, r, s))
+        out.extend(sum(excess, Fraction(0)) for excess in _six_term_excesses(pt, sizes.n_max, r, s))
     return out
 
 
@@ -917,7 +870,7 @@ def _run_six_term_sums(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_six_term_pairs(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for r, s in ((0, 0), (1, 1), (2, 1)):
-        for n, excess in enumerate(_six_term_excesses(pt, sizes, r, s)):
+        for n, excess in enumerate(_six_term_excesses(pt, sizes.n_max, r, s)):
             out.extend(excess[k] + excess[n - k + 1] for k in range(n + 2))
     return out
 
@@ -929,20 +882,20 @@ def _run_six_term_factorization(pt: ParamPoint, sizes: Sizes) -> list:
     q = pt["q"]
     top = max(2, sizes.n_max)
     g = {k: six_term_g(k, pt, r, s) for k in range(1, top + 1)}
-    parts = _six_term_table(top, pt, r, s)
+    excesses = _six_term_excesses(pt, top, r, s)
 
-    def split(k: int, n: int) -> tuple[Scalar, Scalar]:
-        return _six_term_excess(parts(k, n)), _six_term_pre(k, n, q, g[k], g[n - k + 1])
+    def pre(k: int, n: int) -> Scalar:
+        """(q^(n-k+1) - q^k) G_k G_(n-k+1): the factorization says A_k - B_k + C_k
+        equals this times Xi."""
+        return (q ** (n - k + 1) - q**k) * g[k] * g[n - k + 1]
 
     out = []
     for n in range(1, sizes.n_max + 1):
         xi = six_term_xi(n, pt, r, s)
-        for k in range(1, n + 1):
-            total, pre = split(k, n)
-            out.append(total - pre * xi)
+        out.extend(excesses[n][k] - pre(k, n) * xi for k in range(1, n + 1))
     # the k-independent factor extracted at two admissible k values agrees
     ks = [k for k in range(1, top + 1) if 2 * k != top + 1][:2]
-    xi1, xi2 = (_quotient(*split(k, top), "prefactor") for k in ks)
+    xi1, xi2 = (_quotient(excesses[top][k], pre(k, top), "prefactor") for k in ks)
     out.append(xi1 - xi2)
     out.append(xi1 - six_term_xi(top, pt, r, s))
     return out
@@ -1011,7 +964,10 @@ def _run_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
         M = build_even_det(m, a, b, q)
         rhs = rhs_pfaffian(m, a, b, q)
         pf = pfaffian_expansion(M)
-        out += [_pfaffian(M, pf) - rhs, pf - rhs, pf**2 - det_fraction_free(M)]
+        out.append(pf - rhs)
+        if M.rows <= MATCHINGS_CAP:
+            out.append(pfaffian_matchings(M) - rhs)
+        out.append(pf**2 - det_fraction_free(M))
     return out
 
 
@@ -1035,9 +991,10 @@ def _run_integer_exp_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("gamma_pfaffian", "Eq. (eq:CK)", (), Sizes(m_max=3), note="integer arguments 1..4")
 def _run_gamma_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     return [
-        check_gamma_pfaffian(m, a)
+        residual
         for m in range(1, sizes.m_max + 1)
         for a in range(1, 5)
+        for residual in check_gamma_pfaffian(m, a)
     ]
 
 
@@ -1076,7 +1033,7 @@ def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
 
 
 @_check("moment_double_sum", "Thm 4.3 / Eq. (eq:mom)", ("a", "b", "c", "d", "q", "t"),
-        Sizes(n_max=6), note="vs Newton-route functional")
+        Sizes(n_max=6), note="vs L on the (az, a/z; q)_k basis")
 def _run_moment_double_sum(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     t = pt["t"]
@@ -1111,17 +1068,24 @@ def _run_basis_moments(pt: ParamPoint, sizes: Sizes) -> list:
     """L((az, a/z; q)_n) by the Newton route against the closed form, and its
     symmetry in b, c and d, for n = 0..n_max.
 
-    Each parameter order reads its moments from one _basis_moments table.  The
-    functional values come first, in order of n, so a DegenerateLattice or a
-    zero (abcd;q)_n is raised where the per-n route raised it; once they pass,
-    (abcd;q)_(n_max) is nonzero, and since a zero stays zero in a running
-    product, the tables cannot raise.
+    The Newton route dots the lattice coefficients of (az, a/z; q)_n with the
+    moments up to n; moment_functional would expand the basis polynomial on
+    itself and compare the closed form with itself.  Each parameter order
+    reads its moments from one _basis_moments table.  The Newton values come
+    first, in order of n, so a DegenerateLattice or a zero (abcd;q)_n is
+    raised where the per-n route raised it; once they pass, (abcd;q)_(n_max)
+    is nonzero, and since a zero stays zero in a running product, the tables
+    cannot raise.
     """
     p = _aw_from(pt)
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     out = [basis_moment(1, p) - (1 - a * b) * (1 - a * c) * (1 - a * d) / (1 - p.abcd)]
     values = [
-        moment_functional(pochhammer_basis_poly(a, q, n), p) for n in range(sizes.n_max + 1)
+        sum(
+            (u * m for u, m in zip(newton_lattice_coeffs(f, a, q, n), _basis_moments(n, p))),
+            Fraction(0),
+        )
+        for n, f in enumerate(pochhammer_basis_polys(a, q, sizes.n_max))
     ]
     # symmetric in b, c, d
     moments, *swapped = (
@@ -1220,34 +1184,22 @@ def _run_connection_coeffs(pt: ParamPoint, sizes: Sizes) -> list:
     b_nodes = [pt[f"n{i}"] for i in range(n_top + 1)]
     # every closed-form sum u(n, k), 0 <= k <= n <= n_top, computed once
     u = [[connection_u(n, k, a_nodes, b_nodes) for k in range(n + 1)] for n in range(n_top + 1)]
-    out = []
-    # boundary values
-    out.append(u[0][0] - 1)
+    # boundary values u(n, 0) = prod_(i<n) (a_i + b_0)
+    out = [u[0][0] - 1]
+    prod = Fraction(1)
     for n in range(1, n_top + 1):
-        prod = Fraction(1)
-        for i in range(n):
-            prod *= a_nodes[i] + b_nodes[0]
+        prod *= a_nodes[n - 1] + b_nodes[0]
         out.append(u[n][0] - prod)
     # recurrence u(n,k) = u(n-1,k-1) + (a_(n-1) + b_k) u(n-1,k)
     for n in range(2, n_top + 1):
         for k in range(1, n):
             rhs = u[n - 1][k - 1] + (a_nodes[n - 1] + b_nodes[k]) * u[n - 1][k]
             out.append(u[n][k] - rhs)
-    # basis expansion evaluated at n_top+1 points determines the polynomial
-    n = n_top
-    us = u[n]
-    for xi in range(n + 1):
-        x = Fraction(xi)
-        lhs = Fraction(1)
-        for i in range(n):
-            lhs *= x + a_nodes[i]
-        rhs = Fraction(0)
-        for k in range(n + 1):
-            term = us[k]
-            for i in range(k):
-                term *= x - b_nodes[i]
-            rhs += term
-        out.append(lhs - rhs)
+    # basis expansion prod_(i<n) (x + a_i) = sum_k u(n,k) prod_(i<k) (x - b_i) at
+    # n = n_top, compared coefficient by coefficient: n_top+1 residuals
+    lhs = math.prod((poly_x_plus(a) for a in a_nodes), start=PolynomialInX([1]))
+    rhs = newton_to_monomial(u[n_top], b_nodes)
+    out.extend(x - y for x, y in zip_longest(lhs.coeffs, rhs.coeffs, fillvalue=Fraction(0)))
     return out
 
 

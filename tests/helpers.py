@@ -1,10 +1,10 @@
 """Shared helpers for the test suite: small seeded rational generators and
-the six-term coefficient products read one (k, n) at a time."""
+the six-term coefficients read one (k, n) at a time."""
 
 import random
 from fractions import Fraction
 
-from qident.identities import _six_term_table
+from qident.identities import main_quadratic_factors
 
 
 def rand_fraction(rng: random.Random, height: int = 12) -> Fraction:
@@ -20,5 +20,11 @@ def rand_q(rng: random.Random, height: int = 12) -> Fraction:
 
 
 def six_term_parts(k, n, pt, r, s):
-    """(A_k, B_k, C_k) at z^n from the six-term checks' tables, built up to n."""
-    return tuple(Fraction(x, y) for x, y in _six_term_table(n, pt, r, s)(k, n))
+    """(A_k, B_k, C_k) at z^n: (-1)^(s-r) prefactor F[k] G[n-k] of each product of
+    main_quadratic_factors, with the series built up to n."""
+    if k == n + 1:
+        return (Fraction(0),) * 3
+    sign = Fraction(-1) ** (s - r)
+    return tuple(
+        sign * pref * f[k] * g[n - k] for pref, f, g in main_quadratic_factors(pt, r, s, n)
+    )

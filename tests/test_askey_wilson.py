@@ -24,7 +24,7 @@ from qident.askey_wilson import (
     newton_coeffs,
     newton_lattice_coeffs,
     newton_to_monomial,
-    pochhammer_basis_poly,
+    pochhammer_basis_polys,
     poly_power,
     poly_x_plus,
 )
@@ -235,7 +235,7 @@ def test_newton_lattice_basis_rescaling():
         for i in range(k):
             lhs = lhs * PolynomialInX([-nodes[i], F(1)])
         scale = F(-1) ** k * F(1, 2) ** k * a**-k * q ** (-k * (k - 1) // 2)
-        rhs = pochhammer_basis_poly(a, q, k).scale(scale)
+        rhs = pochhammer_basis_polys(a, q, k)[k].scale(scale)
         assert lhs.coeffs == rhs.coeffs
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import rand_fraction, rand_q, six_term_parts
+from qident import askey_wilson, identities
 from qident.askey_wilson import AWParams, XPoint, aw_poly
 from qident.identities import (
     CHECKS_BY_ID,
@@ -27,7 +28,7 @@ from qident.identities import (
     check_three_term_kernel,
     det_prefactor,
     gram_prefactor,
-    main_quadratic_products,
+    main_quadratic_factors,
     mehta_wang_params,
     rhs_det_formula,
     rhs_gram_formula,
@@ -39,7 +40,8 @@ from qident.identities import (
     six_term_g,
     six_term_xi,
     run_trial,
-    _six_term_table,
+    _six_term_excesses,
+    _six_term_specs,
     _trial_seed,
 )
 from qident.linalg import det_cofactor, det_fraction_free, pfaffian_matchings
@@ -98,7 +100,7 @@ def test_main_quadratic_coefficients_match_sums(rs):
     # (-1)^(s-r) * sum_k of the corresponding A/B/C term
     r, s = rs
     order = 6
-    products, prefactors = main_quadratic_products(PT, r, s, order)
+    factors = main_quadratic_factors(PT, r, s, order)
     sign = F(-1) ** (s - r)
     for n in range(order + 1):
         sums = [F(0), F(0), F(0)]
@@ -107,14 +109,16 @@ def test_main_quadratic_coefficients_match_sums(rs):
             sums[0] += A
             sums[1] += B
             sums[2] += C
-        for i in range(3):
-            assert prefactors[i] * products[i][n] == sign * sums[i]
+        for i, (pref, f, g) in enumerate(factors):
+            assert pref * series_mul(f, g)[n] == sign * sums[i]
         # and therefore the residual coefficient is (-)sum(A_k - B_k + C_k) = 0
         assert sums[0] - sums[1] + sums[2] == 0
 
 
-def test_six_term_parts_vanish_beyond_n():
-    assert _six_term_table(3, PT, 1, 1)(4, 3) == [(0, 1)] * 3
+def test_six_term_excesses_vanish_beyond_n():
+    excesses = _six_term_excesses(PT, 3, 1, 1)
+    assert [len(row) for row in excesses] == [2, 3, 4, 5]
+    assert [row[-1] for row in excesses] == [0] * 4
 
 
 def test_six_term_sums_vanish():
@@ -253,18 +257,33 @@ SIX_TERM_PER_INDEX = {
 }
 
 
-def test_six_term_parts_pole_only_at_entries_read():
-    # a = q^-3 puts (aq;q)_3 = 0 in the m-side table of A at n = 3: k = 0
-    # reads it (m = 3), k = 1 reads only (aq;q)_2 and has a value.
+def test_six_term_excesses_pole_from_order_three():
+    # a = q^-3 puts (aq;q)_3 = 0 in the m-side series of A: the excesses up to
+    # order 3 raise, those up to order 2 have values
     pt = ParamPoint({"a": F(1, 8), "b": F(3), "c": F(5), "d": F(7), "q": F(2)})
     assert qpoch(pt["a"] * pt["q"], pt["q"], 3) == 0
-    value = six_term_parts(1, 3, pt, 0, 0)
-    assert value == six_term_parts_per_index(1, 3, pt, 0, 0)
-    assert any(v != 0 for v in value)
     with pytest.raises(PoleError):
-        six_term_parts(0, 3, pt, 0, 0)
+        _six_term_excesses(pt, 3, 0, 0)
     with pytest.raises(PoleError):
-        six_term_parts_per_index(0, 3, pt, 0, 0)
+        six_term_excess_per_index(0, 3, pt, 0, 0)
+    excesses = _six_term_excesses(pt, 2, 0, 0)
+    assert excesses == [
+        [six_term_excess_per_index(k, n, pt, 0, 0) for k in range(n + 2)] for n in range(3)
+    ]
+    assert any(v != 0 for row in excesses for v in row)
+
+
+def test_six_term_factorization_reads_its_whole_series():
+    # f1 = q^-4 zeroes (f1 q;q)_4 in every m-side series at n_max = 4, which
+    # no residual reads (m <= n_max - 1): the per-index route has values, the
+    # series route raises
+    q = PT["q"]
+    pt = ParamPoint({**PT.assignments, "f1": q**-4})
+    sizes = Sizes(n_max=4)
+    assert six_term_factorization_per_index(pt, sizes) == [0] * (10 + 2)
+    with pytest.raises(PoleError):
+        CHECKS_BY_ID["six_term_factorization"].run(pt, sizes)
+    assert CHECKS_BY_ID["six_term_factorization"].run(pt, Sizes(n_max=3)) == [0] * (6 + 2)
 
 
 def test_six_term_parts_match_per_index_products():
@@ -274,13 +293,18 @@ def test_six_term_parts_match_per_index_products():
         for r, s in ((0, 0), (2, 1), (0, 1)):
             for n in range(5):
                 for k in range(n + 2):
+                    # the series read every denominator up to n, the
+                    # per-index products only those of this (k, n)
                     try:
-                        expected = six_term_parts_per_index(k, n, pt, r, s)
+                        got = six_term_parts(k, n, pt, r, s)
                     except PoleError:
-                        with pytest.raises(PoleError):
-                            six_term_parts(k, n, pt, r, s)
-                    else:
-                        assert six_term_parts(k, n, pt, r, s) == expected
+                        assert any(
+                            qpoch_multi(dens, pt["q"], n) == 0
+                            for _, _, _, dens_k, dens_m in _six_term_specs(pt, r, s)
+                            for dens in (dens_k, dens_m)
+                        )
+                        continue
+                    assert got == six_term_parts_per_index(k, n, pt, r, s)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -296,8 +320,19 @@ def test_six_term_residual_lists_match_per_index_runs(seed):
             except (PoleError, ZeroDivisionError) as exc:
                 with pytest.raises(type(exc)):
                     check.run(pt, sizes)
-            else:
-                assert check.run(pt, sizes) == expected
+                continue
+            try:
+                got = check.run(pt, sizes)
+            except PoleError:
+                # the factorization's series also read (dens_m;q)_n_max,
+                # which no residual reads
+                assert check_id == "six_term_factorization"
+                assert any(
+                    qpoch_multi(dens_m, pt["q"], sizes.n_max) == 0
+                    for *_, dens_m in _six_term_specs(pt, 1, 1)
+                )
+                continue
+            assert got == expected
 
 
 def test_three_term_kernel_random_and_special_points():
@@ -371,7 +406,9 @@ def test_quadratic_specialization_embeds_in_main():
             "e1": F(0), "e2": a2, "f1": F(0), "f2": b2,
         }
     )
-    products, prefactors = main_quadratic_products(main_pt, r, r, order)
+    factors = main_quadratic_factors(main_pt, r, r, order)
+    products = [series_mul(f, g) for _, f, g in factors]
+    prefactors = [pref for pref, _, _ in factors]
 
     def gz(nums, dens):
         return phi_series(HypergeometricSpec(nums, dens, q), F(1), order)
@@ -588,7 +625,7 @@ def test_integer_exponent_reduction():
 
 def test_gamma_pfaffian_hand_values():
     # m = 1, a = 1: pf = (1-0) Gamma(2) = 1 and rhs = 1! Gamma(1) = 1
-    assert check_gamma_pfaffian(1, 1) == 0
+    assert check_gamma_pfaffian(1, 1) == [0, 0]
     M = build_integer_exp_pfaffian  # noqa: F841  (kept for symmetry of imports)
     from qident.linalg import SkewMatrix
     from qident.scalar import gamma_int
@@ -600,7 +637,9 @@ def test_gamma_pfaffian_hand_values():
     assert pfaffian_matchings(M4) == 24
     for m in (1, 2, 3):
         for a in (1, 2, 3, 4):
-            assert check_gamma_pfaffian(m, a) == 0
+            assert check_gamma_pfaffian(m, a) == [0, 0]
+    # beyond the matchings cap only the elimination engine runs
+    assert check_gamma_pfaffian(5, 2) == [0]
 
 
 def test_andrews_watson_small_orders():
@@ -709,6 +748,24 @@ def test_mutated_identity_is_detected():
         assert pt.assignments == trial_pt.assignments
         # and the replayed point reproduces the failing residual
         assert any(r != 0 for r in MUTATED.run(pt, sizes))
+
+
+def test_moment_double_sum_catches_a_lattice_kernel_error(monkeypatch):
+    # the double sum reads the lattice coefficients and the functional does
+    # not, so a perturbed lattice kernel fails every trial
+    real = askey_wilson._lattice_coeffs
+    monkeypatch.setattr(
+        askey_wilson, "_lattice_coeffs", lambda fvals, a, q: [u + 1 for u in real(fvals, a, q)]
+    )
+    report = run_check(CHECKS_BY_ID["moment_double_sum"], trials=5, seed=0)
+    assert report.failures == report.trials == 5
+
+
+def test_gamma_pfaffian_runs_the_elimination_engine(monkeypatch):
+    real = identities.pfaffian_expansion
+    monkeypatch.setattr(identities, "pfaffian_expansion", lambda M: real(M) + 1)
+    report = run_check(CHECKS_BY_ID["gamma_pfaffian"], trials=2, seed=0)
+    assert report.failures == report.trials == 2
 
 
 def test_sampling_exhaustion_surfaces_per_trial():
