@@ -933,7 +933,7 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
         block = minor(M, range(n, top), range(n, top))
         out.append(d_ff - rhs_det_formula(n, p, x))
         out.append(det_condensation(block) - d_ff)
-        if n <= COFACTOR_CAP:  # the factorial oracle refuses larger orders
+        if n <= COFACTOR_CAP:  # the cofactor oracle refuses larger orders
             out.append(det_cofactor(block) - d_ff)
     return out
 
@@ -1264,7 +1264,7 @@ def _trial_seed(check_id: str, master_seed: int, trial: int) -> int:
     return zlib.crc32(check_id.encode()) ^ (master_seed * 1_000_003 + trial * 7919)
 
 
-_RESAMPLE_ERRORS = (PoleError, ZeroDivisionError, DegenerateLattice, DuplicateNodes)
+_RESAMPLE_ERRORS = (PoleError, DegenerateLattice, DuplicateNodes)
 _RESAMPLE_CAP = 50
 
 

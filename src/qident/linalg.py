@@ -8,12 +8,16 @@ every leading block of a matrix as that elimination's pivots.  The
 determinant families whose matrices are nested (entry (i, j) independent of
 the order) read all their orders from one leading_minors call.  The skew
 families do not: the odd leading minors of a skew matrix vanish, so the
-swap-free pass stops at the first step.  Cofactor expansion and
-signed perfect matchings are factorial-cost oracles capped at order 8; they
-scale the whole matrix by the lcm of all its denominators, expand on ints over
-that one common denominator, and share no code with the engines they check.
-Dodgson condensation is a further cross-check; the condensation route is
-itself one of the verified identities, via
+swap-free pass stops at the first step.
+
+Three oracles check the engines, each one algorithm that shares no code with
+them.  Each scales the whole matrix by the lcm of all its denominators and
+runs on ints over that one common denominator.  Cofactor expansion keeps
+each column-subset minor once and the matching expansion each partial
+matching once, so both cost O(n 2^n); they are capped at order 8.  Dodgson
+condensation divides exactly by interior connected minors and raises
+PoleError, which resamples the point, where one of them vanishes.  The
+condensation relation is itself one of the verified identities, via
 
     det M * det M(interior) = det M(1,1) det M(n,n) - det M(1,n) det M(n,1),
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .scalar import Scalar
+from .scalar import PoleError, Scalar
 
 COFACTOR_CAP = 8
 MATCHINGS_CAP = 8
@@ -43,7 +47,7 @@ class OddOrder(ValueError):
 
 
 class OrderTooLarge(ValueError):
-    """The factorial-cost reference engine is capped at small orders."""
+    """The exponential-cost oracles are capped at small orders."""
 
 
 @dataclass(frozen=True)
@@ -142,8 +146,8 @@ def _require_square(M: Matrix):
 def _integer_rows(M: Matrix) -> tuple[list[list[int]], int]:
     """The rows of L*M as ints, for L the lcm of the denominators of all entries.
 
-    Only the factorial-cost oracles use this whole-matrix scaling; the
-    engines they check scale their own way.
+    Only the oracles use this whole-matrix scaling; the engines they check
+    scale their own way.
     """
     lcm = math.lcm(*(x.denominator for x in M.entries))
     rows = [[x.numerator * (lcm // x.denominator) for x in M.row(i)] for i in range(M.rows)]
@@ -151,32 +155,30 @@ def _integer_rows(M: Matrix) -> tuple[list[list[int]], int]:
 
 
 def det_cofactor(M: Matrix) -> Scalar:
-    """Laplace expansion along the first row; reference oracle, order <= 8.
+    """Laplace expansion along rows 0..n-1; reference oracle, order <= 8.
 
-    The expansion runs on the integer matrix L*M, and det M = det(L*M) / L^n.
+    After row k, `minors` maps each (k+1)-subset of columns, as a bitmask, to
+    the minor of L*M on rows 0..k and those columns: expanding that minor
+    along row k gives a[k][j] times the minor on the other columns, with sign
+    (-1)^(number of those columns right of j).  Each minor is formed once,
+    O(n 2^n) work, and det M = det(L*M) / L^n.
     """
     _require_square(M)
-    if M.rows > COFACTOR_CAP:
+    n = M.rows
+    if n > COFACTOR_CAP:
         raise OrderTooLarge(f"cofactor expansion capped at order {COFACTOR_CAP}")
     rows, lcm = _integer_rows(M)
-    return Fraction(_det_laplace(rows), lcm**M.rows)
-
-
-def _det_laplace(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        a = rows[0][j]
-        if a != 0:
-            sub = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-            total += sign * a * _det_laplace(sub)
-        sign = -sign
-    return total
+    minors = {0: 1}
+    for row in rows:
+        nxt: dict[int, int] = {}
+        for cols, d in minors.items():
+            for j, a in enumerate(row):
+                bit = 1 << j
+                if a and not cols & bit:
+                    term = -a * d if (cols >> j).bit_count() & 1 else a * d
+                    nxt[cols | bit] = nxt.get(cols | bit, 0) + term
+        minors = nxt
+    return Fraction(minors.get((1 << n) - 1, 0), lcm**n)
 
 
 def _row_scaled(M: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -264,39 +266,32 @@ def leading_minors(M: Matrix) -> list[Scalar]:
 
 
 def det_condensation(M: Matrix) -> Scalar:
-    """Iterated condensation of 2x2 connected minors.
+    """Dodgson condensation of the integer matrix L*M.
 
     Each step replaces the matrix by its 2x2 connected minors, divided
-    elementwise by the interior of the matrix two steps back.  A vanishing
-    interior entry makes the division impossible, in which case the whole call
-    falls back to fraction-free elimination.
+    elementwise by the interior of the matrix two steps back.  The entries at
+    each step are the connected minors of L*M, so every division is exact
+    (``//``), and det M = det(L*M) / L^n.  A vanishing interior entry makes
+    the division impossible: PoleError, so the trial resamples its point.
     """
     _require_square(M)
     n = M.rows
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return M[0, 0]
-    cur = M.to_lists()
-    prev: list[list[Scalar]] | None = None
-    try:
-        while len(cur) > 1:
-            m = len(cur) - 1
-            nxt = [
-                [
-                    cur[i][j] * cur[i + 1][j + 1] - cur[i][j + 1] * cur[i + 1][j]
-                    for j in range(m)
-                ]
-                for i in range(m)
-            ]
+    cur, lcm = _integer_rows(M)
+    prev: list[list[int]] | None = None
+    while len(cur) > 1:
+        m = len(cur) - 1
+        nxt = []
+        for i in range(m):
+            top, bottom = cur[i], cur[i + 1]
+            row = [top[j] * bottom[j + 1] - top[j + 1] * bottom[j] for j in range(m)]
             if prev is not None:
-                for i in range(m):
-                    for j in range(m):
-                        nxt[i][j] /= prev[i + 1][j + 1]
-            prev, cur = cur, nxt
-    except ZeroDivisionError:
-        return det_fraction_free(M)
-    return cur[0][0]
+                interior = prev[i + 1][1:-1]
+                if 0 in interior:
+                    raise PoleError("condensation divides by a zero interior entry")
+                row = [v // d for v, d in zip(row, interior)]
+            nxt.append(row)
+        prev, cur = cur, nxt
+    return Fraction(cur[0][0] if n else 1, lcm**n)
 
 
 def desnanot_jacobi_residual(M: Matrix) -> Scalar:
@@ -324,47 +319,35 @@ def _check_even_skew(M: Matrix):
         raise OddOrder("Pfaffian requires even order")
 
 
-def perfect_matchings(items: Sequence[int]):
-    """Yield all perfect matchings of `items` as lists of (i, j) pairs, i < j."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for idx in range(1, len(items)):
-        rest = items[1:idx] + items[idx + 1 :]
-        for rest_match in perfect_matchings(rest):
-            yield [(first, items[idx])] + rest_match
-
-
-def matching_sign(pairs: Sequence[tuple[int, int]]) -> int:
-    """(-1)^(number of crossings): pairs (i,j), (i',j') with i < i' < j < j'."""
-    crossings = 0
-    for idx, (i, j) in enumerate(pairs):
-        for i2, j2 in pairs[idx + 1 :]:
-            lo, hi = (i, j) if i < i2 else (i2, j2)
-            a, b = (i2, j2) if i < i2 else (i, j)
-            if lo < a < hi < b:
-                crossings += 1
-    return -1 if crossings % 2 else 1
-
-
 def pfaffian_matchings(M: Matrix) -> Scalar:
     """Pfaffian as the signed sum over perfect matchings (order <= 8).
 
-    The sum runs on the integer matrix L*M, and pf M = pf(L*M) / L^(n/2).
+    Pairing the lowest unmatched index i with a later unmatched j takes sign
+    (-1)^(unmatched indices between them).  `partial` maps each matched set,
+    as a bitmask, to its signed sum of products of L*M, formed once: O(n 2^n)
+    work, and pf M = pf(L*M) / L^(n/2).
     """
     _check_even_skew(M)
-    if M.rows > MATCHINGS_CAP:
+    n = M.rows
+    if n > MATCHINGS_CAP:
         raise OrderTooLarge(f"matching enumeration capped at order {MATCHINGS_CAP}")
     rows, lcm = _integer_rows(M)
-    total = 0
-    for pairs in perfect_matchings(range(M.rows)):
-        term = matching_sign(pairs)
-        for i, j in pairs:
-            term *= rows[i][j]
-        total += term
-    return Fraction(total, lcm ** (M.rows // 2))
+    partial = {0: 1}
+    for _ in range(n // 2):
+        nxt: dict[int, int] = {}
+        for used, v in partial.items():
+            i = (~used & (used + 1)).bit_length() - 1  # lowest unmatched index
+            sign = 1
+            for j in range(i + 1, n):
+                if used >> j & 1:
+                    continue
+                a = rows[i][j]
+                if a:
+                    key = used | 1 << i | 1 << j
+                    nxt[key] = nxt.get(key, 0) + sign * a * v
+                sign = -sign
+        partial = nxt
+    return Fraction(partial.get((1 << n) - 1, 0), lcm ** (n // 2))
 
 
 def pfaffian_expansion(M: Matrix) -> Scalar:

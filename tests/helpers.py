@@ -1,8 +1,10 @@
-"""Shared helpers for the test suite: small seeded rational generators and
-the six-term coefficients read one (k, n) at a time."""
+"""Shared helpers for the test suite: small seeded rational generators, the
+six-term coefficients read one (k, n) at a time, and the perfect matchings
+with their crossing signs behind the reference Pfaffian."""
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from qident.identities import main_quadratic_factors
 
@@ -28,3 +30,28 @@ def six_term_parts(k, n, pt, r, s):
     return tuple(
         sign * pref * f[k] * g[n - k] for pref, f, g in main_quadratic_factors(pt, r, s, n)
     )
+
+
+def perfect_matchings(items: Sequence[int]):
+    """Yield all perfect matchings of `items` as lists of (i, j) pairs, i < j."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for idx in range(1, len(items)):
+        rest = items[1:idx] + items[idx + 1 :]
+        for rest_match in perfect_matchings(rest):
+            yield [(first, items[idx])] + rest_match
+
+
+def matching_sign(pairs: Sequence[tuple[int, int]]) -> int:
+    """(-1)^(number of crossings): pairs (i,j), (i',j') with i < i' < j < j'."""
+    crossings = 0
+    for idx, (i, j) in enumerate(pairs):
+        for i2, j2 in pairs[idx + 1 :]:
+            lo, hi = (i, j) if i < i2 else (i2, j2)
+            a, b = (i2, j2) if i < i2 else (i, j)
+            if lo < a < hi < b:
+                crossings += 1
+    return -1 if crossings % 2 else 1

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import rand_fraction, rand_q, six_term_parts
+from helpers import matching_sign, perfect_matchings, rand_fraction, rand_q, six_term_parts
 from qident.askey_wilson import (
     AWParams,
     DegenerateLattice,
@@ -66,9 +66,7 @@ from qident.linalg import (
     det_cofactor,
     det_condensation,
     det_fraction_free,
-    matching_sign,
     minor,
-    perfect_matchings,
     pfaffian_matchings,
 )
 from qident.scalar import (
@@ -569,12 +567,16 @@ def test_polynomial_in_x_zero_and_constant():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_det_cofactor_matches_fraction_expansion(seed):
     rng = random.Random(seed)
-    for order in range(6):
+    # orders 7 and 8 cost the factorial reference about a second each
+    for order in range(9 if seed < 3 else 6):
         rows = [[entry(rng) for _ in range(order)] for _ in range(order)]
         if order >= 2 and rng.random() < 0.3:
             rows[-1] = [2 * x for x in rows[0]]  # singular
         M = Matrix.from_rows(rows)
-        assert canon([det_cofactor(M)]) == canon([ref_det(M.to_lists())])
+        expected = canon([ref_det(M.to_lists())])
+        assert canon([det_cofactor(M)]) == expected
+        got = attempt(det_condensation, M)  # a pole where an interior minor vanishes
+        assert got == ("value", expected) or got[0] is PoleError
 
 
 @pytest.mark.parametrize("seed", SEEDS)
