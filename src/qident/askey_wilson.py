@@ -10,14 +10,15 @@ substitution z for e^(i*theta) makes each evaluation a rational number, and the
 orthogonality functional L is characterised algebraically by its values on the
 basis (a*z, a/z; q)_n rather than by the contour integral.
 
-moment_functional applies that definition directly: it expands f on the basis
-by peeling off leading coefficients.  The double-sum moments and the moment
-weights L(f) = sum_j w_j f(b_j) go through Newton interpolation on the
-q-quadratic lattice b_j = (q^j a + q^-j / a)/2 instead, so the two routes
-check each other.  The lattice coefficients, the moment weights, the
-connection coefficients and polynomial evaluation and products run on
-plain-int numerator/denominator pairs and build one canonical Fraction per
-value they return.
+L is applied in two ways, which check each other.  moment_functional applies
+the definition directly: it expands f on the basis by peeling off leading
+coefficients.  moment_weights goes through Newton interpolation on the
+q-quadratic lattice b_j = (q^j a + q^-j / a)/2 instead, and is the one place
+the double sum of Thm 4.3 is summed: it returns weights w_j with
+L(f) = sum_j w_j f(b_j), and aw_moment applies them to (t + b_j)^n.  The
+lattice coefficients, the moment weights, the connection coefficients and
+polynomial evaluation and products run on plain-int numerator/denominator
+pairs and build one canonical Fraction per value they return.
 """
 
 from __future__ import annotations
@@ -280,24 +281,6 @@ def _lattice_denominators(
     return out
 
 
-def _lattice_coeffs(fvals: Sequence[Scalar], a: Scalar, q: Scalar) -> list[Scalar]:
-    """u_0..u_n of the lattice Newton expansion, n = len(fvals) - 1.
-
-    u_k = sum_{j<=k} M_kj f(b_j), with M_kj from _lattice_denominators.  Each
-    u_k is accumulated as an unreduced integer pair and becomes one canonical
-    Fraction.
-    """
-    n = len(fvals) - 1
-    nums, dens = [0] * (n + 1), [1] * (n + 1)
-    for j, (f, (cn, cd, dn, dd)) in enumerate(zip(fvals, _lattice_denominators(a, q, n))):
-        wn, wd = f.numerator * cn, f.denominator * cd
-        for i in range(n - j + 1):
-            k = j + i
-            tn, td = wn * dn[i], wd * dd[i]
-            nums[k], dens[k] = nums[k] * td + tn * dens[k], dens[k] * td
-    return [Fraction(x, y) for x, y in zip(nums, dens)]
-
-
 def newton_lattice_coeffs(
     f: PolynomialInX, a: Scalar, q: Scalar, n: int
 ) -> list[Scalar]:
@@ -309,23 +292,33 @@ def newton_lattice_coeffs(
         u_k = sum_{j=0}^k q^(k - j^2) a^(-2j) f(b_j)
               / ( (q, q^(1-2j)/a^2; q)_j (q, q^(2j+1) a^2; q)_{k-j} ).
 
-    All u_k come from one pass over the nodes, on integer pairs read from one
-    prefix table per base.
+    All u_k come from one pass over the nodes, with M_kj from
+    _lattice_denominators; each u_k is accumulated as an unreduced integer
+    pair and becomes one canonical Fraction.
     """
     if f.degree > n:
         raise DomainError(f"degree {f.degree} exceeds expansion order {n}")
-    nodes = _distinct_lattice_nodes(a, q, n)
-    return _lattice_coeffs([f(b) for b in nodes], a, q)
+    fvals = [f(b) for b in _distinct_lattice_nodes(a, q, n)]
+    nums, dens = [0] * (n + 1), [1] * (n + 1)
+    for j, (fb, (cn, cd, dn, dd)) in enumerate(zip(fvals, _lattice_denominators(a, q, n))):
+        wn, wd = fb.numerator * cn, fb.denominator * cd
+        for k in range(j, n + 1):
+            tn, td = wn * dn[k - j], wd * dd[k - j]
+            nums[k], dens[k] = nums[k] * td + tn * dens[k], dens[k] * td
+    return [Fraction(x, y) for x, y in zip(nums, dens)]
 
 
 def moment_weights(p: AWParams, n: int) -> tuple[list[Scalar], list[Scalar]]:
     """Nodes b_0..b_n and weights w_j with L(f) = sum_j w_j f(b_j) for deg f <= n.
 
     L is linear and L(f) = sum_k mu_k u_k, with mu_k = L((a*z, a/z; q)_k) and
-    u_k = sum_{j<=k} M_kj f(b_j), so w_j = sum_{k>=j} mu_k M_kj.  M_kj comes
-    from the same integer lattice tables as the u_k.  Raises DegenerateLattice
-    or PoleError exactly when moment_functional does for a polynomial of
-    degree n.
+    u_k = sum_{j<=k} M_kj f(b_j), so w_j = sum_{k>=j} mu_k M_kj, with M_kj from
+    _lattice_denominators.  This is the one place the double sum of Thm 4.3 is
+    summed; aw_moment and the basis_moments and orthogonality checks apply it.
+    Raises DegenerateLattice when two of b_0..b_n coincide (the only way a
+    lattice Newton denominator of order n vanishes) and PoleError when
+    (abcd;q)_n vanishes; both persist as n grows.  moment_functional reads no
+    node, so it raises only the latter.
     """
     nodes = _distinct_lattice_nodes(p.a, p.q, n)
     tables = _lattice_denominators(p.a, p.q, n)
@@ -341,6 +334,17 @@ def moment_weights(p: AWParams, n: int) -> tuple[list[Scalar], list[Scalar]]:
     return nodes, weights
 
 
+def _weighted_sum(weights: Sequence[Scalar], *columns: Sequence[Scalar]) -> Scalar:
+    """sum_j w_j x_j y_j ... over the value columns, as an unreduced integer pair."""
+    num, den = 0, 1
+    for w, *xs in zip(weights, *columns):
+        tn, td = w.numerator, w.denominator
+        for x in xs:
+            tn, td = tn * x.numerator, td * x.denominator
+        num, den = num * td + tn * den, den * td
+    return Fraction(num, den)
+
+
 def moment_functional(f: PolynomialInX, p: AWParams) -> Scalar:
     """L(f) from L's definition on the basis: f = sum_k u_k (a*z, a/z; q)_k and
     L(f) = sum_k u_k L((a*z, a/z; q)_k).
@@ -348,15 +352,18 @@ def moment_functional(f: PolynomialInX, p: AWParams) -> Scalar:
     The u_k are peeled off from the top degree down: (a*z, a/z; q)_k has
     leading coefficient (-2a)^k q^(k(k-1)/2), so u_k is the x^k coefficient
     of what is left once the terms above k are subtracted.  No lattice node
-    enters, so this is independent of the Newton route of aw_moment.
+    enters, so this is independent of the lattice weights of moment_weights.
     """
     n = f.degree
-    moments = _basis_moments(n, p)
-    basis = pochhammer_basis_polys(p.a, p.q, n)
+    return _peel_functional(f, pochhammer_basis_polys(p.a, p.q, n), _basis_moments(n, p))
+
+
+def _peel_functional(f: PolynomialInX, basis: list[PolynomialInX], moments: list[Scalar]) -> Scalar:
+    """moment_functional's peel, on basis and moment tables of any order >= deg f."""
     rest = list(f.coeffs)
     total = Fraction(0)
-    for k in range(n, -1, -1):
-        u = rest[k] / (Fraction(-2 * p.a) ** k * p.q ** (k * (k - 1) // 2))
+    for k in range(f.degree, -1, -1):
+        u = rest[k] / basis[k].coeffs[k]
         for i, c in enumerate(basis[k].coeffs):
             rest[i] -= u * c
         total += u * moments[k]
@@ -370,15 +377,11 @@ def aw_moment(n: int, t: Scalar, p: AWParams) -> Scalar:
                  sum_{j=0}^k q^(k-j^2) a^(-2j) (t + (q^j a + q^-j/a)/2)^n
                  / ( (q, q^(1-2j)/a^2; q)_j (q, q^(2j+1) a^2; q)_{k-j} ).
 
-    The inner sums are the lattice coefficients u_k of newton_lattice_coeffs
-    and the outer factors are the basis moments; both read every Pochhammer
-    product from one prefix table per base.
+    The double sum is summed once, over k for each node, by moment_weights;
+    this applies its order-n weights w_j to the values (t + b_j)^n.
     """
-    t = Fraction(t)
-    fvals = [(t + b) ** n for b in lattice_nodes(p.a, p.q, n)]
-    inner = _lattice_coeffs(fvals, p.a, p.q)
-    outer = _basis_moments(n, p)
-    return sum((o * u for o, u in zip(outer, inner)), Fraction(0))
+    nodes, weights = moment_weights(p, n)
+    return _weighted_sum(weights, [(t + b) ** n for b in nodes])
 
 
 def newton_coeffs(nodes: Sequence[Scalar], values: Sequence[Scalar]) -> list[Scalar]:

@@ -36,19 +36,19 @@ from .askey_wilson import (
     PolynomialInX,
     XPoint,
     _basis_moments,
+    _peel_functional,
+    _weighted_sum,
     aw_moment,
     aw_norm_ratio,
     aw_poly,
     aw_poly_as_polynomial,
     basis_moment,
     connection_u,
-    moment_functional,
     moment_weights,
     newton_coeffs,
     newton_lattice_coeffs,
     newton_to_monomial,
     pochhammer_basis_polys,
-    poly_power,
     poly_x_plus,
 )
 from .linalg import (
@@ -1035,12 +1035,18 @@ def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("moment_double_sum", "Thm 4.3 / Eq. (eq:mom)", ("a", "b", "c", "d", "q", "t"),
         Sizes(n_max=6), note="vs L on the (az, a/z; q)_k basis")
 def _run_moment_double_sum(pt: ParamPoint, sizes: Sizes) -> list:
+    """aw_moment(n) against moment_functional's peel of (t+x)^n, n = 0..n_max,
+    with one basis and one moment table at n_max.  A zero (abcd;q)_n stays zero
+    as n grows, so that table raises exactly when some order's would."""
     p = _aw_from(pt)
     t = pt["t"]
+    basis = pochhammer_basis_polys(p.a, p.q, sizes.n_max)
+    moments = _basis_moments(sizes.n_max, p)
+    f, step = PolynomialInX([1]), poly_x_plus(t)
     out = []
     for n in range(sizes.n_max + 1):
-        f = poly_power(poly_x_plus(t), n)
-        out.append(aw_moment(n, t, p) - moment_functional(f, p))
+        out.append(aw_moment(n, t, p) - _peel_functional(f, basis, moments))
+        f = f * step
     return out
 
 
@@ -1065,35 +1071,31 @@ def _run_moment_symmetry(pt: ParamPoint, sizes: Sizes) -> list:
 
 @_check("basis_moments", "Eq. (linfunc)", ("a", "b", "c", "d", "q"), Sizes(n_max=6))
 def _run_basis_moments(pt: ParamPoint, sizes: Sizes) -> list:
-    """L((az, a/z; q)_n) by the Newton route against the closed form, and its
-    symmetry in b, c and d, for n = 0..n_max.
+    """L((az, a/z; q)_n) through the lattice weights against the closed form,
+    and its symmetry in b, c and d, for n = 0..n_max.
 
-    The Newton route dots the lattice coefficients of (az, a/z; q)_n with the
-    moments up to n; moment_functional would expand the basis polynomial on
-    itself and compare the closed form with itself.  Each parameter order
-    reads its moments from one _basis_moments table.  The Newton values come
-    first, in order of n, so a DegenerateLattice or a zero (abcd;q)_n is
-    raised where the per-n route raised it; once they pass, (abcd;q)_(n_max)
-    is nonzero, and since a zero stays zero in a running product, the tables
-    cannot raise.
+    One moment_weights vector of order n_max is applied to every basis
+    polynomial; moment_functional would expand the basis polynomial on itself
+    and compare the closed form with itself.  Each parameter order reads its
+    moments from one _basis_moments table.
+
+    The one vector raises exactly when the weights of some order n <= n_max
+    would.  A zero lattice Newton denominator at order n means a^2 q^e = 1
+    with 1 <= e <= 2n-1, a collision of two nodes at that order; a collision
+    and a zero (abcd;q)_n persist as the order grows.  Once the weights pass,
+    (abcd;q)_(n_max) is nonzero, so the tables cannot raise.
     """
     p = _aw_from(pt)
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     out = [basis_moment(1, p) - (1 - a * b) * (1 - a * c) * (1 - a * d) / (1 - p.abcd)]
-    values = [
-        sum(
-            (u * m for u, m in zip(newton_lattice_coeffs(f, a, q, n), _basis_moments(n, p))),
-            Fraction(0),
-        )
-        for n, f in enumerate(pochhammer_basis_polys(a, q, sizes.n_max))
-    ]
+    nodes, weights = moment_weights(p, sizes.n_max)
     # symmetric in b, c, d
     moments, *swapped = (
         _basis_moments(sizes.n_max, order)
         for order in (p, replace(p, b=c, c=d, d=b), replace(p, b=d, d=b))
     )
-    for n, value in enumerate(values):
-        out.append(value - moments[n])
+    for n, f in enumerate(pochhammer_basis_polys(a, q, sizes.n_max)):
+        out.append(_weighted_sum(weights, [f(x) for x in nodes]) - moments[n])
         out += [other[n] - moments[n] for other in swapped]
     return out
 
@@ -1110,8 +1112,9 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
 
     L is applied through one weight vector per trial, at twice the top degree
     T, and each p_m is evaluated once per node.  The weights raise what the
-    first failing product p_m p_n raises when L is applied to each product on
-    its own.  With no degree drop, abcd = q^(-j) only for j >= 2T-1, so a zero
+    first failing product p_m p_n raises when it alone is expanded by
+    newton_lattice_coeffs at its degree and dotted with the basis moments.
+    With no degree drop, abcd = q^(-j) only for j >= 2T-1, so a zero
     (abcd;q)_k is read only at k = 2T, by the last product.  A zero lattice
     Newton denominator at order d means a^2 q^e = 1 with 1 <= e <= 2d-1, which
     is a node collision at the same order, and both routes check the nodes
@@ -1132,16 +1135,6 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
                 value -= aw_norm_ratio(n, p)
             out.append(value)
     return out
-
-
-def _weighted_sum(weights: list[Scalar], xs: list[Scalar], ys: list[Scalar]) -> Scalar:
-    """sum_j w_j x_j y_j, accumulated as an unreduced integer pair."""
-    num, den = 0, 1
-    for w, x, y in zip(weights, xs, ys):
-        tn = w.numerator * x.numerator * y.numerator
-        td = w.denominator * x.denominator * y.denominator
-        num, den = num * td + tn * den, den * td
-    return Fraction(num, den)
 
 
 @_check("contiguous_relation", "§4 Remark, contiguous relation", ("a", "b", "q", "A1", "B1"),

@@ -11,7 +11,7 @@ from qident.askey_wilson import (
     DuplicateNodes,
     PolynomialInX,
     XPoint,
-    _lattice_coeffs,
+    _lattice_denominators,
     aw_leading_coeff,
     aw_moment,
     aw_norm_ratio,
@@ -28,7 +28,7 @@ from qident.askey_wilson import (
     poly_power,
     poly_x_plus,
 )
-from qident.scalar import PoleError, qpoch, qpoch_multi
+from qident.scalar import PoleError, qpoch, qpoch_multi, sample_point
 
 P = AWParams(F(2, 3), F(1, 5), F(3, 7), F(-5, 11), F(2, 7))
 PT = XPoint(F(7, 3))
@@ -375,10 +375,32 @@ def test_vanishing_lattice_denominator_is_a_pole():
         with pytest.raises(PoleError):
             aw_moment_oracle(n, t, p)
         with pytest.raises(PoleError):
-            aw_moment(n, t, p)
-        with pytest.raises(PoleError):
-            _lattice_coeffs([F(1)] * (n + 1), p.a, q)
+            _lattice_denominators(p.a, q, n)
         # every vanishing denominator is a node collision too (here b_1 = b_3),
-        # which newton_lattice_coeffs reports first
+        # which the lattice weights and newton_lattice_coeffs report first
+        with pytest.raises(DegenerateLattice):
+            aw_moment(n, t, p)
         with pytest.raises(DegenerateLattice):
             newton_lattice_coeffs(poly_power(poly_x_plus(t), n), p.a, q, n)
+
+
+@pytest.mark.parametrize("height", (2, 3, 40))
+def test_aw_moment_poles_match_the_term_by_term_oracle(height):
+    # aw_moment checks the nodes and (abcd;q)_n, the oracle each denominator
+    # it divides by; they must have a value, and raise, at the same points
+    seen = set()
+    for seed in range(40):
+        pt = sample_point(("a", "b", "c", "d", "q", "t"), seed, height)
+        p = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"])
+        for n in range(7):
+            try:
+                expected = aw_moment_oracle(n, pt["t"], p)
+            except PoleError:
+                with pytest.raises((PoleError, DegenerateLattice)) as exc:
+                    aw_moment(n, pt["t"], p)
+                seen.add(exc.type)
+            else:
+                assert aw_moment(n, pt["t"], p) == expected
+                seen.add("value")
+    if height < 40:
+        assert seen == {"value", PoleError, DegenerateLattice}

@@ -750,14 +750,19 @@ def test_mutated_identity_is_detected():
         assert any(r != 0 for r in MUTATED.run(pt, sizes))
 
 
-def test_moment_double_sum_catches_a_lattice_kernel_error(monkeypatch):
-    # the double sum reads the lattice coefficients and the functional does
-    # not, so a perturbed lattice kernel fails every trial
-    real = askey_wilson._lattice_coeffs
-    monkeypatch.setattr(
-        askey_wilson, "_lattice_coeffs", lambda fvals, a, q: [u + 1 for u in real(fvals, a, q)]
-    )
-    report = run_check(CHECKS_BY_ID["moment_double_sum"], trials=5, seed=0)
+@pytest.mark.parametrize("check_id", ("moment_double_sum", "basis_moments"))
+def test_moment_double_sum_catches_a_lattice_kernel_error(monkeypatch, check_id):
+    # the double sum and the basis moments read the lattice weights, and the
+    # basis route and the closed form do not, so perturbed weights fail every trial
+    real = askey_wilson.moment_weights
+
+    def perturbed(p, n):
+        nodes, weights = real(p, n)
+        return nodes, [w + 1 for w in weights]
+
+    for module in (askey_wilson, identities):
+        monkeypatch.setattr(module, "moment_weights", perturbed)
+    report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
     assert report.failures == report.trials == 5
 
 
