@@ -16,6 +16,11 @@ tables (scalar._qpoch_prefix, scalar._qpoch_multi_prefix) and form each
 entry or closed-form value from unreduced integer products as one canonical
 Fraction.  Each divides only by the table entries it reads, so a zero
 elsewhere in a table is no pole.
+
+The determinant and Pfaffian checks keep their builders, closed forms and
+oracles exact and run their engines mod a prime drawn from the trial point's
+seed (scalar.trial_prime).  Their residuals are then scalar.Residues, which
+read 0 exactly when the prime divides the exact residual's numerator.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ from .scalar import (
     qpoch_multi,
     qpoch_multi_table,
     sample_point,
+    trial_prime,
 )
 from .series import (
     HypergeometricSpec,
@@ -534,8 +540,9 @@ def build_gram_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
     return Matrix(n + 1, n + 1, tuple(_decorated_hankel(n, n + 1, p) + last))
 
 
-def _gram_dets(G: Matrix) -> list[Scalar]:
-    """det build_gram_matrix(n) for n = 1..N, read from G = build_gram_matrix(N).
+def _gram_dets(G: Matrix, prime: int | None = None) -> list:
+    """det build_gram_matrix(n) for n = 1..N, read from G = build_gram_matrix(N),
+    as Residues mod `prime` when one is given.
 
     Moved to the top, the polynomial row makes the Gram matrices nested: the
     order-n one is the leading (n+1) x (n+1) block, and moving its last row
@@ -543,7 +550,7 @@ def _gram_dets(G: Matrix) -> list[Scalar]:
     """
     cut = (G.rows - 1) * G.cols
     lifted = Matrix(G.rows, G.cols, G.entries[cut:] + G.entries[:cut])
-    return [-d if n % 2 else d for n, d in enumerate(leading_minors(lifted)) if n]
+    return [-d if n % 2 else d for n, d in enumerate(leading_minors(lifted, prime)) if n]
 
 
 def gram_prefactor(n: int, p: AWParams) -> Scalar:
@@ -558,7 +565,9 @@ def rhs_gram_formula(n: int, p: AWParams, pt: XPoint) -> Scalar:
     return gram_prefactor(n, p) * aw_poly(n, p, pt)
 
 
-def gram_elimination_residuals(n_max: int, p: AWParams, pt: XPoint) -> list[Scalar]:
+def gram_elimination_residuals(
+    n_max: int, p: AWParams, pt: XPoint, prime: int | None = None
+) -> list:
     """Column elimination turning the moment matrix into the bordered one,
     at each order n = 1..n_max in turn.
 
@@ -568,7 +577,8 @@ def gram_elimination_residuals(n_max: int, p: AWParams, pt: XPoint) -> list[Scal
     consequence det A = (-1)^n prod_i (ac,ad,bc,bd;q)_i * det B is checked as
     well.  No entry residual depends on n, so each is computed once from the
     order-n_max matrices and listed again at every order that contains it;
-    the determinants of all orders come from one elimination per matrix.
+    the determinants of all orders come from one elimination per matrix,
+    mod `prime` when one is given.
     """
     b, q, x = p.b, p.q, pt.x
     top = max(n_max, 0)
@@ -586,7 +596,7 @@ def gram_elimination_residuals(n_max: int, p: AWParams, pt: XPoint) -> list[Scal
         ]
         columns.append((moments, A[top, j] - mult * A[top, j - 1]))
     out: list[Scalar] = []
-    for n, (det_a, det_b) in enumerate(zip(_gram_dets(A), leading_minors(B)), 1):
+    for n, (det_a, det_b) in enumerate(zip(_gram_dets(A, prime), leading_minors(B, prime)), 1):
         for moments, last in columns[:n]:
             out += moments[:n]
             out.append(last)
@@ -929,7 +939,7 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
     top = max(sizes.n_max, 0)
     M = build_bordered_matrix(top, p, x)
     out = []
-    for n, d_ff in enumerate(leading_minors(M), 1):
+    for n, d_ff in enumerate(leading_minors(M, trial_prime(pt.seed)), 1):
         block = minor(M, range(n, top), range(n, top))
         out.append(d_ff - rhs_det_formula(n, p, x))
         out.append(det_condensation(block) - d_ff)
@@ -941,17 +951,19 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("mehta_wang_det", "Cor. 3.2 / Eq. (eq:ITZ1)", ("a", "u", "v", "q"), Sizes(n_max=5),
         note="b = v^2, c = u^2/(aq)")
 def _run_mehta_wang(pt: ParamPoint, sizes: Sizes) -> list:
-    dets = leading_minors(build_mehta_wang_matrix(max(sizes.n_max, 0), pt))
+    M = build_mehta_wang_matrix(max(sizes.n_max, 0), pt)
+    dets = leading_minors(M, trial_prime(pt.seed))
     return [d - rhs_mehta_wang(n, pt) for n, d in enumerate(dets, 1)]
 
 
 @_check("even_order_det", "Cor. 3.3", ("a", "b", "q"), Sizes(m_max=3))
 def _run_even_det(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, q = pt["a"], pt["b"], pt["q"]
+    prime = trial_prime(pt.seed)
     out = []
     for m in range(1, sizes.m_max + 1):
         M = build_even_det(m, a, b, q)
-        out.append(det_fraction_free(M) - rhs_even_det(m, a, b, q))
+        out.append(det_fraction_free(M, prime) - rhs_even_det(m, a, b, q))
     return out
 
 
@@ -959,15 +971,16 @@ def _run_even_det(pt: ParamPoint, sizes: Sizes) -> list:
         note="sign +1; pf^2 = det")
 def _run_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, q = pt["a"], pt["b"], pt["q"]
+    prime = trial_prime(pt.seed)
     out = []
     for m in range(1, sizes.m_max + 1):
         M = build_even_det(m, a, b, q)
         rhs = rhs_pfaffian(m, a, b, q)
-        pf = pfaffian_expansion(M)
+        pf = pfaffian_expansion(M, prime)
         out.append(pf - rhs)
         if M.rows <= MATCHINGS_CAP:
             out.append(pfaffian_matchings(M) - rhs)
-        out.append(pf**2 - det_fraction_free(M))
+        out.append(pf**2 - det_fraction_free(M, prime))
     return out
 
 
@@ -975,11 +988,12 @@ def _run_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
         note="integer exponents 1..4")
 def _run_integer_exp_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     q = pt["q"]
+    prime = trial_prime(pt.seed)
     out = []
     for m in range(1, sizes.m_max + 1):
         for alpha in range(1, 5):
             M = build_integer_exp_pfaffian(m, alpha, q)
-            out.append(pfaffian_expansion(M) - rhs_integer_exp_pfaffian(m, alpha, q))
+            out.append(pfaffian_expansion(M, prime) - rhs_integer_exp_pfaffian(m, alpha, q))
             # consistency with the two-parameter Pfaffian at b = 0, a = q^(alpha-1)
             out.append(
                 rhs_pfaffian(m, q ** (alpha - 1), Fraction(0), q)
@@ -1008,14 +1022,16 @@ def _run_andrews_watson(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_gram_det(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
-    dets = _gram_dets(build_gram_matrix(max(sizes.n_max, 0), p, x))
+    dets = _gram_dets(build_gram_matrix(max(sizes.n_max, 0), p, x), trial_prime(pt.seed))
     return [d - rhs_gram_formula(n, p, x) for n, d in enumerate(dets, 1)]
 
 
 @_check("gram_to_bordered", "Prop. 4.2", _ABCDQZ, Sizes(n_max=4),
         note="entrywise column elimination")
 def _run_gram_to_bordered(pt: ParamPoint, sizes: Sizes) -> list:
-    return gram_elimination_residuals(sizes.n_max, _aw_from(pt), XPoint(pt["z"]))
+    return gram_elimination_residuals(
+        sizes.n_max, _aw_from(pt), XPoint(pt["z"]), trial_prime(pt.seed)
+    )
 
 
 @_check("little_qjacobi_hankel", "Eq. (littlejacobi) / (littlejacobibis)",
@@ -1023,10 +1039,10 @@ def _run_gram_to_bordered(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     top = max(sizes.n_max, 0)
-    plain = leading_minors(build_hankel_little_qjacobi(top, p))
-    decorated = leading_minors(build_hankel_decorated(top, p))
+    matrices = (build_hankel_little_qjacobi(top, p), build_hankel_decorated(top, p))
+    prime = trial_prime(pt.seed)
     out = []
-    for n, (d, e) in enumerate(zip(plain, decorated), 1):
+    for n, (d, e) in enumerate(zip(*(leading_minors(M, prime) for M in matrices)), 1):
         out.append(d - rhs_hankel(n, p))
         out.append(e - rhs_hankel_decorated(n, p))
     return out
@@ -1215,7 +1231,9 @@ def _run_desnanot_jacobi(pt: ParamPoint, sizes: Sizes) -> list:
         note="orders 1..6")
 def _run_det_engines(pt: ParamPoint, sizes: Sizes) -> list:
     top = min(sizes.n_max, 6)
-    minors = leading_minors(_square_from(pt, max(top, 0)))
+    prime = trial_prime(pt.seed)
+    full = _square_from(pt, max(top, 0))
+    minors, modular = leading_minors(full), leading_minors(full, prime)
     out = []
     for k in range(1, top + 1):
         M = _square_from(pt, k)
@@ -1223,6 +1241,8 @@ def _run_det_engines(pt: ParamPoint, sizes: Sizes) -> list:
         out.append(det_cofactor(M) - d)
         out.append(det_condensation(M) - d)
         out.append(minors[k - 1] - d)
+        out.append(modular[k - 1] - d)
+        out.append(det_fraction_free(M, prime) - d)
     return out
 
 
@@ -1233,11 +1253,13 @@ def _skew_names(size: int) -> tuple[str, ...]:
 @_check("pfaffian_engines", "engine cross-check (pf, pf^2 = det)", _skew_names(8), Sizes(m_max=4),
         note="orders 2,4,6,8")
 def _run_pfaffian_engines(pt: ParamPoint, sizes: Sizes) -> list:
+    prime = trial_prime(pt.seed)
     out = []
     for m in range(1, min(sizes.m_max, 4) + 1):
         M = SkewMatrix.from_upper(2 * m, lambda i, j: pt[f"w{i}_{j}"])
         pf = pfaffian_matchings(M)
         out.append(pfaffian_expansion(M) - pf)
+        out.append(pfaffian_expansion(M, prime) - pf)
         out.append(pf**2 - det_fraction_free(M))
     return out
 

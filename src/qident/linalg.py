@@ -10,6 +10,14 @@ the order) read all their orders from one leading_minors call.  The skew
 families do not: the odd leading minors of a skew matrix vanish, so the
 swap-free pass stops at the first step.
 
+Each engine takes an optional prime modulus p.  Without it the engine
+returns a canonical Fraction.  With it the same loop runs on the scaled
+integer matrix reduced mod p, dividing by a pivot through its inverse mod p,
+and returns a scalar.Residue: the exact value's numerator mod p over the
+exact scale's residue.  A pivot that vanishes mod p is treated as zero, so a
+swap-free pass falls back there exactly as it does at an exact zero.  Only
+pivots are inverted, never an entry's denominator.
+
 Three oracles check the engines, each one algorithm that shares no code with
 them.  Each scales the whole matrix by the lcm of all its denominators and
 runs on ints over that one common denominator.  Cofactor expansion keeps
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .scalar import PoleError, Scalar
+from .scalar import PoleError, Residue, Scalar
 
 COFACTOR_CAP = 8
 MATCHINGS_CAP = 8
@@ -181,31 +189,42 @@ def det_cofactor(M: Matrix) -> Scalar:
     return Fraction(minors.get((1 << n) - 1, 0), lcm**n)
 
 
-def _row_scaled(M: Matrix) -> tuple[list[list[int]], list[int]]:
+def _row_scaled(M: Matrix, p: int | None = None) -> tuple[list[list[int]], list[int]]:
     """The rows of M as ints, each scaled by the lcm of its own denominators,
-    and those row scales."""
+    and those row scales.  With a modulus p the ints are reduced mod p."""
     rows, scales = [], []
     for row in M.to_lists():
         s = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (s // x.denominator) for x in row])
+        if p is None:
+            rows.append([x.numerator * (s // x.denominator) for x in row])
+        else:
+            rows.append([x.numerator * (s // x.denominator) % p for x in row])
         scales.append(s)
     return rows, scales
 
 
-def _bareiss(a: list[list[int]], pivoting: bool) -> Iterator[int]:
+def _value(num: int, den: int, p: int | None) -> Scalar | Residue:
+    """num/den as a Fraction, or as a Residue mod p."""
+    return Fraction(num, den) if p is None else Residue(num, den, p)
+
+
+def _bareiss(a: list[list[int]], pivoting: bool, p: int | None = None) -> Iterator[int]:
     """Bareiss fraction-free elimination of the square int rows `a`, in place.
 
     Yields the pivot of each step k = 0..n-1, read before the step, times the
     sign of the row swaps so far.  By Sylvester's identity that pivot is the
     determinant of the leading (k+1)x(k+1) block of the row-swapped matrix,
-    so every division is exact (``//``) and the last value is det a.  With
-    `pivoting`, a zero pivot is first swapped for a nonzero entry below it.
-    A zero pivot that remains ends the elimination: the leading block, and
-    with pivoting the whole matrix, is singular.
+    so every division is exact (``//``) and the last value is det a.  With a
+    prime p the rows are residues mod p and the division multiplies by the
+    inverse of the previous pivot, so each pivot is that determinant mod p.
+    With `pivoting`, a zero pivot is first swapped for a nonzero entry below
+    it.  A zero pivot that remains ends the elimination: the leading block,
+    and with pivoting the whole matrix, is singular (mod p, with a prime).
     """
     n = len(a)
     sign = 1
     prev = 1
+    inv = 1
     for k in range(n):
         if pivoting and a[k][k] == 0:
             for r in range(k + 1, n):
@@ -222,28 +241,32 @@ def _bareiss(a: list[list[int]], pivoting: bool) -> Iterator[int]:
             row = a[i]
             f = row[k]
             for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+                v = row[j] * pivot - f * pivot_row[j]
+                row[j] = v // prev if p is None else v * inv % p
             row[k] = 0
         prev = pivot
+        if p is not None and k + 2 < n:  # the next step has rows to divide
+            inv = pow(pivot, -1, p)
 
 
-def det_fraction_free(M: Matrix) -> Scalar:
+def det_fraction_free(M: Matrix, p: int | None = None) -> Scalar | Residue:
     """Bareiss fraction-free elimination on integers, with row-swap pivoting.
 
     Each row is scaled by the lcm of its denominators, so elimination runs on
     Python ints; the scaling is divided out at the end.  A column with no
     available pivot proves the matrix singular, so the determinant is 0
-    outright.
+    outright.  With a prime p the elimination runs mod p and returns det M
+    as a Residue.
     """
     _require_square(M)
-    a, scales = _row_scaled(M)
+    a, scales = _row_scaled(M, p)
     det = 1
-    for det in _bareiss(a, pivoting=True):
+    for det in _bareiss(a, pivoting=True, p=p):
         pass
-    return Fraction(det, math.prod(scales))
+    return _value(det, math.prod(scales), p)
 
 
-def leading_minors(M: Matrix) -> list[Scalar]:
+def leading_minors(M: Matrix, p: int | None = None) -> list[Scalar | Residue]:
     """det of the leading k x k block of M for k = 1..n, from one elimination.
 
     Bareiss elimination without row swaps on the row-scaled integer matrix
@@ -251,17 +274,18 @@ def leading_minors(M: Matrix) -> list[Scalar]:
     k-1, and det M_k is that pivot over the product of the first k row
     scales.  A zero pivot makes its minor 0 and ends the elimination; each
     later order then falls back to det_fraction_free of its leading block.
+    With a prime p both passes run mod p and the minors are Residues.
     """
     _require_square(M)
     n = M.rows
-    a, scales = _row_scaled(M)
+    a, scales = _row_scaled(M, p)
     out = []
     scale = 1
-    for s, pivot in zip(scales, _bareiss(a, pivoting=False)):
+    for s, pivot in zip(scales, _bareiss(a, pivoting=False, p=p)):
         scale *= s
-        out.append(Fraction(pivot, scale))
+        out.append(_value(pivot, scale, p))
     for k in range(len(out) + 1, n + 1):
-        out.append(det_fraction_free(minor(M, range(k, n), range(k, n))))
+        out.append(det_fraction_free(minor(M, range(k, n), range(k, n)), p))
     return out
 
 
@@ -350,7 +374,7 @@ def pfaffian_matchings(M: Matrix) -> Scalar:
     return Fraction(partial.get((1 << n) - 1, 0), lcm ** (n // 2))
 
 
-def pfaffian_expansion(M: Matrix) -> Scalar:
+def pfaffian_expansion(M: Matrix, p: int | None = None) -> Scalar | Residue:
     """Pfaffian by block elimination of the leading row pair, O(n^3).
 
     With a = D[0][1] != 0, pf D = a * pf D', where D' is the Schur complement
@@ -360,30 +384,43 @@ def pfaffian_expansion(M: Matrix) -> Scalar:
 
     A zero pivot is replaced by swapping row and column 1 with those of a
     later nonzero entry of row 0, which flips the sign; a zero row 0 makes
-    the Pfaffian 0.
+    the Pfaffian 0.  With a prime p the elimination runs mod p on
+    S D S, for S the diagonal of the row scales s_i (the lcm of row i's
+    denominators), which is skew with integer entries and has Pfaffian
+    (prod s_i) pf D; "zero" then means zero mod p, and the result is a
+    Residue.
     """
     _check_even_skew(M)
     n = M.rows
-    d = M.to_lists()
-    out = Fraction(1)
+    if p is None:
+        d, scale = M.to_lists(), 1
+    else:
+        rows, scales = _row_scaled(M, p)
+        col = [s % p for s in scales]
+        d = [[v * c % p for v, c in zip(row, col)] for row in rows]
+        scale = math.prod(scales)
+    out = 1
     for k in range(0, n, 2):
         row0 = d[k]
-        p = next((j for j in range(k + 1, n) if row0[j] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != k + 1:
-            d[k + 1], d[p] = d[p], d[k + 1]
+        piv = next((j for j in range(k + 1, n) if row0[j] != 0), None)
+        if piv is None:
+            out = 0
+            break
+        if piv != k + 1:
+            d[k + 1], d[piv] = d[piv], d[k + 1]
             for row in d[k:]:
-                row[k + 1], row[p] = row[p], row[k + 1]
+                row[k + 1], row[piv] = row[piv], row[k + 1]
             out = -out
         row1 = d[k + 1]
         a = row0[k + 1]
         out *= a
+        inv = None if p is None or k + 2 == n else pow(a, -1, p)
         for i in range(k + 2, n):
             c0i, c1i = row0[i], row1[i]
             row = d[i]
             for j in range(i + 1, n):
-                v = row[j] + (c1i * row0[j] - c0i * row1[j]) / a
+                u = c1i * row0[j] - c0i * row1[j]
+                v = row[j] + u / a if p is None else (row[j] + u * inv) % p
                 row[j] = v
                 d[j][i] = -v
-    return out
+    return _value(out, scale, p)

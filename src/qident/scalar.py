@@ -9,6 +9,10 @@ canonical ``Fraction`` per value they return: the values of running
 certified by evaluating both sides at random small-height rational points
 (Schwartz-Zippel style), so the sampler here is the only source of randomness
 and is fully deterministic in its seed.
+
+The determinant and Pfaffian engines can also run modulo a prime drawn from
+the trial's seed (``trial_prime``).  Their values are ``Residue``s: the
+images mod p of exact rationals N/D, compared without ever inverting D.
 """
 
 from __future__ import annotations
@@ -102,6 +106,127 @@ def qpoch_multi(params: Iterable[Scalar], q: Scalar, n: int) -> Scalar:
         return math.prod((qpoch(a, q, n) for a in params), start=Fraction(1))
     nums, dens = _qpoch_multi_prefix(params, q, n)
     return Fraction(nums[n], dens[n])
+
+
+class Residue:
+    """A rational N/D, with D a nonzero integer, held as (N mod p, D mod p).
+
+    Each operation is the image of the exact one on unreduced integer pairs
+    (a/b - c/d = (ad - cb)/(bd), and so on), so the residue of any result is
+    X mod p, where X is the exact cross-multiplied numerator.  An exactly
+    zero value therefore always reads 0, and a nonzero residue proves the
+    exact value nonzero.  No residue is inverted, so D mod p may be 0.
+    Operands are ints, Fractions and Residues modulo the same p.
+    """
+
+    __slots__ = ("num", "den", "p")
+
+    def __init__(self, num: int, den: int, p: int):
+        self.num, self.den, self.p = num % p, den % p, p
+
+    def _pair(self, other) -> tuple[int, int] | None:
+        if isinstance(other, Residue):
+            if other.p != self.p:
+                raise ValueError("residues modulo different primes")
+            return other.num, other.den
+        if isinstance(other, (int, Fraction)):
+            return other.numerator, other.denominator
+        return None
+
+    def __add__(self, other):
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        n, d = pair
+        return Residue(self.num * d + n * self.den, self.den * d, self.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        n, d = pair
+        return Residue(self.num * d - n * self.den, self.den * d, self.p)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        n, d = pair
+        return Residue(self.num * n, self.den * d, self.p)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Residue(-self.num, self.den, self.p)
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            return NotImplemented  # a negative power would invert N
+        return Residue(pow(self.num, k, self.p), pow(self.den, k, self.p), self.p)
+
+    def __eq__(self, other):
+        pair = self._pair(other)
+        if pair is None:
+            return NotImplemented
+        n, d = pair
+        return (self.num * d - n * self.den) % self.p == 0
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Residue({self.num}, {self.den}, {self.p})"
+
+
+_MASK64 = (1 << 64) - 1
+# share a factor with every odd n that has a prime factor below 64 (1000):
+# the cheap first gcd rejects 74% of the odd candidates and both together
+# 84%, before any modular power
+_SIEVE_64 = math.lcm(*range(3, 64, 2))
+_SIEVE_1000 = math.lcm(*range(3, 1000, 2))
+# a strong probable prime to these seven bases is prime for every n < 2^64
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality for odd 1000 < n < 2^64: small-prime gcds,
+    then the strong probable-prime test to the seven bases above."""
+    if math.gcd(n, _SIEVE_64) != 1 or math.gcd(n, _SIEVE_1000) != 1:
+        return False
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def trial_prime(seed: int) -> int:
+    """The first prime at or after an odd start in [2^60, 2^61) drawn from `seed`.
+
+    The start is a splitmix64 hash of the seed mod 2^64, so it shares no
+    state with the sampler's stream.  2^61 - 1 is prime, so the search stays
+    in range.  Deterministic in `seed`.
+    """
+    x = (seed + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    n = (1 << 60) | (x ^ (x >> 31)) >> 4 | 1
+    while not _is_prime(n):
+        n += 2
+    return n
 
 
 def gamma_int(n: int) -> Scalar:

@@ -766,6 +766,42 @@ def test_moment_double_sum_catches_a_lattice_kernel_error(monkeypatch, check_id)
     assert report.failures == report.trials == 5
 
 
+@pytest.mark.parametrize(
+    "check_id, engine",
+    [
+        ("bordered_det", "leading_minors"),
+        ("mehta_wang_det", "leading_minors"),
+        ("gram_det", "leading_minors"),
+        ("gram_to_bordered", "leading_minors"),
+        ("little_qjacobi_hankel", "leading_minors"),
+        ("even_order_det", "det_fraction_free"),
+        ("pfaffian_eval", "pfaffian_expansion"),
+        ("pfaffian_eval", "det_fraction_free"),
+        ("pfaffian_integer_exp", "pfaffian_expansion"),
+        ("det_engines", "leading_minors"),
+        ("det_engines", "det_fraction_free"),
+        ("pfaffian_engines", "pfaffian_expansion"),
+    ],
+)
+def test_modular_engine_off_by_one_fails_every_trial(monkeypatch, check_id, engine):
+    # the residue the engine returns mod the trial's prime, plus 1: only the
+    # modular route is perturbed, so these failures show it is compared
+    real = getattr(identities, engine)
+    primes = []
+
+    def perturbed(M, p=None):
+        value = real(M, p)
+        if p is None:
+            return value
+        primes.append(p)
+        return [d + 1 for d in value] if isinstance(value, list) else value + 1
+
+    monkeypatch.setattr(identities, engine, perturbed)
+    report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
+    assert report.failures == report.trials == 5
+    assert primes
+
+
 def test_gamma_pfaffian_runs_the_elimination_engine(monkeypatch):
     real = identities.pfaffian_expansion
     monkeypatch.setattr(identities, "pfaffian_expansion", lambda M: real(M) + 1)

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import matching_sign, perfect_matchings, rand_fraction, rand_q, six_term_parts
+from qident import identities
 from qident.askey_wilson import (
     AWParams,
     DegenerateLattice,
@@ -79,6 +80,7 @@ from qident.scalar import (
     qpoch_multi_table,
     qpoch_table,
     sample_point,
+    trial_prime,
 )
 from qident.series import (
     HypergeometricSpec,
@@ -1108,6 +1110,7 @@ def test_gram_dets_carry_the_row_move_sign(seed):
         return
     expected = [det_fraction_free(build_gram_matrix(n, p, x)) for n in range(1, top + 1)]
     assert canon(_gram_dets(G)) == canon(expected)
+    assert _gram_dets(G, trial_prime(seed)) == expected
 
 
 # The per-order runners of the five checks that now read every order from one
@@ -1188,9 +1191,13 @@ PER_ORDER_RUNNERS = {
 
 
 def run_outcome(run, pt, sizes):
-    """The residual reprs, or 'resample' for an exception run_trial resamples."""
+    """Which residuals vanish, or 'resample' for an exception run_trial resamples.
+
+    The checks' engines run mod a prime, so their residuals are Residues; the
+    per-order runners' are exact.  The zero patterns must agree.
+    """
     try:
-        return [repr(r) for r in run(pt, sizes)]
+        return [r == 0 for r in run(pt, sizes)]
     except _RESAMPLE_ERRORS:
         return "resample"
 
@@ -1210,3 +1217,68 @@ def test_one_elimination_runners_match_per_order_runners(check_id, height):
     assert False in outcomes  # some residuals were compared
     if height == 2:  # and the low height hit poles of both sides
         assert True in outcomes
+
+
+# the closed form (or, for gram_to_bordered, the determinant scaling) of each
+# check, as bound in identities and in this module
+CLOSED_FORMS = {
+    "bordered_det": "rhs_det_formula",
+    "mehta_wang_det": "rhs_mehta_wang",
+    "gram_det": "rhs_gram_formula",
+    "gram_to_bordered": "_decoration_det",
+    "little_qjacobi_hankel": "rhs_hankel",
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(PER_ORDER_RUNNERS))
+def test_one_elimination_runners_flag_a_mutated_closed_form(monkeypatch, check_id):
+    check = CHECKS_BY_ID[check_id]
+    name = CLOSED_FORMS[check_id]
+    real = getattr(identities, name)
+
+    def mutated(*args):
+        return real(*args) + 1
+
+    monkeypatch.setattr(identities, name, mutated)
+    monkeypatch.setitem(globals(), name, mutated)
+    failed = 0
+    for seed in range(5):
+        pt = sample_point(check.param_names, seed, 40)
+        sizes = replace(check.defaults, n_max=5)
+        got = run_outcome(check.run, pt, sizes)
+        assert got == run_outcome(PER_ORDER_RUNNERS[check_id], pt, sizes)
+        failed += got != "resample" and not all(got)
+    assert failed  # the mutation made nonzero residuals, at the same indices
+
+
+# the checks whose engines run mod a prime, with the two engine cross-checks
+MODULAR_CHECKS = (
+    "bordered_det",
+    "mehta_wang_det",
+    "even_order_det",
+    "pfaffian_eval",
+    "pfaffian_integer_exp",
+    "gram_det",
+    "gram_to_bordered",
+    "little_qjacobi_hankel",
+    "det_engines",
+    "pfaffian_engines",
+)
+
+
+@pytest.mark.parametrize("height", [2, 3, 40])
+@pytest.mark.parametrize("check_id", MODULAR_CHECKS)
+def test_modular_runners_match_their_exact_runs(monkeypatch, check_id, height):
+    # with no prime every engine runs exactly: the zero and resample patterns,
+    # so the sampled points and the reports, must not change
+    check = CHECKS_BY_ID[check_id]
+    sizes = replace(check.defaults, height=height)
+    modular, exact = [], []
+    for seed in range(6):
+        pt = sample_point(check.param_names, 1000 * height + seed, height)
+        modular.append(run_outcome(check.run, pt, sizes))
+        with monkeypatch.context() as m:
+            m.setattr(identities, "trial_prime", lambda seed: None)
+            exact.append(run_outcome(check.run, pt, sizes))
+    assert modular == exact
+    assert any(o != "resample" for o in modular)

@@ -19,7 +19,7 @@ from qident.linalg import (
     pfaffian_expansion,
     pfaffian_matchings,
 )
-from qident.scalar import PoleError
+from qident.scalar import PoleError, Residue, trial_prime
 
 
 def rand_matrix(rng, n, height=12):
@@ -79,6 +79,9 @@ def test_det_fraction_free_needs_pivoting():
     assert det_fraction_free(M) == det_cofactor(M)
 
 
+P = trial_prime(0)
+
+
 def leading_block(M, k):
     return minor(M, range(k, M.rows), range(k, M.rows))
 
@@ -98,6 +101,7 @@ def test_leading_minors_match_det_of_each_leading_block(seed):
         )
         expected = [det_fraction_free(leading_block(M, k)) for k in range(1, n + 1)]
         assert canon(leading_minors(M)) == canon(expected)
+        assert leading_minors(M, trial_prime(seed)) == expected
 
 
 @pytest.mark.parametrize(
@@ -116,13 +120,18 @@ def test_leading_minors_where_a_leading_minor_vanishes(rows, zero_orders):
     expected = [det_cofactor(leading_block(M, k)) for k in range(1, M.rows + 1)]
     assert canon(got) == canon(expected)
     assert {k for k, d in enumerate(got, 1) if d == 0} == zero_orders
+    residues = leading_minors(M, P)
+    assert residues == expected
+    assert {k for k, d in enumerate(residues, 1) if d == 0} == zero_orders
 
 
 def test_leading_minors_order_zero_and_non_square():
-    assert leading_minors(Matrix(0, 0, ())) == []
+    assert leading_minors(Matrix(0, 0, ())) == leading_minors(Matrix(0, 0, ()), P) == []
     assert canon(leading_minors(Matrix(1, 1, (F(-6, 4),)))) == canon([F(-3, 2)])
-    with pytest.raises(NonSquare):
-        leading_minors(Matrix.build(2, 3, lambda i, j: F(1)))
+    assert leading_minors(Matrix(1, 1, (F(-6, 4),)), P) == [F(-3, 2)]
+    for p in (None, P):
+        with pytest.raises(NonSquare):
+            leading_minors(Matrix.build(2, 3, lambda i, j: F(1)), p)
 
 
 def test_det_condensation_agrees():
@@ -288,3 +297,88 @@ def test_bareiss_on_int_entries():
     d = det_fraction_free(M)
     assert d == det_cofactor(Matrix.from_rows(M.to_lists()))
     assert isinstance(d, F)
+
+
+# The engines mod a prime: each value must be the exact one reduced mod p.
+
+
+def degenerate_entry(rng, height):
+    # zeros and small ints make vanishing minors and pivots common
+    return rng.choice((rand_fraction(rng, height), F(0), F(rng.randint(-2, 2))))
+
+
+@pytest.mark.parametrize("height", [2, 3, 40])
+@pytest.mark.parametrize("seed", range(4))
+def test_modular_engines_are_the_exact_values_mod_p(height, seed):
+    rng = random.Random(100 * height + seed)
+    p = trial_prime(seed)
+    for n in range(11):
+        M = Matrix.build(n, n, lambda i, j: degenerate_entry(rng, height))
+        minors = leading_minors(M, p)
+        assert all(isinstance(d, Residue) and d.p == p for d in minors)
+        assert minors == leading_minors(M)
+        det = det_fraction_free(M, p)
+        assert isinstance(det, Residue) and det == det_fraction_free(M)
+        if n % 2 == 0:
+            S = SkewMatrix.from_upper(n, lambda i, j: degenerate_entry(rng, height))
+            pf = pfaffian_expansion(S, p)
+            assert isinstance(pf, Residue) and pf == pfaffian_expansion(S)
+            assert pf**2 == det_fraction_free(S, p)
+
+
+def test_pivot_divisible_by_p_falls_back_to_the_pivoting_pass():
+    # pivots that are nonzero multiples of p vanish mod p, though no exact one does
+    p = P
+    rng = random.Random(12)
+    rows = [[rand_fraction(rng) for _ in range(5)] for _ in range(5)]
+    rows[0][0] = F(3 * p, 7)
+    M = Matrix.from_rows(rows)
+    exact = leading_minors(M)
+    assert all(d != 0 for d in exact)
+    got = leading_minors(M, p)
+    assert got[0].num == 0 and got == exact
+    assert det_fraction_free(M, p) == det_fraction_free(M)
+    # here the order-2 leading minor is p and the order-3 one p + 1
+    M = Matrix.from_rows([[1, 1, 1], [1, 1 + p, 0], [0, 1, 1]])
+    got = leading_minors(M, p)
+    assert leading_minors(M) == [1, p, p + 1] == got
+    assert [d.num for d in got] == [1, 0, 1]
+    S_rows = rand_skew(rng, 6).to_lists()
+    S_rows[0][1], S_rows[1][0] = F(p, 5), F(-p, 5)
+    S = SkewMatrix.from_rows(S_rows)
+    assert pfaffian_expansion(S, p) == pfaffian_expansion(S) != 0
+
+
+def test_modular_engines_on_singular_matrices_and_zero_rows():
+    p = P
+    rng = random.Random(13)
+    rows = [[rand_fraction(rng) for _ in range(6)] for _ in range(6)]
+    rows[2] = [F(0)] * 6
+    M = Matrix.from_rows(rows)
+    assert leading_minors(M, p) == leading_minors(M)
+    assert [d == 0 for d in leading_minors(M, p)] == [False, False, True, True, True, True]
+    rows[2] = [2 * x for x in rows[4]]  # singular, with no zero row
+    M = Matrix.from_rows(rows)
+    assert det_fraction_free(M) == 0 and det_fraction_free(M, p) == 0
+    assert det_fraction_free(Matrix(0, 0, ()), p) == 1
+    zero = SkewMatrix.from_upper(6, lambda i, j: F(0))
+    assert pfaffian_expansion(zero, p) == 0
+    S_rows = rand_skew(rng, 6).to_lists()
+    for j in range(6):
+        S_rows[3][j] = S_rows[j][3] = F(0)
+    assert pfaffian_expansion(SkewMatrix.from_rows(S_rows), p) == 0
+    assert pfaffian_expansion(SkewMatrix(0, 0, ()), p) == 1
+
+
+def test_modular_engines_with_denominators_divisible_by_p():
+    # the row scales vanish mod p, so every value's residue denominator is 0;
+    # the residues are still the images of the exact values
+    p = P
+    rng = random.Random(14)
+    M = Matrix.build(4, 4, lambda i, j: F(rng.randint(1, 9), p) if i == j else rand_fraction(rng))
+    assert all(d.den == 0 for d in leading_minors(M, p))
+    assert leading_minors(M, p) == leading_minors(M)
+    assert det_fraction_free(M, p) == det_fraction_free(M)
+    S = SkewMatrix.from_upper(4, lambda i, j: F(rng.randint(1, 9), p * (j - i)))
+    assert pfaffian_expansion(S, p) == pfaffian_expansion(S)
+    assert pfaffian_expansion(S, p) - pfaffian_expansion(S) == 0

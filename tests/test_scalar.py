@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 from qident.scalar import (
     PoleError,
     DomainError,
+    Residue,
     SamplingExhausted,
+    _is_prime,
     gamma_int,
     qpoch,
     qpoch_multi,
     qpoch_table,
     sample_point,
+    trial_prime,
 )
 
 small_fractions = st.fractions(
@@ -123,3 +127,106 @@ def test_sample_point_exhaustion():
     # height 1 leaves q only the excluded values +-1
     with pytest.raises(SamplingExhausted):
         sample_point(("q",), 0, height=1)
+
+
+P61 = 2**61 - 1  # a Mersenne prime
+
+
+def residue(x: F, p: int = P61) -> Residue:
+    return Residue(x.numerator, x.denominator, p)
+
+
+@given(x=small_fractions, y=small_fractions, k=st.integers(0, 5))
+def test_residue_operations_are_images_of_exact_ones(x, y, k):
+    rx, ry = residue(x), residue(y)
+    assert rx - ry == x - y and rx - y == x - y and x - ry == x - y
+    assert rx + ry == x + y and rx + 3 == x + 3 and 3 + rx == x + 3
+    assert rx * ry == x * y and y * rx == x * y
+    assert -rx == -x
+    assert rx**k == x**k
+    assert (rx - x == 0) and (rx - ry == 0) == (x == y)
+
+
+def test_residue_zero_test_never_inverts_the_denominator():
+    p = P61
+    # a denominator divisible by p: the exact zero still reads 0
+    x = F(3, p)
+    r = Residue(3, p, p)
+    assert (r.num, r.den) == (3, 0)
+    assert r - x == 0 and x - r == 0
+    # and a nonzero residual whose cross-multiplied numerator p divides reads 0
+    assert r - F(4, p) == 0
+    # a nonzero residue proves the exact value nonzero
+    assert Residue(5, 7, p) - F(4, 7) != 0
+    # a multiple of p is 0 mod p, though nonzero
+    assert Residue(6 * p, 5, p) == 0
+
+
+def test_residue_rejects_mixed_primes_and_negative_powers():
+    a, b = Residue(1, 2, P61), Residue(1, 2, 1_000_003)
+    with pytest.raises(ValueError):
+        a - b
+    with pytest.raises(TypeError):
+        a ** -1
+    with pytest.raises(TypeError):
+        a * 0.5
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+FIRST_12_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def reference_is_prime(n: int) -> bool:
+    """Strong probable prime to the first 12 primes: exact below 3.3e24."""
+    return n in FIRST_12_PRIMES or (
+        all(n % a for a in FIRST_12_PRIMES)
+        and all(strong_probable_prime(n, a) for a in FIRST_12_PRIMES)
+    )
+
+
+def test_is_prime_matches_the_reference_above_2_60():
+    start = 2**60 + 1
+    window = range(start, start + 4000, 2)
+    assert [n for n in window if _is_prime(n)] == [n for n in window if reference_is_prime(n)]
+    assert _is_prime(P61)
+    assert not _is_prime(P61 - 2)
+
+
+@pytest.mark.parametrize(
+    "n, factors, fooled",
+    [
+        # Chernick Carmichael numbers (6k+1)(12k+1)(18k+1) in [2^60, 2^61)
+        (1163545076159797321, (578821, 1157641, 1736461), 2),
+        (1170106602646993129, (579907, 1159813, 1739719), 9780504),
+        # p(2p-1) just above 2^61
+        (2305843149873875041, (1073741857, 2147483713), 2),
+        (2305864281162028681, (1073746777, 2147493553), 28178),
+        # strong pseudoprime to every prime base up to 23
+        (3825123056546413051, (149491, 747451, 34233211), 23),
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n, factors, fooled):
+    assert math.prod(factors) == n and min(factors) > 1000  # past the gcd sieve
+    assert strong_probable_prime(n, fooled)  # one base alone would call n prime
+    assert not _is_prime(n)
+
+
+def test_trial_prime_is_deterministic_prime_and_in_range():
+    seeds = [*range(50), -1, -(2**40), 10**30]
+    primes = [trial_prime(s) for s in seeds]
+    assert primes == [trial_prime(s) for s in seeds]
+    assert all(2**60 <= p < 2**61 and reference_is_prime(p) for p in primes)
+    assert len(set(primes)) == len(primes)
