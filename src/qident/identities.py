@@ -20,7 +20,12 @@ elsewhere in a table is no pole.
 The determinant and Pfaffian checks keep their builders, closed forms and
 oracles exact and run their engines mod a prime drawn from the trial point's
 seed (scalar.trial_prime).  Their residuals are then scalar.Residues, which
-read 0 exactly when the prime divides the exact residual's numerator.
+read 0 exactly when the prime divides the exact residual's numerator.  The
+matrix families are nested, entry (i, j) independent of the order, so each
+builds its matrix once at the top order and reads every order from one
+elimination: leading_minors for the determinants, leading_pfaffians for the
+Pfaffians, and leading_minors of the pair-swapped skew matrix for the
+even-order determinants.
 """
 
 from __future__ import annotations
@@ -66,7 +71,8 @@ from .linalg import (
     det_condensation,
     det_fraction_free,
     leading_minors,
-    minor,
+    leading_pfaffians,
+    pair_swapped,
     pfaffian_expansion,
     pfaffian_matchings,
 )
@@ -750,20 +756,30 @@ def rhs_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> Scalar:
     )
 
 
-def check_gamma_pfaffian(m: int, a_int: int) -> list[Scalar]:
+def _even_minors(M: SkewMatrix, prime: int | None) -> list:
+    """det of the leading 2k x 2k block of M for k = 1..n/2, from one
+    leading_minors pass over pair_swapped(M), undoing its k row swaps."""
+    minors = leading_minors(pair_swapped(M), prime)
+    return [-d if k % 2 else d for k, d in enumerate(minors[1::2], 1)]
+
+
+def check_gamma_pfaffian(m_max: int, a_int: int) -> list[list[Scalar]]:
     """Residuals of pf((j-i) Gamma(a+i+j))_[0..2m-1] = prod_k (2k-1)! Gamma(a+2k-1)
-    at positive integer a: pf by elimination, and by matchings up to their cap."""
+    at positive integer a, for each m = 1..m_max: pf by one exact elimination
+    of the top-order matrix, and by matchings up to their cap."""
     if a_int < 1:
         raise DomainError("needs a positive integer argument")
     M = SkewMatrix.from_upper(
-        2 * m, lambda i, j: Fraction(j - i) * gamma_int(a_int + i + j)
+        2 * m_max, lambda i, j: Fraction(j - i) * gamma_int(a_int + i + j)
     )
+    out = []
     rhs = Fraction(1)
-    for k in range(1, m + 1):
-        rhs *= math.factorial(2 * k - 1) * gamma_int(a_int + 2 * k - 1)
-    out = [pfaffian_expansion(M) - rhs]
-    if M.rows <= MATCHINGS_CAP:
-        out.append(pfaffian_matchings(M) - rhs)
+    for m, pf in enumerate(leading_pfaffians(M), 1):
+        rhs *= math.factorial(2 * m - 1) * gamma_int(a_int + 2 * m - 1)
+        residuals = [pf - rhs]
+        if 2 * m <= MATCHINGS_CAP:
+            residuals.append(pfaffian_matchings(M.leading(2 * m)) - rhs)
+        out.append(residuals)
     return out
 
 
@@ -940,7 +956,7 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
     M = build_bordered_matrix(top, p, x)
     out = []
     for n, d_ff in enumerate(leading_minors(M, trial_prime(pt.seed)), 1):
-        block = minor(M, range(n, top), range(n, top))
+        block = M.leading(n)
         out.append(d_ff - rhs_det_formula(n, p, x))
         out.append(det_condensation(block) - d_ff)
         if n <= COFACTOR_CAP:  # the cofactor oracle refuses larger orders
@@ -959,12 +975,8 @@ def _run_mehta_wang(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("even_order_det", "Cor. 3.3", ("a", "b", "q"), Sizes(m_max=3))
 def _run_even_det(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, q = pt["a"], pt["b"], pt["q"]
-    prime = trial_prime(pt.seed)
-    out = []
-    for m in range(1, sizes.m_max + 1):
-        M = build_even_det(m, a, b, q)
-        out.append(det_fraction_free(M, prime) - rhs_even_det(m, a, b, q))
-    return out
+    dets = _even_minors(build_even_det(sizes.m_max, a, b, q), trial_prime(pt.seed))
+    return [d - rhs_even_det(m, a, b, q) for m, d in enumerate(dets, 1)]
 
 
 @_check("pfaffian_eval", "Cor. 3.4 / Eq. (eq:key1)", ("a", "b", "q"), Sizes(m_max=3),
@@ -972,15 +984,16 @@ def _run_even_det(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, q = pt["a"], pt["b"], pt["q"]
     prime = trial_prime(pt.seed)
+    M = build_even_det(sizes.m_max, a, b, q)
     out = []
-    for m in range(1, sizes.m_max + 1):
-        M = build_even_det(m, a, b, q)
+    for m, det in enumerate(_even_minors(M, prime), 1):
+        block = M.leading(2 * m)
         rhs = rhs_pfaffian(m, a, b, q)
-        pf = pfaffian_expansion(M, prime)
+        pf = pfaffian_expansion(block, prime)
         out.append(pf - rhs)
-        if M.rows <= MATCHINGS_CAP:
-            out.append(pfaffian_matchings(M) - rhs)
-        out.append(pf**2 - det_fraction_free(M, prime))
+        if block.rows <= MATCHINGS_CAP:
+            out.append(pfaffian_matchings(block) - rhs)
+        out.append(pf**2 - det)
     return out
 
 
@@ -989,27 +1002,25 @@ def _run_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_integer_exp_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     q = pt["q"]
     prime = trial_prime(pt.seed)
+    alphas = range(1, 5)
+    pfs = [
+        leading_pfaffians(build_integer_exp_pfaffian(sizes.m_max, alpha, q), prime)
+        for alpha in alphas
+    ]
     out = []
     for m in range(1, sizes.m_max + 1):
-        for alpha in range(1, 5):
-            M = build_integer_exp_pfaffian(m, alpha, q)
-            out.append(pfaffian_expansion(M, prime) - rhs_integer_exp_pfaffian(m, alpha, q))
+        for alpha, pf in zip(alphas, pfs):
+            rhs = rhs_integer_exp_pfaffian(m, alpha, q)
+            out.append(pf[m - 1] - rhs)
             # consistency with the two-parameter Pfaffian at b = 0, a = q^(alpha-1)
-            out.append(
-                rhs_pfaffian(m, q ** (alpha - 1), Fraction(0), q)
-                - rhs_integer_exp_pfaffian(m, alpha, q)
-            )
+            out.append(rhs_pfaffian(m, q ** (alpha - 1), Fraction(0), q) - rhs)
     return out
 
 
 @_check("gamma_pfaffian", "Eq. (eq:CK)", (), Sizes(m_max=3), note="integer arguments 1..4")
 def _run_gamma_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
-    return [
-        residual
-        for m in range(1, sizes.m_max + 1)
-        for a in range(1, 5)
-        for residual in check_gamma_pfaffian(m, a)
-    ]
+    orders = [check_gamma_pfaffian(sizes.m_max, a) for a in range(1, 5)]
+    return [residual for m in range(sizes.m_max) for per_a in orders for residual in per_a[m]]
 
 
 @_check("andrews_qwatson", "§3 / Andrews' q-Watson sum", ("a", "b", "q"), Sizes(n_max=8))
@@ -1253,13 +1264,18 @@ def _skew_names(size: int) -> tuple[str, ...]:
 @_check("pfaffian_engines", "engine cross-check (pf, pf^2 = det)", _skew_names(8), Sizes(m_max=4),
         note="orders 2,4,6,8")
 def _run_pfaffian_engines(pt: ParamPoint, sizes: Sizes) -> list:
+    top = min(sizes.m_max, 4)
     prime = trial_prime(pt.seed)
+    full = SkewMatrix.from_upper(2 * max(top, 0), lambda i, j: pt[f"w{i}_{j}"])
+    leading, modular = leading_pfaffians(full), leading_pfaffians(full, prime)
     out = []
-    for m in range(1, min(sizes.m_max, 4) + 1):
-        M = SkewMatrix.from_upper(2 * m, lambda i, j: pt[f"w{i}_{j}"])
+    for m in range(1, top + 1):
+        M = full.leading(2 * m)
         pf = pfaffian_matchings(M)
         out.append(pfaffian_expansion(M) - pf)
         out.append(pfaffian_expansion(M, prime) - pf)
+        out.append(leading[m - 1] - pf)
+        out.append(modular[m - 1] - pf)
         out.append(pf**2 - det_fraction_free(M))
     return out
 

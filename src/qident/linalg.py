@@ -1,14 +1,18 @@
 """Exact matrices over Scalar: determinant and Pfaffian engines.
 
 The working engines are polynomial in the order: integer Bareiss elimination
-for determinants and block elimination for Pfaffians.  One Bareiss loop
+for determinants and its Pfaffian analogue, fraction-free elimination of one
+row pair at a time, for Pfaffians.  One Bareiss loop
 serves two entry points: det_fraction_free, which swaps rows past a zero
 pivot, and leading_minors, which swaps none and reads the determinant of
 every leading block of a matrix as that elimination's pivots.  The
 determinant families whose matrices are nested (entry (i, j) independent of
-the order) read all their orders from one leading_minors call.  The skew
-families do not: the odd leading minors of a skew matrix vanish, so the
-swap-free pass stops at the first step.
+the order) read all their orders from one leading_minors call.  One Pfaffian
+loop likewise serves pfaffian_expansion, which swaps past a zero pivot, and
+leading_pfaffians, which swaps none and reads the Pfaffian of every leading
+2k x 2k block as its pivots.  The odd leading minors
+of a skew matrix vanish, so its even ones come from leading_minors of
+pair_swapped(M), whose row pairs are swapped.
 
 Each engine takes an optional prime modulus p.  Without it the engine
 returns a canonical Fraction.  With it the same loop runs on the scaled
@@ -84,6 +88,23 @@ class Matrix:
             rows, cols, tuple(Fraction(fn(i, j)) for i in range(rows) for j in range(cols))
         )
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple[Scalar, ...]) -> "Matrix":
+        """An instance from entries valid by construction: __post_init__ is skipped."""
+        M = object.__new__(cls)
+        for name, value in (("rows", rows), ("cols", cols), ("entries", entries)):
+            object.__setattr__(M, name, value)
+        return M
+
+    def leading(self, k: int) -> "Matrix":
+        """The leading k x k block, of the same class (a block of a skew matrix is skew)."""
+        if not 0 <= k <= min(self.rows, self.cols):
+            raise IndexError(f"no leading block of order {k}")
+        c = self.cols
+        return self._trusted(
+            k, k, tuple(x for i in range(k) for x in self.entries[i * c : i * c + k])
+        )
+
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -102,7 +123,8 @@ class Matrix:
 
 
 class SkewMatrix(Matrix):
-    """Square matrix with M[i,j] = -M[j,i] (checked at construction)."""
+    """Square matrix with M[i,j] = -M[j,i] (checked at construction, except by
+    from_upper and leading, whose results are skew by construction)."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -116,13 +138,15 @@ class SkewMatrix(Matrix):
     @classmethod
     def from_upper(cls, order: int, fn: Callable[[int, int], Scalar]) -> "SkewMatrix":
         """Build from the strict upper triangle, f(i,j) with i < j."""
+        if order < 0:
+            raise ValueError("dimensions must be nonnegative")
         rows = [[Fraction(0)] * order for _ in range(order)]
         for i in range(order):
             for j in range(i + 1, order):
                 v = Fraction(fn(i, j))
                 rows[i][j] = v
                 rows[j][i] = -v
-        return cls(order, order, tuple(x for row in rows for x in row))
+        return cls._trusted(order, order, tuple(x for row in rows for x in row))
 
 
 def minor(M: Matrix, drop_rows: Iterable[int], drop_cols: Iterable[int]) -> Matrix:
@@ -285,8 +309,22 @@ def leading_minors(M: Matrix, p: int | None = None) -> list[Scalar | Residue]:
         scale *= s
         out.append(_value(pivot, scale, p))
     for k in range(len(out) + 1, n + 1):
-        out.append(det_fraction_free(minor(M, range(k, n), range(k, n)), p))
+        out.append(det_fraction_free(M.leading(k), p))
     return out
+
+
+def pair_swapped(M: Matrix) -> Matrix:
+    """M with rows 2i and 2i+1 swapped, for each i.
+
+    The leading 2k x 2k block of the result is that of M after k row swaps,
+    so its leading minor of order 2k is (-1)^k det M_2k.  For skew M, whose
+    odd leading minors vanish, the odd leading minors of the result are
+    generically nonzero, so one leading_minors pass reads every even leading
+    minor of M.
+    """
+    if M.rows % 2:
+        raise OddOrder("row pairs need an even row count")
+    return Matrix(M.rows, M.cols, tuple(x for i in range(M.rows) for x in M.row(i ^ 1)))
 
 
 def det_condensation(M: Matrix) -> Scalar:
@@ -374,53 +412,105 @@ def pfaffian_matchings(M: Matrix) -> Scalar:
     return Fraction(partial.get((1 << n) - 1, 0), lcm ** (n // 2))
 
 
-def pfaffian_expansion(M: Matrix, p: int | None = None) -> Scalar | Residue:
-    """Pfaffian by block elimination of the leading row pair, O(n^3).
+def _skew_rows(M: Matrix, p: int | None) -> tuple[list[list[int]], list[int]]:
+    """S M S as int rows, for S the diagonal of the row scales s_i (the lcm of
+    row i's denominators), and those scales; with a prime p, reduced mod p.
 
-    With a = D[0][1] != 0, pf D = a * pf D', where D' is the Schur complement
-    on rows and columns 2..n-1:
-
-        D'[i][j] = D[i][j] + (D[1][i] D[0][j] - D[0][i] D[1][j]) / a.
-
-    A zero pivot is replaced by swapping row and column 1 with those of a
-    later nonzero entry of row 0, which flips the sign; a zero row 0 makes
-    the Pfaffian 0.  With a prime p the elimination runs mod p on
-    S D S, for S the diagonal of the row scales s_i (the lcm of row i's
-    denominators), which is skew with integer entries and has Pfaffian
-    (prod s_i) pf D; "zero" then means zero mod p, and the result is a
-    Residue.
+    S M S is skew with integer entries, and its leading 2k x 2k block has
+    Pfaffian (s_0 ... s_(2k-1)) pf M_2k.
     """
-    _check_even_skew(M)
-    n = M.rows
+    rows, scales = _row_scaled(M, p)
     if p is None:
-        d, scale = M.to_lists(), 1
-    else:
-        rows, scales = _row_scaled(M, p)
-        col = [s % p for s in scales]
-        d = [[v * c % p for v, c in zip(row, col)] for row in rows]
-        scale = math.prod(scales)
-    out = 1
+        return [[v * s for v, s in zip(row, scales)] for row in rows], scales
+    col = [s % p for s in scales]
+    return [[v * c % p for v, c in zip(row, col)] for row in rows], scales
+
+
+def _pfaffian_pairs(d: list[list[int]], pivoting: bool, p: int | None = None) -> Iterator[int]:
+    """Fraction-free block elimination of the even-order skew int rows `d`,
+    in place, one row pair at a time.
+
+    After pair k-1 the entry (i, j), for i, j >= 2k, is the Pfaffian of the
+    block on rows and columns 0..2k-1, i, j.  The Pfaffian analogue of
+    Sylvester's identity updates it past pair k as
+
+        d'[i][j] = (a d[i][j] + d[2k+1][i] d[2k][j] - d[2k][i] d[2k+1][j]) / prev,
+
+    with a = d[2k][2k+1] the pivot of pair k and prev that of pair k-1, so
+    every division is exact (``//``).  Yields the pivot of each pair times
+    the sign of the swaps so far: without swaps, the Pfaffian of the leading
+    (2k+2) x (2k+2) block, and the last one is pf d.  With `pivoting`, a zero
+    pivot is first replaced by swapping row and column 2k+1 with those of a
+    later nonzero entry of row 2k, which flips the sign.  A zero pivot that
+    remains ends the elimination: the leading block, and with pivoting the
+    whole matrix, has Pfaffian 0.  With a prime p the rows are residues mod p
+    and the division multiplies by the inverse of the previous pivot.
+    """
+    n = len(d)
+    sign = 1
+    prev = 1
+    inv = 1
     for k in range(0, n, 2):
         row0 = d[k]
-        piv = next((j for j in range(k + 1, n) if row0[j] != 0), None)
-        if piv is None:
-            out = 0
-            break
-        if piv != k + 1:
-            d[k + 1], d[piv] = d[piv], d[k + 1]
-            for row in d[k:]:
-                row[k + 1], row[piv] = row[piv], row[k + 1]
-            out = -out
+        if pivoting and row0[k + 1] == 0:
+            piv = next((j for j in range(k + 2, n) if row0[j] != 0), None)
+            if piv is not None:
+                d[k + 1], d[piv] = d[piv], d[k + 1]
+                for row in d[k:]:
+                    row[k + 1], row[piv] = row[piv], row[k + 1]
+                sign = -sign
         row1 = d[k + 1]
         a = row0[k + 1]
-        out *= a
-        inv = None if p is None or k + 2 == n else pow(a, -1, p)
+        yield sign * a
+        if a == 0:
+            return
+        # mod p, the three factors carry the division by prev instead
+        f = a if p is None else a * inv % p
         for i in range(k + 2, n):
-            c0i, c1i = row0[i], row1[i]
+            c0i, c1i = (row0[i], row1[i]) if p is None else (row0[i] * inv % p, row1[i] * inv % p)
             row = d[i]
             for j in range(i + 1, n):
-                u = c1i * row0[j] - c0i * row1[j]
-                v = row[j] + u / a if p is None else (row[j] + u * inv) % p
+                v = f * row[j] + c1i * row0[j] - c0i * row1[j]
+                v = v // prev if p is None else v % p
                 row[j] = v
                 d[j][i] = -v
-    return _value(out, scale, p)
+        prev = a
+        if p is not None and k + 4 < n:  # the next pair has rows to divide
+            inv = pow(a, -1, p)
+
+
+def pfaffian_expansion(M: Matrix, p: int | None = None) -> Scalar | Residue:
+    """Pfaffian by fraction-free elimination of row pairs, with pivoting, O(n^3).
+
+    The elimination runs on the integer matrix S M S of _skew_rows, whose
+    Pfaffian is (prod s_i) pf M, and divides that scale out at the end.  A
+    zero row makes the Pfaffian 0.  With a prime p the elimination runs mod p
+    and the result is a Residue.
+    """
+    _check_even_skew(M)
+    d, scales = _skew_rows(M, p)
+    pf = 1
+    for pf in _pfaffian_pairs(d, pivoting=True, p=p):
+        pass
+    return _value(pf, math.prod(scales), p)
+
+
+def leading_pfaffians(M: Matrix, p: int | None = None) -> list[Scalar | Residue]:
+    """pf of the leading 2k x 2k block of M for k = 1..n/2, from one elimination.
+
+    The row-pair elimination without swaps reads pf M_2k, over the first 2k
+    row scales, as the pivot of pair k-1 (see _pfaffian_pairs).  A
+    zero pivot makes its Pfaffian 0 and ends the elimination; each later
+    order then falls back to pfaffian_expansion of its leading block.  With a
+    prime p both passes run mod p and the Pfaffians are Residues.
+    """
+    _check_even_skew(M)
+    d, scales = _skew_rows(M, p)
+    out = []
+    scale = 1
+    for k, pf in enumerate(_pfaffian_pairs(d, pivoting=False, p=p)):
+        scale *= scales[2 * k] * scales[2 * k + 1]
+        out.append(_value(pf, scale, p))
+    for k in range(2 * len(out) + 2, M.rows + 1, 2):
+        out.append(pfaffian_expansion(M.leading(k), p))
+    return out

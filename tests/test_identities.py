@@ -625,7 +625,7 @@ def test_integer_exponent_reduction():
 
 def test_gamma_pfaffian_hand_values():
     # m = 1, a = 1: pf = (1-0) Gamma(2) = 1 and rhs = 1! Gamma(1) = 1
-    assert check_gamma_pfaffian(1, 1) == [0, 0]
+    assert check_gamma_pfaffian(1, 1) == [[0, 0]]
     M = build_integer_exp_pfaffian  # noqa: F841  (kept for symmetry of imports)
     from qident.linalg import SkewMatrix
     from qident.scalar import gamma_int
@@ -637,9 +637,9 @@ def test_gamma_pfaffian_hand_values():
     assert pfaffian_matchings(M4) == 24
     for m in (1, 2, 3):
         for a in (1, 2, 3, 4):
-            assert check_gamma_pfaffian(m, a) == [0, 0]
+            assert check_gamma_pfaffian(m, a) == [[0, 0]] * m
     # beyond the matchings cap only the elimination engine runs
-    assert check_gamma_pfaffian(5, 2) == [0]
+    assert check_gamma_pfaffian(5, 2) == [[0, 0]] * 4 + [[0]]
 
 
 def test_andrews_watson_small_orders():
@@ -774,13 +774,14 @@ def test_moment_double_sum_catches_a_lattice_kernel_error(monkeypatch, check_id)
         ("gram_det", "leading_minors"),
         ("gram_to_bordered", "leading_minors"),
         ("little_qjacobi_hankel", "leading_minors"),
-        ("even_order_det", "det_fraction_free"),
+        ("even_order_det", "leading_minors"),
         ("pfaffian_eval", "pfaffian_expansion"),
-        ("pfaffian_eval", "det_fraction_free"),
-        ("pfaffian_integer_exp", "pfaffian_expansion"),
+        ("pfaffian_eval", "leading_minors"),
+        ("pfaffian_integer_exp", "leading_pfaffians"),
         ("det_engines", "leading_minors"),
         ("det_engines", "det_fraction_free"),
         ("pfaffian_engines", "pfaffian_expansion"),
+        ("pfaffian_engines", "leading_pfaffians"),
     ],
 )
 def test_modular_engine_off_by_one_fails_every_trial(monkeypatch, check_id, engine):
@@ -803,8 +804,8 @@ def test_modular_engine_off_by_one_fails_every_trial(monkeypatch, check_id, engi
 
 
 def test_gamma_pfaffian_runs_the_elimination_engine(monkeypatch):
-    real = identities.pfaffian_expansion
-    monkeypatch.setattr(identities, "pfaffian_expansion", lambda M: real(M) + 1)
+    real = identities.leading_pfaffians
+    monkeypatch.setattr(identities, "leading_pfaffians", lambda M: [pf + 1 for pf in real(M)])
     report = run_check(CHECKS_BY_ID["gamma_pfaffian"], trials=2, seed=0)
     assert report.failures == report.trials == 2
 

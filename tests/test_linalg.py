@@ -15,10 +15,13 @@ from qident.linalg import (
     det_condensation,
     det_fraction_free,
     leading_minors,
+    leading_pfaffians,
     minor,
+    pair_swapped,
     pfaffian_expansion,
     pfaffian_matchings,
 )
+from qident import linalg
 from qident.scalar import PoleError, Residue, trial_prime
 
 
@@ -187,6 +190,28 @@ def test_skew_matrix_validation():
     M = SkewMatrix.from_upper(4, lambda i, j: F(i + j))
     assert M[1, 3] == -M[3, 1] == 4
     assert all(M[i, i] == 0 for i in range(4))
+
+
+def test_skew_matrix_constructor_still_validates():
+    with pytest.raises(ValueError):
+        SkewMatrix(2, 2, (0, 1, 1, 0))
+    with pytest.raises(NonSquare):
+        SkewMatrix(1, 2, (0, 0))
+    with pytest.raises(ValueError):
+        SkewMatrix.from_upper(-2, lambda i, j: F(1))
+
+
+def test_leading_block_keeps_the_class_and_entries():
+    S = rand_skew(random.Random(5), 6)
+    for k in range(7):
+        block = S.leading(k)
+        assert type(block) is SkewMatrix
+        assert block.to_lists() == leading_block(S, k).to_lists()
+    M = Matrix.build(2, 3, lambda i, j: F(i + j))
+    assert type(M.leading(2)) is Matrix and M.leading(2).entries == (0, 1, 1, 2)
+    for k in (-1, 3):
+        with pytest.raises(IndexError):
+            M.leading(k)
 
 
 def test_pfaffian_2x2():
@@ -382,3 +407,117 @@ def test_modular_engines_with_denominators_divisible_by_p():
     S = SkewMatrix.from_upper(4, lambda i, j: F(rng.randint(1, 9), p * (j - i)))
     assert pfaffian_expansion(S, p) == pfaffian_expansion(S)
     assert pfaffian_expansion(S, p) - pfaffian_expansion(S) == 0
+
+
+# Every order of a nested skew family from one elimination.
+
+
+@pytest.mark.parametrize("height", [2, 3, 40])
+@pytest.mark.parametrize("seed", range(4))
+def test_leading_pfaffians_match_pfaffian_expansion_of_each_leading_block(height, seed):
+    rng = random.Random(200 * height + seed)
+    p = trial_prime(seed)
+    for n in range(0, 11, 2):
+        S = SkewMatrix.from_upper(n, lambda i, j: degenerate_entry(rng, height))
+        expected = [pfaffian_expansion(leading_block(S, k)) for k in range(2, n + 1, 2)]
+        assert canon(leading_pfaffians(S)) == canon(expected)
+        residues = leading_pfaffians(S, p)
+        assert all(isinstance(pf, Residue) and pf.p == p for pf in residues)
+        assert residues == expected
+
+
+def counting(monkeypatch, name):
+    """Count the calls a linalg routine makes to linalg.<name> (the fallbacks)."""
+    real, calls = getattr(linalg, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def test_leading_pfaffians_fall_back_after_an_exact_zero_pivot(monkeypatch):
+    rng = random.Random(21)
+    rows = rand_skew(rng, 8).to_lists()
+    # the second pair's pivot, the Schur complement's (2, 3) entry, vanishes
+    # exactly, and with it pf of the leading 4 block
+    rows[2][3] = (rows[0][2] * rows[1][3] - rows[0][3] * rows[1][2]) / rows[0][1]
+    rows[3][2] = -rows[2][3]
+    S = SkewMatrix.from_rows(rows)
+    expected = [pfaffian_matchings(leading_block(S, k)) for k in (2, 4, 6, 8)]
+    assert expected[1] == 0 and all(pf != 0 for pf in expected[2:])
+    calls = counting(monkeypatch, "pfaffian_expansion")
+    assert canon(leading_pfaffians(S)) == canon(expected)
+    assert [args[0].rows for args in calls] == [6, 8]
+    calls.clear()
+    assert leading_pfaffians(S, P) == expected
+    assert [args[0].rows for args in calls] == [6, 8]
+
+
+def test_leading_pfaffians_fall_back_after_a_pivot_divisible_by_p(monkeypatch):
+    rng = random.Random(22)
+    rows = rand_skew(rng, 6).to_lists()
+    rows[0][1], rows[1][0] = F(P, 5), F(-P, 5)
+    S = SkewMatrix.from_rows(rows)
+    exact = [pfaffian_matchings(leading_block(S, k)) for k in (2, 4, 6)]
+    assert all(pf != 0 for pf in exact)
+    calls = counting(monkeypatch, "pfaffian_expansion")
+    assert canon(leading_pfaffians(S)) == canon(exact)
+    assert calls == []
+    got = leading_pfaffians(S, P)
+    assert got[0].num == 0 and got == exact
+    assert [args[0].rows for args in calls] == [4, 6]
+
+
+def test_leading_pfaffians_order_zero_and_odd_order():
+    for p in (None, P):
+        assert leading_pfaffians(SkewMatrix(0, 0, ()), p) == []
+        with pytest.raises(OddOrder):
+            leading_pfaffians(SkewMatrix.from_upper(3, lambda i, j: F(1)), p)
+        with pytest.raises(NonSquare):
+            leading_pfaffians(Matrix.build(2, 4, lambda i, j: F(1)), p)
+
+
+def even_minors(S, p=None):
+    minors = leading_minors(pair_swapped(S), p)
+    return [-d if k % 2 else d for k, d in enumerate(minors[1::2], 1)]
+
+
+@pytest.mark.parametrize("height", [2, 3, 40])
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_swapped_even_minors_match_det_of_each_leading_block(height, seed):
+    rng = random.Random(300 * height + seed)
+    p = trial_prime(seed)
+    for n in range(0, 11, 2):
+        S = SkewMatrix.from_upper(n, lambda i, j: degenerate_entry(rng, height))
+        expected = [det_fraction_free(leading_block(S, k)) for k in range(2, n + 1, 2)]
+        assert canon(even_minors(S)) == canon(expected)
+        assert even_minors(S, p) == expected
+
+
+def test_pair_swapped_even_minors_past_a_vanishing_odd_minor(monkeypatch):
+    rng = random.Random(23)
+    rows = rand_skew(rng, 8).to_lists()
+    # makes pf of the leading 4 block vanish, and with it the order-3 leading
+    # minor of the pair-swapped matrix
+    rows[2][3] = (rows[0][2] * rows[1][3] - rows[0][3] * rows[1][2]) / rows[0][1]
+    rows[3][2] = -rows[2][3]
+    S = SkewMatrix.from_rows(rows)
+    swapped = leading_minors(pair_swapped(S))
+    assert swapped[1] != 0 and swapped[2] == 0
+    expected = [det_fraction_free(leading_block(S, k)) for k in (2, 4, 6, 8)]
+    assert expected[1] == 0 and all(d != 0 for d in expected[2:])
+    calls = counting(monkeypatch, "det_fraction_free")
+    assert canon(even_minors(S)) == canon(expected)
+    assert [args[0].rows for args in calls] == [4, 5, 6, 7, 8]
+    assert even_minors(S, P) == expected
+
+
+def test_pair_swapped_rows_and_errors():
+    M = Matrix.build(4, 3, lambda i, j: F(10 * i + j))
+    assert pair_swapped(M).to_lists() == [list(M.row(i ^ 1)) for i in range(4)]
+    assert pair_swapped(Matrix(0, 0, ())).entries == ()
+    with pytest.raises(OddOrder):
+        pair_swapped(Matrix.build(3, 3, lambda i, j: F(1)))
