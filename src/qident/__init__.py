@@ -11,7 +11,6 @@ from .scalar import (
     gamma_int,
     qpoch,
     qpoch_multi,
-    qpoch_table,
     sample_point,
 )
 from .series import (

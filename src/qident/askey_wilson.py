@@ -32,13 +32,13 @@ from .scalar import (
     DomainError,
     PoleError,
     Scalar,
+    _common_denominator,
     _qpoch_prefix,
+    _ratio_table,
     qpoch,
     qpoch_multi,
-    qpoch_multi_table,
-    qpoch_table,
 )
-from .series import HypergeometricSpec, _common_denominator, _convolve, phi_terminating
+from .series import HypergeometricSpec, _convolve, phi_terminating
 
 
 class DuplicateNodes(ValueError):
@@ -211,20 +211,20 @@ def aw_norm_ratio(n: int, p: AWParams) -> Scalar:
 
 def basis_moment(n: int, p: AWParams) -> Scalar:
     """L((a*z, a/z; q)_n) = (ab,ac,ad;q)_n / (abcd;q)_n."""
+    if n < 0:
+        raise DomainError("basis_moment needs n >= 0")
     return _basis_moments(n, p)[n]
 
 
 def _basis_moments(n: int, p: AWParams) -> list[Scalar]:
-    """[L((a*z, a/z; q)_k) for k = 0..n], from one prefix table per base.
+    """[L((a*z, a/z; q)_k) for k = 0..n], from one Pochhammer ratio table.
 
     A zero (abcd;q)_k also zeroes every later entry of its table, so this
     raises PoleError exactly when (abcd;q)_n vanishes.
     """
-    nums = qpoch_multi_table((p.a * p.b, p.a * p.c, p.a * p.d), p.q, n)
-    dens = qpoch_table(p.abcd, p.q, n)
-    if dens[n] == 0:
-        raise PoleError("(abcd;q)_n vanishes")
-    return [num / den for num, den in zip(nums, dens)]
+    a = p.a
+    nums, dens = _ratio_table((a * p.b, a * p.c, a * p.d), p.abcd, p.q, n, "(abcd;q)_n")
+    return [Fraction(x, y) for x, y in zip(nums, dens)]
 
 
 def lattice_nodes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:

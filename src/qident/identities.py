@@ -12,10 +12,13 @@ Cauchy products it compares: main_quadratic_factors returns the two
 basic hypergeometric series of each product, and the six-term checks read
 every coefficient from them.  The matrix builders and the determinant and
 Pfaffian closed forms read their Pochhammer products from integer prefix
-tables (scalar._qpoch_prefix, scalar._qpoch_multi_prefix) and form each
-entry or closed-form value from unreduced integer products as one canonical
+tables (scalar._qpoch_prefix, scalar._qpoch_multi_prefix) and their
+Pochhammer ratios from scalar._ratio_table, and form each entry or
+closed-form value from unreduced integer products as one canonical
 Fraction.  Each divides only by the table entries it reads, so a zero
-elsewhere in a table is no pole.
+elsewhere in a table is no pole.  The Mehta-Wang matrix and the skew
+matrices share one entry, (q^i - c q^j) h_(i+j), with c = 1 for the skew
+ones.
 
 The determinant and Pfaffian checks keep their builders, closed forms and
 oracles exact and run their engines mod a prime drawn from the trial point's
@@ -83,8 +86,10 @@ from .scalar import (
     PoleError,
     SamplingExhausted,
     Scalar,
+    _common_denominator,
     _qpoch_multi_prefix,
     _qpoch_prefix,
+    _ratio_table,
     gamma_int,
     qpoch,
     qpoch_multi,
@@ -95,7 +100,6 @@ from .scalar import (
 from .series import (
     HypergeometricSpec,
     TruncatedSeries,
-    _common_denominator,
     phi_series,
     phi_terminating,
     series_linear_combine,
@@ -158,24 +162,6 @@ def _quotient(num: Scalar, den: Scalar, what: str) -> Scalar:
     if den == 0:
         raise PoleError(f"{what} vanishes")
     return num / den
-
-
-def _ratio_table(
-    num: Scalar, den: Scalar, q: Scalar, top: int, what: str, shift: int = 0
-) -> tuple[list[int], list[int]]:
-    """(num;q)_k / (den;q)_(k+shift) for k = 0..top, as unreduced integer pairs.
-
-    Callers read every entry, so a zero (den;q)_(k+shift) raises PoleError;
-    a zero stays zero in a running product, so the last entry decides.
-    """
-    nn, nd = _qpoch_prefix(num, q, max(top, 0))
-    dn, dd = _qpoch_prefix(den, q, max(top + shift, 0))
-    if top >= 0 and dn[top + shift] == 0:
-        raise PoleError(f"{what} vanishes")
-    return (
-        [nn[k] * dd[k + shift] for k in range(top + 1)],
-        [nd[k] * dn[k + shift] for k in range(top + 1)],
-    )
 
 
 def _closed_form(
@@ -470,7 +456,7 @@ def build_bordered_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     x = pt.x
     # ratio k = (ab;q)_k / (abcd;q)_(k+1), read at every k = i+j-1 in 0..2n-2
-    rn, rd = _ratio_table(a * b, p.abcd, q, 2 * n - 2, "(abcd;q)_(i+j)", shift=1)
+    rn, rd = _ratio_table((a * b,), p.abcd, q, 2 * n - 2, "(abcd;q)_(i+j)", shift=1)
     (k0, k1, k2, k3), L = _common_denominator(
         (c + d - 2 * x, (1 - c * d) * a, (1 - c * d) * b, a * b * (c + d - 2 * c * d * x))
     )
@@ -526,7 +512,7 @@ def _decoration_det(n: int, row: tuple, col: tuple) -> Scalar:
 def _decorated_hankel(rows: int, cols: int, p: AWParams) -> list[Scalar]:
     """(ac,ad;q)_i (bc,bd;q)_j (ab;q)_(i+j) / (abcd;q)_(i+j), i < rows, j < cols,
     row-major."""
-    hn, hd = _ratio_table(p.a * p.b, p.abcd, p.q, rows + cols - 2, "(abcd;q)_(i+j)")
+    hn, hd = _ratio_table((p.a * p.b,), p.abcd, p.q, rows + cols - 2, "(abcd;q)_(i+j)")
     (rn, rd), (cn, cd) = _decorations(max(rows, cols), p)
     return [
         Fraction(rn[i] * cn[j] * hn[i + j], rd[i] * cd[j] * hd[i + j])
@@ -615,7 +601,7 @@ def build_hankel_little_qjacobi(n: int, p: AWParams) -> Matrix:
     """n x n Hankel matrix of little q-Jacobi type: (ab;q)_(i+j)/(abcd;q)_(i+j)."""
     hankel = [
         Fraction(x, y)
-        for x, y in zip(*_ratio_table(p.a * p.b, p.abcd, p.q, 2 * n - 2, "(abcd;q)_(i+j)"))
+        for x, y in zip(*_ratio_table((p.a * p.b,), p.abcd, p.q, 2 * n - 2, "(abcd;q)_(i+j)"))
     ]
     return Matrix(n, n, tuple(hankel[i + j] for i in range(n) for j in range(n)))
 
@@ -656,17 +642,26 @@ def mehta_wang_params(pt: ParamPoint) -> tuple[Scalar, Scalar, Scalar, Scalar, S
 def build_mehta_wang_matrix(n: int, pt: ParamPoint) -> Matrix:
     """n x n matrix (q^(i-1) - c q^(j-1)) (aq;q)_(i+j-2) / (abq^2;q)_(i+j-2)."""
     a, b, c, _, _, q = mehta_wang_params(pt)
-    hn, hd = _ratio_table(a * q, a * b * q**2, q, 2 * n - 2, "(abq^2;q)_(i+j-2)")
-    qn, qd = _powers(q.numerator, 2 * n), _powers(q.denominator, 2 * n)
-    cn, cd = c.numerator, c.denominator
-    entries = (
-        Fraction(
-            (qn[i] * qd[j] * cd - cn * qn[j] * qd[i]) * hn[i + j], qd[i + j] * cd * hd[i + j]
-        )
-        for i in range(n)
-        for j in range(n)
+    entry = _q_difference_hankel(
+        c, q, *_ratio_table((a * q,), a * b * q**2, q, 2 * n - 2, "(abq^2;q)_(i+j-2)")
     )
-    return Matrix(n, n, tuple(entries))
+    return Matrix(n, n, tuple(entry(i, j) for i in range(n) for j in range(n)))
+
+
+def _q_difference_hankel(
+    c: Scalar, q: Scalar, hn: list[int], hd: list[int]
+) -> Callable[[int, int], Scalar]:
+    """Entry (i, j) -> (q^i - c q^j) h_(i+j), 0-based, for h_k = hn[k]/hd[k].
+
+    The Mehta-Wang matrix and, with c = 1, the skew matrices share this
+    entry; each caller reads its ratio table h over its own range, and
+    i + j stays inside it.
+    """
+    qn, qd = _powers(q.numerator, len(hn)), _powers(q.denominator, len(hn))
+    cn, cd = c.numerator, c.denominator
+    return lambda i, j: Fraction(
+        (qn[i] * qd[j] * cd - cn * qn[j] * qd[i]) * hn[i + j], qd[i + j] * cd * hd[i + j]
+    )
 
 
 def rhs_mehta_wang(n: int, pt: ParamPoint) -> Scalar:
@@ -705,19 +700,8 @@ def build_even_det(m: int, a: Scalar, b: Scalar, q: Scalar) -> SkewMatrix:
 
     # the strict upper triangle reads i+j-2 = 1..4m-3 only, so a vanishing
     # (abq^2;q)_(4m-2) is no pole of this matrix
-    hn, hd = _ratio_table(a * q, a * b * q**2, q, 4 * m - 3, "(abq^2;q)_(i+j-2)")
-    return _skew_hankel(m, q, hn, hd)
-
-
-def _skew_hankel(m: int, q: Scalar, hn: list[int], hd: list[int]) -> SkewMatrix:
-    """2m x 2m skew matrix (q^i - q^j) h_(i+j), 0-based, for h_k = hn[k]/hd[k]."""
-    qn, qd = _powers(q.numerator, 4 * m), _powers(q.denominator, 4 * m)
-    return SkewMatrix.from_upper(
-        2 * m,
-        lambda i, j: Fraction(
-            (qn[i] * qd[j] - qn[j] * qd[i]) * hn[i + j], qd[i + j] * hd[i + j]
-        ),
-    )
+    hn, hd = _ratio_table((a * q,), a * b * q**2, q, 4 * m - 3, "(abq^2;q)_(i+j-2)")
+    return SkewMatrix.from_upper(2 * m, _q_difference_hankel(1, q, hn, hd))
 
 
 def rhs_pfaffian(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
@@ -744,7 +728,9 @@ def rhs_even_det(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
 
 def build_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> SkewMatrix:
     """2m x 2m skew matrix (q^i - q^j)(q^alpha; q)_(i+j), 0-based indices."""
-    return _skew_hankel(m, q, *_qpoch_prefix(q**alpha, q, 4 * m))
+    return SkewMatrix.from_upper(
+        2 * m, _q_difference_hankel(1, q, *_qpoch_prefix(q**alpha, q, 4 * m))
+    )
 
 
 def rhs_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> Scalar:
@@ -955,12 +941,12 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
     top = max(sizes.n_max, 0)
     M = build_bordered_matrix(top, p, x)
     out = []
-    for n, d_ff in enumerate(leading_minors(M, trial_prime(pt.seed)), 1):
-        block = M.leading(n)
+    dets = zip(leading_minors(M, trial_prime(pt.seed)), det_condensation(M))
+    for n, (d_ff, d_cond) in enumerate(dets, 1):
         out.append(d_ff - rhs_det_formula(n, p, x))
-        out.append(det_condensation(block) - d_ff)
+        out.append(d_cond - d_ff)
         if n <= COFACTOR_CAP:  # the cofactor oracle refuses larger orders
-            out.append(det_cofactor(block) - d_ff)
+            out.append(det_cofactor(M.leading(n)) - d_ff)
     return out
 
 
@@ -1235,7 +1221,8 @@ def _square_from(pt: ParamPoint, k: int) -> Matrix:
         note="orders 2..6")
 def _run_desnanot_jacobi(pt: ParamPoint, sizes: Sizes) -> list:
     top = min(sizes.n_max, 6)
-    return [desnanot_jacobi_residual(_square_from(pt, k)) for k in range(2, top + 1)]
+    full = _square_from(pt, max(top, 0))
+    return [desnanot_jacobi_residual(full.leading(k)) for k in range(2, top + 1)]
 
 
 @_check("det_engines", "engine cross-check (det)", _square_names(6), Sizes(n_max=6),
@@ -1245,12 +1232,13 @@ def _run_det_engines(pt: ParamPoint, sizes: Sizes) -> list:
     prime = trial_prime(pt.seed)
     full = _square_from(pt, max(top, 0))
     minors, modular = leading_minors(full), leading_minors(full, prime)
+    condensed = det_condensation(full)
     out = []
     for k in range(1, top + 1):
-        M = _square_from(pt, k)
+        M = full.leading(k)
         d = det_fraction_free(M)
         out.append(det_cofactor(M) - d)
-        out.append(det_condensation(M) - d)
+        out.append(condensed[k - 1] - d)
         out.append(minors[k - 1] - d)
         out.append(modular[k - 1] - d)
         out.append(det_fraction_free(M, prime) - d)

@@ -27,9 +27,9 @@ them.  Each scales the whole matrix by the lcm of all its denominators and
 runs on ints over that one common denominator.  Cofactor expansion keeps
 each column-subset minor once and the matching expansion each partial
 matching once, so both cost O(n 2^n); they are capped at order 8.  Dodgson
-condensation divides exactly by interior connected minors and raises
-PoleError, which resamples the point, where one of them vanishes.  The
-condensation relation is itself one of the verified identities, via
+condensation reads every leading minor from one pass, dividing exactly by
+interior connected minors, and raises PoleError, which resamples the point,
+where one of them vanishes.  The condensation relation is itself one of the verified identities, via
 
     det M * det M(interior) = det M(1,1) det M(n,n) - det M(1,n) det M(n,1),
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .scalar import PoleError, Residue, Scalar
+from .scalar import PoleError, Residue, Scalar, _common_denominator
 
 COFACTOR_CAP = 8
 MATCHINGS_CAP = 8
@@ -181,9 +181,8 @@ def _integer_rows(M: Matrix) -> tuple[list[list[int]], int]:
     Only the oracles use this whole-matrix scaling; the engines they check
     scale their own way.
     """
-    lcm = math.lcm(*(x.denominator for x in M.entries))
-    rows = [[x.numerator * (lcm // x.denominator) for x in M.row(i)] for i in range(M.rows)]
-    return rows, lcm
+    flat, lcm = _common_denominator(M.entries)
+    return [flat[i * M.cols : (i + 1) * M.cols] for i in range(M.rows)], lcm
 
 
 def det_cofactor(M: Matrix) -> Scalar:
@@ -217,12 +216,9 @@ def _row_scaled(M: Matrix, p: int | None = None) -> tuple[list[list[int]], list[
     """The rows of M as ints, each scaled by the lcm of its own denominators,
     and those row scales.  With a modulus p the ints are reduced mod p."""
     rows, scales = [], []
-    for row in M.to_lists():
-        s = math.lcm(*(x.denominator for x in row))
-        if p is None:
-            rows.append([x.numerator * (s // x.denominator) for x in row])
-        else:
-            rows.append([x.numerator * (s // x.denominator) % p for x in row])
+    for i in range(M.rows):
+        row, s = _common_denominator(M.row(i))
+        rows.append(row if p is None else [v % p for v in row])
         scales.append(s)
     return rows, scales
 
@@ -327,20 +323,25 @@ def pair_swapped(M: Matrix) -> Matrix:
     return Matrix(M.rows, M.cols, tuple(x for i in range(M.rows) for x in M.row(i ^ 1)))
 
 
-def det_condensation(M: Matrix) -> Scalar:
-    """Dodgson condensation of the integer matrix L*M.
+def det_condensation(M: Matrix) -> list[Scalar]:
+    """det of the leading k x k block of M for k = 1..n, from one Dodgson
+    condensation of the integer matrix L*M.
 
     Each step replaces the matrix by its 2x2 connected minors, divided
-    elementwise by the interior of the matrix two steps back.  The entries at
-    each step are the connected minors of L*M, so every division is exact
-    (``//``), and det M = det(L*M) / L^n.  A vanishing interior entry makes
+    elementwise by the interior of the matrix two steps back.  After k steps
+    the entries are the (k+1) x (k+1) connected minors of L*M, so every
+    division is exact (``//``), and entry (0, 0) is L^(k+1) det M_(k+1).  A
+    vanishing interior entry (a superset of those of any leading block) makes
     the division impossible: PoleError, so the trial resamples its point.
     """
     _require_square(M)
-    n = M.rows
     cur, lcm = _integer_rows(M)
     prev: list[list[int]] | None = None
-    while len(cur) > 1:
+    out = []
+    scale = 1
+    while cur:
+        scale *= lcm
+        out.append(Fraction(cur[0][0], scale))
         m = len(cur) - 1
         nxt = []
         for i in range(m):
@@ -353,7 +354,7 @@ def det_condensation(M: Matrix) -> Scalar:
                 row = [v // d for v, d in zip(row, interior)]
             nxt.append(row)
         prev, cur = cur, nxt
-    return Fraction(cur[0][0] if n else 1, lcm**n)
+    return out
 
 
 def desnanot_jacobi_residual(M: Matrix) -> Scalar:

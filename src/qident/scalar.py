@@ -5,7 +5,9 @@ arithmetic is exact, values are kept in lowest terms with positive denominator,
 and division by zero raises instead of producing a NaN.  The Pochhammer
 kernels run their loops on plain-int numerator/denominator pairs and build one
 canonical ``Fraction`` per value they return: the values of running
-``Fraction`` products, without a gcd at every factor.  Identities are
+``Fraction`` products, without a gcd at every factor.  The other modules
+take their integer pairs from the helpers here: Pochhammer prefix tables,
+Pochhammer ratio tables, and lists over one common denominator.  Identities are
 certified by evaluating both sides at random small-height rational points
 (Schwartz-Zippel style), so the sampler here is the only source of randomness
 and is fully deterministic in its seed.
@@ -61,16 +63,6 @@ def _qpoch_prefix(a: Scalar, q: Scalar, n: int) -> tuple[list[int], list[int]]:
     return _qpoch_multi_prefix((a,), q, n)
 
 
-def qpoch_table(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
-    """Prefix table [(a;q)_0, (a;q)_1, ..., (a;q)_n], one running product.
-
-    Builders that read (a;q)_k at many k take it from one table instead of
-    recomputing each product from scratch.  Entries may be zero; only a
-    caller dividing by one knows whether that is a pole.
-    """
-    return [Fraction(x, y) for x, y in zip(*_qpoch_prefix(a, q, n))]
-
-
 def _qpoch_multi_prefix(params: Iterable[Scalar], q: Scalar, n: int) -> tuple[list[int], list[int]]:
     """Integer numerators and positive denominators of (params;q)_0, ..., (params;q)_n.
 
@@ -79,7 +71,7 @@ def _qpoch_multi_prefix(params: Iterable[Scalar], q: Scalar, n: int) -> tuple[li
     of every base's factors, left unreduced.  With no base every entry is 1/1.
     """
     if n < 0:
-        raise DomainError("qpoch_table needs n >= 0")
+        raise DomainError("a Pochhammer table needs n >= 0")
     qn, qd = q.numerator, q.denominator
     bases = [[a.numerator, a.denominator] for a in params]
     num = den = 1
@@ -106,6 +98,31 @@ def qpoch_multi(params: Iterable[Scalar], q: Scalar, n: int) -> Scalar:
         return math.prod((qpoch(a, q, n) for a in params), start=Fraction(1))
     nums, dens = _qpoch_multi_prefix(params, q, n)
     return Fraction(nums[n], dens[n])
+
+
+def _ratio_table(
+    nums: Iterable[Scalar], den: Scalar, q: Scalar, top: int, what: str, shift: int = 0
+) -> tuple[list[int], list[int]]:
+    """(nums;q)_k / (den;q)_(k+shift) for k = 0..top, as unreduced integer pairs.
+
+    Callers read every entry, so a zero (den;q)_(top+shift) raises
+    PoleError(f"{what} vanishes"); a zero stays zero in a running product, so
+    the last entry decides.  A negative top gives empty tables.
+    """
+    nn, nd = _qpoch_multi_prefix(nums, q, max(top, 0))
+    dn, dd = _qpoch_prefix(den, q, max(top + shift, 0))
+    if top >= 0 and dn[top + shift] == 0:
+        raise PoleError(f"{what} vanishes")
+    return (
+        [nn[k] * dd[k + shift] for k in range(top + 1)],
+        [nd[k] * dn[k + shift] for k in range(top + 1)],
+    )
+
+
+def _common_denominator(values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """Integers v * L and L, for L the lcm of the denominators of the values."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
 class Residue:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .scalar import PoleError, Scalar, qpoch_multi
+from .scalar import PoleError, Scalar, _common_denominator, qpoch_multi
 
 DEFAULT_ORDER = 12
 
@@ -191,12 +191,6 @@ def _convolve(u: Sequence[Scalar], v: Sequence[Scalar], length: int) -> list[Sca
         lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
         out.append(Fraction(sum(a[i] * b[k - i] for i in range(lo, hi + 1)), den))
     return out
-
-
-def _common_denominator(coeffs: Sequence[Scalar]) -> tuple[list[int], int]:
-    """Integers c_k * L and L, for L the lcm of the denominators of the c_k."""
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (lcm // c.denominator) for c in coeffs], lcm
 
 
 def series_linear_combine(

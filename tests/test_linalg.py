@@ -141,8 +141,46 @@ def test_det_condensation_agrees():
     rng = random.Random(1)
     for n in range(1, 8):
         M = rand_matrix(rng, n)
-        assert det_condensation(M) == det_fraction_free(M)
-    assert det_condensation(Matrix.from_rows([[1, 2], [3, 4]])) == -2
+        assert det_condensation(M)[-1] == det_fraction_free(M)
+    assert det_condensation(Matrix.from_rows([[1, 2], [3, 4]])) == [1, -2]
+
+
+def ref_condensation(M):
+    """Dodgson condensation of one matrix on Fractions: its determinant, or
+    PoleError at a zero interior entry.  The reference for one order."""
+    cur, prev = M.to_lists(), None
+    while len(cur) > 1:
+        m = len(cur) - 1
+        nxt = []
+        for i in range(m):
+            top, bottom = cur[i], cur[i + 1]
+            row = [top[j] * bottom[j + 1] - top[j + 1] * bottom[j] for j in range(m)]
+            if prev is not None:
+                interior = prev[i + 1][1:-1]
+                if 0 in interior:
+                    raise PoleError("zero interior entry")
+                row = [v / d for v, d in zip(row, interior)]
+            nxt.append(row)
+        prev, cur = cur, nxt
+    return cur[0][0] if cur else F(1)
+
+
+@pytest.mark.parametrize("height", [2, 3, 40])
+@pytest.mark.parametrize("seed", range(15))
+def test_det_condensation_reads_every_leading_minor_in_one_pass(seed, height):
+    rng = random.Random(1000 * height + seed)
+    for n in range(9):
+        M = Matrix.build(n, n, lambda i, j: rand_fraction(rng, height))
+        blocks = [M.leading(k) for k in range(1, n + 1)]
+        try:
+            for block in blocks:
+                ref_condensation(block)
+        except PoleError:
+            with pytest.raises(PoleError):
+                det_condensation(M)
+            continue
+        expected = [det_fraction_free(block) for block in blocks]
+        assert canon(det_condensation(M)) == canon(expected)
 
 
 def test_det_condensation_zero_interior_fallback():

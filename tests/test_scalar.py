@@ -10,11 +10,12 @@ from qident.scalar import (
     DomainError,
     Residue,
     SamplingExhausted,
+    _common_denominator,
     _is_prime,
     gamma_int,
     qpoch,
     qpoch_multi,
-    qpoch_table,
+    qpoch_multi_table,
     sample_point,
     trial_prime,
 )
@@ -72,17 +73,17 @@ def test_scalar_roundtrip(x, y):
 
 def test_qpoch_table_matches_qpoch():
     a, q = F(3, 7), F(-2, 5)
-    table = qpoch_table(a, q, 6)
+    table = qpoch_multi_table((a,), q, 6)
     assert table == [qpoch(a, q, k) for k in range(7)]
-    assert qpoch_table(a, q, 0) == [1]
+    assert qpoch_multi_table((a,), q, 0) == [1]
     with pytest.raises(DomainError):
-        qpoch_table(a, q, -1)
+        qpoch_multi_table((a,), q, -1)
 
 
 def test_qpoch_table_holds_zero_without_raising():
     # a = q^-2: the factor 1 - a q^2 vanishes, so (a;q)_k = 0 from k = 3 on
     q = F(2, 3)
-    table = qpoch_table(q**-2, q, 5)
+    table = qpoch_multi_table((q**-2,), q, 5)
     assert table[:3] == [qpoch(q**-2, q, k) for k in range(3)]
     assert all(v != 0 for v in table[:3])
     assert table[3:] == [0, 0, 0]
@@ -94,6 +95,13 @@ def test_qpoch_multi():
     a = F(3, 4)
     assert qpoch_multi([a], q, 3) == qpoch(a, q, 3)
     assert qpoch_multi([F(1, 2), F(1, 3)], F(1, 5), 1) == F(1, 3)
+
+
+def test_common_denominator():
+    assert _common_denominator(()) == ([], 1)
+    assert _common_denominator([3, -2, 0]) == ([3, -2, 0], 1)
+    assert _common_denominator([F(-1, 4), F(5, 6), 2, F(-7, 3)]) == ([-3, 10, 24, -28], 12)
+    assert _common_denominator((F(-9, 10), F(-1, 15))) == ([-27, -2], 30)
 
 
 def test_gamma_int():
