@@ -146,7 +146,7 @@ class CheckReport:
 
 
 def _vector(pt: ParamPoint, prefix: str, count: int) -> tuple[Scalar, ...]:
-    return tuple(pt[f"{prefix}{i}"] for i in range(1, count + 1))
+    return tuple([pt[f"{prefix}{i}"] for i in range(1, count + 1)])
 
 
 def _powers(x: int, top: int) -> list[int]:
@@ -206,8 +206,8 @@ def _six_term_specs(pt: ParamPoint, r: int, s: int) -> list[tuple]:
     base = _six_term_base(*pt.values("abcdq"))
     q = pt["q"]
     es, fs = _vector(pt, "e", r), _vector(pt, "f", s)
-    esq = tuple(x * q for x in es)
-    fsq = tuple(x * q for x in fs)
+    esq = tuple([x * q for x in es])
+    fsq = tuple([x * q for x in fs])
     return [
         (pref, nums_k + es, nums_m + esq, dens_k + fs, dens_m + fsq)
         for pref, nums_k, nums_m, dens_k, dens_m in base
@@ -388,10 +388,10 @@ def check_quadratic_specialization(r: int, pt: ParamPoint, order: int) -> Trunca
     """
     q = pt["q"]
     a0, a1, b1 = pt["a0"], pt["a1"], pt["b1"]
-    ta = tuple(pt[f"a{i}"] for i in range(2, r + 1))
-    tb = tuple(pt[f"b{i}"] for i in range(2, r + 1))
-    taq = tuple(x * q for x in ta)
-    tbq = tuple(x * q for x in tb)
+    ta = tuple([pt[f"a{i}"] for i in range(2, r + 1)])
+    tb = tuple([pt[f"b{i}"] for i in range(2, r + 1)])
+    taq = tuple([x * q for x in ta])
+    tbq = tuple([x * q for x in tb])
     one = Fraction(1)
 
     def f(nums, dens):
@@ -603,7 +603,7 @@ def build_hankel_little_qjacobi(n: int, p: AWParams) -> Matrix:
         Fraction(x, y)
         for x, y in zip(*_ratio_table((p.a * p.b,), p.abcd, p.q, 2 * n - 2, "(abcd;q)_(i+j)"))
     ]
-    return Matrix(n, n, tuple(hankel[i + j] for i in range(n) for j in range(n)))
+    return Matrix(n, n, tuple([hankel[i + j] for i in range(n) for j in range(n)]))
 
 
 def rhs_hankel(n: int, p: AWParams) -> Scalar:
@@ -645,7 +645,7 @@ def build_mehta_wang_matrix(n: int, pt: ParamPoint) -> Matrix:
     entry = _q_difference_hankel(
         c, q, *_ratio_table((a * q,), a * b * q**2, q, 2 * n - 2, "(abq^2;q)_(i+j-2)")
     )
-    return Matrix(n, n, tuple(entry(i, j) for i in range(n) for j in range(n)))
+    return Matrix(n, n, tuple([entry(i, j) for i in range(n) for j in range(n)]))
 
 
 def _q_difference_hankel(
@@ -807,8 +807,8 @@ def check_contiguous(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSer
     """
     q = pt["q"]
     a, b = pt["a"], pt["b"]
-    A = tuple(pt[f"A{i}"] for i in range(1, r))
-    B = tuple(pt[f"B{i}"] for i in range(1, s))
+    A = tuple([pt[f"A{i}"] for i in range(1, r)])
+    B = tuple([pt[f"B{i}"] for i in range(1, s)])
     e = 1 + s - r
     one = Fraction(1)
     t1 = phi_series(HypergeometricSpec((a * q,) + A, (b * q,) + B, q), one, order)
@@ -825,8 +825,8 @@ def check_contiguous(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSer
         pref /= 1 - x
     t3 = phi_series(
         HypergeometricSpec(
-            (a * q,) + tuple(x * q for x in A),
-            (b * q**2,) + tuple(x * q for x in B),
+            (a * q,) + tuple([x * q for x in A]),
+            (b * q**2,) + tuple([x * q for x in B]),
             q,
         ),
         q**e,
@@ -1039,7 +1039,7 @@ def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
     matrices = (build_hankel_little_qjacobi(top, p), build_hankel_decorated(top, p))
     prime = trial_prime(pt.seed)
     out = []
-    for n, (d, e) in enumerate(zip(*(leading_minors(M, prime) for M in matrices)), 1):
+    for n, (d, e) in enumerate(zip(*[leading_minors(M, prime) for M in matrices]), 1):
         out.append(d - rhs_hankel(n, p))
         out.append(e - rhs_hankel_decorated(n, p))
     return out

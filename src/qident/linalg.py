@@ -80,12 +80,12 @@ class Matrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls(r, c, tuple(Fraction(x) for row in rows for x in row))
+        return cls(r, c, tuple([Fraction(x) for row in rows for x in row]))
 
     @classmethod
     def build(cls, rows: int, cols: int, fn: Callable[[int, int], Scalar]) -> "Matrix":
         return cls(
-            rows, cols, tuple(Fraction(fn(i, j)) for i in range(rows) for j in range(cols))
+            rows, cols, tuple([Fraction(fn(i, j)) for i in range(rows) for j in range(cols)])
         )
 
     @classmethod
@@ -102,7 +102,7 @@ class Matrix:
             raise IndexError(f"no leading block of order {k}")
         c = self.cols
         return self._trusted(
-            k, k, tuple(x for i in range(k) for x in self.entries[i * c : i * c + k])
+            k, k, tuple([x for i in range(k) for x in self.entries[i * c : i * c + k]])
         )
 
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
@@ -146,7 +146,7 @@ class SkewMatrix(Matrix):
                 v = Fraction(fn(i, j))
                 rows[i][j] = v
                 rows[j][i] = -v
-        return cls._trusted(order, order, tuple(x for row in rows for x in row))
+        return cls._trusted(order, order, tuple([x for row in rows for x in row]))
 
 
 def minor(M: Matrix, drop_rows: Iterable[int], drop_cols: Iterable[int]) -> Matrix:
@@ -166,7 +166,7 @@ def minor(M: Matrix, drop_rows: Iterable[int], drop_cols: Iterable[int]) -> Matr
     return Matrix(
         len(keep_r),
         len(keep_c),
-        tuple(M[i, j] for i in keep_r for j in keep_c),
+        tuple([M[i, j] for i in keep_r for j in keep_c]),
     )
 
 
@@ -320,7 +320,7 @@ def pair_swapped(M: Matrix) -> Matrix:
     """
     if M.rows % 2:
         raise OddOrder("row pairs need an even row count")
-    return Matrix(M.rows, M.cols, tuple(x for i in range(M.rows) for x in M.row(i ^ 1)))
+    return Matrix(M.rows, M.cols, tuple([x for i in range(M.rows) for x in M.row(i ^ 1)]))
 
 
 def det_condensation(M: Matrix) -> list[Scalar]:

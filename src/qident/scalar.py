@@ -121,7 +121,7 @@ def _ratio_table(
 
 def _common_denominator(values: Sequence[Scalar]) -> tuple[list[int], int]:
     """Integers v * L and L, for L the lcm of the denominators of the values."""
-    lcm = math.lcm(*(v.denominator for v in values))
+    lcm = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
@@ -264,7 +264,7 @@ class ParamPoint:
         return self.assignments[name]
 
     def values(self, names: Sequence[str]) -> tuple[Scalar, ...]:
-        return tuple(self.assignments[n] for n in names)
+        return tuple([self.assignments[n] for n in names])
 
 
 def sample_point(names: Sequence[str], seed: int = 0, height: int = DEFAULT_HEIGHT) -> ParamPoint:

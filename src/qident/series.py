@@ -46,8 +46,8 @@ class HypergeometricSpec:
 def phi(numerators: Sequence, denominators: Sequence, q) -> HypergeometricSpec:
     """Convenience constructor accepting ints/Fractions."""
     return HypergeometricSpec(
-        tuple(Fraction(a) for a in numerators),
-        tuple(Fraction(b) for b in denominators),
+        tuple([Fraction(a) for a in numerators]),
+        tuple([Fraction(b) for b in denominators]),
         Fraction(q),
     )
 
@@ -85,7 +85,7 @@ class TruncatedSeries:
 
     def scale(self, c) -> "TruncatedSeries":
         c = Fraction(c)
-        return TruncatedSeries(tuple(c * x for x in self.coeffs))
+        return TruncatedSeries(tuple([c * x for x in self.coeffs]))
 
 
 def phi_term(spec: HypergeometricSpec, n: int) -> Scalar:
