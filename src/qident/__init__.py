@@ -31,6 +31,7 @@ from .askey_wilson import (
     XPoint,
     aw_leading_coeff,
     aw_moment,
+    aw_moments,
     aw_norm_ratio,
     aw_poly,
     aw_poly_as_polynomial,

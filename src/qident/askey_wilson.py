@@ -12,10 +12,12 @@ basis (a*z, a/z; q)_n rather than by the contour integral.
 
 L is applied in two ways, which check each other.  moment_functional applies
 the definition directly: it expands f on the basis by peeling off leading
-coefficients.  moment_weights goes through Newton interpolation on the
-q-quadratic lattice b_j = (q^j a + q^-j / a)/2 instead, and is the one place
-the double sum of Thm 4.3 is summed: it returns weights w_j with
-L(f) = sum_j w_j f(b_j), and aw_moment applies them to (t + b_j)^n.  The
+coefficients.  The lattice weights go through Newton interpolation on the
+q-quadratic lattice b_j = (q^j a + q^-j / a)/2 instead: w_j with
+L(f) = sum_j w_j f(b_j) for deg f <= n.  The double sum of Thm 4.3 is summed
+in one place, one loop that yields the weights of every order n in turn.
+moment_weights reads one order and aw_moment applies it to (t + b_j)^n;
+aw_moments applies every order to (t + b_j)^k from the same pass.  The
 lattice coefficients, the moment weights, the connection coefficients and
 polynomial evaluation and products run on plain-int numerator/denominator
 pairs and build one canonical Fraction per value they return.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .scalar import (
     DomainError,
@@ -308,30 +310,41 @@ def newton_lattice_coeffs(
     return [Fraction(x, y) for x, y in zip(nums, dens)]
 
 
+def _weight_orders(p: AWParams, n: int) -> Iterator[list[tuple[int, int, int, int]]]:
+    """The lattice weights of each order k = 0..n in turn: (cn, cd, sn, sd) per
+    node j <= k, with w_j = (cn sn)/(cd sd) as unreduced integers.
+
+    M_kj = (cn/cd) (dn[k-j]/dd[k-j]) from _lattice_denominators does not depend
+    on the order, so s_j = sum_(j<=k'<=k) mu_k' dn[k'-j]/dd[k'-j] is a partial
+    sum: one accumulation loop over k adds one term to each s_j per order.
+    The tables of order n are read before the first yield.
+    """
+    tables = _lattice_denominators(p.a, p.q, n)
+    sums: list[tuple[int, int]] = []
+    for k, mu in enumerate(_basis_moments(n, p)):
+        sums.append((0, 1))
+        for j in range(k + 1):
+            dn, dd = tables[j][2][k - j], tables[j][3][k - j]
+            sn, sd = sums[j]
+            tn, td = mu.numerator * dn, mu.denominator * dd
+            sums[j] = (sn * td + tn * sd, sd * td)
+        yield [(cn, cd, sn, sd) for (cn, cd, _, _), (sn, sd) in zip(tables, sums)]
+
+
 def moment_weights(p: AWParams, n: int) -> tuple[list[Scalar], list[Scalar]]:
     """Nodes b_0..b_n and weights w_j with L(f) = sum_j w_j f(b_j) for deg f <= n.
 
     L is linear and L(f) = sum_k mu_k u_k, with mu_k = L((a*z, a/z; q)_k) and
-    u_k = sum_{j<=k} M_kj f(b_j), so w_j = sum_{k>=j} mu_k M_kj, with M_kj from
-    _lattice_denominators.  This is the one place the double sum of Thm 4.3 is
-    summed; aw_moment and the basis_moments and orthogonality checks apply it.
-    Raises DegenerateLattice when two of b_0..b_n coincide (the only way a
-    lattice Newton denominator of order n vanishes) and PoleError when
-    (abcd;q)_n vanishes; both persist as n grows.  moment_functional reads no
-    node, so it raises only the latter.
+    u_k = sum_{j<=k} M_kj f(b_j), so w_j = sum_{j<=k<=n} mu_k M_kj, with M_kj
+    from _lattice_denominators: the order-n weights of _weight_orders, the one
+    loop that sums the double sum of Thm 4.3.  Raises DegenerateLattice when
+    two of b_0..b_n coincide (the only way a lattice Newton denominator of
+    order n vanishes) and PoleError when (abcd;q)_n vanishes; both persist as
+    n grows.  moment_functional reads no node, so it raises only the latter.
     """
     nodes = _distinct_lattice_nodes(p.a, p.q, n)
-    tables = _lattice_denominators(p.a, p.q, n)
-    moments = _basis_moments(n, p)
-    weights = []
-    for j, (cn, cd, dn, dd) in enumerate(tables):
-        sn, sd = 0, 1
-        for i in range(n - j + 1):
-            mu = moments[j + i]
-            tn, td = mu.numerator * dn[i], mu.denominator * dd[i]
-            sn, sd = sn * td + tn * sd, sd * td
-        weights.append(Fraction(cn * sn, cd * sd))
-    return nodes, weights
+    *_, weights = _weight_orders(p, n)
+    return nodes, [Fraction(cn * sn, cd * sd) for cn, cd, sn, sd in weights]
 
 
 def _weighted_sum(weights: Sequence[Scalar], *columns: Sequence[Scalar]) -> Scalar:
@@ -377,11 +390,33 @@ def aw_moment(n: int, t: Scalar, p: AWParams) -> Scalar:
                  sum_{j=0}^k q^(k-j^2) a^(-2j) (t + (q^j a + q^-j/a)/2)^n
                  / ( (q, q^(1-2j)/a^2; q)_j (q, q^(2j+1) a^2; q)_{k-j} ).
 
-    The double sum is summed once, over k for each node, by moment_weights;
-    this applies its order-n weights w_j to the values (t + b_j)^n.
+    This applies the order-n weights of moment_weights to (t + b_j)^n;
+    aw_moments gives every order up to n from one pass.
     """
     nodes, weights = moment_weights(p, n)
     return _weighted_sum(weights, [(t + b) ** n for b in nodes])
+
+
+def aw_moments(t: Scalar, p: AWParams, n: int) -> list[Scalar]:
+    """[L((t+x)^k) for k = 0..n], equal to aw_moment(k, t, p) for each k.
+
+    One _weight_orders pass gives the weights of every order, and (t + b_j)^k
+    gains one factor per order.  This raises exactly when aw_moment(n, t, p)
+    raises, with its exception.  A lower order may raise another one: a zero
+    (abcd;q)_k raises PoleError there, while order n finds two nodes collided
+    first and raises DegenerateLattice.  The checks resample on both.
+    """
+    shifted = [t + b for b in _distinct_lattice_nodes(p.a, p.q, n)]
+    powers = [(1, 1)] * len(shifted)  # (t + b_j)^k at order k
+    out = []
+    for weights in _weight_orders(p, n):
+        num, den = 0, 1
+        for (cn, cd, sn, sd), (xn, xd) in zip(weights, powers):
+            tn, td = cn * sn * xn, cd * sd * xd
+            num, den = num * td + tn * den, den * td
+        out.append(Fraction(num, den))
+        powers = [(xn * x.numerator, xd * x.denominator) for (xn, xd), x in zip(powers, shifted)]
+    return out
 
 
 def newton_coeffs(nodes: Sequence[Scalar], values: Sequence[Scalar]) -> list[Scalar]:

@@ -52,6 +52,7 @@ from .askey_wilson import (
     _peel_functional,
     _weighted_sum,
     aw_moment,
+    aw_moments,
     aw_norm_ratio,
     aw_poly,
     aw_poly_as_polynomial,
@@ -101,6 +102,7 @@ from .series import (
     HypergeometricSpec,
     TruncatedSeries,
     phi_series,
+    phi_term,
     phi_terminating,
     series_linear_combine,
     series_mul,
@@ -769,6 +771,10 @@ def check_gamma_pfaffian(m_max: int, a_int: int) -> list[list[Scalar]]:
     return out
 
 
+def _qwatson_spec(n: int, a: Scalar, b: Scalar, q: Scalar) -> HypergeometricSpec:
+    return HypergeometricSpec((q**-n, a**2 * q ** (n + 1), b, -b), (a * q, -a * q, b**2), q)
+
+
 def check_andrews_watson(n: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
     """Residual of the terminating q-Watson sum:
 
@@ -776,10 +782,7 @@ def check_andrews_watson(n: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
       = 0 for odd n, and b^n (q, a^2 q^2/b^2; q^2)_(n/2)
         / (a^2 q^2, b^2 q; q^2)_(n/2) for even n.
     """
-    spec = HypergeometricSpec(
-        (q**-n, a**2 * q ** (n + 1), b, -b), (a * q, -a * q, b**2), q
-    )
-    lhs = phi_terminating(spec, q, n)
+    lhs = phi_terminating(_qwatson_spec(n, a, b, q), q, n)
     if n % 2:
         return lhs
     h = n // 2
@@ -1011,8 +1014,14 @@ def _run_gamma_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
 
 @_check("andrews_qwatson", "§3 / Andrews' q-Watson sum", ("a", "b", "q"), Sizes(n_max=8))
 def _run_andrews_watson(pt: ParamPoint, sizes: Sizes) -> list:
+    """The q-Watson sum at n = 0..n_max, and phi_terminating at n_max against
+    the oracle phi_term, whose denominators it has read already."""
     a, b, q = pt["a"], pt["b"], pt["q"]
-    return [check_andrews_watson(n, a, b, q) for n in range(sizes.n_max + 1)]
+    out = [check_andrews_watson(n, a, b, q) for n in range(sizes.n_max + 1)]
+    n = sizes.n_max
+    spec = _qwatson_spec(n, a, b, q)
+    oracle = sum(phi_term(spec, k) * q**k for k in range(n + 1))
+    return out + [phi_terminating(spec, q, n) - oracle]
 
 
 @_check("gram_det", "Thm 4.1 / Eq. (Gramdet)", _ABCDQZ, Sizes(n_max=4))
@@ -1063,7 +1072,7 @@ def _run_moment_double_sum(pt: ParamPoint, sizes: Sizes) -> list:
     return out
 
 
-# aw_moment reads b, c and d only through _basis_moments, which is symmetric in
+# aw_moments reads b, c and d only through _basis_moments, which is symmetric in
 # them (the basis_moments check tests that).  A permutation of (a, b, c, d) can
 # therefore change the moment only through its first slot, and swapping a with
 # b, c or d reaches every first slot.
@@ -1073,13 +1082,13 @@ _A_SWAPS = ("bacd", "cbad", "dbca")
 @_check("moment_symmetry", "§4 weight symmetry of Eq. (eq:mom)", ("a", "b", "c", "d", "q", "t"),
         Sizes(n_max=6), note="a swapped with b, c and d")
 def _run_moment_symmetry(pt: ParamPoint, sizes: Sizes) -> list:
+    """One aw_moments pass per parameter order; it raises exactly when some
+    order's aw_moment would, since poles persist as the order grows."""
     p = _aw_from(pt)
     t = pt["t"]
-    out = []
-    for n in range(sizes.n_max + 1):
-        base = aw_moment(n, t, p)
-        out += [aw_moment(n, t, p.permuted(perm)) - base for perm in _A_SWAPS]
-    return out
+    orders = [p] + [p.permuted(perm) for perm in _A_SWAPS]
+    base, *swapped = [aw_moments(t, order, sizes.n_max) for order in orders]
+    return [other[n] - base[n] for n in range(sizes.n_max + 1) for other in swapped]
 
 
 @_check("basis_moments", "Eq. (linfunc)", ("a", "b", "c", "d", "q"), Sizes(n_max=6))

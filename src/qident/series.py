@@ -6,7 +6,9 @@ A basic hypergeometric series with r numerator and s denominator parameters is
 
 It is materialised here either as a TruncatedSeries in the formal variable z
 (dense coefficients up to a fixed order) or, when a numerator parameter equals
-q^(-m), as the exact Scalar value of the terminating sum.
+q^(-m), as the exact Scalar value of the terminating sum.  Both come from one
+pass of the term-ratio recurrence on integer pairs; phi_term, which builds a
+term from its Pochhammer products instead, is kept as their oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .scalar import PoleError, Scalar, _common_denominator, qpoch_multi
 
@@ -89,7 +91,8 @@ class TruncatedSeries:
 
 
 def phi_term(spec: HypergeometricSpec, n: int) -> Scalar:
-    """Coefficient of z^n in the series (argument factored out)."""
+    """Coefficient of z^n in the series (argument factored out), from its
+    Pochhammer products: the oracle for the term-ratio recurrence."""
     if n < 0:
         raise ValueError("term index must be nonnegative")
     q = spec.q
@@ -102,30 +105,19 @@ def phi_term(spec: HypergeometricSpec, n: int) -> Scalar:
     return num / den * sign * q ** (math.comb(n, 2) * e)
 
 
-def phi_series(
-    spec: HypergeometricSpec, argument_scale: Scalar, order: int = DEFAULT_ORDER
-) -> TruncatedSeries:
-    """The series with argument (argument_scale * z), truncated at `order`.
-
-    Coefficient n equals phi_term(spec, n) * argument_scale^n; computed by the
-    term-ratio recurrence, which keeps the cost linear in the order.  The term
-    is carried as an integer numerator/denominator pair: each step multiplies
-    in the integer ratio and reduces it once, through the canonical Fraction
-    that becomes coefficient n.
-    """
+def _term_ratios(spec: HypergeometricSpec, z: Scalar, top: int) -> Iterator[tuple[int, int]]:
+    """Term n / term n-1 of the series at argument z, n = 1..top, as an
+    unreduced integer pair.  The denominator factor (1 - q^n) prod_b (1 - b q^(n-1))
+    enters inverted; PoleError is raised at the first n where it vanishes."""
     qn, qd = spec.q.numerator, spec.q.denominator
     e = spec.sign_exponent
-    scale = Fraction(argument_scale)
+    zn, zd = z.numerator, z.denominator
     nums = [(a.numerator, a.denominator) for a in spec.numerators]
     dens = [(b.numerator, b.denominator) for b in spec.denominators]
     # ((-1)^n q^C(n,2))^e contributes (-q^(n-1))^e to the ratio of term n
     sign = -1 if e % 2 else 1
-    term = Fraction(1)
-    coeffs = [term]
     pn, pd = 1, 1  # q^(n-1) = pn/pd while computing term n
-    for n in range(1, order + 1):
-        # term n / term n-1 = r_num / r_den; the denominator factor
-        # (1 - q^n) prod_b (1 - b q^(n-1)) enters inverted
+    for n in range(1, top + 1):
         r_den = pd * qd - pn * qn
         r_num = pd * qd
         for bn, bd in dens:
@@ -136,37 +128,51 @@ def phi_series(
         for an, ad in nums:
             r_num *= ad * pd - an * pn
             r_den *= ad * pd
-        r_num *= scale.numerator
-        r_den *= scale.denominator
+        r_num *= zn
+        r_den *= zd
         if e > 0:
             r_num *= sign * pn**e
             r_den *= pd**e
         elif e < 0:
             r_num *= sign * pd**-e
             r_den *= pn**-e
-        term = Fraction(term.numerator * r_num, term.denominator * r_den)
-        coeffs.append(term)
+        yield r_num, r_den
         pn *= qn
         pd *= qd
+
+
+def phi_series(
+    spec: HypergeometricSpec, argument_scale: Scalar, order: int = DEFAULT_ORDER
+) -> TruncatedSeries:
+    """The series with argument (argument_scale * z), truncated at `order`.
+
+    Coefficient n equals phi_term(spec, n) * argument_scale^n: coefficient
+    n-1 times the ratio from _term_ratios, reduced once into a Fraction.
+    """
+    term = Fraction(1)
+    coeffs = [term]
+    for r_num, r_den in _term_ratios(spec, Fraction(argument_scale), order):
+        term = Fraction(term.numerator * r_num, term.denominator * r_den)
+        coeffs.append(term)
     return TruncatedSeries(tuple(coeffs))
 
 
 def phi_terminating(spec: HypergeometricSpec, z_value: Scalar, m: int) -> Scalar:
     """Exact value of the sum terminating at index m.
 
-    Requires a numerator parameter equal to q^(-m), which kills every later term.
+    Requires a numerator parameter equal to q^(-m), which kills every later
+    term.  With r_n from _term_ratios, the sum 1 + r_1 (1 + r_2 (... (1 + r_m)))
+    is folded by Horner's rule on integers into one Fraction.  It raises
+    PoleError exactly where phi_term(spec, n) does for some n <= m.
     """
     if m < 0:
         raise ValueError(f"termination order must be nonnegative, got {m}")
     if spec.q ** (-m) not in spec.numerators:
         raise NotTerminating(f"no numerator parameter equals q^(-{m})")
-    z = Fraction(z_value)
-    total = Fraction(0)
-    zn = Fraction(1)
-    for n in range(m + 1):
-        total += phi_term(spec, n) * zn
-        zn *= z
-    return total
+    num, den = 1, 1
+    for r_num, r_den in reversed(list(_term_ratios(spec, Fraction(z_value), m))):
+        num, den = r_den * den + r_num * num, r_den * den
+    return Fraction(num, den)
 
 
 def series_mul(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:

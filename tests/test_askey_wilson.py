@@ -14,6 +14,7 @@ from qident.askey_wilson import (
     _lattice_denominators,
     aw_leading_coeff,
     aw_moment,
+    aw_moments,
     aw_norm_ratio,
     aw_poly,
     aw_poly_as_polynomial,
@@ -404,3 +405,33 @@ def test_aw_moment_poles_match_the_term_by_term_oracle(height):
                 seen.add("value")
     if height < 40:
         assert seen == {"value", PoleError, DegenerateLattice}
+
+
+@pytest.mark.parametrize("height", (2, 3, 40))
+def test_aw_moments_match_aw_moment_at_every_order(height):
+    # one pass gives every order; it raises exactly when the top order does,
+    # with its exception, which a lower order may not share
+    seen, mixed = set(), 0
+    for seed in range(40):
+        pt = sample_point(("a", "b", "c", "d", "q", "t"), seed, height)
+        p = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"])
+        t = pt["t"]
+        outcomes = []
+        for n in range(7):
+            try:
+                expected = [aw_moment(k, t, p) for k in range(n + 1)]
+            except (PoleError, DegenerateLattice):
+                with pytest.raises((PoleError, DegenerateLattice)) as exc:
+                    aw_moments(t, p, n)
+                with pytest.raises(exc.type):
+                    aw_moment(n, t, p)
+                outcomes.append(exc.type)
+            else:
+                assert aw_moments(t, p, n) == expected
+                outcomes.append("value")
+        seen.update(outcomes)
+        mixed += PoleError in outcomes and DegenerateLattice in outcomes
+    if height < 40:
+        assert seen == {"value", PoleError, DegenerateLattice}
+    if height == 2:
+        assert mixed  # some point raises PoleError at a low order, DegenerateLattice later

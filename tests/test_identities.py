@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import rand_fraction, rand_q, six_term_parts
-from qident import askey_wilson, identities
+from qident import askey_wilson, identities, series
 from qident.askey_wilson import AWParams, XPoint, aw_poly
 from qident.identities import (
     CHECKS_BY_ID,
@@ -801,6 +801,23 @@ def test_modular_engine_off_by_one_fails_every_trial(monkeypatch, check_id, engi
     report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
     assert report.failures == report.trials == 5
     assert primes
+
+
+@pytest.mark.parametrize("check_id", ("andrews_qwatson", "aw_quadratic"))
+def test_term_ratio_index_slip_fails_every_trial(monkeypatch, check_id):
+    # the term-ratio generator read one term late, r_(n+1) in place of r_n:
+    # every terminating sum goes through it, and the closed forms and the
+    # phi_term oracle do not
+    real = series._term_ratios
+
+    def slipped(spec, argument, top):
+        ratios = real(spec, argument, top + 1)
+        next(ratios)
+        return ratios
+
+    monkeypatch.setattr(series, "_term_ratios", slipped)
+    report = run_check(CHECKS_BY_ID[check_id], trials=10, seed=0)
+    assert report.failures == report.trials == 10
 
 
 def test_gamma_pfaffian_runs_the_elimination_engine(monkeypatch):

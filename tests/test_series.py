@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import rand_fraction, rand_q
-from qident.scalar import PoleError, qpoch
+from qident.scalar import PoleError, qpoch, sample_point
 from qident.series import (
     NotTerminating,
     OrderMismatch,
@@ -123,6 +123,47 @@ def test_phi_terminating_agrees_with_series_evaluation():
     s = phi_series(spec, F(1), 7)
     by_series = sum(s[n] * z**n for n in range(8))
     assert phi_terminating(spec, z, m) == by_series
+
+
+def _terms_oracle(spec, z, m):
+    """sum_(n<=m) phi_term(spec, n) z^n, or the first PoleError's message."""
+    total = F(0)
+    for n in range(m + 1):
+        try:
+            total += phi_term(spec, n) * z**n
+        except PoleError as exc:
+            return str(exc)
+    return total
+
+
+@pytest.mark.parametrize("height", (2, 3, 40))
+def test_phi_terminating_matches_the_term_by_term_oracle(height):
+    # 0-4 extra numerators and denominators; at low heights b = q^(-k) is
+    # common, so phi_terminating must raise at the oracle's first pole term
+    names = ("q", "z") + tuple(f"a{i}" for i in range(4)) + tuple(f"b{i}" for i in range(4))
+    outcomes = {"value": 0, "pole": 0}
+    for seed in range(14):
+        pt = sample_point(names, seed, height)
+        q, z = pt["q"], pt["z"]
+        if z == q:
+            continue
+        for r in range(5):
+            for s in range(5):
+                for m in range(9):
+                    numerators = (q**-m,) + tuple(pt[f"a{i}"] for i in range(r))
+                    spec = phi(numerators, [pt[f"b{i}"] for i in range(s)], q)
+                    expected = _terms_oracle(spec, z, m)
+                    if isinstance(expected, str):
+                        with pytest.raises(PoleError) as exc:
+                            phi_terminating(spec, z, m)
+                        assert str(exc.value) == expected
+                        outcomes["pole"] += 1
+                    else:
+                        assert phi_terminating(spec, z, m) == expected
+                        outcomes["value"] += 1
+    assert outcomes["value"]
+    if height < 40:
+        assert outcomes["pole"]
 
 
 def test_series_mul_identity():
