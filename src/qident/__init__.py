@@ -18,7 +18,6 @@ from .series import (
     NotTerminating,
     OrderMismatch,
     TruncatedSeries,
-    phi,
     phi_series,
     phi_term,
     phi_terminating,
@@ -29,7 +28,6 @@ from .askey_wilson import (
     AWParams,
     PolynomialInX,
     XPoint,
-    aw_leading_coeff,
     aw_moment,
     aw_moments,
     aw_norm_ratio,

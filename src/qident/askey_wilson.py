@@ -19,8 +19,8 @@ in one place, one loop that yields the weights of every order n in turn.
 moment_weights reads one order and aw_moment applies it to (t + b_j)^n;
 aw_moments applies every order to (t + b_j)^k from the same pass.  The
 lattice coefficients, the moment weights, the connection coefficients and
-polynomial evaluation and products run on plain-int numerator/denominator
-pairs and build one canonical Fraction per value they return.
+polynomial evaluation and products run on integer pairs from scalar._pair
+and build one canonical Fraction per value they return.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from .scalar import (
     PoleError,
     Scalar,
     _common_denominator,
+    _pair,
     _qpoch_prefix,
+    _quotient,
     _ratio_table,
     qpoch,
     qpoch_multi,
@@ -105,7 +107,7 @@ class PolynomialInX:
     def __call__(self, x: Scalar) -> Scalar:
         """Horner's rule on the integers c_k * L, for L the lcm of the denominators."""
         cs, lcm = _common_denominator(self.coeffs)
-        xn, xd = x.numerator, x.denominator
+        xn, xd = _pair(x)
         acc, scale = cs[-1], 1
         for c in reversed(cs[:-1]):
             scale *= xd
@@ -141,13 +143,6 @@ def poly_x_plus(t: Scalar) -> PolynomialInX:
     return PolynomialInX([Fraction(t), Fraction(1)])
 
 
-def poly_power(p: PolynomialInX, n: int) -> PolynomialInX:
-    out = PolynomialInX([1])
-    for _ in range(n):
-        out = out * p
-    return out
-
-
 def pochhammer_basis_polys(a: Scalar, q: Scalar, n: int) -> list[PolynomialInX]:
     """[(a*z, a/z; q)_k as a polynomial in x for k = 0..n], each the last times
     one factor: (a*z, a/z; q)_k = prod_(i<k) (1 - 2 a q^i x + a^2 q^(2i))."""
@@ -180,11 +175,6 @@ def aw_poly(n: int, p: AWParams, pt: XPoint) -> Scalar:
     return pref * phi_terminating(aw_phi_spec(n, p, pt), q, n)
 
 
-def aw_leading_coeff(n: int, p: AWParams) -> Scalar:
-    """Leading x^n coefficient of p_n: 2^n (abcd q^(n-1); q)_n."""
-    return Fraction(2) ** n * qpoch(p.abcd * p.q ** (n - 1), p.q, n)
-
-
 def aw_poly_as_polynomial(n: int, p: AWParams) -> PolynomialInX:
     """p_n expanded in the monomial basis, by exact interpolation.
 
@@ -203,12 +193,10 @@ def aw_norm_ratio(n: int, p: AWParams) -> Scalar:
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     abcd = p.abcd
     den = (1 - q ** (2 * n - 1) * abcd) * qpoch(abcd, q, n)
-    if den == 0:
-        raise PoleError("norm ratio denominator vanishes")
     num = (1 - q ** (n - 1) * abcd) * qpoch_multi(
         (q, a * b, a * c, a * d, b * c, b * d, c * d), q, n
     )
-    return num / den
+    return _quotient(num, den, "norm ratio denominator")
 
 
 def basis_moment(n: int, p: AWParams) -> Scalar:
@@ -235,8 +223,8 @@ def lattice_nodes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
     With q^j a = u/w as an unreduced integer pair, b_j = (u^2 + w^2) / (2uw):
     one canonical Fraction per node.
     """
-    u, w = a.numerator, a.denominator
-    qn, qd = q.numerator, q.denominator
+    u, w = _pair(a)
+    qn, qd = _pair(q)
     out = []
     for _ in range(n + 1):
         out.append(Fraction(u * u + w * w, 2 * u * w))
@@ -266,7 +254,8 @@ def _lattice_denominators(
     """
     a, q = Fraction(a), Fraction(q)
     a2 = a * a
-    qn, qd = q.numerator, q.denominator
+    a2n, a2d = _pair(a2)
+    qn, qd = _pair(q)
     qq_n, qq_d = _qpoch_prefix(q, q, n)
     out = []
     for j in range(n + 1):
@@ -275,8 +264,8 @@ def _lattice_denominators(
         if qq_n[j] * head_n[j] == 0 or qq_n[n - j] * tail_n[n - j] == 0:
             raise PoleError("lattice Newton denominator vanishes")
         e = j * (j - 1)
-        cn = qd**e * a2.denominator**j * qq_d[j] * head_d[j]
-        cd = qn**e * a2.numerator**j * qq_n[j] * head_n[j]
+        cn = qd**e * a2d**j * qq_d[j] * head_d[j]
+        cd = qn**e * a2n**j * qq_n[j] * head_n[j]
         dn = [qn**i * qq_d[i] * tail_d[i] for i in range(n - j + 1)]
         dd = [qd**i * qq_n[i] * tail_n[i] for i in range(n - j + 1)]
         out.append((cn, cd, dn, dd))
@@ -300,10 +289,10 @@ def newton_lattice_coeffs(
     """
     if f.degree > n:
         raise DomainError(f"degree {f.degree} exceeds expansion order {n}")
-    fvals = [f(b) for b in _distinct_lattice_nodes(a, q, n)]
+    fvals = [_pair(f(b)) for b in _distinct_lattice_nodes(a, q, n)]
     nums, dens = [0] * (n + 1), [1] * (n + 1)
-    for j, (fb, (cn, cd, dn, dd)) in enumerate(zip(fvals, _lattice_denominators(a, q, n))):
-        wn, wd = fb.numerator * cn, fb.denominator * cd
+    for j, ((fn, fd), (cn, cd, dn, dd)) in enumerate(zip(fvals, _lattice_denominators(a, q, n))):
+        wn, wd = fn * cn, fd * cd
         for k in range(j, n + 1):
             tn, td = wn * dn[k - j], wd * dd[k - j]
             nums[k], dens[k] = nums[k] * td + tn * dens[k], dens[k] * td
@@ -321,12 +310,12 @@ def _weight_orders(p: AWParams, n: int) -> Iterator[list[tuple[int, int, int, in
     """
     tables = _lattice_denominators(p.a, p.q, n)
     sums: list[tuple[int, int]] = []
-    for k, mu in enumerate(_basis_moments(n, p)):
+    for k, (mn, md) in enumerate(map(_pair, _basis_moments(n, p))):
         sums.append((0, 1))
         for j in range(k + 1):
             dn, dd = tables[j][2][k - j], tables[j][3][k - j]
             sn, sd = sums[j]
-            tn, td = mu.numerator * dn, mu.denominator * dd
+            tn, td = mn * dn, md * dd
             sums[j] = (sn * td + tn * sd, sd * td)
         yield [(cn, cd, sn, sd) for (cn, cd, _, _), (sn, sd) in zip(tables, sums)]
 
@@ -351,9 +340,9 @@ def _weighted_sum(weights: Sequence[Scalar], *columns: Sequence[Scalar]) -> Scal
     """sum_j w_j x_j y_j ... over the value columns, as an unreduced integer pair."""
     num, den = 0, 1
     for w, *xs in zip(weights, *columns):
-        tn, td = w.numerator, w.denominator
-        for x in xs:
-            tn, td = tn * x.numerator, td * x.denominator
+        tn, td = _pair(w)
+        for xn, xd in map(_pair, xs):
+            tn, td = tn * xn, td * xd
         num, den = num * td + tn * den, den * td
     return Fraction(num, den)
 
@@ -406,7 +395,7 @@ def aw_moments(t: Scalar, p: AWParams, n: int) -> list[Scalar]:
     (abcd;q)_k raises PoleError there, while order n finds two nodes collided
     first and raises DegenerateLattice.  The checks resample on both.
     """
-    shifted = [t + b for b in _distinct_lattice_nodes(p.a, p.q, n)]
+    shifted = [_pair(t + b) for b in _distinct_lattice_nodes(p.a, p.q, n)]
     powers = [(1, 1)] * len(shifted)  # (t + b_j)^k at order k
     out = []
     for weights in _weight_orders(p, n):
@@ -415,7 +404,7 @@ def aw_moments(t: Scalar, p: AWParams, n: int) -> list[Scalar]:
             tn, td = cn * sn * xn, cd * sd * xd
             num, den = num * td + tn * den, den * td
         out.append(Fraction(num, den))
-        powers = [(xn * x.numerator, xd * x.denominator) for (xn, xd), x in zip(powers, shifted)]
+        powers = [(xn * sn, xd * sd) for (xn, xd), (sn, sd) in zip(powers, shifted)]
     return out
 
 
@@ -460,8 +449,8 @@ def connection_u(
     bs = [Fraction(b) for b in b_nodes[: k + 1]]
     if len(set(bs)) != len(bs):
         raise DuplicateNodes("b-nodes must be distinct")
-    a_pairs = [(a_nodes[j].numerator, a_nodes[j].denominator) for j in range(n)]
-    b_pairs = [(b.numerator, b.denominator) for b in bs]
+    a_pairs = [_pair(a_nodes[j]) for j in range(n)]
+    b_pairs = [_pair(b) for b in bs]
     # with b_r = rn/rd, the r-term is P_r B / (A rd^(n-k+1) D_r): P_r and D_r
     # are the integer products below, A and B the products of the a- and
     # b-node denominators

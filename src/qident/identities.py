@@ -12,13 +12,13 @@ Cauchy products it compares: main_quadratic_factors returns the two
 basic hypergeometric series of each product, and the six-term checks read
 every coefficient from them.  The matrix builders and the determinant and
 Pfaffian closed forms read their Pochhammer products from integer prefix
-tables (scalar._qpoch_prefix, scalar._qpoch_multi_prefix) and their
-Pochhammer ratios from scalar._ratio_table, and form each entry or
-closed-form value from unreduced integer products as one canonical
-Fraction.  Each divides only by the table entries it reads, so a zero
-elsewhere in a table is no pole.  The Mehta-Wang matrix and the skew
-matrices share one entry, (q^i - c q^j) h_(i+j), with c = 1 for the skew
-ones.
+tables (scalar._qpoch_prefix, scalar._qpoch_multi_prefix), their Pochhammer
+ratios from scalar._ratio_table and other integer pairs from scalar._pair,
+and form each entry or closed-form value from unreduced integer products as
+one canonical Fraction.  Each divides only by the table entries it reads, so
+a zero elsewhere in a table is no pole; other divisions that can meet a pole
+go through scalar._quotient.  The Mehta-Wang matrix and the skew matrices
+share one entry, (q^i - c q^j) h_(i+j), with c = 1 for the skew ones.
 
 The determinant and Pfaffian checks keep their builders, closed forms and
 oracles exact and run their engines mod a prime drawn from the trial point's
@@ -88,8 +88,10 @@ from .scalar import (
     SamplingExhausted,
     Scalar,
     _common_denominator,
+    _pair,
     _qpoch_multi_prefix,
     _qpoch_prefix,
+    _quotient,
     _ratio_table,
     gamma_int,
     qpoch,
@@ -151,19 +153,10 @@ def _vector(pt: ParamPoint, prefix: str, count: int) -> tuple[Scalar, ...]:
     return tuple([pt[f"{prefix}{i}"] for i in range(1, count + 1)])
 
 
-def _powers(x: int, top: int) -> list[int]:
-    """[x^0, x^1, ..., x^top]."""
-    out = [1]
-    for _ in range(top):
-        out.append(out[-1] * x)
-    return out
-
-
-def _quotient(num: Scalar, den: Scalar, what: str) -> Scalar:
-    """num / den, reporting a vanishing denominator as a pole."""
-    if den == 0:
-        raise PoleError(f"{what} vanishes")
-    return num / den
+def _powers(x: Scalar, top: int) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of x^0, x^1, ..., x^top, as integer pairs."""
+    xn, xd = _pair(x)
+    return [xn**i for i in range(top + 1)], [xd**i for i in range(top + 1)]
 
 
 def _closed_form(
@@ -181,7 +174,7 @@ def _closed_form(
     """
     num = den = 1
     for base, e in powers:
-        bn, bd = (base.numerator, base.denominator) if e >= 0 else (base.denominator, base.numerator)
+        bn, bd = _pair(base) if e >= 0 else _pair(base)[::-1]
         num *= bn ** abs(e)
         den *= bd ** abs(e)
     for pn, pd, rn, rd in factors:
@@ -294,15 +287,14 @@ def _six_term_excesses(pt: ParamPoint, top: int, r: int, s: int) -> list[list[Sc
     """
     sign = -1 if (s - r) % 2 else 1
     factors = [
-        (sign * pref.numerator, pref.denominator, f.coeffs, g.coeffs)
+        (_pair(sign * pref), [_pair(c) for c in f.coeffs], [_pair(c) for c in g.coeffs])
         for pref, f, g in main_quadratic_factors(pt, r, s, top)
     ]
 
     def excess(k: int, n: int) -> Scalar:
-        m = n - k
         (an, ad), (bn, bd), (cn, cd) = (
-            (pn * f[k].numerator * g[m].numerator, pd * f[k].denominator * g[m].denominator)
-            for pn, pd, f, g in factors
+            (pn * fn * gn, pd * fd * gd)
+            for (pn, pd), (fn, fd), (gn, gd) in [(pref, f[k], g[n - k]) for pref, f, g in factors]
         )
         return Fraction((an * bd - bn * ad) * cd + cn * ad * bd, ad * bd * cd)
 
@@ -462,8 +454,8 @@ def build_bordered_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
     (k0, k1, k2, k3), L = _common_denominator(
         (c + d - 2 * x, (1 - c * d) * a, (1 - c * d) * b, a * b * (c + d - 2 * c * d * x))
     )
-    qn, qd = _powers(q.numerator, 2 * n), _powers(q.denominator, 2 * n)
-    bn, bd = b.numerator, b.denominator
+    qn, qd = _powers(q, 2 * n)
+    bn, bd = _pair(b)
     entries = []
     for i in range(n):
         for j in range(n):  # column j+1: q^(j-1) above is q^j here
@@ -659,8 +651,8 @@ def _q_difference_hankel(
     entry; each caller reads its ratio table h over its own range, and
     i + j stays inside it.
     """
-    qn, qd = _powers(q.numerator, len(hn)), _powers(q.denominator, len(hn))
-    cn, cd = c.numerator, c.denominator
+    qn, qd = _powers(q, len(hn))
+    cn, cd = _pair(c)
     return lambda i, j: Fraction(
         (qn[i] * qd[j] * cd - cn * qn[j] * qd[i]) * hn[i + j], qd[i + j] * cd * hd[i + j]
     )
@@ -687,8 +679,7 @@ def rhs_mehta_wang(n: int, pt: ParamPoint) -> Scalar:
     if n:
         # (bq;q)_(k-2) at k = 1 is (bq;q)_(-1) = 1/(1-b), with a pole of its
         # own at b = 1, raised here before any (abq^2;q) pole
-        first = qpoch(b * q, q, -1)
-        factors.append((first.numerator, first.denominator, 1, 1))
+        factors.append((*_pair(qpoch(b * q, q, -1)), 1, 1))
     powers = ((Fraction(-1), n), (a, n * (n - 3) // 2), (q, n * (n + 1) * (2 * n - 5) // 6))
     pref = scale * _closed_form(powers, factors, "(abq^2;q)_(k+n-2)")
     spec = HypergeometricSpec(
@@ -788,10 +779,8 @@ def check_andrews_watson(n: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
     h = n // 2
     q2 = q**2
     den = qpoch_multi((a**2 * q**2, b**2 * q), q2, h)
-    if den == 0:
-        raise PoleError("closed-form denominator vanishes")
-    rhs = b**n * qpoch_multi((q, a**2 * q**2 / b**2), q2, h) / den
-    return lhs - rhs
+    num = b**n * qpoch_multi((q, a**2 * q**2 / b**2), q2, h)
+    return lhs - _quotient(num, den, "closed-form denominator")
 
 
 # ---------------------------------------------------------------------------
@@ -816,16 +805,11 @@ def check_contiguous(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSer
     one = Fraction(1)
     t1 = phi_series(HypergeometricSpec((a * q,) + A, (b * q,) + B, q), one, order)
     t2 = phi_series(HypergeometricSpec((a,) + A, (b,) + B, q), one, order)
-    den = (1 - b) * (1 - b * q)
-    if den == 0:
-        raise PoleError("prefactor denominator vanishes")
-    pref = Fraction(-1) ** e * (a - b) / den
+    pref = _quotient(Fraction(-1) ** e * (a - b), (1 - b) * (1 - b * q), "prefactor denominator")
     for x in A:
         pref *= 1 - x
     for x in B:
-        if x == 1:
-            raise PoleError("prefactor denominator vanishes")
-        pref /= 1 - x
+        pref = _quotient(pref, 1 - x, "prefactor denominator")
     t3 = phi_series(
         HypergeometricSpec(
             (a * q,) + tuple([x * q for x in A]),
@@ -1317,12 +1301,12 @@ def run_check(
 ) -> CheckReport:
     """Run `trials` independent random-point trials of one identity.
 
-    Raises EmptyResiduals, after the last trial, when any trial returned no
-    residual: the sizes leave the check nothing to compare, and a pass would
-    be vacuous.
+    Raises DomainError for fewer than one trial, and EmptyResiduals, after
+    the last trial, when any trial returned no residual: either way the check
+    would compare nothing, and a pass would be vacuous.
     """
-    if trials < 0:
-        raise DomainError("trials must be nonnegative")
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
     sizes = sizes if sizes is not None else check.defaults
     t0 = time.perf_counter()
     empty = 0

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .scalar import PoleError, Residue, Scalar, _common_denominator
 
@@ -75,14 +75,6 @@ class Matrix:
             raise ValueError("entry count does not match dimensions")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, tuple([Fraction(x) for row in rows for x in row]))
-
-    @classmethod
     def build(cls, rows: int, cols: int, fn: Callable[[int, int], Scalar]) -> "Matrix":
         return cls(
             rows, cols, tuple([Fraction(fn(i, j)) for i in range(rows) for j in range(cols)])
@@ -113,9 +105,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple[Scalar, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_lists(self) -> list[list[Scalar]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     @property
     def is_square(self) -> bool:

@@ -6,11 +6,12 @@ and division by zero raises instead of producing a NaN.  The Pochhammer
 kernels run their loops on plain-int numerator/denominator pairs and build one
 canonical ``Fraction`` per value they return: the values of running
 ``Fraction`` products, without a gcd at every factor.  The other modules
-take their integer pairs from the helpers here: Pochhammer prefix tables,
-Pochhammer ratio tables, and lists over one common denominator.  Identities are
-certified by evaluating both sides at random small-height rational points
-(Schwartz-Zippel style), so the sampler here is the only source of randomness
-and is fully deterministic in its seed.
+read a value's integer pair only through ``_pair``, divide with a pole check
+through ``_quotient``, and take their tables from the helpers here:
+Pochhammer prefix tables, Pochhammer ratio tables, and lists over one common
+denominator.  Identities are certified by evaluating both sides at random
+small-height rational points (Schwartz-Zippel style), so the sampler here is
+the only source of randomness and is fully deterministic in its seed.
 
 The determinant and Pfaffian engines can also run modulo a prime drawn from
 the trial's seed (``trial_prime``).  Their values are ``Residue``s: the
@@ -43,6 +44,18 @@ class SamplingExhausted(RuntimeError):
     """No usable parameter point was found within the retry cap."""
 
 
+def _pair(x: Scalar) -> tuple[int, int]:
+    """(numerator, positive denominator) of an int or Fraction, in lowest terms."""
+    return x.numerator, x.denominator
+
+
+def _quotient(num: Scalar, den: Scalar, what: str) -> Scalar:
+    """num / den, reporting a vanishing denominator as PoleError(f"{what} vanishes")."""
+    if den == 0:
+        raise PoleError(f"{what} vanishes")
+    return num / den
+
+
 def qpoch(a: Scalar, q: Scalar, n: int) -> Scalar:
     """q-shifted factorial (a;q)_n for any integer n.
 
@@ -72,8 +85,8 @@ def _qpoch_multi_prefix(params: Iterable[Scalar], q: Scalar, n: int) -> tuple[li
     """
     if n < 0:
         raise DomainError("a Pochhammer table needs n >= 0")
-    qn, qd = q.numerator, q.denominator
-    bases = [[a.numerator, a.denominator] for a in params]
+    qn, qd = _pair(q)
+    bases = [list(_pair(a)) for a in params]
     num = den = 1
     nums, dens = [1], [1]
     for _ in range(n):
@@ -147,7 +160,7 @@ class Residue:
                 raise ValueError("residues modulo different primes")
             return other.num, other.den
         if isinstance(other, (int, Fraction)):
-            return other.numerator, other.denominator
+            return _pair(other)
         return None
 
     def __add__(self, other):

@@ -7,8 +7,8 @@ A basic hypergeometric series with r numerator and s denominator parameters is
 It is materialised here either as a TruncatedSeries in the formal variable z
 (dense coefficients up to a fixed order) or, when a numerator parameter equals
 q^(-m), as the exact Scalar value of the terminating sum.  Both come from one
-pass of the term-ratio recurrence on integer pairs; phi_term, which builds a
-term from its Pochhammer products instead, is kept as their oracle.
+pass of the term-ratio recurrence on integer pairs from scalar._pair;
+phi_term, which builds a term from its Pochhammer products, is their oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .scalar import PoleError, Scalar, _common_denominator, qpoch_multi
+from .scalar import PoleError, Scalar, _common_denominator, _pair, qpoch_multi
 
 DEFAULT_ORDER = 12
 
@@ -43,15 +43,6 @@ class HypergeometricSpec:
     def sign_exponent(self) -> int:
         # the ((-1)^n q^C(n,2)) power is raised to 1 + s - r, possibly negative
         return 1 + len(self.denominators) - len(self.numerators)
-
-
-def phi(numerators: Sequence, denominators: Sequence, q) -> HypergeometricSpec:
-    """Convenience constructor accepting ints/Fractions."""
-    return HypergeometricSpec(
-        tuple([Fraction(a) for a in numerators]),
-        tuple([Fraction(b) for b in denominators]),
-        Fraction(q),
-    )
 
 
 @dataclass(frozen=True)
@@ -109,11 +100,11 @@ def _term_ratios(spec: HypergeometricSpec, z: Scalar, top: int) -> Iterator[tupl
     """Term n / term n-1 of the series at argument z, n = 1..top, as an
     unreduced integer pair.  The denominator factor (1 - q^n) prod_b (1 - b q^(n-1))
     enters inverted; PoleError is raised at the first n where it vanishes."""
-    qn, qd = spec.q.numerator, spec.q.denominator
+    qn, qd = _pair(spec.q)
     e = spec.sign_exponent
-    zn, zd = z.numerator, z.denominator
-    nums = [(a.numerator, a.denominator) for a in spec.numerators]
-    dens = [(b.numerator, b.denominator) for b in spec.denominators]
+    zn, zd = _pair(z)
+    nums = [_pair(a) for a in spec.numerators]
+    dens = [_pair(b) for b in spec.denominators]
     # ((-1)^n q^C(n,2))^e contributes (-q^(n-1))^e to the ratio of term n
     sign = -1 if e % 2 else 1
     pn, pd = 1, 1  # q^(n-1) = pn/pd while computing term n
@@ -149,11 +140,10 @@ def phi_series(
     Coefficient n equals phi_term(spec, n) * argument_scale^n: coefficient
     n-1 times the ratio from _term_ratios, reduced once into a Fraction.
     """
-    term = Fraction(1)
-    coeffs = [term]
+    coeffs = [Fraction(1)]
     for r_num, r_den in _term_ratios(spec, Fraction(argument_scale), order):
-        term = Fraction(term.numerator * r_num, term.denominator * r_den)
-        coeffs.append(term)
+        tn, td = _pair(coeffs[-1])
+        coeffs.append(Fraction(tn * r_num, td * r_den))
     return TruncatedSeries(tuple(coeffs))
 
 

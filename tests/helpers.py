@@ -1,12 +1,17 @@
 """Shared helpers for the test suite: small seeded rational generators, the
-six-term coefficients read one (k, n) at a time, and the perfect matchings
-with their crossing signs behind the reference Pfaffian."""
+six-term coefficients read one (k, n) at a time, the perfect matchings with
+their crossing signs behind the reference Pfaffian, and the small builders
+the tests use that the package does not (matrices from row lists, series
+specs from ints, powers of polynomials in x)."""
 
 import random
 from fractions import Fraction
 from typing import Sequence
 
+from qident.askey_wilson import AWParams, PolynomialInX
 from qident.identities import main_quadratic_factors
+from qident.scalar import qpoch
+from qident.series import HypergeometricSpec
 
 
 def rand_fraction(rng: random.Random, height: int = 12) -> Fraction:
@@ -55,3 +60,36 @@ def matching_sign(pairs: Sequence[tuple[int, int]]) -> int:
             if lo < a < hi < b:
                 crossings += 1
     return -1 if crossings % 2 else 1
+
+
+def from_rows(cls, rows: Sequence[Sequence]):
+    """A `cls` (Matrix, or SkewMatrix with its skew check) from equal-length rows."""
+    cols = len(rows[0]) if rows else 0
+    return cls(len(rows), cols, tuple([Fraction(x) for row in rows for x in row]))
+
+
+def to_lists(M) -> list[list[Fraction]]:
+    """The rows of a matrix as lists."""
+    return [list(M.row(i)) for i in range(M.rows)]
+
+
+def phi(numerators: Sequence, denominators: Sequence, q) -> HypergeometricSpec:
+    """A series spec from ints or Fractions."""
+    return HypergeometricSpec(
+        tuple([Fraction(a) for a in numerators]),
+        tuple([Fraction(b) for b in denominators]),
+        Fraction(q),
+    )
+
+
+def poly_power(p: PolynomialInX, n: int) -> PolynomialInX:
+    """p^n by repeated multiplication."""
+    out = PolynomialInX([1])
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def aw_leading_coeff(n: int, p: AWParams) -> Fraction:
+    """Leading x^n coefficient of the Askey-Wilson p_n: 2^n (abcd q^(n-1); q)_n."""
+    return Fraction(2) ** n * qpoch(p.abcd * p.q ** (n - 1), p.q, n)

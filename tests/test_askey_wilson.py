@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import rand_fraction, rand_q
+from helpers import aw_leading_coeff, poly_power, rand_fraction, rand_q
 from qident.askey_wilson import (
     AWParams,
     DegenerateLattice,
@@ -12,7 +12,6 @@ from qident.askey_wilson import (
     PolynomialInX,
     XPoint,
     _lattice_denominators,
-    aw_leading_coeff,
     aw_moment,
     aw_moments,
     aw_norm_ratio,
@@ -26,7 +25,6 @@ from qident.askey_wilson import (
     newton_lattice_coeffs,
     newton_to_monomial,
     pochhammer_basis_polys,
-    poly_power,
     poly_x_plus,
 )
 from qident.scalar import PoleError, qpoch, qpoch_multi, sample_point

@@ -45,7 +45,7 @@ from qident.identities import (
     _trial_seed,
 )
 from qident.linalg import det_cofactor, det_fraction_free, pfaffian_matchings
-from qident.scalar import ParamPoint, PoleError, qpoch, qpoch_multi, sample_point
+from qident.scalar import DomainError, ParamPoint, PoleError, qpoch, qpoch_multi, sample_point
 from qident.series import HypergeometricSpec, phi_series, phi_terminating, series_mul
 
 PT = ParamPoint(
@@ -687,9 +687,10 @@ def test_registry_size_and_ids():
 
 
 def test_run_check_zero_trials():
-    report = run_check(CHECKS_BY_ID["three_term_kernel"], trials=0, seed=0)
-    assert report.trials == report.failures == 0
-    assert report.witness_seeds == ()
+    # zero trials compare nothing, so they are refused rather than passed
+    for trials in (0, -1):
+        with pytest.raises(DomainError, match="trials must be at least 1"):
+            run_check(CHECKS_BY_ID["three_term_kernel"], trials=trials, seed=0)
 
 
 def test_run_check_rejects_empty_residual_lists():

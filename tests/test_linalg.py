@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import matching_sign, perfect_matchings, rand_fraction
+from helpers import from_rows, matching_sign, perfect_matchings, rand_fraction, to_lists
 from qident.linalg import (
     Matrix,
     NonSquare,
@@ -34,7 +34,7 @@ def rand_skew(rng, n, height=12):
 
 
 def test_minor_trivial():
-    M = Matrix.from_rows([[1, 2], [3, 4]])
+    M = from_rows(Matrix, [[1, 2], [3, 4]])
     assert minor(M, (), ()) == M
     assert minor(M, (0,), (0,)).entries == (F(4),)
     empty = minor(M, (0, 1), ())
@@ -43,7 +43,7 @@ def test_minor_trivial():
 
 
 def test_minor_errors():
-    M = Matrix.from_rows([[1, 2], [3, 4]])
+    M = from_rows(Matrix, [[1, 2], [3, 4]])
     with pytest.raises(IndexError):
         minor(M, (2,), ())
     with pytest.raises(IndexError):
@@ -54,7 +54,7 @@ def test_det_cofactor_base_cases():
     assert det_cofactor(Matrix(0, 0, ())) == 1
     eye = Matrix.build(3, 3, lambda i, j: F(int(i == j)))
     assert det_cofactor(eye) == 1
-    assert det_cofactor(Matrix.from_rows([[1, 2], [3, 4]])) == -2
+    assert det_cofactor(from_rows(Matrix, [[1, 2], [3, 4]])) == -2
 
 
 def test_det_cofactor_caps():
@@ -72,13 +72,13 @@ def test_det_fraction_free_against_cofactor():
 
 
 def test_det_fraction_free_singular():
-    M = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
+    M = from_rows(Matrix, [[1, 2, 3], [4, 5, 6], [1, 2, 3]])
     assert det_fraction_free(M) == 0
-    assert det_fraction_free(Matrix.from_rows([[F(5, 7)]])) == F(5, 7)
+    assert det_fraction_free(from_rows(Matrix, [[F(5, 7)]])) == F(5, 7)
 
 
 def test_det_fraction_free_needs_pivoting():
-    M = Matrix.from_rows([[0, 1, 2], [1, 0, 3], [4, 5, 0]])
+    M = from_rows(Matrix, [[0, 1, 2], [1, 0, 3], [4, 5, 0]])
     assert det_fraction_free(M) == det_cofactor(M)
 
 
@@ -118,7 +118,7 @@ def test_leading_minors_match_det_of_each_leading_block(seed):
     ids=["first", "middle", "last", "singular"],
 )
 def test_leading_minors_where_a_leading_minor_vanishes(rows, zero_orders):
-    M = Matrix.from_rows(rows)
+    M = from_rows(Matrix, rows)
     got = leading_minors(M)
     expected = [det_cofactor(leading_block(M, k)) for k in range(1, M.rows + 1)]
     assert canon(got) == canon(expected)
@@ -142,13 +142,13 @@ def test_det_condensation_agrees():
     for n in range(1, 8):
         M = rand_matrix(rng, n)
         assert det_condensation(M)[-1] == det_fraction_free(M)
-    assert det_condensation(Matrix.from_rows([[1, 2], [3, 4]])) == [1, -2]
+    assert det_condensation(from_rows(Matrix, [[1, 2], [3, 4]])) == [1, -2]
 
 
 def ref_condensation(M):
     """Dodgson condensation of one matrix on Fractions: its determinant, or
     PoleError at a zero interior entry.  The reference for one order."""
-    cur, prev = M.to_lists(), None
+    cur, prev = to_lists(M), None
     while len(cur) > 1:
         m = len(cur) - 1
         nxt = []
@@ -186,7 +186,7 @@ def test_det_condensation_reads_every_leading_minor_in_one_pass(seed, height):
 def test_det_condensation_zero_interior_fallback():
     # a zero interior entry leaves condensation nothing to divide by, so it
     # raises PoleError and the trial resamples its point
-    M = Matrix.from_rows([[1, 2, 3], [4, 0, 6], [7, 8, 10]])
+    M = from_rows(Matrix, [[1, 2, 3], [4, 0, 6], [7, 8, 10]])
     with pytest.raises(PoleError):
         det_condensation(M)
     rng = random.Random(2)
@@ -194,18 +194,18 @@ def test_det_condensation_zero_interior_fallback():
         rows = [[rand_fraction(rng) for _ in range(5)] for _ in range(5)]
         rows[2][2] = F(0)
         with pytest.raises(PoleError):
-            det_condensation(Matrix.from_rows(rows))
+            det_condensation(from_rows(Matrix, rows))
 
 
 def test_row_swap_negates_duplicate_row_kills():
     rng = random.Random(3)
     M = rand_matrix(rng, 5)
-    rows = M.to_lists()
+    rows = to_lists(M)
     rows[0], rows[3] = rows[3], rows[0]
-    swapped = Matrix.from_rows(rows)
+    swapped = from_rows(Matrix, rows)
     assert det_fraction_free(swapped) == -det_fraction_free(M)
     rows[0] = rows[3]
-    assert det_fraction_free(Matrix.from_rows(rows)) == 0
+    assert det_fraction_free(from_rows(Matrix, rows)) == 0
 
 
 def test_desnanot_jacobi_residual_zero():
@@ -219,12 +219,12 @@ def test_desnanot_jacobi_singular_matrix():
     rng = random.Random(5)
     rows = [[rand_fraction(rng) for _ in range(5)] for _ in range(5)]
     rows[4] = rows[0]
-    assert desnanot_jacobi_residual(Matrix.from_rows(rows)) == 0
+    assert desnanot_jacobi_residual(from_rows(Matrix, rows)) == 0
 
 
 def test_skew_matrix_validation():
     with pytest.raises(ValueError):
-        SkewMatrix.from_rows([[0, 1], [1, 0]])
+        from_rows(SkewMatrix, [[0, 1], [1, 0]])
     M = SkewMatrix.from_upper(4, lambda i, j: F(i + j))
     assert M[1, 3] == -M[3, 1] == 4
     assert all(M[i, i] == 0 for i in range(4))
@@ -244,7 +244,7 @@ def test_leading_block_keeps_the_class_and_entries():
     for k in range(7):
         block = S.leading(k)
         assert type(block) is SkewMatrix
-        assert block.to_lists() == leading_block(S, k).to_lists()
+        assert to_lists(block) == to_lists(leading_block(S, k))
     M = Matrix.build(2, 3, lambda i, j: F(i + j))
     assert type(M.leading(2)) is Matrix and M.leading(2).entries == (0, 1, 1, 2)
     for k in (-1, 3):
@@ -254,7 +254,7 @@ def test_leading_block_keeps_the_class_and_entries():
 
 def test_pfaffian_2x2():
     a = F(5, 3)
-    M = SkewMatrix.from_rows([[0, a], [-a, 0]])
+    M = from_rows(SkewMatrix, [[0, a], [-a, 0]])
     assert pfaffian_matchings(M) == a
     assert pfaffian_expansion(M) == a
 
@@ -321,22 +321,23 @@ def test_pfaffian_elimination_large_orders_square_to_det():
 def test_pfaffian_elimination_zero_pivot_swaps():
     rng = random.Random(9)
     for n in (4, 6, 8):
-        rows = rand_skew(rng, n).to_lists()
+        rows = to_lists(rand_skew(rng, n))
         rows[0][1] = rows[1][0] = F(0)
-        M = SkewMatrix.from_rows(rows)
+        M = from_rows(SkewMatrix, rows)
         assert pfaffian_expansion(M) == pfaffian_matchings(M)
 
 
 def test_pfaffian_elimination_zero_first_row():
     rng = random.Random(10)
-    rows = rand_skew(rng, 6).to_lists()
+    rows = to_lists(rand_skew(rng, 6))
     for j in range(6):
         rows[0][j] = rows[j][0] = F(0)
-    assert pfaffian_expansion(SkewMatrix.from_rows(rows)) == 0
+    assert pfaffian_expansion(from_rows(SkewMatrix, rows)) == 0
 
 
 def test_bareiss_mixed_denominators():
-    M = Matrix.from_rows(
+    M = from_rows(
+        Matrix,
         [[F(1, 2), F(2, 3), F(-5, 7)], [F(3, 4), F(1, 6), F(2)], [F(-7, 9), F(4, 5), F(1, 10)]]
     )
     assert det_fraction_free(M) == det_cofactor(M)
@@ -346,19 +347,19 @@ def test_bareiss_mixed_denominators():
 
 
 def test_bareiss_zero_leading_pivot():
-    M = Matrix.from_rows([[0, F(1, 3), 2], [F(5, 2), 0, 1], [1, F(2, 7), 0]])
+    M = from_rows(Matrix, [[0, F(1, 3), 2], [F(5, 2), 0, 1], [1, F(2, 7), 0]])
     assert det_fraction_free(M) == det_cofactor(M)
 
 
 def test_bareiss_singular_with_fractions():
-    M = Matrix.from_rows([[F(1, 2), F(1, 3)], [F(3, 2), 1]])
+    M = from_rows(Matrix, [[F(1, 2), F(1, 3)], [F(3, 2), 1]])
     assert det_fraction_free(M) == 0
 
 
 def test_bareiss_on_int_entries():
     M = Matrix(3, 3, (2, -1, 0, 4, 3, 1, 0, 5, 7))
     d = det_fraction_free(M)
-    assert d == det_cofactor(Matrix.from_rows(M.to_lists()))
+    assert d == det_cofactor(from_rows(Matrix, to_lists(M)))
     assert isinstance(d, F)
 
 
@@ -395,20 +396,20 @@ def test_pivot_divisible_by_p_falls_back_to_the_pivoting_pass():
     rng = random.Random(12)
     rows = [[rand_fraction(rng) for _ in range(5)] for _ in range(5)]
     rows[0][0] = F(3 * p, 7)
-    M = Matrix.from_rows(rows)
+    M = from_rows(Matrix, rows)
     exact = leading_minors(M)
     assert all(d != 0 for d in exact)
     got = leading_minors(M, p)
     assert got[0].num == 0 and got == exact
     assert det_fraction_free(M, p) == det_fraction_free(M)
     # here the order-2 leading minor is p and the order-3 one p + 1
-    M = Matrix.from_rows([[1, 1, 1], [1, 1 + p, 0], [0, 1, 1]])
+    M = from_rows(Matrix, [[1, 1, 1], [1, 1 + p, 0], [0, 1, 1]])
     got = leading_minors(M, p)
     assert leading_minors(M) == [1, p, p + 1] == got
     assert [d.num for d in got] == [1, 0, 1]
-    S_rows = rand_skew(rng, 6).to_lists()
+    S_rows = to_lists(rand_skew(rng, 6))
     S_rows[0][1], S_rows[1][0] = F(p, 5), F(-p, 5)
-    S = SkewMatrix.from_rows(S_rows)
+    S = from_rows(SkewMatrix, S_rows)
     assert pfaffian_expansion(S, p) == pfaffian_expansion(S) != 0
 
 
@@ -417,19 +418,19 @@ def test_modular_engines_on_singular_matrices_and_zero_rows():
     rng = random.Random(13)
     rows = [[rand_fraction(rng) for _ in range(6)] for _ in range(6)]
     rows[2] = [F(0)] * 6
-    M = Matrix.from_rows(rows)
+    M = from_rows(Matrix, rows)
     assert leading_minors(M, p) == leading_minors(M)
     assert [d == 0 for d in leading_minors(M, p)] == [False, False, True, True, True, True]
     rows[2] = [2 * x for x in rows[4]]  # singular, with no zero row
-    M = Matrix.from_rows(rows)
+    M = from_rows(Matrix, rows)
     assert det_fraction_free(M) == 0 and det_fraction_free(M, p) == 0
     assert det_fraction_free(Matrix(0, 0, ()), p) == 1
     zero = SkewMatrix.from_upper(6, lambda i, j: F(0))
     assert pfaffian_expansion(zero, p) == 0
-    S_rows = rand_skew(rng, 6).to_lists()
+    S_rows = to_lists(rand_skew(rng, 6))
     for j in range(6):
         S_rows[3][j] = S_rows[j][3] = F(0)
-    assert pfaffian_expansion(SkewMatrix.from_rows(S_rows), p) == 0
+    assert pfaffian_expansion(from_rows(SkewMatrix, S_rows), p) == 0
     assert pfaffian_expansion(SkewMatrix(0, 0, ()), p) == 1
 
 
@@ -478,12 +479,12 @@ def counting(monkeypatch, name):
 
 def test_leading_pfaffians_fall_back_after_an_exact_zero_pivot(monkeypatch):
     rng = random.Random(21)
-    rows = rand_skew(rng, 8).to_lists()
+    rows = to_lists(rand_skew(rng, 8))
     # the second pair's pivot, the Schur complement's (2, 3) entry, vanishes
     # exactly, and with it pf of the leading 4 block
     rows[2][3] = (rows[0][2] * rows[1][3] - rows[0][3] * rows[1][2]) / rows[0][1]
     rows[3][2] = -rows[2][3]
-    S = SkewMatrix.from_rows(rows)
+    S = from_rows(SkewMatrix, rows)
     expected = [pfaffian_matchings(leading_block(S, k)) for k in (2, 4, 6, 8)]
     assert expected[1] == 0 and all(pf != 0 for pf in expected[2:])
     calls = counting(monkeypatch, "pfaffian_expansion")
@@ -496,9 +497,9 @@ def test_leading_pfaffians_fall_back_after_an_exact_zero_pivot(monkeypatch):
 
 def test_leading_pfaffians_fall_back_after_a_pivot_divisible_by_p(monkeypatch):
     rng = random.Random(22)
-    rows = rand_skew(rng, 6).to_lists()
+    rows = to_lists(rand_skew(rng, 6))
     rows[0][1], rows[1][0] = F(P, 5), F(-P, 5)
-    S = SkewMatrix.from_rows(rows)
+    S = from_rows(SkewMatrix, rows)
     exact = [pfaffian_matchings(leading_block(S, k)) for k in (2, 4, 6)]
     assert all(pf != 0 for pf in exact)
     calls = counting(monkeypatch, "pfaffian_expansion")
@@ -537,12 +538,12 @@ def test_pair_swapped_even_minors_match_det_of_each_leading_block(height, seed):
 
 def test_pair_swapped_even_minors_past_a_vanishing_odd_minor(monkeypatch):
     rng = random.Random(23)
-    rows = rand_skew(rng, 8).to_lists()
+    rows = to_lists(rand_skew(rng, 8))
     # makes pf of the leading 4 block vanish, and with it the order-3 leading
     # minor of the pair-swapped matrix
     rows[2][3] = (rows[0][2] * rows[1][3] - rows[0][3] * rows[1][2]) / rows[0][1]
     rows[3][2] = -rows[2][3]
-    S = SkewMatrix.from_rows(rows)
+    S = from_rows(SkewMatrix, rows)
     swapped = leading_minors(pair_swapped(S))
     assert swapped[1] != 0 and swapped[2] == 0
     expected = [det_fraction_free(leading_block(S, k)) for k in (2, 4, 6, 8)]
@@ -555,7 +556,7 @@ def test_pair_swapped_even_minors_past_a_vanishing_odd_minor(monkeypatch):
 
 def test_pair_swapped_rows_and_errors():
     M = Matrix.build(4, 3, lambda i, j: F(10 * i + j))
-    assert pair_swapped(M).to_lists() == [list(M.row(i ^ 1)) for i in range(4)]
+    assert to_lists(pair_swapped(M)) == [list(M.row(i ^ 1)) for i in range(4)]
     assert pair_swapped(Matrix(0, 0, ())).entries == ()
     with pytest.raises(OddOrder):
         pair_swapped(Matrix.build(3, 3, lambda i, j: F(1)))

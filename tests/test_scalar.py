@@ -1,10 +1,13 @@
+import ast
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import qident
 from qident.scalar import (
     PoleError,
     DomainError,
@@ -12,6 +15,8 @@ from qident.scalar import (
     SamplingExhausted,
     _common_denominator,
     _is_prime,
+    _pair,
+    _quotient,
     gamma_int,
     qpoch,
     qpoch_multi,
@@ -95,6 +100,33 @@ def test_qpoch_multi():
     a = F(3, 4)
     assert qpoch_multi([a], q, 3) == qpoch(a, q, 3)
     assert qpoch_multi([F(1, 2), F(1, 3)], F(1, 5), 1) == F(1, 3)
+
+
+def test_pair():
+    assert _pair(7) == (7, 1)
+    assert _pair(F(-6, 4)) == (-3, 2)
+    assert _pair(F(0)) == (0, 1)
+    assert _pair(0) == (0, 1)
+
+
+def test_quotient():
+    assert _quotient(F(3, 4), F(-9, 2), "x") == F(-1, 6)
+    assert _quotient(5, 2, "x") == F(5, 2)
+    with pytest.raises(PoleError, match="^the prefactor vanishes$"):
+        _quotient(F(1), F(0), "the prefactor")
+
+
+def test_only_scalar_reads_integer_pairs():
+    """Every module but scalar reads a value's integer pair through _pair, so
+    scalar is the one place that knows how a value is stored."""
+    offenders = []
+    for path in sorted(Path(qident.__file__).parent.glob("*.py")):
+        if path.name == "scalar.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert offenders == []
 
 
 def test_common_denominator():

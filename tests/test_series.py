@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import rand_fraction, rand_q
+from helpers import phi, rand_fraction, rand_q
 from qident.scalar import PoleError, qpoch, sample_point
 from qident.series import (
     NotTerminating,
     OrderMismatch,
     TruncatedSeries,
-    phi,
     phi_series,
     phi_term,
     phi_terminating,
