@@ -22,7 +22,6 @@ from .series import (
     phi_term,
     phi_terminating,
     series_linear_combine,
-    series_mul,
 )
 from .askey_wilson import (
     AWParams,

@@ -19,8 +19,10 @@ in one place, one loop that yields the weights of every order n in turn.
 moment_weights reads one order and aw_moment applies it to (t + b_j)^n;
 aw_moments applies every order to (t + b_j)^k from the same pass.  The
 lattice coefficients, the moment weights, the connection coefficients and
-polynomial evaluation and products run on integer pairs from scalar._pair
-and build one canonical Fraction per value they return.
+polynomial evaluation run on integer pairs from scalar._pair and build one
+canonical Fraction per value they return.  Polynomial products and
+differences, the Newton expansion and the basis peel are each one call of
+the series kernel for sums of products, series._sum_of_products.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .scalar import (
     qpoch,
     qpoch_multi,
 )
-from .series import HypergeometricSpec, _convolve, phi_terminating
+from .series import HypergeometricSpec, _sum_of_products, phi_terminating
 
 
 class DuplicateNodes(ValueError):
@@ -117,22 +119,13 @@ class PolynomialInX:
     def __eq__(self, other) -> bool:
         return isinstance(other, PolynomialInX) and self.coeffs == other.coeffs
 
-    def __add__(self, other: "PolynomialInX") -> "PolynomialInX":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
-        return PolynomialInX([x + y for x, y in zip(a, b)])
-
     def __sub__(self, other: "PolynomialInX") -> "PolynomialInX":
-        return self + other.scale(Fraction(-1))
+        length = max(len(self.coeffs), len(other.coeffs))
+        return PolynomialInX(_sum_of_products([(1, self.coeffs), (-1, other.coeffs)], length))
 
     def __mul__(self, other: "PolynomialInX") -> "PolynomialInX":
         length = len(self.coeffs) + len(other.coeffs) - 1
-        return PolynomialInX(_convolve(self.coeffs, other.coeffs, length))
-
-    def scale(self, c: Scalar) -> "PolynomialInX":
-        c = Fraction(c)
-        return PolynomialInX([c * x for x in self.coeffs])
+        return PolynomialInX(_sum_of_products([(1, self.coeffs, other.coeffs)], length))
 
     def __repr__(self) -> str:
         return f"PolynomialInX({list(self.coeffs)})"
@@ -362,12 +355,11 @@ def moment_functional(f: PolynomialInX, p: AWParams) -> Scalar:
 
 def _peel_functional(f: PolynomialInX, basis: list[PolynomialInX], moments: list[Scalar]) -> Scalar:
     """moment_functional's peel, on basis and moment tables of any order >= deg f."""
-    rest = list(f.coeffs)
+    rest = f.coeffs
     total = Fraction(0)
     for k in range(f.degree, -1, -1):
         u = rest[k] / basis[k].coeffs[k]
-        for i, c in enumerate(basis[k].coeffs):
-            rest[i] -= u * c
+        rest = _sum_of_products([(1, rest), (-u, basis[k].coeffs)], k)  # x^k cancels
         total += u * moments[k]
     return total
 
@@ -430,11 +422,9 @@ def newton_coeffs(nodes: Sequence[Scalar], values: Sequence[Scalar]) -> list[Sca
 
 def newton_to_monomial(coeffs: Sequence[Scalar], nodes: Sequence[Scalar]) -> PolynomialInX:
     """Expand sum_k c_k (x-b_0)...(x-b_{k-1}) into the monomial basis."""
-    out = PolynomialInX([coeffs[-1]])
-    for k in range(len(coeffs) - 2, -1, -1):
-        out = out * PolynomialInX([-Fraction(nodes[k]), Fraction(1)])
-        out = out + PolynomialInX([coeffs[k]])
-    return out
+    factors = [(-b, 1) for b in nodes]
+    terms = [[c, (1,)] + factors[:k] for k, c in enumerate(coeffs)]
+    return PolynomialInX(_sum_of_products(terms, len(coeffs)))
 
 
 def connection_u(

@@ -41,7 +41,7 @@ class SuiteConfig:
 
     @property
     def suite_name(self) -> str:
-        if len(self.ids) == len(REGISTRY):
+        if self.ids == tuple(CHECKS_BY_ID):  # the registry's ids, in its order
             return "all"
         return ",".join(self.ids)
 

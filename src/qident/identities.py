@@ -39,7 +39,6 @@ import time
 import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Callable, Iterable
 
 from .askey_wilson import (
@@ -103,11 +102,11 @@ from .scalar import (
 from .series import (
     HypergeometricSpec,
     TruncatedSeries,
+    _sum_of_products,
     phi_series,
     phi_term,
     phi_terminating,
     series_linear_combine,
-    series_mul,
 )
 
 # (r, s) parameter-vector shapes exercised for the main quadratic formula;
@@ -270,7 +269,7 @@ def check_main_quadratic(r: int, s: int, pt: ParamPoint, order: int) -> Truncate
     """Residual series: LHS product - first RHS product + second RHS product."""
     return series_linear_combine(
         [
-            (sign * pref, series_mul(f, g))
+            (sign * pref, f, g)
             for sign, (pref, f, g) in zip((1, -1, 1), main_quadratic_factors(pt, r, s, order))
         ]
     )
@@ -399,9 +398,9 @@ def check_quadratic_specialization(r: int, pt: ParamPoint, order: int) -> Trunca
     t6 = f((a0, a1 * q) + taq, (b1 * q,) + tbq)
     return series_linear_combine(
         [
-            ((a0 - 1) * (a1 - b1), series_mul(t1, t2)),
-            (-(a0 - a1) * (1 - b1), series_mul(t3, t4)),
-            ((1 - a1) * (a0 - b1), series_mul(t5, t6)),
+            ((a0 - 1) * (a1 - b1), t1, t2),
+            (-(a0 - a1) * (1 - b1), t3, t4),
+            ((1 - a1) * (a0 - b1), t5, t6),
         ]
     )
 
@@ -820,8 +819,8 @@ def check_contiguous(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSer
         order,
     )
     # multiply by z: shift coefficients up one slot
-    shifted = TruncatedSeries((Fraction(0),) + t3.coeffs[:-1]).scale(pref)
-    return t1 - t2 - shifted
+    shifted = TruncatedSeries((Fraction(0),) + t3.coeffs[:-1])
+    return series_linear_combine([(1, t1), (-1, t2), (-pref, shifted)])
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +924,7 @@ def _run_aw_quadratic(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
-    top = max(sizes.n_max, 0)
+    top = sizes.n_max
     M = build_bordered_matrix(top, p, x)
     out = []
     dets = zip(leading_minors(M, trial_prime(pt.seed)), det_condensation(M))
@@ -940,7 +939,7 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("mehta_wang_det", "Cor. 3.2 / Eq. (eq:ITZ1)", ("a", "u", "v", "q"), Sizes(n_max=5),
         note="b = v^2, c = u^2/(aq)")
 def _run_mehta_wang(pt: ParamPoint, sizes: Sizes) -> list:
-    M = build_mehta_wang_matrix(max(sizes.n_max, 0), pt)
+    M = build_mehta_wang_matrix(sizes.n_max, pt)
     dets = leading_minors(M, trial_prime(pt.seed))
     return [d - rhs_mehta_wang(n, pt) for n, d in enumerate(dets, 1)]
 
@@ -1012,7 +1011,7 @@ def _run_andrews_watson(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_gram_det(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
-    dets = _gram_dets(build_gram_matrix(max(sizes.n_max, 0), p, x), trial_prime(pt.seed))
+    dets = _gram_dets(build_gram_matrix(sizes.n_max, p, x), trial_prime(pt.seed))
     return [d - rhs_gram_formula(n, p, x) for n, d in enumerate(dets, 1)]
 
 
@@ -1028,7 +1027,7 @@ def _run_gram_to_bordered(pt: ParamPoint, sizes: Sizes) -> list:
         ("a", "b", "c", "d", "q"), Sizes(n_max=5))
 def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
-    top = max(sizes.n_max, 0)
+    top = sizes.n_max
     matrices = (build_hankel_little_qjacobi(top, p), build_hankel_decorated(top, p))
     prime = trial_prime(pt.seed)
     out = []
@@ -1198,7 +1197,7 @@ def _run_connection_coeffs(pt: ParamPoint, sizes: Sizes) -> list:
     # n = n_top, compared coefficient by coefficient: n_top+1 residuals
     lhs = math.prod((poly_x_plus(a) for a in a_nodes), start=PolynomialInX([1]))
     rhs = newton_to_monomial(u[n_top], b_nodes)
-    out.extend(x - y for x, y in zip_longest(lhs.coeffs, rhs.coeffs, fillvalue=Fraction(0)))
+    out.extend(_sum_of_products([(1, lhs.coeffs), (-1, rhs.coeffs)], n_top + 1))
     return out
 
 
@@ -1214,7 +1213,7 @@ def _square_from(pt: ParamPoint, k: int) -> Matrix:
         note="orders 2..6")
 def _run_desnanot_jacobi(pt: ParamPoint, sizes: Sizes) -> list:
     top = min(sizes.n_max, 6)
-    full = _square_from(pt, max(top, 0))
+    full = _square_from(pt, top)
     return [desnanot_jacobi_residual(full.leading(k)) for k in range(2, top + 1)]
 
 
@@ -1223,7 +1222,7 @@ def _run_desnanot_jacobi(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_det_engines(pt: ParamPoint, sizes: Sizes) -> list:
     top = min(sizes.n_max, 6)
     prime = trial_prime(pt.seed)
-    full = _square_from(pt, max(top, 0))
+    full = _square_from(pt, top)
     minors, modular = leading_minors(full), leading_minors(full, prime)
     condensed = det_condensation(full)
     out = []
@@ -1247,7 +1246,7 @@ def _skew_names(size: int) -> tuple[str, ...]:
 def _run_pfaffian_engines(pt: ParamPoint, sizes: Sizes) -> list:
     top = min(sizes.m_max, 4)
     prime = trial_prime(pt.seed)
-    full = SkewMatrix.from_upper(2 * max(top, 0), lambda i, j: pt[f"w{i}_{j}"])
+    full = SkewMatrix.from_upper(2 * top, lambda i, j: pt[f"w{i}_{j}"])
     leading, modular = leading_pfaffians(full), leading_pfaffians(full, prime)
     out = []
     for m in range(1, top + 1):
@@ -1303,11 +1302,16 @@ def run_check(
 
     Raises DomainError for fewer than one trial, and EmptyResiduals, after
     the last trial, when any trial returned no residual: either way the check
-    would compare nothing, and a pass would be vacuous.
+    would compare nothing, and a pass would be vacuous.  Sizes that no check
+    can read raise DomainError before the first trial: a negative n_max,
+    m_max or order, or a height below 2, which leaves q no value but +-1.
     """
     if trials < 1:
         raise DomainError("trials must be at least 1")
     sizes = sizes if sizes is not None else check.defaults
+    for name, least in (("n_max", 0), ("m_max", 0), ("order", 0), ("height", 2)):
+        if getattr(sizes, name) < least:
+            raise DomainError(f"{name} must be at least {least}, got {getattr(sizes, name)}")
     t0 = time.perf_counter()
     empty = 0
     witnesses: list[int] = []

@@ -9,6 +9,11 @@ It is materialised here either as a TruncatedSeries in the formal variable z
 q^(-m), as the exact Scalar value of the terminating sum.  Both come from one
 pass of the term-ratio recurrence on integer pairs from scalar._pair;
 phi_term, which builds a term from its Pochhammer products, is their oracle.
+
+Every sum and product of series here, and of polynomials in askey_wilson, is
+one call of _sum_of_products: a signed sum of products of coefficient lists,
+computed on integers with one canonical Fraction per coefficient.
+series_linear_combine applies it to truncated series of one order.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .scalar import PoleError, Scalar, _common_denominator, _pair, qpoch_multi
-
-DEFAULT_ORDER = 12
 
 
 class NotTerminating(ValueError):
@@ -66,19 +69,6 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_linear_combine([(Fraction(1), self), (Fraction(1), other)])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_linear_combine([(Fraction(1), self), (Fraction(-1), other)])
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_mul(self, other)
-
-    def scale(self, c) -> "TruncatedSeries":
-        c = Fraction(c)
-        return TruncatedSeries(tuple([c * x for x in self.coeffs]))
 
 
 def phi_term(spec: HypergeometricSpec, n: int) -> Scalar:
@@ -132,14 +122,14 @@ def _term_ratios(spec: HypergeometricSpec, z: Scalar, top: int) -> Iterator[tupl
         pd *= qd
 
 
-def phi_series(
-    spec: HypergeometricSpec, argument_scale: Scalar, order: int = DEFAULT_ORDER
-) -> TruncatedSeries:
+def phi_series(spec: HypergeometricSpec, argument_scale: Scalar, order: int) -> TruncatedSeries:
     """The series with argument (argument_scale * z), truncated at `order`.
 
     Coefficient n equals phi_term(spec, n) * argument_scale^n: coefficient
     n-1 times the ratio from _term_ratios, reduced once into a Fraction.
     """
+    if order < 0:
+        raise ValueError(f"truncation order must be nonnegative, got {order}")
     coeffs = [Fraction(1)]
     for r_num, r_den in _term_ratios(spec, Fraction(argument_scale), order):
         tn, td = _pair(coeffs[-1])
@@ -165,42 +155,51 @@ def phi_terminating(spec: HypergeometricSpec, z_value: Scalar, m: int) -> Scalar
     return Fraction(num, den)
 
 
-def series_mul(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order, by integer convolution."""
-    if u.order != v.order:
-        raise OrderMismatch(f"orders differ: {u.order} vs {v.order}")
-    return TruncatedSeries(tuple(_convolve(u.coeffs, v.coeffs, u.order + 1)))
+def _coefficient(a: Sequence[int], b: Sequence[int], k: int) -> int:
+    """Coefficient k of the product of two integer coefficient lists."""
+    lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+    return sum(a[i] * b[k - i] for i in range(lo, hi + 1))
 
 
-def _convolve(u: Sequence[Scalar], v: Sequence[Scalar], length: int) -> list[Scalar]:
-    """The first `length` coefficients of the product of two coefficient lists.
+def _sum_of_products(terms: Sequence[Sequence], length: int) -> list[Scalar]:
+    """The first `length` coefficients of sum_i c_i prod_j u_ij.
 
-    Each operand is scaled to integers over the lcm of its denominators; the
-    integer numerators are convolved and each coefficient becomes one
-    canonical Fraction.
+    A term is (c, u_1, ..., u_k) with k >= 1: a scalar and coefficient lists
+    of any lengths.  Each u_j is scaled to integers over the lcm of its
+    denominators, and every factor but the last is multiplied out on those
+    integers.  Each coefficient is then one integer sum over the terms, read
+    from the last factor's convolution as it goes, and one canonical Fraction
+    over the lcm of the terms' denominators.  No term's full product is built:
+    holding those lists raised the peak memory of a run.
     """
-    a, da = _common_denominator(u)
-    b, db = _common_denominator(v)
-    den = da * db
-    out = []
-    for k in range(length):
-        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
-        out.append(Fraction(sum(a[i] * b[k - i] for i in range(lo, hi + 1)), den))
-    return out
+    parts = []
+    for c, *factors in terms:
+        *rest, last = factors  # by position: the same list may come twice
+        num, den = _pair(c)
+        head = [1]
+        for u in rest:
+            a, d = _common_denominator(u)
+            head = [_coefficient(head, a, k) for k in range(min(length, len(head) + len(a) - 1))]
+            den *= d
+        b, d = _common_denominator(last)
+        parts.append((num, den * d, head, b))
+    lcm = math.lcm(*[den for _, den, _, _ in parts])
+    parts = [(num * (lcm // den), head, b) for num, den, head, b in parts]
+    return [
+        Fraction(sum(num * _coefficient(head, b, k) for num, head, b in parts), lcm)
+        for k in range(length)
+    ]
 
 
-def series_linear_combine(
-    terms: Sequence[tuple[Scalar, TruncatedSeries]]
-) -> TruncatedSeries:
-    """Coefficientwise sum of c_i * u_i; all series must share one order."""
+def series_linear_combine(terms: Sequence[Sequence]) -> TruncatedSeries:
+    """sum_i c_i u_i1 ... u_ik for terms (c_i, u_i1, ..., u_ik), k >= 1: a
+    linear combination of products of series that all share one order."""
     if not terms:
         raise ValueError("need at least one term")
     order = terms[0][1].order
-    coeffs = [Fraction(0)] * (order + 1)
-    for c, u in terms:
-        if u.order != order:
-            raise OrderMismatch(f"orders differ: {u.order} vs {order}")
-        c = Fraction(c)
-        for k in range(order + 1):
-            coeffs[k] += c * u.coeffs[k]
-    return TruncatedSeries(tuple(coeffs))
+    for _, *factors in terms:
+        for u in factors:
+            if u.order != order:
+                raise OrderMismatch(f"orders differ: {u.order} vs {order}")
+    products = [[c] + [u.coeffs for u in factors] for c, *factors in terms]
+    return TruncatedSeries(tuple(_sum_of_products(products, order + 1)))

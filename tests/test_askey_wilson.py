@@ -234,8 +234,8 @@ def test_newton_lattice_basis_rescaling():
         for i in range(k):
             lhs = lhs * PolynomialInX([-nodes[i], F(1)])
         scale = F(-1) ** k * F(1, 2) ** k * a**-k * q ** (-k * (k - 1) // 2)
-        rhs = pochhammer_basis_polys(a, q, k)[k].scale(scale)
-        assert lhs.coeffs == rhs.coeffs
+        rhs = [scale * c for c in pochhammer_basis_polys(a, q, k)[k].coeffs]
+        assert list(lhs.coeffs) == rhs
 
 
 def test_newton_lattice_agrees_with_generic_newton():

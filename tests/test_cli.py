@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qident.cli import main
+from qident.cli import SuiteConfig, main
 from qident.identities import CHECKS_BY_ID, REGISTRY, IdentityCheck, Sizes
 from qident.scalar import PoleError
 
@@ -104,6 +104,15 @@ def test_verify_repeatable_identity_flag(tmp_path, capsys):
         "connection_coeffs",
     ]
     assert document["suite"] == "three_term_kernel,connection_coeffs"
+
+
+def test_suite_is_all_only_for_the_registry_in_order():
+    ids = tuple([check.id for check in REGISTRY])
+    assert SuiteConfig(ids).suite_name == "all"
+    # as many ids as the registry holds, but repeated or reordered
+    for other in ((ids[0],) * len(ids), ids[::-1], ids[1:] + ids[:1]):
+        assert len(other) == len(REGISTRY)
+        assert SuiteConfig(other).suite_name == ",".join(other)
 
 
 def test_report_deterministic_modulo_millis(tmp_path, capsys):

@@ -46,7 +46,7 @@ from qident.identities import (
 )
 from qident.linalg import det_cofactor, det_fraction_free, pfaffian_matchings
 from qident.scalar import DomainError, ParamPoint, PoleError, qpoch, qpoch_multi, sample_point
-from qident.series import HypergeometricSpec, phi_series, phi_terminating, series_mul
+from qident.series import HypergeometricSpec, phi_series, phi_terminating, series_linear_combine
 
 PT = ParamPoint(
     {
@@ -110,7 +110,7 @@ def test_main_quadratic_coefficients_match_sums(rs):
             sums[1] += B
             sums[2] += C
         for i, (pref, f, g) in enumerate(factors):
-            assert pref * series_mul(f, g)[n] == sign * sums[i]
+            assert series_linear_combine([(pref, f, g)])[n] == sign * sums[i]
         # and therefore the residual coefficient is (-)sum(A_k - B_k + C_k) = 0
         assert sums[0] - sums[1] + sums[2] == 0
 
@@ -407,7 +407,7 @@ def test_quadratic_specialization_embeds_in_main():
         }
     )
     factors = main_quadratic_factors(main_pt, r, r, order)
-    products = [series_mul(f, g) for _, f, g in factors]
+    products = [series_linear_combine([(1, f, g)]) for _, f, g in factors]
     prefactors = [pref for pref, _, _ in factors]
 
     def gz(nums, dens):
@@ -420,9 +420,8 @@ def test_quadratic_specialization_embeds_in_main():
     t5 = gz((a0, a1 / q, a2), (b1 / q, b2))
     t6 = gz((a0, a1 * q, a2 * q), (b1 * q, b2 * q))
     scale = -a0 * b1
-    assert products[0].coeffs == series_mul(t1, t2).coeffs
-    assert products[1].coeffs == series_mul(t5, t6).coeffs
-    assert products[2].coeffs == series_mul(t3, t4).coeffs
+    for product, (u, v) in zip(products, ((t1, t2), (t5, t6), (t3, t4))):
+        assert product.coeffs == series_linear_combine([(1, u, v)]).coeffs
     assert prefactors[0] == scale * (a0 - 1) * (a1 - b1)
     assert prefactors[1] == scale * -((1 - a1) * (a0 - b1))
     assert prefactors[2] == scale * -((a0 - a1) * (1 - b1))
@@ -691,6 +690,26 @@ def test_run_check_zero_trials():
     for trials in (0, -1):
         with pytest.raises(DomainError, match="trials must be at least 1"):
             run_check(CHECKS_BY_ID["three_term_kernel"], trials=trials, seed=0)
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        (Sizes(order=-5), "order must be at least 0, got -5"),
+        (Sizes(n_max=-1), "n_max must be at least 0, got -1"),
+        (Sizes(m_max=-2), "m_max must be at least 0, got -2"),
+        (Sizes(height=1), "height must be at least 2, got 1"),
+        (Sizes(height=0), "height must be at least 2, got 0"),
+    ],
+)
+def test_run_check_rejects_sizes_before_the_first_trial(sizes, message):
+    # with a negative order, main_quadratic would compare its z^0 coefficient alone
+    def never(pt, sizes):
+        raise AssertionError("a trial ran")
+
+    for check in (CHECKS_BY_ID["main_quadratic"], IdentityCheck("x", "t", ("q",), sizes, never)):
+        with pytest.raises(DomainError, match=message):
+            run_check(check, trials=2, seed=0, sizes=sizes)
 
 
 def test_run_check_rejects_empty_residual_lists():

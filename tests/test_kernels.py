@@ -37,6 +37,7 @@ from qident.askey_wilson import (
     moment_functional,
     moment_weights,
     newton_lattice_coeffs,
+    newton_to_monomial,
 )
 from qident.identities import (
     _MAIN_NAMES,
@@ -92,10 +93,12 @@ from qident.scalar import (
 )
 from qident.series import (
     HypergeometricSpec,
+    OrderMismatch,
     TruncatedSeries,
+    _sum_of_products,
     phi_series,
     phi_terminating,
-    series_mul,
+    series_linear_combine,
 )
 
 SEEDS = range(40)
@@ -163,6 +166,22 @@ def ref_phi_series(spec, scale, order):
 
 def ref_series_mul(a, b):
     return tuple(sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(len(a)))
+
+
+def ref_sum_of_products(terms, length):
+    """sum_i c_i prod_j u_ij truncated to `length`, by running Fraction products."""
+    out = [F(0)] * length
+    for c, *factors in terms:
+        prod = [F(c)]
+        for u in factors:
+            full = [F(0)] * (len(prod) + len(u) - 1)
+            for i, x in enumerate(prod):
+                for j, y in enumerate(u):
+                    full[i + j] += x * y
+            prod = full
+        for k, x in enumerate(prod[:length]):
+            out[k] += x
+    return out
 
 
 def canon(values):
@@ -335,16 +354,63 @@ def test_series_mul_matches_fraction_convolution(seed):
 
     a = tuple(coeff() for _ in range(order + 1))
     b = tuple(coeff() for _ in range(order + 1))
-    got = series_mul(TruncatedSeries(a), TruncatedSeries(b)).coeffs
+    got = series_linear_combine([(1, TruncatedSeries(a), TruncatedSeries(b))]).coeffs
     assert canon(got) == canon(ref_series_mul(a, b))
 
 
 def test_series_mul_order_zero_and_zero_series():
-    one = TruncatedSeries((F(3, 4),))
-    assert canon(series_mul(one, TruncatedSeries((F(-2, 9),))).coeffs) == canon([F(-1, 6)])
-    zero = TruncatedSeries((F(0),) * 4)
-    other = TruncatedSeries((F(1, 2), F(-5, 3), F(7), F(2, 9)))
-    assert canon(series_mul(zero, other).coeffs) == canon([F(0)] * 4)
+    def mul(u, v):
+        return series_linear_combine([(1, TruncatedSeries(u), TruncatedSeries(v))]).coeffs
+
+    assert canon(mul((F(3, 4),), (F(-2, 9),))) == canon([F(-1, 6)])
+    other = (F(1, 2), F(-5, 3), F(7), F(2, 9))
+    assert canon(mul((F(0),) * 4, other)) == canon([F(0)] * 4)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sum_of_products_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+
+    def factor():
+        return [entry(rng) for _ in range(rng.randint(1, 6))]
+
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        c = rng.choice((rand_fraction(rng, 40), F(0), rng.randint(-3, 3)))
+        shared = factor()
+        factors = [factor() for _ in range(rng.randint(1, 3))]
+        if len(factors) > 1 and rng.random() < 0.4:
+            factors[rng.randrange(len(factors))] = shared  # one list passed twice
+            factors[rng.randrange(len(factors))] = shared
+        terms.append((c, *factors))
+    full = max(sum(len(u) - 1 for u in factors) + 1 for _, *factors in terms)
+    for length in (1, max(full - 2, 1), full, full + 3):
+        got = _sum_of_products(terms, length)
+        assert canon(got) == canon(ref_sum_of_products(terms, length))
+
+
+def test_sum_of_products_reads_a_repeated_factor_by_position():
+    # p * p passes one list twice: both are factors, the second also the last
+    p = [F(1, 2), F(-1, 3)]
+    assert canon(_sum_of_products([(1, p, p)], 3)) == canon([F(1, 4), F(-1, 3), F(1, 9)])
+    assert canon(_sum_of_products([(F(2, 3), p, p, p)], 2)) == canon([F(1, 12), F(-1, 6)])
+    # an int coefficient and a zero one; a length past the product reads zeros
+    terms = [(3, p), (0, [F(5, 7)], [F(1, 11)])]
+    assert canon(_sum_of_products(terms, 4)) == canon([F(3, 2), F(-1), F(0), F(0)])
+
+
+def test_series_linear_combine_matches_the_reference_on_series():
+    rng = random.Random(7)
+    order = 5
+    us = [TruncatedSeries(tuple(entry(rng) for _ in range(order + 1))) for _ in range(3)]
+    terms = [(F(-2, 3), us[0], us[1]), (4, us[2]), (F(1, 5), us[1], us[1], us[2])]
+    expected = ref_sum_of_products(
+        [(c, *[u.coeffs for u in factors]) for c, *factors in terms], order + 1
+    )
+    assert canon(series_linear_combine(terms).coeffs) == canon(expected)
+    mismatched = TruncatedSeries(us[0].coeffs[:-1])
+    with pytest.raises(OrderMismatch, match=f"orders differ: {order - 1} vs {order}"):
+        series_linear_combine([(1, us[0], mismatched)])
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +452,25 @@ def ref_poly_mul(u, v):
     for i, ci in enumerate(u):
         for j, cj in enumerate(v):
             out[i + j] += ci * cj
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def ref_poly_sub(u, v):
+    n = max(len(u), len(v))
+    out = [F(x) - F(y) for x, y in zip(list(u) + [0] * (n - len(u)), list(v) + [0] * (n - len(v)))]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def ref_newton_to_monomial(coeffs, nodes):
+    """sum_k c_k (x-b_0)...(x-b_{k-1}) by Horner's rule on Fraction lists."""
+    out = [F(coeffs[-1])]
+    for c, b in zip(reversed(coeffs[:-1]), reversed(nodes[: len(coeffs) - 1])):
+        out = ref_poly_mul(out, [-F(b), F(1)])
+        out[0] += c
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
@@ -599,6 +684,11 @@ def test_polynomial_in_x_matches_fraction_loops(seed):
         assert canon([f(x)]) == canon([ref_poly_call(f.coeffs, F(x))])
     assert canon((f * g).coeffs) == canon(ref_poly_mul(f.coeffs, g.coeffs))
     assert canon((g * f).coeffs) == canon((f * g).coeffs)
+    assert canon((f - g).coeffs) == canon(ref_poly_sub(f.coeffs, g.coeffs))
+    assert canon((f - f).coeffs) == canon([F(0)])
+    nodes = [entry(rng) for _ in range(len(u))]
+    expected = ref_newton_to_monomial(u, nodes)
+    assert canon(newton_to_monomial(u, nodes).coeffs) == canon(expected)
 
 
 def test_polynomial_in_x_zero_and_constant():

@@ -15,7 +15,6 @@ from qident.series import (
     phi_term,
     phi_terminating,
     series_linear_combine,
-    series_mul,
 )
 
 Q = F(2, 7)
@@ -24,6 +23,11 @@ Q = F(2, 7)
 def one(order):
     """The series 1 truncated at z^order."""
     return TruncatedSeries((F(1),) + (F(0),) * order)
+
+
+def series_mul(u, v):
+    """The Cauchy product of two series of one order."""
+    return series_linear_combine([(1, u, v)])
 
 
 def test_phi_term_zero_index_is_one():
@@ -182,8 +186,15 @@ def test_series_mul_small():
 
 
 def test_series_mul_order_mismatch():
-    with pytest.raises(OrderMismatch):
-        series_mul(one(2), one(3))
+    # a factor of another order, inside a term or in a later term
+    for terms in (
+        [(1, one(2), one(3))],
+        [(1, one(2), one(2), one(3))],
+        [(1, one(2)), (1, one(2), one(3))],
+        [(1, one(3), one(3)), (1, one(2))],
+    ):
+        with pytest.raises(OrderMismatch):
+            series_linear_combine(terms)
 
 
 def test_series_linear_combine():
@@ -192,6 +203,19 @@ def test_series_linear_combine():
     assert series_linear_combine([(F(1), u)]).coeffs == u.coeffs
     assert series_linear_combine([(F(1), u), (F(-1), u)]).is_zero()
     assert series_linear_combine([(F(2), u), (F(3), v)]).coeffs == (F(2), F(7))
+    # 2 u^2 - 3 u v + v: (1 + 2z)(2 + 4z - 3z) + z = 2 + 6z, truncated at z^1
+    assert series_linear_combine([(2, u, u), (-3, u, v), (1, v)]).coeffs == (F(2), F(6))
+    with pytest.raises(ValueError, match="need at least one term"):
+        series_linear_combine([])
+
+
+def test_phi_series_rejects_a_negative_order():
+    spec = phi([F(1, 3)], [F(2, 5)], Q)
+    for order in (-1, -3):
+        with pytest.raises(ValueError, match=f"truncation order must be nonnegative, got {order}"):
+            phi_series(spec, F(1), order)
+    with pytest.raises(TypeError):
+        phi_series(spec, F(1))  # the order has no default
 
 
 def test_coefficient_access_beyond_order_errors():
