@@ -36,13 +36,11 @@ from .scalar import (
     DomainError,
     PoleError,
     Scalar,
+    _closed_form,
     _common_denominator,
     _pair,
-    _qpoch_prefix,
-    _quotient,
+    _qpoch_multi_prefix,
     _ratio_table,
-    qpoch,
-    qpoch_multi,
 )
 from .series import HypergeometricSpec, _sum_of_products, phi_terminating
 
@@ -163,8 +161,8 @@ def aw_poly(n: int, p: AWParams, pt: XPoint) -> Scalar:
         raise DomainError("degree must be nonnegative")
     if p.a == 0:
         raise DomainError("parameter a must be nonzero")
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    pref = qpoch_multi((a * b, a * c, a * d), q, n) / a**n
+    a, q = p.a, p.q
+    pref = _closed_form(((a, -n),), (((a * p.b, a * p.c, a * p.d), q, (n,)),))
     return pref * phi_terminating(aw_phi_spec(n, p, pt), q, n)
 
 
@@ -185,11 +183,13 @@ def aw_norm_ratio(n: int, p: AWParams) -> Scalar:
     """h_n/h_0 for the orthogonality L(p_m p_n) = (h_n/h_0) delta_mn."""
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     abcd = p.abcd
-    den = (1 - q ** (2 * n - 1) * abcd) * qpoch(abcd, q, n)
-    num = (1 - q ** (n - 1) * abcd) * qpoch_multi(
-        (q, a * b, a * c, a * d, b * c, b * d, c * d), q, n
+    pairs = (q, a * b, a * c, a * d, b * c, b * d, c * d)
+    return _closed_form(
+        (),
+        (((q ** (n - 1) * abcd,), q, (1,)), (pairs, q, (n,))),
+        (((q ** (2 * n - 1) * abcd,), q, (1,)), ((abcd,), q, (n,))),
+        "norm ratio denominator",
     )
-    return _quotient(num, den, "norm ratio denominator")
 
 
 def basis_moment(n: int, p: AWParams) -> Scalar:
@@ -249,11 +249,11 @@ def _lattice_denominators(
     a2 = a * a
     a2n, a2d = _pair(a2)
     qn, qd = _pair(q)
-    qq_n, qq_d = _qpoch_prefix(q, q, n)
+    qq_n, qq_d = _qpoch_multi_prefix((q,), q, n)
     out = []
     for j in range(n + 1):
-        head_n, head_d = _qpoch_prefix(q ** (1 - 2 * j) / a2, q, j)
-        tail_n, tail_d = _qpoch_prefix(q ** (2 * j + 1) * a2, q, n - j)
+        head_n, head_d = _qpoch_multi_prefix((q ** (1 - 2 * j) / a2,), q, j)
+        tail_n, tail_d = _qpoch_multi_prefix((q ** (2 * j + 1) * a2,), q, n - j)
         if qq_n[j] * head_n[j] == 0 or qq_n[n - j] * tail_n[n - j] == 0:
             raise PoleError("lattice Newton denominator vanishes")
         e = j * (j - 1)

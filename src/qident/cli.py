@@ -24,8 +24,9 @@ from .identities import (
     EmptyResiduals,
     Sizes,
     run_check,
+    validate_run,
 )
-from .scalar import SamplingExhausted
+from .scalar import DomainError, SamplingExhausted
 
 
 @dataclass(frozen=True)
@@ -72,28 +73,20 @@ def resolve_sizes(check_defaults: Sizes, config: SuiteConfig) -> Sizes:
 
 
 def run_suite(config: SuiteConfig) -> tuple[list[CheckReport], dict]:
-    if config.trials < 1:  # zero trials would compare nothing and pass
-        raise ConfigError("--trials must be at least 1")
-    for size_name in ("n_max", "m_max", "order", "height"):
-        v = getattr(config, size_name)
-        if v is not None and v < 0:
-            raise ConfigError(f"--{size_name.replace('_', '')} must be nonnegative")
-    if config.height is not None and config.height < 2:
-        # height 1 leaves q only the excluded values +-1; height 0 has no values
-        raise ConfigError("--height must be at least 2")
-    for check_id in config.ids:  # all of them before the first check runs
+    for check_id in config.ids:  # bad ids and sizes raise before the first check runs
         if check_id not in CHECKS_BY_ID:
             raise ConfigError(f"unknown identity: {check_id}")
+    plan = [(CHECKS_BY_ID[i], resolve_sizes(CHECKS_BY_ID[i].defaults, config)) for i in config.ids]
+    for _, sizes in plan:
+        validate_run(config.trials, sizes)
     reports = []
-    for check_id in config.ids:
-        check = CHECKS_BY_ID[check_id]
-        sizes = resolve_sizes(check.defaults, config)
+    for check, sizes in plan:
         try:
             reports.append(run_check(check, config.trials, config.seed, sizes))
         except (EmptyResiduals, SamplingExhausted):
             raise
         except Exception as exc:
-            raise CheckCrashed(check_id, exc) from exc
+            raise CheckCrashed(check.id, exc) from exc
     document = {
         "suite": config.suite_name,
         "seed": config.seed,
@@ -200,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return cmd_verify(config)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SamplingExhausted as exc:

@@ -10,14 +10,15 @@ witness.
 The six-term coefficients of the quadratic formula are the terms of the
 Cauchy products it compares: main_quadratic_factors returns the two
 basic hypergeometric series of each product, and the six-term checks read
-every coefficient from them.  The matrix builders and the determinant and
-Pfaffian closed forms read their Pochhammer products from integer prefix
-tables (scalar._qpoch_prefix, scalar._qpoch_multi_prefix), their Pochhammer
-ratios from scalar._ratio_table and other integer pairs from scalar._pair,
-and form each entry or closed-form value from unreduced integer products as
-one canonical Fraction.  Each divides only by the table entries it reads, so
-a zero elsewhere in a table is no pole; other divisions that can meet a pole
-go through scalar._quotient.  The Mehta-Wang matrix and the skew matrices
+every coefficient from them.  Every closed form here (the six-term factors
+G_k and Xi, D_n and the Gram, Hankel, Mehta-Wang and Pfaffian products, the
+q-Watson sum and the contiguous prefactor) is one call of
+scalar._closed_form.  The matrix builders read their Pochhammer products from
+integer prefix tables (scalar._qpoch_multi_prefix), their ratios from
+scalar._ratio_table and other integer pairs from scalar._pair, and form each
+entry from unreduced integer products as one canonical Fraction.  Builders
+and closed forms divide only by the table entries they read, so a zero
+elsewhere in a table is no pole.  The Mehta-Wang matrix and the skew matrices
 share one entry, (q^i - c q^j) h_(i+j), with c = 1 for the skew ones.
 
 The determinant and Pfaffian checks keep their builders, closed forms and
@@ -39,7 +40,7 @@ import time
 import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .askey_wilson import (
     AWParams,
@@ -86,15 +87,14 @@ from .scalar import (
     PoleError,
     SamplingExhausted,
     Scalar,
+    _closed_form,
     _common_denominator,
     _pair,
     _qpoch_multi_prefix,
-    _qpoch_prefix,
     _quotient,
     _ratio_table,
     gamma_int,
     qpoch,
-    qpoch_multi,
     qpoch_multi_table,
     sample_point,
     trial_prime,
@@ -156,32 +156,6 @@ def _powers(x: Scalar, top: int) -> tuple[list[int], list[int]]:
     """Numerators and denominators of x^0, x^1, ..., x^top, as integer pairs."""
     xn, xd = _pair(x)
     return [xn**i for i in range(top + 1)], [xd**i for i in range(top + 1)]
-
-
-def _closed_form(
-    powers: Iterable[tuple[Scalar, int]],
-    factors: Iterable[tuple[int, int, int, int]],
-    what: str = "",
-) -> Scalar:
-    """The shape of the determinant and Pfaffian closed forms: a monomial
-    prod base^e over `powers` times prod (pn/pd) / (rn/rd) over `factors`.
-
-    Each factor is a Pochhammer product pn/pd over a Pochhammer denominator
-    rn/rd, both integer pairs read from prefix tables.  A zero rn raises
-    PoleError, so a closed form divides only by the entries it reads; the
-    value is built as one canonical Fraction at the end.
-    """
-    num = den = 1
-    for base, e in powers:
-        bn, bd = _pair(base) if e >= 0 else _pair(base)[::-1]
-        num *= bn ** abs(e)
-        den *= bd ** abs(e)
-    for pn, pd, rn, rd in factors:
-        if rn == 0:
-            raise PoleError(f"{what} vanishes")
-        num *= pn * rd
-        den *= pd * rn
-    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +279,13 @@ def six_term_g(k: int, pt: ParamPoint, r: int, s: int) -> Scalar:
     a, b, c, d, q = pt["a"], pt["b"], pt["c"], pt["d"], pt["q"]
     es, fs = _vector(pt, "e", r), _vector(pt, "f", s)
     bc = b * c
-    num = (
-        (1 - q**k)
-        * (1 - bc * q ** (k - 2))
-        * qpoch_multi((bc / a, c, d), q, k - 1)
-        * qpoch(bc, q, k - 2)
-        * qpoch_multi(es, q, k)
-        * Fraction(-1) ** (k * (s - r))
-        * q ** (k * (k - 1) // 2 * (s - r))
+    # (bc;q)_(k-2) is (bc;q)_(-1) = 1/(1 - bc/q) at k = 1, with a pole of its own
+    return _closed_form(
+        ((-1, k * (s - r)), (q, k * (k - 1) // 2 * (s - r)), (qpoch(bc, q, k - 2), 1)),
+        (((q**k, bc * q ** (k - 2)), q, (1,)), ((bc / a, c, d), q, (k - 1,)), (es, q, (k,))),
+        (((a, b, bc / d, q) + fs, q, (k,)),),
+        "G_k denominator",
     )
-    den = qpoch_multi((a, b, bc / d, q), q, k) * qpoch_multi(fs, q, k)
-    return _quotient(num, den, "G_k denominator")
 
 
 def six_term_xi(n: int, pt: ParamPoint, r: int, s: int) -> Scalar:
@@ -323,20 +293,13 @@ def six_term_xi(n: int, pt: ParamPoint, r: int, s: int) -> Scalar:
     a, b, c, d, q = pt["a"], pt["b"], pt["c"], pt["d"], pt["q"]
     es, fs = _vector(pt, "e", r), _vector(pt, "f", s)
     bc = b * c
-    num = (
-        (a - b) * (a - c) * (a - d) * (b - d) * (c - d)
-        * (a * d - bc)
-        * (1 - bc * q ** (n - 1))
-        * (1 - a) * (1 - b) * (1 - bc / d)
-        * (1 - bc / q**2) * (1 - bc / q)
-        * qpoch_multi(fs, q, 1)
+    return _closed_form(
+        [(x, 1) for x in ((a - b), (a - c), (a - d), (b - d), (c - d), (a * d - bc))]
+        + [(a * d * q**2, -1)],
+        (((bc * q ** (n - 1), a, b, bc / d, bc / q**2, bc / q) + fs, q, (1,)),),
+        (((a / q, b / q, bc / (d * q)) + es, q, (1,)),),
+        "Xi denominator",
     )
-    den = (
-        a * d * q**2
-        * (1 - a / q) * (1 - b / q) * (1 - bc / (d * q))
-        * qpoch_multi(es, q, 1)
-    )
-    return _quotient(num, den, "Xi denominator")
 
 
 def check_three_term_kernel(pt: ParamPoint) -> Scalar:
@@ -469,12 +432,17 @@ def build_bordered_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
 def det_prefactor(n: int, p: AWParams) -> Scalar:
     """D_n = a^(n(n-1)/2) b^(n(n+1)/2) q^(n(n-1)(2n-1)/6)
              prod_i (ab,cd,q;q)_i / (abcd;q)_(n+i)."""
+    return _det_prefactor_times(n, p, 1, ())
+
+
+def _det_prefactor_times(n: int, p: AWParams, sign: int, extra: tuple[Scalar, ...]) -> Scalar:
+    """sign^n D_n prod_i (extra;q)_i: D_n with more bases in its numerator."""
     a, b, q = p.a, p.b, p.q
-    nn, nd = _qpoch_multi_prefix((a * b, p.c * p.d, q), q, n)
-    dn, dd = _qpoch_prefix(p.abcd, q, 2 * n)
     return _closed_form(
-        ((a, n * (n - 1) // 2), (b, n * (n + 1) // 2), (q, n * (n - 1) * (2 * n - 1) // 6)),
-        ((nn[i], nd[i], dn[n + i], dd[n + i]) for i in range(n)),
+        ((sign, n), (a, n * (n - 1) // 2), (b, n * (n + 1) // 2),
+         (q, n * (n - 1) * (2 * n - 1) // 6)),
+        (((a * b, p.c * p.d, q) + extra, q, range(n)),),
+        (((p.abcd,), q, range(n, 2 * n)),),
         "(abcd;q)_(n+i)",
     )
 
@@ -542,7 +510,8 @@ def gram_prefactor(n: int, p: AWParams) -> Scalar:
     """C = (-1)^n a^(n(n-1)/2) b^(n(n+1)/2) q^(n(n-1)(2n-1)/6)
            prod_i (ab,ac,ad,bc,bd,cd,q;q)_i / (abcd;q)_(n+i),
     that is (-1)^n D_n prod_i (ac,ad,bc,bd;q)_i."""
-    return Fraction(-1) ** n * det_prefactor(n, p) * _decoration_det(n, *_decorations(n, p))
+    a, b, c, d = p.a, p.b, p.c, p.d
+    return _det_prefactor_times(n, p, -1, (a * c, a * d, b * c, b * d))
 
 
 def rhs_gram_formula(n: int, p: AWParams, pt: XPoint) -> Scalar:
@@ -601,13 +570,18 @@ def build_hankel_little_qjacobi(n: int, p: AWParams) -> Matrix:
 
 def rhs_hankel(n: int, p: AWParams) -> Scalar:
     """(ab)^(n(n-1)/2) q^(n(n-1)(n-2)/3) prod_k (q,ab,cd;q)_k / (abcd;q)_(k+n-1)."""
+    return _rhs_hankel_times(n, p, ())
+
+
+def _rhs_hankel_times(n: int, p: AWParams, extra: tuple[Scalar, ...]) -> Scalar:
+    """rhs_hankel prod_k (extra;q)_k: the Hankel closed form with more bases
+    in its numerator."""
     q = p.q
     ab = p.a * p.b
-    nn, nd = _qpoch_multi_prefix((q, ab, p.c * p.d), q, n)
-    dn, dd = _qpoch_prefix(p.abcd, q, 2 * n)
     return _closed_form(
         ((ab, n * (n - 1) // 2), (q, n * (n - 1) * (n - 2) // 3)),
-        ((nn[k], nd[k], dn[k + n - 1], dd[k + n - 1]) for k in range(n)),
+        (((q, ab, p.c * p.d) + extra, q, range(n)),),
+        (((p.abcd,), q, range(n - 1, 2 * n - 1)),),
         "(abcd;q)_(k+n-1)",
     )
 
@@ -619,7 +593,8 @@ def build_hankel_decorated(n: int, p: AWParams) -> Matrix:
 
 def rhs_hankel_decorated(n: int, p: AWParams) -> Scalar:
     """Decorated closed form: plain closed form times prod_j (ac,ad,bc,bd;q)_j."""
-    return rhs_hankel(n, p) * _decoration_det(n, *_decorations(n, p))
+    a, b, c, d = p.a, p.b, p.c, p.d
+    return _rhs_hankel_times(n, p, (a * c, a * d, b * c, b * d))
 
 
 def mehta_wang_params(pt: ParamPoint) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar, Scalar]:
@@ -665,22 +640,23 @@ def rhs_mehta_wang(n: int, pt: ParamPoint) -> Scalar:
     * 4phi3[ q^-n, ab q^n, u, -u ; aq, uv, -uv ; q, q ].
     """
     a, b, _, u, v, q = mehta_wang_params(pt)
-    scale = qpoch(u**2 * v**2, q**2, n)
-    qq_n, qq_d = _qpoch_prefix(q, q, n)
-    aq_n, aq_d = _qpoch_prefix(a * q, q, n)
-    bq_n, bq_d = _qpoch_prefix(b * q, q, max(n - 2, 0))
-    dn, dd = _qpoch_prefix(a * b * q**2, q, 2 * n)
-    factors = [
-        (qq_n[k - 1] * aq_n[k], qq_d[k - 1] * aq_d[k], dn[k + n - 2], dd[k + n - 2])
-        for k in range(1, n + 1)
-    ]
-    factors += [(bq_n[k - 2], bq_d[k - 2], 1, 1) for k in range(2, n + 1)]
+    powers = [(-1, n), (a, n * (n - 3) // 2), (q, n * (n + 1) * (2 * n - 5) // 6)]
     if n:
         # (bq;q)_(k-2) at k = 1 is (bq;q)_(-1) = 1/(1-b), with a pole of its
         # own at b = 1, raised here before any (abq^2;q) pole
-        factors.append((*_pair(qpoch(b * q, q, -1)), 1, 1))
-    powers = ((Fraction(-1), n), (a, n * (n - 3) // 2), (q, n * (n + 1) * (2 * n - 5) // 6))
-    pref = scale * _closed_form(powers, factors, "(abq^2;q)_(k+n-2)")
+        powers.append((qpoch(b * q, q, -1), 1))
+    ks = range(1, n + 1)
+    pref = _closed_form(
+        powers,
+        (
+            ((u**2 * v**2,), q**2, (n,)),
+            ((q,), q, [k - 1 for k in ks]),
+            ((a * q,), q, ks),
+            ((b * q,), q, [k - 2 for k in ks[1:]]),
+        ),
+        (((a * b * q**2,), q, [k + n - 2 for k in ks]),),
+        "(abq^2;q)_(k+n-2)",
+    )
     spec = HypergeometricSpec(
         (q**-n, a * b * q**n, u, -u), (a * q, u * v, -u * v), q
     )
@@ -699,16 +675,11 @@ def build_even_det(m: int, a: Scalar, b: Scalar, q: Scalar) -> SkewMatrix:
 def rhs_pfaffian(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
     """a^(m(m-1)) q^(m(m-1)(4m+1)/3) prod_k (q,aq;q)_(2k-1)(bq;q)_(2k-2)
        / (abq^2;q)_(2(k+m)-3); the even-order determinant is its square."""
-    nn, nd = _qpoch_multi_prefix((q, a * q), q, 2 * m)
-    bq_n, bq_d = _qpoch_prefix(b * q, q, 2 * m)
-    dn, dd = _qpoch_prefix(a * b * q**2, q, 4 * m)
+    ks = range(1, m + 1)
     return _closed_form(
         ((a, m * (m - 1)), (q, m * (m - 1) * (4 * m + 1) // 3)),
-        (
-            (nn[2 * k - 1] * bq_n[2 * k - 2], nd[2 * k - 1] * bq_d[2 * k - 2],
-             dn[2 * (k + m) - 3], dd[2 * (k + m) - 3])
-            for k in range(1, m + 1)
-        ),
+        (((q, a * q), q, [2 * k - 1 for k in ks]), ((b * q,), q, [2 * k - 2 for k in ks])),
+        (((a * b * q**2,), q, [2 * (k + m) - 3 for k in ks]),),
         "(abq^2;q)_(2(k+m)-3)",
     )
 
@@ -721,16 +692,15 @@ def rhs_even_det(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
 def build_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> SkewMatrix:
     """2m x 2m skew matrix (q^i - q^j)(q^alpha; q)_(i+j), 0-based indices."""
     return SkewMatrix.from_upper(
-        2 * m, _q_difference_hankel(1, q, *_qpoch_prefix(q**alpha, q, 4 * m))
+        2 * m, _q_difference_hankel(1, q, *_qpoch_multi_prefix((q**alpha,), q, 4 * m))
     )
 
 
 def rhs_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> Scalar:
     """q^(m(m-1)(alpha-1) + m(m-1)(4m+1)/3) prod_k (q, q^alpha; q)_(2k-1)."""
-    nn, nd = _qpoch_multi_prefix((q, q**alpha), q, 2 * m)
     return _closed_form(
         ((q, m * (m - 1) * (alpha - 1) + m * (m - 1) * (4 * m + 1) // 3),),
-        ((nn[2 * k - 1], nd[2 * k - 1], 1, 1) for k in range(1, m + 1)),
+        (((q, q**alpha), q, [2 * k - 1 for k in range(1, m + 1)]),),
     )
 
 
@@ -776,10 +746,13 @@ def check_andrews_watson(n: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
     if n % 2:
         return lhs
     h = n // 2
-    q2 = q**2
-    den = qpoch_multi((a**2 * q**2, b**2 * q), q2, h)
-    num = b**n * qpoch_multi((q, a**2 * q**2 / b**2), q2, h)
-    return lhs - _quotient(num, den, "closed-form denominator")
+    a2q2 = a**2 * q**2
+    return lhs - _closed_form(
+        ((b, n),),
+        (((q, a2q2 / b**2), q**2, (h,)),),
+        (((a2q2, b**2 * q), q**2, (h,)),),
+        "closed-form denominator",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -804,11 +777,10 @@ def check_contiguous(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSer
     one = Fraction(1)
     t1 = phi_series(HypergeometricSpec((a * q,) + A, (b * q,) + B, q), one, order)
     t2 = phi_series(HypergeometricSpec((a,) + A, (b,) + B, q), one, order)
-    pref = _quotient(Fraction(-1) ** e * (a - b), (1 - b) * (1 - b * q), "prefactor denominator")
-    for x in A:
-        pref *= 1 - x
-    for x in B:
-        pref = _quotient(pref, 1 - x, "prefactor denominator")
+    pref = _closed_form(
+        ((-1, e), (a - b, 1)), ((A, q, (1,)),), (((b, b * q) + B, q, (1,)),),
+        "prefactor denominator",
+    )
     t3 = phi_series(
         HypergeometricSpec(
             (a * q,) + tuple([x * q for x in A]),
@@ -1292,6 +1264,17 @@ def run_trial(check: IdentityCheck, trial_seed: int, sizes: Sizes) -> tuple[list
     )
 
 
+def validate_run(trials: int, sizes: Sizes) -> None:
+    """Raise DomainError for a run that no check could use: fewer than one
+    trial, a negative n_max, m_max or order, or a height below 2, which
+    leaves q no value but +-1."""
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
+    for name, least in (("n_max", 0), ("m_max", 0), ("order", 0), ("height", 2)):
+        if getattr(sizes, name) < least:
+            raise DomainError(f"{name} must be at least {least}, got {getattr(sizes, name)}")
+
+
 def run_check(
     check: IdentityCheck,
     trials: int = 20,
@@ -1300,18 +1283,12 @@ def run_check(
 ) -> CheckReport:
     """Run `trials` independent random-point trials of one identity.
 
-    Raises DomainError for fewer than one trial, and EmptyResiduals, after
-    the last trial, when any trial returned no residual: either way the check
-    would compare nothing, and a pass would be vacuous.  Sizes that no check
-    can read raise DomainError before the first trial: a negative n_max,
-    m_max or order, or a height below 2, which leaves q no value but +-1.
+    Raises what validate_run raises before the first trial, and
+    EmptyResiduals, after the last trial, when any trial returned no
+    residual: the check would compare nothing, and a pass would be vacuous.
     """
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
     sizes = sizes if sizes is not None else check.defaults
-    for name, least in (("n_max", 0), ("m_max", 0), ("order", 0), ("height", 2)):
-        if getattr(sizes, name) < least:
-            raise DomainError(f"{name} must be at least {least}, got {getattr(sizes, name)}")
+    validate_run(trials, sizes)
     t0 = time.perf_counter()
     empty = 0
     witnesses: list[int] = []

@@ -5,13 +5,15 @@ arithmetic is exact, values are kept in lowest terms with positive denominator,
 and division by zero raises instead of producing a NaN.  The Pochhammer
 kernels run their loops on plain-int numerator/denominator pairs and build one
 canonical ``Fraction`` per value they return: the values of running
-``Fraction`` products, without a gcd at every factor.  The other modules
-read a value's integer pair only through ``_pair``, divide with a pole check
-through ``_quotient``, and take their tables from the helpers here:
-Pochhammer prefix tables, Pochhammer ratio tables, and lists over one common
-denominator.  Identities are certified by evaluating both sides at random
-small-height rational points (Schwartz-Zippel style), so the sampler here is
-the only source of randomness and is fully deterministic in its seed.
+``Fraction`` products, without a gcd at every factor.  Every closed form of
+the paper, a monomial times a ratio of Pochhammer products, is one call of
+``_closed_form``.  The other modules read a value's integer pair only through
+``_pair``, divide with a pole check through ``_quotient``, and take their
+tables from the helpers here: Pochhammer prefix tables, Pochhammer ratio
+tables, and lists over one common denominator.  Identities are certified by
+evaluating both sides at random small-height rational points (Schwartz-Zippel
+style), so the sampler here is the only source of randomness and is fully
+deterministic in its seed.
 
 The determinant and Pfaffian engines can also run modulo a prime drawn from
 the trial's seed (``trial_prime``).  Their values are ``Residue``s: the
@@ -63,17 +65,12 @@ def qpoch(a: Scalar, q: Scalar, n: int) -> Scalar:
     (a;q)_n = 1 / (a q^n; q)_{-n} for n < 0, a pole when that product vanishes.
     """
     if n >= 0:
-        nums, dens = _qpoch_prefix(a, q, n)
+        nums, dens = _qpoch_multi_prefix((a,), q, n)
         return Fraction(nums[n], dens[n])
-    nums, dens = _qpoch_prefix(Fraction(a) / q**-n, q, -n)
+    nums, dens = _qpoch_multi_prefix((Fraction(a) / q**-n,), q, -n)
     if nums[-n] == 0:
         raise PoleError(f"(a;q)_{n} undefined: factor 1 - a*q^k vanishes")
     return Fraction(dens[-n], nums[-n])
-
-
-def _qpoch_prefix(a: Scalar, q: Scalar, n: int) -> tuple[list[int], list[int]]:
-    """Integer numerators and positive denominators of (a;q)_0, ..., (a;q)_n."""
-    return _qpoch_multi_prefix((a,), q, n)
 
 
 def _qpoch_multi_prefix(params: Iterable[Scalar], q: Scalar, n: int) -> tuple[list[int], list[int]]:
@@ -113,6 +110,38 @@ def qpoch_multi(params: Iterable[Scalar], q: Scalar, n: int) -> Scalar:
     return Fraction(nums[n], dens[n])
 
 
+def _closed_form(
+    powers: Iterable[tuple[Scalar, int]],
+    nums: Iterable[tuple[Iterable[Scalar], Scalar, Sequence[int]]],
+    dens: Iterable[tuple[Iterable[Scalar], Scalar, Sequence[int]]] = (),
+    what: str = "",
+) -> Scalar:
+    """Every closed form in the paper: prod base^e over `powers` (e of either
+    sign) times the Pochhammer groups of `nums` over those of `dens`, as one
+    canonical Fraction of unreduced integer products.  A group (bases, q, ks)
+    is prod_(k in ks) (bases;q)_k from one _qpoch_multi_prefix table up to
+    max ks.  A zero power base with e < 0 or a zero denominator entry raises
+    PoleError(f"{what} vanishes"), so only the entries read can be poles."""
+    num = den = 1
+    for base, e in powers:
+        bn, bd = _pair(base) if e >= 0 else _pair(base)[::-1]
+        num *= bn ** abs(e)
+        den *= bd ** abs(e)
+    for bases, q, ks in nums:
+        tn, td = _qpoch_multi_prefix(bases, q, max(ks, default=0))
+        for k in ks:
+            num *= tn[k]
+            den *= td[k]
+    for bases, q, ks in dens:
+        tn, td = _qpoch_multi_prefix(bases, q, max(ks, default=0))
+        for k in ks:
+            num *= td[k]
+            den *= tn[k]
+    if den == 0:
+        raise PoleError(f"{what} vanishes")
+    return Fraction(num, den)
+
+
 def _ratio_table(
     nums: Iterable[Scalar], den: Scalar, q: Scalar, top: int, what: str, shift: int = 0
 ) -> tuple[list[int], list[int]]:
@@ -123,7 +152,7 @@ def _ratio_table(
     the last entry decides.  A negative top gives empty tables.
     """
     nn, nd = _qpoch_multi_prefix(nums, q, max(top, 0))
-    dn, dd = _qpoch_prefix(den, q, max(top + shift, 0))
+    dn, dd = _qpoch_multi_prefix((den,), q, max(top + shift, 0))
     if top >= 0 and dn[top + shift] == 0:
         raise PoleError(f"{what} vanishes")
     return (

@@ -7,7 +7,7 @@ import pytest
 
 from qident.cli import SuiteConfig, main
 from qident.identities import CHECKS_BY_ID, REGISTRY, IdentityCheck, Sizes
-from qident.scalar import PoleError
+from qident.scalar import DomainError, PoleError
 
 from test_identities import MUTATED
 
@@ -169,7 +169,7 @@ def test_negative_trials_is_config_error(capsys):
 def test_zero_trials_is_config_error(capsys):
     rc = main(["verify", "--identity", "gram_det", "--trials", "0"])
     assert rc == 2
-    assert "--trials must be at least 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "configuration error: trials must be at least 1\n"
 
 
 def test_bordered_det_past_the_cofactor_cap(capsys):
@@ -183,8 +183,31 @@ def test_height_below_two_is_config_error(height, capsys):
     rc = main(["verify", "--identity", "three_term_kernel", "--height", height])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "--height must be at least 2" in err
-    assert "Traceback" not in err
+    assert err == f"configuration error: height must be at least 2, got {height}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, size", [("--nmax", "n_max"), ("--mmax", "m_max"), ("--order", "order")]
+)
+def test_negative_size_exits_2_before_any_trial(flag, size, monkeypatch, capsys):
+    trials = []
+    monkeypatch.setattr("qident.identities.run_trial", lambda *args: trials.append(args))
+    rc = main(["verify", "--all", flag, "-1", "--trials", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"configuration error: {size} must be at least 0, got -1\n"
+    assert trials == []
+
+
+def test_domain_error_inside_a_trial_exits_3(monkeypatch, capsys):
+    def out_of_domain(pt, sizes):
+        raise DomainError("degree must be nonnegative")
+
+    check = IdentityCheck("out_of_domain", "test", ("q",), Sizes(), out_of_domain)
+    monkeypatch.setitem(CHECKS_BY_ID, check.id, check)
+    rc = main(["verify", "--identity", check.id, "--trials", "1"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: out_of_domain: DomainError: degree must be nonnegative\n"
 
 
 def test_sampling_exhausted_exits_2(monkeypatch, capsys):

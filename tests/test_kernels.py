@@ -31,6 +31,7 @@ from qident.askey_wilson import (
     _lattice_denominators,
     aw_moment,
     aw_norm_ratio,
+    aw_poly,
     aw_poly_as_polynomial,
     connection_u,
     lattice_nodes,
@@ -59,6 +60,8 @@ from qident.identities import (
     build_hankel_little_qjacobi,
     build_integer_exp_pfaffian,
     build_mehta_wang_matrix,
+    check_andrews_watson,
+    check_contiguous,
     det_prefactor,
     gram_elimination_residuals,
     gram_prefactor,
@@ -70,6 +73,8 @@ from qident.identities import (
     rhs_integer_exp_pfaffian,
     rhs_mehta_wang,
     rhs_pfaffian,
+    six_term_g,
+    six_term_xi,
 )
 from qident.linalg import (
     Matrix,
@@ -84,6 +89,8 @@ from qident.scalar import (
     DomainError,
     ParamPoint,
     PoleError,
+    _closed_form,
+    _quotient,
     _ratio_table,
     qpoch,
     qpoch_multi,
@@ -290,6 +297,77 @@ def test_ratio_table_raises_at_a_zero_last_denominator_only():
     with pytest.raises(PoleError, match=r"^\(q\^-2;q\)_\(k\+1\) vanishes$"):
         _ratio_table(nums, q**-2, q, 2, "(q^-2;q)_(k+1)", shift=1)
     assert _ratio_table(nums, q**-2, q, -1, "(q^-2;q)_(k+1)", shift=1) == ([], [])
+
+
+def ref_closed_form(powers, nums, dens, what):
+    """The closed-form kernel by running Fraction products, one symbol at a time."""
+
+    def product(groups):
+        return math.prod(
+            (ref_qpoch_multi(bases, q, k) for bases, q, ks in groups for k in ks),
+            start=F(1),
+        )
+
+    monomial = F(1)
+    for base, e in powers:
+        if e < 0 and base == 0:
+            raise PoleError(f"{what} vanishes")
+        monomial *= F(base) ** e
+    den = product(dens)
+    if den == 0:
+        raise PoleError(f"{what} vanishes")
+    return monomial * product(nums) / den
+
+
+def random_groups(rng, q):
+    """Pochhammer groups over q or q^2: empty groups, repeated and equal bases,
+    bases equal to q, k = 0 and repeated k, and q^-k bases whose symbols vanish."""
+    groups = []
+    for _ in range(rng.randint(0, 3)):
+        bases = [sample_base(rng, q) for _ in range(rng.randint(0, 3))]
+        if bases and rng.random() < 0.3:
+            bases.append(rng.choice((bases[0], q)))
+        ks = [rng.randint(0, 5) for _ in range(rng.randint(0, 3))]
+        if ks and rng.random() < 0.3:
+            ks.append(ks[0])
+        groups.append((tuple(bases), rng.choice((q, F(q) ** 2)), tuple(ks)))
+    return groups
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_closed_form_matches_fraction_products(seed):
+    rng = random.Random(seed)
+    q = sample_q(rng)
+    for _ in range(6):
+        powers = [
+            (rng.choice((rand_fraction(rng), F(0), q, -1, 2)), rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 3))
+        ]
+        nums, dens = random_groups(rng, q), random_groups(rng, q)
+        what = f"closed form {seed}"
+        assert attempt(_closed_form, powers, nums, dens, what) == attempt(
+            ref_closed_form, powers, nums, dens, what
+        )
+
+
+def test_closed_form_zeros_and_poles():
+    q = F(2, 3)
+    # (q^-2;q)_k vanishes from k = 3 on: a value 0 upstairs, a pole downstairs
+    assert canon([_closed_form([(q, -2)], [((q**-2, F(1, 2)), q, (1, 3))], [], "x")]) == canon(
+        [F(0)]
+    )
+    with pytest.raises(PoleError, match=r"^\(q\^-2;q\)_3 vanishes$"):
+        _closed_form([(q, 2)], [((F(1, 2),), q, (2,))], [((q**-2,), q, (0, 3))], "(q^-2;q)_3")
+    with pytest.raises(PoleError, match=r"^monomial vanishes$"):
+        _closed_form([(q, 1), (F(0), -1)], [], [], "monomial")
+    # empty groups, k = 0 and a zero base to a positive power
+    assert canon([_closed_form([], [((), q, (4,)), ((q,), q, ())], [((q,), q, (0,))])]) == canon(
+        [F(1)]
+    )
+    assert canon([_closed_form([(F(0), 2)], [], [((F(3),), q, (2,))], "x")]) == canon([F(0)])
+    # a value with negative powers, equal bases and a base equal to q
+    args = [(q, -3), (F(-1), 3)], [((q, q), q, (2, 2))], [((F(1, 5),), q**2, (3,))], ""
+    assert canon([_closed_form(*args)]) == canon([ref_closed_form(*args)])
 
 
 def random_spec(rng):
@@ -987,6 +1065,88 @@ def ref_rhs_mehta_wang(n, pt):
     return pref * phi_terminating(spec, q, n)
 
 
+def ref_vectors(pt, r, s):
+    return tuple(pt[f"e{i}"] for i in range(1, r + 1)), tuple(pt[f"f{i}"] for i in range(1, s + 1))
+
+
+def ref_six_term_g(k, pt, r, s):
+    a, b, c, d, q = pt["a"], pt["b"], pt["c"], pt["d"], pt["q"]
+    es, fs = ref_vectors(pt, r, s)
+    bc = b * c
+    num = (
+        (1 - q**k) * (1 - bc * q ** (k - 2))
+        * qpoch_multi((bc / a, c, d), q, k - 1) * qpoch(bc, q, k - 2) * qpoch_multi(es, q, k)
+        * F(-1) ** (k * (s - r)) * q ** (k * (k - 1) // 2 * (s - r))
+    )
+    den = qpoch_multi((a, b, bc / d, q), q, k) * qpoch_multi(fs, q, k)
+    return _quotient(num, den, "G_k denominator")
+
+
+def ref_six_term_xi(n, pt, r, s):
+    a, b, c, d, q = pt["a"], pt["b"], pt["c"], pt["d"], pt["q"]
+    es, fs = ref_vectors(pt, r, s)
+    bc = b * c
+    num = (
+        (a - b) * (a - c) * (a - d) * (b - d) * (c - d) * (a * d - bc) * (1 - bc * q ** (n - 1))
+        * (1 - a) * (1 - b) * (1 - bc / d) * (1 - bc / q**2) * (1 - bc / q) * qpoch_multi(fs, q, 1)
+    )
+    den = a * d * q**2 * (1 - a / q) * (1 - b / q) * (1 - bc / (d * q)) * qpoch_multi(es, q, 1)
+    return _quotient(num, den, "Xi denominator")
+
+
+def ref_aw_norm_ratio(n, p):
+    a, b, c, d, q, abcd = p.a, p.b, p.c, p.d, p.q, p.abcd
+    den = (1 - q ** (2 * n - 1) * abcd) * qpoch(abcd, q, n)
+    num = (1 - q ** (n - 1) * abcd) * qpoch_multi(
+        (q, a * b, a * c, a * d, b * c, b * d, c * d), q, n
+    )
+    return _quotient(num, den, "norm ratio denominator")
+
+
+def ref_aw_poly(n, p, pt):
+    if n < 0:
+        raise DomainError("degree must be nonnegative")
+    if p.a == 0:
+        raise DomainError("parameter a must be nonzero")
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    pref = qpoch_multi((a * b, a * c, a * d), q, n) / a**n
+    spec = HypergeometricSpec(
+        (q**-n, p.abcd * q ** (n - 1), a * pt.z, a / pt.z), (a * b, a * c, a * d), q
+    )
+    return pref * phi_terminating(spec, q, n)
+
+
+def ref_andrews_watson(n, a, b, q):
+    spec = HypergeometricSpec((q**-n, a**2 * q ** (n + 1), b, -b), (a * q, -a * q, b**2), q)
+    lhs = phi_terminating(spec, q, n)
+    if n % 2:
+        return lhs
+    h, q2 = n // 2, q**2
+    den = qpoch_multi((a**2 * q**2, b**2 * q), q2, h)
+    num = b**n * qpoch_multi((q, a**2 * q**2 / b**2), q2, h)
+    return lhs - _quotient(num, den, "closed-form denominator")
+
+
+def ref_contiguous(r, s, pt, order):
+    q, a, b = pt["q"], pt["a"], pt["b"]
+    A = tuple(pt[f"A{i}"] for i in range(1, r))
+    B = tuple(pt[f"B{i}"] for i in range(1, s))
+    e = 1 + s - r
+    t1 = phi_series(HypergeometricSpec((a * q,) + A, (b * q,) + B, q), F(1), order)
+    t2 = phi_series(HypergeometricSpec((a,) + A, (b,) + B, q), F(1), order)
+    pref = _quotient(F(-1) ** e * (a - b), (1 - b) * (1 - b * q), "prefactor denominator")
+    for x in A:
+        pref *= 1 - x
+    for x in B:
+        pref = _quotient(pref, 1 - x, "prefactor denominator")
+    t3_spec = HypergeometricSpec(
+        (a * q,) + tuple(x * q for x in A), (b * q**2,) + tuple(x * q for x in B), q
+    )
+    t3 = phi_series(t3_spec, q**e, order)
+    shifted = TruncatedSeries((F(0),) + t3.coeffs[:-1])
+    return series_linear_combine([(1, t1), (-1, t2), (-pref, shifted)])
+
+
 def ref_alpha(k, q, e):
     sign = -1 if (k * e) % 2 else 1
     return sign * q ** (k * (k - 1) // 2 * e)
@@ -1102,6 +1262,37 @@ def test_closed_forms_match_fraction_products(seed):
             assert attempt(rhs_integer_exp_pfaffian, m, alpha, q) == attempt(
                 ref_rhs_integer_exp, m, alpha, q
             )
+    # the six-term factors, the Askey-Wilson norm and p_n, and the q-Watson and
+    # contiguous checks, at a random point and at points built on a pole
+    pt = point(seed, _MAIN_NAMES + ("A1", "B1", "z"))
+    a, b, c, q = pt["a"], pt["b"], pt["c"], pt["q"]
+
+    def with_(**changes):
+        return ParamPoint({**pt.assignments, **changes}, pt.seed)
+
+    for x in (pt, with_(a=1 / q, c=q / b), with_(a=q), with_(d=1 / (a * b * c * q))):
+        for r, s in RS_PAIRS:
+            for k in range(1, 6):
+                assert attempt(six_term_g, k, x, r, s) == attempt(ref_six_term_g, k, x, r, s)
+                assert attempt(six_term_xi, k, x, r, s) == attempt(ref_six_term_xi, k, x, r, s)
+        p = _aw_from(x)
+        for n in range(6):
+            assert attempt(aw_norm_ratio, n, p) == attempt(ref_aw_norm_ratio, n, p)
+    for x in (pt, with_(b=1 / (a * q)), with_(a=F(0))):
+        p, z = _aw_from(x), XPoint(x["z"])
+        for n in range(6):
+            assert attempt(aw_poly, n, p, z) == attempt(ref_aw_poly, n, p, z)
+    for x in (pt, with_(a=q**-2)):
+        for n in range(9):
+            assert attempt(check_andrews_watson, n, x["a"], b, q) == attempt(
+                ref_andrews_watson, n, x["a"], b, q
+            )
+    for x in (pt, with_(b=F(1)), with_(B1=F(1))):
+        for r, s in ((1, 1), (2, 1), (2, 2)):
+            for order in (0, 3):
+                assert attempt(lambda: list(check_contiguous(r, s, x, order).coeffs)) == attempt(
+                    lambda: list(ref_contiguous(r, s, x, order).coeffs)
+                )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
