@@ -18,11 +18,15 @@ L(f) = sum_j w_j f(b_j) for deg f <= n.  The double sum of Thm 4.3 is summed
 in one place, one loop that yields the weights of every order n in turn.
 moment_weights reads one order and aw_moment applies it to (t + b_j)^n;
 aw_moments applies every order to (t + b_j)^k from the same pass.  The
-lattice coefficients, the moment weights, the connection coefficients and
-polynomial evaluation run on integer pairs from scalar._pair and build one
-canonical Fraction per value they return.  Polynomial products and
-differences, the Newton expansion and the basis peel are each one call of
-the series kernel for sums of products, series._sum_of_products.
+lattice coefficients, the moment weights and the connection coefficients
+run on integer pairs from scalar._pair and build one canonical Fraction per
+value they return.  A PolynomialInX holds integer numerators over one
+positive denominator, in lowest terms after one gcd per polynomial.
+Polynomial products and differences, the Newton expansion and the basis
+peel are each one call of the series kernel for sums of products,
+series._sum_of_products, on that integer form; Fractions are built only for
+a value that leaves it: .coeffs when read, a polynomial's value at a point,
+and each coefficient the peel takes off.
 """
 
 from __future__ import annotations
@@ -37,12 +41,17 @@ from .scalar import (
     PoleError,
     Scalar,
     _closed_form,
-    _common_denominator,
     _pair,
     _qpoch_multi_prefix,
     _ratio_table,
 )
-from .series import HypergeometricSpec, _sum_of_products, phi_terminating
+from .series import (
+    HypergeometricSpec,
+    _IntegerVector,
+    _lowest_terms,
+    _sum_of_products,
+    phi_terminating,
+)
 
 
 class DuplicateNodes(ValueError):
@@ -89,41 +98,44 @@ class XPoint:
         return (self.z + 1 / self.z) / 2
 
 
-class PolynomialInX:
-    """Dense polynomial in x over Scalar, trailing zeros stripped."""
+class PolynomialInX(_IntegerVector):
+    """Dense polynomial in x with coefficients nums[k] / den, immutable:
+    trailing zeros stripped and no factor common to den and every numerator,
+    so equal polynomials hold equal integers."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Sequence[Scalar]):
-        cs = [Fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs) if cs else (Fraction(0),)
+    def _hold(self, nums: Sequence[int], den: int) -> None:
+        nums = list(nums) or [0]
+        while len(nums) > 1 and nums[-1] == 0:
+            nums.pop()
+        super()._hold(*_lowest_terms(nums, den))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __call__(self, x: Scalar) -> Scalar:
-        """Horner's rule on the integers c_k * L, for L the lcm of the denominators."""
-        cs, lcm = _common_denominator(self.coeffs)
+        """Horner's rule on the integer numerators."""
         xn, xd = _pair(x)
-        acc, scale = cs[-1], 1
-        for c in reversed(cs[:-1]):
+        acc, scale = self.nums[-1], 1
+        for c in self.nums[-2::-1]:
             scale *= xd
             acc = acc * xn + c * scale
-        return Fraction(acc, lcm * scale)
+        return Fraction(acc, self.den * scale)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolynomialInX) and self.coeffs == other.coeffs
+        return isinstance(other, PolynomialInX) and (self.nums, self.den) == (other.nums, other.den)
 
     def __sub__(self, other: "PolynomialInX") -> "PolynomialInX":
-        length = max(len(self.coeffs), len(other.coeffs))
-        return PolynomialInX(_sum_of_products([(1, self.coeffs), (-1, other.coeffs)], length))
+        length = max(len(self.nums), len(other.nums))
+        terms = [(1, (self.nums, self.den)), (-1, (other.nums, other.den))]
+        return PolynomialInX.from_integers(*_sum_of_products(terms, length))
 
     def __mul__(self, other: "PolynomialInX") -> "PolynomialInX":
-        length = len(self.coeffs) + len(other.coeffs) - 1
-        return PolynomialInX(_sum_of_products([(1, self.coeffs, other.coeffs)], length))
+        length = len(self.nums) + len(other.nums) - 1
+        terms = [(1, (self.nums, self.den), (other.nums, other.den))]
+        return PolynomialInX.from_integers(*_sum_of_products(terms, length))
 
     def __repr__(self) -> str:
         return f"PolynomialInX({list(self.coeffs)})"
@@ -131,17 +143,19 @@ class PolynomialInX:
 
 def poly_x_plus(t: Scalar) -> PolynomialInX:
     """The linear polynomial t + x."""
-    return PolynomialInX([Fraction(t), Fraction(1)])
+    tn, td = _pair(t)
+    return PolynomialInX.from_integers([tn, td], td)
 
 
 def pochhammer_basis_polys(a: Scalar, q: Scalar, n: int) -> list[PolynomialInX]:
     """[(a*z, a/z; q)_k as a polynomial in x for k = 0..n], each the last times
     one factor: (a*z, a/z; q)_k = prod_(i<k) (1 - 2 a q^i x + a^2 q^(2i))."""
-    out = [PolynomialInX([1])]
-    aq = Fraction(a)
-    for _ in range(n):
-        out.append(out[-1] * PolynomialInX([1 + aq * aq, -2 * aq]))
-        aq *= q
+    out = [PolynomialInX.from_integers([1], 1)]
+    (an, ad), (qn, qd) = _pair(a), _pair(q)
+    for _ in range(n):  # a q^i = an / ad
+        factor = PolynomialInX.from_integers([ad * ad + an * an, -2 * an * ad], ad * ad)
+        out.append(out[-1] * factor)
+        an, ad = an * qn, ad * qd
     return out
 
 
@@ -354,12 +368,17 @@ def moment_functional(f: PolynomialInX, p: AWParams) -> Scalar:
 
 
 def _peel_functional(f: PolynomialInX, basis: list[PolynomialInX], moments: list[Scalar]) -> Scalar:
-    """moment_functional's peel, on basis and moment tables of any order >= deg f."""
-    rest = f.coeffs
+    """moment_functional's peel, on basis and moment tables of any order >= deg f.
+
+    What is left of f stays integers over one denominator, in lowest terms
+    after each peel."""
+    nums, den = f.nums, f.den
     total = Fraction(0)
     for k in range(f.degree, -1, -1):
-        u = rest[k] / basis[k].coeffs[k]
-        rest = _sum_of_products([(1, rest), (-u, basis[k].coeffs)], k)  # x^k cancels
+        b = basis[k]
+        u = Fraction(nums[k] * b.den, den * b.nums[k])
+        terms = [(1, (nums, den)), (-u, (b.nums, b.den))]
+        nums, den = _lowest_terms(*_sum_of_products(terms, k))  # x^k cancels
         total += u * moments[k]
     return total
 
@@ -422,9 +441,9 @@ def newton_coeffs(nodes: Sequence[Scalar], values: Sequence[Scalar]) -> list[Sca
 
 def newton_to_monomial(coeffs: Sequence[Scalar], nodes: Sequence[Scalar]) -> PolynomialInX:
     """Expand sum_k c_k (x-b_0)...(x-b_{k-1}) into the monomial basis."""
-    factors = [(-b, 1) for b in nodes]
-    terms = [[c, (1,)] + factors[:k] for k, c in enumerate(coeffs)]
-    return PolynomialInX(_sum_of_products(terms, len(coeffs)))
+    factors = [([-bn, bd], bd) for bn, bd in map(_pair, nodes)]
+    terms = [[c, ([1], 1)] + factors[:k] for k, c in enumerate(coeffs)]
+    return PolynomialInX.from_integers(*_sum_of_products(terms, len(coeffs)))
 
 
 def connection_u(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -117,9 +118,27 @@ def cmd_list(out=None) -> int:
     return 0
 
 
+def _claim_report_path(path: str) -> bool:
+    """Open `path` for appending, which raises the OSError that writing the
+    report would, without truncating a file already there; return whether
+    this created the file."""
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    return not existed
+
+
 def cmd_verify(config: SuiteConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    reports, document = run_suite(config)
+    # an unwritable report path exits before the first check runs, and a
+    # report file made for this run is removed again if no report follows
+    created = bool(config.json_path) and _claim_report_path(config.json_path)
+    try:
+        reports, document = run_suite(config)
+    except BaseException:
+        if created:
+            os.remove(config.json_path)
+        raise
     for r in reports:
         status = "PASS" if r.failures == 0 else "FAIL"
         line = f"{r.id:28} trials={r.trials} failures={r.failures} {r.millis}ms {status}"
@@ -134,8 +153,7 @@ def cmd_verify(config: SuiteConfig, out=None) -> int:
     )
     if config.json_path:
         with open(config.json_path, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=False)
-            fh.write("\n")
+            fh.write(json.dumps(document, indent=2, sort_keys=False) + "\n")
     return 0 if total_failures == 0 else 1
 
 

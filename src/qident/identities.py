@@ -253,23 +253,24 @@ def _six_term_excesses(pt: ParamPoint, top: int, r: int, s: int) -> list[list[Sc
     """[[A_k - B_k + C_k for k = 0..n+1] for n = 0..top].
 
     Each six-term coefficient is (-1)^(s-r) prefactor F[k] G[n-k] from
-    main_quadratic_factors, formed as an unreduced integer pair, and each
-    excess becomes one canonical Fraction; A_(n+1), B_(n+1), C_(n+1) are zero.
-    The series read every denominator up to `top`, so a zero one raises
-    PoleError.
+    main_quadratic_factors, read from the integer numerators of F and G: each
+    product's prefactor is scaled once to the lcm L of the three products'
+    denominators, and each excess is one integer sum over L, one canonical
+    Fraction; A_(n+1), B_(n+1), C_(n+1) are zero.  The series read every
+    denominator up to `top`, so a zero one raises PoleError.
     """
     sign = -1 if (s - r) % 2 else 1
+    products = main_quadratic_factors(pt, r, s, top)
+    dens = [_pair(pref)[1] * f.den * g.den for pref, f, g in products]
+    lcm = math.lcm(*dens)
     factors = [
-        (_pair(sign * pref), [_pair(c) for c in f.coeffs], [_pair(c) for c in g.coeffs])
-        for pref, f, g in main_quadratic_factors(pt, r, s, top)
+        (sign * _pair(pref)[0] * (lcm // den), f.nums, g.nums)
+        for (pref, f, g), den in zip(products, dens)
     ]
 
     def excess(k: int, n: int) -> Scalar:
-        (an, ad), (bn, bd), (cn, cd) = (
-            (pn * fn * gn, pd * fd * gd)
-            for (pn, pd), (fn, fd), (gn, gd) in [(pref, f[k], g[n - k]) for pref, f, g in factors]
-        )
-        return Fraction((an * bd - bn * ad) * cd + cn * ad * bd, ad * bd * cd)
+        a, b, c = (scale * fn[k] * gn[n - k] for scale, fn, gn in factors)
+        return Fraction(a - b + c, lcm)
 
     return [[excess(k, n) for k in range(n + 1)] + [Fraction(0)] for n in range(top + 1)]
 
@@ -741,6 +742,11 @@ def check_andrews_watson(n: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
     4phi3[ q^-n, a^2 q^(n+1), b, -b ; aq, -aq, b^2 ; q, q ]
       = 0 for odd n, and b^n (q, a^2 q^2/b^2; q^2)_(n/2)
         / (a^2 q^2, b^2 q; q^2)_(n/2) for even n.
+
+    The right side's pole ("closed-form denominator vanishes") is never
+    raised: (a^2 q^2, b^2 q; q^2)_(n/2) = 0 makes (aq;q)_j, (-aq;q)_j or
+    (b^2;q)_j vanish for some j <= n, so phi_terminating on the left raises
+    "denominator Pochhammer vanishes at term k" first.
     """
     lhs = phi_terminating(_qwatson_spec(n, a, b, q), q, n)
     if n % 2:
@@ -791,7 +797,7 @@ def check_contiguous(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSer
         order,
     )
     # multiply by z: shift coefficients up one slot
-    shifted = TruncatedSeries((Fraction(0),) + t3.coeffs[:-1])
+    shifted = TruncatedSeries.from_integers((0,) + t3.nums[:-1], t3.den)
     return series_linear_combine([(1, t1), (-1, t2), (-pref, shifted)])
 
 
@@ -1169,7 +1175,8 @@ def _run_connection_coeffs(pt: ParamPoint, sizes: Sizes) -> list:
     # n = n_top, compared coefficient by coefficient: n_top+1 residuals
     lhs = math.prod((poly_x_plus(a) for a in a_nodes), start=PolynomialInX([1]))
     rhs = newton_to_monomial(u[n_top], b_nodes)
-    out.extend(_sum_of_products([(1, lhs.coeffs), (-1, rhs.coeffs)], n_top + 1))
+    nums, den = _sum_of_products([(1, (lhs.nums, lhs.den)), (-1, (rhs.nums, rhs.den))], n_top + 1)
+    out.extend([Fraction(x, den) for x in nums])
     return out
 
 

@@ -10,10 +10,16 @@ q^(-m), as the exact Scalar value of the terminating sum.  Both come from one
 pass of the term-ratio recurrence on integer pairs from scalar._pair;
 phi_term, which builds a term from its Pochhammer products, is their oracle.
 
+A TruncatedSeries, like askey_wilson.PolynomialInX, holds integer numerators
+over one positive denominator; its canonical Fraction coefficients are built
+only when .coeffs is read or a coefficient is indexed.  phi_series cancels
+each term ratio by one gcd and takes the common denominator from the
+products of the ratio denominators, so no coefficient is reduced on its own.
 Every sum and product of series here, and of polynomials in askey_wilson, is
-one call of _sum_of_products: a signed sum of products of coefficient lists,
-computed on integers with one canonical Fraction per coefficient.
-series_linear_combine applies it to truncated series of one order.
+one call of _sum_of_products: a signed sum of products of integer vectors,
+integers in and integers out over one denominator.  series_linear_combine
+applies it to truncated series of one order, so a residual series is tested
+for zero on its integers.
 """
 
 from __future__ import annotations
@@ -48,27 +54,75 @@ class HypergeometricSpec:
         return 1 + len(self.denominators) - len(self.numerators)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients c_0..c_N of a formal power series in z, exact and immutable."""
+class _IntegerVector:
+    """Rational coefficients nums[i] / den, held as ints with den > 0; the
+    canonical Fractions are built only when .coeffs is read."""
 
-    coeffs: tuple[Scalar, ...]
+    __slots__ = ("nums", "den")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: Sequence[Scalar]):
+        self._hold(*_common_denominator(coeffs))
+
+    @classmethod
+    def from_integers(cls, nums: Sequence[int], den: int):
+        """The vector with coefficients nums[i] / den, den nonzero."""
+        if den == 0:
+            raise ZeroDivisionError("integer vector over a zero denominator")
+        if den < 0:
+            nums, den = [-n for n in nums], -den
+        vector = cls.__new__(cls)
+        vector._hold(nums, den)
+        return vector
+
+    def _hold(self, nums: Sequence[int], den: int) -> None:
+        self.nums, self.den = tuple(nums), den
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        return tuple([Fraction(n, self.den) for n in self.nums])
+
+
+class TruncatedSeries(_IntegerVector):
+    """Coefficients c_0..c_N of a formal power series in z, exact and immutable:
+    c_n = nums[n] / den, with no common factor divided out."""
+
+    __slots__ = ()
+
+    def _hold(self, nums: Sequence[int], den: int) -> None:
+        if not nums:
             raise ValueError("a truncated series needs at least the z^0 coefficient")
+        super()._hold(nums, den)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __getitem__(self, n: int) -> Scalar:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
-        return self.coeffs[n]
+        return Fraction(self.nums[n], self.den)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TruncatedSeries)
+            and self.order == other.order
+            and all(a * other.den == b * self.den for a, b in zip(self.nums, other.nums))
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries({self.coeffs!r})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
+
+
+def _lowest_terms(nums: Sequence[int], den: int) -> tuple[list[int], int]:
+    """nums / den, den > 0, with their one common factor divided out."""
+    g = math.gcd(den, *nums)
+    return [n // g for n in nums], den // g
 
 
 def phi_term(spec: HypergeometricSpec, n: int) -> Scalar:
@@ -125,16 +179,26 @@ def _term_ratios(spec: HypergeometricSpec, z: Scalar, top: int) -> Iterator[tupl
 def phi_series(spec: HypergeometricSpec, argument_scale: Scalar, order: int) -> TruncatedSeries:
     """The series with argument (argument_scale * z), truncated at `order`.
 
-    Coefficient n equals phi_term(spec, n) * argument_scale^n: coefficient
-    n-1 times the ratio from _term_ratios, reduced once into a Fraction.
+    Coefficient n equals phi_term(spec, n) * argument_scale^n, the product of
+    the first n ratios from _term_ratios.  Each ratio r_i = a_i / b_i is
+    cancelled by one gcd; over the denominator b_1 ... b_order, coefficient n
+    has the numerator a_1 ... a_n b_(n+1) ... b_order.
     """
     if order < 0:
         raise ValueError(f"truncation order must be nonnegative, got {order}")
-    coeffs = [Fraction(1)]
-    for r_num, r_den in _term_ratios(spec, Fraction(argument_scale), order):
-        tn, td = _pair(coeffs[-1])
-        coeffs.append(Fraction(tn * r_num, td * r_den))
-    return TruncatedSeries(tuple(coeffs))
+    ratios = []
+    for r_num, r_den in _term_ratios(spec, argument_scale, order):
+        g = math.gcd(r_num, r_den)
+        g = g if r_den > 0 else -g
+        ratios.append((r_num // g, r_den // g))
+    tails = [1]  # tails[i] = b_(order-i+1) ... b_order
+    for _, r_den in reversed(ratios):
+        tails.append(tails[-1] * r_den)
+    nums, head = [tails[-1]], 1
+    for (r_num, _), tail in zip(ratios, reversed(tails[:-1])):
+        head *= r_num
+        nums.append(head * tail)
+    return TruncatedSeries.from_integers(nums, tails[-1])
 
 
 def phi_terminating(spec: HypergeometricSpec, z_value: Scalar, m: int) -> Scalar:
@@ -161,34 +225,33 @@ def _coefficient(a: Sequence[int], b: Sequence[int], k: int) -> int:
     return sum(a[i] * b[k - i] for i in range(lo, hi + 1))
 
 
-def _sum_of_products(terms: Sequence[Sequence], length: int) -> list[Scalar]:
-    """The first `length` coefficients of sum_i c_i prod_j u_ij.
+def _sum_of_products(terms: Sequence[Sequence], length: int) -> tuple[list[int], int]:
+    """The first `length` coefficients of sum_i c_i prod_j u_ij, as integer
+    numerators over one positive denominator.
 
-    A term is (c, u_1, ..., u_k) with k >= 1: a scalar and coefficient lists
-    of any lengths.  Each u_j is scaled to integers over the lcm of its
-    denominators, and every factor but the last is multiplied out on those
-    integers.  Each coefficient is then one integer sum over the terms, read
-    from the last factor's convolution as it goes, and one canonical Fraction
-    over the lcm of the terms' denominators.  No term's full product is built:
+    A term is (c, u_1, ..., u_k) with k >= 1: a scalar and integer vectors
+    u_j = (nums, den) of any lengths, each standing for nums[i] / den with
+    den > 0.  Every factor but the last is multiplied out on the integers.
+    Each coefficient is then one integer sum over the terms, read from the
+    last factor's convolution as it goes, over the lcm of the terms'
+    denominators; nothing is reduced.  No term's full product is built:
     holding those lists raised the peak memory of a run.
     """
     parts = []
     for c, *factors in terms:
-        *rest, last = factors  # by position: the same list may come twice
-        num, den = _pair(c)
+        *rest, (b, den) = factors  # by position: the same vector may come twice
+        num, d = _pair(c)
+        den *= d
         head = [1]
-        for u in rest:
-            a, d = _common_denominator(u)
+        for a, d in rest:
             head = [_coefficient(head, a, k) for k in range(min(length, len(head) + len(a) - 1))]
             den *= d
-        b, d = _common_denominator(last)
-        parts.append((num, den * d, head, b))
+        parts.append((num, den, head, b))
     lcm = math.lcm(*[den for _, den, _, _ in parts])
     parts = [(num * (lcm // den), head, b) for num, den, head, b in parts]
     return [
-        Fraction(sum(num * _coefficient(head, b, k) for num, head, b in parts), lcm)
-        for k in range(length)
-    ]
+        sum(num * _coefficient(head, b, k) for num, head, b in parts) for k in range(length)
+    ], lcm
 
 
 def series_linear_combine(terms: Sequence[Sequence]) -> TruncatedSeries:
@@ -201,5 +264,5 @@ def series_linear_combine(terms: Sequence[Sequence]) -> TruncatedSeries:
         for u in factors:
             if u.order != order:
                 raise OrderMismatch(f"orders differ: {u.order} vs {order}")
-    products = [[c] + [u.coeffs for u in factors] for c, *factors in terms]
-    return TruncatedSeries(tuple(_sum_of_products(products, order + 1)))
+    products = [[c] + [(u.nums, u.den) for u in factors] for c, *factors in terms]
+    return TruncatedSeries.from_integers(*_sum_of_products(products, order + 1))

@@ -299,9 +299,29 @@ def test_unexpected_exception_in_check_exits_3(monkeypatch, capsys, error):
 
 
 def test_unwritable_json_path_exits_2(tmp_path, capsys):
+    # rejected before the first check runs: no check output
     path = tmp_path / "missing_dir" / "report.json"
     rc = main(["verify", "--identity", "three_term_kernel", "--trials", "1", "--json", str(path)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("cannot write report: ")
-    assert len(err.strip().splitlines()) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"cannot write report: [Errno 2] No such file or directory: '{path}'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_crash_leaves_no_report_behind(existing, tmp_path, monkeypatch, capsys):
+    def crash(pt, sizes):
+        raise RuntimeError("boom")
+
+    check = IdentityCheck("crashes", "test", ("q",), Sizes(), crash)
+    monkeypatch.setitem(CHECKS_BY_ID, check.id, check)
+    path = tmp_path / "report.json"
+    if existing:
+        path.write_text("an earlier report\n")
+    rc = main(["verify", "--identity", check.id, "--trials", "1", "--json", str(path)])
+    assert rc == 3
+    capsys.readouterr()
+    if existing:
+        assert path.read_text() == "an earlier report\n"
+    else:
+        assert not path.exists()

@@ -94,6 +94,27 @@ def test_main_quadratic_residual_is_zero_series(rs):
     assert res.is_zero()
 
 
+# Fraction constructions of one run_check(check, trials=2, seed=0) with every
+# series coefficient reduced to a Fraction between kernels (CPython 3.11)
+@pytest.mark.parametrize(
+    "check_id, reduced_count", [("main_quadratic", 1238), ("quadratic_specialization", 640)]
+)
+def test_series_checks_build_few_fractions(check_id, reduced_count, monkeypatch):
+    check = CHECKS_BY_ID[check_id]
+    run_check(check, 2, 0)  # the same point cache state for every run of this test
+    built = []
+    construct = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(None)
+        return construct(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting_new)
+    run_check(check, 2, 0)
+    monkeypatch.undo()
+    assert 0 < len(built) <= reduced_count // 2
+
+
 @pytest.mark.parametrize("rs", [(1, 1), (2, 1), (2, 2)])
 def test_main_quadratic_coefficients_match_sums(rs):
     # coefficient of z^n in each prefactored product equals

@@ -90,6 +90,7 @@ from qident.scalar import (
     ParamPoint,
     PoleError,
     _closed_form,
+    _common_denominator,
     _quotient,
     _ratio_table,
     qpoch,
@@ -445,6 +446,16 @@ def test_series_mul_order_zero_and_zero_series():
     assert canon(mul((F(0),) * 4, other)) == canon([F(0)] * 4)
 
 
+def sum_of_products(terms, length):
+    """_sum_of_products on Fraction lists: each factor passed in integer form,
+    the result read back as one Fraction per coefficient."""
+    nums, den = _sum_of_products(
+        [(c, *[_common_denominator(u) for u in factors]) for c, *factors in terms], length
+    )
+    assert den > 0
+    return [F(x, den) for x in nums]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sum_of_products_matches_fraction_reference(seed):
     rng = random.Random(seed)
@@ -463,18 +474,18 @@ def test_sum_of_products_matches_fraction_reference(seed):
         terms.append((c, *factors))
     full = max(sum(len(u) - 1 for u in factors) + 1 for _, *factors in terms)
     for length in (1, max(full - 2, 1), full, full + 3):
-        got = _sum_of_products(terms, length)
+        got = sum_of_products(terms, length)
         assert canon(got) == canon(ref_sum_of_products(terms, length))
 
 
 def test_sum_of_products_reads_a_repeated_factor_by_position():
     # p * p passes one list twice: both are factors, the second also the last
     p = [F(1, 2), F(-1, 3)]
-    assert canon(_sum_of_products([(1, p, p)], 3)) == canon([F(1, 4), F(-1, 3), F(1, 9)])
-    assert canon(_sum_of_products([(F(2, 3), p, p, p)], 2)) == canon([F(1, 12), F(-1, 6)])
+    assert canon(sum_of_products([(1, p, p)], 3)) == canon([F(1, 4), F(-1, 3), F(1, 9)])
+    assert canon(sum_of_products([(F(2, 3), p, p, p)], 2)) == canon([F(1, 12), F(-1, 6)])
     # an int coefficient and a zero one; a length past the product reads zeros
     terms = [(3, p), (0, [F(5, 7)], [F(1, 11)])]
-    assert canon(_sum_of_products(terms, 4)) == canon([F(3, 2), F(-1), F(0), F(0)])
+    assert canon(sum_of_products(terms, 4)) == canon([F(3, 2), F(-1), F(0), F(0)])
 
 
 def test_series_linear_combine_matches_the_reference_on_series():
@@ -489,6 +500,51 @@ def test_series_linear_combine_matches_the_reference_on_series():
     mismatched = TruncatedSeries(us[0].coeffs[:-1])
     with pytest.raises(OrderMismatch, match=f"orders differ: {order - 1} vs {order}"):
         series_linear_combine([(1, us[0], mismatched)])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integer_form_equals_fraction_form(seed):
+    # a series and a polynomial built from Fractions, and from integers over
+    # any nonzero multiple of their common denominator, are the same value
+    rng = random.Random(seed)
+    values = [entry(rng) for _ in range(rng.randint(1, 7))] + [F(0)] * rng.randint(0, 2)
+    den = math.lcm(*[F(v).denominator for v in values]) * rng.choice((1, -1)) * rng.randint(1, 30)
+    nums = [int(v * den) for v in values]
+    for built in (TruncatedSeries(values), TruncatedSeries.from_integers(nums, den)):
+        assert canon(built.coeffs) == canon([F(v) for v in values])
+        assert built == TruncatedSeries(values) and hash(built) == hash(TruncatedSeries(values))
+        assert built.order == len(values) - 1 and built.den > 0
+        assert built.is_zero() == all(v == 0 for v in values)
+    stripped = [F(v) for v in values]
+    while len(stripped) > 1 and stripped[-1] == 0:
+        stripped.pop()
+    for built in (PolynomialInX(values), PolynomialInX.from_integers(nums, den)):
+        assert canon(built.coeffs) == canon(stripped)
+        assert built == PolynomialInX(values) and built.degree == len(stripped) - 1
+        assert built.den > 0 and math.gcd(built.den, *built.nums) == 1
+
+
+def test_integer_form_edge_cases():
+    # content reduction, the zero polynomial, a negative denominator
+    half = PolynomialInX.from_integers([2, 0], 4)
+    assert (half.nums, half.den, half.coeffs, half.degree) == ((1,), 2, (F(1, 2),), 0)
+    assert half == PolynomialInX([F(2, 4), F(0)])
+    zeros = (PolynomialInX([]), PolynomialInX([0, F(0)]), PolynomialInX.from_integers([0, 0], -5))
+    for zero in zeros:
+        assert (zero.nums, zero.den, zero.coeffs, zero.degree) == ((0,), 1, (F(0),), 0)
+    negative = PolynomialInX.from_integers([3, -6, 9], -12)
+    assert (negative.nums, negative.den) == ((-1, 2, -3), 4)
+    assert negative == PolynomialInX([F(-1, 4), F(1, 2), F(-3, 4)])
+    series = TruncatedSeries.from_integers([3, -6, 0], -12)
+    assert (series.nums, series.den, series.order) == ((-3, 6, 0), 12, 2)
+    assert series == TruncatedSeries([F(-1, 4), F(1, 2), 0]) != TruncatedSeries([F(-1, 4), F(1, 2)])
+    zero = TruncatedSeries.from_integers([0, 0], 7)
+    assert zero.is_zero() and zero == TruncatedSeries([0, 0]) and zero.coeffs == (F(0), F(0))
+    with pytest.raises(ValueError, match="at least the z\\^0 coefficient"):
+        TruncatedSeries.from_integers([], 1)
+    for build in (TruncatedSeries.from_integers, PolynomialInX.from_integers):
+        with pytest.raises(ZeroDivisionError):
+            build([1], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1293,6 +1349,25 @@ def test_closed_forms_match_fraction_products(seed):
                 assert attempt(lambda: list(check_contiguous(r, s, x, order).coeffs)) == attempt(
                     lambda: list(ref_contiguous(r, s, x, order).coeffs)
                 )
+
+
+def test_qwatson_right_side_poles_are_raised_by_the_left_side():
+    # (a^2 q^2, b^2 q; q^2)_(n/2) = 0 makes (aq;q)_j, (-aq;q)_j or (b^2;q)_j
+    # vanish for some j <= n, so the left side's terminating sum raises first
+    seen = set()
+    for t in (F(2, 3), F(-3, 2), F(5, 7)):
+        q = t * t
+        for i in range(3):
+            a_pole, b_pole = q ** -(i + 1), t ** -(2 * i + 1)  # a q^(i+1) = 1, b^2 q^(2i+1) = 1
+            points = ((a_pole, F(2, 5)), (-a_pole, F(2, 5)), (F(3, 7), b_pole), (F(3, 7), -b_pole))
+            for a, b in points:
+                for n in range(2 * i + 2, 9, 2):
+                    assert qpoch_multi((a**2 * q**2, b**2 * q), q**2, n // 2) == 0
+                    kind, message = attempt(check_andrews_watson, n, a, b, q)
+                    assert kind is PoleError
+                    assert message.startswith("denominator Pochhammer vanishes at term ")
+                    seen.add(message)
+    assert len(seen) > 1
 
 
 @pytest.mark.parametrize("seed", SEEDS)
