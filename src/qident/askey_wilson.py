@@ -10,17 +10,30 @@ substitution z for e^(i*theta) makes each evaluation a rational number, and the
 orthogonality functional L is characterised algebraically by its values on the
 basis (a*z, a/z; q)_n rather than by the contour integral.
 
+aw_poly forms the seven 4phi3 parameters and the prefactor as integer pairs
+from those of a, b, c, d, q and z, with no Fraction in between, and sums the
+4phi3 with series._terminating_sum, the Horner fold phi_terminating uses, on
+the one term-ratio recurrence series._term_ratios: one canonical Fraction per
+value.  _aw_polys yields p_0, p_1, ... at one point from pairs formed once and
+one running prefactor; a check that needs several degrees at a point reads
+them from it, and the orthogonality check evaluates each p_m at the lattice
+nodes z_j = a q^j that way.  aw_leading_coeff is the closed form of the x^n
+coefficient, so a degree drop is read without expanding p_n.
+aw_poly_as_polynomial, which interpolates p_n to monomials, is the oracle
+for both p_n's values and its leading coefficient.
+
 L is applied in two ways, which check each other.  moment_functional applies
 the definition directly: it expands f on the basis by peeling off leading
 coefficients.  The lattice weights go through Newton interpolation on the
 q-quadratic lattice b_j = (q^j a + q^-j / a)/2 instead: w_j with
 L(f) = sum_j w_j f(b_j) for deg f <= n.  The double sum of Thm 4.3 is summed
 in one place, one loop that yields the weights of every order n in turn.
-moment_weights reads one order and aw_moment applies it to (t + b_j)^n;
-aw_moments applies every order to (t + b_j)^k from the same pass.  The
-lattice coefficients, the moment weights and the connection coefficients
-run on integer pairs from scalar._pair and build one canonical Fraction per
-value they return.  A PolynomialInX holds integer numerators over one
+moment_weights reads one order and aw_moment applies it to (t + b_j)^n
+through _weighted_sum, an integer dot product of value columns, each put
+over one denominator once; aw_moments applies every order to (t + b_j)^k
+from the same pass.  The lattice coefficients, the moment weights and the
+connection coefficients run on integer pairs from scalar._pair and build one
+canonical Fraction per value they return.  A PolynomialInX holds integer numerators over one
 positive denominator, in lowest terms after one gcd per polynomial.
 Polynomial products and differences, the Newton expansion and the basis
 peel are each one call of the series kernel for sums of products,
@@ -34,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .scalar import (
@@ -41,17 +55,12 @@ from .scalar import (
     PoleError,
     Scalar,
     _closed_form,
+    _common_denominator,
     _pair,
     _qpoch_multi_prefix,
     _ratio_table,
 )
-from .series import (
-    HypergeometricSpec,
-    _IntegerVector,
-    _lowest_terms,
-    _sum_of_products,
-    phi_terminating,
-)
+from .series import _IntegerVector, _lowest_terms, _sum_of_products, _terminating_sum
 
 
 class DuplicateNodes(ValueError):
@@ -159,25 +168,73 @@ def pochhammer_basis_polys(a: Scalar, q: Scalar, n: int) -> list[PolynomialInX]:
     return out
 
 
-def aw_phi_spec(n: int, p: AWParams, pt: XPoint) -> HypergeometricSpec:
-    """The terminating 4phi3 underlying p_n at the point pt."""
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    return HypergeometricSpec(
-        (q**-n, p.abcd * q ** (n - 1), a * pt.z, a / pt.z),
-        (a * b, a * c, a * d),
-        q,
+def _aw_pairs(p: AWParams, pt: XPoint) -> tuple[tuple[int, int], ...]:
+    """The integer pairs of a, b, c, d, q and z, the only inputs of p_n."""
+    if p.a == 0:
+        raise DomainError("parameter a must be nonzero")
+    return tuple([_pair(x) for x in (p.a, p.b, p.c, p.d, p.q, pt.z)])
+
+
+def _aw_prefactors(pairs: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, int]]:
+    """(ab,ac,ad;q)_n / a^n for n = 0, 1, ..., as unreduced integer pairs."""
+    (an, ad), (bn, bd), (cn, cd), (dn, dd), (qn, qd), _ = pairs
+    num = den = 1
+    un = ud = 1  # q^n = un/ud
+    while True:
+        yield num, den
+        for xn, xd in ((bn, bd), (cn, cd), (dn, dd)):  # the factor 1 - a x q^n
+            num *= ad * xd * ud - an * xn * un
+            den *= ad * xd * ud
+        num, den = num * ad, den * an
+        un, ud = un * qn, ud * qd
+
+
+def _aw_value(pairs: tuple[tuple[int, int], ...], n: int, pref: tuple[int, int]) -> Scalar:
+    """p_n from the pairs of _aw_pairs and its prefactor pair: the 4phi3's
+    parameters q^(-n), abcd q^(n-1), az, a/z; ab, ac, ad are unreduced
+    integer pairs, summed by series._terminating_sum at argument q."""
+    (an, ad), (bn, bd), (cn, cd), (dn, dd), q, (zn, zd) = pairs
+    qn, qd = q
+    sn, sd = (qn ** (n - 1), qd ** (n - 1)) if n else (qd, qn)  # q^(n-1)
+    nums = (
+        (qd**n, qn**n),
+        (an * bn * cn * dn * sn, ad * bd * cd * dd * sd),
+        (an * zn, ad * zd),
+        (an * zd, ad * zn),
     )
+    dens = ((an * bn, ad * bd), (an * cn, ad * cd), (an * dn, ad * dd))
+    num, den = _terminating_sum((nums, dens, q), q, n)
+    return Fraction(pref[0] * num, pref[1] * den)
 
 
 def aw_poly(n: int, p: AWParams, pt: XPoint) -> Scalar:
-    """Value of p_n(x; a,b,c,d; q) at x = (z + 1/z)/2."""
+    """Value of p_n(x; a,b,c,d; q) at x = (z + 1/z)/2, raising PoleError at
+    the first term whose denominator (q,ab,ac,ad;q)_k vanishes."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    if p.a == 0:
-        raise DomainError("parameter a must be nonzero")
-    a, q = p.a, p.q
-    pref = _closed_form(((a, -n),), (((a * p.b, a * p.c, a * p.d), q, (n,)),))
-    return pref * phi_terminating(aw_phi_spec(n, p, pt), q, n)
+    pairs = _aw_pairs(p, pt)
+    return _aw_value(pairs, n, next(islice(_aw_prefactors(pairs), n, None)))
+
+
+def _aw_polys(p: AWParams, pt: XPoint) -> Iterator[Scalar]:
+    """p_0, p_1, ... at one point, without end: aw_poly(n, p, pt) for each n
+    in turn, from pairs formed once and one running prefactor.
+
+    The k-th term's denominator (q,ab,ac,ad;q)_k does not depend on n, so the
+    first degree that raises is that k, and every later degree would raise
+    the same PoleError; a caller that reads degrees in some order of its own
+    sees the exception its first aw_poly call at a pole would raise.
+    """
+    pairs = _aw_pairs(p, pt)
+    for n, pref in enumerate(_aw_prefactors(pairs)):
+        yield _aw_value(pairs, n, pref)
+
+
+def aw_leading_coeff(n: int, p: AWParams) -> Scalar:
+    """Coefficient of x^n in p_n: 2^n (abcd q^(n-1);q)_n.  p_n drops degree
+    exactly where it vanishes."""
+    q = p.q
+    return _closed_form(((2, n),), (((p.abcd * q ** (n - 1),), q, (n,)),))
 
 
 def aw_poly_as_polynomial(n: int, p: AWParams) -> PolynomialInX:
@@ -343,15 +400,11 @@ def moment_weights(p: AWParams, n: int) -> tuple[list[Scalar], list[Scalar]]:
     return nodes, [Fraction(cn * sn, cd * sd) for cn, cd, sn, sd in weights]
 
 
-def _weighted_sum(weights: Sequence[Scalar], *columns: Sequence[Scalar]) -> Scalar:
-    """sum_j w_j x_j y_j ... over the value columns, as an unreduced integer pair."""
-    num, den = 0, 1
-    for w, *xs in zip(weights, *columns):
-        tn, td = _pair(w)
-        for xn, xd in map(_pair, xs):
-            tn, td = tn * xn, td * xd
-        num, den = num * td + tn * den, den * td
-    return Fraction(num, den)
+def _weighted_sum(*columns: tuple[Sequence[int], int]) -> Scalar:
+    """sum_j x_j y_j ... over integer columns (nums, den), x_j = nums[j] / den:
+    one integer dot product over the product of the denominators."""
+    total = sum(map(math.prod, zip(*[nums for nums, _ in columns])))
+    return Fraction(total, math.prod(den for _, den in columns))
 
 
 def moment_functional(f: PolynomialInX, p: AWParams) -> Scalar:
@@ -394,7 +447,9 @@ def aw_moment(n: int, t: Scalar, p: AWParams) -> Scalar:
     aw_moments gives every order up to n from one pass.
     """
     nodes, weights = moment_weights(p, n)
-    return _weighted_sum(weights, [(t + b) ** n for b in nodes])
+    return _weighted_sum(
+        _common_denominator(weights), _common_denominator([(t + b) ** n for b in nodes])
+    )
 
 
 def aw_moments(t: Scalar, p: AWParams, n: int) -> list[Scalar]:

@@ -40,6 +40,7 @@ import time
 import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from typing import Callable
 
 from .askey_wilson import (
@@ -48,14 +49,15 @@ from .askey_wilson import (
     DuplicateNodes,
     PolynomialInX,
     XPoint,
+    _aw_polys,
     _basis_moments,
     _peel_functional,
     _weighted_sum,
+    aw_leading_coeff,
     aw_moment,
     aw_moments,
     aw_norm_ratio,
     aw_poly,
-    aw_poly_as_polynomial,
     basis_moment,
     connection_u,
     moment_weights,
@@ -249,15 +251,16 @@ def check_main_quadratic(r: int, s: int, pt: ParamPoint, order: int) -> Truncate
     )
 
 
-def _six_term_excesses(pt: ParamPoint, top: int, r: int, s: int) -> list[list[Scalar]]:
-    """[[A_k - B_k + C_k for k = 0..n+1] for n = 0..top].
+def _six_term_numerators(pt: ParamPoint, top: int, r: int, s: int) -> tuple[list[list[int]], int]:
+    """Integers e_nk and L with A_k - B_k + C_k = e_nk / L, for k = 0..n+1 and
+    n = 0..top.
 
     Each six-term coefficient is (-1)^(s-r) prefactor F[k] G[n-k] from
     main_quadratic_factors, read from the integer numerators of F and G: each
     product's prefactor is scaled once to the lcm L of the three products'
-    denominators, and each excess is one integer sum over L, one canonical
-    Fraction; A_(n+1), B_(n+1), C_(n+1) are zero.  The series read every
-    denominator up to `top`, so a zero one raises PoleError.
+    denominators, so each excess is one integer sum over L; A_(n+1), B_(n+1),
+    C_(n+1) are zero.  The series read every denominator up to `top`, so a
+    zero one raises PoleError.
     """
     sign = -1 if (s - r) % 2 else 1
     products = main_quadratic_factors(pt, r, s, top)
@@ -268,11 +271,18 @@ def _six_term_excesses(pt: ParamPoint, top: int, r: int, s: int) -> list[list[Sc
         for (pref, f, g), den in zip(products, dens)
     ]
 
-    def excess(k: int, n: int) -> Scalar:
+    def excess(k: int, n: int) -> int:
         a, b, c = (scale * fn[k] * gn[n - k] for scale, fn, gn in factors)
-        return Fraction(a - b + c, lcm)
+        return a - b + c
 
-    return [[excess(k, n) for k in range(n + 1)] + [Fraction(0)] for n in range(top + 1)]
+    return [[excess(k, n) for k in range(n + 1)] + [0] for n in range(top + 1)], lcm
+
+
+def _six_term_excesses(pt: ParamPoint, top: int, r: int, s: int) -> list[list[Scalar]]:
+    """[[A_k - B_k + C_k for k = 0..n+1] for n = 0..top], one canonical
+    Fraction each, from _six_term_numerators."""
+    rows, lcm = _six_term_numerators(pt, top, r, s)
+    return [[Fraction(e, lcm) for e in row] for row in rows]
 
 
 def six_term_g(k: int, pt: ParamPoint, r: int, s: int) -> Scalar:
@@ -369,29 +379,31 @@ def check_quadratic_specialization(r: int, pt: ParamPoint, order: int) -> Trunca
     )
 
 
-def check_aw_quadratic(n: int, p: AWParams, pt: XPoint) -> Scalar:
-    """Residual of the degree-lowering quadratic relation for p_n under
-    (a,b) -> (aq,bq) parameter promotion."""
-    if n < 2:
-        raise DomainError("relation starts at n = 2")
-    a, b, q = p.a, p.b, p.q
+def aw_quadratic_residuals(n_max: int, p: AWParams, pt: XPoint) -> list[Scalar]:
+    """Residuals of the degree-lowering quadratic relation for p_n under
+    (a,b) -> (aq,bq) parameter promotion, n = 2..n_max.
+
+    The four parameter sets' p_k come from one _aw_polys pass each.  At order
+    n the relation first reads p_n of (a,b), then p_(n-1) of (aq,bq), (aq,b)
+    and (a,bq); each pass is advanced to that degree in that order, so a
+    pole raises what evaluating the relation term by term with aw_poly, n by
+    n, raises first.
+    """
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     abcd = p.abcd
-    p_ab = replace(p, a=a * q, b=b * q)
-    p_a = replace(p, a=a * q)
-    p_b = replace(p, b=b * q)
-    lhs = (
-        a * b * (1 - q ** (n - 1)) * (1 - p.c * p.d * q ** (n - 2))
-        * aw_poly(n, p, pt) * aw_poly(n - 2, p_ab, pt)
-    )
-    rhs1 = (
-        (1 - a * b * q ** (n - 1)) * (1 - abcd * q ** (n - 1))
-        * aw_poly(n - 1, p, pt) * aw_poly(n - 1, p_ab, pt)
-    )
-    rhs2 = (
-        (1 - a * b) * (1 - abcd * q ** (2 * n - 2))
-        * aw_poly(n - 1, p_a, pt) * aw_poly(n - 1, p_b, pt)
-    )
-    return lhs - rhs1 + rhs2
+    params = (p, replace(p, a=a * q, b=b * q), replace(p, a=a * q), replace(p, b=b * q))
+    passes = [_aw_polys(x, pt) for x in params]
+    values: list[list[Scalar]] = [[] for _ in params]
+    out = []
+    for n in range(2, n_max + 1):
+        for top, got, more in zip((n, n - 1, n - 1, n - 1), values, passes):
+            got.extend(islice(more, top + 1 - len(got)))
+        v, v_ab, v_a, v_b = values
+        lhs = a * b * (1 - q ** (n - 1)) * (1 - c * d * q ** (n - 2)) * v[n] * v_ab[n - 2]
+        rhs1 = (1 - a * b * q ** (n - 1)) * (1 - abcd * q ** (n - 1)) * v[n - 1] * v_ab[n - 1]
+        rhs2 = (1 - a * b) * (1 - abcd * q ** (2 * n - 2)) * v_a[n - 1] * v_b[n - 1]
+        out.append(lhs - rhs1 + rhs2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +850,8 @@ def _run_main_quadratic(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_six_term_sums(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for r, s in ((0, 0), (1, 1), (2, 1)):
-        out.extend(sum(excess, Fraction(0)) for excess in _six_term_excesses(pt, sizes.n_max, r, s))
+        rows, lcm = _six_term_numerators(pt, sizes.n_max, r, s)
+        out.extend(Fraction(sum(row), lcm) for row in rows)
     return out
 
 
@@ -846,8 +859,9 @@ def _run_six_term_sums(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_six_term_pairs(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for r, s in ((0, 0), (1, 1), (2, 1)):
-        for n, excess in enumerate(_six_term_excesses(pt, sizes.n_max, r, s)):
-            out.extend(excess[k] + excess[n - k + 1] for k in range(n + 2))
+        rows, lcm = _six_term_numerators(pt, sizes.n_max, r, s)
+        for n, row in enumerate(rows):
+            out.extend(Fraction(row[k] + row[n - k + 1], lcm) for k in range(n + 2))
     return out
 
 
@@ -892,9 +906,7 @@ def _run_quadratic_specialization(pt: ParamPoint, sizes: Sizes) -> list:
 
 @_check("aw_quadratic", "Cor. 1.3 / Eq. (eq:conj)", _ABCDQZ, Sizes(n_max=6), note="n = 2..6")
 def _run_aw_quadratic(pt: ParamPoint, sizes: Sizes) -> list:
-    p = _aw_from(pt)
-    x = XPoint(pt["z"])
-    return [check_aw_quadratic(n, p, x) for n in range(2, max(sizes.n_max, 2) + 1)]
+    return aw_quadratic_residuals(max(sizes.n_max, 2), _aw_from(pt), XPoint(pt["z"]))
 
 
 @_check("bordered_det", "Thm 3.1 / Eq. (eq:det)", _ABCDQZ, Sizes(n_max=5),
@@ -1072,13 +1084,14 @@ def _run_basis_moments(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     out = [basis_moment(1, p) - (1 - a * b) * (1 - a * c) * (1 - a * d) / (1 - p.abcd)]
     nodes, weights = moment_weights(p, sizes.n_max)
+    weights = _common_denominator(weights)
     # symmetric in b, c, d
     moments, *swapped = (
         _basis_moments(sizes.n_max, order)
         for order in (p, replace(p, b=c, c=d, d=b), replace(p, b=d, d=b))
     )
     for n, f in enumerate(pochhammer_basis_polys(a, q, sizes.n_max)):
-        out.append(_weighted_sum(weights, [f(x) for x in nodes]) - moments[n])
+        out.append(_weighted_sum(weights, _common_denominator([f(x) for x in nodes])) - moments[n])
         out += [other[n] - moments[n] for other in swapped]
     return out
 
@@ -1088,28 +1101,38 @@ def _run_basis_moments(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
     """L(p_m p_n) - delta_mn h_n/h_0 for 0 <= m <= n <= min(n_max, 4).
 
-    A p_m of degree below m is a pole of the check.  Its leading coefficient
-    2^m (abcd q^(m-1);q)_m vanishes, so abcd = q^(-j) with j <= 2m-2, and the
-    moments of degree above j have poles: the relation holds there only as a
-    limit, which the exact value at this point need not match.
-
     L is applied through one weight vector per trial, at twice the top degree
-    T, and each p_m is evaluated once per node.  The weights raise what the
-    first failing product p_m p_n raises when it alone is expanded by
-    newton_lattice_coeffs at its degree and dotted with the basis moments.
-    With no degree drop, abcd = q^(-j) only for j >= 2T-1, so a zero
-    (abcd;q)_k is read only at k = 2T, by the last product.  A zero lattice
-    Newton denominator at order d means a^2 q^e = 1 with 1 <= e <= 2d-1, which
-    is a node collision at the same order, and both routes check the nodes
-    first.
+    T, on the lattice nodes b_j = x(z_j) with z_j = a q^j, j = 0..2T.  Each
+    p_m is evaluated at every node from one _aw_polys pass per node, with no
+    expansion to monomials, and each value column and the weights are put
+    over one denominator once.
+
+    The events come in a fixed order, so that every pole is raised as if
+    each p_m were first expanded to monomials and each product p_m p_n were
+    then expanded by newton_lattice_coeffs at its degree and dotted with the
+    basis moments:
+      1. the node values, whose only poles are the 4phi3 denominators
+         (q,ab,ac,ad;q)_k, the same at every z;
+      2. the degree drops: a p_m whose leading coefficient
+         2^m (abcd q^(m-1);q)_m vanishes is a pole of the check, since then
+         abcd = q^(-j) with j <= 2m-2, and the moments of degree above j
+         have poles: the relation holds there only as a limit, which the
+         exact value at this point need not match;
+      3. the weights.  With no degree drop, abcd = q^(-j) only for j >= 2T-1,
+         so a zero (abcd;q)_k is read only at k = 2T, by the last product.  A
+         zero lattice Newton denominator at order d means a^2 q^e = 1 with
+         1 <= e <= 2d-1, which is a node collision at the same order, and
+         both routes check the nodes first.
     """
     p = _aw_from(pt)
+    a, q = p.a, p.q
     top = min(sizes.n_max, 4)
-    polys = [aw_poly_as_polynomial(k, p) for k in range(top + 1)]
-    if any(f.degree < m for m, f in enumerate(polys)):
+    rows = [list(islice(_aw_polys(p, XPoint(a * q**j)), top + 1)) for j in range(2 * top + 1)]
+    if any(aw_leading_coeff(m, p) == 0 for m in range(top + 1)):
         raise PoleError("leading coefficient of p_m vanishes")
-    nodes, weights = moment_weights(p, 2 * top)
-    values = [[f(b) for b in nodes] for f in polys]
+    _, weights = moment_weights(p, 2 * top)
+    weights = _common_denominator(weights)
+    values = [_common_denominator(column) for column in zip(*rows)]
     out = []
     for m in range(top + 1):
         for n in range(m, top + 1):

@@ -7,8 +7,12 @@ A basic hypergeometric series with r numerator and s denominator parameters is
 It is materialised here either as a TruncatedSeries in the formal variable z
 (dense coefficients up to a fixed order) or, when a numerator parameter equals
 q^(-m), as the exact Scalar value of the terminating sum.  Both come from one
-pass of the term-ratio recurrence on integer pairs from scalar._pair;
-phi_term, which builds a term from its Pochhammer products, is their oracle.
+pass of the term-ratio recurrence, _term_ratios, which reads the parameters
+as integer pairs: phi_series and phi_terminating pair their spec once, and
+askey_wilson.aw_poly passes the pairs of its 4phi3 directly, with no spec.
+A terminating sum is one Horner fold of those ratios, _terminating_sum,
+shared by phi_terminating and aw_poly.  phi_term, which builds a term from
+its Pochhammer products, is the oracle of both.
 
 A TruncatedSeries, like askey_wilson.PolynomialInX, holds integer numerators
 over one positive denominator; its canonical Fraction coefficients are built
@@ -140,15 +144,24 @@ def phi_term(spec: HypergeometricSpec, n: int) -> Scalar:
     return num / den * sign * q ** (math.comb(n, 2) * e)
 
 
-def _term_ratios(spec: HypergeometricSpec, z: Scalar, top: int) -> Iterator[tuple[int, int]]:
+def _paired(spec: HypergeometricSpec) -> tuple:
+    """The spec as integer pairs (numerators, denominators, q), the form
+    _term_ratios reads."""
+    nums, dens = [_pair(a) for a in spec.numerators], [_pair(b) for b in spec.denominators]
+    return tuple(nums), tuple(dens), _pair(spec.q)
+
+
+def _term_ratios(spec: tuple, z: tuple[int, int], top: int) -> Iterator[tuple[int, int]]:
     """Term n / term n-1 of the series at argument z, n = 1..top, as an
-    unreduced integer pair.  The denominator factor (1 - q^n) prod_b (1 - b q^(n-1))
-    enters inverted; PoleError is raised at the first n where it vanishes."""
-    qn, qd = _pair(spec.q)
-    e = spec.sign_exponent
-    zn, zd = _pair(z)
-    nums = [_pair(a) for a in spec.numerators]
-    dens = [_pair(b) for b in spec.denominators]
+    unreduced integer pair.
+
+    spec is (numerators, denominators, q) and z one pair, each parameter an
+    integer pair (n, d) with d nonzero, in lowest terms or not.  The
+    denominator factor (1 - q^n) prod_b (1 - b q^(n-1)) enters inverted;
+    PoleError is raised at the first n where it vanishes."""
+    nums, dens, (qn, qd) = spec
+    zn, zd = z
+    e = 1 + len(dens) - len(nums)  # HypergeometricSpec.sign_exponent
     # ((-1)^n q^C(n,2))^e contributes (-q^(n-1))^e to the ratio of term n
     sign = -1 if e % 2 else 1
     pn, pd = 1, 1  # q^(n-1) = pn/pd while computing term n
@@ -187,7 +200,7 @@ def phi_series(spec: HypergeometricSpec, argument_scale: Scalar, order: int) -> 
     if order < 0:
         raise ValueError(f"truncation order must be nonnegative, got {order}")
     ratios = []
-    for r_num, r_den in _term_ratios(spec, argument_scale, order):
+    for r_num, r_den in _term_ratios(_paired(spec), _pair(argument_scale), order):
         g = math.gcd(r_num, r_den)
         g = g if r_den > 0 else -g
         ratios.append((r_num // g, r_den // g))
@@ -201,22 +214,31 @@ def phi_series(spec: HypergeometricSpec, argument_scale: Scalar, order: int) -> 
     return TruncatedSeries.from_integers(nums, tails[-1])
 
 
+def _terminating_sum(spec: tuple, z: tuple[int, int], m: int) -> tuple[int, int]:
+    """1 + r_1 (1 + r_2 (... (1 + r_m))) over the ratios r_n of _term_ratios,
+    folded by Horner's rule into one unreduced integer pair.
+
+    _term_ratios is looked up at each call, so a patched generator reaches
+    every terminating sum, askey_wilson's p_n included."""
+    num = den = 1
+    for r_num, r_den in reversed(list(_term_ratios(spec, z, m))):
+        num, den = r_den * den + r_num * num, r_den * den
+    return num, den
+
+
 def phi_terminating(spec: HypergeometricSpec, z_value: Scalar, m: int) -> Scalar:
     """Exact value of the sum terminating at index m.
 
     Requires a numerator parameter equal to q^(-m), which kills every later
-    term.  With r_n from _term_ratios, the sum 1 + r_1 (1 + r_2 (... (1 + r_m)))
-    is folded by Horner's rule on integers into one Fraction.  It raises
-    PoleError exactly where phi_term(spec, n) does for some n <= m.
+    term.  The sum is one _terminating_sum over the spec's pairs, made one
+    Fraction.  It raises PoleError exactly where phi_term(spec, n) does for
+    some n <= m.
     """
     if m < 0:
         raise ValueError(f"termination order must be nonnegative, got {m}")
     if spec.q ** (-m) not in spec.numerators:
         raise NotTerminating(f"no numerator parameter equals q^(-{m})")
-    num, den = 1, 1
-    for r_num, r_den in reversed(list(_term_ratios(spec, Fraction(z_value), m))):
-        num, den = r_den * den + r_num * num, r_den * den
-    return Fraction(num, den)
+    return Fraction(*_terminating_sum(_paired(spec), _pair(z_value), m))
 
 
 def _coefficient(a: Sequence[int], b: Sequence[int], k: int) -> int:
@@ -231,10 +253,11 @@ def _sum_of_products(terms: Sequence[Sequence], length: int) -> tuple[list[int],
 
     A term is (c, u_1, ..., u_k) with k >= 1: a scalar and integer vectors
     u_j = (nums, den) of any lengths, each standing for nums[i] / den with
-    den > 0.  Every factor but the last is multiplied out on the integers.
-    Each coefficient is then one integer sum over the terms, read from the
-    last factor's convolution as it goes, over the lcm of the terms'
-    denominators; nothing is reduced.  No term's full product is built:
+    den > 0.  Every factor but the last is multiplied out on the integers,
+    starting from the first one truncated to `length`.  Each coefficient is
+    then one integer sum over the terms, read from the last factor's
+    convolution as it goes, over the lcm of the terms' denominators; nothing
+    is reduced.  No term's full product is built:
     holding those lists raised the peak memory of a run.
     """
     parts = []
@@ -243,8 +266,10 @@ def _sum_of_products(terms: Sequence[Sequence], length: int) -> tuple[list[int],
         num, d = _pair(c)
         den *= d
         head = [1]
-        for a, d in rest:
-            head = [_coefficient(head, a, k) for k in range(min(length, len(head) + len(a) - 1))]
+        for i, (a, d) in enumerate(rest):  # the product starts from the first factor
+            head = a[:length] if i == 0 else [
+                _coefficient(head, a, k) for k in range(min(length, len(head) + len(a) - 1))
+            ]
             den *= d
         parts.append((num, den, head, b))
     lcm = math.lcm(*[den for _, den, _, _ in parts])

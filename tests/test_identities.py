@@ -844,7 +844,9 @@ def test_modular_engine_off_by_one_fails_every_trial(monkeypatch, check_id, engi
     assert primes
 
 
-@pytest.mark.parametrize("check_id", ("andrews_qwatson", "aw_quadratic"))
+@pytest.mark.parametrize(
+    "check_id", ("andrews_qwatson", "aw_quadratic", "orthogonality", "bordered_det", "gram_det")
+)
 def test_term_ratio_index_slip_fails_every_trial(monkeypatch, check_id):
     # the term-ratio generator read one term late, r_(n+1) in place of r_n:
     # every terminating sum goes through it, and the closed forms and the

@@ -28,7 +28,9 @@ from qident.askey_wilson import (
     DuplicateNodes,
     PolynomialInX,
     XPoint,
+    _aw_polys,
     _lattice_denominators,
+    aw_leading_coeff,
     aw_moment,
     aw_norm_ratio,
     aw_poly,
@@ -53,6 +55,7 @@ from qident.identities import (
     _gram_dets,
     _six_term_excesses,
     _six_term_specs,
+    aw_quadratic_residuals,
     build_bordered_matrix,
     build_even_det,
     build_gram_matrix,
@@ -1349,6 +1352,86 @@ def test_closed_forms_match_fraction_products(seed):
                 assert attempt(lambda: list(check_contiguous(r, s, x, order).coeffs)) == attempt(
                     lambda: list(ref_contiguous(r, s, x, order).coeffs)
                 )
+
+
+@pytest.mark.parametrize("height", [2, 3, 40])
+def test_aw_polys_match_fraction_route(height):
+    # every degree of one pass against ref_aw_poly, value and pole outcome, at
+    # random points and at points built on a denominator (q,ab,ac,ad;q)_k = 0;
+    # a pole ends the pass, and every later degree raises the same PoleError
+    outcomes = set()
+    for s in range(24):
+        pt = sample_point(("a", "b", "c", "d", "q", "z"), 97 * s + height, height)
+        a, q = pt["a"], pt["q"]
+        for changes in ({}, {"b": 1 / (a * q**2)}, {"d": 1 / (a * q**4)}, {"a": F(0)}):
+            x = ParamPoint({**pt.assignments, **changes}, pt.seed)
+            p, z = _aw_from(x), XPoint(x["z"])
+            degrees = _aw_polys(p, z)
+            for n in range(9):
+                got = attempt(next, degrees)
+                assert got == attempt(ref_aw_poly, n, p, z)
+                outcomes.add(got[0])
+                if got[0] != "value":
+                    assert all(attempt(ref_aw_poly, k, p, z) == got for k in range(n, 9))
+                    break
+    assert outcomes == {"value", PoleError, DomainError}
+
+
+def test_leading_coeff_matches_interpolated_polynomial():
+    # the closed form 2^m (abcd q^(m-1);q)_m is the x^m coefficient of the
+    # interpolated p_m, so it vanishes exactly where p_m drops degree
+    points = [ParamPoint(values, 0) for values in DEGREE_DROPS]
+    points += [point(s, ("a", "b", "c", "d", "q")) for s in range(60)]
+    drops = 0
+    for pt in points:
+        p = _aw_from(pt)
+        for m in range(6):
+            try:
+                poly = aw_poly_as_polynomial(m, p)
+            except PoleError:
+                break
+            lead = aw_leading_coeff(m, p)
+            assert (poly.degree < m) == (lead == 0)
+            assert poly.coeffs[m] == lead if poly.degree == m else lead == 0
+            drops += poly.degree < m
+    assert drops >= len(DEGREE_DROPS)
+
+
+def ref_aw_quadratic(n_max, p, pt):
+    """The degree-lowering quadratic relation at n = 2..n_max, term by term."""
+    a, b, c, d, q, abcd = p.a, p.b, p.c, p.d, p.q, p.abcd
+    p_ab, p_a, p_b = replace(p, a=a * q, b=b * q), replace(p, a=a * q), replace(p, b=b * q)
+    out = []
+    for n in range(2, n_max + 1):
+        lhs = (
+            a * b * (1 - q ** (n - 1)) * (1 - c * d * q ** (n - 2))
+            * ref_aw_poly(n, p, pt) * ref_aw_poly(n - 2, p_ab, pt)
+        )
+        rhs1 = (
+            (1 - a * b * q ** (n - 1)) * (1 - abcd * q ** (n - 1))
+            * ref_aw_poly(n - 1, p, pt) * ref_aw_poly(n - 1, p_ab, pt)
+        )
+        rhs2 = (
+            (1 - a * b) * (1 - abcd * q ** (2 * n - 2))
+            * ref_aw_poly(n - 1, p_a, pt) * ref_aw_poly(n - 1, p_b, pt)
+        )
+        out.append(lhs - rhs1 + rhs2)
+    return out
+
+
+@pytest.mark.parametrize("height", [2, 3, 40])
+def test_aw_quadratic_batches_raise_what_the_relation_raises(height):
+    # the four passes are advanced degree by degree, so the first pole met is
+    # the one the relation's own order of aw_poly calls meets first
+    outcomes = set()
+    for s in range(60):
+        pt = sample_point(("a", "b", "c", "d", "q", "z"), 89 * s + height, height)
+        p, z = _aw_from(pt), XPoint(pt["z"])
+        got = attempt(aw_quadratic_residuals, 6, p, z)
+        assert got == attempt(ref_aw_quadratic, 6, p, z)
+        outcomes.add(got if got[0] is PoleError else got[0])
+    if height < 40:
+        assert len(outcomes) > 2  # values and poles at more than one term
 
 
 def test_qwatson_right_side_poles_are_raised_by_the_left_side():
