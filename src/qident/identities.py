@@ -21,15 +21,18 @@ and closed forms divide only by the table entries they read, so a zero
 elsewhere in a table is no pole.  The Mehta-Wang matrix and the skew matrices
 share one entry, (q^i - c q^j) h_(i+j), with c = 1 for the skew ones.
 
-The determinant and Pfaffian checks keep their builders, closed forms and
-oracles exact and run their engines mod a prime drawn from the trial point's
-seed (scalar.trial_prime).  Their residuals are then scalar.Residues, which
-read 0 exactly when the prime divides the exact residual's numerator.  The
-matrix families are nested, entry (i, j) independent of the order, so each
-builds its matrix once at the top order and reads every order from one
-elimination: leading_minors for the determinants, leading_pfaffians for the
-Pfaffians, and leading_minors of the pair-swapped skew matrix for the
-even-order determinants.
+The determinant and Pfaffian checks keep their builders and oracles exact
+and run their engines mod a prime drawn from the trial point's seed
+(scalar.trial_prime).  They take the closed forms they compare mod the same
+prime (every rhs_* and prefactor takes an optional `prime`), and
+gram_to_bordered forms its entry residuals and determinant scaling mod it
+too.  Their residuals are then scalar.Residues, which read 0 exactly when
+the prime divides the exact residual's numerator; a closed form still raises
+PoleError only where its exact value would.  The matrix families are nested,
+entry (i, j) independent of the order, so each builds its matrix once at the
+top order and reads every order from one elimination: leading_minors for
+the determinants, leading_pfaffians for the Pfaffians, and leading_minors of
+the pair-swapped skew matrix for the even-order determinants.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ from .scalar import (
     DomainError,
     ParamPoint,
     PoleError,
+    Residue,
     SamplingExhausted,
     Scalar,
     _closed_form,
@@ -94,6 +98,7 @@ from .scalar import (
     _pair,
     _qpoch_multi_prefix,
     _quotient,
+    _ratio,
     _ratio_table,
     gamma_int,
     qpoch,
@@ -442,13 +447,15 @@ def build_bordered_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
     return Matrix(n, n, tuple(entries))
 
 
-def det_prefactor(n: int, p: AWParams) -> Scalar:
+def det_prefactor(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
     """D_n = a^(n(n-1)/2) b^(n(n+1)/2) q^(n(n-1)(2n-1)/6)
              prod_i (ab,cd,q;q)_i / (abcd;q)_(n+i)."""
-    return _det_prefactor_times(n, p, 1, ())
+    return _det_prefactor_times(n, p, 1, (), prime)
 
 
-def _det_prefactor_times(n: int, p: AWParams, sign: int, extra: tuple[Scalar, ...]) -> Scalar:
+def _det_prefactor_times(
+    n: int, p: AWParams, sign: int, extra: tuple[Scalar, ...], prime: int | None
+) -> Scalar | Residue:
     """sign^n D_n prod_i (extra;q)_i: D_n with more bases in its numerator."""
     a, b, q = p.a, p.b, p.q
     return _closed_form(
@@ -457,12 +464,13 @@ def _det_prefactor_times(n: int, p: AWParams, sign: int, extra: tuple[Scalar, ..
         (((a * b, p.c * p.d, q) + extra, q, range(n)),),
         (((p.abcd,), q, range(n, 2 * n)),),
         "(abcd;q)_(n+i)",
+        prime,
     )
 
 
-def rhs_det_formula(n: int, p: AWParams, pt: XPoint) -> Scalar:
+def rhs_det_formula(n: int, p: AWParams, pt: XPoint, prime: int | None = None) -> Scalar | Residue:
     """Closed form D_n(a,b) * p_n(x; a,b,c,d; q)."""
-    return det_prefactor(n, p) * aw_poly(n, p, pt)
+    return det_prefactor(n, p, prime) * aw_poly(n, p, pt)
 
 
 def _decorations(n: int, p: AWParams) -> tuple[tuple[list[int], list[int]], ...]:
@@ -475,12 +483,9 @@ def _decorations(n: int, p: AWParams) -> tuple[tuple[list[int], list[int]], ...]
     return _qpoch_multi_prefix((a * c, a * d), q, n), _qpoch_multi_prefix((b * c, b * d), q, n)
 
 
-def _decoration_det(n: int, row: tuple, col: tuple) -> Scalar:
+def _decoration_det(n: int, row: tuple, col: tuple, prime: int | None = None) -> Scalar | Residue:
     """prod_(i<n) (ac,ad,bc,bd;q)_i, the factor the decorations put on an order-n det."""
-    return Fraction(
-        math.prod(row[0][:n]) * math.prod(col[0][:n]),
-        math.prod(row[1][:n]) * math.prod(col[1][:n]),
-    )
+    return _ratio(row[0][:n] + col[0][:n], row[1][:n] + col[1][:n], prime)
 
 
 def _decorated_hankel(rows: int, cols: int, p: AWParams) -> list[Scalar]:
@@ -519,17 +524,17 @@ def _gram_dets(G: Matrix, prime: int | None = None) -> list:
     return [-d if n % 2 else d for n, d in enumerate(leading_minors(lifted, prime)) if n]
 
 
-def gram_prefactor(n: int, p: AWParams) -> Scalar:
+def gram_prefactor(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
     """C = (-1)^n a^(n(n-1)/2) b^(n(n+1)/2) q^(n(n-1)(2n-1)/6)
            prod_i (ab,ac,ad,bc,bd,cd,q;q)_i / (abcd;q)_(n+i),
     that is (-1)^n D_n prod_i (ac,ad,bc,bd;q)_i."""
     a, b, c, d = p.a, p.b, p.c, p.d
-    return _det_prefactor_times(n, p, -1, (a * c, a * d, b * c, b * d))
+    return _det_prefactor_times(n, p, -1, (a * c, a * d, b * c, b * d), prime)
 
 
-def rhs_gram_formula(n: int, p: AWParams, pt: XPoint) -> Scalar:
+def rhs_gram_formula(n: int, p: AWParams, pt: XPoint, prime: int | None = None) -> Scalar | Residue:
     """Closed form C * p_n(x; a,b,c,d; q)."""
-    return gram_prefactor(n, p) * aw_poly(n, p, pt)
+    return gram_prefactor(n, p, prime) * aw_poly(n, p, pt)
 
 
 def gram_elimination_residuals(
@@ -544,8 +549,10 @@ def gram_elimination_residuals(
     consequence det A = (-1)^n prod_i (ac,ad,bc,bd;q)_i * det B is checked as
     well.  No entry residual depends on n, so each is computed once from the
     order-n_max matrices and listed again at every order that contains it;
-    the determinants of all orders come from one elimination per matrix,
-    mod `prime` when one is given.
+    the determinants of all orders come from one elimination per matrix.
+    When `prime` is given, every residual is a Residue mod `prime`: the
+    eliminations run mod p, and the entry residuals and the determinant
+    scaling are formed from the entries' residues.
     """
     b, q, x = p.b, p.q, pt.x
     top = max(n_max, 0)
@@ -553,22 +560,29 @@ def gram_elimination_residuals(
     B = build_bordered_matrix(top, p, pt)
     row, col = _decorations(top, p)
     (rn, rd), (cn, cd) = row, col
+    # row-major entries: A is (top+1) x (top+1), B is top x top
+    if prime is None:
+        ea, eb = A.entries, B.entries
+    else:
+        ea, eb = ([Residue(*_pair(v), prime) for v in M.entries] for M in (A, B))
+    w = top + 1
     columns = []  # column j's residuals: moment rows i < top, then the polynomial row
-    for j in range(1, top + 1):
+    for j in range(1, w):
         mult = 1 - 2 * b * x * q ** (j - 1) + b**2 * q ** (2 * j - 2)
+        combined = [ea[i * w + j] - mult * ea[i * w + j - 1] for i in range(w)]
         moments = [
-            A[i, j] - mult * A[i, j - 1]
-            - Fraction(rn[i] * cn[j - 1], rd[i] * cd[j - 1]) * B[i, j - 1]
+            combined[i]
+            - _ratio([rn[i], cn[j - 1]], [rd[i], cd[j - 1]], prime) * eb[i * top + j - 1]
             for i in range(top)
         ]
-        columns.append((moments, A[top, j] - mult * A[top, j - 1]))
+        columns.append((moments, combined[top]))
     out: list[Scalar] = []
     for n, (det_a, det_b) in enumerate(zip(_gram_dets(A, prime), leading_minors(B, prime)), 1):
         for moments, last in columns[:n]:
             out += moments[:n]
             out.append(last)
-        scaling = Fraction(-1) ** n * _decoration_det(n, row, col)
-        out.append(det_a - scaling * det_b)
+        scaling = _decoration_det(n, row, col, prime)
+        out.append(det_a - (-scaling if n % 2 else scaling) * det_b)
     return out
 
 
@@ -581,12 +595,14 @@ def build_hankel_little_qjacobi(n: int, p: AWParams) -> Matrix:
     return Matrix(n, n, tuple([hankel[i + j] for i in range(n) for j in range(n)]))
 
 
-def rhs_hankel(n: int, p: AWParams) -> Scalar:
+def rhs_hankel(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
     """(ab)^(n(n-1)/2) q^(n(n-1)(n-2)/3) prod_k (q,ab,cd;q)_k / (abcd;q)_(k+n-1)."""
-    return _rhs_hankel_times(n, p, ())
+    return _rhs_hankel_times(n, p, (), prime)
 
 
-def _rhs_hankel_times(n: int, p: AWParams, extra: tuple[Scalar, ...]) -> Scalar:
+def _rhs_hankel_times(
+    n: int, p: AWParams, extra: tuple[Scalar, ...], prime: int | None
+) -> Scalar | Residue:
     """rhs_hankel prod_k (extra;q)_k: the Hankel closed form with more bases
     in its numerator."""
     q = p.q
@@ -596,6 +612,7 @@ def _rhs_hankel_times(n: int, p: AWParams, extra: tuple[Scalar, ...]) -> Scalar:
         (((q, ab, p.c * p.d) + extra, q, range(n)),),
         (((p.abcd,), q, range(n - 1, 2 * n - 1)),),
         "(abcd;q)_(k+n-1)",
+        prime,
     )
 
 
@@ -604,10 +621,10 @@ def build_hankel_decorated(n: int, p: AWParams) -> Matrix:
     return Matrix(n, n, tuple(_decorated_hankel(n, n, p)))
 
 
-def rhs_hankel_decorated(n: int, p: AWParams) -> Scalar:
+def rhs_hankel_decorated(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
     """Decorated closed form: plain closed form times prod_j (ac,ad,bc,bd;q)_j."""
     a, b, c, d = p.a, p.b, p.c, p.d
-    return _rhs_hankel_times(n, p, (a * c, a * d, b * c, b * d))
+    return _rhs_hankel_times(n, p, (a * c, a * d, b * c, b * d), prime)
 
 
 def mehta_wang_params(pt: ParamPoint) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar, Scalar]:
@@ -645,7 +662,7 @@ def _q_difference_hankel(
     )
 
 
-def rhs_mehta_wang(n: int, pt: ParamPoint) -> Scalar:
+def rhs_mehta_wang(n: int, pt: ParamPoint, prime: int | None = None) -> Scalar | Residue:
     """Closed form: prefactor times a terminating balanced 4phi3.
 
     (-1)^n a^(n(n-3)/2) q^(n(n+1)(2n-5)/6) (u^2 v^2; q^2)_n
@@ -669,6 +686,7 @@ def rhs_mehta_wang(n: int, pt: ParamPoint) -> Scalar:
         ),
         (((a * b * q**2,), q, [k + n - 2 for k in ks]),),
         "(abq^2;q)_(k+n-2)",
+        prime,
     )
     spec = HypergeometricSpec(
         (q**-n, a * b * q**n, u, -u), (a * q, u * v, -u * v), q
@@ -685,7 +703,9 @@ def build_even_det(m: int, a: Scalar, b: Scalar, q: Scalar) -> SkewMatrix:
     return SkewMatrix.from_upper(2 * m, _q_difference_hankel(1, q, hn, hd))
 
 
-def rhs_pfaffian(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
+def rhs_pfaffian(
+    m: int, a: Scalar, b: Scalar, q: Scalar, prime: int | None = None
+) -> Scalar | Residue:
     """a^(m(m-1)) q^(m(m-1)(4m+1)/3) prod_k (q,aq;q)_(2k-1)(bq;q)_(2k-2)
        / (abq^2;q)_(2(k+m)-3); the even-order determinant is its square."""
     ks = range(1, m + 1)
@@ -694,12 +714,15 @@ def rhs_pfaffian(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
         (((q, a * q), q, [2 * k - 1 for k in ks]), ((b * q,), q, [2 * k - 2 for k in ks])),
         (((a * b * q**2,), q, [2 * (k + m) - 3 for k in ks]),),
         "(abq^2;q)_(2(k+m)-3)",
+        prime,
     )
 
 
-def rhs_even_det(m: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
+def rhs_even_det(
+    m: int, a: Scalar, b: Scalar, q: Scalar, prime: int | None = None
+) -> Scalar | Residue:
     """Closed form of the even-order determinant (the Pfaffian squared)."""
-    return rhs_pfaffian(m, a, b, q) ** 2
+    return rhs_pfaffian(m, a, b, q, prime) ** 2
 
 
 def build_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> SkewMatrix:
@@ -709,11 +732,14 @@ def build_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> SkewMatrix:
     )
 
 
-def rhs_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> Scalar:
+def rhs_integer_exp_pfaffian(
+    m: int, alpha: int, q: Scalar, prime: int | None = None
+) -> Scalar | Residue:
     """q^(m(m-1)(alpha-1) + m(m-1)(4m+1)/3) prod_k (q, q^alpha; q)_(2k-1)."""
     return _closed_form(
         ((q, m * (m - 1) * (alpha - 1) + m * (m - 1) * (4 * m + 1) // 3),),
         (((q, q**alpha), q, [2 * k - 1 for k in range(1, m + 1)]),),
+        prime=prime,
     )
 
 
@@ -917,9 +943,10 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
     top = sizes.n_max
     M = build_bordered_matrix(top, p, x)
     out = []
-    dets = zip(leading_minors(M, trial_prime(pt.seed)), det_condensation(M))
+    prime = trial_prime(pt.seed)
+    dets = zip(leading_minors(M, prime), det_condensation(M))
     for n, (d_ff, d_cond) in enumerate(dets, 1):
-        out.append(d_ff - rhs_det_formula(n, p, x))
+        out.append(d_ff - rhs_det_formula(n, p, x, prime))
         out.append(d_cond - d_ff)
         if n <= COFACTOR_CAP:  # the cofactor oracle refuses larger orders
             out.append(det_cofactor(M.leading(n)) - d_ff)
@@ -930,15 +957,16 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
         note="b = v^2, c = u^2/(aq)")
 def _run_mehta_wang(pt: ParamPoint, sizes: Sizes) -> list:
     M = build_mehta_wang_matrix(sizes.n_max, pt)
-    dets = leading_minors(M, trial_prime(pt.seed))
-    return [d - rhs_mehta_wang(n, pt) for n, d in enumerate(dets, 1)]
+    prime = trial_prime(pt.seed)
+    return [d - rhs_mehta_wang(n, pt, prime) for n, d in enumerate(leading_minors(M, prime), 1)]
 
 
 @_check("even_order_det", "Cor. 3.3", ("a", "b", "q"), Sizes(m_max=3))
 def _run_even_det(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, q = pt["a"], pt["b"], pt["q"]
-    dets = _even_minors(build_even_det(sizes.m_max, a, b, q), trial_prime(pt.seed))
-    return [d - rhs_even_det(m, a, b, q) for m, d in enumerate(dets, 1)]
+    prime = trial_prime(pt.seed)
+    dets = _even_minors(build_even_det(sizes.m_max, a, b, q), prime)
+    return [d - rhs_even_det(m, a, b, q, prime) for m, d in enumerate(dets, 1)]
 
 
 @_check("pfaffian_eval", "Cor. 3.4 / Eq. (eq:key1)", ("a", "b", "q"), Sizes(m_max=3),
@@ -950,7 +978,7 @@ def _run_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for m, det in enumerate(_even_minors(M, prime), 1):
         block = M.leading(2 * m)
-        rhs = rhs_pfaffian(m, a, b, q)
+        rhs = rhs_pfaffian(m, a, b, q, prime)
         pf = pfaffian_expansion(block, prime)
         out.append(pf - rhs)
         if block.rows <= MATCHINGS_CAP:
@@ -972,10 +1000,10 @@ def _run_integer_exp_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for m in range(1, sizes.m_max + 1):
         for alpha, pf in zip(alphas, pfs):
-            rhs = rhs_integer_exp_pfaffian(m, alpha, q)
+            rhs = rhs_integer_exp_pfaffian(m, alpha, q, prime)
             out.append(pf[m - 1] - rhs)
             # consistency with the two-parameter Pfaffian at b = 0, a = q^(alpha-1)
-            out.append(rhs_pfaffian(m, q ** (alpha - 1), Fraction(0), q) - rhs)
+            out.append(rhs_pfaffian(m, q ** (alpha - 1), Fraction(0), q, prime) - rhs)
     return out
 
 
@@ -1001,8 +1029,9 @@ def _run_andrews_watson(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_gram_det(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
-    dets = _gram_dets(build_gram_matrix(sizes.n_max, p, x), trial_prime(pt.seed))
-    return [d - rhs_gram_formula(n, p, x) for n, d in enumerate(dets, 1)]
+    prime = trial_prime(pt.seed)
+    dets = _gram_dets(build_gram_matrix(sizes.n_max, p, x), prime)
+    return [d - rhs_gram_formula(n, p, x, prime) for n, d in enumerate(dets, 1)]
 
 
 @_check("gram_to_bordered", "Prop. 4.2", _ABCDQZ, Sizes(n_max=4),
@@ -1022,8 +1051,8 @@ def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
     prime = trial_prime(pt.seed)
     out = []
     for n, (d, e) in enumerate(zip(*[leading_minors(M, prime) for M in matrices]), 1):
-        out.append(d - rhs_hankel(n, p))
-        out.append(e - rhs_hankel_decorated(n, p))
+        out.append(d - rhs_hankel(n, p, prime))
+        out.append(e - rhs_hankel_decorated(n, p, prime))
     return out
 
 

@@ -15,9 +15,12 @@ evaluating both sides at random small-height rational points (Schwartz-Zippel
 style), so the sampler here is the only source of randomness and is fully
 deterministic in its seed.
 
-The determinant and Pfaffian engines can also run modulo a prime drawn from
-the trial's seed (``trial_prime``).  Their values are ``Residue``s: the
-images mod p of exact rationals N/D, compared without ever inverting D.
+The determinant and Pfaffian engines, and the closed forms compared with
+them, can also run modulo a prime drawn from the trial's seed
+(``trial_prime``).  Their values are ``Residue``s: the images mod p of exact
+rationals N/D, compared without ever inverting D.  ``_closed_form`` given a
+prime reduces each factor it reads mod p and builds no canonical Fraction;
+its poles are still decided on the exact integers.
 """
 
 from __future__ import annotations
@@ -115,31 +118,49 @@ def _closed_form(
     nums: Iterable[tuple[Iterable[Scalar], Scalar, Sequence[int]]],
     dens: Iterable[tuple[Iterable[Scalar], Scalar, Sequence[int]]] = (),
     what: str = "",
-) -> Scalar:
+    prime: int | None = None,
+) -> Scalar | Residue:
     """Every closed form in the paper: prod base^e over `powers` (e of either
     sign) times the Pochhammer groups of `nums` over those of `dens`, as one
-    canonical Fraction of unreduced integer products.  A group (bases, q, ks)
-    is prod_(k in ks) (bases;q)_k from one _qpoch_multi_prefix table up to
-    max ks.  A zero power base with e < 0 or a zero denominator entry raises
-    PoleError(f"{what} vanishes"), so only the entries read can be poles."""
-    num = den = 1
+    canonical Fraction of unreduced integer products, or as their Residue mod
+    `prime` when one is given.  A group (bases, q, ks) is prod_(k in ks)
+    (bases;q)_k from one exact _qpoch_multi_prefix table up to max ks.  A zero
+    power base with e < 0 or a denominator entry that is exactly zero raises
+    PoleError(f"{what} vanishes"), so only the entries read can be poles; an
+    entry that is only ≡ 0 mod p is none."""
+    ups, downs = [], []
+    pole = False
     for base, e in powers:
         bn, bd = _pair(base) if e >= 0 else _pair(base)[::-1]
-        num *= bn ** abs(e)
-        den *= bd ** abs(e)
+        pole = pole or bd == 0  # a denominator is positive, so only e < 0
+        ups.append(pow(bn, abs(e), prime))
+        downs.append(pow(bd, abs(e), prime))
     for bases, q, ks in nums:
         tn, td = _qpoch_multi_prefix(bases, q, max(ks, default=0))
         for k in ks:
-            num *= tn[k]
-            den *= td[k]
+            ups.append(tn[k])
+            downs.append(td[k])
     for bases, q, ks in dens:
         tn, td = _qpoch_multi_prefix(bases, q, max(ks, default=0))
+        # a zero stays zero in a running product, so the last entry decides
+        pole = pole or tn[-1] == 0
         for k in ks:
-            num *= td[k]
-            den *= tn[k]
-    if den == 0:
+            ups.append(td[k])
+            downs.append(tn[k])
+    if pole:
         raise PoleError(f"{what} vanishes")
-    return Fraction(num, den)
+    return _ratio(ups, downs, prime)
+
+
+def _ratio(ups: list[int], downs: list[int], prime: int | None = None) -> Scalar | Residue:
+    """prod ups / prod downs for nonzero integer factors `downs`: one canonical
+    Fraction, or with a prime the Residue of the two products, each factor
+    reduced mod p before it is multiplied."""
+    if prime is None:
+        return Fraction(math.prod(ups), math.prod(downs))
+    return Residue(
+        math.prod([x % prime for x in ups]), math.prod([x % prime for x in downs]), prime
+    )
 
 
 def _ratio_table(

@@ -1,3 +1,4 @@
+import inspect
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -839,6 +840,41 @@ def test_modular_engine_off_by_one_fails_every_trial(monkeypatch, check_id, engi
         return [d + 1 for d in value] if isinstance(value, list) else value + 1
 
     monkeypatch.setattr(identities, engine, perturbed)
+    report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
+    assert report.failures == report.trials == 5
+    assert primes
+
+
+@pytest.mark.parametrize(
+    "check_id, closed_form",
+    [
+        ("bordered_det", "_closed_form"),
+        ("mehta_wang_det", "_closed_form"),
+        ("gram_det", "_closed_form"),
+        ("gram_to_bordered", "_decoration_det"),
+        ("little_qjacobi_hankel", "_closed_form"),
+        ("even_order_det", "_closed_form"),
+        ("pfaffian_eval", "_closed_form"),
+        ("pfaffian_integer_exp", "_closed_form"),
+    ],
+)
+def test_modular_closed_form_off_by_one_fails_every_trial(monkeypatch, check_id, closed_form):
+    # the closed form's residue mod the trial's prime, plus 1 (for
+    # gram_to_bordered, the determinant scaling's): the exact route is left
+    # alone, so these failures show the modular closed forms are compared
+    real = getattr(identities, closed_form)
+    signature = inspect.signature(real)
+    primes = []
+
+    def perturbed(*args, **kwargs):
+        value = real(*args, **kwargs)
+        prime = signature.bind(*args, **kwargs).arguments.get("prime")
+        if prime is None:
+            return value
+        primes.append(prime)
+        return value + 1
+
+    monkeypatch.setattr(identities, closed_form, perturbed)
     report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
     assert report.failures == report.trials == 5
     assert primes

@@ -70,6 +70,7 @@ from qident.identities import (
     gram_prefactor,
     mehta_wang_params,
     rhs_det_formula,
+    rhs_even_det,
     rhs_gram_formula,
     rhs_hankel,
     rhs_hankel_decorated,
@@ -92,6 +93,7 @@ from qident.scalar import (
     DomainError,
     ParamPoint,
     PoleError,
+    Residue,
     _closed_form,
     _common_denominator,
     _quotient,
@@ -349,9 +351,11 @@ def test_closed_form_matches_fraction_products(seed):
         ]
         nums, dens = random_groups(rng, q), random_groups(rng, q)
         what = f"closed form {seed}"
-        assert attempt(_closed_form, powers, nums, dens, what) == attempt(
-            ref_closed_form, powers, nums, dens, what
-        )
+        expected = attempt(ref_closed_form, powers, nums, dens, what)
+        assert attempt(_closed_form, powers, nums, dens, what) == expected
+        # mod a trial prime, and mod 101, where table entries can be ≡ 0 mod p
+        for prime in (trial_prime(seed), 101):
+            assert attempt_mod(prime, _closed_form, powers, nums, dens, what) == expected
 
 
 def test_closed_form_zeros_and_poles():
@@ -700,6 +704,18 @@ def attempt(fn, *args):
     except (PoleError, DomainError, DegenerateLattice, DuplicateNodes) as exc:
         return type(exc), str(exc)
     return "value", canon(value if isinstance(value, list) else [value])
+
+
+def attempt_mod(prime, fn, *args):
+    """attempt() of fn(*args, prime), whose value must be a Residue mod `prime`
+    equal to the exact fn(*args); the value is reported as that exact one."""
+    try:
+        value = fn(*args, prime)
+    except (PoleError, DomainError, DegenerateLattice, DuplicateNodes) as exc:
+        return type(exc), str(exc)
+    exact = fn(*args)
+    assert isinstance(value, Residue) and value.p == prime and value == exact
+    return "value", canon([exact])
 
 
 def entry(rng):
@@ -1321,6 +1337,29 @@ def test_closed_forms_match_fraction_products(seed):
             assert attempt(rhs_integer_exp_pfaffian, m, alpha, q) == attempt(
                 ref_rhs_integer_exp, m, alpha, q
             )
+    # every matrix closed form mod the trial prime: the Residue of the exact
+    # value, or the exact form's exception (u stands in for z)
+    prime, x = trial_prime(seed), XPoint(pt["u"])
+    for n in range(6):
+        for fn, args in (
+            (det_prefactor, (n, p)),
+            (gram_prefactor, (n, p)),
+            (rhs_det_formula, (n, p, x)),
+            (rhs_gram_formula, (n, p, x)),
+            (rhs_hankel, (n, p)),
+            (rhs_hankel_decorated, (n, p)),
+            (rhs_mehta_wang, (n, pt)),
+            (_decoration_det, (n, *_decorations(5, p))),
+        ):
+            assert attempt_mod(prime, fn, *args) == attempt(fn, *args)
+    for m in range(5):
+        for fn, args in (
+            (rhs_pfaffian, (m, a, b, q)),
+            (rhs_pfaffian, (m, a, F(0), q)),
+            (rhs_even_det, (m, a, b, q)),
+            *[(rhs_integer_exp_pfaffian, (m, alpha, q)) for alpha in range(5)],
+        ):
+            assert attempt_mod(prime, fn, *args) == attempt(fn, *args)
     # the six-term factors, the Askey-Wilson norm and p_n, and the q-Watson and
     # contiguous checks, at a random point and at points built on a pole
     pt = point(seed, _MAIN_NAMES + ("A1", "B1", "z"))
@@ -1352,6 +1391,28 @@ def test_closed_forms_match_fraction_products(seed):
                 assert attempt(lambda: list(check_contiguous(r, s, x, order).coeffs)) == attempt(
                     lambda: list(ref_contiguous(r, s, x, order).coeffs)
                 )
+
+
+def test_closed_forms_mod_a_prime_dividing_a_denominator_entry():
+    # 1 - abcd = 101 and 1 - abq^2 = 101: every (abcd;q)_j and (abq^2;q)_j with
+    # j >= 1 is ≡ 0 mod 101 but not zero, so it is no pole, and the Residue,
+    # whose denominator is ≡ 0, still equals the exact value
+    p = AWParams(F(-4), F(5), F(5), F(1), F(1, 2))
+    pt = ParamPoint({"a": F(-25), "u": F(3), "v": F(4), "q": F(1, 2)})
+    a, b, _, _, _, q = mehta_wang_params(pt)
+    assert 1 - p.abcd == 1 - a * b * q**2 == 101
+    for n in range(2, 6):
+        for fn, args in (
+            (det_prefactor, (n, p)),
+            (gram_prefactor, (n, p)),
+            (rhs_hankel, (n, p)),
+            (rhs_hankel_decorated, (n, p)),
+            (rhs_mehta_wang, (n, pt)),
+            (rhs_pfaffian, (n - 1, a, b, q)),
+            (rhs_even_det, (n - 1, a, b, q)),
+        ):
+            got = fn(*args, 101)
+            assert got.den == 0 and got == fn(*args)
 
 
 @pytest.mark.parametrize("height", [2, 3, 40])
