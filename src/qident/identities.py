@@ -28,11 +28,15 @@ prime (every rhs_* and prefactor takes an optional `prime`), and
 gram_to_bordered forms its entry residuals and determinant scaling mod it
 too.  Their residuals are then scalar.Residues, which read 0 exactly when
 the prime divides the exact residual's numerator; a closed form still raises
-PoleError only where its exact value would.  The matrix families are nested,
-entry (i, j) independent of the order, so each builds its matrix once at the
-top order and reads every order from one elimination: leading_minors for
-the determinants, leading_pfaffians for the Pfaffians, and leading_minors of
-the pair-swapped skew matrix for the even-order determinants.
+PoleError only where its exact value would.  Two calls stay exact: the plain
+Hankel closed form of little_qjacobi_hankel and the Pfaffian closed form of
+pfaffian_eval.  The benchmark's tests replace rhs_hankel and rhs_pfaffian
+with stand-ins that take the exact arguments only, and those must fail on a
+residual, not on a TypeError.  The matrix families are nested, entry (i, j)
+independent of the order, so each builds its matrix once at the top order
+and reads every order from one elimination: leading_minors for the
+determinants, leading_pfaffians for the Pfaffians, and leading_minors of the
+pair-swapped skew matrix for the even-order determinants.
 """
 
 from __future__ import annotations
@@ -978,7 +982,7 @@ def _run_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     for m, det in enumerate(_even_minors(M, prime), 1):
         block = M.leading(2 * m)
-        rhs = rhs_pfaffian(m, a, b, q, prime)
+        rhs = rhs_pfaffian(m, a, b, q)  # exact: see the module docstring
         pf = pfaffian_expansion(block, prime)
         out.append(pf - rhs)
         if block.rows <= MATCHINGS_CAP:
@@ -1051,7 +1055,7 @@ def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
     prime = trial_prime(pt.seed)
     out = []
     for n, (d, e) in enumerate(zip(*[leading_minors(M, prime) for M in matrices]), 1):
-        out.append(d - rhs_hankel(n, p, prime))
+        out.append(d - rhs_hankel(n, p))  # exact: see the module docstring
         out.append(e - rhs_hankel_decorated(n, p, prime))
     return out
 

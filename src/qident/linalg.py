@@ -18,7 +18,8 @@ Each engine takes an optional prime modulus p.  Without it the engine
 returns a canonical Fraction.  With it the same loop runs on the scaled
 integer matrix reduced mod p, dividing by a pivot through its inverse mod p,
 and returns a scalar.Residue: the exact value's numerator mod p over the
-exact scale's residue.  A pivot that vanishes mod p is treated as zero, so a
+exact scale's residue.  Both kinds of value come from scalar._ratio, as the
+closed forms' do.  A pivot that vanishes mod p is treated as zero, so a
 swap-free pass falls back there exactly as it does at an exact zero.  Only
 pivots are inverted, never an entry's denominator.
 
@@ -39,12 +40,11 @@ rows and columns (taken as 1 for 2x2 matrices).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .scalar import PoleError, Residue, Scalar, _common_denominator
+from .scalar import PoleError, Residue, Scalar, _common_denominator, _ratio
 
 COFACTOR_CAP = 8
 MATCHINGS_CAP = 8
@@ -212,11 +212,6 @@ def _row_scaled(M: Matrix, p: int | None = None) -> tuple[list[list[int]], list[
     return rows, scales
 
 
-def _value(num: int, den: int, p: int | None) -> Scalar | Residue:
-    """num/den as a Fraction, or as a Residue mod p."""
-    return Fraction(num, den) if p is None else Residue(num, den, p)
-
-
 def _bareiss(a: list[list[int]], pivoting: bool, p: int | None = None) -> Iterator[int]:
     """Bareiss fraction-free elimination of the square int rows `a`, in place.
 
@@ -272,7 +267,7 @@ def det_fraction_free(M: Matrix, p: int | None = None) -> Scalar | Residue:
     det = 1
     for det in _bareiss(a, pivoting=True, p=p):
         pass
-    return _value(det, math.prod(scales), p)
+    return _ratio([det], scales, p)
 
 
 def leading_minors(M: Matrix, p: int | None = None) -> list[Scalar | Residue]:
@@ -292,7 +287,7 @@ def leading_minors(M: Matrix, p: int | None = None) -> list[Scalar | Residue]:
     scale = 1
     for s, pivot in zip(scales, _bareiss(a, pivoting=False, p=p)):
         scale *= s
-        out.append(_value(pivot, scale, p))
+        out.append(_ratio([pivot], [scale], p))
     for k in range(len(out) + 1, n + 1):
         out.append(det_fraction_free(M.leading(k), p))
     return out
@@ -482,7 +477,7 @@ def pfaffian_expansion(M: Matrix, p: int | None = None) -> Scalar | Residue:
     pf = 1
     for pf in _pfaffian_pairs(d, pivoting=True, p=p):
         pass
-    return _value(pf, math.prod(scales), p)
+    return _ratio([pf], scales, p)
 
 
 def leading_pfaffians(M: Matrix, p: int | None = None) -> list[Scalar | Residue]:
@@ -500,7 +495,7 @@ def leading_pfaffians(M: Matrix, p: int | None = None) -> list[Scalar | Residue]
     scale = 1
     for k, pf in enumerate(_pfaffian_pairs(d, pivoting=False, p=p)):
         scale *= scales[2 * k] * scales[2 * k + 1]
-        out.append(_value(pf, scale, p))
+        out.append(_ratio([pf], [scale], p))
     for k in range(2 * len(out) + 2, M.rows + 1, 2):
         out.append(pfaffian_expansion(M.leading(k), p))
     return out

@@ -854,14 +854,14 @@ def test_modular_engine_off_by_one_fails_every_trial(monkeypatch, check_id, engi
         ("gram_to_bordered", "_decoration_det"),
         ("little_qjacobi_hankel", "_closed_form"),
         ("even_order_det", "_closed_form"),
-        ("pfaffian_eval", "_closed_form"),
         ("pfaffian_integer_exp", "_closed_form"),
     ],
 )
 def test_modular_closed_form_off_by_one_fails_every_trial(monkeypatch, check_id, closed_form):
     # the closed form's residue mod the trial's prime, plus 1 (for
     # gram_to_bordered, the determinant scaling's): the exact route is left
-    # alone, so these failures show the modular closed forms are compared
+    # alone, so these failures show the modular closed forms are compared.
+    # pfaffian_eval compares an exact closed form only (see the next test)
     real = getattr(identities, closed_form)
     signature = inspect.signature(real)
     primes = []
@@ -878,6 +878,24 @@ def test_modular_closed_form_off_by_one_fails_every_trial(monkeypatch, check_id,
     report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
     assert report.failures == report.trials == 5
     assert primes
+
+
+@pytest.mark.parametrize(
+    "check_id, name, stand_in",
+    [
+        ("little_qjacobi_hankel", "rhs_hankel", lambda n, p: F(1)),
+        ("pfaffian_eval", "rhs_pfaffian", lambda m, a, b, q: F(1)),
+    ],
+)
+def test_exact_arity_closed_form_stand_ins_fail_through_residuals(
+    monkeypatch, check_id, name, stand_in
+):
+    # the benchmark's tests swap these closed forms for stand-ins that take
+    # the exact arguments only; the runners must call them so, or the checks
+    # would fail by a TypeError instead of by a nonzero residual
+    monkeypatch.setattr(identities, name, stand_in)
+    report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
+    assert report.failures == report.trials == 5
 
 
 @pytest.mark.parametrize(

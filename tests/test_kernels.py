@@ -325,6 +325,47 @@ def ref_closed_form(powers, nums, dens, what):
     return monomial * product(nums) / den
 
 
+def ref_closed_form_pair(powers, nums, dens, what):
+    """The unreduced integer products (N, D) that the closed-form kernel
+    reduces mod a prime: each power base in lowest terms, and each factor
+    1 - b q^j of a Pochhammer symbol as (b_d q_d^j - b_n q_n^j) / (b_d q_d^j),
+    from b and q in lowest terms.  Raises where ref_closed_form does."""
+    value = ref_closed_form(powers, nums, dens, what)
+    N = D = 1
+    for base, e in powers:
+        bn, bd = F(base).numerator, F(base).denominator
+        if e < 0:
+            bn, bd = bd, bn
+        N *= bn ** abs(e)
+        D *= bd ** abs(e)
+
+    def symbol(bases, q, k):
+        q = F(q)
+        num = den = 1
+        for b in map(F, bases):
+            for j in range(k):
+                den_j = b.denominator * q.denominator**j
+                num *= den_j - b.numerator * q.numerator**j
+                den *= den_j
+        return num, den
+
+    for groups, flip in ((nums, False), (dens, True)):
+        for bases, q, ks in groups:
+            for k in ks:
+                num, den = symbol(bases, q, k)
+                N, D = (N * den, D * num) if flip else (N * num, D * den)
+    assert F(N, D) == value
+    return N, D
+
+
+def ref_closed_form_mod(powers, nums, dens=(), what="", prime=None):
+    """The closed-form kernel by the references: ref_closed_form, or with a
+    prime the Residue of ref_closed_form_pair."""
+    if prime is None:
+        return ref_closed_form(powers, nums, dens, what)
+    return Residue(*ref_closed_form_pair(powers, nums, dens, what), prime)
+
+
 def random_groups(rng, q):
     """Pochhammer groups over q or q^2: empty groups, repeated and equal bases,
     bases equal to q, k = 0 and repeated k, and q^-k bases whose symbols vanish."""
@@ -353,9 +394,14 @@ def test_closed_form_matches_fraction_products(seed):
         what = f"closed form {seed}"
         expected = attempt(ref_closed_form, powers, nums, dens, what)
         assert attempt(_closed_form, powers, nums, dens, what) == expected
-        # mod a trial prime, and mod 101, where table entries can be ≡ 0 mod p
+        # mod a trial prime, and mod 101, where table entries can be ≡ 0 mod p:
+        # a Residue whose denominator is ≡ 0 equals every value, so its fields
+        # are compared with the residues of the unreduced products
         for prime in (trial_prime(seed), 101):
             assert attempt_mod(prime, _closed_form, powers, nums, dens, what) == expected
+            assert attempt_fields(_closed_form, powers, nums, dens, what, prime) == (
+                attempt_fields(ref_closed_form_mod, powers, nums, dens, what, prime)
+            )
 
 
 def test_closed_form_zeros_and_poles():
@@ -716,6 +762,15 @@ def attempt_mod(prime, fn, *args):
     exact = fn(*args)
     assert isinstance(value, Residue) and value.p == prime and value == exact
     return "value", canon([exact])
+
+
+def attempt_fields(fn, *args):
+    """attempt() of a Residue-valued fn, its value read as (num, den, p)."""
+    try:
+        value = fn(*args)
+    except (PoleError, DomainError) as exc:
+        return type(exc), str(exc)
+    return "value", (value.num, value.den, value.p)
 
 
 def entry(rng):
@@ -1393,10 +1448,11 @@ def test_closed_forms_match_fraction_products(seed):
                 )
 
 
-def test_closed_forms_mod_a_prime_dividing_a_denominator_entry():
+def test_closed_forms_mod_a_prime_dividing_a_denominator_entry(monkeypatch):
     # 1 - abcd = 101 and 1 - abq^2 = 101: every (abcd;q)_j and (abq^2;q)_j with
-    # j >= 1 is ≡ 0 mod 101 but not zero, so it is no pole, and the Residue,
-    # whose denominator is ≡ 0, still equals the exact value
+    # j >= 1 is ≡ 0 mod 101 but not zero, so it is no pole.  A Residue whose
+    # denominator is ≡ 0 equals every value, so its fields are compared with
+    # the same closed form built on the reference kernel
     p = AWParams(F(-4), F(5), F(5), F(1), F(1, 2))
     pt = ParamPoint({"a": F(-25), "u": F(3), "v": F(4), "q": F(1, 2)})
     a, b, _, _, _, q = mehta_wang_params(pt)
@@ -1412,7 +1468,10 @@ def test_closed_forms_mod_a_prime_dividing_a_denominator_entry():
             (rhs_even_det, (n - 1, a, b, q)),
         ):
             got = fn(*args, 101)
-            assert got.den == 0 and got == fn(*args)
+            with monkeypatch.context() as patched:
+                patched.setattr(identities, "_closed_form", ref_closed_form_mod)
+                want = fn(*args, 101)
+            assert got.den == 0 and (got.num, got.den) == (want.num, want.den)
 
 
 @pytest.mark.parametrize("height", [2, 3, 40])
