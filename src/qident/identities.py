@@ -1,16 +1,25 @@
 """Identity builders and the exact-verification check registry.
 
 Every identity is packaged as an IdentityCheck: parameter names, per-check
-default sizes, and a procedure returning residuals (Scalar or TruncatedSeries)
-that must all be exactly zero.  run_check samples one random rational point per
-trial, resampling deterministically when a point hits a pole of the identity
-under test; a nonzero residual is a failure and its seed is the reproduction
-witness.
+default sizes, and a procedure returning residuals (Scalar, Residue,
+TruncatedSeries or SeriesResidue) that must all be exactly zero; run_check
+reads is_zero() of each residual that has one and compares the rest with
+0.  run_check samples one random rational point per trial, resampling
+deterministically when a point hits a pole of the identity under test; a
+nonzero residual is a failure and its seed is the reproduction witness.
 
 The six-term coefficients of the quadratic formula are the terms of the
 Cauchy products it compares: main_quadratic_factors returns the two
 basic hypergeometric series of each product, and the six-term checks read
-every coefficient from them.  Every closed form here (the six-term factors
+every coefficient from them.  main_quadratic, quadratic_specialization and
+contiguous_relation build their series, and each residual series, mod a
+prime drawn from the trial point's seed (scalar.trial_prime), as
+SeriesResidues: at order 60 the exact numerators reach 51,000 bits, and mod
+p none reaches p^2.  Poles are still decided on the exact term ratios.  The
+six-term checks stay exact: six_term_factorization divides by its
+prefactors, which a residue cannot do without an inverse, and the sums and
+pairs, which read one coefficient at a time, gained nothing mod p at n_max
+5.  Every closed form here (the six-term factors
 G_k and Xi, D_n and the Gram, Hankel, Mehta-Wang and Pfaffian products, the
 q-Watson sum and the contiguous prefactor) is one call of
 scalar._closed_form.  The matrix builders read their Pochhammer products from
@@ -112,6 +121,7 @@ from .scalar import (
 )
 from .series import (
     HypergeometricSpec,
+    SeriesResidue,
     TruncatedSeries,
     _sum_of_products,
     phi_series,
@@ -228,10 +238,11 @@ def _six_term_base(a: Scalar, b: Scalar, c: Scalar, d: Scalar, q: Scalar) -> tup
 
 
 def main_quadratic_factors(
-    pt: ParamPoint, r: int, s: int, order: int
-) -> list[tuple[Scalar, TruncatedSeries, TruncatedSeries]]:
+    pt: ParamPoint, r: int, s: int, order: int, prime: int | None = None
+) -> list[tuple[Scalar, TruncatedSeries | SeriesResidue, TruncatedSeries | SeriesResidue]]:
     """(prefactor, F, G) of A, B and C: the two series (in z) of each
-    prefactored product of the formula, not yet multiplied.
+    prefactored product of the formula, not yet multiplied; F and G are
+    SeriesResidues mod `prime` when one is given.
 
     The series denominators are the six-term ones without their leading q,
     because phi_series divides by (q;q)_k itself; G has argument q^(s-r) z.
@@ -243,20 +254,21 @@ def main_quadratic_factors(
     return [
         (
             pref,
-            phi_series(HypergeometricSpec(nums_k, dens_k[1:], q), Fraction(1), order),
-            phi_series(HypergeometricSpec(nums_m, dens_m[1:], q), scale, order),
+            phi_series(HypergeometricSpec(nums_k, dens_k[1:], q), Fraction(1), order, prime),
+            phi_series(HypergeometricSpec(nums_m, dens_m[1:], q), scale, order, prime),
         )
         for pref, nums_k, nums_m, dens_k, dens_m in _six_term_specs(pt, r, s)
     ]
 
 
-def check_main_quadratic(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSeries:
-    """Residual series: LHS product - first RHS product + second RHS product."""
+def check_main_quadratic(
+    r: int, s: int, pt: ParamPoint, order: int, prime: int | None = None
+) -> TruncatedSeries | SeriesResidue:
+    """Residual series: LHS product - first RHS product + second RHS product,
+    exact or mod `prime`."""
+    factors = main_quadratic_factors(pt, r, s, order, prime)
     return series_linear_combine(
-        [
-            (sign * pref, f, g)
-            for sign, (pref, f, g) in zip((1, -1, 1), main_quadratic_factors(pt, r, s, order))
-        ]
+        [(sign * pref, f, g) for sign, (pref, f, g) in zip((1, -1, 1), factors)], prime
     )
 
 
@@ -352,8 +364,10 @@ def check_three_term_kernel(pt: ParamPoint) -> Scalar:
     return t1 - t2 + t3 - rhs
 
 
-def check_quadratic_specialization(r: int, pt: ParamPoint, order: int) -> TruncatedSeries:
-    """Residual of the (r+1)phi(r) quadratic specialization.
+def check_quadratic_specialization(
+    r: int, pt: ParamPoint, order: int, prime: int | None = None
+) -> TruncatedSeries | SeriesResidue:
+    """Residual of the (r+1)phi(r) quadratic specialization, exact or mod `prime`.
 
     (a0-1)(a1-b1) F[a0/q, a1; b1/q] F[a0 q, a1, ^q; b1 q, ^q]
       = (a0-a1)(1-b1) F[a0, a1; b1] F[a0, a1, ^q; b1, ^q]
@@ -371,7 +385,7 @@ def check_quadratic_specialization(r: int, pt: ParamPoint, order: int) -> Trunca
     one = Fraction(1)
 
     def f(nums, dens):
-        return phi_series(HypergeometricSpec(nums, dens, q), one, order)
+        return phi_series(HypergeometricSpec(nums, dens, q), one, order, prime)
 
     t1 = f((a0 / q, a1) + ta, (b1 / q,) + tb)
     t2 = f((a0 * q, a1) + taq, (b1 * q,) + tbq)
@@ -384,7 +398,8 @@ def check_quadratic_specialization(r: int, pt: ParamPoint, order: int) -> Trunca
             ((a0 - 1) * (a1 - b1), t1, t2),
             (-(a0 - a1) * (1 - b1), t3, t4),
             ((1 - a1) * (a0 - b1), t5, t6),
-        ]
+        ],
+        prime,
     )
 
 
@@ -808,14 +823,17 @@ def check_andrews_watson(n: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def check_contiguous(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSeries:
+def check_contiguous(
+    r: int, s: int, pt: ParamPoint, order: int, prime: int | None = None
+) -> TruncatedSeries | SeriesResidue:
     """Residual of the contiguous relation
 
     F[aq, A; bq, B; z] - F[a, A; b, B; z]
       = (-1)^(1+s-r) z (a-b)/((1-b)(1-bq)) prod(1-A_i)/prod(1-B_i)
         * F[aq, Aq; bq^2, Bq; q^(1+s-r) z],
 
-    where A, B are the trailing r-1 / s-1 parameters.
+    where A, B are the trailing r-1 / s-1 parameters.  The residual is
+    exact, or a SeriesResidue mod `prime` when one is given.
     """
     q = pt["q"]
     a, b = pt["a"], pt["b"]
@@ -823,8 +841,8 @@ def check_contiguous(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSer
     B = tuple([pt[f"B{i}"] for i in range(1, s)])
     e = 1 + s - r
     one = Fraction(1)
-    t1 = phi_series(HypergeometricSpec((a * q,) + A, (b * q,) + B, q), one, order)
-    t2 = phi_series(HypergeometricSpec((a,) + A, (b,) + B, q), one, order)
+    t1 = phi_series(HypergeometricSpec((a * q,) + A, (b * q,) + B, q), one, order, prime)
+    t2 = phi_series(HypergeometricSpec((a,) + A, (b,) + B, q), one, order, prime)
     pref = _closed_form(
         ((-1, e), (a - b, 1)), ((A, q, (1,)),), (((b, b * q) + B, q, (1,)),),
         "prefactor denominator",
@@ -837,10 +855,10 @@ def check_contiguous(r: int, s: int, pt: ParamPoint, order: int) -> TruncatedSer
         ),
         q**e,
         order,
+        prime,
     )
-    # multiply by z: shift coefficients up one slot
-    shifted = TruncatedSeries.from_integers((0,) + t3.nums[:-1], t3.den)
-    return series_linear_combine([(1, t1), (-1, t2), (-pref, shifted)])
+    z = TruncatedSeries.from_integers([int(n == 1) for n in range(order + 1)], 1)  # the series z
+    return series_linear_combine([(1, t1), (-1, t2), (-pref, z, t3)], prime)
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +891,8 @@ def _aw_from(pt: ParamPoint) -> AWParams:
 @_check("main_quadratic", "Thm 1.1 / Eq. (main)", _MAIN_NAMES, Sizes(order=10),
         note="(r,s) in " + str(RS_PAIRS))
 def _run_main_quadratic(pt: ParamPoint, sizes: Sizes) -> list:
-    return [check_main_quadratic(r, s, pt, sizes.order) for r, s in RS_PAIRS]
+    prime = trial_prime(pt.seed)
+    return [check_main_quadratic(r, s, pt, sizes.order, prime) for r, s in RS_PAIRS]
 
 
 @_check("six_term_sums", "§2 / Eq. (eq:sums)", _MAIN_NAMES, Sizes(n_max=5))
@@ -929,9 +948,8 @@ def _run_three_term_kernel(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("quadratic_specialization", "Cor. 1.2 / Eq. (eq:GZ)",
         ("q", "a0", "a1", "a2", "a3", "b1", "b2", "b3"), Sizes(order=10), note="r = 1..3")
 def _run_quadratic_specialization(pt: ParamPoint, sizes: Sizes) -> list:
-    return [
-        check_quadratic_specialization(r, pt, sizes.order) for r in (1, 2, 3)
-    ]
+    prime = trial_prime(pt.seed)
+    return [check_quadratic_specialization(r, pt, sizes.order, prime) for r in (1, 2, 3)]
 
 
 @_check("aw_quadratic", "Cor. 1.3 / Eq. (eq:conj)", _ABCDQZ, Sizes(n_max=6), note="n = 2..6")
@@ -1179,7 +1197,8 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("contiguous_relation", "§4 Remark, contiguous relation", ("a", "b", "q", "A1", "B1"),
         Sizes(order=10), note="(r,s) in {(1,1),(2,1),(2,2)}")
 def _run_contiguous(pt: ParamPoint, sizes: Sizes) -> list:
-    return [check_contiguous(r, s, pt, sizes.order) for r, s in ((1, 1), (2, 1), (2, 2))]
+    prime = trial_prime(pt.seed)
+    return [check_contiguous(r, s, pt, sizes.order, prime) for r, s in ((1, 1), (2, 1), (2, 2))]
 
 
 @_check("newton_interpolation", "Eq. (newton) / (newtonspecial)",
@@ -1301,7 +1320,8 @@ CHECKS_BY_ID = {check.id: check for check in REGISTRY}
 
 
 def _is_zero(residual) -> bool:
-    if isinstance(residual, TruncatedSeries):
+    """A series or a Residue answers is_zero(); a Fraction is compared with 0."""
+    if hasattr(residual, "is_zero"):
         return residual.is_zero()
     return residual == 0
 

@@ -258,6 +258,9 @@ class Residue:
 
     __hash__ = None
 
+    def is_zero(self) -> bool:
+        return self.num == 0
+
     def __repr__(self) -> str:
         return f"Residue({self.num}, {self.den}, {self.p})"
 

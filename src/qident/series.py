@@ -24,6 +24,17 @@ one call of _sum_of_products: a signed sum of products of integer vectors,
 integers in and integers out over one denominator.  series_linear_combine
 applies it to truncated series of one order, so a residual series is tested
 for zero on its integers.
+
+Given a prime p, phi_series and series_linear_combine return a
+SeriesResidue instead: the same unreduced integers taken mod p, with no gcd
+and no Fraction.  _term_ratios still decides every pole on the exact
+integers before a ratio is reduced, and the products and convolutions then
+run on ints below p^2.  The terms of a sum are put over the product of
+their denominators rather than their lcm, so no denominator is inverted and
+one that is only ≡ 0 mod p is allowed, as in scalar.Residue.  The residual
+of Thm 1.1, of its specialisation and of the contiguous relation is formed
+this way in identities; the six-term checks divide by their prefactors and
+read single coefficients, so they stay exact.
 """
 
 from __future__ import annotations
@@ -123,6 +134,35 @@ class TruncatedSeries(_IntegerVector):
         return not any(self.nums)
 
 
+class SeriesResidue:
+    """A truncated series with coefficients N_n / D, held as (N_n mod p,
+    D mod p): the image of the unreduced integers of the exact series.
+
+    As for scalar.Residue, D is never inverted and may be ≡ 0 mod p.  An
+    exactly zero coefficient reads 0, and a nonzero residue proves the exact
+    coefficient nonzero."""
+
+    __slots__ = ("nums", "den", "p")
+
+    def __init__(self, nums: Sequence[int], den: int, p: int):
+        self.nums, self.den, self.p = tuple([n % p for n in nums]), den % p, p
+
+    @property
+    def order(self) -> int:
+        return len(self.nums) - 1
+
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+    def __repr__(self) -> str:
+        return f"SeriesResidue({self.nums!r}, {self.den}, {self.p})"
+
+
+def _reduced(x: int, prime: int | None) -> int:
+    """x mod `prime`, or x itself when there is none."""
+    return x if prime is None else x % prime
+
+
 def _lowest_terms(nums: Sequence[int], den: int) -> tuple[list[int], int]:
     """nums / den, den > 0, with their one common factor divided out."""
     g = math.gcd(den, *nums)
@@ -189,29 +229,39 @@ def _term_ratios(spec: tuple, z: tuple[int, int], top: int) -> Iterator[tuple[in
         pd *= qd
 
 
-def phi_series(spec: HypergeometricSpec, argument_scale: Scalar, order: int) -> TruncatedSeries:
+def phi_series(
+    spec: HypergeometricSpec, argument_scale: Scalar, order: int, prime: int | None = None
+) -> TruncatedSeries | SeriesResidue:
     """The series with argument (argument_scale * z), truncated at `order`.
 
     Coefficient n equals phi_term(spec, n) * argument_scale^n, the product of
     the first n ratios from _term_ratios.  Each ratio r_i = a_i / b_i is
     cancelled by one gcd; over the denominator b_1 ... b_order, coefficient n
-    has the numerator a_1 ... a_n b_(n+1) ... b_order.
+    has the numerator a_1 ... a_n b_(n+1) ... b_order.  Given a prime, each
+    ratio is reduced mod p instead of cancelled, the products run mod p, and
+    the result is their SeriesResidue; PoleError is raised where it is
+    without one.
     """
     if order < 0:
         raise ValueError(f"truncation order must be nonnegative, got {order}")
     ratios = []
     for r_num, r_den in _term_ratios(_paired(spec), _pair(argument_scale), order):
-        g = math.gcd(r_num, r_den)
-        g = g if r_den > 0 else -g
-        ratios.append((r_num // g, r_den // g))
+        if prime is None:
+            g = math.gcd(r_num, r_den)
+            g = g if r_den > 0 else -g
+            ratios.append((r_num // g, r_den // g))
+        else:
+            ratios.append((r_num % prime, r_den % prime))
     tails = [1]  # tails[i] = b_(order-i+1) ... b_order
     for _, r_den in reversed(ratios):
-        tails.append(tails[-1] * r_den)
+        tails.append(_reduced(tails[-1] * r_den, prime))
     nums, head = [tails[-1]], 1
     for (r_num, _), tail in zip(ratios, reversed(tails[:-1])):
-        head *= r_num
+        head = _reduced(head * r_num, prime)
         nums.append(head * tail)
-    return TruncatedSeries.from_integers(nums, tails[-1])
+    if prime is None:
+        return TruncatedSeries.from_integers(nums, tails[-1])
+    return SeriesResidue(nums, tails[-1], prime)
 
 
 def _terminating_sum(spec: tuple, z: tuple[int, int], m: int) -> tuple[int, int]:
@@ -247,7 +297,9 @@ def _coefficient(a: Sequence[int], b: Sequence[int], k: int) -> int:
     return sum(a[i] * b[k - i] for i in range(lo, hi + 1))
 
 
-def _sum_of_products(terms: Sequence[Sequence], length: int) -> tuple[list[int], int]:
+def _sum_of_products(
+    terms: Sequence[Sequence], length: int, prime: int | None = None
+) -> tuple[list[int], int]:
     """The first `length` coefficients of sum_i c_i prod_j u_ij, as integer
     numerators over one positive denominator.
 
@@ -259,29 +311,50 @@ def _sum_of_products(terms: Sequence[Sequence], length: int) -> tuple[list[int],
     convolution as it goes, over the lcm of the terms' denominators; nothing
     is reduced.  No term's full product is built:
     holding those lists raised the peak memory of a run.
+
+    Given a prime, every integer is reduced mod p as it is formed, the
+    terms are put over the product of their denominators in place of the
+    lcm, and the numerators and that product are returned mod p; a
+    denominator may then be ≡ 0 mod p.
     """
     parts = []
     for c, *factors in terms:
-        *rest, (b, den) = factors  # by position: the same vector may come twice
         num, d = _pair(c)
+        if prime is not None:
+            num, factors = num % prime, [([x % prime for x in a], den) for a, den in factors]
+        *rest, (b, den) = factors  # by position: the same vector may come twice
         den *= d
         head = [1]
         for i, (a, d) in enumerate(rest):  # the product starts from the first factor
             head = a[:length] if i == 0 else [
                 _coefficient(head, a, k) for k in range(min(length, len(head) + len(a) - 1))
             ]
+            if prime is not None:
+                head = [x % prime for x in head]
             den *= d
-        parts.append((num, den, head, b))
-    lcm = math.lcm(*[den for _, den, _, _ in parts])
-    parts = [(num * (lcm // den), head, b) for num, den, head, b in parts]
-    return [
-        sum(num * _coefficient(head, b, k) for num, head, b in parts) for k in range(length)
-    ], lcm
+        parts.append((num, _reduced(den, prime), head, b))
+    dens = [den for _, den, _, _ in parts]
+    if prime is None:
+        common = math.lcm(*dens)
+        scales = [common // den for den in dens]
+    else:
+        common = math.prod(dens)
+        scales = [math.prod(dens[:i] + dens[i + 1 :]) for i in range(len(dens))]
+    parts = [(num * scale, head, b) for (num, _, head, b), scale in zip(parts, scales)]
+    nums = [sum(num * _coefficient(head, b, k) for num, head, b in parts) for k in range(length)]
+    if prime is None:
+        return nums, common
+    return [x % prime for x in nums], common % prime
 
 
-def series_linear_combine(terms: Sequence[Sequence]) -> TruncatedSeries:
+def series_linear_combine(
+    terms: Sequence[Sequence], prime: int | None = None
+) -> TruncatedSeries | SeriesResidue:
     """sum_i c_i u_i1 ... u_ik for terms (c_i, u_i1, ..., u_ik), k >= 1: a
-    linear combination of products of series that all share one order."""
+    linear combination of products of series that all share one order.
+
+    Given a prime, the factors may be TruncatedSeries or SeriesResidues
+    modulo that prime, and the result is the SeriesResidue of the sum."""
     if not terms:
         raise ValueError("need at least one term")
     order = terms[0][1].order
@@ -289,5 +362,9 @@ def series_linear_combine(terms: Sequence[Sequence]) -> TruncatedSeries:
         for u in factors:
             if u.order != order:
                 raise OrderMismatch(f"orders differ: {u.order} vs {order}")
+            if isinstance(u, SeriesResidue) and u.p != prime:
+                raise ValueError(f"a series mod {u.p} in a sum mod {prime}")
     products = [[c] + [(u.nums, u.den) for u in factors] for c, *factors in terms]
-    return TruncatedSeries.from_integers(*_sum_of_products(products, order + 1))
+    if prime is None:
+        return TruncatedSeries.from_integers(*_sum_of_products(products, order + 1))
+    return SeriesResidue(*_sum_of_products(products, order + 1, prime), prime)

@@ -46,8 +46,23 @@ from qident.identities import (
     _trial_seed,
 )
 from qident.linalg import det_cofactor, det_fraction_free, pfaffian_matchings
-from qident.scalar import DomainError, ParamPoint, PoleError, qpoch, qpoch_multi, sample_point
-from qident.series import HypergeometricSpec, phi_series, phi_terminating, series_linear_combine
+from qident.scalar import (
+    DomainError,
+    ParamPoint,
+    PoleError,
+    SamplingExhausted,
+    qpoch,
+    qpoch_multi,
+    sample_point,
+    trial_prime,
+)
+from qident.series import (
+    HypergeometricSpec,
+    SeriesResidue,
+    phi_series,
+    phi_terminating,
+    series_linear_combine,
+)
 
 PT = ParamPoint(
     {
@@ -93,6 +108,7 @@ def test_prefactor_identity_at_z0():
 def test_main_quadratic_residual_is_zero_series(rs):
     res = check_main_quadratic(rs[0], rs[1], PT, 10)
     assert res.is_zero()
+    assert check_main_quadratic(rs[0], rs[1], PT, 10, trial_prime(0)).is_zero()
 
 
 # Fraction constructions of one run_check(check, trials=2, seed=0) with every
@@ -392,6 +408,7 @@ def test_quadratic_specialization_z0():
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_quadratic_specialization_zero(r):
     assert check_quadratic_specialization(r, GZ_PT, 10).is_zero()
+    assert check_quadratic_specialization(r, GZ_PT, 10, trial_prime(0)).is_zero()
 
 
 def test_quadratic_specialization_degenerate_prefactor():
@@ -682,6 +699,7 @@ def test_contiguous_relation():
         res = check_contiguous(r, s, pt, 10)
         assert res[0] == 0  # z^0 coefficient: 1 - 1
         assert res.is_zero()
+        assert check_contiguous(r, s, pt, 10, trial_prime(0)).is_zero()
     # a = b: both sides vanish identically
     pt_eq = ParamPoint({"a": F(2, 3), "b": F(2, 3), "q": F(2, 7), "A1": F(3, 4), "B1": F(5, 9)})
     assert check_contiguous(2, 2, pt_eq, 8).is_zero()
@@ -881,6 +899,29 @@ def test_modular_closed_form_off_by_one_fails_every_trial(monkeypatch, check_id,
 
 
 @pytest.mark.parametrize(
+    "check_id", ("main_quadratic", "quadratic_specialization", "contiguous_relation")
+)
+def test_modular_series_off_by_one_fails_every_trial(monkeypatch, check_id):
+    # every coefficient of each series mod the trial's prime, plus 1: the
+    # exact route is left alone, so these failures show that the residual
+    # series is formed and compared mod p
+    real = identities.phi_series
+    primes = []
+
+    def perturbed(spec, argument_scale, order, prime=None):
+        value = real(spec, argument_scale, order, prime)
+        if prime is None:
+            return value
+        primes.append(prime)
+        return SeriesResidue([n + value.den for n in value.nums], value.den, prime)
+
+    monkeypatch.setattr(identities, "phi_series", perturbed)
+    report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
+    assert report.failures == report.trials == 5
+    assert primes
+
+
+@pytest.mark.parametrize(
     "check_id, name, stand_in",
     [
         ("little_qjacobi_hankel", "rhs_hankel", lambda n, p: F(1)),
@@ -899,12 +940,21 @@ def test_exact_arity_closed_form_stand_ins_fail_through_residuals(
 
 
 @pytest.mark.parametrize(
-    "check_id", ("andrews_qwatson", "aw_quadratic", "orthogonality", "bordered_det", "gram_det")
+    "check_id",
+    (
+        "andrews_qwatson",
+        "aw_quadratic",
+        "orthogonality",
+        "bordered_det",
+        "gram_det",
+        "quadratic_specialization",
+        "contiguous_relation",
+    ),
 )
 def test_term_ratio_index_slip_fails_every_trial(monkeypatch, check_id):
     # the term-ratio generator read one term late, r_(n+1) in place of r_n:
-    # every terminating sum goes through it, and the closed forms and the
-    # phi_term oracle do not
+    # every terminating sum and every series, exact or mod p, goes through
+    # it, and the closed forms and the phi_term oracle do not
     real = series._term_ratios
 
     def slipped(spec, argument, top):
@@ -915,6 +965,57 @@ def test_term_ratio_index_slip_fails_every_trial(monkeypatch, check_id):
     monkeypatch.setattr(series, "_term_ratios", slipped)
     report = run_check(CHECKS_BY_ID[check_id], trials=10, seed=0)
     assert report.failures == report.trials == 10
+
+
+def test_term_ratio_index_slip_fails_main_quadratic_wherever_b_differs_from_d(monkeypatch):
+    # at b = d the A and B products share their parameter multisets and
+    # prefactor, and C's prefactor has the factor b - d, so Thm 1.1 holds
+    # there for any series kernel; the slip fails every other trial
+    real = series._term_ratios
+
+    def slipped(spec, argument, top):
+        ratios = real(spec, argument, top + 1)
+        next(ratios)
+        return ratios
+
+    monkeypatch.setattr(series, "_term_ratios", slipped)
+    check = CHECKS_BY_ID["main_quadratic"]
+    report = run_check(check, trials=10, seed=0)
+    points = [run_trial(check, _trial_seed(check.id, 0, t), check.defaults)[1] for t in range(10)]
+    assert report.witness_seeds == tuple([pt.seed for pt in points if pt["b"] != pt["d"]])
+    assert report.failures >= 9
+
+
+@pytest.mark.parametrize("height", (2, 3, 40))
+@pytest.mark.parametrize(
+    "check_id", ("main_quadratic", "quadratic_specialization", "contiguous_relation")
+)
+def test_modular_series_trials_match_their_exact_runs(monkeypatch, check_id, height):
+    # with no prime the series run exactly: each trial must land on the same
+    # point after the same resamples, with the same zero pattern
+    check = CHECKS_BY_ID[check_id]
+    sizes = replace(check.defaults, height=height)
+
+    def outcomes():
+        out = []
+        for trial in range(8):
+            try:
+                residuals, pt = run_trial(check, _trial_seed(check_id, 0, trial), sizes)
+            except SamplingExhausted:
+                out.append("exhausted")
+                continue
+            out.append((pt.seed, [identities._is_zero(r) for r in residuals], type(residuals[0])))
+        return out
+
+    modular = outcomes()
+    monkeypatch.setattr(identities, "trial_prime", lambda seed: None)
+    exact = outcomes()
+    assert [o[:2] for o in modular] == [o[:2] for o in exact]
+    if height < 40:  # some trials resampled away from poles
+        seeds = [_trial_seed(check_id, 0, trial) for trial in range(8)]
+        assert any(o != "exhausted" and o[0] != seed for o, seed in zip(modular, seeds))
+    assert {o[2] for o in modular if o != "exhausted"} == {SeriesResidue}
+    assert {o[2] for o in exact if o != "exhausted"} == {series.TruncatedSeries}
 
 
 def test_gamma_pfaffian_runs_the_elimination_engine(monkeypatch):

@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import phi, rand_fraction, rand_q
-from qident.scalar import PoleError, qpoch, sample_point
+from qident.scalar import PoleError, qpoch, sample_point, trial_prime
 from qident.series import (
     NotTerminating,
     OrderMismatch,
+    SeriesResidue,
     TruncatedSeries,
     phi_series,
     phi_term,
@@ -249,3 +250,85 @@ def test_q_binomial_functional_equation(seed):
     one_minus_sz = TruncatedSeries((F(1), -s) + (F(0),) * (order - 1))
     one_minus_asz = TruncatedSeries((F(1), -a * s) + (F(0),) * (order - 1))
     assert series_mul(one_minus_sz, f_z).coeffs == series_mul(one_minus_asz, f_qz).coeffs
+
+
+def assert_agrees_mod(exact, residue, p):
+    """`residue` is `exact` mod p, coefficient by coefficient: N_n / D and
+    n_p / d_p compared by cross-multiplying, n_p D ≡ N_n d_p (mod p)."""
+    assert isinstance(residue, SeriesResidue) and residue.p == p
+    assert residue.order == exact.order
+    for num_p, num in zip(residue.nums, exact.nums):
+        assert (num_p * exact.den - num * residue.den) % p == 0
+
+
+@pytest.mark.parametrize("height", (2, 3, 40))
+def test_phi_series_mod_p_matches_the_exact_series(height):
+    # 0-3 numerators and denominators, orders 0-12: the series mod the trial
+    # prime is the exact one's image, and both raise PoleError at one term
+    names = ("q", "z") + tuple(f"a{i}" for i in range(3)) + tuple(f"b{i}" for i in range(3))
+    outcomes = {"value": 0, "pole": 0}
+    for seed in range(6):
+        pt, p = sample_point(names, seed, height), trial_prime(seed)
+        q, z = pt["q"], pt["z"]
+        for r in range(4):
+            for s in range(4):
+                spec = phi([pt[f"a{i}"] for i in range(r)], [pt[f"b{i}"] for i in range(s)], q)
+                for order in range(13):
+                    try:
+                        exact = phi_series(spec, z, order)
+                    except PoleError as exc:
+                        with pytest.raises(PoleError) as modular:
+                            phi_series(spec, z, order, p)
+                        assert str(modular.value) == str(exc)
+                        outcomes["pole"] += 1
+                        continue
+                    assert_agrees_mod(exact, phi_series(spec, z, order, p), p)
+                    outcomes["value"] += 1
+    assert outcomes["value"]
+    if height < 40:
+        assert outcomes["pole"]
+
+
+@pytest.mark.parametrize("height", (2, 3, 40))
+def test_series_linear_combine_mod_p_matches_the_exact_sum(height):
+    # sums of products of one, two and three factors, the factors given
+    # exact or already mod p; a sum that is exactly zero reads zero
+    names = ("q", "c0", "c1", "c2") + tuple(f"a{i}" for i in range(3))
+    compared = 0
+    for seed in range(8):
+        pt, p = sample_point(names, seed, height), trial_prime(seed)
+        q, cs = pt["q"], [pt[f"c{i}"] for i in range(3)]
+        specs = [phi([pt[f"a{i}"]], [pt[f"a{(i + 1) % 3}"]], q) for i in range(3)]
+
+        def combination(u, v, w):
+            return [(cs[0], u, v), (-cs[1], w), (cs[2], u, v, w), (1, v, v)]
+
+        for order in range(13):
+            try:
+                exact = [phi_series(spec, c, order) for spec, c in zip(specs, cs)]
+            except PoleError:
+                continue
+            modular = [phi_series(spec, c, order, p) for spec, c in zip(specs, cs)]
+            expected = series_linear_combine(combination(*exact))
+            for u, v, w in (exact, modular):
+                assert_agrees_mod(expected, series_linear_combine(combination(u, v, w), p), p)
+                assert series_linear_combine([(cs[0], u, v), (-cs[0], v, u)], p).is_zero()
+            compared += 1
+    assert compared
+
+
+def test_phi_series_mod_p_allows_a_denominator_that_is_zero_mod_p():
+    # with q = 8 the ratio denominators carry 1 - q = -7: no pole over Q,
+    # and the residue's denominator is ≡ 0 mod 7
+    spec = phi([F(1, 3)], [F(2, 5)], 8)
+    exact, residue = phi_series(spec, F(1), 4), phi_series(spec, F(1), 4, 7)
+    assert residue.den == 0
+    assert_agrees_mod(exact, residue, 7)
+    assert series_linear_combine([(1, residue), (-1, exact)], 7).is_zero()
+
+
+def test_series_linear_combine_rejects_a_series_mod_another_prime():
+    u = phi_series(phi([F(1, 3)], [F(2, 5)], Q), F(1), 3, 7)
+    for prime in (None, 11):
+        with pytest.raises(ValueError, match="a series mod 7 in a sum mod"):
+            series_linear_combine([(1, u)], prime)
