@@ -939,6 +939,18 @@ def test_exact_arity_closed_form_stand_ins_fail_through_residuals(
     assert report.failures == report.trials == 5
 
 
+def _slip_term_ratios(monkeypatch):
+    """Make the term-ratio generator read one term late, r_(n+1) in place of r_n."""
+    real = series._term_ratios
+
+    def slipped(spec, argument, top):
+        ratios = real(spec, argument, top + 1)
+        next(ratios)
+        return ratios
+
+    monkeypatch.setattr(series, "_term_ratios", slipped)
+
+
 @pytest.mark.parametrize(
     "check_id",
     (
@@ -952,17 +964,9 @@ def test_exact_arity_closed_form_stand_ins_fail_through_residuals(
     ),
 )
 def test_term_ratio_index_slip_fails_every_trial(monkeypatch, check_id):
-    # the term-ratio generator read one term late, r_(n+1) in place of r_n:
     # every terminating sum and every series, exact or mod p, goes through
-    # it, and the closed forms and the phi_term oracle do not
-    real = series._term_ratios
-
-    def slipped(spec, argument, top):
-        ratios = real(spec, argument, top + 1)
-        next(ratios)
-        return ratios
-
-    monkeypatch.setattr(series, "_term_ratios", slipped)
+    # the term ratios, and the closed forms and the phi_term oracle do not
+    _slip_term_ratios(monkeypatch)
     report = run_check(CHECKS_BY_ID[check_id], trials=10, seed=0)
     assert report.failures == report.trials == 10
 
@@ -971,14 +975,7 @@ def test_term_ratio_index_slip_fails_main_quadratic_wherever_b_differs_from_d(mo
     # at b = d the A and B products share their parameter multisets and
     # prefactor, and C's prefactor has the factor b - d, so Thm 1.1 holds
     # there for any series kernel; the slip fails every other trial
-    real = series._term_ratios
-
-    def slipped(spec, argument, top):
-        ratios = real(spec, argument, top + 1)
-        next(ratios)
-        return ratios
-
-    monkeypatch.setattr(series, "_term_ratios", slipped)
+    _slip_term_ratios(monkeypatch)
     check = CHECKS_BY_ID["main_quadratic"]
     report = run_check(check, trials=10, seed=0)
     points = [run_trial(check, _trial_seed(check.id, 0, t), check.defaults)[1] for t in range(10)]
