@@ -12,8 +12,8 @@ The six-term coefficients of the quadratic formula are the terms of the
 Cauchy products it compares: main_quadratic_factors returns the two
 basic hypergeometric series of each product, and the six-term checks read
 every coefficient from them.  main_quadratic, quadratic_specialization and
-contiguous_relation build their series, and each residual series, mod a
-prime drawn from the trial point's seed (scalar.trial_prime), as
+contiguous_relation build their series, and each residual series, mod the
+trial point's prime pt.prime (scalar.ParamPoint.prime), as
 SeriesResidues: at order 60 the exact numerators reach 51,000 bits, and mod
 p none reaches p^2.  Poles are still decided on the exact term ratios.  The
 six-term checks stay exact: six_term_factorization divides by its
@@ -31,8 +31,8 @@ elsewhere in a table is no pole.  The Mehta-Wang matrix and the skew matrices
 share one entry, (q^i - c q^j) h_(i+j), with c = 1 for the skew ones.
 
 The determinant and Pfaffian checks keep their builders and oracles exact
-and run their engines mod a prime drawn from the trial point's seed
-(scalar.trial_prime).  They take the closed forms they compare mod the same
+and run their engines mod the same prime pt.prime, drawn from the trial
+point's seed.  They take the closed forms they compare mod the same
 prime (every rhs_* and prefactor takes an optional `prime`), and
 gram_to_bordered forms its entry residuals and determinant scaling mod it
 too.  Their residuals are then scalar.Residues, which read 0 exactly when
@@ -117,7 +117,6 @@ from .scalar import (
     qpoch,
     qpoch_multi_table,
     sample_point,
-    trial_prime,
 )
 from .series import (
     HypergeometricSpec,
@@ -891,8 +890,7 @@ def _aw_from(pt: ParamPoint) -> AWParams:
 @_check("main_quadratic", "Thm 1.1 / Eq. (main)", _MAIN_NAMES, Sizes(order=10),
         note="(r,s) in " + str(RS_PAIRS))
 def _run_main_quadratic(pt: ParamPoint, sizes: Sizes) -> list:
-    prime = trial_prime(pt.seed)
-    return [check_main_quadratic(r, s, pt, sizes.order, prime) for r, s in RS_PAIRS]
+    return [check_main_quadratic(r, s, pt, sizes.order, pt.prime) for r, s in RS_PAIRS]
 
 
 @_check("six_term_sums", "§2 / Eq. (eq:sums)", _MAIN_NAMES, Sizes(n_max=5))
@@ -948,8 +946,7 @@ def _run_three_term_kernel(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("quadratic_specialization", "Cor. 1.2 / Eq. (eq:GZ)",
         ("q", "a0", "a1", "a2", "a3", "b1", "b2", "b3"), Sizes(order=10), note="r = 1..3")
 def _run_quadratic_specialization(pt: ParamPoint, sizes: Sizes) -> list:
-    prime = trial_prime(pt.seed)
-    return [check_quadratic_specialization(r, pt, sizes.order, prime) for r in (1, 2, 3)]
+    return [check_quadratic_specialization(r, pt, sizes.order, pt.prime) for r in (1, 2, 3)]
 
 
 @_check("aw_quadratic", "Cor. 1.3 / Eq. (eq:conj)", _ABCDQZ, Sizes(n_max=6), note="n = 2..6")
@@ -965,10 +962,9 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
     top = sizes.n_max
     M = build_bordered_matrix(top, p, x)
     out = []
-    prime = trial_prime(pt.seed)
-    dets = zip(leading_minors(M, prime), det_condensation(M))
+    dets = zip(leading_minors(M, pt.prime), det_condensation(M))
     for n, (d_ff, d_cond) in enumerate(dets, 1):
-        out.append(d_ff - rhs_det_formula(n, p, x, prime))
+        out.append(d_ff - rhs_det_formula(n, p, x, pt.prime))
         out.append(d_cond - d_ff)
         if n <= COFACTOR_CAP:  # the cofactor oracle refuses larger orders
             out.append(det_cofactor(M.leading(n)) - d_ff)
@@ -978,30 +974,27 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("mehta_wang_det", "Cor. 3.2 / Eq. (eq:ITZ1)", ("a", "u", "v", "q"), Sizes(n_max=5),
         note="b = v^2, c = u^2/(aq)")
 def _run_mehta_wang(pt: ParamPoint, sizes: Sizes) -> list:
-    M = build_mehta_wang_matrix(sizes.n_max, pt)
-    prime = trial_prime(pt.seed)
-    return [d - rhs_mehta_wang(n, pt, prime) for n, d in enumerate(leading_minors(M, prime), 1)]
+    dets = leading_minors(build_mehta_wang_matrix(sizes.n_max, pt), pt.prime)
+    return [d - rhs_mehta_wang(n, pt, pt.prime) for n, d in enumerate(dets, 1)]
 
 
 @_check("even_order_det", "Cor. 3.3", ("a", "b", "q"), Sizes(m_max=3))
 def _run_even_det(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, q = pt["a"], pt["b"], pt["q"]
-    prime = trial_prime(pt.seed)
-    dets = _even_minors(build_even_det(sizes.m_max, a, b, q), prime)
-    return [d - rhs_even_det(m, a, b, q, prime) for m, d in enumerate(dets, 1)]
+    dets = _even_minors(build_even_det(sizes.m_max, a, b, q), pt.prime)
+    return [d - rhs_even_det(m, a, b, q, pt.prime) for m, d in enumerate(dets, 1)]
 
 
 @_check("pfaffian_eval", "Cor. 3.4 / Eq. (eq:key1)", ("a", "b", "q"), Sizes(m_max=3),
         note="sign +1; pf^2 = det")
 def _run_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, q = pt["a"], pt["b"], pt["q"]
-    prime = trial_prime(pt.seed)
     M = build_even_det(sizes.m_max, a, b, q)
     out = []
-    for m, det in enumerate(_even_minors(M, prime), 1):
+    for m, det in enumerate(_even_minors(M, pt.prime), 1):
         block = M.leading(2 * m)
         rhs = rhs_pfaffian(m, a, b, q)  # exact: see the module docstring
-        pf = pfaffian_expansion(block, prime)
+        pf = pfaffian_expansion(block, pt.prime)
         out.append(pf - rhs)
         if block.rows <= MATCHINGS_CAP:
             out.append(pfaffian_matchings(block) - rhs)
@@ -1013,19 +1006,18 @@ def _run_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
         note="integer exponents 1..4")
 def _run_integer_exp_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     q = pt["q"]
-    prime = trial_prime(pt.seed)
     alphas = range(1, 5)
     pfs = [
-        leading_pfaffians(build_integer_exp_pfaffian(sizes.m_max, alpha, q), prime)
+        leading_pfaffians(build_integer_exp_pfaffian(sizes.m_max, alpha, q), pt.prime)
         for alpha in alphas
     ]
     out = []
     for m in range(1, sizes.m_max + 1):
         for alpha, pf in zip(alphas, pfs):
-            rhs = rhs_integer_exp_pfaffian(m, alpha, q, prime)
+            rhs = rhs_integer_exp_pfaffian(m, alpha, q, pt.prime)
             out.append(pf[m - 1] - rhs)
             # consistency with the two-parameter Pfaffian at b = 0, a = q^(alpha-1)
-            out.append(rhs_pfaffian(m, q ** (alpha - 1), Fraction(0), q, prime) - rhs)
+            out.append(rhs_pfaffian(m, q ** (alpha - 1), Fraction(0), q, pt.prime) - rhs)
     return out
 
 
@@ -1051,17 +1043,14 @@ def _run_andrews_watson(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_gram_det(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
-    prime = trial_prime(pt.seed)
-    dets = _gram_dets(build_gram_matrix(sizes.n_max, p, x), prime)
-    return [d - rhs_gram_formula(n, p, x, prime) for n, d in enumerate(dets, 1)]
+    dets = _gram_dets(build_gram_matrix(sizes.n_max, p, x), pt.prime)
+    return [d - rhs_gram_formula(n, p, x, pt.prime) for n, d in enumerate(dets, 1)]
 
 
 @_check("gram_to_bordered", "Prop. 4.2", _ABCDQZ, Sizes(n_max=4),
         note="entrywise column elimination")
 def _run_gram_to_bordered(pt: ParamPoint, sizes: Sizes) -> list:
-    return gram_elimination_residuals(
-        sizes.n_max, _aw_from(pt), XPoint(pt["z"]), trial_prime(pt.seed)
-    )
+    return gram_elimination_residuals(sizes.n_max, _aw_from(pt), XPoint(pt["z"]), pt.prime)
 
 
 @_check("little_qjacobi_hankel", "Eq. (littlejacobi) / (littlejacobibis)",
@@ -1070,11 +1059,10 @@ def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     top = sizes.n_max
     matrices = (build_hankel_little_qjacobi(top, p), build_hankel_decorated(top, p))
-    prime = trial_prime(pt.seed)
     out = []
-    for n, (d, e) in enumerate(zip(*[leading_minors(M, prime) for M in matrices]), 1):
+    for n, (d, e) in enumerate(zip(*[leading_minors(M, pt.prime) for M in matrices]), 1):
         out.append(d - rhs_hankel(n, p))  # exact: see the module docstring
-        out.append(e - rhs_hankel_decorated(n, p, prime))
+        out.append(e - rhs_hankel_decorated(n, p, pt.prime))
     return out
 
 
@@ -1197,8 +1185,7 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("contiguous_relation", "§4 Remark, contiguous relation", ("a", "b", "q", "A1", "B1"),
         Sizes(order=10), note="(r,s) in {(1,1),(2,1),(2,2)}")
 def _run_contiguous(pt: ParamPoint, sizes: Sizes) -> list:
-    prime = trial_prime(pt.seed)
-    return [check_contiguous(r, s, pt, sizes.order, prime) for r, s in ((1, 1), (2, 1), (2, 2))]
+    return [check_contiguous(r, s, pt, sizes.order, pt.prime) for r, s in ((1, 1), (2, 1), (2, 2))]
 
 
 @_check("newton_interpolation", "Eq. (newton) / (newtonspecial)",
@@ -1275,9 +1262,8 @@ def _run_desnanot_jacobi(pt: ParamPoint, sizes: Sizes) -> list:
         note="orders 1..6")
 def _run_det_engines(pt: ParamPoint, sizes: Sizes) -> list:
     top = min(sizes.n_max, 6)
-    prime = trial_prime(pt.seed)
     full = _square_from(pt, top)
-    minors, modular = leading_minors(full), leading_minors(full, prime)
+    minors, modular = leading_minors(full), leading_minors(full, pt.prime)
     condensed = det_condensation(full)
     out = []
     for k in range(1, top + 1):
@@ -1287,7 +1273,7 @@ def _run_det_engines(pt: ParamPoint, sizes: Sizes) -> list:
         out.append(condensed[k - 1] - d)
         out.append(minors[k - 1] - d)
         out.append(modular[k - 1] - d)
-        out.append(det_fraction_free(M, prime) - d)
+        out.append(det_fraction_free(M, pt.prime) - d)
     return out
 
 
@@ -1299,15 +1285,14 @@ def _skew_names(size: int) -> tuple[str, ...]:
         note="orders 2,4,6,8")
 def _run_pfaffian_engines(pt: ParamPoint, sizes: Sizes) -> list:
     top = min(sizes.m_max, 4)
-    prime = trial_prime(pt.seed)
     full = SkewMatrix.from_upper(2 * top, lambda i, j: pt[f"w{i}_{j}"])
-    leading, modular = leading_pfaffians(full), leading_pfaffians(full, prime)
+    leading, modular = leading_pfaffians(full), leading_pfaffians(full, pt.prime)
     out = []
     for m in range(1, top + 1):
         M = full.leading(2 * m)
         pf = pfaffian_matchings(M)
         out.append(pfaffian_expansion(M) - pf)
-        out.append(pfaffian_expansion(M, prime) - pf)
+        out.append(pfaffian_expansion(M, pt.prime) - pf)
         out.append(leading[m - 1] - pf)
         out.append(modular[m - 1] - pf)
         out.append(pf**2 - det_fraction_free(M))

@@ -1,30 +1,33 @@
 """Exact rational scalars, q-Pochhammer primitives, and parameter sampling.
 
-Every quantity in this package is a ``fractions.Fraction`` (aliased ``Scalar``):
-arithmetic is exact, values are kept in lowest terms with positive denominator,
-and division by zero raises instead of producing a NaN.  The Pochhammer
-kernels run their loops on plain-int numerator/denominator pairs and build one
-canonical ``Fraction`` per value they return: the values of running
-``Fraction`` products, without a gcd at every factor.  Every closed form of
-the paper, a monomial times a ratio of Pochhammer products, is one call of
+A scalar of this package is a ``fractions.Fraction`` (aliased ``Scalar``):
+arithmetic is exact, values are kept in lowest terms with positive
+denominator, and division by zero raises instead of producing a NaN.  Series
+and polynomials are integer vectors over one denominator, and the modular
+checks compare residues mod a prime (below).  The Pochhammer kernels run their
+loops on plain-int numerator/denominator pairs and build one canonical
+``Fraction`` per value they return: the values of running ``Fraction``
+products, without a gcd at every factor.  Every closed form of the paper, a
+monomial times a ratio of Pochhammer products, is one call of
 ``_closed_form``.  The other modules read a value's integer pair only through
 ``_pair``, divide with a pole check through ``_quotient``, and take their
 tables from the helpers here: Pochhammer prefix tables, Pochhammer ratio
 tables, and lists over one common denominator.  Identities are certified by
 evaluating both sides at random small-height rational points (Schwartz-Zippel
 style), so the sampler here is the only source of randomness and is fully
-deterministic in its seed.
+deterministic in its seed: a point's seed fixes its values and its modulus.
 
-The determinant and Pfaffian engines, and the closed forms compared with
-them, can also run modulo a prime drawn from the trial's seed
-(``trial_prime``).  Their values are ``Residue``s: the images mod p of exact
-rationals N/D, compared without ever inverting D.  ``_closed_form`` given a
-prime reduces each factor it reads mod p and builds no canonical Fraction;
-its poles are still decided on the exact integers.
+The engines, series and closed forms of the modular checks run modulo the
+trial's prime ``pt.prime``, which is ``trial_prime(pt.seed)`` drawn on first
+read.  Their values are ``Residue``s and ``series.SeriesResidue``s: the images
+mod p of exact rationals N/D, compared without ever inverting D.
+``_closed_form`` given a prime reduces each factor it reads mod p and builds
+no canonical Fraction; its poles are still decided on the exact integers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -331,6 +334,12 @@ class ParamPoint:
 
     def values(self, names: Sequence[str]) -> tuple[Scalar, ...]:
         return tuple([self.assignments[n] for n in names])
+
+    @functools.cached_property
+    def prime(self) -> int:
+        """The trial's modulus, trial_prime(seed), drawn on first read: most
+        checks never read it."""
+        return trial_prime(self.seed)
 
 
 def sample_point(names: Sequence[str], seed: int = 0, height: int = DEFAULT_HEIGHT) -> ParamPoint:

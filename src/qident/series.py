@@ -248,7 +248,6 @@ def phi_series(
     for r_num, r_den in _term_ratios(_paired(spec), _pair(argument_scale), order):
         if prime is None:
             g = math.gcd(r_num, r_den)
-            g = g if r_den > 0 else -g
             ratios.append((r_num // g, r_den // g))
         else:
             ratios.append((r_num % prime, r_den % prime))

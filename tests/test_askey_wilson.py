@@ -27,7 +27,7 @@ from qident.askey_wilson import (
     pochhammer_basis_polys,
     poly_x_plus,
 )
-from qident.scalar import PoleError, qpoch, qpoch_multi, sample_point
+from qident.scalar import DomainError, PoleError, qpoch, qpoch_multi, sample_point
 
 P = AWParams(F(2, 3), F(1, 5), F(3, 7), F(-5, 11), F(2, 7))
 PT = XPoint(F(7, 3))
@@ -268,6 +268,14 @@ def test_newton_lattice_degenerate():
     # q = 1 collapses the lattice: b_j = (a + 1/a)/2 for all j
     with pytest.raises(DegenerateLattice):
         newton_lattice_coeffs(PolynomialInX([F(1), F(1)]), F(2, 3), F(1), 1)
+
+
+def test_newton_lattice_refuses_a_degree_above_the_order():
+    # the basis (az, a/z; q)_k, k <= n, spans only the degrees up to n
+    f = PolynomialInX([F(1), F(2), F(3)])
+    with pytest.raises(DomainError, match="degree 2 exceeds expansion order 1"):
+        newton_lattice_coeffs(f, F(2, 3), F(2, 7), 1)
+    assert len(newton_lattice_coeffs(f, F(2, 3), F(2, 7), 2)) == 3
 
 
 def test_connection_u_boundary():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import rand_fraction, rand_q, six_term_parts
-from qident import askey_wilson, identities, series
+from qident import askey_wilson, identities, scalar, series
 from qident.askey_wilson import AWParams, XPoint, aw_poly
 from qident.identities import (
     CHECKS_BY_ID,
@@ -50,6 +50,7 @@ from qident.scalar import (
     DomainError,
     ParamPoint,
     PoleError,
+    Residue,
     SamplingExhausted,
     qpoch,
     qpoch_multi,
@@ -810,6 +811,34 @@ def test_mutated_identity_is_detected():
         assert any(r != 0 for r in MUTATED.run(pt, sizes))
 
 
+def test_witness_seed_replays_the_modular_residuals(monkeypatch):
+    # a modular closed form off by one fails every trial; at height 3 some
+    # trials resample, and each witness seed, resampled or not, rebuilds the
+    # point of its trial, whose prime is the modulus its residues were taken mod
+    check = CHECKS_BY_ID["bordered_det"]
+    sizes = replace(check.defaults, height=3)
+    real = identities.rhs_det_formula
+    monkeypatch.setattr(
+        identities, "rhs_det_formula", lambda n, p, x, prime=None: real(n, p, x, prime) + 1
+    )
+    report = run_check(check, trials=5, seed=0, sizes=sizes)
+    assert report.failures == report.trials == 5
+    trial_seeds = [_trial_seed(check.id, 0, trial) for trial in range(5)]
+    assert set(report.witness_seeds) & set(trial_seeds)
+    assert set(report.witness_seeds) - set(trial_seeds)
+    for trial_seed, seed in zip(trial_seeds, report.witness_seeds):
+        residuals, trial_pt = run_trial(check, trial_seed, sizes)
+        assert trial_pt.seed == seed
+        pt = sample_point(check.param_names, seed, sizes.height)
+        assert pt.prime == trial_prime(seed)
+        replayed = check.run(pt, sizes)
+        assert all(isinstance(r, Residue) and r.p == pt.prime for r in replayed)
+        assert [(r.num, r.den, r.p) for r in replayed] == [
+            (r.num, r.den, r.p) for r in residuals
+        ]
+        assert any(not r.is_zero() for r in replayed)
+
+
 @pytest.mark.parametrize("check_id", ("moment_double_sum", "basis_moments"))
 def test_moment_double_sum_catches_a_lattice_kernel_error(monkeypatch, check_id):
     # the double sum and the basis moments read the lattice weights, and the
@@ -1005,7 +1034,7 @@ def test_modular_series_trials_match_their_exact_runs(monkeypatch, check_id, hei
         return out
 
     modular = outcomes()
-    monkeypatch.setattr(identities, "trial_prime", lambda seed: None)
+    monkeypatch.setattr(scalar, "trial_prime", lambda seed: None)
     exact = outcomes()
     assert [o[:2] for o in modular] == [o[:2] for o in exact]
     if height < 40:  # some trials resampled away from poles

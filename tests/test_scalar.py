@@ -116,16 +116,32 @@ def test_quotient():
         _quotient(F(1), F(0), "the prefactor")
 
 
+def _nodes_outside_scalar():
+    """(file name, node) for every AST node of every qident module but scalar."""
+    for path in sorted(Path(qident.__file__).parent.glob("*.py")):
+        if path.name != "scalar.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                yield path.name, node
+
+
 def test_only_scalar_reads_integer_pairs():
     """Every module but scalar reads a value's integer pair through _pair, so
     scalar is the one place that knows how a value is stored."""
     offenders = []
-    for path in sorted(Path(qident.__file__).parent.glob("*.py")):
-        if path.name == "scalar.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
-                offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+    for name, node in _nodes_outside_scalar():
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+            offenders.append(f"{name}:{node.lineno} .{node.attr}")
+    assert offenders == []
+
+
+def test_only_scalar_draws_the_trial_prime():
+    """A trial's modulus is its point's prime, so scalar is the one place that
+    maps a seed to a modulus; the other modules read pt.prime."""
+    offenders = []
+    for name, node in _nodes_outside_scalar():
+        # a Name's id, an Attribute's attr, an import alias's or a def's name
+        if "trial_prime" in [getattr(node, field, None) for field in ("id", "attr", "name")]:
+            offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
 
 
