@@ -15,9 +15,10 @@ from those of a, b, c, d, q and z, with no Fraction in between, and sums the
 4phi3 with series._terminating_sum, the Horner fold phi_terminating uses, on
 the one term-ratio recurrence series._term_ratios: one canonical Fraction per
 value.  _aw_polys yields p_0, p_1, ... at one point from pairs formed once and
-one running prefactor; a check that needs several degrees at a point reads
-them from it, and the orthogonality check evaluates each p_m at the lattice
-nodes z_j = a q^j that way.  aw_leading_coeff is the closed form of the x^n
+one running prefactor, or given a prime their Residues, with the same poles;
+a check that needs several degrees at a point reads them from it, and the
+orthogonality check evaluates each p_m at the lattice nodes z_j = a q^j
+that way.  aw_leading_coeff is the closed form of the x^n
 coefficient, so a degree drop is read without expanding p_n.
 aw_poly_as_polynomial, which interpolates p_n to monomials, is the oracle
 for both p_n's values and its leading coefficient.
@@ -53,11 +54,13 @@ from typing import Iterator, Sequence
 from .scalar import (
     DomainError,
     PoleError,
+    Residue,
     Scalar,
     _closed_form,
     _common_denominator,
     _pair,
     _qpoch_multi_prefix,
+    _ratio,
     _ratio_table,
 )
 from .series import _IntegerVector, _lowest_terms, _sum_of_products, _terminating_sum
@@ -189,10 +192,13 @@ def _aw_prefactors(pairs: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, in
         un, ud = un * qn, ud * qd
 
 
-def _aw_value(pairs: tuple[tuple[int, int], ...], n: int, pref: tuple[int, int]) -> Scalar:
+def _aw_value(
+    pairs: tuple[tuple[int, int], ...], n: int, pref: tuple[int, int], prime: int | None = None
+) -> Scalar | Residue:
     """p_n from the pairs of _aw_pairs and its prefactor pair: the 4phi3's
     parameters q^(-n), abcd q^(n-1), az, a/z; ab, ac, ad are unreduced
-    integer pairs, summed by series._terminating_sum at argument q."""
+    integer pairs, summed by series._terminating_sum at argument q.  One
+    canonical Fraction, or its Residue mod `prime` when one is given."""
     (an, ad), (bn, bd), (cn, cd), (dn, dd), q, (zn, zd) = pairs
     qn, qd = q
     sn, sd = (qn ** (n - 1), qd ** (n - 1)) if n else (qd, qn)  # q^(n-1)
@@ -204,7 +210,7 @@ def _aw_value(pairs: tuple[tuple[int, int], ...], n: int, pref: tuple[int, int])
     )
     dens = ((an * bn, ad * bd), (an * cn, ad * cd), (an * dn, ad * dd))
     num, den = _terminating_sum((nums, dens, q), q, n)
-    return Fraction(pref[0] * num, pref[1] * den)
+    return _ratio([pref[0], num], [pref[1], den], prime)
 
 
 def aw_poly(n: int, p: AWParams, pt: XPoint) -> Scalar:
@@ -216,9 +222,10 @@ def aw_poly(n: int, p: AWParams, pt: XPoint) -> Scalar:
     return _aw_value(pairs, n, next(islice(_aw_prefactors(pairs), n, None)))
 
 
-def _aw_polys(p: AWParams, pt: XPoint) -> Iterator[Scalar]:
+def _aw_polys(p: AWParams, pt: XPoint, prime: int | None = None) -> Iterator[Scalar | Residue]:
     """p_0, p_1, ... at one point, without end: aw_poly(n, p, pt) for each n
-    in turn, from pairs formed once and one running prefactor.
+    in turn, from pairs formed once and one running prefactor; Residues mod
+    `prime` when one is given, with the same poles.
 
     The k-th term's denominator (q,ab,ac,ad;q)_k does not depend on n, so the
     first degree that raises is that k, and every later degree would raise
@@ -227,7 +234,7 @@ def _aw_polys(p: AWParams, pt: XPoint) -> Iterator[Scalar]:
     """
     pairs = _aw_pairs(p, pt)
     for n, pref in enumerate(_aw_prefactors(pairs)):
-        yield _aw_value(pairs, n, pref)
+        yield _aw_value(pairs, n, pref, prime)
 
 
 def aw_leading_coeff(n: int, p: AWParams) -> Scalar:

@@ -25,19 +25,28 @@ q-Watson sum and the contiguous prefactor) is one call of
 scalar._closed_form.  The matrix builders read their Pochhammer products from
 integer prefix tables (scalar._qpoch_multi_prefix), their ratios from
 scalar._ratio_table and other integer pairs from scalar._pair, and form each
-entry from unreduced integer products as one canonical Fraction.  Builders
-and closed forms divide only by the table entries they read, so a zero
-elsewhere in a table is no pole.  The Mehta-Wang matrix and the skew matrices
-share one entry, (q^i - c q^j) h_(i+j), with c = 1 for the skew ones.
+entry from unreduced integer products as one scalar._ratio: a canonical
+Fraction, or, given a `prime`, its Residue with no gcd.  Builders and closed
+forms divide only by the table entries they read, so a zero elsewhere in a
+table is no pole, and poles are decided on the exact entries either way: a
+Residue is built only from an exact denominator that is nonzero.  The
+Mehta-Wang matrix and the skew matrices share one entry, (q^i - c q^j)
+h_(i+j), with c = 1 for the skew ones.
 
-The determinant and Pfaffian checks keep their builders and oracles exact
-and run their engines mod the same prime pt.prime, drawn from the trial
-point's seed.  They take the closed forms they compare mod the same
-prime (every rhs_* and prefactor takes an optional `prime`), and
-gram_to_bordered forms its entry residuals and determinant scaling mod it
-too.  Their residuals are then scalar.Residues, which read 0 exactly when
-the prime divides the exact residual's numerator; a closed form still raises
-PoleError only where its exact value would.  Two calls stay exact: the plain
+The determinant and Pfaffian checks run their engines mod the same prime
+pt.prime, drawn from the trial point's seed.  They take the closed forms
+they compare mod the same prime (every rhs_* and prefactor takes an
+optional `prime`), and bordered_det and gram_det read p_1, ..., p_n mod it
+from one askey_wilson._aw_polys pass, each after its order's prefactor.
+Six build their matrices mod it too: gram_det, gram_to_bordered,
+little_qjacobi_hankel, mehta_wang_det, even_order_det and
+pfaffian_integer_exp; bordered_det and pfaffian_eval keep exact builders,
+because their exact oracles read the same matrix, and so do the engine
+cross-checks.  gram_to_bordered forms its entry residuals and determinant
+scaling from the residues of its entries.  Their residuals are then
+scalar.Residues, which read 0 exactly when the prime divides the exact
+residual's numerator; a builder or closed form still raises PoleError only
+where its exact value would.  Two calls stay exact: the plain
 Hankel closed form of little_qjacobi_hankel and the Pfaffian closed form of
 pfaffian_eval.  The benchmark's tests replace rhs_hankel and rhs_pfaffian
 with stand-ins that take the exact arguments only, and those must fail on a
@@ -57,7 +66,7 @@ import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Callable
+from typing import Callable, Iterator
 
 from .askey_wilson import (
     AWParams,
@@ -434,7 +443,7 @@ def aw_quadratic_residuals(n_max: int, p: AWParams, pt: XPoint) -> list[Scalar]:
 # ---------------------------------------------------------------------------
 
 
-def build_bordered_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
+def build_bordered_matrix(n: int, p: AWParams, pt: XPoint, prime: int | None = None) -> Matrix:
     """The n x n matrix whose determinant evaluates to D_n * p_n.
 
     Entry (row i = 0..n-1, column j = 1..n):
@@ -443,7 +452,7 @@ def build_bordered_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
 
     The bracket's four coefficients share one denominator L, so with k = i+j-1
     its numerator over L q_d^k is an integer sum, and each entry is one
-    Fraction of integer products.
+    scalar._ratio of integer products: a Fraction, or a Residue mod `prime`.
     """
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     x = pt.x
@@ -460,7 +469,7 @@ def build_bordered_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
             k = i + j
             bracket = k0 * qd[k] + k1 * qn[i] * qd[j] + k2 * qn[j] * qd[i] - k3 * qn[k]
             entries.append(
-                Fraction(-bn * qn[j] * rn[k] * bracket, bd * qd[j] * rd[k] * L * qd[k])
+                _ratio([-bn, qn[j], rn[k], bracket], [bd, qd[j], rd[k], L, qd[k]], prime)
             )
     return Matrix(n, n, tuple(entries))
 
@@ -486,9 +495,17 @@ def _det_prefactor_times(
     )
 
 
-def rhs_det_formula(n: int, p: AWParams, pt: XPoint, prime: int | None = None) -> Scalar | Residue:
-    """Closed form D_n(a,b) * p_n(x; a,b,c,d; q)."""
-    return det_prefactor(n, p, prime) * aw_poly(n, p, pt)
+def rhs_det_formula(
+    n: int, p: AWParams, pt: XPoint, prime: int | None = None, polys: Iterator | None = None
+) -> Scalar | Residue:
+    """Closed form D_n(a,b) * p_n(x; a,b,c,d; q).
+
+    p_n is aw_poly(n, p, pt), or the next value of `polys`, a pass of
+    _aw_polys(p, pt, prime) that yields p_n next.  It is read after D_n, so
+    a pole of D_n is raised before one of p_n.
+    """
+    pref = det_prefactor(n, p, prime)
+    return pref * (aw_poly(n, p, pt) if polys is None else next(polys))
 
 
 def _decorations(n: int, p: AWParams) -> tuple[tuple[list[int], list[int]], ...]:
@@ -506,27 +523,30 @@ def _decoration_det(n: int, row: tuple, col: tuple, prime: int | None = None) ->
     return _ratio(row[0][:n] + col[0][:n], row[1][:n] + col[1][:n], prime)
 
 
-def _decorated_hankel(rows: int, cols: int, p: AWParams) -> list[Scalar]:
+def _decorated_hankel(
+    rows: int, cols: int, p: AWParams, prime: int | None
+) -> list[Scalar | Residue]:
     """(ac,ad;q)_i (bc,bd;q)_j (ab;q)_(i+j) / (abcd;q)_(i+j), i < rows, j < cols,
-    row-major."""
+    row-major; Residues mod `prime` when one is given."""
     hn, hd = _ratio_table((p.a * p.b,), p.abcd, p.q, rows + cols - 2, "(abcd;q)_(i+j)")
     (rn, rd), (cn, cd) = _decorations(max(rows, cols), p)
     return [
-        Fraction(rn[i] * cn[j] * hn[i + j], rd[i] * cd[j] * hd[i + j])
+        _ratio([rn[i], cn[j], hn[i + j]], [rd[i], cd[j], hd[i + j]], prime)
         for i in range(rows)
         for j in range(cols)
     ]
 
 
-def build_gram_matrix(n: int, p: AWParams, pt: XPoint) -> Matrix:
-    """(n+1) x (n+1) moment matrix bordered by the polynomial row.
+def build_gram_matrix(n: int, p: AWParams, pt: XPoint, prime: int | None = None) -> Matrix:
+    """(n+1) x (n+1) moment matrix bordered by the polynomial row, with
+    Residue entries mod `prime` when one is given.
 
     Rows i = 0..n-1: entry (ac,ad;q)_i (bc,bd;q)_j (ab;q)_(i+j) / (abcd;q)_(i+j);
     last row: (bz, b/z; q)_j.
     """
     b, z = p.b, pt.z
-    last = qpoch_multi_table((b * z, b / z), p.q, n)
-    return Matrix(n + 1, n + 1, tuple(_decorated_hankel(n, n + 1, p) + last))
+    last = [_ratio([x], [y], prime) for x, y in zip(*_qpoch_multi_prefix((b * z, b / z), p.q, n))]
+    return Matrix(n + 1, n + 1, tuple(_decorated_hankel(n, n + 1, p, prime) + last))
 
 
 def _gram_dets(G: Matrix, prime: int | None = None) -> list:
@@ -550,9 +570,13 @@ def gram_prefactor(n: int, p: AWParams, prime: int | None = None) -> Scalar | Re
     return _det_prefactor_times(n, p, -1, (a * c, a * d, b * c, b * d), prime)
 
 
-def rhs_gram_formula(n: int, p: AWParams, pt: XPoint, prime: int | None = None) -> Scalar | Residue:
-    """Closed form C * p_n(x; a,b,c,d; q)."""
-    return gram_prefactor(n, p, prime) * aw_poly(n, p, pt)
+def rhs_gram_formula(
+    n: int, p: AWParams, pt: XPoint, prime: int | None = None, polys: Iterator | None = None
+) -> Scalar | Residue:
+    """Closed form C * p_n(x; a,b,c,d; q), with p_n read as rhs_det_formula
+    reads it."""
+    pref = gram_prefactor(n, p, prime)
+    return pref * (aw_poly(n, p, pt) if polys is None else next(polys))
 
 
 def gram_elimination_residuals(
@@ -568,21 +592,17 @@ def gram_elimination_residuals(
     well.  No entry residual depends on n, so each is computed once from the
     order-n_max matrices and listed again at every order that contains it;
     the determinants of all orders come from one elimination per matrix.
-    When `prime` is given, every residual is a Residue mod `prime`: the
-    eliminations run mod p, and the entry residuals and the determinant
-    scaling are formed from the entries' residues.
+    When `prime` is given, every residual is a Residue mod `prime`: both
+    matrices are built mod p, the eliminations run mod p, and the entry
+    residuals and the determinant scaling are formed from those residues.
     """
     b, q, x = p.b, p.q, pt.x
     top = max(n_max, 0)
-    A = build_gram_matrix(top, p, pt)
-    B = build_bordered_matrix(top, p, pt)
+    A = build_gram_matrix(top, p, pt, prime)
+    B = build_bordered_matrix(top, p, pt, prime)
     row, col = _decorations(top, p)
     (rn, rd), (cn, cd) = row, col
-    # row-major entries: A is (top+1) x (top+1), B is top x top
-    if prime is None:
-        ea, eb = A.entries, B.entries
-    else:
-        ea, eb = ([Residue(*_pair(v), prime) for v in M.entries] for M in (A, B))
+    ea, eb = A.entries, B.entries  # row-major: A is (top+1) x (top+1), B is top x top
     w = top + 1
     columns = []  # column j's residuals: moment rows i < top, then the polynomial row
     for j in range(1, w):
@@ -604,10 +624,11 @@ def gram_elimination_residuals(
     return out
 
 
-def build_hankel_little_qjacobi(n: int, p: AWParams) -> Matrix:
-    """n x n Hankel matrix of little q-Jacobi type: (ab;q)_(i+j)/(abcd;q)_(i+j)."""
+def build_hankel_little_qjacobi(n: int, p: AWParams, prime: int | None = None) -> Matrix:
+    """n x n Hankel matrix of little q-Jacobi type: (ab;q)_(i+j)/(abcd;q)_(i+j),
+    with Residue entries mod `prime` when one is given."""
     hankel = [
-        Fraction(x, y)
+        _ratio([x], [y], prime)
         for x, y in zip(*_ratio_table((p.a * p.b,), p.abcd, p.q, 2 * n - 2, "(abcd;q)_(i+j)"))
     ]
     return Matrix(n, n, tuple([hankel[i + j] for i in range(n) for j in range(n)]))
@@ -634,9 +655,10 @@ def _rhs_hankel_times(
     )
 
 
-def build_hankel_decorated(n: int, p: AWParams) -> Matrix:
-    """Hankel matrix with row factors (ac,ad;q)_i and column factors (bc,bd;q)_j."""
-    return Matrix(n, n, tuple(_decorated_hankel(n, n, p)))
+def build_hankel_decorated(n: int, p: AWParams, prime: int | None = None) -> Matrix:
+    """Hankel matrix with row factors (ac,ad;q)_i and column factors (bc,bd;q)_j,
+    with Residue entries mod `prime` when one is given."""
+    return Matrix(n, n, tuple(_decorated_hankel(n, n, p, prime)))
 
 
 def rhs_hankel_decorated(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
@@ -655,19 +677,21 @@ def mehta_wang_params(pt: ParamPoint) -> tuple[Scalar, Scalar, Scalar, Scalar, S
     return a, v**2, u**2 / (a * q), u, v, q
 
 
-def build_mehta_wang_matrix(n: int, pt: ParamPoint) -> Matrix:
-    """n x n matrix (q^(i-1) - c q^(j-1)) (aq;q)_(i+j-2) / (abq^2;q)_(i+j-2)."""
+def build_mehta_wang_matrix(n: int, pt: ParamPoint, prime: int | None = None) -> Matrix:
+    """n x n matrix (q^(i-1) - c q^(j-1)) (aq;q)_(i+j-2) / (abq^2;q)_(i+j-2),
+    with Residue entries mod `prime` when one is given."""
     a, b, c, _, _, q = mehta_wang_params(pt)
     entry = _q_difference_hankel(
-        c, q, *_ratio_table((a * q,), a * b * q**2, q, 2 * n - 2, "(abq^2;q)_(i+j-2)")
+        c, q, *_ratio_table((a * q,), a * b * q**2, q, 2 * n - 2, "(abq^2;q)_(i+j-2)"), prime
     )
     return Matrix(n, n, tuple([entry(i, j) for i in range(n) for j in range(n)]))
 
 
 def _q_difference_hankel(
-    c: Scalar, q: Scalar, hn: list[int], hd: list[int]
-) -> Callable[[int, int], Scalar]:
-    """Entry (i, j) -> (q^i - c q^j) h_(i+j), 0-based, for h_k = hn[k]/hd[k].
+    c: Scalar, q: Scalar, hn: list[int], hd: list[int], prime: int | None
+) -> Callable[[int, int], Scalar | Residue]:
+    """Entry (i, j) -> (q^i - c q^j) h_(i+j), 0-based, for h_k = hn[k]/hd[k],
+    as a Residue mod `prime` when one is given.
 
     The Mehta-Wang matrix and, with c = 1, the skew matrices share this
     entry; each caller reads its ratio table h over its own range, and
@@ -675,8 +699,8 @@ def _q_difference_hankel(
     """
     qn, qd = _powers(q, len(hn))
     cn, cd = _pair(c)
-    return lambda i, j: Fraction(
-        (qn[i] * qd[j] * cd - cn * qn[j] * qd[i]) * hn[i + j], qd[i + j] * cd * hd[i + j]
+    return lambda i, j: _ratio(
+        [qn[i] * qd[j] * cd - cn * qn[j] * qd[i], hn[i + j]], [qd[i + j], cd, hd[i + j]], prime
     )
 
 
@@ -712,13 +736,16 @@ def rhs_mehta_wang(n: int, pt: ParamPoint, prime: int | None = None) -> Scalar |
     return pref * phi_terminating(spec, q, n)
 
 
-def build_even_det(m: int, a: Scalar, b: Scalar, q: Scalar) -> SkewMatrix:
-    """2m x 2m skew matrix (q^(i-1) - q^(j-1)) (aq;q)_(i+j-2) / (abq^2;q)_(i+j-2)."""
+def build_even_det(
+    m: int, a: Scalar, b: Scalar, q: Scalar, prime: int | None = None
+) -> SkewMatrix:
+    """2m x 2m skew matrix (q^(i-1) - q^(j-1)) (aq;q)_(i+j-2) / (abq^2;q)_(i+j-2),
+    with Residue entries mod `prime` when one is given."""
 
     # the strict upper triangle reads i+j-2 = 1..4m-3 only, so a vanishing
     # (abq^2;q)_(4m-2) is no pole of this matrix
     hn, hd = _ratio_table((a * q,), a * b * q**2, q, 4 * m - 3, "(abq^2;q)_(i+j-2)")
-    return SkewMatrix.from_upper(2 * m, _q_difference_hankel(1, q, hn, hd))
+    return SkewMatrix.from_upper(2 * m, _q_difference_hankel(1, q, hn, hd, prime))
 
 
 def rhs_pfaffian(
@@ -743,10 +770,13 @@ def rhs_even_det(
     return rhs_pfaffian(m, a, b, q, prime) ** 2
 
 
-def build_integer_exp_pfaffian(m: int, alpha: int, q: Scalar) -> SkewMatrix:
-    """2m x 2m skew matrix (q^i - q^j)(q^alpha; q)_(i+j), 0-based indices."""
+def build_integer_exp_pfaffian(
+    m: int, alpha: int, q: Scalar, prime: int | None = None
+) -> SkewMatrix:
+    """2m x 2m skew matrix (q^i - q^j)(q^alpha; q)_(i+j), 0-based indices,
+    with Residue entries mod `prime` when one is given."""
     return SkewMatrix.from_upper(
-        2 * m, _q_difference_hankel(1, q, *_qpoch_multi_prefix((q**alpha,), q, 4 * m))
+        2 * m, _q_difference_hankel(1, q, *_qpoch_multi_prefix((q**alpha,), q, 4 * m), prime)
     )
 
 
@@ -960,12 +990,14 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
     top = sizes.n_max
-    M = build_bordered_matrix(top, p, x)
+    M = build_bordered_matrix(top, p, x)  # exact: the oracles read it too
     out = []
-    dets = zip(leading_minors(M, pt.prime), det_condensation(M))
-    for n, (d_ff, d_cond) in enumerate(dets, 1):
-        out.append(d_ff - rhs_det_formula(n, p, x, pt.prime))
-        out.append(d_cond - d_ff)
+    condensed = det_condensation(M)
+    polys = islice(_aw_polys(p, x, pt.prime), 1, None)  # p_1, p_2, ...
+    for n, d_ff in enumerate(leading_minors(M, pt.prime), 1):
+        out.append(d_ff - rhs_det_formula(n, p, x, pt.prime, polys))
+        if n <= len(condensed):  # orders past a zero interior minor are left out
+            out.append(condensed[n - 1] - d_ff)
         if n <= COFACTOR_CAP:  # the cofactor oracle refuses larger orders
             out.append(det_cofactor(M.leading(n)) - d_ff)
     return out
@@ -974,14 +1006,14 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("mehta_wang_det", "Cor. 3.2 / Eq. (eq:ITZ1)", ("a", "u", "v", "q"), Sizes(n_max=5),
         note="b = v^2, c = u^2/(aq)")
 def _run_mehta_wang(pt: ParamPoint, sizes: Sizes) -> list:
-    dets = leading_minors(build_mehta_wang_matrix(sizes.n_max, pt), pt.prime)
+    dets = leading_minors(build_mehta_wang_matrix(sizes.n_max, pt, pt.prime), pt.prime)
     return [d - rhs_mehta_wang(n, pt, pt.prime) for n, d in enumerate(dets, 1)]
 
 
 @_check("even_order_det", "Cor. 3.3", ("a", "b", "q"), Sizes(m_max=3))
 def _run_even_det(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, q = pt["a"], pt["b"], pt["q"]
-    dets = _even_minors(build_even_det(sizes.m_max, a, b, q), pt.prime)
+    dets = _even_minors(build_even_det(sizes.m_max, a, b, q, pt.prime), pt.prime)
     return [d - rhs_even_det(m, a, b, q, pt.prime) for m, d in enumerate(dets, 1)]
 
 
@@ -1008,7 +1040,7 @@ def _run_integer_exp_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     q = pt["q"]
     alphas = range(1, 5)
     pfs = [
-        leading_pfaffians(build_integer_exp_pfaffian(sizes.m_max, alpha, q), pt.prime)
+        leading_pfaffians(build_integer_exp_pfaffian(sizes.m_max, alpha, q, pt.prime), pt.prime)
         for alpha in alphas
     ]
     out = []
@@ -1043,8 +1075,9 @@ def _run_andrews_watson(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_gram_det(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
-    dets = _gram_dets(build_gram_matrix(sizes.n_max, p, x), pt.prime)
-    return [d - rhs_gram_formula(n, p, x, pt.prime) for n, d in enumerate(dets, 1)]
+    dets = _gram_dets(build_gram_matrix(sizes.n_max, p, x, pt.prime), pt.prime)
+    polys = islice(_aw_polys(p, x, pt.prime), 1, None)  # p_1, p_2, ...
+    return [d - rhs_gram_formula(n, p, x, pt.prime, polys) for n, d in enumerate(dets, 1)]
 
 
 @_check("gram_to_bordered", "Prop. 4.2", _ABCDQZ, Sizes(n_max=4),
@@ -1058,7 +1091,10 @@ def _run_gram_to_bordered(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     top = sizes.n_max
-    matrices = (build_hankel_little_qjacobi(top, p), build_hankel_decorated(top, p))
+    matrices = (
+        build_hankel_little_qjacobi(top, p, pt.prime),
+        build_hankel_decorated(top, p, pt.prime),
+    )
     out = []
     for n, (d, e) in enumerate(zip(*[leading_minors(M, pt.prime) for M in matrices]), 1):
         out.append(d - rhs_hankel(n, p))  # exact: see the module docstring
@@ -1270,7 +1306,8 @@ def _run_det_engines(pt: ParamPoint, sizes: Sizes) -> list:
         M = full.leading(k)
         d = det_fraction_free(M)
         out.append(det_cofactor(M) - d)
-        out.append(condensed[k - 1] - d)
+        if k <= len(condensed):  # orders past a zero interior minor are left out
+            out.append(condensed[k - 1] - d)
         out.append(minors[k - 1] - d)
         out.append(modular[k - 1] - d)
         out.append(det_fraction_free(M, pt.prime) - d)

@@ -15,13 +15,16 @@ of a skew matrix vanish, so its even ones come from leading_minors of
 pair_swapped(M), whose row pairs are swapped.
 
 Each engine takes an optional prime modulus p.  Without it the engine
-returns a canonical Fraction.  With it the same loop runs on the scaled
-integer matrix reduced mod p, dividing by a pivot through its inverse mod p,
-and returns a scalar.Residue: the exact value's numerator mod p over the
-exact scale's residue.  Both kinds of value come from scalar._ratio, as the
-closed forms' do.  A pivot that vanishes mod p is treated as zero, so a
-swap-free pass falls back there exactly as it does at an exact zero.  Only
-pivots are inverted, never an entry's denominator.
+scales each row by the lcm of its denominators and returns a canonical
+Fraction.  With it the entries may be Fractions or scalar.Residues, and
+each row is scaled by the product of the denominators of its entries'
+pairs, read mod p through scalar._pair_mod: no lcm, no gcd and no inverted
+entry.  The same loop then runs on those ints mod p, dividing by a pivot
+through its inverse mod p, and returns a Residue: the exact value's
+numerator mod p over the exact scale's residue.  Both kinds of value come
+from scalar._ratio, as the closed forms' do.  A pivot that vanishes mod p
+is treated as zero, so a swap-free pass falls back there exactly as it does
+at an exact zero.  Only pivots are inverted, never an entry's denominator.
 
 Three oracles check the engines, each one algorithm that shares no code with
 them.  Each scales the whole matrix by the lcm of all its denominators and
@@ -29,8 +32,9 @@ runs on ints over that one common denominator.  Cofactor expansion keeps
 each column-subset minor once and the matching expansion each partial
 matching once, so both cost O(n 2^n); they are capped at order 8.  Dodgson
 condensation reads every leading minor from one pass, dividing exactly by
-interior connected minors, and raises PoleError, which resamples the point,
-where one of them vanishes.  The condensation relation is itself one of the verified identities, via
+interior connected minors; where one of them vanishes, it leaves out the
+orders whose leading blocks contain the minor that divides by it.  The
+condensation relation is itself one of the verified identities, via
 
     det M * det M(interior) = det M(1,1) det M(n,n) - det M(1,n) det M(n,1),
 
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .scalar import PoleError, Residue, Scalar, _common_denominator, _ratio
+from .scalar import Residue, Scalar, _common_denominator, _pair_mod, _ratio
 
 COFACTOR_CAP = 8
 MATCHINGS_CAP = 8
@@ -126,13 +130,15 @@ class SkewMatrix(Matrix):
 
     @classmethod
     def from_upper(cls, order: int, fn: Callable[[int, int], Scalar]) -> "SkewMatrix":
-        """Build from the strict upper triangle, f(i,j) with i < j."""
+        """Build from the strict upper triangle, f(i,j) with i < j.  A
+        Residue entry is kept as it is; any other becomes a Fraction."""
         if order < 0:
             raise ValueError("dimensions must be nonnegative")
         rows = [[Fraction(0)] * order for _ in range(order)]
         for i in range(order):
             for j in range(i + 1, order):
-                v = Fraction(fn(i, j))
+                v = fn(i, j)
+                v = v if isinstance(v, Residue) else Fraction(v)
                 rows[i][j] = v
                 rows[j][i] = -v
         return cls._trusted(order, order, tuple([x for row in rows for x in row]))
@@ -202,12 +208,31 @@ def det_cofactor(M: Matrix) -> Scalar:
 
 
 def _row_scaled(M: Matrix, p: int | None = None) -> tuple[list[list[int]], list[int]]:
-    """The rows of M as ints, each scaled by the lcm of its own denominators,
-    and those row scales.  With a modulus p the ints are reduced mod p."""
+    """The rows of M as ints, each row i scaled by a multiple s_i of its
+    denominators, and those row scales.
+
+    Without a modulus s_i is the lcm of row i's denominators.  With a prime
+    p, s_i is the product of the denominators of the pairs row i's entries
+    are held as (scalar._pair_mod), and entry j is its numerator times the
+    other denominators, from prefix and suffix products: every int is
+    reduced mod p, and no entry needs an lcm, a gcd or an inverse.
+    """
     rows, scales = [], []
     for i in range(M.rows):
-        row, s = _common_denominator(M.row(i))
-        rows.append(row if p is None else [v % p for v in row])
+        if p is None:
+            row, s = _common_denominator(M.row(i))
+        else:
+            pairs = [_pair_mod(v, p) for v in M.row(i)]
+            prefix = [1]  # prefix[j]: the product of the first j denominators
+            for _, d in pairs:
+                prefix.append(prefix[-1] * d % p)
+            row, suffix = [0] * len(pairs), 1
+            for j in range(len(pairs) - 1, -1, -1):
+                n, d = pairs[j]
+                row[j] = n * prefix[j] * suffix % p
+                suffix = suffix * d % p
+            s = prefix[-1]
+        rows.append(row)
         scales.append(s)
     return rows, scales
 
@@ -256,7 +281,7 @@ def _bareiss(a: list[list[int]], pivoting: bool, p: int | None = None) -> Iterat
 def det_fraction_free(M: Matrix, p: int | None = None) -> Scalar | Residue:
     """Bareiss fraction-free elimination on integers, with row-swap pivoting.
 
-    Each row is scaled by the lcm of its denominators, so elimination runs on
+    Each row is scaled as _row_scaled scales it, so elimination runs on
     Python ints; the scaling is divided out at the end.  A column with no
     available pivot proves the matrix singular, so the determinant is 0
     outright.  With a prime p the elimination runs mod p and returns det M
@@ -308,22 +333,26 @@ def pair_swapped(M: Matrix) -> Matrix:
 
 
 def det_condensation(M: Matrix) -> list[Scalar]:
-    """det of the leading k x k block of M for k = 1..n, from one Dodgson
-    condensation of the integer matrix L*M.
+    """det of the leading k x k block of M for k = 1..r, from one Dodgson
+    condensation of the integer matrix L*M, where r <= n is the highest order
+    whose block's own condensation divides by no zero.
 
     Each step replaces the matrix by its 2x2 connected minors, divided
     elementwise by the interior of the matrix two steps back.  After k steps
     the entries are the (k+1) x (k+1) connected minors of L*M, so every
     division is exact (``//``), and entry (0, 0) is L^(k+1) det M_(k+1).  A
-    vanishing interior entry (a superset of those of any leading block) makes
-    the division impossible: PoleError, so the trial resamples its point.
+    vanishing interior entry leaves the connected minor that divides by it
+    unknown, and with it every leading block that contains that minor's
+    rows and columns: those orders are left out, so the list is shorter
+    than n exactly when some block's condensation divides by a zero.
     """
     _require_square(M)
     cur, lcm = _integer_rows(M)
     prev: list[list[int]] | None = None
     out = []
     scale = 1
-    while cur:
+    reach = M.rows
+    while len(out) < reach:
         scale *= lcm
         out.append(Fraction(cur[0][0], scale))
         m = len(cur) - 1
@@ -334,8 +363,11 @@ def det_condensation(M: Matrix) -> list[Scalar]:
             if prev is not None:
                 interior = prev[i + 1][1:-1]
                 if 0 in interior:
-                    raise PoleError("condensation divides by a zero interior entry")
-                row = [v // d for v, d in zip(row, interior)]
+                    # the minor at (i, j) of order len(out) + 1 first lies in
+                    # the block of order len(out) + 1 + max(i, j)
+                    j = interior.index(0)
+                    reach = min(reach, len(out) + max(i, j))
+                row = [v // d if d else 0 for v, d in zip(row, interior)]
             nxt.append(row)
         prev, cur = cur, nxt
     return out
@@ -398,8 +430,8 @@ def pfaffian_matchings(M: Matrix) -> Scalar:
 
 
 def _skew_rows(M: Matrix, p: int | None) -> tuple[list[list[int]], list[int]]:
-    """S M S as int rows, for S the diagonal of the row scales s_i (the lcm of
-    row i's denominators), and those scales; with a prime p, reduced mod p.
+    """S M S as int rows, for S the diagonal of the row scales s_i of
+    _row_scaled, and those scales; with a prime p, reduced mod p.
 
     S M S is skew with integer entries, and its leading 2k x 2k block has
     Pfaffian (s_0 ... s_(2k-1)) pf M_2k.
@@ -407,8 +439,7 @@ def _skew_rows(M: Matrix, p: int | None) -> tuple[list[list[int]], list[int]]:
     rows, scales = _row_scaled(M, p)
     if p is None:
         return [[v * s for v, s in zip(row, scales)] for row in rows], scales
-    col = [s % p for s in scales]
-    return [[v * c % p for v, c in zip(row, col)] for row in rows], scales
+    return [[v * s % p for v, s in zip(row, scales)] for row in rows], scales
 
 
 def _pfaffian_pairs(d: list[list[int]], pivoting: bool, p: int | None = None) -> Iterator[int]:

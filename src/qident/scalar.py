@@ -10,7 +10,8 @@ loops on plain-int numerator/denominator pairs and build one canonical
 products, without a gcd at every factor.  Every closed form of the paper, a
 monomial times a ratio of Pochhammer products, is one call of
 ``_closed_form``.  The other modules read a value's integer pair only through
-``_pair``, divide with a pole check through ``_quotient``, and take their
+``_pair`` (or its residues mod p through ``_pair_mod``), divide with a pole
+check through ``_quotient``, and take their
 tables from the helpers here: Pochhammer prefix tables, Pochhammer ratio
 tables, and lists over one common denominator.  Identities are certified by
 evaluating both sides at random small-height rational points (Schwartz-Zippel
@@ -23,6 +24,10 @@ read.  Their values are ``Residue``s and ``series.SeriesResidue``s: the images
 mod p of exact rationals N/D, compared without ever inverting D.
 ``_closed_form`` given a prime reduces each factor it reads mod p and builds
 no canonical Fraction; its poles are still decided on the exact integers.
+The modular matrix builders make each entry the same way, one ``_ratio`` of
+unreduced integer products, so their entries are Residues with no gcd, and
+the engines read an entry's pair mod p, whether it is a Fraction or a
+Residue, only through ``_pair_mod``.
 """
 
 from __future__ import annotations
@@ -55,6 +60,16 @@ class SamplingExhausted(RuntimeError):
 def _pair(x: Scalar) -> tuple[int, int]:
     """(numerator, positive denominator) of an int or Fraction, in lowest terms."""
     return x.numerator, x.denominator
+
+
+def _pair_mod(x: Scalar | Residue, p: int) -> tuple[int, int]:
+    """(N mod p, D mod p) of the pair N/D an int, Fraction or Residue mod p is
+    held as: a Fraction's is in lowest terms, a Residue's is unreduced."""
+    if isinstance(x, Residue):
+        if x.p != p:
+            raise ValueError("residues modulo different primes")
+        return x.num, x.den
+    return x.numerator % p, x.denominator % p
 
 
 def _quotient(num: Scalar, den: Scalar, what: str) -> Scalar:
@@ -208,12 +223,8 @@ class Residue:
         self.num, self.den, self.p = num % p, den % p, p
 
     def _pair(self, other) -> tuple[int, int] | None:
-        if isinstance(other, Residue):
-            if other.p != self.p:
-                raise ValueError("residues modulo different primes")
-            return other.num, other.den
-        if isinstance(other, (int, Fraction)):
-            return _pair(other)
+        if isinstance(other, (int, Fraction, Residue)):
+            return _pair_mod(other, self.p)
         return None
 
     def __add__(self, other):

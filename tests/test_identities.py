@@ -7,7 +7,7 @@ import pytest
 
 from helpers import rand_fraction, rand_q, six_term_parts
 from qident import askey_wilson, identities, scalar, series
-from qident.askey_wilson import AWParams, XPoint, aw_poly
+from qident.askey_wilson import AWParams, XPoint, _aw_polys, aw_poly
 from qident.identities import (
     CHECKS_BY_ID,
     REGISTRY,
@@ -45,7 +45,8 @@ from qident.identities import (
     _six_term_specs,
     _trial_seed,
 )
-from qident.linalg import det_cofactor, det_fraction_free, pfaffian_matchings
+from qident import linalg
+from qident.linalg import SkewMatrix, det_cofactor, det_fraction_free, pfaffian_matchings
 from qident.scalar import (
     DomainError,
     ParamPoint,
@@ -818,9 +819,7 @@ def test_witness_seed_replays_the_modular_residuals(monkeypatch):
     check = CHECKS_BY_ID["bordered_det"]
     sizes = replace(check.defaults, height=3)
     real = identities.rhs_det_formula
-    monkeypatch.setattr(
-        identities, "rhs_det_formula", lambda n, p, x, prime=None: real(n, p, x, prime) + 1
-    )
+    monkeypatch.setattr(identities, "rhs_det_formula", lambda *args: real(*args) + 1)
     report = run_check(check, trials=5, seed=0, sizes=sizes)
     assert report.failures == report.trials == 5
     trial_seeds = [_trial_seed(check.id, 0, trial) for trial in range(5)]
@@ -837,6 +836,104 @@ def test_witness_seed_replays_the_modular_residuals(monkeypatch):
             (r.num, r.den, r.p) for r in residuals
         ]
         assert any(not r.is_zero() for r in replayed)
+
+
+@pytest.mark.parametrize("rhs", [rhs_det_formula, rhs_gram_formula])
+def test_closed_forms_read_p_n_from_a_pass_after_their_prefactor(rhs):
+    # ab = abcd = 1: both the prefactor's (abcd;q)_1 and p_1's (ab;q)_1 vanish
+    p, x = AWParams(F(1, 2), F(2), F(-2), F(-1, 2), F(2)), XPoint(F(-1))
+    prime = trial_prime(0)
+    polys = _aw_polys(p, x, prime)
+    assert next(polys) == 1
+    with pytest.raises(PoleError, match=r"\(abcd;q\)_\(n\+i\) vanishes"):
+        rhs(1, p, x, prime, polys)
+    with pytest.raises(PoleError, match="term 1"):  # p_1 was not read
+        next(polys)
+    # and where neither vanishes, p_n from the pass is aw_poly's
+    p = replace(p, b=F(3))
+    polys = _aw_polys(p, x, prime)
+    next(polys)
+    for n in range(1, 5):
+        got = rhs(n, p, x, prime, polys)
+        assert isinstance(got, Residue) and got == rhs(n, p, x)
+
+
+# each check whose matrix is built mod the trial prime, with its builders
+RESIDUE_BUILT = (
+    ("gram_det", "build_gram_matrix"),
+    ("gram_to_bordered", "build_gram_matrix"),
+    ("gram_to_bordered", "build_bordered_matrix"),
+    ("little_qjacobi_hankel", "build_hankel_little_qjacobi"),
+    ("little_qjacobi_hankel", "build_hankel_decorated"),
+    ("mehta_wang_det", "build_mehta_wang_matrix"),
+    ("even_order_det", "build_even_det"),
+    ("pfaffian_integer_exp", "build_integer_exp_pfaffian"),
+)
+
+
+@pytest.mark.parametrize("check_id, name", RESIDUE_BUILT)
+def test_a_residue_builder_off_by_one_entry_fails_every_trial(monkeypatch, check_id, name):
+    # entry (0, 1) of the matrix built mod p gets 1 added to its numerator's
+    # residue (and (1, 0) its negative, for a skew matrix); every order from
+    # 2 up reads it, so every trial of the check must fail
+    real = getattr(identities, name)
+
+    def bumped(*args):
+        M = real(*args)
+        entries = list(M.entries)
+        e = entries[1]
+        assert isinstance(e, Residue)  # the check builds this matrix mod p
+        entries[1] = Residue(e.num + 1, e.den, e.p)
+        if isinstance(M, SkewMatrix):
+            entries[M.cols] = -entries[1]
+        return type(M)._trusted(M.rows, M.cols, tuple(entries))
+
+    monkeypatch.setattr(identities, name, bumped)
+    report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
+    assert report.failures == report.trials == 5
+
+
+@pytest.mark.parametrize("check_id, seed", [("det_engines", 3), ("bordered_det", 4)])
+def test_a_zero_interior_minor_keeps_the_point_and_its_engine_comparisons(
+    monkeypatch, check_id, seed
+):
+    # at these height-2 points the condensation oracle meets a zero interior
+    # minor and a leading minor vanishes.  The trial keeps the point and drops
+    # only the condensation residuals it could not form, so the swap-free
+    # pass falls back to the pivoting one there, and an error in that
+    # fallback fails the trial
+    check = CHECKS_BY_ID[check_id]
+    sizes = replace(check.defaults, height=2)
+    condensed, fallbacks = [], []
+    real_condensation, real_det = identities.det_condensation, linalg.det_fraction_free
+
+    def condensation(M):
+        condensed.append((M.rows, len(real_condensation(M))))
+        return real_condensation(M)
+
+    def fallback(M, p=None):  # linalg's own calls: leading_minors past a zero pivot
+        fallbacks.append(M.rows)
+        return real_det(M, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(identities, "det_condensation", condensation)
+        m.setattr(linalg, "det_fraction_free", fallback)
+        residuals, pt = run_trial(check, seed, sizes)
+    assert pt.seed == seed  # not resampled
+    assert all(identities._is_zero(r) for r in residuals)
+    [(order, reached)] = condensed
+    assert reached < order
+    assert fallbacks
+
+    real_minors = identities.leading_minors
+
+    def mutated(M, p=None):  # off by one on every order past the first zero pivot
+        out = real_minors(M, p)
+        first = next((k for k, d in enumerate(out) if d == 0), len(out))
+        return out[: first + 1] + [d + 1 for d in out[first + 1 :]]
+
+    monkeypatch.setattr(identities, "leading_minors", mutated)
+    assert not all(identities._is_zero(r) for r in check.run(pt, sizes))
 
 
 @pytest.mark.parametrize("check_id", ("moment_double_sum", "basis_moments"))

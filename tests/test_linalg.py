@@ -22,7 +22,7 @@ from qident.linalg import (
     pfaffian_matchings,
 )
 from qident import linalg
-from qident.scalar import PoleError, Residue, trial_prime
+from qident.scalar import PoleError, Residue, _common_denominator, trial_prime
 
 
 def rand_matrix(rng, n, height=12):
@@ -171,30 +171,31 @@ def test_det_condensation_reads_every_leading_minor_in_one_pass(seed, height):
     rng = random.Random(1000 * height + seed)
     for n in range(9):
         M = Matrix.build(n, n, lambda i, j: rand_fraction(rng, height))
-        blocks = [M.leading(k) for k in range(1, n + 1)]
-        try:
-            for block in blocks:
-                ref_condensation(block)
-        except PoleError:
-            with pytest.raises(PoleError):
-                det_condensation(M)
-            continue
-        expected = [det_fraction_free(block) for block in blocks]
+        # every order up to the first block whose own condensation divides by 0
+        expected = []
+        for k in range(1, n + 1):
+            try:
+                ref_condensation(M.leading(k))
+            except PoleError:
+                break
+            expected.append(det_fraction_free(M.leading(k)))
         assert canon(det_condensation(M)) == canon(expected)
 
 
 def test_det_condensation_zero_interior_fallback():
-    # a zero interior entry leaves condensation nothing to divide by, so it
-    # raises PoleError and the trial resamples its point
+    # a zero interior entry leaves condensation nothing to divide by, so the
+    # orders whose blocks have it inside are left out, and only those
     M = from_rows(Matrix, [[1, 2, 3], [4, 0, 6], [7, 8, 10]])
-    with pytest.raises(PoleError):
-        det_condensation(M)
+    assert det_condensation(M) == [1, -8]
     rng = random.Random(2)
     for _ in range(10):
         rows = [[rand_fraction(rng) for _ in range(5)] for _ in range(5)]
         rows[2][2] = F(0)
-        with pytest.raises(PoleError):
-            det_condensation(from_rows(Matrix, rows))
+        M = from_rows(Matrix, rows)
+        # M[2][2] is interior to the blocks of order 4 and 5, not to that of 3
+        assert det_condensation(M) == [det_fraction_free(M.leading(k)) for k in (1, 2, 3)]
+        rows[1][1] = F(0)
+        assert det_condensation(from_rows(Matrix, rows)) == [rows[0][0], -rows[0][1] * rows[1][0]]
 
 
 def test_row_swap_negates_duplicate_row_kills():
@@ -560,3 +561,58 @@ def test_pair_swapped_rows_and_errors():
     assert pair_swapped(Matrix(0, 0, ())).entries == ()
     with pytest.raises(OddOrder):
         pair_swapped(Matrix.build(3, 3, lambda i, j: F(1)))
+
+
+# Row scales mod p: the product of a row's denominators, from prefix and
+# suffix products, against rows scaled by the lcm of their denominators.
+
+
+def lcm_scaled_minors(M, p):
+    """The swap-free pass on rows scaled by the lcm of their denominators and
+    reduced mod p: the leading minors up to its first zero pivot."""
+    rows, scales = [], []
+    for i in range(M.rows):
+        row, s = _common_denominator(M.row(i))
+        rows.append([v % p for v in row])
+        scales.append(s)
+    out, scale = [], 1
+    for s, pivot in zip(scales, linalg._bareiss(rows, pivoting=False, p=p)):
+        scale *= s
+        out.append(Residue(pivot, scale, p))
+    return out
+
+
+def test_product_row_scales_match_lcm_scales_mod_a_small_prime():
+    # mod 7 many pivots vanish though the exact minors do not, so the
+    # swap-free passes fall back; with every denominator prime to 7 no scale
+    # vanishes, and each value must equal the exact one as a rational
+    p = 7
+    rng = random.Random(7)
+
+    def entry():
+        return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 5, 6, 8, 9)))
+
+    def as_residue(x):
+        k = rng.choice((1, 2, 3, 5, 11))  # an unreduced pair
+        return Residue(x.numerator * k, x.denominator * k, p)
+
+    fell_back = 0
+    for n in range(9):
+        for _ in range(8):
+            M = Matrix.build(n, n, lambda i, j: entry())
+            exact = leading_minors(M)
+            got = leading_minors(M, p)
+            assert got == exact
+            assert got[: len(lcm_scaled_minors(M, p))] == lcm_scaled_minors(M, p)
+            assert det_fraction_free(M, p) == det_fraction_free(M)
+            fell_back += any(d.num == 0 and e != 0 for d, e in zip(got, exact))
+            # Residue entries, and rows mixing both kinds, read the same pairs
+            R = Matrix(n, n, tuple([as_residue(x) if rng.random() < 0.7 else x for x in M.entries]))
+            assert leading_minors(R, p) == exact
+            if n % 2 == 0:
+                S = SkewMatrix.from_upper(n, lambda i, j: entry())
+                T = SkewMatrix.from_upper(n, lambda i, j: as_residue(S[i, j]))
+                for skew in (S, T):
+                    assert pfaffian_expansion(skew, p) == pfaffian_expansion(S)
+                    assert leading_pfaffians(skew, p) == leading_pfaffians(S)
+    assert fell_back > 10
