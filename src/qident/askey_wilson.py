@@ -10,30 +10,33 @@ substitution z for e^(i*theta) makes each evaluation a rational number, and the
 orthogonality functional L is characterised algebraically by its values on the
 basis (a*z, a/z; q)_n rather than by the contour integral.
 
-aw_poly forms the seven 4phi3 parameters and the prefactor as integer pairs
-from those of a, b, c, d, q and z, with no Fraction in between, and sums the
-4phi3 with series._terminating_sum, the Horner fold phi_terminating uses, on
-the one term-ratio recurrence series._term_ratios: one canonical Fraction per
-value.  _aw_polys yields p_0, p_1, ... at one point from pairs formed once and
-one running prefactor, or given a prime their Residues, with the same poles;
-a check that needs several degrees at a point reads them from it, and the
-orthogonality check evaluates each p_m at the lattice nodes z_j = a q^j
-that way.  aw_leading_coeff is the closed form of the x^n
-coefficient, so a degree drop is read without expanding p_n.
-aw_poly_as_polynomial, which interpolates p_n to monomials, is the oracle
-for both p_n's values and its leading coefficient.
+aw_poly forms the seven 4phi3 parameters as integer pairs from those of a,
+b, c, d, q and z, with no Fraction in between, and sums the 4phi3 with
+series._terminating_sum, the Horner fold phi_terminating uses, on the one
+term-ratio recurrence series._term_ratios: one canonical Fraction per value.
+Its prefactor (ab,ac,ad;q)_n / a^n is entry n of one scalar._qpoch_multi_prefix
+table over the powers of a.  _aw_polys yields p_0, ..., p_n at one point, one
+degree at a time, from pairs formed once and that one table up to n, or
+given a prime their Residues, with the same poles; a check that needs
+several degrees at a point reads them from it, and the orthogonality check
+evaluates each p_m at the lattice nodes z_j = a q^j that way.
+aw_leading_coeff is the closed form of the x^n coefficient, so a degree
+drop is read without expanding p_n.  aw_poly_as_polynomial, which
+interpolates p_n to monomials, is the oracle for both p_n's values and its
+leading coefficient.
 
 L is applied in two ways, which check each other.  moment_functional applies
 the definition directly: it expands f on the basis by peeling off leading
 coefficients.  The lattice weights go through Newton interpolation on the
 q-quadratic lattice b_j = (q^j a + q^-j / a)/2 instead: w_j with
 L(f) = sum_j w_j f(b_j) for deg f <= n.  The double sum of Thm 4.3 is summed
-in one place, one loop that yields the weights of every order n in turn.
-moment_weights reads one order and aw_moment applies it to (t + b_j)^n
-through _weighted_sum, an integer dot product of value columns, each put
-over one denominator once; aw_moments applies every order to (t + b_j)^k
-from the same pass.  The lattice coefficients, the moment weights and the
-connection coefficients run on integer pairs from scalar._pair and build one
+in one place, _weight_orders, one loop that yields the weights of every
+order n in turn, and _apply_weights sums one order's weights times values
+on integer pairs: aw_moment applies the last order to (t + b_j)^n, and
+aw_moments every order to (t + b_j)^k from one pass.  moment_weights reads
+one order as Fractions, for the checks that apply one weight vector to
+many value columns through _weighted_sum.  The lattice coefficients, the
+moment weights and the connection coefficients run on integer pairs from scalar._pair and build one
 canonical Fraction per value they return.  A PolynomialInX holds integer numerators over one
 positive denominator, in lowest terms after one gcd per polynomial.
 Polynomial products and differences, the Newton expansion and the basis
@@ -48,7 +51,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, Sequence
 
 from .scalar import (
@@ -57,7 +59,6 @@ from .scalar import (
     Residue,
     Scalar,
     _closed_form,
-    _common_denominator,
     _pair,
     _qpoch_multi_prefix,
     _ratio,
@@ -178,18 +179,12 @@ def _aw_pairs(p: AWParams, pt: XPoint) -> tuple[tuple[int, int], ...]:
     return tuple([_pair(x) for x in (p.a, p.b, p.c, p.d, p.q, pt.z)])
 
 
-def _aw_prefactors(pairs: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, int]]:
-    """(ab,ac,ad;q)_n / a^n for n = 0, 1, ..., as unreduced integer pairs."""
-    (an, ad), (bn, bd), (cn, cd), (dn, dd), (qn, qd), _ = pairs
-    num = den = 1
-    un = ud = 1  # q^n = un/ud
-    while True:
-        yield num, den
-        for xn, xd in ((bn, bd), (cn, cd), (dn, dd)):  # the factor 1 - a x q^n
-            num *= ad * xd * ud - an * xn * un
-            den *= ad * xd * ud
-        num, den = num * ad, den * an
-        un, ud = un * qn, ud * qd
+def _aw_prefactors(p: AWParams, top: int) -> list[tuple[int, int]]:
+    """(ab,ac,ad;q)_k / a^k for k = 0..top, as unreduced integer pairs."""
+    a = p.a
+    nums, dens = _qpoch_multi_prefix((a * p.b, a * p.c, a * p.d), p.q, top)
+    an, ad = _pair(a)
+    return [(x * ad**k, y * an**k) for k, (x, y) in enumerate(zip(nums, dens))]
 
 
 def _aw_value(
@@ -218,14 +213,15 @@ def aw_poly(n: int, p: AWParams, pt: XPoint) -> Scalar:
     the first term whose denominator (q,ab,ac,ad;q)_k vanishes."""
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    pairs = _aw_pairs(p, pt)
-    return _aw_value(pairs, n, next(islice(_aw_prefactors(pairs), n, None)))
+    return _aw_value(_aw_pairs(p, pt), n, _aw_prefactors(p, n)[n])
 
 
-def _aw_polys(p: AWParams, pt: XPoint, prime: int | None = None) -> Iterator[Scalar | Residue]:
-    """p_0, p_1, ... at one point, without end: aw_poly(n, p, pt) for each n
-    in turn, from pairs formed once and one running prefactor; Residues mod
-    `prime` when one is given, with the same poles.
+def _aw_polys(
+    p: AWParams, pt: XPoint, n: int, *, prime: int | None = None
+) -> Iterator[Scalar | Residue]:
+    """p_0, ..., p_n at one point, one degree at a time: aw_poly(k, p, pt) for
+    each k in turn, from pairs formed once and one prefactor table;
+    Residues mod `prime` when one is given, with the same poles.
 
     The k-th term's denominator (q,ab,ac,ad;q)_k does not depend on n, so the
     first degree that raises is that k, and every later degree would raise
@@ -233,8 +229,8 @@ def _aw_polys(p: AWParams, pt: XPoint, prime: int | None = None) -> Iterator[Sca
     sees the exception its first aw_poly call at a pole would raise.
     """
     pairs = _aw_pairs(p, pt)
-    for n, pref in enumerate(_aw_prefactors(pairs)):
-        yield _aw_value(pairs, n, pref, prime)
+    for k, pref in enumerate(_aw_prefactors(p, n)):
+        yield _aw_value(pairs, k, pref, prime)
 
 
 def aw_leading_coeff(n: int, p: AWParams) -> Scalar:
@@ -443,6 +439,18 @@ def _peel_functional(f: PolynomialInX, basis: list[PolynomialInX], moments: list
     return total
 
 
+def _apply_weights(
+    weights: list[tuple[int, int, int, int]], values: list[tuple[int, int]]
+) -> Scalar:
+    """sum_j w_j v_j for the weights (cn, cd, sn, sd) of one _weight_orders
+    order and value pairs v_j, summed as unreduced integer pairs."""
+    num, den = 0, 1
+    for (cn, cd, sn, sd), (xn, xd) in zip(weights, values):
+        tn, td = cn * sn * xn, cd * sd * xd
+        num, den = num * td + tn * den, den * td
+    return Fraction(num, den)
+
+
 def aw_moment(n: int, t: Scalar, p: AWParams) -> Scalar:
     """L((t+x)^n) by the double-sum formula.
 
@@ -450,13 +458,13 @@ def aw_moment(n: int, t: Scalar, p: AWParams) -> Scalar:
                  sum_{j=0}^k q^(k-j^2) a^(-2j) (t + (q^j a + q^-j/a)/2)^n
                  / ( (q, q^(1-2j)/a^2; q)_j (q, q^(2j+1) a^2; q)_{k-j} ).
 
-    This applies the order-n weights of moment_weights to (t + b_j)^n;
-    aw_moments gives every order up to n from one pass.
+    This applies the order-n weights of _weight_orders to (t + b_j)^n, after
+    checking the nodes as moment_weights does; aw_moments gives every order
+    up to n from one pass.
     """
-    nodes, weights = moment_weights(p, n)
-    return _weighted_sum(
-        _common_denominator(weights), _common_denominator([(t + b) ** n for b in nodes])
-    )
+    shifted = [_pair(t + b) for b in _distinct_lattice_nodes(p.a, p.q, n)]
+    *_, weights = _weight_orders(p, n)
+    return _apply_weights(weights, [(xn**n, xd**n) for xn, xd in shifted])
 
 
 def aw_moments(t: Scalar, p: AWParams, n: int) -> list[Scalar]:
@@ -472,11 +480,7 @@ def aw_moments(t: Scalar, p: AWParams, n: int) -> list[Scalar]:
     powers = [(1, 1)] * len(shifted)  # (t + b_j)^k at order k
     out = []
     for weights in _weight_orders(p, n):
-        num, den = 0, 1
-        for (cn, cd, sn, sd), (xn, xd) in zip(weights, powers):
-            tn, td = cn * sn * xn, cd * sd * xd
-            num, den = num * td + tn * den, den * td
-        out.append(Fraction(num, den))
+        out.append(_apply_weights(weights, powers))
         powers = [(xn * sn, xd * sd) for (xn, xd), (sn, sd) in zip(powers, shifted)]
     return out
 

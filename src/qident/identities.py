@@ -37,7 +37,7 @@ The determinant and Pfaffian checks run their engines mod the same prime
 pt.prime, drawn from the trial point's seed.  They take the closed forms
 they compare mod the same prime (every rhs_* and prefactor takes an
 optional `prime`), and bordered_det and gram_det read p_1, ..., p_n mod it
-from one askey_wilson._aw_polys pass, each after its order's prefactor.
+from one askey_wilson._aw_polys pass, which their closed forms take by value.
 Six build their matrices mod it too: gram_det, gram_to_bordered,
 little_qjacobi_hankel, mehta_wang_det, even_order_det and
 pfaffian_integer_exp; bordered_det and pfaffian_eval keep exact builders,
@@ -66,7 +66,7 @@ import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable
 
 from .askey_wilson import (
     AWParams,
@@ -82,7 +82,6 @@ from .askey_wilson import (
     aw_moment,
     aw_moments,
     aw_norm_ratio,
-    aw_poly,
     basis_moment,
     connection_u,
     moment_weights,
@@ -117,6 +116,7 @@ from .scalar import (
     Scalar,
     _closed_form,
     _common_denominator,
+    _over_one_denominator,
     _pair,
     _qpoch_multi_prefix,
     _quotient,
@@ -285,20 +285,16 @@ def _six_term_numerators(pt: ParamPoint, top: int, r: int, s: int) -> tuple[list
     n = 0..top.
 
     Each six-term coefficient is (-1)^(s-r) prefactor F[k] G[n-k] from
-    main_quadratic_factors, read from the integer numerators of F and G: each
-    product's prefactor is scaled once to the lcm L of the three products'
-    denominators, so each excess is one integer sum over L; A_(n+1), B_(n+1),
-    C_(n+1) are zero.  The series read every denominator up to `top`, so a
-    zero one raises PoleError.
+    main_quadratic_factors, read from the integer numerators of F and G, so
+    each excess is one integer sum over the three products' one denominator
+    L; A_(n+1), B_(n+1), C_(n+1) are zero.  The series read every
+    denominator up to `top`, so a zero one raises PoleError.
     """
     sign = -1 if (s - r) % 2 else 1
     products = main_quadratic_factors(pt, r, s, top)
-    dens = [_pair(pref)[1] * f.den * g.den for pref, f, g in products]
-    lcm = math.lcm(*dens)
-    factors = [
-        (sign * _pair(pref)[0] * (lcm // den), f.nums, g.nums)
-        for (pref, f, g), den in zip(products, dens)
-    ]
+    prefs = [(_pair(pref), f.den * g.den) for pref, f, g in products]
+    scales, lcm = _over_one_denominator([(sign * pn, pd * den) for (pn, pd), den in prefs])
+    factors = [(scale, f.nums, g.nums) for scale, (_, f, g) in zip(scales, products)]
 
     def excess(k: int, n: int) -> int:
         a, b, c = (scale * fn[k] * gn[n - k] for scale, fn, gn in factors)
@@ -424,7 +420,7 @@ def aw_quadratic_residuals(n_max: int, p: AWParams, pt: XPoint) -> list[Scalar]:
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     abcd = p.abcd
     params = (p, replace(p, a=a * q, b=b * q), replace(p, a=a * q), replace(p, b=b * q))
-    passes = [_aw_polys(x, pt) for x in params]
+    passes = [_aw_polys(x, pt, n_max) for x in params]
     values: list[list[Scalar]] = [[] for _ in params]
     out = []
     for n in range(2, n_max + 1):
@@ -496,16 +492,10 @@ def _det_prefactor_times(
 
 
 def rhs_det_formula(
-    n: int, p: AWParams, pt: XPoint, prime: int | None = None, polys: Iterator | None = None
+    n: int, p: AWParams, p_n: Scalar | Residue, prime: int | None = None
 ) -> Scalar | Residue:
-    """Closed form D_n(a,b) * p_n(x; a,b,c,d; q).
-
-    p_n is aw_poly(n, p, pt), or the next value of `polys`, a pass of
-    _aw_polys(p, pt, prime) that yields p_n next.  It is read after D_n, so
-    a pole of D_n is raised before one of p_n.
-    """
-    pref = det_prefactor(n, p, prime)
-    return pref * (aw_poly(n, p, pt) if polys is None else next(polys))
+    """Closed form D_n(a,b) * p_n(x; a,b,c,d; q), given the value p_n."""
+    return det_prefactor(n, p, prime) * p_n
 
 
 def _decorations(n: int, p: AWParams) -> tuple[tuple[list[int], list[int]], ...]:
@@ -571,12 +561,10 @@ def gram_prefactor(n: int, p: AWParams, prime: int | None = None) -> Scalar | Re
 
 
 def rhs_gram_formula(
-    n: int, p: AWParams, pt: XPoint, prime: int | None = None, polys: Iterator | None = None
+    n: int, p: AWParams, p_n: Scalar | Residue, prime: int | None = None
 ) -> Scalar | Residue:
-    """Closed form C * p_n(x; a,b,c,d; q), with p_n read as rhs_det_formula
-    reads it."""
-    pref = gram_prefactor(n, p, prime)
-    return pref * (aw_poly(n, p, pt) if polys is None else next(polys))
+    """Closed form C * p_n(x; a,b,c,d; q), given the value p_n."""
+    return gram_prefactor(n, p, prime) * p_n
 
 
 def gram_elimination_residuals(
@@ -993,9 +981,9 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
     M = build_bordered_matrix(top, p, x)  # exact: the oracles read it too
     out = []
     condensed = det_condensation(M)
-    polys = islice(_aw_polys(p, x, pt.prime), 1, None)  # p_1, p_2, ...
+    polys = list(_aw_polys(p, x, top, prime=pt.prime))
     for n, d_ff in enumerate(leading_minors(M, pt.prime), 1):
-        out.append(d_ff - rhs_det_formula(n, p, x, pt.prime, polys))
+        out.append(d_ff - rhs_det_formula(n, p, polys[n], pt.prime))
         if n <= len(condensed):  # orders past a zero interior minor are left out
             out.append(condensed[n - 1] - d_ff)
         if n <= COFACTOR_CAP:  # the cofactor oracle refuses larger orders
@@ -1076,8 +1064,8 @@ def _run_gram_det(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     x = XPoint(pt["z"])
     dets = _gram_dets(build_gram_matrix(sizes.n_max, p, x, pt.prime), pt.prime)
-    polys = islice(_aw_polys(p, x, pt.prime), 1, None)  # p_1, p_2, ...
-    return [d - rhs_gram_formula(n, p, x, pt.prime, polys) for n, d in enumerate(dets, 1)]
+    polys = list(_aw_polys(p, x, sizes.n_max, prime=pt.prime))
+    return [d - rhs_gram_formula(n, p, polys[n], pt.prime) for n, d in enumerate(dets, 1)]
 
 
 @_check("gram_to_bordered", "Prop. 4.2", _ABCDQZ, Sizes(n_max=4),
@@ -1202,7 +1190,7 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     a, q = p.a, p.q
     top = min(sizes.n_max, 4)
-    rows = [list(islice(_aw_polys(p, XPoint(a * q**j)), top + 1)) for j in range(2 * top + 1)]
+    rows = [list(_aw_polys(p, XPoint(a * q**j), top)) for j in range(2 * top + 1)]
     if any(aw_leading_coeff(m, p) == 0 for m in range(top + 1)):
         raise PoleError("leading coefficient of p_m vanishes")
     _, weights = moment_weights(p, 2 * top)

@@ -14,13 +14,11 @@ leading_pfaffians, which swaps none and reads the Pfaffian of every leading
 of a skew matrix vanish, so its even ones come from leading_minors of
 pair_swapped(M), whose row pairs are swapped.
 
-Each engine takes an optional prime modulus p.  Without it the engine
-scales each row by the lcm of its denominators and returns a canonical
-Fraction.  With it the entries may be Fractions or scalar.Residues, and
-each row is scaled by the product of the denominators of its entries'
-pairs, read mod p through scalar._pair_mod: no lcm, no gcd and no inverted
-entry.  The same loop then runs on those ints mod p, dividing by a pivot
-through its inverse mod p, and returns a Residue: the exact value's
+Each engine takes an optional prime modulus p, and puts each row over one
+denominator, its row scale, by scalar._common_denominator: exactly, or with
+p from entries that may be Fractions or scalar.Residues.  The same loop
+then runs on ints, or on ints mod p dividing by a pivot through its inverse
+mod p, and returns a canonical Fraction or a Residue: the exact value's
 numerator mod p over the exact scale's residue.  Both kinds of value come
 from scalar._ratio, as the closed forms' do.  A pivot that vanishes mod p
 is treated as zero, so a swap-free pass falls back there exactly as it does
@@ -48,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .scalar import Residue, Scalar, _common_denominator, _pair_mod, _ratio
+from .scalar import Residue, Scalar, _common_denominator, _ratio
 
 COFACTOR_CAP = 8
 MATCHINGS_CAP = 8
@@ -208,33 +206,9 @@ def det_cofactor(M: Matrix) -> Scalar:
 
 
 def _row_scaled(M: Matrix, p: int | None = None) -> tuple[list[list[int]], list[int]]:
-    """The rows of M as ints, each row i scaled by a multiple s_i of its
-    denominators, and those row scales.
-
-    Without a modulus s_i is the lcm of row i's denominators.  With a prime
-    p, s_i is the product of the denominators of the pairs row i's entries
-    are held as (scalar._pair_mod), and entry j is its numerator times the
-    other denominators, from prefix and suffix products: every int is
-    reduced mod p, and no entry needs an lcm, a gcd or an inverse.
-    """
-    rows, scales = [], []
-    for i in range(M.rows):
-        if p is None:
-            row, s = _common_denominator(M.row(i))
-        else:
-            pairs = [_pair_mod(v, p) for v in M.row(i)]
-            prefix = [1]  # prefix[j]: the product of the first j denominators
-            for _, d in pairs:
-                prefix.append(prefix[-1] * d % p)
-            row, suffix = [0] * len(pairs), 1
-            for j in range(len(pairs) - 1, -1, -1):
-                n, d = pairs[j]
-                row[j] = n * prefix[j] * suffix % p
-                suffix = suffix * d % p
-            s = prefix[-1]
-        rows.append(row)
-        scales.append(s)
-    return rows, scales
+    """The rows of M as ints, each over its own denominator, and those row scales."""
+    scaled = [_common_denominator(M.row(i), p) for i in range(M.rows)]
+    return [row for row, _ in scaled], [s for _, s in scaled]
 
 
 def _bareiss(a: list[list[int]], pivoting: bool, p: int | None = None) -> Iterator[int]:

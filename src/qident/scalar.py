@@ -28,6 +28,14 @@ The modular matrix builders make each entry the same way, one ``_ratio`` of
 unreduced integer products, so their entries are Residues with no gcd, and
 the engines read an entry's pair mod p, whether it is a Fraction or a
 Residue, only through ``_pair_mod``.
+
+One rule puts values over one denominator, ``_over_one_denominator``, and
+every engine row, every sum of products of series or polynomials and the
+six-term numerators take it from there.  On ℚ the denominator is the lcm
+of the values' denominators.  Mod p it is their product, and each
+numerator is multiplied by the other denominators: nothing is inverted, so
+a denominator ≡ 0 mod p is allowed, and the residue of the result is that
+of the exact cross-multiplied numerator.
 """
 
 from __future__ import annotations
@@ -200,10 +208,35 @@ def _ratio_table(
     )
 
 
-def _common_denominator(values: Sequence[Scalar]) -> tuple[list[int], int]:
-    """Integers v * L and L, for L the lcm of the denominators of the values."""
-    lcm = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (lcm // v.denominator) for v in values], lcm
+def _over_one_denominator(
+    pairs: Sequence[tuple[int, int]], prime: int | None = None
+) -> tuple[list[int], int]:
+    """Integers x_i and L with n_i / d_i = x_i / L for the pairs (n_i, d_i),
+    exact or mod `prime` by the rule of the module docstring; mod p the x_i
+    come from prefix and suffix products of the d_i."""
+    if prime is None:
+        lcm = math.lcm(*[d for _, d in pairs])
+        return [n * (lcm // d) for n, d in pairs], lcm
+    prefix = [1]  # prefix[i]: the product of the first i denominators
+    for _, d in pairs:
+        prefix.append(prefix[-1] * d % prime)
+    nums, suffix = [0] * len(pairs), 1
+    for i in range(len(pairs) - 1, -1, -1):
+        n, d = pairs[i]
+        nums[i] = n * prefix[i] * suffix % prime
+        suffix = suffix * d % prime
+    return nums, prefix[-1]
+
+
+def _common_denominator(
+    values: Sequence[Scalar | Residue], prime: int | None = None
+) -> tuple[list[int], int]:
+    """_over_one_denominator of the values' pairs: ints and Fractions, or
+    with a prime also Residues, read through _pair_mod."""
+    if prime is None:  # the pairs are read in place, with no list of them
+        lcm = math.lcm(*[v.denominator for v in values])
+        return [v.numerator * (lcm // v.denominator) for v in values], lcm
+    return _over_one_denominator([_pair_mod(v, prime) for v in values], prime)
 
 
 class Residue:

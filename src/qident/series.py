@@ -29,11 +29,10 @@ Given a prime p, phi_series and series_linear_combine return a
 SeriesResidue instead: the same unreduced integers taken mod p, with no gcd
 and no Fraction.  _term_ratios still decides every pole on the exact
 integers before a ratio is reduced, and the products and convolutions then
-run on ints below p^2.  The terms of a sum are put over the product of
-their denominators rather than their lcm, so no denominator is inverted and
-one that is only ≡ 0 mod p is allowed, as in scalar.Residue.  The residual
-of Thm 1.1, of its specialisation and of the contiguous relation is formed
-this way in identities; the six-term checks divide by their prefactors and
+run on ints below p^2.  The terms of a sum are put over one denominator by
+scalar._over_one_denominator, as every engine row is.  The residual of Thm
+1.1, of its specialisation and of the contiguous relation is formed this way
+in identities; the six-term checks divide by their prefactors and
 read single coefficients, so they stay exact.
 """
 
@@ -44,7 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .scalar import PoleError, Scalar, _common_denominator, _pair, qpoch_multi
+from .scalar import (
+    PoleError, Scalar, _common_denominator, _over_one_denominator, _pair, qpoch_multi
+)
 
 
 class NotTerminating(ValueError):
@@ -307,16 +308,12 @@ def _sum_of_products(
     den > 0.  Every factor but the last is multiplied out on the integers,
     starting from the first one truncated to `length`.  Each coefficient is
     then one integer sum over the terms, read from the last factor's
-    convolution as it goes, over the lcm of the terms' denominators; nothing
-    is reduced.  No term's full product is built:
-    holding those lists raised the peak memory of a run.
-
-    Given a prime, every integer is reduced mod p as it is formed, the
-    terms are put over the product of their denominators in place of the
-    lcm, and the numerators and that product are returned mod p; a
-    denominator may then be ≡ 0 mod p.
+    convolution as it goes, over the terms' one denominator
+    (scalar._over_one_denominator); nothing is reduced.  No term's full
+    product is built: holding those lists raised the peak memory of a run.
+    Given a prime, every integer is reduced mod p as it is formed.
     """
-    parts = []
+    pairs, parts = [], []  # each term's (numerator, denominator) and (head, last factor)
     for c, *factors in terms:
         num, d = _pair(c)
         if prime is not None:
@@ -331,19 +328,14 @@ def _sum_of_products(
             if prime is not None:
                 head = [x % prime for x in head]
             den *= d
-        parts.append((num, _reduced(den, prime), head, b))
-    dens = [den for _, den, _, _ in parts]
-    if prime is None:
-        common = math.lcm(*dens)
-        scales = [common // den for den in dens]
-    else:
-        common = math.prod(dens)
-        scales = [math.prod(dens[:i] + dens[i + 1 :]) for i in range(len(dens))]
-    parts = [(num * scale, head, b) for (num, _, head, b), scale in zip(parts, scales)]
-    nums = [sum(num * _coefficient(head, b, k) for num, head, b in parts) for k in range(length)]
-    if prime is None:
-        return nums, common
-    return [x % prime for x in nums], common % prime
+        pairs.append((num, den))
+        parts.append((head, b))
+    scaled, common = _over_one_denominator(pairs, prime)
+    nums = [
+        sum(num * _coefficient(head, b, k) for num, (head, b) in zip(scaled, parts))
+        for k in range(length)
+    ]
+    return (nums, common) if prime is None else ([x % prime for x in nums], common)
 
 
 def series_linear_combine(

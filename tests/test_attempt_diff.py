@@ -1,0 +1,45 @@
+"""The per-attempt differential in tools/attempt_diff.py: the repository
+against itself, and the classification of single attempts."""
+
+import importlib.util
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("attempt_diff", ROOT / "tools" / "attempt_diff.py")
+attempt_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(attempt_diff)
+
+
+def test_the_repository_against_itself_on_one_check():
+    # at height 2 some points of contiguous_relation hit poles and resample
+    t0 = time.perf_counter()
+    counts = attempt_diff.compare(ROOT, ROOT, ["contiguous_relation"])
+    assert time.perf_counter() - t0 < 1
+    [(check_id, row)] = counts.items()
+    assert check_id == "contiguous_relation"
+    assert row["raised"] > 0 and row["same"] == attempt_diff.TRIALS * len(attempt_diff.HEIGHTS)
+    assert row["values"] == row["differ"] == 0
+
+
+def residual(repr_, zero, mod=None):
+    return {"repr": repr_, "zero": zero, **({"mod": mod} if mod else {})}
+
+
+def test_attempts_are_classified_by_seed_exception_zeros_and_value():
+    classify = attempt_diff.classify
+    raised = {"seed": 1, "raised": "PoleError: (abcd;q)_n vanishes"}
+    assert classify(raised, dict(raised)) == "raised"
+    assert classify(raised, {**raised, "raised": "PoleError: term 2"}) == "differ"
+    assert classify(raised, {**raised, "seed": 2}) == "differ"
+    assert classify(raised, None) == "differ"
+    # 3/5 and 6/10 mod 7 are one value held as two pairs
+    old = {"seed": 1, "residuals": [residual("a", True), residual("b", False, [[3], 5, 7])]}
+    assert classify(old, old) == "same"
+    new = {"seed": 1, "residuals": [residual("a", True), residual("c", False, [[6], 10, 7])]}
+    assert classify(old, new) == "values"
+    new["residuals"][1] = residual("c", False, [[6], 11, 7])
+    assert classify(old, new) == "differ"
+    new["residuals"][1] = residual("b", True, [[3], 5, 7])
+    assert classify(old, new) == "differ"  # another zero pattern
+    assert classify(old, raised) == "differ"

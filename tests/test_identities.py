@@ -7,7 +7,7 @@ import pytest
 
 from helpers import rand_fraction, rand_q, six_term_parts
 from qident import askey_wilson, identities, scalar, series
-from qident.askey_wilson import AWParams, XPoint, _aw_polys, aw_poly
+from qident.askey_wilson import AWParams, XPoint, aw_poly
 from qident.identities import (
     CHECKS_BY_ID,
     REGISTRY,
@@ -523,7 +523,7 @@ def test_det_prefactor_ratios():
 def test_bordered_det_matches_formula():
     for n in range(1, 6):
         M = build_bordered_matrix(n, AW, X)
-        assert det_fraction_free(M) == rhs_det_formula(n, AW, X)
+        assert det_fraction_free(M) == rhs_det_formula(n, AW, aw_poly(n, AW, X))
 
 
 def test_gram_matrix_order_one():
@@ -550,7 +550,7 @@ def test_gram_prefactor_relates_to_det_prefactor():
 def test_gram_det_matches_formula():
     for n in range(1, 5):
         G = build_gram_matrix(n, AW, X)
-        assert det_fraction_free(G) == rhs_gram_formula(n, AW, X)
+        assert det_fraction_free(G) == rhs_gram_formula(n, AW, aw_poly(n, AW, X))
 
 
 def test_gram_prefactor_order_one():
@@ -838,24 +838,31 @@ def test_witness_seed_replays_the_modular_residuals(monkeypatch):
         assert any(not r.is_zero() for r in replayed)
 
 
-@pytest.mark.parametrize("rhs", [rhs_det_formula, rhs_gram_formula])
-def test_closed_forms_read_p_n_from_a_pass_after_their_prefactor(rhs):
-    # ab = abcd = 1: both the prefactor's (abcd;q)_1 and p_1's (ab;q)_1 vanish
-    p, x = AWParams(F(1, 2), F(2), F(-2), F(-1, 2), F(2)), XPoint(F(-1))
-    prime = trial_prime(0)
-    polys = _aw_polys(p, x, prime)
-    assert next(polys) == 1
-    with pytest.raises(PoleError, match=r"\(abcd;q\)_\(n\+i\) vanishes"):
-        rhs(1, p, x, prime, polys)
-    with pytest.raises(PoleError, match="term 1"):  # p_1 was not read
-        next(polys)
-    # and where neither vanishes, p_n from the pass is aw_poly's
-    p = replace(p, b=F(3))
-    polys = _aw_polys(p, x, prime)
-    next(polys)
-    for n in range(1, 5):
-        got = rhs(n, p, x, prime, polys)
-        assert isinstance(got, Residue) and got == rhs(n, p, x)
+@pytest.mark.parametrize(
+    "check_id, rhs", [("bordered_det", "rhs_det_formula"), ("gram_det", "rhs_gram_formula")]
+)
+def test_runners_hand_each_closed_form_aw_polys_p_n(monkeypatch, check_id, rhs):
+    # each runner reads p_1..p_n mod the trial prime from one _aw_polys pass
+    # and passes p_n to its closed form by value: at every order it must be
+    # aw_poly's p_n at the trial's point
+    check = CHECKS_BY_ID[check_id]
+    real, seen = getattr(identities, rhs), []
+
+    def recording(n, p, p_n, prime=None):
+        seen.append((n, p, p_n, prime))
+        return real(n, p, p_n, prime)
+
+    monkeypatch.setattr(identities, rhs, recording)
+    for trial in range(5):
+        sizes = replace(check.defaults, height=3 if trial % 2 else 40)
+        _, pt = run_trial(check, trial, sizes)
+        seen.clear()
+        check.run(pt, sizes)
+        assert [n for n, *_ in seen] == list(range(1, sizes.n_max + 1))
+        for n, p, p_n, prime in seen:
+            assert p == identities._aw_from(pt) and prime == pt.prime
+            assert isinstance(p_n, Residue) and p_n.p == prime
+            assert p_n == aw_poly(n, p, XPoint(pt["z"]))
 
 
 # each check whose matrix is built mod the trial prime, with its builders
@@ -938,16 +945,16 @@ def test_a_zero_interior_minor_keeps_the_point_and_its_engine_comparisons(
 
 @pytest.mark.parametrize("check_id", ("moment_double_sum", "basis_moments"))
 def test_moment_double_sum_catches_a_lattice_kernel_error(monkeypatch, check_id):
-    # the double sum and the basis moments read the lattice weights, and the
-    # basis route and the closed form do not, so perturbed weights fail every trial
-    real = askey_wilson.moment_weights
+    # the double sum and the basis moments read the lattice weights of the one
+    # double-sum loop, and the basis route and the closed form do not, so
+    # weights perturbed there fail every trial
+    real = askey_wilson._weight_orders
 
     def perturbed(p, n):
-        nodes, weights = real(p, n)
-        return nodes, [w + 1 for w in weights]
+        for weights in real(p, n):  # each w_j = cn sn / (cd sd) becomes w_j + 1
+            yield [(cn * sn + cd * sd, cd * sd, 1, 1) for cn, cd, sn, sd in weights]
 
-    for module in (askey_wilson, identities):
-        monkeypatch.setattr(module, "moment_weights", perturbed)
+    monkeypatch.setattr(askey_wilson, "_weight_orders", perturbed)
     report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
     assert report.failures == report.trials == 5
 

@@ -531,6 +531,30 @@ def test_sum_of_products_matches_fraction_reference(seed):
         assert canon(got) == canon(ref_sum_of_products(terms, length))
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sum_of_products_mod_7_matches_the_exact_route(seed):
+    # denominators divisible by 7 put a zero into the product mod 7; the sum
+    # mod 7 must still be the exact one, cross-multiplied to that product
+    rng = random.Random(seed)
+
+    def factor():
+        den = rng.choice((1, 2, 7, 14, 49, 3))
+        return [rng.randint(-30, 30) for _ in range(rng.randint(1, 4))], den
+
+    terms = [
+        (rand_fraction(rng, 30), *[factor() for _ in range(rng.randint(1, 3))])
+        for _ in range(rng.randint(1, 4))
+    ]
+    terms.append((F(5, 7), factor()))
+    nums, den = _sum_of_products(terms, 5)
+    got, common = _sum_of_products(terms, 5, 7)
+    product = math.prod(
+        F(c).denominator * math.prod(d for _, d in factors) for c, *factors in terms
+    )
+    assert common == product % 7 == 0 and any(nums)
+    assert got == [x * (product // den) % 7 for x in nums]
+
+
 def test_sum_of_products_reads_a_repeated_factor_by_position():
     # p * p passes one list twice: both are factors, the second also the last
     p = [F(1, 2), F(-1, 3)]
@@ -1394,14 +1418,14 @@ def test_closed_forms_match_fraction_products(seed):
                 ref_rhs_integer_exp, m, alpha, q
             )
     # every matrix closed form mod the trial prime: the Residue of the exact
-    # value, or the exact form's exception (u stands in for z)
-    prime, x = trial_prime(seed), XPoint(pt["u"])
+    # value, or the exact form's exception (v stands in for p_n)
+    prime, p_n = trial_prime(seed), pt["v"]
     for n in range(6):
         for fn, args in (
             (det_prefactor, (n, p)),
             (gram_prefactor, (n, p)),
-            (rhs_det_formula, (n, p, x)),
-            (rhs_gram_formula, (n, p, x)),
+            (rhs_det_formula, (n, p, p_n)),
+            (rhs_gram_formula, (n, p, p_n)),
             (rhs_hankel, (n, p)),
             (rhs_hankel_decorated, (n, p)),
             (rhs_mehta_wang, (n, pt)),
@@ -1475,6 +1499,15 @@ def test_closed_forms_mod_a_prime_dividing_a_denominator_entry(monkeypatch):
             assert got.den == 0 and (got.num, got.den) == (want.num, want.den)
 
 
+def test_aw_polys_yield_p_0_to_p_n_and_take_the_prime_by_keyword():
+    p, z = AWParams(F(1, 2), F(2, 3), F(-3, 5), F(5, 7), F(3, 11)), XPoint(F(7, 3))
+    for n in range(6):
+        assert len(list(_aw_polys(p, z, n))) == n + 1
+        assert len(list(_aw_polys(p, z, n, prime=trial_prime(n)))) == n + 1
+    with pytest.raises(TypeError):  # a prime in the degree's place would ask for 2^60 degrees
+        _aw_polys(p, z, 3, trial_prime(0))
+
+
 @pytest.mark.parametrize("height", [2, 3, 40])
 def test_aw_polys_match_fraction_route(height):
     # every degree of one pass against ref_aw_poly, value and pole outcome, at
@@ -1487,7 +1520,7 @@ def test_aw_polys_match_fraction_route(height):
         for changes in ({}, {"b": 1 / (a * q**2)}, {"d": 1 / (a * q**4)}, {"a": F(0)}):
             x = ParamPoint({**pt.assignments, **changes}, pt.seed)
             p, z = _aw_from(x), XPoint(x["z"])
-            degrees = _aw_polys(p, z)
+            degrees = _aw_polys(p, z, 8)
             for n in range(9):
                 got = attempt(next, degrees)
                 assert got == attempt(ref_aw_poly, n, p, z)
@@ -1726,7 +1759,7 @@ def per_order_bordered(pt, sizes):
     out = []
     for n in range(1, sizes.n_max + 1):
         M = build_bordered_matrix(n, p, x)
-        rhs = rhs_det_formula(n, p, x)
+        rhs = rhs_det_formula(n, p, aw_poly(n, p, x))
         d_ff = det_fraction_free(M)
         out.append(d_ff - rhs)
         condensed = det_condensation(M)
@@ -1747,7 +1780,8 @@ def per_order_mehta_wang(pt, sizes):
 def per_order_gram(pt, sizes):
     p, x = _aw_from(pt), XPoint(pt["z"])
     return [
-        det_fraction_free(build_gram_matrix(n, p, x)) - rhs_gram_formula(n, p, x)
+        det_fraction_free(build_gram_matrix(n, p, x))
+        - rhs_gram_formula(n, p, aw_poly(n, p, x))
         for n in range(1, sizes.n_max + 1)
     ]
 
@@ -1949,7 +1983,7 @@ def test_aw_polys_mod_p_match_the_exact_pass(height):
     for s in range(24):
         pt = sample_point(_AW_NAMES, 97 * s + height, height)
         p, z = _aw_from(pt), XPoint(pt["z"])
-        exact, modular = _aw_polys(p, z), _aw_polys(p, z, pt.prime)
+        exact, modular = _aw_polys(p, z, 8), _aw_polys(p, z, 8, prime=pt.prime)
         for _ in range(9):
             want = attempt(next, exact)
             try:

@@ -1,5 +1,6 @@
 import ast
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from qident.scalar import (
     SamplingExhausted,
     _common_denominator,
     _is_prime,
+    _over_one_denominator,
     _pair,
     _quotient,
     gamma_int,
@@ -150,6 +152,47 @@ def test_common_denominator():
     assert _common_denominator([3, -2, 0]) == ([3, -2, 0], 1)
     assert _common_denominator([F(-1, 4), F(5, 6), 2, F(-7, 3)]) == ([-3, 10, 24, -28], 12)
     assert _common_denominator((F(-9, 10), F(-1, 15))) == ([-27, -2], 30)
+
+
+def random_pairs(rng, dens):
+    """A few integer pairs (n, d) with d drawn from `dens`."""
+    return [(rng.randint(-50, 50), rng.choice(dens)) for _ in range(rng.randint(0, 6))]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_over_one_denominator_exactly_is_the_lcm_scaling(seed):
+    rng = random.Random(seed)
+    pairs = random_pairs(rng, range(1, 40))
+    values = [F(n, d) for n, d in pairs]
+    nums, lcm = _over_one_denominator([_pair(v) for v in values])
+    assert (nums, lcm) == _common_denominator(values)
+    # unreduced pairs over the lcm of their own denominators: the same values
+    nums, lcm = _over_one_denominator(pairs)
+    assert lcm == math.lcm(*[d for _, d in pairs])
+    assert [F(x, lcm) for x in nums] == values
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_over_one_denominator_mod_p_cross_multiplies(seed):
+    # mod p the denominator L is the product of the d_i, so each scaled
+    # numerator x_i has x_i d_i = n_i L mod p, also where some d_i = 0 mod 7
+    rng = random.Random(seed)
+    for p in (7, trial_prime(seed)):
+        for dens in (range(1, 40), (7, 14, 3, 5, 49)):
+            pairs = random_pairs(rng, dens)
+            nums, L = _over_one_denominator(pairs, p)
+            assert L == math.prod(d for _, d in pairs) % p
+            assert all(0 <= x < p for x in nums)
+            assert all((x * d - n * L) % p == 0 for x, (n, d) in zip(nums, pairs))
+            # and x_i is n_i times the other denominators, also where L = 0
+            for i, (x, (n, _)) in enumerate(zip(nums, pairs)):
+                others = math.prod(d for j, (_, d) in enumerate(pairs) if j != i)
+                assert x == n * others % p
+    # Fractions and Residues are read through their pairs mod p
+    assert _common_denominator([F(3, 4), Residue(5, 2, 7), 2], 7) == ([6, 6, 2], 1)
+    assert _common_denominator([F(3, 14), Residue(4, 3, 7)], 7) == ([2, 0], 0)
+    with pytest.raises(ValueError, match="different primes"):
+        _common_denominator([Residue(1, 2, 11)], 7)
 
 
 def test_gamma_int():
