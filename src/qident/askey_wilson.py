@@ -5,10 +5,19 @@ The four-parameter family p_n(x; a,b,c,d; q) is the terminating 4-phi-3
     p_n = (ab,ac,ad;q)_n / a^n *
           4phi3[ q^(-n), abcd q^(n-1), a*z, a/z ; ab, ac, ad ; q, q ],
 
-with x = (z + 1/z)/2.  Everything here stays inside exact rationals: the
-substitution z for e^(i*theta) makes each evaluation a rational number, and the
-orthogonality functional L is characterised algebraically by its values on the
-basis (a*z, a/z; q)_n rather than by the contour integral.
+with x = (z + 1/z)/2.  Every point stays rational: the substitution z for
+e^(i*theta) makes each evaluation a rational number, and the orthogonality
+functional L is characterised algebraically by its values on the basis
+(a*z, a/z; q)_n rather than by the contour integral.  The values of p_n and
+of the moment layer may instead be taken mod a prime p: _aw_polys,
+_lattice_denominators, _weight_orders, _apply_weights, aw_moment,
+aw_moments, moment_weights, _weighted_sum, _basis_moments,
+_peel_functional and aw_norm_ratio take an optional `prime`, and then
+return the scalar.Residue of the unreduced integer pair N/D their exact
+route would form, never inverting D.  Their poles and node collisions are
+still decided on exact integers: the nodes stay Fractions, and the
+Pochhammer tables mod p tell an exactly zero entry from one ≡ 0 mod p.
+With no prime each kernel runs on ℚ, the route the tests take as oracle.
 
 aw_poly forms the seven 4phi3 parameters as integer pairs from those of a,
 b, c, d, q and z, with no Fraction in between, and sums the 4phi3 with
@@ -34,14 +43,17 @@ in one place, _weight_orders, one loop that yields the weights of every
 order n in turn, and _apply_weights sums one order's weights times values
 on integer pairs: aw_moment applies the last order to (t + b_j)^n, and
 aw_moments every order to (t + b_j)^k from one pass.  moment_weights reads
-one order as Fractions, for the checks that apply one weight vector to
-many value columns through _weighted_sum.  The lattice coefficients, the
-moment weights and the connection coefficients run on integer pairs from scalar._pair and build one
-canonical Fraction per value they return.  A PolynomialInX holds integer numerators over one
-positive denominator, in lowest terms after one gcd per polynomial.
-Polynomial products and differences, the Newton expansion and the basis
-peel are each one call of the series kernel for sums of products,
-series._sum_of_products, on that integer form; Fractions are built only for
+one order as values, for the checks that apply one weight vector to
+many value columns through _weighted_sum.  The lattice Newton matrix is read
+from one Pochhammer prefix table, (a^2 q; q)_m, and (q;q)_m.  The lattice
+coefficients, the moment weights and the connection coefficients run on
+integer pairs from scalar._pair and build one canonical Fraction, or one
+Residue, per value they return.  A PolynomialInX holds integer numerators
+over one positive denominator, in lowest terms after one gcd per polynomial.
+Polynomial products and differences and the Newton expansion are each one
+call of the series kernel for sums of products, series._sum_of_products,
+on that integer form; the basis peel takes one basis polynomial off at a
+time with no division, so it runs mod p too.  Fractions are built only for
 a value that leaves it: .coeffs when read, a polynomial's value at a point,
 and each coefficient the peel takes off.
 """
@@ -64,7 +76,7 @@ from .scalar import (
     _ratio,
     _ratio_table,
 )
-from .series import _IntegerVector, _lowest_terms, _sum_of_products, _terminating_sum
+from .series import _IntegerVector, _lowest_terms, _reduced, _sum_of_products, _terminating_sum
 
 
 class DuplicateNodes(ValueError):
@@ -217,11 +229,18 @@ def aw_poly(n: int, p: AWParams, pt: XPoint) -> Scalar:
 
 
 def _aw_polys(
-    p: AWParams, pt: XPoint, n: int, *, prime: int | None = None
+    p: AWParams,
+    pt: XPoint,
+    n: int,
+    *,
+    prime: int | None = None,
+    prefactors: list[tuple[int, int]] | None = None,
 ) -> Iterator[Scalar | Residue]:
     """p_0, ..., p_n at one point, one degree at a time: aw_poly(k, p, pt) for
     each k in turn, from pairs formed once and one prefactor table;
-    Residues mod `prime` when one is given, with the same poles.
+    Residues mod `prime` when one is given, with the same poles.  The table
+    does not depend on the point, so a caller that reads several points may
+    pass `prefactors`, _aw_prefactors(p, n), built once for all of them.
 
     The k-th term's denominator (q,ab,ac,ad;q)_k does not depend on n, so the
     first degree that raises is that k, and every later degree would raise
@@ -229,7 +248,7 @@ def _aw_polys(
     sees the exception its first aw_poly call at a pole would raise.
     """
     pairs = _aw_pairs(p, pt)
-    for k, pref in enumerate(_aw_prefactors(p, n)):
+    for k, pref in enumerate(prefactors or _aw_prefactors(p, n)):
         yield _aw_value(pairs, k, pref, prime)
 
 
@@ -253,8 +272,9 @@ def aw_poly_as_polynomial(n: int, p: AWParams) -> PolynomialInX:
     return newton_to_monomial(cs, xs)
 
 
-def aw_norm_ratio(n: int, p: AWParams) -> Scalar:
-    """h_n/h_0 for the orthogonality L(p_m p_n) = (h_n/h_0) delta_mn."""
+def aw_norm_ratio(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
+    """h_n/h_0 for the orthogonality L(p_m p_n) = (h_n/h_0) delta_mn, or its
+    Residue mod `prime` when one is given."""
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     abcd = p.abcd
     pairs = (q, a * b, a * c, a * d, b * c, b * d, c * d)
@@ -263,6 +283,7 @@ def aw_norm_ratio(n: int, p: AWParams) -> Scalar:
         (((q ** (n - 1) * abcd,), q, (1,)), (pairs, q, (n,))),
         (((q ** (2 * n - 1) * abcd,), q, (1,)), ((abcd,), q, (n,))),
         "norm ratio denominator",
+        prime,
     )
 
 
@@ -273,15 +294,25 @@ def basis_moment(n: int, p: AWParams) -> Scalar:
     return _basis_moments(n, p)[n]
 
 
-def _basis_moments(n: int, p: AWParams) -> list[Scalar]:
-    """[L((a*z, a/z; q)_k) for k = 0..n], from one Pochhammer ratio table.
+def _basis_moments(n: int, p: AWParams, prime: int | None = None) -> list[Scalar | Residue]:
+    """[L((a*z, a/z; q)_k) for k = 0..n], or their Residues mod `prime` when
+    one is given, from the pairs of _basis_moment_pairs."""
+    return [_ratio([x], [y], prime) for x, y in zip(*_basis_moment_pairs(n, p, prime))]
+
+
+def _basis_moment_pairs(
+    n: int, p: AWParams, prime: int | None = None
+) -> tuple[list[int], list[int]]:
+    """(ab,ac,ad;q)_k / (abcd;q)_k for k = 0..n, from one Pochhammer ratio
+    table, as unreduced integer pairs, mod `prime` when one is given.
 
     A zero (abcd;q)_k also zeroes every later entry of its table, so this
     raises PoleError exactly when (abcd;q)_n vanishes.
     """
-    a = p.a
-    nums, dens = _ratio_table((a * p.b, a * p.c, a * p.d), p.abcd, p.q, n, "(abcd;q)_n")
-    return [Fraction(x, y) for x, y in zip(nums, dens)]
+    ab = p.a * p.b
+    return _ratio_table(
+        (ab, p.a * p.c, p.a * p.d), ab * p.c * p.d, p.q, n, "(abcd;q)_n", prime=prime
+    )
 
 
 def lattice_nodes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
@@ -302,40 +333,55 @@ def lattice_nodes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
 
 def _distinct_lattice_nodes(a: Scalar, q: Scalar, n: int) -> list[Scalar]:
     nodes = lattice_nodes(a, q, n)
-    if len(set(nodes)) != len(nodes):
+    if len(set(map(_pair, nodes))) != len(nodes):  # canonical pairs, cheaper to hash
         raise DegenerateLattice("lattice nodes collided; resample a or q")
     return nodes
 
 
 def _lattice_denominators(
-    a: Scalar, q: Scalar, n: int
+    a: Scalar, q: Scalar, n: int, prime: int | None = None
 ) -> list[tuple[int, int, list[int], list[int]]]:
     """The lattice Newton matrix M_kj, 0 <= j <= k <= n, as integer pairs.
 
     M_kj = q^(k-j^2) a^(-2j) / ((q, q^(1-2j)/a^2; q)_j (q, q^(2j+1) a^2; q)_(k-j))
-    is the weight of f(b_j) in u_k.  Node j yields (cn, cd, dn, dd) with
-    M_(j+i)j = (cn/cd) (dn[i]/dd[i]): the head q^(j-j^2) a^(-2j) / (q, q^(1-2j)/a^2; q)_j
-    and, for i = 0..n-j, the tail q^i / (q, q^(2j+1) a^2; q)_i.  The products
-    are read from integer prefix tables and left unreduced.  Every entry up to
-    order n is read, so any zero raises PoleError.
+    is the weight of f(b_j) in u_k.  Each factor of the two Pochhammer
+    symbols in a^2 is, up to a monomial, one of T_m = (a^2 q; q)_m, since
+    1 - q^(-m)/a^2 = -(q^(-m)/a^2) (1 - a^2 q^m), so that
+
+        M_kj = (-1)^j q^(k + j(j-1)/2) T_(j-1) T_(2j)
+               / ((q;q)_j (q;q)_(k-j) T_(2j-1) T_(k+j)).
+
+    Node j yields (cn, cd, dn, dd) with M_(j+i)j = (cn/cd) (dn[i]/dd[i]):
+    the head (-1)^j q^(j(j+1)/2) T_(j-1) / ((q;q)_j T_(2j-1)) and, for
+    i = 1..n-j, the tail q^i T_(2j) / ((q;q)_i T_(2j+i)); both are 1 at 0.
+    They are products of the entries of two prefix tables, T_0..T_(2n-1) and
+    (q;q)_0..(q;q)_n, left unreduced, or taken mod `prime` when one is
+    given.  A factor 1 - a^2 q^m with 1 <= m <= 2n-1 enters some M_kj with
+    k <= n, so a zero T_(2n-1) raises PoleError.  The tables tell an exact
+    zero from an entry ≡ 0 mod p, so the poles are the same with a prime.
     """
-    a, q = Fraction(a), Fraction(q)
-    a2 = a * a
-    a2n, a2d = _pair(a2)
+    q = Fraction(q)
     qn, qd = _pair(q)
-    qq_n, qq_d = _qpoch_multi_prefix((q,), q, n)
+    qq_n, qq_d = _qpoch_multi_prefix((q,), q, n, prime)
+    tn, td = _qpoch_multi_prefix((Fraction(a) ** 2 * q,), q, max(2 * n - 1, 0), prime)
+    if qq_n[n] == 0 or tn[-1] == 0:
+        raise PoleError("lattice Newton denominator vanishes")
+    qn_pows, qd_pows = [1], [1]  # q_n^i and q_d^i, i = 0..n
+    for _ in range(n):
+        qn_pows.append(_reduced(qn_pows[-1] * qn, prime))
+        qd_pows.append(_reduced(qd_pows[-1] * qd, prime))
     out = []
+    en = ed = 1  # q_n^e and q_d^e, e = j(j+1)/2
     for j in range(n + 1):
-        head_n, head_d = _qpoch_multi_prefix((q ** (1 - 2 * j) / a2,), q, j)
-        tail_n, tail_d = _qpoch_multi_prefix((q ** (2 * j + 1) * a2,), q, n - j)
-        if qq_n[j] * head_n[j] == 0 or qq_n[n - j] * tail_n[n - j] == 0:
-            raise PoleError("lattice Newton denominator vanishes")
-        e = j * (j - 1)
-        cn = qd**e * a2d**j * qq_d[j] * head_d[j]
-        cd = qn**e * a2n**j * qq_n[j] * head_n[j]
-        dn = [qn**i * qq_d[i] * tail_d[i] for i in range(n - j + 1)]
-        dd = [qd**i * qq_n[i] * tail_n[i] for i in range(n - j + 1)]
-        out.append((cn, cd, dn, dd))
+        en, ed = _reduced(en * qn_pows[j], prime), _reduced(ed * qd_pows[j], prime)
+        lo, hi = max(j - 1, 0), max(2 * j - 1, 0)  # T_(j-1) / T_(2j-1), T_0 / T_0 at j = 0
+        cn = (-1) ** j * en * qq_d[j] * tn[lo] * td[hi]
+        cd = ed * qq_n[j] * td[lo] * tn[hi]
+        dn, dd = [1], [1]
+        for i in range(1, n - j + 1):
+            dn.append(_reduced(qn_pows[i] * qq_d[i] * tn[2 * j] * td[2 * j + i], prime))
+            dd.append(_reduced(qd_pows[i] * qq_n[i] * td[2 * j] * tn[2 * j + i], prime))
+        out.append((_reduced(cn, prime), _reduced(cd, prime), dn, dd))
     return out
 
 
@@ -366,29 +412,36 @@ def newton_lattice_coeffs(
     return [Fraction(x, y) for x, y in zip(nums, dens)]
 
 
-def _weight_orders(p: AWParams, n: int) -> Iterator[list[tuple[int, int, int, int]]]:
+def _weight_orders(
+    p: AWParams, n: int, prime: int | None = None
+) -> Iterator[list[tuple[int, int, int, int]]]:
     """The lattice weights of each order k = 0..n in turn: (cn, cd, sn, sd) per
-    node j <= k, with w_j = (cn sn)/(cd sd) as unreduced integers.
+    node j <= k, with w_j = (cn sn)/(cd sd) as unreduced integers, or those
+    integers mod `prime` when one is given.
 
     M_kj = (cn/cd) (dn[k-j]/dd[k-j]) from _lattice_denominators does not depend
     on the order, so s_j = sum_(j<=k'<=k) mu_k' dn[k'-j]/dd[k'-j] is a partial
     sum: one accumulation loop over k adds one term to each s_j per order.
     The tables of order n are read before the first yield.
     """
-    tables = _lattice_denominators(p.a, p.q, n)
+    tables = _lattice_denominators(p.a, p.q, n, prime)
     sums: list[tuple[int, int]] = []
-    for k, (mn, md) in enumerate(map(_pair, _basis_moments(n, p))):
+    for k, (mn, md) in enumerate(zip(*_basis_moment_pairs(n, p, prime))):
         sums.append((0, 1))
         for j in range(k + 1):
             dn, dd = tables[j][2][k - j], tables[j][3][k - j]
             sn, sd = sums[j]
             tn, td = mn * dn, md * dd
-            sums[j] = (sn * td + tn * sd, sd * td)
+            sums[j] = (_reduced(sn * td + tn * sd, prime), _reduced(sd * td, prime))
         yield [(cn, cd, sn, sd) for (cn, cd, _, _), (sn, sd) in zip(tables, sums)]
 
 
-def moment_weights(p: AWParams, n: int) -> tuple[list[Scalar], list[Scalar]]:
-    """Nodes b_0..b_n and weights w_j with L(f) = sum_j w_j f(b_j) for deg f <= n.
+def moment_weights(
+    p: AWParams, n: int, prime: int | None = None
+) -> tuple[list[Scalar], list[Scalar | Residue]]:
+    """Nodes b_0..b_n and weights w_j with L(f) = sum_j w_j f(b_j) for deg f <= n;
+    the nodes stay exact, and the weights are Residues mod `prime` when one
+    is given.
 
     L is linear and L(f) = sum_k mu_k u_k, with mu_k = L((a*z, a/z; q)_k) and
     u_k = sum_{j<=k} M_kj f(b_j), so w_j = sum_{j<=k<=n} mu_k M_kj, with M_kj
@@ -399,15 +452,18 @@ def moment_weights(p: AWParams, n: int) -> tuple[list[Scalar], list[Scalar]]:
     n grows.  moment_functional reads no node, so it raises only the latter.
     """
     nodes = _distinct_lattice_nodes(p.a, p.q, n)
-    *_, weights = _weight_orders(p, n)
-    return nodes, [Fraction(cn * sn, cd * sd) for cn, cd, sn, sd in weights]
+    *_, weights = _weight_orders(p, n, prime)
+    return nodes, [_ratio([cn, sn], [cd, sd], prime) for cn, cd, sn, sd in weights]
 
 
-def _weighted_sum(*columns: tuple[Sequence[int], int]) -> Scalar:
+def _weighted_sum(
+    *columns: tuple[Sequence[int], int], prime: int | None = None
+) -> Scalar | Residue:
     """sum_j x_j y_j ... over integer columns (nums, den), x_j = nums[j] / den:
-    one integer dot product over the product of the denominators."""
+    one integer dot product over the product of the denominators, or its
+    Residue mod `prime` when one is given."""
     total = sum(map(math.prod, zip(*[nums for nums, _ in columns])))
-    return Fraction(total, math.prod(den for _, den in columns))
+    return _ratio([total], [math.prod(den for _, den in columns)], prime)
 
 
 def moment_functional(f: PolynomialInX, p: AWParams) -> Scalar:
@@ -423,35 +479,59 @@ def moment_functional(f: PolynomialInX, p: AWParams) -> Scalar:
     return _peel_functional(f, pochhammer_basis_polys(p.a, p.q, n), _basis_moments(n, p))
 
 
-def _peel_functional(f: PolynomialInX, basis: list[PolynomialInX], moments: list[Scalar]) -> Scalar:
-    """moment_functional's peel, on basis and moment tables of any order >= deg f.
+def _peel_functional(
+    f: PolynomialInX,
+    basis: list[PolynomialInX],
+    moments: list[Scalar | Residue],
+    prime: int | None = None,
+) -> Scalar | Residue:
+    """moment_functional's peel, on basis and moment tables of any order >= deg f,
+    or its Residue mod `prime` when one is given, with the moments too.
 
-    What is left of f stays integers over one denominator, in lowest terms
-    after each peel."""
+    What is left of f stays integers over one denominator.  With r = nums/den
+    and b = basis[k], u_k = r_k / b_k, and r - u_k b is
+    (nums b_k - nums[k] b.nums) / (den b_k): no division, so this runs mod p
+    as it does on ℚ.  The leading coefficient b_k of a basis polynomial is
+    (-2a)^k q^(k(k-1)/2) times its denominator, never zero.  On ℚ what is left
+    is put in lowest terms after each peel."""
     nums, den = f.nums, f.den
-    total = Fraction(0)
+    total = 0
     for k in range(f.degree, -1, -1):
         b = basis[k]
-        u = Fraction(nums[k] * b.den, den * b.nums[k])
-        terms = [(1, (nums, den)), (-u, (b.nums, b.den))]
-        nums, den = _lowest_terms(*_sum_of_products(terms, k))  # x^k cancels
-        total += u * moments[k]
+        nk, bk = nums[k], b.nums[k]
+        total += _ratio([nk, b.den], [den, bk], prime) * moments[k]
+        # the x^k coefficient cancels
+        nums = [_reduced(x * bk - nk * y, prime) for x, y in zip(nums[:k], b.nums)]
+        den = _reduced(den * bk, prime)
+        if prime is None:
+            nums, den = _lowest_terms(nums, den)
     return total
 
 
 def _apply_weights(
-    weights: list[tuple[int, int, int, int]], values: list[tuple[int, int]]
-) -> Scalar:
+    weights: list[tuple[int, int, int, int]],
+    values: list[tuple[int, int]],
+    prime: int | None = None,
+) -> Scalar | Residue:
     """sum_j w_j v_j for the weights (cn, cd, sn, sd) of one _weight_orders
-    order and value pairs v_j, summed as unreduced integer pairs."""
+    order and value pairs v_j, summed as unreduced integer pairs, or mod
+    `prime` into a Residue when one is given."""
     num, den = 0, 1
     for (cn, cd, sn, sd), (xn, xd) in zip(weights, values):
         tn, td = cn * sn * xn, cd * sd * xd
-        num, den = num * td + tn * den, den * td
-    return Fraction(num, den)
+        num, den = _reduced(num * td + tn * den, prime), _reduced(den * td, prime)
+    return _ratio([num], [den], prime)
 
 
-def aw_moment(n: int, t: Scalar, p: AWParams) -> Scalar:
+def _shifted_nodes(t: Scalar, p: AWParams, n: int) -> list[tuple[int, int]]:
+    """t + b_j for j = 0..n as unreduced integer pairs, once the nodes b_j are
+    checked distinct."""
+    tn, td = _pair(t)
+    nodes = map(_pair, _distinct_lattice_nodes(p.a, p.q, n))
+    return [(tn * bd + bn * td, td * bd) for bn, bd in nodes]
+
+
+def aw_moment(n: int, t: Scalar, p: AWParams, prime: int | None = None) -> Scalar | Residue:
     """L((t+x)^n) by the double-sum formula.
 
     L((t+x)^n) = sum_{k=0}^n (ac,ab,ad;q)_k/(abcd;q)_k *
@@ -460,15 +540,20 @@ def aw_moment(n: int, t: Scalar, p: AWParams) -> Scalar:
 
     This applies the order-n weights of _weight_orders to (t + b_j)^n, after
     checking the nodes as moment_weights does; aw_moments gives every order
-    up to n from one pass.
+    up to n from one pass.  Given a prime, the weights and the powers are
+    taken mod p and the value is a Residue; the nodes and the poles stay
+    exact.
     """
-    shifted = [_pair(t + b) for b in _distinct_lattice_nodes(p.a, p.q, n)]
-    *_, weights = _weight_orders(p, n)
-    return _apply_weights(weights, [(xn**n, xd**n) for xn, xd in shifted])
+    shifted = _shifted_nodes(t, p, n)
+    *_, weights = _weight_orders(p, n, prime)
+    powers = [(pow(xn, n, prime), pow(xd, n, prime)) for xn, xd in shifted]
+    return _apply_weights(weights, powers, prime)
 
 
-def aw_moments(t: Scalar, p: AWParams, n: int) -> list[Scalar]:
-    """[L((t+x)^k) for k = 0..n], equal to aw_moment(k, t, p) for each k.
+def aw_moments(
+    t: Scalar, p: AWParams, n: int, prime: int | None = None
+) -> list[Scalar | Residue]:
+    """[L((t+x)^k) for k = 0..n], equal to aw_moment(k, t, p, prime) for each k.
 
     One _weight_orders pass gives the weights of every order, and (t + b_j)^k
     gains one factor per order.  This raises exactly when aw_moment(n, t, p)
@@ -476,12 +561,15 @@ def aw_moments(t: Scalar, p: AWParams, n: int) -> list[Scalar]:
     (abcd;q)_k raises PoleError there, while order n finds two nodes collided
     first and raises DegenerateLattice.  The checks resample on both.
     """
-    shifted = [_pair(t + b) for b in _distinct_lattice_nodes(p.a, p.q, n)]
+    shifted = _shifted_nodes(t, p, n)
     powers = [(1, 1)] * len(shifted)  # (t + b_j)^k at order k
     out = []
-    for weights in _weight_orders(p, n):
-        out.append(_apply_weights(weights, powers))
-        powers = [(xn * sn, xd * sd) for (xn, xd), (sn, sd) in zip(powers, shifted)]
+    for weights in _weight_orders(p, n, prime):
+        out.append(_apply_weights(weights, powers, prime))
+        powers = [
+            (_reduced(xn * sn, prime), _reduced(xd * sd, prime))
+            for (xn, xd), (sn, sd) in zip(powers, shifted)
+        ]
     return out
 
 

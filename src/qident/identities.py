@@ -55,6 +55,16 @@ independent of the order, so each builds its matrix once at the top order
 and reads every order from one elimination: leading_minors for the
 determinants, leading_pfaffians for the Pfaffians, and leading_minors of the
 pair-swapped skew matrix for the even-order determinants.
+
+The four moment checks, moment_double_sum, moment_symmetry, basis_moments
+and orthogonality, take their values mod the same pt.prime: the lattice
+weights of Thm 4.3, the basis moments, the double sums, the peel of
+moment_double_sum, the weighted sums and the norm ratios are Residues, and
+orthogonality reads its node values p_m(b_j) from _aw_polys mod p, with one
+prefactor table for every node.  The lattice nodes, the basis polynomials
+and (t + x)^n stay exact, so every node collision and every pole is decided
+on exact integers, as on the exact route.  basis_moments' first residual,
+L((az, a/z; q)_1) against its product formula, stays a Fraction.
 """
 
 from __future__ import annotations
@@ -75,6 +85,7 @@ from .askey_wilson import (
     PolynomialInX,
     XPoint,
     _aw_polys,
+    _aw_prefactors,
     _basis_moments,
     _peel_functional,
     _weighted_sum,
@@ -1099,11 +1110,11 @@ def _run_moment_double_sum(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     t = pt["t"]
     basis = pochhammer_basis_polys(p.a, p.q, sizes.n_max)
-    moments = _basis_moments(sizes.n_max, p)
+    moments = _basis_moments(sizes.n_max, p, pt.prime)
     f, step = PolynomialInX([1]), poly_x_plus(t)
     out = []
     for n in range(sizes.n_max + 1):
-        out.append(aw_moment(n, t, p) - _peel_functional(f, basis, moments))
+        out.append(aw_moment(n, t, p, pt.prime) - _peel_functional(f, basis, moments, pt.prime))
         f = f * step
     return out
 
@@ -1123,7 +1134,7 @@ def _run_moment_symmetry(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     t = pt["t"]
     orders = [p] + [p.permuted(perm) for perm in _A_SWAPS]
-    base, *swapped = [aw_moments(t, order, sizes.n_max) for order in orders]
+    base, *swapped = [aw_moments(t, order, sizes.n_max, pt.prime) for order in orders]
     return [other[n] - base[n] for n in range(sizes.n_max + 1) for other in swapped]
 
 
@@ -1146,15 +1157,16 @@ def _run_basis_moments(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     out = [basis_moment(1, p) - (1 - a * b) * (1 - a * c) * (1 - a * d) / (1 - p.abcd)]
-    nodes, weights = moment_weights(p, sizes.n_max)
-    weights = _common_denominator(weights)
+    nodes, weights = moment_weights(p, sizes.n_max, pt.prime)
+    weights = _common_denominator(weights, pt.prime)
     # symmetric in b, c, d
     moments, *swapped = (
-        _basis_moments(sizes.n_max, order)
+        _basis_moments(sizes.n_max, order, pt.prime)
         for order in (p, replace(p, b=c, c=d, d=b), replace(p, b=d, d=b))
     )
     for n, f in enumerate(pochhammer_basis_polys(a, q, sizes.n_max)):
-        out.append(_weighted_sum(weights, _common_denominator([f(x) for x in nodes])) - moments[n])
+        values = _common_denominator([f(x) for x in nodes], pt.prime)
+        out.append(_weighted_sum(weights, values, prime=pt.prime) - moments[n])
         out += [other[n] - moments[n] for other in swapped]
     return out
 
@@ -1167,8 +1179,9 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
     L is applied through one weight vector per trial, at twice the top degree
     T, on the lattice nodes b_j = x(z_j) with z_j = a q^j, j = 0..2T.  Each
     p_m is evaluated at every node from one _aw_polys pass per node, with no
-    expansion to monomials, and each value column and the weights are put
-    over one denominator once.
+    expansion to monomials and one prefactor table for every node, and each
+    value column and the weights are put over one denominator once.  Values
+    are taken mod pt.prime; the poles below are decided exactly.
 
     The events come in a fixed order, so that every pole is raised as if
     each p_m were first expanded to monomials and each product p_m p_n were
@@ -1190,18 +1203,22 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
     p = _aw_from(pt)
     a, q = p.a, p.q
     top = min(sizes.n_max, 4)
-    rows = [list(_aw_polys(p, XPoint(a * q**j), top)) for j in range(2 * top + 1)]
+    prefactors = _aw_prefactors(p, top)
+    rows = [
+        list(_aw_polys(p, XPoint(a * q**j), top, prime=pt.prime, prefactors=prefactors))
+        for j in range(2 * top + 1)
+    ]
     if any(aw_leading_coeff(m, p) == 0 for m in range(top + 1)):
         raise PoleError("leading coefficient of p_m vanishes")
-    _, weights = moment_weights(p, 2 * top)
-    weights = _common_denominator(weights)
-    values = [_common_denominator(column) for column in zip(*rows)]
+    _, weights = moment_weights(p, 2 * top, pt.prime)
+    weights = _common_denominator(weights, pt.prime)
+    values = [_common_denominator(column, pt.prime) for column in zip(*rows)]
     out = []
     for m in range(top + 1):
         for n in range(m, top + 1):
-            value = _weighted_sum(weights, values[m], values[n])
+            value = _weighted_sum(weights, values[m], values[n], prime=pt.prime)
             if m == n:
-                value -= aw_norm_ratio(n, p)
+                value -= aw_norm_ratio(n, p, pt.prime)
             out.append(value)
     return out
 

@@ -27,7 +27,10 @@ no canonical Fraction; its poles are still decided on the exact integers.
 The modular matrix builders make each entry the same way, one ``_ratio`` of
 unreduced integer products, so their entries are Residues with no gcd, and
 the engines read an entry's pair mod p, whether it is a Fraction or a
-Residue, only through ``_pair_mod``.
+Residue, only through ``_pair_mod``.  The moment layer takes its
+Pochhammer prefix tables mod p: each factor is formed exactly, and an entry
+is held as its residue in 1..p, or as 0 when the exact entry is zero, so a
+zero entry still means an exact zero.
 
 One rule puts values over one denominator, ``_over_one_denominator``, and
 every engine row, every sum of products of series or polynomials and the
@@ -102,12 +105,20 @@ def qpoch(a: Scalar, q: Scalar, n: int) -> Scalar:
     return Fraction(dens[-n], nums[-n])
 
 
-def _qpoch_multi_prefix(params: Iterable[Scalar], q: Scalar, n: int) -> tuple[list[int], list[int]]:
+def _qpoch_multi_prefix(
+    params: Iterable[Scalar], q: Scalar, n: int, prime: int | None = None
+) -> tuple[list[int], list[int]]:
     """Integer numerators and positive denominators of (params;q)_0, ..., (params;q)_n.
 
     With a = a_n/a_d and q = q_n/q_d in lowest terms, the factor 1 - a q^k is
     (a_d q_d^k - a_n q_n^k) / (a_d q_d^k); the pairs are the running products
     of every base's factors, left unreduced.  With no base every entry is 1/1.
+
+    Given a prime, each factor is still formed exactly and the running
+    products are taken mod p.  An entry is then held as its residue in
+    1..p when the exact entry is nonzero and as 0 when it is zero, so
+    `== 0` still tests the exact entry: one that is only ≡ 0 mod p reads p
+    and is no pole, and `% p` gives its residue.
     """
     if n < 0:
         raise DomainError("a Pochhammer table needs n >= 0")
@@ -121,6 +132,8 @@ def _qpoch_multi_prefix(params: Iterable[Scalar], q: Scalar, n: int) -> tuple[li
             num *= ad - an
             den *= ad
             base[0], base[1] = an * qn, ad * qd
+        if prime is not None:  # a product of entries in 1..p is 0 only by an exact zero
+            num, den = num and (num % prime or prime), den % prime or prime
         nums.append(num)
         dens.append(den)
     return nums, dens
@@ -190,16 +203,25 @@ def _ratio(ups: list[int], downs: list[int], prime: int | None = None) -> Scalar
 
 
 def _ratio_table(
-    nums: Iterable[Scalar], den: Scalar, q: Scalar, top: int, what: str, shift: int = 0
+    nums: Iterable[Scalar],
+    den: Scalar,
+    q: Scalar,
+    top: int,
+    what: str,
+    shift: int = 0,
+    prime: int | None = None,
 ) -> tuple[list[int], list[int]]:
-    """(nums;q)_k / (den;q)_(k+shift) for k = 0..top, as unreduced integer pairs.
+    """(nums;q)_k / (den;q)_(k+shift) for k = 0..top, as unreduced integer pairs,
+    products of the entries of _qpoch_multi_prefix tables mod `prime` when
+    one is given.
 
     Callers read every entry, so a zero (den;q)_(top+shift) raises
     PoleError(f"{what} vanishes"); a zero stays zero in a running product, so
-    the last entry decides.  A negative top gives empty tables.
+    the last entry decides, on the exact entry with or without a prime.  A
+    negative top gives empty tables.
     """
-    nn, nd = _qpoch_multi_prefix(nums, q, max(top, 0))
-    dn, dd = _qpoch_multi_prefix((den,), q, max(top + shift, 0))
+    nn, nd = _qpoch_multi_prefix(nums, q, max(top, 0), prime)
+    dn, dd = _qpoch_multi_prefix((den,), q, max(top + shift, 0), prime)
     if top >= 0 and dn[top + shift] == 0:
         raise PoleError(f"{what} vanishes")
     return (

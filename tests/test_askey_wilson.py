@@ -11,7 +11,11 @@ from qident.askey_wilson import (
     DuplicateNodes,
     PolynomialInX,
     XPoint,
+    _basis_moments,
     _lattice_denominators,
+    _peel_functional,
+    _weight_orders,
+    _weighted_sum,
     aw_moment,
     aw_moments,
     aw_norm_ratio,
@@ -21,13 +25,25 @@ from qident.askey_wilson import (
     connection_u,
     lattice_nodes,
     moment_functional,
+    moment_weights,
     newton_coeffs,
     newton_lattice_coeffs,
     newton_to_monomial,
     pochhammer_basis_polys,
     poly_x_plus,
 )
-from qident.scalar import DomainError, PoleError, qpoch, qpoch_multi, sample_point
+from qident.scalar import (
+    DomainError,
+    PoleError,
+    Residue,
+    _common_denominator,
+    _qpoch_multi_prefix,
+    _ratio,
+    _ratio_table,
+    qpoch,
+    qpoch_multi,
+    sample_point,
+)
 
 P = AWParams(F(2, 3), F(1, 5), F(3, 7), F(-5, 11), F(2, 7))
 PT = XPoint(F(7, 3))
@@ -441,3 +457,143 @@ def test_aw_moments_match_aw_moment_at_every_order(height):
         assert seen == {"value", PoleError, DegenerateLattice}
     if height == 2:
         assert mixed  # some point raises PoleError at a low order, DegenerateLattice later
+
+
+# The moment layer mod a prime: each kernel's prime route against its exact
+# route, at p = 7, where entries ≡ 0 mod p are common, and at the trial prime.
+
+_MOMENT_NAMES = ("a", "b", "c", "d", "q", "t")
+_RAISED = (PoleError, DegenerateLattice, DomainError)
+
+
+def outcome(fn, *args):
+    """('value', fn(*args)), or (exception type, message)."""
+    try:
+        return "value", fn(*args)
+    except _RAISED as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_value(got, exact, prime):
+    """got, from the route mod `prime`, equals the exact value: Residues whose
+    cross-multiplied difference with the Fraction is ≡ 0 mod p."""
+    if isinstance(exact, (list, tuple)):
+        assert len(got) == len(exact)
+        for g, e in zip(got, exact):
+            assert_same_value(g, e, prime)
+        return
+    assert isinstance(got, Residue) and got.p == prime
+    assert got == exact
+
+
+def moment_kernels(p, t, n):
+    """(name, kernel) for each ported kernel at one point: kernel() runs the
+    exact route and kernel(prime) the route mod prime, and each returns a
+    value or a list of them, Fractions or Residues."""
+    basis = pochhammer_basis_polys(p.a, p.q, n)
+    f = poly_power(poly_x_plus(t), n)
+
+    def peel(prime=None):
+        return _peel_functional(f, basis, _basis_moments(n, p, prime), prime)
+
+    def weighted(prime=None):
+        nodes, weights = moment_weights(p, n, prime)
+        values = [_common_denominator([g(x) for x in nodes], prime) for g in basis]
+        weights = _common_denominator(weights, prime)
+        return [_weighted_sum(weights, v, prime=prime) for v in values]
+
+    def orders(prime=None):  # each order's w_j = (cn sn) / (cd sd)
+        return [
+            [_ratio([cn, sn], [cd, sd], prime) for cn, cd, sn, sd in weights]
+            for weights in _weight_orders(p, n, prime)
+        ]
+
+    return [
+        ("_basis_moments", lambda *pr: _basis_moments(n, p, *pr)),
+        ("_weight_orders", orders),
+        ("moment_weights", lambda *pr: moment_weights(p, n, *pr)[1]),
+        ("_weighted_sum", weighted),
+        ("aw_moment", lambda *pr: aw_moment(n, t, p, *pr)),
+        ("aw_moments", lambda *pr: aw_moments(t, p, n, *pr)),
+        ("_peel_functional", peel),
+        ("aw_norm_ratio", lambda *pr: aw_norm_ratio(n, p, *pr)),
+    ]
+
+
+@pytest.mark.parametrize("height", (2, 3, 40))
+def test_moment_kernels_mod_p_match_their_exact_routes(height):
+    # equal cross-multiplied values, or the same exception and message
+    seen = {}
+    for seed in range(12):
+        pt = sample_point(_MOMENT_NAMES, 500 + seed, height)
+        p = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"])
+        for prime in (7, pt.prime):
+            for n in range(7):
+                for name, kernel in moment_kernels(p, pt["t"], n):
+                    kind, exact = outcome(kernel)
+                    got = outcome(kernel, prime)
+                    seen.setdefault(name, set()).add(kind)
+                    if kind != "value":
+                        assert got == (kind, exact), (name, n, prime)
+                    else:
+                        assert got[0] == "value", (name, n, prime, got)
+                        assert_same_value(got[1], exact, prime)
+    assert all("value" in kinds for kinds in seen.values())
+    if height == 2:
+        assert {PoleError, DegenerateLattice} <= seen["aw_moments"]
+
+
+@pytest.mark.parametrize("height", (2, 3, 40))
+def test_moment_tables_mod_p_are_the_exact_tables_reduced(height):
+    # the prefix, ratio and lattice tables mod p hold the exact integers
+    # reduced, a nonzero entry as 1..p, and raise where the exact ones do
+    near_poles, raised = 0, set()
+    for seed in range(12):
+        pt = sample_point(_MOMENT_NAMES, 700 + seed, height)
+        p = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"])
+        bases = (p.a * p.b, p.a * p.c, p.a * p.d)
+        for prime in (7, pt.prime):
+            for n in range(7):
+                exact = _qpoch_multi_prefix(bases, p.q, n)
+                got = _qpoch_multi_prefix(bases, p.q, n, prime)
+                for table, reduced in zip(exact, got):
+                    for x, y in zip(table, reduced):
+                        assert (y == 0) == (x == 0) and 0 <= y <= prime and (x - y) % prime == 0
+                        near_poles += x != 0 and x % prime == 0
+                kind, exact = outcome(_ratio_table, bases, p.abcd, p.q, n, "(abcd;q)_n")
+                got = outcome(_ratio_table, bases, p.abcd, p.q, n, "(abcd;q)_n", 0, prime)
+                if kind != "value":
+                    assert got == (kind, exact)
+                    raised.add(exact)
+                else:
+                    for table, reduced in zip(exact, got[1]):
+                        assert all((x - y) % prime == 0 for x, y in zip(table, reduced))
+                kind, exact = outcome(_lattice_denominators, p.a, p.q, n)
+                got = outcome(_lattice_denominators, p.a, p.q, n, prime)
+                if kind != "value":
+                    assert got == (kind, exact)
+                    raised.add(exact)
+                    continue
+                for (cn, cd, dn, dd), (rn, rd, rdn, rdd) in zip(exact, got[1]):
+                    assert len(rdn) == len(dn) and len(rdd) == len(dd)
+                    pairs = zip([cn, cd, *dn, *dd], [rn, rd, *rdn, *rdd])
+                    assert all((x - y) % prime == 0 for x, y in pairs)
+    assert near_poles  # some entries were ≡ 0 mod 7 and not zero
+    if height == 2:
+        assert raised == {"(abcd;q)_n vanishes", "lattice Newton denominator vanishes"}
+
+
+def test_an_entry_that_is_only_zero_mod_7_is_no_pole():
+    # q = -6: 1 - q = 7, so (q;q)_k ≡ 0 mod 7 for k >= 1, and no entry is zero
+    q = F(-6)
+    p = AWParams(F(2, 3), F(1, 5), F(3, 7), F(-5, 11), q)
+    t = F(1, 4)
+    nums, dens = _qpoch_multi_prefix((q,), q, 4, 7)
+    assert nums[1:] == [7] * 4 and all(d % 7 for d in dens)
+    tables = _lattice_denominators(p.a, q, 4, 7)
+    assert any(cd % 7 == 0 for _, cd, _, _ in tables[1:])
+    assert_same_value(aw_moments(t, p, 4, 7), aw_moments(t, p, 4), 7)
+    assert_same_value(moment_weights(p, 4, 7)[1], moment_weights(p, 4)[1], 7)
+    # an exact zero still reads 0: (4;1/2)_k has the numerators 1, -3, 6, 0
+    nums, _ = _qpoch_multi_prefix((F(4),), F(1, 2), 3, 7)
+    assert nums == [1, 4, 6, 0]

@@ -3,6 +3,7 @@ against itself, and the classification of single attempts."""
 
 import importlib.util
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,8 +23,13 @@ def test_the_repository_against_itself_on_one_check():
     assert row["values"] == row["differ"] == 0
 
 
-def residual(repr_, zero, mod=None):
-    return {"repr": repr_, "zero": zero, **({"mod": mod} if mod else {})}
+def residual(repr_, zero, mod=None, exact=None):
+    out = {"repr": repr_, "zero": zero}
+    if mod:
+        out["mod"] = mod
+    if exact:
+        out["exact"] = [*exact, None]
+    return out
 
 
 def test_attempts_are_classified_by_seed_exception_zeros_and_value():
@@ -43,3 +49,18 @@ def test_attempts_are_classified_by_seed_exception_zeros_and_value():
     new["residuals"][1] = residual("b", True, [[3], 5, 7])
     assert classify(old, new) == "differ"  # another zero pattern
     assert classify(old, raised) == "differ"
+
+
+def test_a_fraction_ported_to_its_residue_counts_as_values():
+    classify = attempt_diff.classify
+    # the exact residual 3/5 and its residue mod 7 held as 6/10: 3*10 - 6*5 = 0
+    old = {"seed": 1, "residuals": [residual("a", True), residual("b", False, exact=[[3], 5])]}
+    new = {"seed": 1, "residuals": [residual("a", True), residual("c", False, [[6], 10, 7])]}
+    assert classify(old, new) == classify(new, old) == "values"
+    new["residuals"][1] = residual("c", False, [[6], 11, 7])  # 3*11 - 6*5 = 3
+    assert classify(old, new) == "differ"
+    # two Fractions with different reprs are different values
+    other = [residual("a", True), residual("c", False, exact=[[6], 11])]
+    assert classify(old, {**old, "residuals": other}) == "differ"
+    # the record of a run holds a Fraction's numerator and denominator
+    assert attempt_diff._residual(Fraction(-3, 5), lambda r: r == 0)["exact"] == [[-3], 5, None]

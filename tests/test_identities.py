@@ -949,14 +949,17 @@ def test_moment_double_sum_catches_a_lattice_kernel_error(monkeypatch, check_id)
     # double-sum loop, and the basis route and the closed form do not, so
     # weights perturbed there fail every trial
     real = askey_wilson._weight_orders
+    primes = []
 
-    def perturbed(p, n):
-        for weights in real(p, n):  # each w_j = cn sn / (cd sd) becomes w_j + 1
+    def perturbed(p, n, prime=None):
+        primes.append(prime)
+        for weights in real(p, n, prime):  # each w_j = cn sn / (cd sd) becomes w_j + 1
             yield [(cn * sn + cd * sd, cd * sd, 1, 1) for cn, cd, sn, sd in weights]
 
     monkeypatch.setattr(askey_wilson, "_weight_orders", perturbed)
     report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
     assert report.failures == report.trials == 5
+    assert primes and None not in primes  # the weights are taken mod the trial prime
 
 
 @pytest.mark.parametrize(

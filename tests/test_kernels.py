@@ -997,7 +997,7 @@ def per_product_orthogonality(pt, sizes):
 
 def orthogonality_outcome(run, pt, sizes):
     try:
-        return "value", canon(run(pt, sizes))
+        return "value", run(pt, sizes)
     except (PoleError, ZeroDivisionError, DegenerateLattice, DuplicateNodes, DomainError) as exc:
         return type(exc), str(exc)
 
@@ -1024,7 +1024,9 @@ WEIGHT_POLES = [
 
 
 @pytest.mark.parametrize("height", [2, 3, 40])
-def test_orthogonality_weights_match_per_product_route(height):
+def test_orthogonality_weights_match_per_product_route(monkeypatch, height):
+    # with no prime the check gives the per-product values; mod the trial
+    # prime it raises the same exceptions and gives their residues
     check = CHECKS_BY_ID["orthogonality"]
     outcomes = set()
     points = [sample_point(check.param_names, 31 * s + height, height) for s in range(24)]
@@ -1032,9 +1034,18 @@ def test_orthogonality_weights_match_per_product_route(height):
     points += [ParamPoint(values, 0) for values, _ in WEIGHT_POLES]
     for pt in points:
         for sizes in (check.defaults, Sizes(n_max=2)):
+            kind, want = orthogonality_outcome(per_product_orthogonality, pt, sizes)
+            with monkeypatch.context() as m:
+                m.setattr(scalar, "trial_prime", lambda seed: None)
+                exact = orthogonality_outcome(check.run, ParamPoint(pt.assignments, pt.seed), sizes)
             got = orthogonality_outcome(check.run, pt, sizes)
-            assert got == orthogonality_outcome(per_product_orthogonality, pt, sizes)
-            outcomes.add(got[0])
+            outcomes.add(kind)
+            if kind != "value":
+                assert exact == got == (kind, want)
+                continue
+            assert exact[0] == got[0] == "value" and canon(exact[1]) == canon(want)
+            assert len(got[1]) == len(want)
+            assert all(isinstance(r, Residue) and r == w for r, w in zip(got[1], want))
     assert "value" in outcomes
 
 
@@ -1891,7 +1902,8 @@ def test_one_elimination_runners_flag_a_mutated_closed_form(monkeypatch, check_i
     assert failed  # the mutation made nonzero residuals, at the same indices
 
 
-# the checks whose engines run mod a prime, with the two engine cross-checks
+# the checks whose engines or moment layers run mod a prime, with the two
+# engine cross-checks
 MODULAR_CHECKS = (
     "bordered_det",
     "mehta_wang_det",
@@ -1903,6 +1915,10 @@ MODULAR_CHECKS = (
     "little_qjacobi_hankel",
     "det_engines",
     "pfaffian_engines",
+    "moment_double_sum",
+    "moment_symmetry",
+    "basis_moments",
+    "orthogonality",
 )
 
 

@@ -12,9 +12,11 @@ the script prints how many
 
   raised  raised the same exception type and message at the same seed;
   same    returned residuals with identical reprs at the same seed;
-  values  returned the same zero pattern at the same seed, with every
-          residual whose repr differs a Residue or SeriesResidue equal to the
-          other tree's as a value;
+  values  returned the same zero pattern at the same seed, and every
+          residual whose repr differs is a Residue or SeriesResidue equal as
+          a value to the other tree's: N D' - N' D ≡ 0 mod p against its
+          N'/D', a residue mod the same p or a Fraction, so a residual
+          ported from ℚ to its residue mod p counts here;
   differ  did anything else: another seed, exception or zero pattern, or an
           attempt only one tree made.
 
@@ -29,6 +31,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 SEED = 0
@@ -38,11 +41,14 @@ KINDS = ("raised", "same", "values", "differ")
 
 
 def _residual(r, is_zero) -> dict:
-    """A residual's repr digest, whether it reads zero, and for a residue mod
-    p its numerators, denominator and p."""
+    """A residual's repr digest, whether it reads zero, for a residue mod p
+    its numerators, denominator and p, and for a Fraction its numerator and
+    denominator, with no p."""
     out = {"repr": hashlib.sha256(repr(r).encode()).hexdigest(), "zero": bool(is_zero(r))}
     if hasattr(r, "p") and hasattr(r, "den"):
         out["mod"] = [list(r.nums) if hasattr(r, "nums") else [r.num], r.den, r.p]
+    elif isinstance(r, Fraction):
+        out["exact"] = [[r.numerator], r.denominator, None]
     return out
 
 
@@ -84,13 +90,17 @@ def _worker(root: str, check_ids: list[str]) -> None:
 
 
 def _equal_as_values(a: dict, b: dict) -> bool:
-    """Whether two residues mod the same p hold the same value: N/D = N'/D'."""
-    if "mod" not in a or "mod" not in b:
+    """Whether two residues mod the same p, or a residue mod p and a Fraction,
+    hold the same value: N D' - N' D ≡ 0 mod p for N/D and N'/D'."""
+    values = [r.get("mod") or r.get("exact") for r in (a, b)]
+    if None in values:
         return False
-    (nums, den, p), (nums2, den2, p2) = a["mod"], b["mod"]
-    return p == p2 and len(nums) == len(nums2) and all(
-        (x * den2 - y * den) % p == 0 for x, y in zip(nums, nums2)
-    )
+    (nums, den, p), (nums2, den2, p2) = values
+    primes = {p, p2} - {None}
+    if len(primes) != 1 or len(nums) != len(nums2):
+        return False
+    [p] = primes
+    return all((x * den2 - y * den) % p == 0 for x, y in zip(nums, nums2))
 
 
 def classify(old: dict | None, new: dict | None) -> str:
