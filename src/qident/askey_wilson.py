@@ -203,7 +203,7 @@ def _aw_value(
     pairs: tuple[tuple[int, int], ...], n: int, pref: tuple[int, int], prime: int | None = None
 ) -> Scalar | Residue:
     """p_n from the pairs of _aw_pairs and its prefactor pair: the 4phi3's
-    parameters q^(-n), abcd q^(n-1), az, a/z; ab, ac, ad are unreduced
+    parameters q^(-n), abcd q^(n-1), az, a/z; q, ab, ac, ad are unreduced
     integer pairs, summed by series._terminating_sum at argument q.  One
     canonical Fraction, or its Residue mod `prime` when one is given."""
     (an, ad), (bn, bd), (cn, cd), (dn, dd), q, (zn, zd) = pairs
@@ -215,7 +215,7 @@ def _aw_value(
         (an * zn, ad * zd),
         (an * zd, ad * zn),
     )
-    dens = ((an * bn, ad * bd), (an * cn, ad * cd), (an * dn, ad * dd))
+    dens = (q, (an * bn, ad * bd), (an * cn, ad * cd), (an * dn, ad * dd))
     num, den = _terminating_sum((nums, dens, q), q, n)
     return _ratio([pref[0], num], [pref[1], den], prime)
 
@@ -274,17 +274,35 @@ def aw_poly_as_polynomial(n: int, p: AWParams) -> PolynomialInX:
 
 def aw_norm_ratio(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
     """h_n/h_0 for the orthogonality L(p_m p_n) = (h_n/h_0) delta_mn, or its
-    Residue mod `prime` when one is given."""
+    Residue mod `prime` when one is given: entry n of _aw_norm_ratios."""
+    *_, value = _aw_norm_ratios(p, n, prime, start=n)
+    return value
+
+
+def _aw_norm_ratios(
+    p: AWParams, top: int, prime: int | None = None, start: int = 0
+) -> Iterator[Scalar | Residue]:
+    """h_n/h_0 for n = start..top, one at a time, from one pair of Pochhammer
+    prefix tables up to top:
+
+        h_n/h_0 = (1 - abcd q^(n-1)) / (1 - abcd q^(2n-1))
+                  * (q, ab, ac, ad, bc, bd, cd;q)_n / (abcd;q)_n.
+
+    Entry n raises PoleError("norm ratio denominator vanishes") only where
+    its own denominator does.  Each value is one scalar._ratio of the
+    integer factors a _closed_form of entry n would read: one canonical
+    Fraction, or their Residue mod `prime`."""
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     abcd = p.abcd
     pairs = (q, a * b, a * c, a * d, b * c, b * d, c * d)
-    return _closed_form(
-        (),
-        (((q ** (n - 1) * abcd,), q, (1,)), (pairs, q, (n,))),
-        (((q ** (2 * n - 1) * abcd,), q, (1,)), ((abcd,), q, (n,))),
-        "norm ratio denominator",
-        prime,
-    )
+    tn, td = _qpoch_multi_prefix(pairs, q, top, prime)
+    un, ud = _qpoch_multi_prefix((abcd,), q, top, prime)
+    for n in range(start, top + 1):
+        sn, sd = _pair(q ** (n - 1) * abcd)
+        wn, wd = _pair(q ** (2 * n - 1) * abcd)
+        if wd == wn or un[n] == 0:
+            raise PoleError("norm ratio denominator vanishes")
+        yield _ratio([sd - sn, tn[n], wd, ud[n]], [sd, td[n], wd - wn, un[n]], prime)
 
 
 def basis_moment(n: int, p: AWParams) -> Scalar:
@@ -580,7 +598,7 @@ def newton_coeffs(nodes: Sequence[Scalar], values: Sequence[Scalar]) -> list[Sca
     """
     if len(nodes) != len(values):
         raise ValueError("nodes and values must have equal length")
-    if len(set(nodes)) != len(nodes):
+    if len(set(map(_pair, nodes))) != len(nodes):  # canonical pairs, cheaper to hash
         raise DuplicateNodes("interpolation nodes must be distinct")
     table = [Fraction(v) for v in values]
     out = [table[0]]
@@ -609,11 +627,10 @@ def connection_u(
     """
     if not 0 <= k <= n:
         raise DomainError("need 0 <= k <= n")
-    bs = [Fraction(b) for b in b_nodes[: k + 1]]
-    if len(set(bs)) != len(bs):
+    b_pairs = [_pair(b) for b in b_nodes[: k + 1]]
+    if len(set(b_pairs)) != len(b_pairs):  # canonical pairs, cheaper to hash
         raise DuplicateNodes("b-nodes must be distinct")
     a_pairs = [_pair(a_nodes[j]) for j in range(n)]
-    b_pairs = [_pair(b) for b in bs]
     # with b_r = rn/rd, the r-term is P_r B / (A rd^(n-k+1) D_r): P_r and D_r
     # are the integer products below, A and B the products of the a- and
     # b-node denominators

@@ -11,7 +11,13 @@ nonzero residual is a failure and its seed is the reproduction witness.
 The six-term coefficients of the quadratic formula are the terms of the
 Cauchy products it compares: main_quadratic_factors returns the two
 basic hypergeometric series of each product, and the six-term checks read
-every coefficient from them.  main_quadratic, quadratic_specialization and
+every coefficient from them.  The series checks read all their (r, s)
+shapes at a point from one base: _quadratic_shapes for main_quadratic and
+the six-term sums and pairs, _specialization_shapes and _contiguous_shapes
+for the other two.  The first shape's series are built by phi_series, and
+each later shape's by termwise products with two extension multipliers
+(series.term_multiplier) shared by its products; a one-shape call is its
+own base.  main_quadratic, quadratic_specialization and
 contiguous_relation build their series, and each residual series, mod the
 trial point's prime pt.prime (scalar.ParamPoint.prime), as
 SeriesResidues: at order 60 the exact numerators reach 51,000 bits, and mod
@@ -76,7 +82,7 @@ import zlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from .askey_wilson import (
     AWParams,
@@ -84,6 +90,7 @@ from .askey_wilson import (
     DuplicateNodes,
     PolynomialInX,
     XPoint,
+    _aw_norm_ratios,
     _aw_polys,
     _aw_prefactors,
     _basis_moments,
@@ -92,7 +99,6 @@ from .askey_wilson import (
     aw_leading_coeff,
     aw_moment,
     aw_moments,
-    aw_norm_ratio,
     basis_moment,
     connection_u,
     moment_weights,
@@ -147,11 +153,15 @@ from .series import (
     phi_term,
     phi_terminating,
     series_linear_combine,
+    term_multiplier,
+    termwise_product,
 )
 
 # (r, s) parameter-vector shapes exercised for the main quadratic formula;
 # covers both signs of s - r and the empty case.
 RS_PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))
+# the shapes of the section 2 sums and pairs
+SIX_TERM_SHAPES = ((0, 0), (1, 1), (2, 1))
 
 
 @dataclass(frozen=True)
@@ -214,8 +224,7 @@ def _six_term_specs(pt: ParamPoint, r: int, s: int) -> list[tuple]:
     base = _six_term_base(*pt.values("abcdq"))
     q = pt["q"]
     es, fs = _vector(pt, "e", r), _vector(pt, "f", s)
-    esq = tuple([x * q for x in es])
-    fsq = tuple([x * q for x in fs])
+    esq, fsq = _times(es, q), _times(fs, q)
     return [
         (pref, nums_k + es, nums_m + esq, dens_k + fs, dens_m + fsq)
         for pref, nums_k, nums_m, dens_k, dens_m in base
@@ -256,6 +265,54 @@ def _six_term_base(a: Scalar, b: Scalar, c: Scalar, d: Scalar, q: Scalar) -> tup
     )
 
 
+def _quadratic_shapes(
+    pt: ParamPoint, shapes: Sequence[tuple[int, int]], order: int, prime: int | None = None
+) -> Iterator[list[tuple]]:
+    """The (prefactor, F, G) of A, B and C, as main_quadratic_factors gives
+    them, for each (r, s) of `shapes` in turn, from one base.
+
+    The first shape (r0, s0) is the base, (0, 0) in every check's list: its
+    six series are built by phi_series, in the order A's F, A's G, B's F, ...
+    Each later shape, with r >= r0 and s >= s0, reads every F and G from
+    the base by termwise_product with one of two extension multipliers
+    (series.term_multiplier) that A, B and C share:
+      X, from e_(r0+1), ..., e_r over f_(s0+1), ..., f_s at argument 1, for F;
+      Y, from the same parameters times q at argument q^((s-r) - (s0-r0)),
+        for G.
+    Once the base has no pole, a shape's series has one exactly where its
+    multiplier has, at the same term, and X is built before Y, so the
+    PoleError raised is the one the shape's own series would raise first.
+    """
+    q = pt["q"]
+    (r0, s0), *rest = shapes
+    base = [
+        (
+            pref,
+            phi_series(HypergeometricSpec(nums_k, dens_k[1:], q), Fraction(1), order, prime),
+            phi_series(HypergeometricSpec(nums_m, dens_m[1:], q), q ** (s0 - r0), order, prime),
+        )
+        for pref, nums_k, nums_m, dens_k, dens_m in _six_term_specs(pt, r0, s0)
+    ]
+    yield base
+    for r, s in rest:
+        es, fs = _vector(pt, "e", r)[r0:], _vector(pt, "f", s)[s0:]
+        x = term_multiplier(es, fs, q, Fraction(1), order, prime)
+        y = term_multiplier(_times(es, q), _times(fs, q), q, q ** (s - r - s0 + r0), order, prime)
+        yield _extended(base, x, y, prime)
+
+
+def _times(values: Sequence[Scalar], x: Scalar) -> tuple[Scalar, ...]:
+    return tuple([v * x for v in values])
+
+
+def _extended(base: list[tuple], x, y, prime: int | None) -> list[tuple]:
+    """(prefactor, F x, G y) for each (prefactor, F, G) of `base`, the
+    products taken termwise."""
+    return [
+        (pref, termwise_product(f, x, prime), termwise_product(g, y, prime)) for pref, f, g in base
+    ]
+
+
 def main_quadratic_factors(
     pt: ParamPoint, r: int, s: int, order: int, prime: int | None = None
 ) -> list[tuple[Scalar, TruncatedSeries | SeriesResidue, TruncatedSeries | SeriesResidue]]:
@@ -267,17 +324,16 @@ def main_quadratic_factors(
     because phi_series divides by (q;q)_k itself; G has argument q^(s-r) z.
     The (k, n) six-term coefficient of a product is
     (-1)^(s-r) prefactor F[k] G[n-k], the k-th term of its Cauchy product.
+    This is the one-shape entry of _quadratic_shapes, whose base it is.
     """
-    q = pt["q"]
-    scale = q ** (s - r)
-    return [
-        (
-            pref,
-            phi_series(HypergeometricSpec(nums_k, dens_k[1:], q), Fraction(1), order, prime),
-            phi_series(HypergeometricSpec(nums_m, dens_m[1:], q), scale, order, prime),
-        )
-        for pref, nums_k, nums_m, dens_k, dens_m in _six_term_specs(pt, r, s)
-    ]
+    return next(_quadratic_shapes(pt, ((r, s),), order, prime))
+
+
+def _quadratic_residual(factors: list[tuple], prime: int | None) -> TruncatedSeries | SeriesResidue:
+    """LHS product - first RHS product + second RHS product of one shape."""
+    return series_linear_combine(
+        [(sign * pref, f, g) for sign, (pref, f, g) in zip((1, -1, 1), factors)], prime
+    )
 
 
 def check_main_quadratic(
@@ -285,39 +341,43 @@ def check_main_quadratic(
 ) -> TruncatedSeries | SeriesResidue:
     """Residual series: LHS product - first RHS product + second RHS product,
     exact or mod `prime`."""
-    factors = main_quadratic_factors(pt, r, s, order, prime)
-    return series_linear_combine(
-        [(sign * pref, f, g) for sign, (pref, f, g) in zip((1, -1, 1), factors)], prime
-    )
+    return _quadratic_residual(main_quadratic_factors(pt, r, s, order, prime), prime)
 
 
-def _six_term_numerators(pt: ParamPoint, top: int, r: int, s: int) -> tuple[list[list[int]], int]:
+def _six_term_numerators(factors: list[tuple], r: int, s: int) -> tuple[list[list[int]], int]:
     """Integers e_nk and L with A_k - B_k + C_k = e_nk / L, for k = 0..n+1 and
-    n = 0..top.
+    n = 0..top, from the (prefactor, F, G) of shape (r, s) truncated at top.
 
-    Each six-term coefficient is (-1)^(s-r) prefactor F[k] G[n-k] from
-    main_quadratic_factors, read from the integer numerators of F and G, so
-    each excess is one integer sum over the three products' one denominator
-    L; A_(n+1), B_(n+1), C_(n+1) are zero.  The series read every
-    denominator up to `top`, so a zero one raises PoleError.
+    Each six-term coefficient is (-1)^(s-r) prefactor F[k] G[n-k], read from
+    the integer numerators of F and G, so each excess is one integer sum over
+    the three products' one denominator L; A_(n+1), B_(n+1), C_(n+1) are
+    zero.  The series read every denominator up to `top`, so a zero one has
+    raised PoleError when they were built.
     """
     sign = -1 if (s - r) % 2 else 1
-    products = main_quadratic_factors(pt, r, s, top)
-    prefs = [(_pair(pref), f.den * g.den) for pref, f, g in products]
+    top = factors[0][1].order
+    prefs = [(_pair(pref), f.den * g.den) for pref, f, g in factors]
     scales, lcm = _over_one_denominator([(sign * pn, pd * den) for (pn, pd), den in prefs])
-    factors = [(scale, f.nums, g.nums) for scale, (_, f, g) in zip(scales, products)]
+    rows = [(scale, f.nums, g.nums) for scale, (_, f, g) in zip(scales, factors)]
 
     def excess(k: int, n: int) -> int:
-        a, b, c = (scale * fn[k] * gn[n - k] for scale, fn, gn in factors)
+        a, b, c = (scale * fn[k] * gn[n - k] for scale, fn, gn in rows)
         return a - b + c
 
     return [[excess(k, n) for k in range(n + 1)] + [0] for n in range(top + 1)], lcm
 
 
+def _six_term_rows(pt: ParamPoint, top: int) -> Iterator[tuple[list[list[int]], int]]:
+    """_six_term_numerators of each shape of SIX_TERM_SHAPES, up to `top`,
+    from one _quadratic_shapes base."""
+    for (r, s), factors in zip(SIX_TERM_SHAPES, _quadratic_shapes(pt, SIX_TERM_SHAPES, top)):
+        yield _six_term_numerators(factors, r, s)
+
+
 def _six_term_excesses(pt: ParamPoint, top: int, r: int, s: int) -> list[list[Scalar]]:
     """[[A_k - B_k + C_k for k = 0..n+1] for n = 0..top], one canonical
     Fraction each, from _six_term_numerators."""
-    rows, lcm = _six_term_numerators(pt, top, r, s)
+    rows, lcm = _six_term_numerators(main_quadratic_factors(pt, r, s, top), r, s)
     return [[Fraction(e, lcm) for e in row] for row in rows]
 
 
@@ -379,6 +439,44 @@ def check_three_term_kernel(pt: ParamPoint) -> Scalar:
     return t1 - t2 + t3 - rhs
 
 
+def _specialization_shapes(
+    pt: ParamPoint, rs: Sequence[int], order: int, prime: int | None = None
+) -> Iterator[list[tuple]]:
+    """The (signed prefactor, F, G) of the three products of the (r+1)phi(r)
+    quadratic specialization, for each r of `rs` in turn, from one base.
+
+    The first r is the base, r = 1 in the check's list, with its six series
+    built by phi_series in the order t1, ..., t6 of
+    check_quadratic_specialization.  Each later r reads the first factor of
+    each product from the base times X, from a_(r0+1), ..., a_r over
+    b_(r0+1), ..., b_r, and the second times Y, from the same parameters
+    times q, both at argument 1 (series.term_multiplier); X is built first.
+    """
+    q = pt["q"]
+    a0, a1, b1 = pt["a0"], pt["a1"], pt["b1"]
+    r0, *rest = rs
+    ta, tb = _vector(pt, "a", r0)[1:], _vector(pt, "b", r0)[1:]
+    taq, tbq = _times(ta, q), _times(tb, q)
+    one = Fraction(1)
+
+    def f(nums, dens):
+        return phi_series(HypergeometricSpec(nums, dens, q), one, order, prime)
+
+    base = [
+        ((a0 - 1) * (a1 - b1), f((a0 / q, a1) + ta, (b1 / q,) + tb),
+         f((a0 * q, a1) + taq, (b1 * q,) + tbq)),
+        (-(a0 - a1) * (1 - b1), f((a0, a1) + ta, (b1,) + tb), f((a0, a1) + taq, (b1,) + tbq)),
+        ((1 - a1) * (a0 - b1), f((a0, a1 / q) + ta, (b1 / q,) + tb),
+         f((a0, a1 * q) + taq, (b1 * q,) + tbq)),
+    ]
+    yield base
+    for r in rest:
+        ea, eb = _vector(pt, "a", r)[r0:], _vector(pt, "b", r)[r0:]
+        x = term_multiplier(ea, eb, q, one, order, prime)
+        y = term_multiplier(_times(ea, q), _times(eb, q), q, one, order, prime)
+        yield _extended(base, x, y, prime)
+
+
 def check_quadratic_specialization(
     r: int, pt: ParamPoint, order: int, prime: int | None = None
 ) -> TruncatedSeries | SeriesResidue:
@@ -389,33 +487,11 @@ def check_quadratic_specialization(
       - (1-a1)(a0-b1) F[a0, a1/q; b1/q] F[a0, a1 q, ^q; b1 q, ^q],
 
     where ^q marks the trailing parameters a2..ar / b2..br scaled by q in the
-    second factor of each product, and every series has argument z.
+    second factor of each product, and every series has argument z.  Call
+    the six series t1, ..., t6 in this order.  This is the one-r entry of
+    _specialization_shapes.
     """
-    q = pt["q"]
-    a0, a1, b1 = pt["a0"], pt["a1"], pt["b1"]
-    ta = tuple([pt[f"a{i}"] for i in range(2, r + 1)])
-    tb = tuple([pt[f"b{i}"] for i in range(2, r + 1)])
-    taq = tuple([x * q for x in ta])
-    tbq = tuple([x * q for x in tb])
-    one = Fraction(1)
-
-    def f(nums, dens):
-        return phi_series(HypergeometricSpec(nums, dens, q), one, order, prime)
-
-    t1 = f((a0 / q, a1) + ta, (b1 / q,) + tb)
-    t2 = f((a0 * q, a1) + taq, (b1 * q,) + tbq)
-    t3 = f((a0, a1) + ta, (b1,) + tb)
-    t4 = f((a0, a1) + taq, (b1,) + tbq)
-    t5 = f((a0, a1 / q) + ta, (b1 / q,) + tb)
-    t6 = f((a0, a1 * q) + taq, (b1 * q,) + tbq)
-    return series_linear_combine(
-        [
-            ((a0 - 1) * (a1 - b1), t1, t2),
-            (-(a0 - a1) * (1 - b1), t3, t4),
-            ((1 - a1) * (a0 - b1), t5, t6),
-        ],
-        prime,
-    )
+    return series_linear_combine(next(_specialization_shapes(pt, (r,), order, prime)), prime)
 
 
 def aw_quadratic_residuals(n_max: int, p: AWParams, pt: XPoint) -> list[Scalar]:
@@ -851,6 +927,61 @@ def check_andrews_watson(n: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
+def _contiguous_shapes(
+    pt: ParamPoint, shapes: Sequence[tuple[int, int]], order: int, prime: int | None = None
+) -> Iterator[tuple]:
+    """(t1, t2, prefactor, t3) of check_contiguous for each (r, s) of `shapes`
+    in turn, from one base: t1 = F[aq, A; bq, B; z], t2 = F[a, A; b, B; z]
+    and t3 = F[aq, Aq; bq^2, Bq; q^(1+s-r) z].
+
+    The first shape (r0, s0) is the base, (1, 1) in the check's list, built
+    by phi_series and _closed_form in the order t1, t2, prefactor, t3.  Each
+    later shape reads t1 and t2 from the base times X, from A_r0, ..., A_(r-1)
+    over B_s0, ..., B_(s-1) at argument 1, then forms its prefactor, then
+    reads t3 times Y, from the same parameters times q at argument
+    q^((s-r) - (s0-r0)), the change of t3's argument
+    (series.term_multiplier).
+    """
+    q = pt["q"]
+    a, b = pt["a"], pt["b"]
+    (r0, s0), *rest = shapes
+    one = Fraction(1)
+
+    def prefactor(r: int, s: int) -> Scalar:
+        return _closed_form(
+            ((-1, 1 + s - r), (a - b, 1)),
+            ((_vector(pt, "A", r - 1), q, (1,)),),
+            (((b, b * q) + _vector(pt, "B", s - 1), q, (1,)),),
+            "prefactor denominator",
+        )
+
+    A, B = _vector(pt, "A", r0 - 1), _vector(pt, "B", s0 - 1)
+    t1 = phi_series(HypergeometricSpec((a * q,) + A, (b * q,) + B, q), one, order, prime)
+    t2 = phi_series(HypergeometricSpec((a,) + A, (b,) + B, q), one, order, prime)
+    pref = prefactor(r0, s0)
+    t3 = phi_series(
+        HypergeometricSpec((a * q,) + _times(A, q), (b * q**2,) + _times(B, q), q),
+        q ** (1 + s0 - r0),
+        order,
+        prime,
+    )
+    yield t1, t2, pref, t3
+    for r, s in rest:
+        A, B = _vector(pt, "A", r - 1)[r0 - 1:], _vector(pt, "B", s - 1)[s0 - 1:]
+        x = term_multiplier(A, B, q, one, order, prime)
+        u1, u2 = termwise_product(t1, x, prime), termwise_product(t2, x, prime)
+        pref = prefactor(r, s)
+        y = term_multiplier(_times(A, q), _times(B, q), q, q ** (s - r - s0 + r0), order, prime)
+        yield u1, u2, pref, termwise_product(t3, y, prime)
+
+
+def _contiguous_residual(
+    t1, t2, pref: Scalar, t3, prime: int | None
+) -> TruncatedSeries | SeriesResidue:
+    z = TruncatedSeries.from_integers([int(n == 1) for n in range(t1.order + 1)], 1)  # the series z
+    return series_linear_combine([(1, t1), (-1, t2), (-pref, z, t3)], prime)
+
+
 def check_contiguous(
     r: int, s: int, pt: ParamPoint, order: int, prime: int | None = None
 ) -> TruncatedSeries | SeriesResidue:
@@ -861,32 +992,10 @@ def check_contiguous(
         * F[aq, Aq; bq^2, Bq; q^(1+s-r) z],
 
     where A, B are the trailing r-1 / s-1 parameters.  The residual is
-    exact, or a SeriesResidue mod `prime` when one is given.
+    exact, or a SeriesResidue mod `prime` when one is given.  This is the
+    one-shape entry of _contiguous_shapes.
     """
-    q = pt["q"]
-    a, b = pt["a"], pt["b"]
-    A = tuple([pt[f"A{i}"] for i in range(1, r)])
-    B = tuple([pt[f"B{i}"] for i in range(1, s)])
-    e = 1 + s - r
-    one = Fraction(1)
-    t1 = phi_series(HypergeometricSpec((a * q,) + A, (b * q,) + B, q), one, order, prime)
-    t2 = phi_series(HypergeometricSpec((a,) + A, (b,) + B, q), one, order, prime)
-    pref = _closed_form(
-        ((-1, e), (a - b, 1)), ((A, q, (1,)),), (((b, b * q) + B, q, (1,)),),
-        "prefactor denominator",
-    )
-    t3 = phi_series(
-        HypergeometricSpec(
-            (a * q,) + tuple([x * q for x in A]),
-            (b * q**2,) + tuple([x * q for x in B]),
-            q,
-        ),
-        q**e,
-        order,
-        prime,
-    )
-    z = TruncatedSeries.from_integers([int(n == 1) for n in range(order + 1)], 1)  # the series z
-    return series_linear_combine([(1, t1), (-1, t2), (-pref, z, t3)], prime)
+    return _contiguous_residual(*next(_contiguous_shapes(pt, ((r, s),), order, prime)), prime)
 
 
 # ---------------------------------------------------------------------------
@@ -919,14 +1028,14 @@ def _aw_from(pt: ParamPoint) -> AWParams:
 @_check("main_quadratic", "Thm 1.1 / Eq. (main)", _MAIN_NAMES, Sizes(order=10),
         note="(r,s) in " + str(RS_PAIRS))
 def _run_main_quadratic(pt: ParamPoint, sizes: Sizes) -> list:
-    return [check_main_quadratic(r, s, pt, sizes.order, pt.prime) for r, s in RS_PAIRS]
+    shapes = _quadratic_shapes(pt, RS_PAIRS, sizes.order, pt.prime)
+    return [_quadratic_residual(factors, pt.prime) for factors in shapes]
 
 
 @_check("six_term_sums", "§2 / Eq. (eq:sums)", _MAIN_NAMES, Sizes(n_max=5))
 def _run_six_term_sums(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
-    for r, s in ((0, 0), (1, 1), (2, 1)):
-        rows, lcm = _six_term_numerators(pt, sizes.n_max, r, s)
+    for rows, lcm in _six_term_rows(pt, sizes.n_max):
         out.extend(Fraction(sum(row), lcm) for row in rows)
     return out
 
@@ -934,8 +1043,7 @@ def _run_six_term_sums(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("six_term_pairs", "§2 / Eq. (eq:6terms)", _MAIN_NAMES, Sizes(n_max=5))
 def _run_six_term_pairs(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
-    for r, s in ((0, 0), (1, 1), (2, 1)):
-        rows, lcm = _six_term_numerators(pt, sizes.n_max, r, s)
+    for rows, lcm in _six_term_rows(pt, sizes.n_max):
         for n, row in enumerate(rows):
             out.extend(Fraction(row[k] + row[n - k + 1], lcm) for k in range(n + 2))
     return out
@@ -975,7 +1083,8 @@ def _run_three_term_kernel(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("quadratic_specialization", "Cor. 1.2 / Eq. (eq:GZ)",
         ("q", "a0", "a1", "a2", "a3", "b1", "b2", "b3"), Sizes(order=10), note="r = 1..3")
 def _run_quadratic_specialization(pt: ParamPoint, sizes: Sizes) -> list:
-    return [check_quadratic_specialization(r, pt, sizes.order, pt.prime) for r in (1, 2, 3)]
+    shapes = _specialization_shapes(pt, (1, 2, 3), sizes.order, pt.prime)
+    return [series_linear_combine(factors, pt.prime) for factors in shapes]
 
 
 @_check("aw_quadratic", "Cor. 1.3 / Eq. (eq:conj)", _ABCDQZ, Sizes(n_max=6), note="n = 2..6")
@@ -1198,7 +1307,10 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
          so a zero (abcd;q)_k is read only at k = 2T, by the last product.  A
          zero lattice Newton denominator at order d means a^2 q^e = 1 with
          1 <= e <= 2d-1, which is a node collision at the same order, and
-         both routes check the nodes first.
+         both routes check the nodes first;
+      4. the norm ratios h_n/h_0, n = 0..T, read from one _aw_norm_ratios
+         table after the weights: no residual before them can raise, so its
+         first pole is the one the per-n ratios raised in the loop.
     """
     p = _aw_from(pt)
     a, q = p.a, p.q
@@ -1213,12 +1325,13 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
     _, weights = moment_weights(p, 2 * top, pt.prime)
     weights = _common_denominator(weights, pt.prime)
     values = [_common_denominator(column, pt.prime) for column in zip(*rows)]
+    norms = list(_aw_norm_ratios(p, top, pt.prime))
     out = []
     for m in range(top + 1):
         for n in range(m, top + 1):
             value = _weighted_sum(weights, values[m], values[n], prime=pt.prime)
             if m == n:
-                value -= aw_norm_ratio(n, p, pt.prime)
+                value -= norms[n]
             out.append(value)
     return out
 
@@ -1226,7 +1339,8 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("contiguous_relation", "§4 Remark, contiguous relation", ("a", "b", "q", "A1", "B1"),
         Sizes(order=10), note="(r,s) in {(1,1),(2,1),(2,2)}")
 def _run_contiguous(pt: ParamPoint, sizes: Sizes) -> list:
-    return [check_contiguous(r, s, pt, sizes.order, pt.prime) for r, s in ((1, 1), (2, 1), (2, 2))]
+    shapes = _contiguous_shapes(pt, ((1, 1), (2, 1), (2, 2)), sizes.order, pt.prime)
+    return [_contiguous_residual(*series, pt.prime) for series in shapes]
 
 
 @_check("newton_interpolation", "Eq. (newton) / (newtonspecial)",

@@ -9,11 +9,13 @@ loops on plain-int numerator/denominator pairs and build one canonical
 ``Fraction`` per value they return: the values of running ``Fraction``
 products, without a gcd at every factor.  Every closed form of the paper, a
 monomial times a ratio of Pochhammer products, is one call of
-``_closed_form``.  The other modules read a value's integer pair only through
-``_pair`` (or its residues mod p through ``_pair_mod``), divide with a pole
-check through ``_quotient``, and take their
-tables from the helpers here: Pochhammer prefix tables, Pochhammer ratio
-tables, and lists over one common denominator.  Identities are certified by
+``_closed_form``, but for the Askey-Wilson norm ratios h_n/h_0, which
+askey_wilson reads for every n from one pair of prefix tables.  The other
+modules read a value's integer pair only through ``_pair`` (or its residues
+mod p through ``_pair_mod``), divide with a pole check through
+``_quotient``, and take their tables from the helpers here: Pochhammer
+prefix tables, Pochhammer ratio tables, and lists over one common
+denominator.  Identities are certified by
 evaluating both sides at random small-height rational points (Schwartz-Zippel
 style), so the sampler here is the only source of randomness and is fully
 deterministic in its seed: a point's seed fixes its values and its modulus.

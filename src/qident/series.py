@@ -14,6 +14,18 @@ A terminating sum is one Horner fold of those ratios, _terminating_sum,
 shared by phi_terminating and aw_poly.  phi_term, which builds a term from
 its Pochhammer products, is the oracle of both.
 
+The term sequence is multiplicative in its parameter lists, and q is an
+ordinary denominator parameter of it: _term_ratios reads (q,) + the
+denominators, with the sign exponent len(denominators) - len(numerators).
+Term k of the series with numerators N + E, denominators D + F and argument
+z w is term k of (N; D; z) times the extension multiplier
+
+    (E;q)_k / (F;q)_k * ((-1)^k q^C(k,2))^(|F|-|E|) * w^k,
+
+which the same loop yields with no (q;q)_k (term_multiplier).  So a series
+is extended by termwise_product, the Hadamard product, and the series checks
+in identities read every (r, s) shape of a point from one base.
+
 A TruncatedSeries, like askey_wilson.PolynomialInX, holds integer numerators
 over one positive denominator; its canonical Fraction coefficients are built
 only when .coeffs is read or a coefficient is indexed.  phi_series cancels
@@ -33,7 +45,9 @@ run on ints below p^2.  The terms of a sum are put over one denominator by
 scalar._over_one_denominator, as every engine row is.  The residual of Thm
 1.1, of its specialisation and of the contiguous relation is formed this way
 in identities; the six-term checks divide by their prefactors and
-read single coefficients, so they stay exact.
+read single coefficients, so they stay exact.  A termwise product mod p
+multiplies the residues of the numerators over the product of the two
+denominators, with nothing inverted, and is a SeriesResidue too.
 """
 
 from __future__ import annotations
@@ -186,29 +200,35 @@ def phi_term(spec: HypergeometricSpec, n: int) -> Scalar:
 
 
 def _paired(spec: HypergeometricSpec) -> tuple:
-    """The spec as integer pairs (numerators, denominators, q), the form
-    _term_ratios reads."""
-    nums, dens = [_pair(a) for a in spec.numerators], [_pair(b) for b in spec.denominators]
-    return tuple(nums), tuple(dens), _pair(spec.q)
+    """The spec as the integer pairs _term_ratios reads, with q the first
+    denominator parameter: the (q;q)_n of a basic hypergeometric term."""
+    return _pairs(spec.numerators, (spec.q, *spec.denominators), spec.q)
+
+
+def _pairs(numerators: Sequence[Scalar], denominators: Sequence[Scalar], q: Scalar) -> tuple:
+    nums, dens = [_pair(a) for a in numerators], [_pair(b) for b in denominators]
+    return tuple(nums), tuple(dens), _pair(q)
 
 
 def _term_ratios(spec: tuple, z: tuple[int, int], top: int) -> Iterator[tuple[int, int]]:
-    """Term n / term n-1 of the series at argument z, n = 1..top, as an
+    """Term n / term n-1 of a term sequence at argument z, n = 1..top, as an
     unreduced integer pair.
 
     spec is (numerators, denominators, q) and z one pair, each parameter an
-    integer pair (n, d) with d nonzero, in lowest terms or not.  The
-    denominator factor (1 - q^n) prod_b (1 - b q^(n-1)) enters inverted;
-    PoleError is raised at the first n where it vanishes."""
+    integer pair (n, d) with d nonzero, in lowest terms or not.  Term n is
+    (numerators;q)_n / (denominators;q)_n ((-1)^n q^C(n,2))^e z^n with
+    e = len(denominators) - len(numerators): a basic hypergeometric term when
+    the denominators start with q (_paired), an extension multiplier
+    otherwise.  The factor prod_b (1 - b q^(n-1)) enters inverted; PoleError
+    is raised at the first n where it vanishes."""
     nums, dens, (qn, qd) = spec
     zn, zd = z
-    e = 1 + len(dens) - len(nums)  # HypergeometricSpec.sign_exponent
+    e = len(dens) - len(nums)
     # ((-1)^n q^C(n,2))^e contributes (-q^(n-1))^e to the ratio of term n
     sign = -1 if e % 2 else 1
     pn, pd = 1, 1  # q^(n-1) = pn/pd while computing term n
     for n in range(1, top + 1):
-        r_den = pd * qd - pn * qn
-        r_num = pd * qd
+        r_num, r_den = zn, zd
         for bn, bd in dens:
             r_den *= bd * pd - bn * pn
             r_num *= bd * pd
@@ -217,8 +237,6 @@ def _term_ratios(spec: tuple, z: tuple[int, int], top: int) -> Iterator[tuple[in
         for an, ad in nums:
             r_num *= ad * pd - an * pn
             r_den *= ad * pd
-        r_num *= zn
-        r_den *= zd
         if e > 0:
             r_num *= sign * pn**e
             r_den *= pd**e
@@ -230,23 +248,21 @@ def _term_ratios(spec: tuple, z: tuple[int, int], top: int) -> Iterator[tuple[in
         pd *= qd
 
 
-def phi_series(
-    spec: HypergeometricSpec, argument_scale: Scalar, order: int, prime: int | None = None
+def _term_series(
+    spec: tuple, z: tuple[int, int], order: int, prime: int | None
 ) -> TruncatedSeries | SeriesResidue:
-    """The series with argument (argument_scale * z), truncated at `order`.
+    """Terms 0..order of the term sequence of _term_ratios, as one series.
 
-    Coefficient n equals phi_term(spec, n) * argument_scale^n, the product of
-    the first n ratios from _term_ratios.  Each ratio r_i = a_i / b_i is
-    cancelled by one gcd; over the denominator b_1 ... b_order, coefficient n
-    has the numerator a_1 ... a_n b_(n+1) ... b_order.  Given a prime, each
-    ratio is reduced mod p instead of cancelled, the products run mod p, and
-    the result is their SeriesResidue; PoleError is raised where it is
-    without one.
-    """
+    Term n is the product of the first n ratios.  Each ratio r_i = a_i / b_i
+    is cancelled by one gcd; over the denominator b_1 ... b_order, term n has
+    the numerator a_1 ... a_n b_(n+1) ... b_order.  Given a prime, each ratio
+    is reduced mod p instead of cancelled, the products run mod p, and the
+    result is their SeriesResidue; PoleError is raised where it is without
+    one."""
     if order < 0:
         raise ValueError(f"truncation order must be nonnegative, got {order}")
     ratios = []
-    for r_num, r_den in _term_ratios(_paired(spec), _pair(argument_scale), order):
+    for r_num, r_den in _term_ratios(spec, z, order):
         if prime is None:
             g = math.gcd(r_num, r_den)
             ratios.append((r_num // g, r_den // g))
@@ -262,6 +278,51 @@ def phi_series(
     if prime is None:
         return TruncatedSeries.from_integers(nums, tails[-1])
     return SeriesResidue(nums, tails[-1], prime)
+
+
+def phi_series(
+    spec: HypergeometricSpec, argument_scale: Scalar, order: int, prime: int | None = None
+) -> TruncatedSeries | SeriesResidue:
+    """The series with argument (argument_scale * z), truncated at `order`:
+    coefficient n equals phi_term(spec, n) * argument_scale^n.  Exact, or
+    the SeriesResidue mod `prime` when one is given (_term_series)."""
+    return _term_series(_paired(spec), _pair(argument_scale), order, prime)
+
+
+def term_multiplier(
+    numerators: Sequence[Scalar],
+    denominators: Sequence[Scalar],
+    q: Scalar,
+    argument: Scalar,
+    order: int,
+    prime: int | None = None,
+) -> TruncatedSeries | SeriesResidue:
+    """The extension multiplier of parameter lists E = `numerators` and
+    F = `denominators` at argument w, truncated at `order`: term k is
+
+        (E;q)_k / (F;q)_k ((-1)^k q^C(k,2))^(|F|-|E|) w^k,
+
+    with no (q;q)_k.  The term of a series with numerators N + E,
+    denominators D + F and argument z w is the term of (N; D; z) times this,
+    so termwise_product extends a series by it.  PoleError is raised at the
+    first term where a factor of (F;q)_k vanishes, as the extended series
+    raises it."""
+    return _term_series(_pairs(numerators, denominators, q), _pair(argument), order, prime)
+
+
+def termwise_product(
+    u: TruncatedSeries | SeriesResidue, v: TruncatedSeries | SeriesResidue, prime: int | None = None
+) -> TruncatedSeries | SeriesResidue:
+    """The Hadamard product of two series of one order, coefficient n being
+    u_n v_n: the numerators multiplied termwise over the product of the two
+    denominators.  Nothing is inverted, so given a prime the factors may be
+    SeriesResidues modulo it and the result is a SeriesResidue."""
+    if u.order != v.order:
+        raise OrderMismatch(f"orders differ: {u.order} vs {v.order}")
+    nums = [a * b for a, b in zip(u.nums, v.nums)]
+    if prime is None:
+        return TruncatedSeries.from_integers(nums, u.den * v.den)
+    return SeriesResidue(nums, u.den * v.den, prime)
 
 
 def _terminating_sum(spec: tuple, z: tuple[int, int], m: int) -> tuple[int, int]:

@@ -11,6 +11,7 @@ from qident.askey_wilson import (
     DuplicateNodes,
     PolynomialInX,
     XPoint,
+    _aw_norm_ratios,
     _basis_moments,
     _lattice_denominators,
     _peel_functional,
@@ -36,6 +37,7 @@ from qident.scalar import (
     DomainError,
     PoleError,
     Residue,
+    _closed_form,
     _common_denominator,
     _qpoch_multi_prefix,
     _ratio,
@@ -234,6 +236,15 @@ def test_newton_coeffs_reconstructs_random_quartic():
 def test_newton_coeffs_duplicate_nodes():
     with pytest.raises(DuplicateNodes):
         newton_coeffs([F(1), F(1)], [F(0), F(0)])
+
+
+def test_node_collisions_are_found_on_canonical_pairs():
+    # an int and a Fraction of one value are one node
+    with pytest.raises(DuplicateNodes, match="^interpolation nodes must be distinct$"):
+        newton_coeffs([3, F(1, 2), F(6, 2)], [F(1), F(2), F(3)])
+    with pytest.raises(DuplicateNodes, match="^b-nodes must be distinct$"):
+        connection_u(2, 2, [F(1), F(2)], [2, F(1, 3), F(4, 2)])
+    assert newton_coeffs([F(1, 2), 3, F(7, 2)], [F(1), F(2), F(3)])
 
 
 def test_newton_lattice_constant():
@@ -597,3 +608,42 @@ def test_an_entry_that_is_only_zero_mod_7_is_no_pole():
     # an exact zero still reads 0: (4;1/2)_k has the numerators 1, -3, 6, 0
     nums, _ = _qpoch_multi_prefix((F(4),), F(1, 2), 3, 7)
     assert nums == [1, 4, 6, 0]
+
+
+def per_n_norm_ratio(n, p, prime=None):
+    """h_n/h_0 as one closed form per n, the route _aw_norm_ratios replaced."""
+    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
+    abcd = p.abcd
+    pairs = (q, a * b, a * c, a * d, b * c, b * d, c * d)
+    return _closed_form(
+        (),
+        (((q ** (n - 1) * abcd,), q, (1,)), (pairs, q, (n,))),
+        (((q ** (2 * n - 1) * abcd,), q, (1,)), ((abcd,), q, (n,))),
+        "norm ratio denominator",
+        prime,
+    )
+
+
+@pytest.mark.parametrize("height", (2, 3, 40))
+def test_norm_ratios_from_one_table_are_the_per_n_closed_forms(height):
+    # every entry, exact and mod p, holds the per-n closed form's integers
+    # (equal reprs); the table raises at the first n whose own denominator
+    # vanishes, with its message, and aw_norm_ratio(n) only at its own n
+    kinds = set()
+    for seed in range(20):
+        pt = sample_point(_MOMENT_NAMES, 900 + seed, height)
+        p = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"])
+        for prime in (None, 7, pt.prime):
+            want = [outcome(per_n_norm_ratio, n, p, prime) for n in range(7)]
+            assert [repr(outcome(aw_norm_ratio, n, p, prime)) for n in range(7)] == list(
+                map(repr, want)
+            )
+            first = next((i for i, w in enumerate(want) if w[0] != "value"), len(want))
+            values, ratios = [], _aw_norm_ratios(p, 6, prime)
+            raised = outcome(lambda: values.extend(ratios))
+            assert list(map(repr, values)) == [repr(w[1]) for w in want[:first]]
+            assert raised == (want[first] if first < len(want) else ("value", None))
+            kinds.update(w[0] for w in want)
+    assert "value" in kinds
+    if height == 2:
+        assert PoleError in kinds
