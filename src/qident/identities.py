@@ -12,20 +12,19 @@ The six-term coefficients of the quadratic formula are the terms of the
 Cauchy products it compares: main_quadratic_factors returns the two
 basic hypergeometric series of each product, and the six-term checks read
 every coefficient from them.  The series checks read all their (r, s)
-shapes at a point from one base: _quadratic_shapes for main_quadratic and
-the six-term sums and pairs, _specialization_shapes and _contiguous_shapes
-for the other two.  The first shape's series are built by phi_series, and
-each later shape's by termwise products with two extension multipliers
-(series.term_multiplier) shared by its products; a one-shape call is its
-own base.  main_quadratic, quadratic_specialization and
-contiguous_relation build their series, and each residual series, mod the
-trial point's prime pt.prime (scalar.ParamPoint.prime), as
-SeriesResidues: at order 60 the exact numerators reach 51,000 bits, and mod
-p none reaches p^2.  Poles are still decided on the exact term ratios.  The
-six-term checks stay exact: six_term_factorization divides by its
-prefactors, which a residue cannot do without an inverse, and the sums and
-pairs, which read one coefficient at a time, gained nothing mod p at n_max
-5.  Every closed form here (the six-term factors
+shapes at a point from one base, by one generator, _extended_shapes: the
+first shape's series by phi_series, each later one's by termwise products
+with two extension multipliers.  Each family (_quadratic_shapes,
+_specialization_shapes, _contiguous_shapes) only lists its base and
+assembles its output; a one-shape call is its own base.  main_quadratic,
+quadratic_specialization and contiguous_relation build their series, and
+each residual series, mod the trial point's prime pt.prime
+(scalar.ParamPoint.prime), as SeriesResidues: at order 60 the exact
+numerators reach 51,000 bits, and mod p none reaches p^2.  Poles are still
+decided on the exact term ratios.  The six-term checks stay exact:
+six_term_factorization divides by its prefactors, which a residue cannot
+do without an inverse, and the sums and pairs, which read one coefficient
+at a time, gained nothing mod p at n_max 5.  Every closed form here (the six-term factors
 G_k and Xi, D_n and the Gram, Hankel, Mehta-Wang and Pfaffian products, the
 q-Watson sum and the contiguous prefactor) is one call of
 scalar._closed_form.  The matrix builders read their Pochhammer products from
@@ -75,7 +74,6 @@ L((az, a/z; q)_1) against its product formula, stays a Fraction.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 import zlib
@@ -221,26 +219,9 @@ def _six_term_specs(pt: ParamPoint, r: int, s: int) -> list[tuple]:
     prefactor * alpha * (nums_k;q)_k (nums_m;q)_m / ((dens_k;q)_k (dens_m;q)_m)
     with m = n - k.
     """
-    base = _six_term_base(*pt.values("abcdq"))
-    q = pt["q"]
-    es, fs = _vector(pt, "e", r), _vector(pt, "f", s)
-    esq, fsq = _times(es, q), _times(fs, q)
-    return [
-        (pref, nums_k + es, nums_m + esq, dens_k + fs, dens_m + fsq)
-        for pref, nums_k, nums_m, dens_k, dens_m in base
-    ]
-
-
-@functools.lru_cache(maxsize=1)
-def _six_term_base(a: Scalar, b: Scalar, c: Scalar, d: Scalar, q: Scalar) -> tuple[tuple, ...]:
-    """The (r, s)-independent part of _six_term_specs: each entry without the
-    e and f parameters.
-
-    The checks read the specs for several (r, s) at one point, so the lists
-    of the last point are kept and built once per trial.
-    """
+    a, b, c, d, q = pt.values("abcdq")
     bc = b * c
-    return (
+    table = (
         (
             (a - b) * (a - c) * (bc - d) * (1 - d),
             (bc / a, bc / q**2, c, d / q),
@@ -263,54 +244,74 @@ def _six_term_base(a: Scalar, b: Scalar, c: Scalar, d: Scalar, q: Scalar) -> tup
             (q, a, b * q, bc * q / d),
         ),
     )
+    es, fs = _vector(pt, "e", r), _vector(pt, "f", s)
+    esq, fsq = _times(es, q), _times(fs, q)
+    return [
+        (pref, nums_k + es, nums_m + esq, dens_k + fs, dens_m + fsq)
+        for pref, nums_k, nums_m, dens_k, dens_m in table
+    ]
+
+
+def _extended_shapes(
+    pt: ParamPoint,
+    names: tuple[str, str],
+    shapes: Sequence[tuple[int, int]],
+    base: Sequence[tuple[HypergeometricSpec, Scalar, bool]],
+    order: int,
+    prime: int | None = None,
+) -> Iterator[list[TruncatedSeries | SeriesResidue]]:
+    """The series of each (r, s) of `shapes` in turn, read from one base.
+
+    `base` holds a (spec, argument, shifted) triple per series of the first
+    shape (r0, s0), built by phi_series in that order.  A later shape, with
+    r >= r0 and s >= s0, multiplies each base series termwise by Y if it is
+    shifted and by X otherwise (series.term_multiplier), X built first: X
+    from names[0]_(r0+1..r) over names[1]_(s0+1..s) at argument 1, and Y
+    from the same parameters times q at argument q^((s-r) - (s0-r0)).
+
+    Once the base has no pole, a shape's series has one exactly where its
+    multiplier has, at the same term, and every caller's first series is not
+    shifted, so the PoleError raised is the one the shape's own series, built
+    in order, would raise first.  _contiguous_shapes forms its prefactor after
+    a shape's series; at order >= 1 that cannot raise first, since its factor
+    1 - B_i is X's first-term factor and its factors 1 - b and 1 - bq are read
+    by the base's t2 and t1, and at order 0 it is the only value that can.
+    """
+    q = pt["q"]
+    (r0, s0), *rest = shapes
+    series = [phi_series(spec, argument, order, prime) for spec, argument, _ in base]
+    yield series
+    for r, s in rest:
+        es, fs = _vector(pt, names[0], r)[r0:], _vector(pt, names[1], s)[s0:]
+        x = term_multiplier(es, fs, q, Fraction(1), order, prime)
+        y = term_multiplier(_times(es, q), _times(fs, q), q, q ** (s - r - s0 + r0), order, prime)
+        yield [
+            termwise_product(f, y if shifted else x, prime)
+            for f, (*_, shifted) in zip(series, base)
+        ]
 
 
 def _quadratic_shapes(
     pt: ParamPoint, shapes: Sequence[tuple[int, int]], order: int, prime: int | None = None
 ) -> Iterator[list[tuple]]:
     """The (prefactor, F, G) of A, B and C, as main_quadratic_factors gives
-    them, for each (r, s) of `shapes` in turn, from one base.
-
-    The first shape (r0, s0) is the base, (0, 0) in every check's list: its
-    six series are built by phi_series, in the order A's F, A's G, B's F, ...
-    Each later shape, with r >= r0 and s >= s0, reads every F and G from
-    the base by termwise_product with one of two extension multipliers
-    (series.term_multiplier) that A, B and C share:
-      X, from e_(r0+1), ..., e_r over f_(s0+1), ..., f_s at argument 1, for F;
-      Y, from the same parameters times q at argument q^((s-r) - (s0-r0)),
-        for G.
-    Once the base has no pole, a shape's series has one exactly where its
-    multiplier has, at the same term, and X is built before Y, so the
-    PoleError raised is the one the shape's own series would raise first.
-    """
+    them, for each (r, s) of `shapes` in turn: the _extended_shapes of the
+    e and f parameters, with base A's F, A's G, B's F, ... at the first
+    shape (r0, s0), each G shifted, at argument q^(s0-r0)."""
     q = pt["q"]
-    (r0, s0), *rest = shapes
-    base = [
-        (
-            pref,
-            phi_series(HypergeometricSpec(nums_k, dens_k[1:], q), Fraction(1), order, prime),
-            phi_series(HypergeometricSpec(nums_m, dens_m[1:], q), q ** (s0 - r0), order, prime),
-        )
-        for pref, nums_k, nums_m, dens_k, dens_m in _six_term_specs(pt, r0, s0)
-    ]
-    yield base
-    for r, s in rest:
-        es, fs = _vector(pt, "e", r)[r0:], _vector(pt, "f", s)[s0:]
-        x = term_multiplier(es, fs, q, Fraction(1), order, prime)
-        y = term_multiplier(_times(es, q), _times(fs, q), q, q ** (s - r - s0 + r0), order, prime)
-        yield _extended(base, x, y, prime)
+    r0, s0 = shapes[0]
+    specs = _six_term_specs(pt, r0, s0)
+    base = []
+    for _, nums_k, nums_m, dens_k, dens_m in specs:
+        base.append((HypergeometricSpec(nums_k, dens_k[1:], q), Fraction(1), False))
+        base.append((HypergeometricSpec(nums_m, dens_m[1:], q), q ** (s0 - r0), True))
+    prefactors = [spec[0] for spec in specs]
+    for series in _extended_shapes(pt, ("e", "f"), shapes, base, order, prime):
+        yield list(zip(prefactors, series[::2], series[1::2]))
 
 
 def _times(values: Sequence[Scalar], x: Scalar) -> tuple[Scalar, ...]:
     return tuple([v * x for v in values])
-
-
-def _extended(base: list[tuple], x, y, prime: int | None) -> list[tuple]:
-    """(prefactor, F x, G y) for each (prefactor, F, G) of `base`, the
-    products taken termwise."""
-    return [
-        (pref, termwise_product(f, x, prime), termwise_product(g, y, prime)) for pref, f, g in base
-    ]
 
 
 def main_quadratic_factors(
@@ -443,38 +444,26 @@ def _specialization_shapes(
     pt: ParamPoint, rs: Sequence[int], order: int, prime: int | None = None
 ) -> Iterator[list[tuple]]:
     """The (signed prefactor, F, G) of the three products of the (r+1)phi(r)
-    quadratic specialization, for each r of `rs` in turn, from one base.
-
-    The first r is the base, r = 1 in the check's list, with its six series
-    built by phi_series in the order t1, ..., t6 of
-    check_quadratic_specialization.  Each later r reads the first factor of
-    each product from the base times X, from a_(r0+1), ..., a_r over
-    b_(r0+1), ..., b_r, and the second times Y, from the same parameters
-    times q, both at argument 1 (series.term_multiplier); X is built first.
-    """
+    quadratic specialization, for each r of `rs` in turn: the
+    _extended_shapes of the a and b parameters at shapes (r, r), with base
+    t1, ..., t6 of check_quadratic_specialization at the first r, the
+    second factor of each product shifted."""
     q = pt["q"]
     a0, a1, b1 = pt["a0"], pt["a1"], pt["b1"]
-    r0, *rest = rs
+    r0 = rs[0]
     ta, tb = _vector(pt, "a", r0)[1:], _vector(pt, "b", r0)[1:]
     taq, tbq = _times(ta, q), _times(tb, q)
-    one = Fraction(1)
-
-    def f(nums, dens):
-        return phi_series(HypergeometricSpec(nums, dens, q), one, order, prime)
-
-    base = [
-        ((a0 - 1) * (a1 - b1), f((a0 / q, a1) + ta, (b1 / q,) + tb),
-         f((a0 * q, a1) + taq, (b1 * q,) + tbq)),
-        (-(a0 - a1) * (1 - b1), f((a0, a1) + ta, (b1,) + tb), f((a0, a1) + taq, (b1,) + tbq)),
-        ((1 - a1) * (a0 - b1), f((a0, a1 / q) + ta, (b1 / q,) + tb),
-         f((a0, a1 * q) + taq, (b1 * q,) + tbq)),
+    lists = [
+        ((a0 / q, a1) + ta, (b1 / q,) + tb), ((a0 * q, a1) + taq, (b1 * q,) + tbq),
+        ((a0, a1) + ta, (b1,) + tb), ((a0, a1) + taq, (b1,) + tbq),
+        ((a0, a1 / q) + ta, (b1 / q,) + tb), ((a0, a1 * q) + taq, (b1 * q,) + tbq),
     ]
-    yield base
-    for r in rest:
-        ea, eb = _vector(pt, "a", r)[r0:], _vector(pt, "b", r)[r0:]
-        x = term_multiplier(ea, eb, q, one, order, prime)
-        y = term_multiplier(_times(ea, q), _times(eb, q), q, one, order, prime)
-        yield _extended(base, x, y, prime)
+    base = [
+        (HypergeometricSpec(n, d, q), Fraction(1), i % 2 == 1) for i, (n, d) in enumerate(lists)
+    ]
+    prefactors = ((a0 - 1) * (a1 - b1), -(a0 - a1) * (1 - b1), (1 - a1) * (a0 - b1))
+    for series in _extended_shapes(pt, ("a", "b"), [(r, r) for r in rs], base, order, prime):
+        yield list(zip(prefactors, series[::2], series[1::2]))
 
 
 def check_quadratic_specialization(
@@ -931,48 +920,28 @@ def _contiguous_shapes(
     pt: ParamPoint, shapes: Sequence[tuple[int, int]], order: int, prime: int | None = None
 ) -> Iterator[tuple]:
     """(t1, t2, prefactor, t3) of check_contiguous for each (r, s) of `shapes`
-    in turn, from one base: t1 = F[aq, A; bq, B; z], t2 = F[a, A; b, B; z]
-    and t3 = F[aq, Aq; bq^2, Bq; q^(1+s-r) z].
-
-    The first shape (r0, s0) is the base, (1, 1) in the check's list, built
-    by phi_series and _closed_form in the order t1, t2, prefactor, t3.  Each
-    later shape reads t1 and t2 from the base times X, from A_r0, ..., A_(r-1)
-    over B_s0, ..., B_(s-1) at argument 1, then forms its prefactor, then
-    reads t3 times Y, from the same parameters times q at argument
-    q^((s-r) - (s0-r0)), the change of t3's argument
-    (series.term_multiplier).
-    """
-    q = pt["q"]
-    a, b = pt["a"], pt["b"]
-    (r0, s0), *rest = shapes
-    one = Fraction(1)
-
-    def prefactor(r: int, s: int) -> Scalar:
-        return _closed_form(
+    in turn: t1 = F[aq, A; bq, B; z], t2 = F[a, A; b, B; z] and
+    t3 = F[aq, Aq; bq^2, Bq; q^(1+s-r) z], the _extended_shapes of A and B at
+    lengths (r-1, s-1), t3 shifted; each prefactor is formed after its series."""
+    q, a, b = pt["q"], pt["a"], pt["b"]
+    r0, s0 = shapes[0]
+    A, B = _vector(pt, "A", r0 - 1), _vector(pt, "B", s0 - 1)
+    base = [
+        (HypergeometricSpec((a * q,) + A, (b * q,) + B, q), Fraction(1), False),
+        (HypergeometricSpec((a,) + A, (b,) + B, q), Fraction(1), False),
+        (HypergeometricSpec((a * q,) + _times(A, q), (b * q**2,) + _times(B, q), q),
+         q ** (1 + s0 - r0), True),
+    ]
+    lengths = [(r - 1, s - 1) for r, s in shapes]
+    series = _extended_shapes(pt, ("A", "B"), lengths, base, order, prime)
+    for (r, s), (t1, t2, t3) in zip(shapes, series):
+        pref = _closed_form(
             ((-1, 1 + s - r), (a - b, 1)),
             ((_vector(pt, "A", r - 1), q, (1,)),),
             (((b, b * q) + _vector(pt, "B", s - 1), q, (1,)),),
             "prefactor denominator",
         )
-
-    A, B = _vector(pt, "A", r0 - 1), _vector(pt, "B", s0 - 1)
-    t1 = phi_series(HypergeometricSpec((a * q,) + A, (b * q,) + B, q), one, order, prime)
-    t2 = phi_series(HypergeometricSpec((a,) + A, (b,) + B, q), one, order, prime)
-    pref = prefactor(r0, s0)
-    t3 = phi_series(
-        HypergeometricSpec((a * q,) + _times(A, q), (b * q**2,) + _times(B, q), q),
-        q ** (1 + s0 - r0),
-        order,
-        prime,
-    )
-    yield t1, t2, pref, t3
-    for r, s in rest:
-        A, B = _vector(pt, "A", r - 1)[r0 - 1:], _vector(pt, "B", s - 1)[s0 - 1:]
-        x = term_multiplier(A, B, q, one, order, prime)
-        u1, u2 = termwise_product(t1, x, prime), termwise_product(t2, x, prime)
-        pref = prefactor(r, s)
-        y = term_multiplier(_times(A, q), _times(B, q), q, q ** (s - r - s0 + r0), order, prime)
-        yield u1, u2, pref, termwise_product(t3, y, prime)
+        yield t1, t2, pref, t3
 
 
 def _contiguous_residual(

@@ -23,8 +23,8 @@ z w is term k of (N; D; z) times the extension multiplier
     (E;q)_k / (F;q)_k * ((-1)^k q^C(k,2))^(|F|-|E|) * w^k,
 
 which the same loop yields with no (q;q)_k (term_multiplier).  So a series
-is extended by termwise_product, the Hadamard product, and the series checks
-in identities read every (r, s) shape of a point from one base.
+is extended by termwise_product, the Hadamard product, and one generator,
+identities._extended_shapes, reads a series check's (r, s) shapes from one base.
 
 A TruncatedSeries, like askey_wilson.PolynomialInX, holds integer numerators
 over one positive denominator; its canonical Fraction coefficients are built

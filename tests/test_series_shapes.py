@@ -1,11 +1,12 @@
 """The (r, s) shapes of the series checks, read from one base per point.
 
 main_quadratic, six_term_sums, six_term_pairs, quadratic_specialization and
-contiguous_relation build the series of their first shape with phi_series
-and every later shape from those by termwise products with extension
-multipliers.  Here each shape is built again directly, with one phi_series
-per series in the order the checks once used, and the two routes must give
-equal series, equal prefactors and the same first PoleError.
+contiguous_relation read their shapes from identities._extended_shapes: the
+series of their first shape come from phi_series, and every later shape's
+from those by termwise products with extension multipliers.  Here each
+shape is built again directly, with one phi_series per series in the order
+the checks once used, and the two routes must give equal series, equal
+prefactors and the same first PoleError.
 """
 
 from fractions import Fraction as F
@@ -98,8 +99,9 @@ def _direct_contiguous(pt, r, s, order, prime):
 FAMILIES = {
     "quadratic": (
         CHECKS_BY_ID["main_quadratic"].param_names,
-        # main_quadratic's shapes, and those of the six-term sums and pairs
-        [RS_PAIRS, SIX_TERM_SHAPES],
+        # main_quadratic's shapes, those of the six-term sums and pairs, and
+        # a base with s0 != r0, where Y's argument is not q^(s-r)
+        [RS_PAIRS, SIX_TERM_SHAPES, ((1, 0), (1, 1), (2, 1), (2, 2))],
         lambda pt, shapes, order, prime: _quadratic_shapes(pt, shapes, order, prime),
         lambda pt, shape, order, prime: _direct_quadratic(pt, *shape, order, prime),
     ),
@@ -111,7 +113,8 @@ FAMILIES = {
     ),
     "contiguous": (
         CHECKS_BY_ID["contiguous_relation"].param_names,
-        [CONTIGUOUS_SHAPES],
+        # the check's shapes, and a base of vector lengths (1, 0)
+        [CONTIGUOUS_SHAPES, ((2, 1), (2, 2))],
         lambda pt, shapes, order, prime: _contiguous_shapes(pt, shapes, order, prime),
         lambda pt, shape, order, prime: _direct_contiguous(pt, *shape, order, prime),
     ),
@@ -293,13 +296,22 @@ def _y_argument_one_power_high(real, previous, nums, dens, q, argument, order, p
 
 
 @pytest.mark.parametrize("mutate", (_sign_exponent_off_by_one, _y_argument_one_power_high))
-@pytest.mark.parametrize("check_id", ("main_quadratic", "six_term_pairs"))
+@pytest.mark.parametrize(
+    "check_id",
+    ("main_quadratic", "six_term_pairs", "quadratic_specialization", "contiguous_relation"),
+)
 def test_multiplier_mutants_fail_away_from_the_blind_points(monkeypatch, check_id, mutate):
-    # at b = d the A and B products share their parameter multisets and
-    # prefactor, and C's prefactor has the factor b - d; at a = c the same
-    # holds for B and C, and A's prefactor has the factor a - c.  Both checks
-    # hold there for any series, and each mutant fails every other trial
+    # at b = d the A and B products of the quadratic formula share their
+    # parameter multisets and prefactor, and C's prefactor has the factor
+    # b - d; at a = c the same holds for B and C, and A's prefactor has the
+    # factor a - c.  Those checks hold there for any series.  The
+    # specialization and the contiguous relation have no such points, and
+    # each mutant fails every trial that is not blind
     report, points = _mutant_fails(monkeypatch, mutate, check_id)
-    blind = [pt["b"] == pt["d"] or pt["a"] == pt["c"] for pt in points]
+    if "c" in CHECKS_BY_ID[check_id].param_names:
+        blind = [pt["b"] == pt["d"] or pt["a"] == pt["c"] for pt in points]
+        assert report.failures >= 8
+    else:
+        blind = [False] * len(points)
+        assert report.failures == len(points)
     assert report.witness_seeds == tuple([pt.seed for pt, b in zip(points, blind) if not b])
-    assert report.failures >= 8
