@@ -45,17 +45,27 @@ on integer pairs: aw_moment applies the last order to (t + b_j)^n, and
 aw_moments every order to (t + b_j)^k from one pass.  moment_weights reads
 one order as values, for the checks that apply one weight vector to
 many value columns through _weighted_sum.  The lattice Newton matrix is read
-from one Pochhammer prefix table, (a^2 q; q)_m, and (q;q)_m.  The lattice
-coefficients, the moment weights and the connection coefficients run on
-integer pairs from scalar._pair and build one canonical Fraction, or one
-Residue, per value they return.  A PolynomialInX holds integer numerators
-over one positive denominator, in lowest terms after one gcd per polynomial.
-Polynomial products and differences and the Newton expansion are each one
-call of the series kernel for sums of products, series._sum_of_products,
-on that integer form; the basis peel takes one basis polynomial off at a
-time with no division, so it runs mod p too.  Fractions are built only for
-a value that leaves it: .coeffs when read, a polynomial's value at a point,
-and each coefficient the peel takes off.
+from one Pochhammer prefix table, (a^2 q; q)_m, and (q;q)_m, and each
+lattice coefficient u_k puts its terms over one denominator.
+
+Newton interpolation through free nodes and the connection coefficients
+read one node-difference table, _difference_table: the products
+prod_{r<=k, r!=j} (b_j - b_r) as integer pairs, column k from column k-1 by
+prefix products.  newton_coeffs sums the closed form of the divided
+differences over it, and _connection_table every u(n, k) up to a degree
+in one pass, with prod_{j<n} (b_r + a_j) as prefix products over n;
+connection_u reads one entry.  The lattice coefficients, the moment
+weights and the connection coefficients run on integer pairs from
+scalar._pair and build one canonical Fraction, or one Residue, per value
+they return.  A PolynomialInX holds integer numerators over one positive
+denominator, in lowest terms after one gcd per polynomial.  Polynomial
+products and differences are each one call of the series kernel for sums
+of products, series._sum_of_products, on that integer form, and the Newton
+expansion builds its basis (x - b_0)...(x - b_(k-1)) as prefix products,
+one call per factor, and sums it in one more; the basis peel takes one
+basis polynomial off at a time with no division, so it runs mod p too.
+Fractions are built only for a value that leaves it: .coeffs when read, a
+polynomial's value at a point, and each coefficient the peel takes off.
 """
 
 from __future__ import annotations
@@ -63,7 +73,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .scalar import (
     DomainError,
@@ -71,6 +81,7 @@ from .scalar import (
     Residue,
     Scalar,
     _closed_form,
+    _over_one_denominator,
     _pair,
     _qpoch_multi_prefix,
     _ratio,
@@ -414,20 +425,25 @@ def newton_lattice_coeffs(
         u_k = sum_{j=0}^k q^(k - j^2) a^(-2j) f(b_j)
               / ( (q, q^(1-2j)/a^2; q)_j (q, q^(2j+1) a^2; q)_{k-j} ).
 
-    All u_k come from one pass over the nodes, with M_kj from
-    _lattice_denominators; each u_k is accumulated as an unreduced integer
-    pair and becomes one canonical Fraction.
+    The terms M_kj f(b_j) are unreduced integer pairs, with M_kj from
+    _lattice_denominators; their denominators share most of their factors,
+    so each u_k puts its terms over their lcm (scalar._over_one_denominator)
+    and becomes one canonical Fraction.
     """
     if f.degree > n:
         raise DomainError(f"degree {f.degree} exceeds expansion order {n}")
     fvals = [_pair(f(b)) for b in _distinct_lattice_nodes(a, q, n)]
-    nums, dens = [0] * (n + 1), [1] * (n + 1)
-    for j, ((fn, fd), (cn, cd, dn, dd)) in enumerate(zip(fvals, _lattice_denominators(a, q, n))):
-        wn, wd = fn * cn, fd * cd
-        for k in range(j, n + 1):
-            tn, td = wn * dn[k - j], wd * dd[k - j]
-            nums[k], dens[k] = nums[k] * td + tn * dens[k], dens[k] * td
-    return [Fraction(x, y) for x, y in zip(nums, dens)]
+    tables = _lattice_denominators(a, q, n)
+    heads = [(fn * cn, fd * cd) for (fn, fd), (cn, cd, _, _) in zip(fvals, tables)]
+    out = []
+    for k in range(n + 1):
+        terms = [
+            (wn * dn[k - j], wd * dd[k - j])
+            for j, ((wn, wd), (_, _, dn, dd)) in enumerate(zip(heads[: k + 1], tables))
+        ]
+        nums, den = _over_one_denominator(terms)
+        out.append(Fraction(sum(nums), den))
+    return out
 
 
 def _weight_orders(
@@ -591,31 +607,109 @@ def aw_moments(
     return out
 
 
+def _difference_table(pairs: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """The node-difference table of nodes b_j = j_n/j_d, given as canonical
+    pairs: column k lists, for j = 0..k, prod_{r<=k, r!=j} (b_j - b_r) as the
+    unreduced integer pair D[j][k] / E[j][k], with
+
+        D[j][k] = prod_{r<=k, r!=j} (j_n r_d - r_n j_d),
+        E[j][k] = prod_{r<=k, r!=j} j_d r_d.
+
+    Column k is column k-1 with the factor of r = k in each entry, and one
+    new entry j = k: prefix products.  D is nonzero when the nodes are
+    distinct.  newton_coeffs and _connection_table read their denominators
+    from it.
+    """
+    columns: list[list[tuple[int, int]]] = []
+    column: list[tuple[int, int]] = []
+    b_den = 1  # prod_{r<k} r_d
+    for k, (kn, kd) in enumerate(pairs):
+        head = pairs[:k]
+        column = [(d * (jn * kd - kn * jd), e * jd * kd) for (d, e), (jn, jd) in zip(column, head)]
+        column.append((math.prod([kn * jd - jn * kd for jn, jd in head]), kd**k * b_den))
+        columns.append(column)
+        b_den *= kd
+    return columns
+
+
+def _pair_sum(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """sum_i n_i / d_i for nonzero d_i, cross-multiplied: one unreduced pair.
+    Products of distinct node differences share few factors, so their lcm is
+    close to their product, and this skips the gcds of
+    scalar._over_one_denominator."""
+    num, den = 0, 1
+    for tn, td in terms:
+        num, den = num * td + tn * den, den * td
+    return num, den
+
+
 def newton_coeffs(nodes: Sequence[Scalar], values: Sequence[Scalar]) -> list[Scalar]:
     """Divided differences c_k = sum_j f(b_j) / prod_{r<=k, r!=j} (b_j - b_r).
 
-    These are the coefficients of f in the basis (x-b_0)...(x-b_{k-1}).
+    These are the coefficients of f in the basis (x-b_0)...(x-b_{k-1}).  Each
+    c_k is that closed form, summed on integer pairs over column k of
+    _difference_table: one canonical Fraction.
     """
     if len(nodes) != len(values):
         raise ValueError("nodes and values must have equal length")
-    if len(set(map(_pair, nodes))) != len(nodes):  # canonical pairs, cheaper to hash
+    pairs = list(map(_pair, nodes))
+    if len(set(pairs)) != len(pairs):  # canonical pairs, cheaper to hash
         raise DuplicateNodes("interpolation nodes must be distinct")
-    table = [Fraction(v) for v in values]
-    out = [table[0]]
-    for k in range(1, len(nodes)):
-        table = [
-            (table[i + 1] - table[i]) / (nodes[i + k] - nodes[i])
-            for i in range(len(table) - 1)
-        ]
-        out.append(table[0])
-    return out
+    fvals = list(map(_pair, values))
+    return [
+        Fraction(*_pair_sum((fn * e, fd * d) for (fn, fd), (d, e) in zip(fvals, column)))
+        for column in _difference_table(pairs)
+    ]
 
 
 def newton_to_monomial(coeffs: Sequence[Scalar], nodes: Sequence[Scalar]) -> PolynomialInX:
-    """Expand sum_k c_k (x-b_0)...(x-b_{k-1}) into the monomial basis."""
-    factors = [([-bn, bd], bd) for bn, bd in map(_pair, nodes)]
-    terms = [[c, ([1], 1)] + factors[:k] for k, c in enumerate(coeffs)]
-    return PolynomialInX.from_integers(*_sum_of_products(terms, len(coeffs)))
+    """Expand sum_k c_k (x-b_0)...(x-b_{k-1}) into the monomial basis.
+
+    The basis polynomials are prefix products, each the last times x - b_(k-1),
+    and the sum over them is one more series._sum_of_products call.
+    """
+    if len(nodes) < len(coeffs) - 1:
+        raise ValueError("need a node for each basis factor: len(nodes) >= len(coeffs) - 1")
+    basis = [([1], 1)]
+    for k, (bn, bd) in enumerate(map(_pair, nodes[: len(coeffs) - 1]), 1):
+        basis.append(_sum_of_products([(1, basis[-1], ([-bn, bd], bd))], k + 1))
+    return PolynomialInX.from_integers(*_sum_of_products(list(zip(coeffs, basis)), len(coeffs)))
+
+
+def _connection_table(
+    a_nodes: Sequence[Scalar], b_nodes: Sequence[Scalar], n_top: int
+) -> list[list[Scalar]]:
+    """Rows n = 0..n_top of connection coefficients: row n lists u(n, k) of
+    connection_u for k = 0..min(n, len(b_nodes) - 1).  Reads a_0..a_(n_top-1)
+    and raises DuplicateNodes when two b-nodes coincide.
+
+    With b_r = r_n/r_d, prod_{j<n} (b_r + a_j) is values[r] / (r_d^n A_n): the
+    numerators gain one factor r_n a_d + a_n r_d per row, and A_n is the
+    product of the a-nodes' denominators.  The denominators
+    prod_{j<=k, j!=r} (b_r - b_j) are column k of _difference_table, read by
+    every row.  Each u(n, k) is summed on integer pairs: one canonical
+    Fraction.
+    """
+    b_pairs = list(map(_pair, b_nodes))
+    if len(set(b_pairs)) != len(b_pairs):  # canonical pairs, cheaper to hash
+        raise DuplicateNodes("b-nodes must be distinct")
+    columns = _difference_table(b_pairs)
+    values, powers, a_den = [1] * len(b_pairs), [1] * len(b_pairs), 1  # powers[r] = r_d^n
+    rows = []
+    for n in range(n_top + 1):
+        if n:
+            an, ad = _pair(a_nodes[n - 1])
+            values = [v * (rn * ad + an * rd) for v, (rn, rd) in zip(values, b_pairs)]
+            powers = [x * rd for x, (_, rd) in zip(powers, b_pairs)]
+            a_den *= ad
+        row = []
+        for column in columns[: n + 1]:
+            num, den = _pair_sum(
+                (v * e, x * d) for v, x, (d, e) in zip(values, powers, column)
+            )
+            row.append(Fraction(num, a_den * den))
+        rows.append(row)
+    return rows
 
 
 def connection_u(
@@ -624,23 +718,12 @@ def connection_u(
     """Connection coefficient between the bases prod(x+a_j) and prod(x-b_j):
 
         u(n,k) = sum_{r=0}^k prod_{j<n} (b_r + a_j) / prod_{j<=k, j!=r} (b_r - b_j).
+
+    It reads a_0..a_(n-1) and b_0..b_k, and is entry (n, k) of
+    _connection_table on those nodes.
     """
     if not 0 <= k <= n:
         raise DomainError("need 0 <= k <= n")
-    b_pairs = [_pair(b) for b in b_nodes[: k + 1]]
-    if len(set(b_pairs)) != len(b_pairs):  # canonical pairs, cheaper to hash
-        raise DuplicateNodes("b-nodes must be distinct")
-    a_pairs = [_pair(a_nodes[j]) for j in range(n)]
-    # with b_r = rn/rd, the r-term is P_r B / (A rd^(n-k+1) D_r): P_r and D_r
-    # are the integer products below, A and B the products of the a- and
-    # b-node denominators
-    num, den = 0, 1
-    for r, (rn, rd) in enumerate(b_pairs):
-        tn = math.prod(rn * ad + an * rd for an, ad in a_pairs)
-        td = rd ** (n - k + 1) * math.prod(
-            rn * sd - sn * rd for s, (sn, sd) in enumerate(b_pairs) if s != r
-        )
-        num, den = num * td + tn * den, den * td
-    a_den = math.prod(ad for _, ad in a_pairs)
-    b_den = math.prod(bd for _, bd in b_pairs)
-    return Fraction(b_den * num, a_den * den)
+    if len(b_nodes) <= k or len(a_nodes) < n:
+        raise DomainError("u(n, k) needs n a-nodes and k+1 b-nodes")
+    return _connection_table(a_nodes[:n], b_nodes[: k + 1], n)[n][k]

@@ -92,13 +92,13 @@ from .askey_wilson import (
     _aw_polys,
     _aw_prefactors,
     _basis_moments,
+    _connection_table,
     _peel_functional,
     _weighted_sum,
     aw_leading_coeff,
     aw_moment,
     aw_moments,
     basis_moment,
-    connection_u,
     moment_weights,
     newton_coeffs,
     newton_lattice_coeffs,
@@ -139,7 +139,6 @@ from .scalar import (
     _ratio_table,
     gamma_int,
     qpoch,
-    qpoch_multi_table,
     sample_point,
 )
 from .series import (
@@ -1318,9 +1317,9 @@ def _run_contiguous(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_newton_interpolation(pt: ParamPoint, sizes: Sizes) -> list:
     """Newton interpolation through free nodes, and on the q-quadratic lattice.
 
-    The lattice variant reads (az, a/z; q)_k, k = 0..deg, from one prefix
-    table per z.  The table raises nothing, and a zero factor zeroes every
-    later entry as the per-k products did, so pole outcomes are unchanged.
+    The lattice variant reads (az, a/z; q)_k, k = 0..deg, as integer pairs
+    from one prefix table per z, which raises nothing, and puts the sum
+    over k and f(x) over one denominator: one Fraction per z.
     """
     deg = min(sizes.n_max, 8)
     f = PolynomialInX([pt[f"c{i}"] for i in range(deg + 1)])
@@ -1332,9 +1331,11 @@ def _run_newton_interpolation(pt: ParamPoint, sizes: Sizes) -> list:
     a, q = pt["a"], pt["q"]
     u = newton_lattice_coeffs(f, a, q, deg)
     for z in (Fraction(2), Fraction(3), Fraction(5, 2)):
-        x = (z + 1 / z) / 2
-        basis = qpoch_multi_table((a * z, a / z), q, deg)
-        out.append(sum((uk * bk for uk, bk in zip(u, basis)), Fraction(0)) - f(x))
+        fn, fd = _pair(f((z + 1 / z) / 2))
+        basis = zip(map(_pair, u), *_qpoch_multi_prefix((a * z, a / z), q, deg))
+        terms = [(un * bn, ud * bd) for (un, ud), bn, bd in basis]
+        nums, den = _over_one_denominator(terms + [(-fn, fd)])
+        out.append(Fraction(sum(nums), den))
     return out
 
 
@@ -1344,24 +1345,31 @@ def _run_connection_coeffs(pt: ParamPoint, sizes: Sizes) -> list:
     n_top = min(sizes.n_max, 8)
     a_nodes = [pt[f"p{i}"] for i in range(n_top)]
     b_nodes = [pt[f"n{i}"] for i in range(n_top + 1)]
-    # every closed-form sum u(n, k), 0 <= k <= n <= n_top, computed once
-    u = [[connection_u(n, k, a_nodes, b_nodes) for k in range(n + 1)] for n in range(n_top + 1)]
+    # every closed-form sum u(n, k), 0 <= k <= n <= n_top, from one table
+    u = _connection_table(a_nodes, b_nodes, n_top)
     # boundary values u(n, 0) = prod_(i<n) (a_i + b_0)
     out = [u[0][0] - 1]
     prod = Fraction(1)
     for n in range(1, n_top + 1):
         prod *= a_nodes[n - 1] + b_nodes[0]
         out.append(u[n][0] - prod)
-    # recurrence u(n,k) = u(n-1,k-1) + (a_(n-1) + b_k) u(n-1,k)
+    # recurrence u(n,k) = u(n-1,k-1) + (a_(n-1) + b_k) u(n-1,k), each residual
+    # on integer pairs over one denominator
+    a_pairs, b_pairs = list(map(_pair, a_nodes)), list(map(_pair, b_nodes))
     for n in range(2, n_top + 1):
+        an, ad = a_pairs[n - 1]
         for k in range(1, n):
-            rhs = u[n - 1][k - 1] + (a_nodes[n - 1] + b_nodes[k]) * u[n - 1][k]
-            out.append(u[n][k] - rhs)
+            bn, bd = b_pairs[k]
+            (xn, xd), (yn, yd), (zn, zd) = map(_pair, (u[n][k], u[n - 1][k - 1], u[n - 1][k]))
+            terms = [(xn, xd), (-yn, yd), (-(an * bd + bn * ad) * zn, ad * bd * zd)]
+            nums, den = _over_one_denominator(terms)
+            out.append(Fraction(sum(nums), den))
     # basis expansion prod_(i<n) (x + a_i) = sum_k u(n,k) prod_(i<k) (x - b_i) at
-    # n = n_top, compared coefficient by coefficient: n_top+1 residuals
-    lhs = math.prod((poly_x_plus(a) for a in a_nodes), start=PolynomialInX([1]))
+    # n = n_top, compared coefficient by coefficient: n_top+1 residuals, the
+    # product and the difference in one kernel call
     rhs = newton_to_monomial(u[n_top], b_nodes)
-    nums, den = _sum_of_products([(1, (lhs.nums, lhs.den)), (-1, (rhs.nums, rhs.den))], n_top + 1)
+    lhs = [([1], 1)] + [([an, ad], ad) for an, ad in a_pairs]
+    nums, den = _sum_of_products([(1, *lhs), (-1, (rhs.nums, rhs.den))], n_top + 1)
     out.extend([Fraction(x, den) for x in nums])
     return out
 

@@ -21,7 +21,7 @@ from helpers import (
     six_term_parts,
     to_lists,
 )
-from qident import identities, scalar
+from qident import askey_wilson, identities, scalar
 from qident.askey_wilson import (
     AWParams,
     DegenerateLattice,
@@ -29,6 +29,7 @@ from qident.askey_wilson import (
     PolynomialInX,
     XPoint,
     _aw_polys,
+    _connection_table,
     _lattice_denominators,
     aw_leading_coeff,
     aw_moment,
@@ -39,6 +40,7 @@ from qident.askey_wilson import (
     lattice_nodes,
     moment_functional,
     moment_weights,
+    newton_coeffs,
     newton_lattice_coeffs,
     newton_to_monomial,
 )
@@ -77,6 +79,7 @@ from qident.identities import (
     rhs_integer_exp_pfaffian,
     rhs_mehta_wang,
     rhs_pfaffian,
+    run_check,
     six_term_g,
     six_term_xi,
 )
@@ -676,6 +679,23 @@ def ref_poly_sub(u, v):
     return out
 
 
+def ref_newton_coeffs(nodes, values):
+    """Divided differences by the recurrence on Fraction tables."""
+    if len(nodes) != len(values):
+        raise ValueError("nodes and values must have equal length")
+    if len(set(map(F, nodes))) != len(nodes):
+        raise DuplicateNodes("interpolation nodes must be distinct")
+    table = [F(v) for v in values]
+    out = [table[0]]
+    for k in range(1, len(nodes)):
+        table = [
+            (table[i + 1] - table[i]) / (nodes[i + k] - nodes[i])
+            for i in range(len(table) - 1)
+        ]
+        out.append(table[0])
+    return out
+
+
 def ref_newton_to_monomial(coeffs, nodes):
     """sum_k c_k (x-b_0)...(x-b_{k-1}) by Horner's rule on Fraction lists."""
     out = [F(coeffs[-1])]
@@ -904,6 +924,112 @@ def test_connection_u_duplicate_nodes_and_domain():
     assert canon([connection_u(0, 0, [], [5])]) == canon([F(1)])
     with pytest.raises(DomainError):
         connection_u(2, 3, [1, 2], [1, 2, 3, 4])
+
+
+def test_connection_u_refuses_too_few_nodes():
+    # u(2, 2) reads b_0, b_1, b_2 and u(3, 1) reads a_0, a_1, a_2
+    for n, k in ((2, 2), (3, 1)):
+        with pytest.raises(DomainError, match="needs n a-nodes and k\\+1 b-nodes"):
+            connection_u(n, k, [1, 2], [3, 5])
+    assert canon([connection_u(2, 1, [1, 2], [3, 5])]) == canon(
+        [ref_connection_u(2, 1, [1, 2], [3, 5])]
+    )
+
+
+def test_newton_to_monomial_refuses_too_few_nodes():
+    with pytest.raises(ValueError, match="a node for each basis factor"):
+        newton_to_monomial([F(1), F(2), F(5)], [F(3)])
+    # the last basis polynomial has len(coeffs) - 1 factors
+    expected = ref_newton_to_monomial([F(1), F(2), F(5)], [F(3), F(4)])
+    assert canon(newton_to_monomial([F(1), F(2), F(5)], [F(3), F(4)]).coeffs) == canon(expected)
+
+
+INTERPOLATION_NAMES = (
+    tuple(f"n{i}" for i in range(9))
+    + tuple(f"p{i}" for i in range(8))
+    + tuple(f"c{i}" for i in range(9))
+    + ("a", "q")
+)
+
+
+@pytest.mark.parametrize("height", (2, 3, 5, 40))
+@pytest.mark.parametrize("seed", range(10))
+def test_difference_table_readers_match_their_references(seed, height):
+    # the checks' own sampler: below height 5 most of the nine nodes collide,
+    # so every prefix of them is read, and the lattice nodes collide often
+    pt = sample_point(INTERPOLATION_NAMES, seed, height)
+    nodes = [pt[f"n{i}"] for i in range(9)]
+    a_nodes = [pt[f"p{i}"] for i in range(8)]
+    coeffs = [pt[f"c{i}"] for i in range(9)]
+    f = PolynomialInX(coeffs)
+    for m in range(1, 10):
+        b_nodes, values = nodes[:m], [f(b) for b in nodes[:m]]
+        assert attempt(newton_coeffs, b_nodes, values) == attempt(
+            ref_newton_coeffs, b_nodes, values
+        )
+
+        def table():
+            return [u for row in _connection_table(a_nodes, b_nodes, 8) for u in row]
+
+        def ref_table():
+            return [
+                ref_connection_u(n, k, a_nodes, b_nodes)
+                for n in range(9)
+                for k in range(min(n, m - 1) + 1)
+            ]
+
+        assert attempt(table) == attempt(ref_table)
+    for n in range(9):
+        f = PolynomialInX(coeffs[: n + 1])
+        assert attempt(newton_lattice_coeffs, f, pt["a"], pt["q"], n) == attempt(
+            ref_newton_lattice_coeffs, list(f.coeffs), pt["a"], pt["q"], n
+        )
+
+
+def _difference_factor_dropped(real, pairs):
+    # column k keeps the entries of column k-1: their factor for r = k is lost
+    columns = real(pairs)
+    return columns[:1] + [prev + column[-1:] for prev, column in zip(columns, columns[1:])]
+
+
+def _difference_factor_repeated(real, pairs):
+    # every entry j >= 1 takes its factor b_j - b_0 twice
+    zn, zd = pairs[0]
+    return [
+        [(d, e)] + [
+            (x * (jn * zd - zn * jd), y * jd * zd)
+            for (x, y), (jn, jd) in zip(rest, pairs[1:])
+        ]
+        for (d, e), *rest in real(pairs)
+    ]
+
+
+@pytest.mark.parametrize("mutate", (_difference_factor_dropped, _difference_factor_repeated))
+@pytest.mark.parametrize("check_id", ("newton_interpolation", "connection_coeffs"))
+def test_difference_table_slips_fail_every_trial(monkeypatch, check_id, mutate):
+    real = askey_wilson._difference_table
+    monkeypatch.setattr(askey_wilson, "_difference_table", lambda pairs: mutate(real, pairs))
+    report = run_check(CHECKS_BY_ID[check_id], trials=20, seed=0)
+    assert report.failures == report.trials == 20
+
+
+def _lattice_basis_shifted(real, params, q, n, prime=None):
+    # u_k is paired with (az, a/z; q)_(k+1)
+    nums, dens = real(params, q, n + 1, prime)
+    return nums[1:], dens[1:]
+
+
+def _lattice_basis_one_base(real, params, q, n, prime=None):
+    # (az; q)_k stands in for (az, a/z; q)_k
+    return real(params[:1], q, n, prime)
+
+
+@pytest.mark.parametrize("mutate", (_lattice_basis_shifted, _lattice_basis_one_base))
+def test_lattice_evaluation_slips_fail_every_trial(monkeypatch, mutate):
+    real = identities._qpoch_multi_prefix
+    monkeypatch.setattr(identities, "_qpoch_multi_prefix", lambda *args: mutate(real, *args))
+    report = run_check(CHECKS_BY_ID["newton_interpolation"], trials=20, seed=0)
+    assert report.failures == report.trials == 20
 
 
 @pytest.mark.parametrize("seed", SEEDS)
