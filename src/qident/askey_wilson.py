@@ -26,7 +26,8 @@ term-ratio recurrence series._term_ratios: one canonical Fraction per value.
 Its prefactor (ab,ac,ad;q)_n / a^n is entry n of one scalar._qpoch_multi_prefix
 table over the powers of a.  _aw_polys yields p_0, ..., p_n at one point, one
 degree at a time, from pairs formed once and that one table up to n, or
-given a prime their Residues, with the same poles; a check that needs
+given a prime their Residues, with the same poles: the exact term ratios
+decide them, and the fold then runs mod p; a check that needs
 several degrees at a point reads them from it, and the orthogonality check
 evaluates each p_m at the lattice nodes z_j = a q^j that way.
 aw_leading_coeff is the closed form of the x^n coefficient, so a degree
@@ -70,6 +71,7 @@ polynomial's value at a point, and each coefficient the peel takes off.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,8 +110,9 @@ class AWParams:
     d: Scalar
     q: Scalar
 
-    @property
+    @functools.cached_property
     def abcd(self) -> Scalar:
+        """The product abcd, formed on first read."""
         return self.a * self.b * self.c * self.d
 
     def permuted(self, order: Sequence[str]) -> "AWParams":
@@ -216,7 +219,8 @@ def _aw_value(
     """p_n from the pairs of _aw_pairs and its prefactor pair: the 4phi3's
     parameters q^(-n), abcd q^(n-1), az, a/z; q, ab, ac, ad are unreduced
     integer pairs, summed by series._terminating_sum at argument q.  One
-    canonical Fraction, or its Residue mod `prime` when one is given."""
+    canonical Fraction, or with a prime the Residue of the same pair, its
+    sum folded mod p."""
     (an, ad), (bn, bd), (cn, cd), (dn, dd), q, (zn, zd) = pairs
     qn, qd = q
     sn, sd = (qn ** (n - 1), qd ** (n - 1)) if n else (qd, qn)  # q^(n-1)
@@ -227,7 +231,7 @@ def _aw_value(
         (an * zd, ad * zn),
     )
     dens = (q, (an * bn, ad * bd), (an * cn, ad * cd), (an * dn, ad * dd))
-    num, den = _terminating_sum((nums, dens, q), q, n)
+    num, den = _terminating_sum((nums, dens, q), q, n, prime)
     return _ratio([pref[0], num], [pref[1], den], prime)
 
 

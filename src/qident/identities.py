@@ -26,12 +26,19 @@ six_term_factorization divides by its prefactors, which a residue cannot
 do without an inverse, and the sums and pairs, which read one coefficient
 at a time, gained nothing mod p at n_max 5.  Every closed form here (the six-term factors
 G_k and Xi, D_n and the Gram, Hankel, Mehta-Wang and Pfaffian products, the
-q-Watson sum and the contiguous prefactor) is one call of
-scalar._closed_form.  The matrix builders read their Pochhammer products from
-integer prefix tables (scalar._qpoch_multi_prefix), their ratios from
+q-Watson sum and the contiguous prefactor) comes from the kernel
+scalar._closed_forms.  The matrix checks read the closed forms of every
+order at a point from one pass of it (_det_prefactors, _hankel_forms,
+_mehta_wang_forms, _pfaffian_forms, _integer_exp_pfaffians), and each
+public rhs_* or prefactor of order n reads entry n of the same pass; the
+six-term factors, the q-Watson sum and the contiguous prefactor are
+one-order calls, scalar._closed_form.  The matrix builders read their
+Pochhammer products from integer prefix tables
+(scalar._qpoch_multi_prefix), their ratios from
 scalar._ratio_table and other integer pairs from scalar._pair, and form each
 entry from unreduced integer products as one scalar._ratio: a canonical
-Fraction, or, given a `prime`, its Residue with no gcd.  Builders and closed
+Fraction, or, given a `prime`, its Residue with no gcd, from tables taken
+mod p whose entries are still formed exactly.  Builders and closed
 forms divide only by the table entries they read, so a zero elsewhere in a
 table is no pole, and poles are decided on the exact entries either way: a
 Residue is built only from an exact denominator that is nonzero.  The
@@ -42,7 +49,7 @@ The determinant and Pfaffian checks run their engines mod the same prime
 pt.prime, drawn from the trial point's seed.  They take the closed forms
 they compare mod the same prime (every rhs_* and prefactor takes an
 optional `prime`), and bordered_det and gram_det read p_1, ..., p_n mod it
-from one askey_wilson._aw_polys pass, which their closed forms take by value.
+from one askey_wilson._aw_polys pass and multiply each into its prefactor.
 Six build their matrices mod it too: gram_det, gram_to_bordered,
 little_qjacobi_hankel, mehta_wang_det, even_order_det and
 pfaffian_integer_exp; bordered_det and pfaffian_eval keep exact builders,
@@ -51,9 +58,9 @@ cross-checks.  gram_to_bordered forms its entry residuals and determinant
 scaling from the residues of its entries.  Their residuals are then
 scalar.Residues, which read 0 exactly when the prime divides the exact
 residual's numerator; a builder or closed form still raises PoleError only
-where its exact value would.  Two calls stay exact: the plain
-Hankel closed form of little_qjacobi_hankel and the Pfaffian closed form of
-pfaffian_eval.  The benchmark's tests replace rhs_hankel and rhs_pfaffian
+where its exact value would.  Two calls stay exact, one public call per
+order: the plain Hankel closed form of little_qjacobi_hankel and the
+Pfaffian closed form of pfaffian_eval.  The benchmark's tests replace rhs_hankel and rhs_pfaffian
 with stand-ins that take the exact arguments only, and those must fail on a
 residual, not on a TypeError.  The matrix families are nested, entry (i, j)
 independent of the order, so each builds its matrix once at the top order
@@ -130,6 +137,7 @@ from .scalar import (
     SamplingExhausted,
     Scalar,
     _closed_form,
+    _closed_forms,
     _common_denominator,
     _over_one_denominator,
     _pair,
@@ -146,6 +154,7 @@ from .series import (
     SeriesResidue,
     TruncatedSeries,
     _sum_of_products,
+    _terminating_sum,
     phi_series,
     phi_term,
     phi_terminating,
@@ -528,7 +537,7 @@ def build_bordered_matrix(n: int, p: AWParams, pt: XPoint, prime: int | None = N
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
     x = pt.x
     # ratio k = (ab;q)_k / (abcd;q)_(k+1), read at every k = i+j-1 in 0..2n-2
-    rn, rd = _ratio_table((a * b,), p.abcd, q, 2 * n - 2, "(abcd;q)_(i+j)", shift=1)
+    rn, rd = _ratio_table((a * b,), p.abcd, q, 2 * n - 2, "(abcd;q)_(i+j)", 1, prime)
     (k0, k1, k2, k3), L = _common_denominator(
         (c + d - 2 * x, (1 - c * d) * a, (1 - c * d) * b, a * b * (c + d - 2 * c * d * x))
     )
@@ -548,19 +557,24 @@ def build_bordered_matrix(n: int, p: AWParams, pt: XPoint, prime: int | None = N
 def det_prefactor(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
     """D_n = a^(n(n-1)/2) b^(n(n+1)/2) q^(n(n-1)(2n-1)/6)
              prod_i (ab,cd,q;q)_i / (abcd;q)_(n+i)."""
-    return _det_prefactor_times(n, p, 1, (), prime)
+    return next(_det_prefactors((n,), p, 1, (), prime))
 
 
-def _det_prefactor_times(
-    n: int, p: AWParams, sign: int, extra: tuple[Scalar, ...], prime: int | None
-) -> Scalar | Residue:
-    """sign^n D_n prod_i (extra;q)_i: D_n with more bases in its numerator."""
+def _det_prefactors(
+    orders: Sequence[int], p: AWParams, sign: int, extra: tuple[Scalar, ...], prime: int | None
+) -> Iterator[Scalar | Residue]:
+    """sign^n D_n prod_i (extra;q)_i, D_n with more bases in its numerator,
+    at each order n of `orders`, from one _closed_forms pass."""
     a, b, q = p.a, p.b, p.q
-    return _closed_form(
-        ((sign, n), (a, n * (n - 1) // 2), (b, n * (n + 1) // 2),
-         (q, n * (n - 1) * (2 * n - 1) // 6)),
-        (((a * b, p.c * p.d, q) + extra, q, range(n)),),
-        (((p.abcd,), q, range(n, 2 * n)),),
+    bases, abcd = (a * b, p.c * p.d, q) + extra, (p.abcd,)
+    return _closed_forms(
+        orders,
+        lambda n: (
+            ((sign, n), (a, n * (n - 1) // 2), (b, n * (n + 1) // 2),
+             (q, n * (n - 1) * (2 * n - 1) // 6)),
+            ((bases, q, range(n)),),
+            ((abcd, q, range(n, 2 * n)),),
+        ),
         "(abcd;q)_(n+i)",
         prime,
     )
@@ -573,14 +587,25 @@ def rhs_det_formula(
     return det_prefactor(n, p, prime) * p_n
 
 
-def _decorations(n: int, p: AWParams) -> tuple[tuple[list[int], list[int]], ...]:
+def _decoration_bases(p: AWParams) -> tuple[Scalar, ...]:
+    """(ac, ad, bc, bd): the bases of the row and column decorations."""
+    a, b, c, d = p.a, p.b, p.c, p.d
+    return a * c, a * d, b * c, b * d
+
+
+def _decorations(
+    n: int, p: AWParams, prime: int | None = None
+) -> tuple[tuple[list[int], list[int]], ...]:
     """Row factors (ac,ad;q)_i and column factors (bc,bd;q)_j, for i, j = 0..n,
-    as integer pairs.
+    as integer pairs, taken mod `prime` when one is given.
 
     They turn the plain Hankel entries into the Gram and decorated Hankel ones.
     """
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    return _qpoch_multi_prefix((a * c, a * d), q, n), _qpoch_multi_prefix((b * c, b * d), q, n)
+    return (
+        _qpoch_multi_prefix((a * c, a * d), q, n, prime),
+        _qpoch_multi_prefix((b * c, b * d), q, n, prime),
+    )
 
 
 def _decoration_det(n: int, row: tuple, col: tuple, prime: int | None = None) -> Scalar | Residue:
@@ -593,8 +618,10 @@ def _decorated_hankel(
 ) -> list[Scalar | Residue]:
     """(ac,ad;q)_i (bc,bd;q)_j (ab;q)_(i+j) / (abcd;q)_(i+j), i < rows, j < cols,
     row-major; Residues mod `prime` when one is given."""
-    hn, hd = _ratio_table((p.a * p.b,), p.abcd, p.q, rows + cols - 2, "(abcd;q)_(i+j)")
-    (rn, rd), (cn, cd) = _decorations(max(rows, cols), p)
+    hn, hd = _ratio_table(
+        (p.a * p.b,), p.abcd, p.q, rows + cols - 2, "(abcd;q)_(i+j)", prime=prime
+    )
+    (rn, rd), (cn, cd) = _decorations(max(rows, cols), p, prime)
     return [
         _ratio([rn[i], cn[j], hn[i + j]], [rd[i], cd[j], hd[i + j]], prime)
         for i in range(rows)
@@ -610,7 +637,9 @@ def build_gram_matrix(n: int, p: AWParams, pt: XPoint, prime: int | None = None)
     last row: (bz, b/z; q)_j.
     """
     b, z = p.b, pt.z
-    last = [_ratio([x], [y], prime) for x, y in zip(*_qpoch_multi_prefix((b * z, b / z), p.q, n))]
+    last = [
+        _ratio([x], [y], prime) for x, y in zip(*_qpoch_multi_prefix((b * z, b / z), p.q, n, prime))
+    ]
     return Matrix(n + 1, n + 1, tuple(_decorated_hankel(n, n + 1, p, prime) + last))
 
 
@@ -631,8 +660,7 @@ def gram_prefactor(n: int, p: AWParams, prime: int | None = None) -> Scalar | Re
     """C = (-1)^n a^(n(n-1)/2) b^(n(n+1)/2) q^(n(n-1)(2n-1)/6)
            prod_i (ab,ac,ad,bc,bd,cd,q;q)_i / (abcd;q)_(n+i),
     that is (-1)^n D_n prod_i (ac,ad,bc,bd;q)_i."""
-    a, b, c, d = p.a, p.b, p.c, p.d
-    return _det_prefactor_times(n, p, -1, (a * c, a * d, b * c, b * d), prime)
+    return next(_det_prefactors((n,), p, -1, _decoration_bases(p), prime))
 
 
 def rhs_gram_formula(
@@ -663,7 +691,7 @@ def gram_elimination_residuals(
     top = max(n_max, 0)
     A = build_gram_matrix(top, p, pt, prime)
     B = build_bordered_matrix(top, p, pt, prime)
-    row, col = _decorations(top, p)
+    row, col = _decorations(top, p, prime)
     (rn, rd), (cn, cd) = row, col
     ea, eb = A.entries, B.entries  # row-major: A is (top+1) x (top+1), B is top x top
     w = top + 1
@@ -690,29 +718,31 @@ def gram_elimination_residuals(
 def build_hankel_little_qjacobi(n: int, p: AWParams, prime: int | None = None) -> Matrix:
     """n x n Hankel matrix of little q-Jacobi type: (ab;q)_(i+j)/(abcd;q)_(i+j),
     with Residue entries mod `prime` when one is given."""
-    hankel = [
-        _ratio([x], [y], prime)
-        for x, y in zip(*_ratio_table((p.a * p.b,), p.abcd, p.q, 2 * n - 2, "(abcd;q)_(i+j)"))
-    ]
+    table = _ratio_table((p.a * p.b,), p.abcd, p.q, 2 * n - 2, "(abcd;q)_(i+j)", prime=prime)
+    hankel = [_ratio([x], [y], prime) for x, y in zip(*table)]
     return Matrix(n, n, tuple([hankel[i + j] for i in range(n) for j in range(n)]))
 
 
 def rhs_hankel(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
     """(ab)^(n(n-1)/2) q^(n(n-1)(n-2)/3) prod_k (q,ab,cd;q)_k / (abcd;q)_(k+n-1)."""
-    return _rhs_hankel_times(n, p, (), prime)
+    return next(_hankel_forms((n,), p, (), prime))
 
 
-def _rhs_hankel_times(
-    n: int, p: AWParams, extra: tuple[Scalar, ...], prime: int | None
-) -> Scalar | Residue:
-    """rhs_hankel prod_k (extra;q)_k: the Hankel closed form with more bases
-    in its numerator."""
+def _hankel_forms(
+    orders: Sequence[int], p: AWParams, extra: tuple[Scalar, ...], prime: int | None
+) -> Iterator[Scalar | Residue]:
+    """rhs_hankel prod_k (extra;q)_k, the Hankel closed form with more bases
+    in its numerator, at each order n of `orders`, from one _closed_forms pass."""
     q = p.q
     ab = p.a * p.b
-    return _closed_form(
-        ((ab, n * (n - 1) // 2), (q, n * (n - 1) * (n - 2) // 3)),
-        (((q, ab, p.c * p.d) + extra, q, range(n)),),
-        (((p.abcd,), q, range(n - 1, 2 * n - 1)),),
+    bases, abcd = (q, ab, p.c * p.d) + extra, (p.abcd,)
+    return _closed_forms(
+        orders,
+        lambda n: (
+            ((ab, n * (n - 1) // 2), (q, n * (n - 1) * (n - 2) // 3)),
+            ((bases, q, range(n)),),
+            ((abcd, q, range(n - 1, 2 * n - 1)),),
+        ),
         "(abcd;q)_(k+n-1)",
         prime,
     )
@@ -726,8 +756,7 @@ def build_hankel_decorated(n: int, p: AWParams, prime: int | None = None) -> Mat
 
 def rhs_hankel_decorated(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
     """Decorated closed form: plain closed form times prod_j (ac,ad,bc,bd;q)_j."""
-    a, b, c, d = p.a, p.b, p.c, p.d
-    return _rhs_hankel_times(n, p, (a * c, a * d, b * c, b * d), prime)
+    return next(_hankel_forms((n,), p, _decoration_bases(p), prime))
 
 
 def mehta_wang_params(pt: ParamPoint) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar, Scalar]:
@@ -744,9 +773,8 @@ def build_mehta_wang_matrix(n: int, pt: ParamPoint, prime: int | None = None) ->
     """n x n matrix (q^(i-1) - c q^(j-1)) (aq;q)_(i+j-2) / (abq^2;q)_(i+j-2),
     with Residue entries mod `prime` when one is given."""
     a, b, c, _, _, q = mehta_wang_params(pt)
-    entry = _q_difference_hankel(
-        c, q, *_ratio_table((a * q,), a * b * q**2, q, 2 * n - 2, "(abq^2;q)_(i+j-2)"), prime
-    )
+    table = _ratio_table((a * q,), a * b * q**2, q, 2 * n - 2, "(abq^2;q)_(i+j-2)", prime=prime)
+    entry = _q_difference_hankel(c, q, *table, prime)
     return Matrix(n, n, tuple([entry(i, j) for i in range(n) for j in range(n)]))
 
 
@@ -774,29 +802,42 @@ def rhs_mehta_wang(n: int, pt: ParamPoint, prime: int | None = None) -> Scalar |
     prod_k (q;q)_(k-1) (aq;q)_k (bq;q)_(k-2) / (abq^2;q)_(k+n-2)
     * 4phi3[ q^-n, ab q^n, u, -u ; aq, uv, -uv ; q, q ].
     """
+    return next(_mehta_wang_forms((n,), pt, prime))
+
+
+def _mehta_wang_forms(
+    orders: Sequence[int], pt: ParamPoint, prime: int | None
+) -> Iterator[Scalar | Residue]:
+    """rhs_mehta_wang at each order n of `orders` in turn: the prefactors from
+    one _closed_forms pass, each 4phi3 one series._terminating_sum over the
+    integer pairs of a, b, u, v and q, made one scalar._ratio."""
     a, b, _, u, v, q = mehta_wang_params(pt)
-    powers = [(-1, n), (a, n * (n - 3) // 2), (q, n * (n + 1) * (2 * n - 5) // 6)]
-    if n:
-        # (bq;q)_(k-2) at k = 1 is (bq;q)_(-1) = 1/(1-b), with a pole of its
-        # own at b = 1, raised here before any (abq^2;q) pole
-        powers.append((qpoch(b * q, q, -1), 1))
-    ks = range(1, n + 1)
-    pref = _closed_form(
-        powers,
-        (
-            ((u**2 * v**2,), q**2, (n,)),
+    squares, aq, bq, abq2 = (u**2 * v**2,), (a * q,), (b * q,), (a * b * q**2,)
+    # (bq;q)_(k-2) at k = 1 is (bq;q)_(-1) = 1/(1-b), with a pole of its own
+    # at b = 1, raised before any (abq^2;q) pole: formed once, before the
+    # first order, when some order n >= 1 reads it
+    lift = [(qpoch(b * q, q, -1), 1)] if any(orders) else []
+
+    def form(n: int):
+        powers = [(-1, n), (a, n * (n - 3) // 2), (q, n * (n + 1) * (2 * n - 5) // 6)]
+        ks = range(1, n + 1)
+        nums = (
+            (squares, q**2, (n,)),
             ((q,), q, [k - 1 for k in ks]),
-            ((a * q,), q, ks),
-            ((b * q,), q, [k - 2 for k in ks[1:]]),
-        ),
-        (((a * b * q**2,), q, [k + n - 2 for k in ks]),),
-        "(abq^2;q)_(k+n-2)",
-        prime,
-    )
-    spec = HypergeometricSpec(
-        (q**-n, a * b * q**n, u, -u), (a * q, u * v, -u * v), q
-    )
-    return pref * phi_terminating(spec, q, n)
+            (aq, q, ks),
+            (bq, q, [k - 2 for k in ks[1:]]),
+        )
+        return powers + lift if n else powers, nums, ((abq2, q, [k + n - 2 for k in ks]),)
+
+    (an, ad), (bn, bd), (un, ud), (vn, vd), (qn, qd) = map(_pair, (a, b, u, v, q))
+    uv = (un * vn, ud * vd)
+    # the 4phi3[q^-n, ab q^n, u, -u; aq, uv, -uv; q, q], q the first denominator
+    dens = ((qn, qd), (an * qn, ad * qd), uv, (-uv[0], uv[1]))
+    prefactors = _closed_forms(orders, form, "(abq^2;q)_(k+n-2)", prime)
+    for n, pref in zip(orders, prefactors):
+        nums = ((qd**n, qn**n), (an * bn * qn**n, ad * bd * qd**n), (un, ud), (-un, ud))
+        num, den = _terminating_sum((nums, dens, (qn, qd)), (qn, qd), n, prime)
+        yield pref * _ratio([num], [den], prime)
 
 
 def build_even_det(
@@ -807,7 +848,7 @@ def build_even_det(
 
     # the strict upper triangle reads i+j-2 = 1..4m-3 only, so a vanishing
     # (abq^2;q)_(4m-2) is no pole of this matrix
-    hn, hd = _ratio_table((a * q,), a * b * q**2, q, 4 * m - 3, "(abq^2;q)_(i+j-2)")
+    hn, hd = _ratio_table((a * q,), a * b * q**2, q, 4 * m - 3, "(abq^2;q)_(i+j-2)", prime=prime)
     return SkewMatrix.from_upper(2 * m, _q_difference_hankel(1, q, hn, hd, prime))
 
 
@@ -816,11 +857,21 @@ def rhs_pfaffian(
 ) -> Scalar | Residue:
     """a^(m(m-1)) q^(m(m-1)(4m+1)/3) prod_k (q,aq;q)_(2k-1)(bq;q)_(2k-2)
        / (abq^2;q)_(2(k+m)-3); the even-order determinant is its square."""
-    ks = range(1, m + 1)
-    return _closed_form(
-        ((a, m * (m - 1)), (q, m * (m - 1) * (4 * m + 1) // 3)),
-        (((q, a * q), q, [2 * k - 1 for k in ks]), ((b * q,), q, [2 * k - 2 for k in ks])),
-        (((a * b * q**2,), q, [2 * (k + m) - 3 for k in ks]),),
+    return next(_pfaffian_forms((m,), a, b, q, prime))
+
+
+def _pfaffian_forms(
+    orders: Sequence[int], a: Scalar, b: Scalar, q: Scalar, prime: int | None
+) -> Iterator[Scalar | Residue]:
+    """rhs_pfaffian at each order m of `orders`, from one _closed_forms pass."""
+    qaq, bq, abq2 = (q, a * q), (b * q,), (a * b * q**2,)
+    return _closed_forms(
+        orders,
+        lambda m: (
+            ((a, m * (m - 1)), (q, m * (m - 1) * (4 * m + 1) // 3)),
+            ((qaq, q, range(1, 2 * m, 2)), (bq, q, range(0, 2 * m - 1, 2))),
+            ((abq2, q, range(2 * m - 1, 4 * m - 2, 2)),),
+        ),
         "(abq^2;q)_(2(k+m)-3)",
         prime,
     )
@@ -838,18 +889,30 @@ def build_integer_exp_pfaffian(
 ) -> SkewMatrix:
     """2m x 2m skew matrix (q^i - q^j)(q^alpha; q)_(i+j), 0-based indices,
     with Residue entries mod `prime` when one is given."""
-    return SkewMatrix.from_upper(
-        2 * m, _q_difference_hankel(1, q, *_qpoch_multi_prefix((q**alpha,), q, 4 * m), prime)
-    )
+    table = _qpoch_multi_prefix((q**alpha,), q, 4 * m, prime)
+    return SkewMatrix.from_upper(2 * m, _q_difference_hankel(1, q, *table, prime))
 
 
 def rhs_integer_exp_pfaffian(
     m: int, alpha: int, q: Scalar, prime: int | None = None
 ) -> Scalar | Residue:
     """q^(m(m-1)(alpha-1) + m(m-1)(4m+1)/3) prod_k (q, q^alpha; q)_(2k-1)."""
-    return _closed_form(
-        ((q, m * (m - 1) * (alpha - 1) + m * (m - 1) * (4 * m + 1) // 3),),
-        (((q, q**alpha), q, [2 * k - 1 for k in range(1, m + 1)]),),
+    return next(_integer_exp_pfaffians((m,), alpha, q, prime))
+
+
+def _integer_exp_pfaffians(
+    orders: Sequence[int], alpha: int, q: Scalar, prime: int | None
+) -> Iterator[Scalar | Residue]:
+    """rhs_integer_exp_pfaffian at each order m of `orders`, from one
+    _closed_forms pass."""
+    bases = (q, q**alpha)
+    return _closed_forms(
+        orders,
+        lambda m: (
+            ((q, m * (m - 1) * (alpha - 1) + m * (m - 1) * (4 * m + 1) // 3),),
+            ((bases, q, range(1, 2 * m, 2)),),
+            (),
+        ),
         prime=prime,
     )
 
@@ -1070,8 +1133,10 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
     out = []
     condensed = det_condensation(M)
     polys = list(_aw_polys(p, x, top, prime=pt.prime))
-    for n, d_ff in enumerate(leading_minors(M, pt.prime), 1):
-        out.append(d_ff - rhs_det_formula(n, p, polys[n], pt.prime))
+    orders = range(1, top + 1)
+    prefactors = _det_prefactors(orders, p, 1, (), pt.prime)
+    for n, d_ff, pref in zip(orders, leading_minors(M, pt.prime), prefactors):
+        out.append(d_ff - pref * polys[n])
         if n <= len(condensed):  # orders past a zero interior minor are left out
             out.append(condensed[n - 1] - d_ff)
         if n <= COFACTOR_CAP:  # the cofactor oracle refuses larger orders
@@ -1083,14 +1148,16 @@ def _run_bordered_det(pt: ParamPoint, sizes: Sizes) -> list:
         note="b = v^2, c = u^2/(aq)")
 def _run_mehta_wang(pt: ParamPoint, sizes: Sizes) -> list:
     dets = leading_minors(build_mehta_wang_matrix(sizes.n_max, pt, pt.prime), pt.prime)
-    return [d - rhs_mehta_wang(n, pt, pt.prime) for n, d in enumerate(dets, 1)]
+    rhs = _mehta_wang_forms(range(1, sizes.n_max + 1), pt, pt.prime)
+    return [d - value for d, value in zip(dets, rhs)]
 
 
 @_check("even_order_det", "Cor. 3.3", ("a", "b", "q"), Sizes(m_max=3))
 def _run_even_det(pt: ParamPoint, sizes: Sizes) -> list:
     a, b, q = pt["a"], pt["b"], pt["q"]
     dets = _even_minors(build_even_det(sizes.m_max, a, b, q, pt.prime), pt.prime)
-    return [d - rhs_even_det(m, a, b, q, pt.prime) for m, d in enumerate(dets, 1)]
+    pfs = _pfaffian_forms(range(1, sizes.m_max + 1), a, b, q, pt.prime)
+    return [d - pf**2 for d, pf in zip(dets, pfs)]
 
 
 @_check("pfaffian_eval", "Cor. 3.4 / Eq. (eq:key1)", ("a", "b", "q"), Sizes(m_max=3),
@@ -1115,17 +1182,22 @@ def _run_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
 def _run_integer_exp_pfaffian(pt: ParamPoint, sizes: Sizes) -> list:
     q = pt["q"]
     alphas = range(1, 5)
+    orders = range(1, sizes.m_max + 1)
     pfs = [
         leading_pfaffians(build_integer_exp_pfaffian(sizes.m_max, alpha, q, pt.prime), pt.prime)
         for alpha in alphas
     ]
+    rhs = [list(_integer_exp_pfaffians(orders, alpha, q, pt.prime)) for alpha in alphas]
+    # the two-parameter Pfaffian at b = 0, a = q^(alpha-1), for consistency
+    at_b0 = [
+        list(_pfaffian_forms(orders, q ** (alpha - 1), Fraction(0), q, pt.prime))
+        for alpha in alphas
+    ]
     out = []
-    for m in range(1, sizes.m_max + 1):
-        for alpha, pf in zip(alphas, pfs):
-            rhs = rhs_integer_exp_pfaffian(m, alpha, q, pt.prime)
-            out.append(pf[m - 1] - rhs)
-            # consistency with the two-parameter Pfaffian at b = 0, a = q^(alpha-1)
-            out.append(rhs_pfaffian(m, q ** (alpha - 1), Fraction(0), q, pt.prime) - rhs)
+    for m in orders:
+        for pf, value, other in zip(pfs, rhs, at_b0):
+            out.append(pf[m - 1] - value[m - 1])
+            out.append(other[m - 1] - value[m - 1])
     return out
 
 
@@ -1153,7 +1225,9 @@ def _run_gram_det(pt: ParamPoint, sizes: Sizes) -> list:
     x = XPoint(pt["z"])
     dets = _gram_dets(build_gram_matrix(sizes.n_max, p, x, pt.prime), pt.prime)
     polys = list(_aw_polys(p, x, sizes.n_max, prime=pt.prime))
-    return [d - rhs_gram_formula(n, p, polys[n], pt.prime) for n, d in enumerate(dets, 1)]
+    orders = range(1, sizes.n_max + 1)
+    prefactors = _det_prefactors(orders, p, -1, _decoration_bases(p), pt.prime)
+    return [d - pref * polys[n] for n, d, pref in zip(orders, dets, prefactors)]
 
 
 @_check("gram_to_bordered", "Prop. 4.2", _ABCDQZ, Sizes(n_max=4),
@@ -1171,10 +1245,13 @@ def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
         build_hankel_little_qjacobi(top, p, pt.prime),
         build_hankel_decorated(top, p, pt.prime),
     )
+    orders = range(1, top + 1)
+    minors = [leading_minors(M, pt.prime) for M in matrices]
+    decorated = _hankel_forms(orders, p, _decoration_bases(p), pt.prime)
     out = []
-    for n, (d, e) in enumerate(zip(*[leading_minors(M, pt.prime) for M in matrices]), 1):
+    for n, d, e, rhs in zip(orders, *minors, decorated):
         out.append(d - rhs_hankel(n, p))  # exact: see the module docstring
-        out.append(e - rhs_hankel_decorated(n, p, pt.prime))
+        out.append(e - rhs)
     return out
 
 

@@ -8,9 +8,11 @@ checks compare residues mod a prime (below).  The Pochhammer kernels run their
 loops on plain-int numerator/denominator pairs and build one canonical
 ``Fraction`` per value they return: the values of running ``Fraction``
 products, without a gcd at every factor.  Every closed form of the paper, a
-monomial times a ratio of Pochhammer products, is one call of
-``_closed_form``, but for the Askey-Wilson norm ratios h_n/h_0, which
-askey_wilson reads for every n from one pair of prefix tables.  The other
+monomial times a ratio of Pochhammer products, comes from one kernel,
+``_closed_forms``, which reads the forms of every order at a point from one
+pass: one prefix table per Pochhammer group.  ``_closed_form`` is its
+one-order case.  The Askey-Wilson norm ratios h_n/h_0 are read by
+askey_wilson from a pair of prefix tables of their own.  The other
 modules read a value's integer pair only through ``_pair`` (or its residues
 mod p through ``_pair_mod``), divide with a pole check through
 ``_quotient``, and take their tables from the helpers here: Pochhammer
@@ -24,8 +26,8 @@ The engines, series and closed forms of the modular checks run modulo the
 trial's prime ``pt.prime``, which is ``trial_prime(pt.seed)`` drawn on first
 read.  Their values are ``Residue``s and ``series.SeriesResidue``s: the images
 mod p of exact rationals N/D, compared without ever inverting D.
-``_closed_form`` given a prime reduces each factor it reads mod p and builds
-no canonical Fraction; its poles are still decided on the exact integers.
+The closed-form kernel given a prime takes its prefix tables mod p and builds
+no canonical Fraction; its poles are still decided on the exact entries.
 The modular matrix builders make each entry the same way, one ``_ratio`` of
 unreduced integer products, so their entries are Residues with no gcd, and
 the engines read an entry's pair mod p, whether it is a Fraction or a
@@ -50,7 +52,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Scalar = Fraction
 
@@ -141,11 +143,6 @@ def _qpoch_multi_prefix(
     return nums, dens
 
 
-def qpoch_multi_table(params: Iterable[Scalar], q: Scalar, n: int) -> list[Scalar]:
-    """Prefix table [(params;q)_0, ..., (params;q)_n], one canonical Fraction per entry."""
-    return [Fraction(x, y) for x, y in zip(*_qpoch_multi_prefix(params, q, n))]
-
-
 def qpoch_multi(params: Iterable[Scalar], q: Scalar, n: int) -> Scalar:
     """Product (a_1, ..., a_r; q)_n = (a_1;q)_n ... (a_r;q)_n."""
     if n < 0:
@@ -154,43 +151,78 @@ def qpoch_multi(params: Iterable[Scalar], q: Scalar, n: int) -> Scalar:
     return Fraction(nums[n], dens[n])
 
 
+_Group = tuple[Sequence[Scalar], Scalar, Sequence[int]]
+_Form = tuple[Iterable[tuple[Scalar, int]], Sequence[_Group], Sequence[_Group]]
+
+
+def _closed_forms(
+    orders: Sequence[int],
+    form: Callable[[int], _Form],
+    what: str = "",
+    prime: int | None = None,
+) -> Iterator[Scalar | Residue]:
+    """Every closed form in the paper, at each order n of `orders` in turn.
+
+    form(n) is (powers, nums, dens): prod base^e over `powers` (e of either
+    sign) times the Pochhammer groups of `nums` over those of `dens`.  A
+    group (bases, q, ks) is prod_(k in ks) (bases;q)_k; the i-th group of
+    every order has the bases and q of the first order's, and only its ks
+    change with n.  So each group is one _qpoch_multi_prefix table, mod
+    `prime` when one is given, up to the largest k any order reads, and
+    order n is one canonical Fraction of unreduced integer products of its
+    entries, or their Residue mod `prime`.  form(n) is called for every
+    order before the first value is yielded.
+
+    Order n raises PoleError(f"{what} vanishes") when it is reached if a
+    power base with e < 0 is zero or a denominator entry it reads is exactly
+    zero, so only the entries read can be poles; an entry that is only
+    ≡ 0 mod p is none.
+    """
+    forms = [form(n) for n in orders]
+    if not forms:
+        return
+    _, nums, dens = forms[0]
+    groups = (*nums, *dens)
+    tops = [0] * len(groups)
+    for _, nums, dens in forms:
+        for i, (_, _, ks) in enumerate((*nums, *dens)):
+            tops[i] = max(tops[i], max(ks, default=0))
+    tables = [_qpoch_multi_prefix(bases, q, top, prime) for (bases, q, _), top in zip(groups, tops)]
+    for powers, nums, dens in forms:
+        ups, downs = [], []
+        pole = False
+        for base, e in powers:
+            bn, bd = _pair(base) if e >= 0 else _pair(base)[::-1]
+            pole = pole or bd == 0  # a denominator is positive, so only e < 0
+            ups.append(pow(bn, abs(e), prime))
+            downs.append(pow(bd, abs(e), prime))
+        for (tn, td), (_, _, ks) in zip(tables, nums):
+            for k in ks:
+                ups.append(tn[k])
+                downs.append(td[k])
+        for (tn, td), (_, _, ks) in zip(tables[len(nums):], dens):
+            # a zero stays zero in a running product, so the last entry read decides
+            pole = pole or tn[max(ks, default=0)] == 0
+            for k in ks:
+                ups.append(td[k])
+                downs.append(tn[k])
+        if pole:
+            raise PoleError(f"{what} vanishes")
+        if prime is None:
+            yield Fraction(math.prod(ups), math.prod(downs))
+        else:  # every factor is already reduced mod p
+            yield Residue(math.prod(ups), math.prod(downs), prime)
+
+
 def _closed_form(
     powers: Iterable[tuple[Scalar, int]],
-    nums: Iterable[tuple[Iterable[Scalar], Scalar, Sequence[int]]],
-    dens: Iterable[tuple[Iterable[Scalar], Scalar, Sequence[int]]] = (),
+    nums: Sequence[_Group],
+    dens: Sequence[_Group] = (),
     what: str = "",
     prime: int | None = None,
 ) -> Scalar | Residue:
-    """Every closed form in the paper: prod base^e over `powers` (e of either
-    sign) times the Pochhammer groups of `nums` over those of `dens`, as one
-    canonical Fraction of unreduced integer products, or as their Residue mod
-    `prime` when one is given.  A group (bases, q, ks) is prod_(k in ks)
-    (bases;q)_k from one exact _qpoch_multi_prefix table up to max ks.  A zero
-    power base with e < 0 or a denominator entry that is exactly zero raises
-    PoleError(f"{what} vanishes"), so only the entries read can be poles; an
-    entry that is only ≡ 0 mod p is none."""
-    ups, downs = [], []
-    pole = False
-    for base, e in powers:
-        bn, bd = _pair(base) if e >= 0 else _pair(base)[::-1]
-        pole = pole or bd == 0  # a denominator is positive, so only e < 0
-        ups.append(pow(bn, abs(e), prime))
-        downs.append(pow(bd, abs(e), prime))
-    for bases, q, ks in nums:
-        tn, td = _qpoch_multi_prefix(bases, q, max(ks, default=0))
-        for k in ks:
-            ups.append(tn[k])
-            downs.append(td[k])
-    for bases, q, ks in dens:
-        tn, td = _qpoch_multi_prefix(bases, q, max(ks, default=0))
-        # a zero stays zero in a running product, so the last entry decides
-        pole = pole or tn[-1] == 0
-        for k in ks:
-            ups.append(td[k])
-            downs.append(tn[k])
-    if pole:
-        raise PoleError(f"{what} vanishes")
-    return _ratio(ups, downs, prime)
+    """One closed form: _closed_forms at a single order."""
+    return next(_closed_forms((0,), lambda _: (powers, nums, dens), what, prime))
 
 
 def _ratio(ups: list[int], downs: list[int], prime: int | None = None) -> Scalar | Residue:

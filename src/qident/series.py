@@ -9,10 +9,12 @@ It is materialised here either as a TruncatedSeries in the formal variable z
 q^(-m), as the exact Scalar value of the terminating sum.  Both come from one
 pass of the term-ratio recurrence, _term_ratios, which reads the parameters
 as integer pairs: phi_series and phi_terminating pair their spec once, and
-askey_wilson.aw_poly passes the pairs of its 4phi3 directly, with no spec.
-A terminating sum is one Horner fold of those ratios, _terminating_sum,
-shared by phi_terminating and aw_poly.  phi_term, which builds a term from
-its Pochhammer products, is the oracle of both.
+askey_wilson.aw_poly passes the pairs of its 4phi3 directly, with no spec,
+and so does identities' Mehta-Wang closed form.  A terminating sum is one
+Horner fold of those ratios, _terminating_sum, shared by phi_terminating,
+aw_poly and the Mehta-Wang 4phi3, and taken mod p when a prime is given.
+phi_term, which builds a term from its Pochhammer products, is the oracle
+of all of them.
 
 The term sequence is multiplicative in its parameter lists, and q is an
 ordinary denominator parameter of it: _term_ratios reads (q,) + the
@@ -325,15 +327,21 @@ def termwise_product(
     return SeriesResidue(nums, u.den * v.den, prime)
 
 
-def _terminating_sum(spec: tuple, z: tuple[int, int], m: int) -> tuple[int, int]:
+def _terminating_sum(
+    spec: tuple, z: tuple[int, int], m: int, prime: int | None = None
+) -> tuple[int, int]:
     """1 + r_1 (1 + r_2 (... (1 + r_m))) over the ratios r_n of _term_ratios,
-    folded by Horner's rule into one unreduced integer pair.
+    folded by Horner's rule into one unreduced integer pair.  Given a prime,
+    each step of the fold is reduced mod p, which gives the residues of the
+    same pair: the exact ratios have decided every pole before the fold.
 
     _term_ratios is looked up at each call, so a patched generator reaches
     every terminating sum, askey_wilson's p_n included."""
     num = den = 1
     for r_num, r_den in reversed(list(_term_ratios(spec, z, m))):
         num, den = r_den * den + r_num * num, r_den * den
+        if prime is not None:
+            num, den = num % prime, den % prime
     return num, den
 
 
@@ -381,7 +389,7 @@ def _sum_of_products(
             num, factors = num % prime, [([x % prime for x in a], den) for a, den in factors]
         *rest, (b, den) = factors  # by position: the same vector may come twice
         den *= d
-        head = [1]
+        head = None  # a one-factor term reads its coefficients off b
         for i, (a, d) in enumerate(rest):  # the product starts from the first factor
             head = a[:length] if i == 0 else [
                 _coefficient(head, a, k) for k in range(min(length, len(head) + len(a) - 1))
@@ -393,7 +401,10 @@ def _sum_of_products(
         parts.append((head, b))
     scaled, common = _over_one_denominator(pairs, prime)
     nums = [
-        sum(num * _coefficient(head, b, k) for num, (head, b) in zip(scaled, parts))
+        sum(
+            num * (b[k] if k < len(b) else 0) if head is None else num * _coefficient(head, b, k)
+            for num, (head, b) in zip(scaled, parts)
+        )
         for k in range(length)
     ]
     return (nums, common) if prime is None else ([x % prime for x in nums], common)

@@ -2,7 +2,8 @@
 six-term coefficients read one (k, n) at a time, the perfect matchings with
 their crossing signs behind the reference Pfaffian, and the small builders
 the tests use that the package does not (matrices from row lists, series
-specs from ints, powers of polynomials in x)."""
+specs from ints, powers of polynomials in x, Pochhammer prefix tables as
+Fractions)."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from typing import Sequence
 
 from qident.askey_wilson import AWParams, PolynomialInX
 from qident.identities import main_quadratic_factors
-from qident.scalar import qpoch
+from qident.scalar import _qpoch_multi_prefix, qpoch
 from qident.series import HypergeometricSpec
 
 
@@ -24,6 +25,12 @@ def rand_q(rng: random.Random, height: int = 12) -> Fraction:
         q = rand_fraction(rng, height)
         if q not in (1, -1):
             return q
+
+
+def prefix_table(params, q, n) -> list[Fraction]:
+    """[(params;q)_0, ..., (params;q)_n] as canonical Fractions, read from the
+    integer pairs of scalar._qpoch_multi_prefix."""
+    return [Fraction(x, y) for x, y in zip(*_qpoch_multi_prefix(params, q, n))]
 
 
 def six_term_parts(k, n, pt, r, s):

@@ -2,9 +2,12 @@
 against itself, and the classification of single attempts."""
 
 import importlib.util
+import json
 import time
 from fractions import Fraction
 from pathlib import Path
+
+from qident.identities import Sizes
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("attempt_diff", ROOT / "tools" / "attempt_diff.py")
@@ -64,3 +67,25 @@ def test_a_fraction_ported_to_its_residue_counts_as_values():
     assert classify(old, {**old, "residuals": other}) == "differ"
     # the record of a run holds a Fraction's numerator and denominator
     assert attempt_diff._residual(Fraction(-3, 5), lambda r: r == 0)["exact"] == [[-3], 5, None]
+
+
+def _records(overrides, check_id):
+    run = attempt_diff._attempts(ROOT, [check_id], overrides)
+    out, _ = run.communicate()
+    assert run.returncode == 0
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def test_size_overrides_reach_every_attempt():
+    # even_order_det compares one determinant per order m = 1..m_max, and
+    # with no pole at height 40 no attempt resamples
+    for overrides, count in (({}, 3), ({"m_max": 2}, 2), ({"m_max": 5, "n_max": 1}, 5)):
+        records = [r for r in _records(overrides, "even_order_det") if r["key"][1] == 40]
+        assert len(records) == attempt_diff.TRIALS
+        assert all(len(r["residuals"]) == count for r in records)
+
+
+def test_size_flags_name_the_sizes_fields(capsys):
+    assert attempt_diff.main(["--mmax", "1", str(ROOT), str(ROOT), "even_order_det"]) == 0
+    assert "even_order_det" in capsys.readouterr().out
+    assert set(attempt_diff.SIZE_FLAGS.values()) <= set(Sizes.__dataclass_fields__)

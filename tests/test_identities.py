@@ -818,8 +818,10 @@ def test_witness_seed_replays_the_modular_residuals(monkeypatch):
     # point of its trial, whose prime is the modulus its residues were taken mod
     check = CHECKS_BY_ID["bordered_det"]
     sizes = replace(check.defaults, height=3)
-    real = identities.rhs_det_formula
-    monkeypatch.setattr(identities, "rhs_det_formula", lambda *args: real(*args) + 1)
+    real = identities._det_prefactors
+    monkeypatch.setattr(
+        identities, "_det_prefactors", lambda *args: (d + 1 for d in real(*args))
+    )
     report = run_check(check, trials=5, seed=0, sizes=sizes)
     assert report.failures == report.trials == 5
     trial_seeds = [_trial_seed(check.id, 0, trial) for trial in range(5)]
@@ -842,27 +844,32 @@ def test_witness_seed_replays_the_modular_residuals(monkeypatch):
     "check_id, rhs", [("bordered_det", "rhs_det_formula"), ("gram_det", "rhs_gram_formula")]
 )
 def test_runners_hand_each_closed_form_aw_polys_p_n(monkeypatch, check_id, rhs):
-    # each runner reads p_1..p_n mod the trial prime from one _aw_polys pass
-    # and passes p_n to its closed form by value: at every order it must be
-    # aw_poly's p_n at the trial's point
+    # each runner reads p_0..p_n mod the trial prime from one _aw_polys pass
+    # and multiplies p_n into its one-pass prefactor: the pass must be at the
+    # trial's point, and at every order its value must be aw_poly's p_n, which
+    # gives the public closed form rhs its exact value
     check = CHECKS_BY_ID[check_id]
-    real, seen = getattr(identities, rhs), []
+    real, seen = identities._aw_polys, []
 
-    def recording(n, p, p_n, prime=None):
-        seen.append((n, p, p_n, prime))
-        return real(n, p, p_n, prime)
+    def recording(p, x, n, **kwargs):
+        values = list(real(p, x, n, **kwargs))
+        seen.append((p, x, kwargs, values))
+        return iter(values)
 
-    monkeypatch.setattr(identities, rhs, recording)
+    monkeypatch.setattr(identities, "_aw_polys", recording)
     for trial in range(5):
         sizes = replace(check.defaults, height=3 if trial % 2 else 40)
         _, pt = run_trial(check, trial, sizes)
         seen.clear()
         check.run(pt, sizes)
-        assert [n for n, *_ in seen] == list(range(1, sizes.n_max + 1))
-        for n, p, p_n, prime in seen:
-            assert p == identities._aw_from(pt) and prime == pt.prime
-            assert isinstance(p_n, Residue) and p_n.p == prime
-            assert p_n == aw_poly(n, p, XPoint(pt["z"]))
+        [(p, x, kwargs, values)] = seen
+        assert p == identities._aw_from(pt) and x == XPoint(pt["z"])
+        assert kwargs == {"prime": pt.prime} and len(values) == sizes.n_max + 1
+        closed_form = getattr(identities, rhs)
+        for n, p_n in enumerate(values):
+            assert isinstance(p_n, Residue) and p_n.p == pt.prime
+            assert p_n == aw_poly(n, p, x)
+            assert closed_form(n, p, p_n, pt.prime) == closed_form(n, p, aw_poly(n, p, x))
 
 
 # each check whose matrix is built mod the trial prime, with its builders
@@ -1015,20 +1022,25 @@ def test_modular_closed_form_off_by_one_fails_every_trial(monkeypatch, check_id,
     # the closed form's residue mod the trial's prime, plus 1 (for
     # gram_to_bordered, the determinant scaling's): the exact route is left
     # alone, so these failures show the modular closed forms are compared.
+    # _closed_form stands for the kernel at both of its entries, one order
+    # and the one-pass _closed_forms the runners read every order from.
     # pfaffian_eval compares an exact closed form only (see the next test)
-    real = getattr(identities, closed_form)
-    signature = inspect.signature(real)
     primes = []
+    for name in (closed_form, closed_form + "s"):
+        real = getattr(identities, name, None)
+        if real is None:
+            continue
+        signature = inspect.signature(real)
 
-    def perturbed(*args, **kwargs):
-        value = real(*args, **kwargs)
-        prime = signature.bind(*args, **kwargs).arguments.get("prime")
-        if prime is None:
-            return value
-        primes.append(prime)
-        return value + 1
+        def perturbed(*args, real=real, signature=signature, **kwargs):
+            value = real(*args, **kwargs)
+            prime = signature.bind(*args, **kwargs).arguments.get("prime")
+            if prime is None:
+                return value
+            primes.append(prime)
+            return (v + 1 for v in value) if inspect.isgenerator(value) else value + 1
 
-    monkeypatch.setattr(identities, closed_form, perturbed)
+        monkeypatch.setattr(identities, name, perturbed)
     report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
     assert report.failures == report.trials == 5
     assert primes

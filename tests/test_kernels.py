@@ -16,6 +16,7 @@ from helpers import (
     from_rows,
     matching_sign,
     perfect_matchings,
+    prefix_table,
     rand_fraction,
     rand_q,
     six_term_parts,
@@ -103,7 +104,6 @@ from qident.scalar import (
     _ratio_table,
     qpoch,
     qpoch_multi,
-    qpoch_multi_table,
     sample_point,
     trial_prime,
 )
@@ -227,9 +227,9 @@ def test_qpoch_family_matches_fraction_products(seed):
     params = [sample_base(rng, q) for _ in range(rng.randint(0, 4))]
     for n in range(9):
         for a in params:
-            assert canon(qpoch_multi_table((a,), q, n)) == canon(ref_qpoch_table(F(a), F(q), n))
+            assert canon(prefix_table((a,), q, n)) == canon(ref_qpoch_table(F(a), F(q), n))
             assert canon([qpoch(a, q, n)]) == canon([ref_qpoch(F(a), F(q), n)])
-        assert canon(qpoch_multi_table(params, q, n)) == canon(
+        assert canon(prefix_table(params, q, n)) == canon(
             ref_qpoch_multi_table([F(a) for a in params], F(q), n)
         )
         assert canon([qpoch_multi(params, q, n)]) == canon(
@@ -254,23 +254,23 @@ def test_qpoch_multi_negative_index_matches_reference():
 def test_qpoch_at_q_to_minus_k_holds_zeros(q):
     for k in range(4):
         a = F(q) ** -k
-        table = qpoch_multi_table((a,), q, k + 3)
+        table = prefix_table((a,), q, k + 3)
         assert all(x != 0 for x in table[: k + 1])
         assert canon(table[k + 1 :]) == canon([F(0)] * 3)
         assert qpoch(a, q, k + 1) == 0
-        multi = qpoch_multi_table((F(1, 2), a), q, k + 3)
+        multi = prefix_table((F(1, 2), a), q, k + 3)
         assert canon(multi[k + 1 :]) == canon([F(0)] * 3)
         assert qpoch_multi((a,), q, k + 2) == 0
 
 
 def test_qpoch_table_order_zero_and_negative():
-    assert canon(qpoch_multi_table((F(5, 3),), F(1, 2), 0)) == canon([F(1)])
-    assert canon(qpoch_multi_table((F(5, 3), 2), F(1, 2), 0)) == canon([F(1)])
+    assert canon(prefix_table((F(5, 3),), F(1, 2), 0)) == canon([F(1)])
+    assert canon(prefix_table((F(5, 3), 2), F(1, 2), 0)) == canon([F(1)])
     assert canon([qpoch_multi((), F(1, 2), 4)]) == canon([F(1)])
     with pytest.raises(DomainError):
-        qpoch_multi_table((F(5, 3),), F(1, 2), -1)
+        prefix_table((F(5, 3),), F(1, 2), -1)
     with pytest.raises(DomainError):
-        qpoch_multi_table((F(5, 3), 2), F(1, 2), -1)
+        prefix_table((F(5, 3), 2), F(1, 2), -1)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -281,8 +281,8 @@ def test_ratio_table_matches_ratios_of_prefix_tables(seed):
     den = sample_base(rng, q)
     for shift in (0, 1):
         for top in range(-1, 7):
-            num_t = qpoch_multi_table(nums, q, max(top, 0))
-            den_t = qpoch_multi_table((den,), q, max(top + shift, 0))
+            num_t = prefix_table(nums, q, max(top, 0))
+            den_t = prefix_table((den,), q, max(top + shift, 0))
             if top >= 0 and den_t[top + shift] == 0:
                 expected = (PoleError, "(den;q)_top vanishes")
             else:
@@ -301,7 +301,7 @@ def test_ratio_table_raises_at_a_zero_last_denominator_only():
     # (q^-2;q)_k vanishes from k = 3 on
     rn, rd = _ratio_table(nums, q**-2, q, 2, "(q^-2;q)_k")
     assert canon([F(x, y) for x, y in zip(rn, rd)]) == canon(
-        [a / b for a, b in zip(qpoch_multi_table(nums, q, 2), qpoch_multi_table((q**-2,), q, 2))]
+        [a / b for a, b in zip(prefix_table(nums, q, 2), prefix_table((q**-2,), q, 2))]
     )
     with pytest.raises(PoleError, match=r"^\(q\^-2;q\)_\(k\+1\) vanishes$"):
         _ratio_table(nums, q**-2, q, 2, "(q^-2;q)_(k+1)", shift=1)
@@ -367,6 +367,13 @@ def ref_closed_form_mod(powers, nums, dens=(), what="", prime=None):
     if prime is None:
         return ref_closed_form(powers, nums, dens, what)
     return Residue(*ref_closed_form_pair(powers, nums, dens, what), prime)
+
+
+def ref_closed_forms(orders, form, what="", prime=None):
+    """The one-pass kernel by the references: ref_closed_form_mod of each
+    order's form in turn, with tables of its own."""
+    for n in orders:
+        yield ref_closed_form_mod(*form(n), what, prime)
 
 
 def random_groups(rng, q):
@@ -1631,9 +1638,171 @@ def test_closed_forms_mod_a_prime_dividing_a_denominator_entry(monkeypatch):
         ):
             got = fn(*args, 101)
             with monkeypatch.context() as patched:
-                patched.setattr(identities, "_closed_form", ref_closed_form_mod)
+                patched.setattr(identities, "_closed_forms", ref_closed_forms)
                 want = fn(*args, 101)
             assert got.den == 0 and (got.num, got.den) == (want.num, want.den)
+
+
+# Each family the runners read from one _closed_forms pass: its parameter
+# names, the one pass over `orders` at a point (mod `prime` when one is
+# given), and the per-order Fraction reference of order n.
+_AW5 = ("a", "b", "c", "d", "q")
+
+
+def _decorated(p):
+    return (p.a * p.c, p.a * p.d, p.b * p.c, p.b * p.d)
+
+
+ONE_PASS_FAMILIES = {
+    "det_prefactor": (
+        _AW5,
+        lambda pt, orders, prime: identities._det_prefactors(orders, _aw_from(pt), 1, (), prime),
+        lambda pt, n: ref_det_prefactor(n, _aw_from(pt)),
+    ),
+    "gram_prefactor": (
+        _AW5,
+        lambda pt, orders, prime: identities._det_prefactors(
+            orders, _aw_from(pt), -1, _decorated(_aw_from(pt)), prime
+        ),
+        lambda pt, n: F(-1) ** n * ref_det_prefactor(n, _aw_from(pt))
+        * ref_decoration_det(n, _aw_from(pt)),
+    ),
+    "rhs_hankel": (
+        _AW5,
+        lambda pt, orders, prime: identities._hankel_forms(orders, _aw_from(pt), (), prime),
+        lambda pt, n: ref_rhs_hankel(n, _aw_from(pt)),
+    ),
+    "rhs_hankel_decorated": (
+        _AW5,
+        lambda pt, orders, prime: identities._hankel_forms(
+            orders, _aw_from(pt), _decorated(_aw_from(pt)), prime
+        ),
+        lambda pt, n: ref_rhs_hankel(n, _aw_from(pt)) * ref_decoration_det(n, _aw_from(pt)),
+    ),
+    "rhs_mehta_wang": (
+        ("a", "u", "v", "q"),
+        lambda pt, orders, prime: identities._mehta_wang_forms(orders, pt, prime),
+        lambda pt, n: ref_rhs_mehta_wang(n, pt),
+    ),
+    "rhs_pfaffian": (
+        ("a", "b", "q"),
+        lambda pt, orders, prime: identities._pfaffian_forms(
+            orders, pt["a"], pt["b"], pt["q"], prime
+        ),
+        lambda pt, m: ref_rhs_pfaffian(m, pt["a"], pt["b"], pt["q"]),
+    ),
+    "rhs_pfaffian_b0": (
+        ("q", "k"),
+        lambda pt, orders, prime: identities._pfaffian_forms(
+            orders, pt["q"] ** (pt["k"].numerator % 4), F(0), pt["q"], prime
+        ),
+        lambda pt, m: ref_rhs_pfaffian(m, pt["q"] ** (pt["k"].numerator % 4), F(0), pt["q"]),
+    ),
+    "rhs_integer_exp_pfaffian": (
+        ("q", "k"),
+        lambda pt, orders, prime: identities._integer_exp_pfaffians(
+            orders, 1 + pt["k"].numerator % 4, pt["q"], prime
+        ),
+        lambda pt, m: ref_rhs_integer_exp(m, 1 + pt["k"].numerator % 4, pt["q"]),
+    ),
+}
+
+
+def family_orders(family):
+    """Orders 1..10 of the determinant families, m = 1..5 of the Pfaffian ones."""
+    return range(1, 6 if "pfaffian" in family else 11)
+
+
+def yielded(values):
+    """The values an iterator yields, then (PoleError, message) if it raises one."""
+    out = []
+    try:
+        for value in values:
+            out.append(value)
+    except PoleError as exc:
+        out.append((PoleError, str(exc)))
+    return out
+
+
+def per_order(ref, pt, orders):
+    """ref(pt, n) at each order up to the first PoleError, which ends the list."""
+    out = []
+    for n in orders:
+        try:
+            out.append(ref(pt, n))
+        except PoleError as exc:
+            out.append((PoleError, str(exc)))
+            break
+    return out
+
+
+def one_pass_matches_per_order(family, pt):
+    """Whether the one pass over 1..top, exact and mod pt.prime, gives every
+    value of the per-order reference and its first PoleError at the same order."""
+    _, one_pass, ref = ONE_PASS_FAMILIES[family]
+    orders = family_orders(family)
+    expected = per_order(ref, pt, orders)
+    exact = yielded(one_pass(pt, orders, None))
+    modular = yielded(one_pass(pt, orders, pt.prime))
+    if any(isinstance(v, Residue) or v != w for v, w in zip(exact, expected)):
+        return False
+    if any(isinstance(v, F) or v != w for v, w in zip(modular, expected)):
+        return False
+    return all(isinstance(v, tuple) or v.p == pt.prime for v in modular) and (
+        len(exact) == len(modular) == len(expected)
+    )
+
+
+@pytest.mark.parametrize("height", [2, 3, 40])
+@pytest.mark.parametrize("family", sorted(ONE_PASS_FAMILIES))
+def test_one_pass_closed_forms_match_per_order_references(family, height):
+    names, _, ref = ONE_PASS_FAMILIES[family]
+    outcomes = set()
+    for seed in range(12):
+        pt = sample_point(names, 1000 * height + seed, height)
+        assert one_pass_matches_per_order(family, pt), (family, pt.assignments)
+        outcomes.add(isinstance(per_order(ref, pt, family_orders(family))[-1], tuple))
+    assert False in outcomes  # some points reached every order
+    if height == 2 and family not in ("rhs_pfaffian_b0", "rhs_integer_exp_pfaffian"):
+        assert True in outcomes  # and some hit a pole (the last two have none)
+
+
+def test_one_pass_poles_come_at_the_per_order_first_pole():
+    # points built on a pole: abcd = q^-6 zeroes (abcd;q)_j from j = 7,
+    # ab q^2 = q^-5 zeroes (abq^2;q)_j from j = 6, and v = 1 makes b = 1
+    q = F(2, 3)
+    aw = ParamPoint({"a": F(1, 2), "b": F(3), "c": F(5, 7), "d": F(14, 15) * q**-6, "q": q})
+    ab = ParamPoint({"a": F(1, 2), "b": 2 * q**-7, "q": q})
+    mw = ParamPoint({"a": F(3, 5), "u": F(2, 7), "v": F(1), "q": q})
+    assert _aw_from(aw).abcd == q**-6
+    for family, pt, first in (
+        ("det_prefactor", aw, 4),  # reads (abcd;q)_(2n-1)
+        ("gram_prefactor", aw, 4),
+        ("rhs_hankel", aw, 5),  # reads (abcd;q)_(2n-2)
+        ("rhs_hankel_decorated", aw, 5),
+        ("rhs_pfaffian", ab, 3),  # reads (abq^2;q)_(4m-3)
+        ("rhs_mehta_wang", mw, 1),  # (bq;q)_(-1) = 1/(1-b)
+    ):
+        ends = per_order(ONE_PASS_FAMILIES[family][2], pt, range(1, 11))
+        assert len(ends) == first and ends[-1][0] is PoleError
+        assert one_pass_matches_per_order(family, pt)
+
+
+def test_one_pass_check_flags_an_exponent_read_one_order_late(monkeypatch):
+    # a one-pass kernel whose powers lag one order behind, as a running
+    # product that applies its update late would: every family's check fails
+    real = identities._closed_forms
+
+    def late(orders, form, what="", prime=None):
+        first = orders[0] if orders else 0
+        return real(
+            orders, lambda n: (form(max(n - 1, first))[0], *form(n)[1:]), what, prime
+        )
+
+    monkeypatch.setattr(identities, "_closed_forms", late)
+    for family, (names, _, _) in ONE_PASS_FAMILIES.items():
+        points = [sample_point(names, 40_000 + seed, 40) for seed in range(3)]
+        assert not any(one_pass_matches_per_order(family, pt) for pt in points), family
 
 
 def test_aw_polys_yield_p_0_to_p_n_and_take_the_prime_by_keyword():
@@ -1996,14 +2165,16 @@ def test_one_elimination_runners_match_per_order_runners(check_id, height):
         assert True in outcomes
 
 
-# the closed form (or, for gram_to_bordered, the determinant scaling) of each
-# check, as bound in identities and in this module
+# what makes the closed form of each check, as bound in identities and in
+# this module: the kernel, which serves the one-pass runners and the public
+# rhs_* of the per-order ones alike, or, for gram_to_bordered, the
+# determinant scaling
 CLOSED_FORMS = {
-    "bordered_det": "rhs_det_formula",
-    "mehta_wang_det": "rhs_mehta_wang",
-    "gram_det": "rhs_gram_formula",
+    "bordered_det": "_closed_forms",
+    "mehta_wang_det": "_closed_forms",
+    "gram_det": "_closed_forms",
     "gram_to_bordered": "_decoration_det",
-    "little_qjacobi_hankel": "rhs_hankel",
+    "little_qjacobi_hankel": "_closed_forms",
 }
 
 
@@ -2014,7 +2185,8 @@ def test_one_elimination_runners_flag_a_mutated_closed_form(monkeypatch, check_i
     real = getattr(identities, name)
 
     def mutated(*args):
-        return real(*args) + 1
+        value = real(*args)
+        return (v + 1 for v in value) if name == "_closed_forms" else value + 1
 
     monkeypatch.setattr(identities, name, mutated)
     monkeypatch.setitem(globals(), name, mutated)

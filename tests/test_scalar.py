@@ -9,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import qident
+from helpers import prefix_table
 from qident.scalar import (
     PoleError,
     DomainError,
@@ -22,7 +23,6 @@ from qident.scalar import (
     gamma_int,
     qpoch,
     qpoch_multi,
-    qpoch_multi_table,
     sample_point,
     trial_prime,
 )
@@ -80,17 +80,17 @@ def test_scalar_roundtrip(x, y):
 
 def test_qpoch_table_matches_qpoch():
     a, q = F(3, 7), F(-2, 5)
-    table = qpoch_multi_table((a,), q, 6)
+    table = prefix_table((a,), q, 6)
     assert table == [qpoch(a, q, k) for k in range(7)]
-    assert qpoch_multi_table((a,), q, 0) == [1]
+    assert prefix_table((a,), q, 0) == [1]
     with pytest.raises(DomainError):
-        qpoch_multi_table((a,), q, -1)
+        prefix_table((a,), q, -1)
 
 
 def test_qpoch_table_holds_zero_without_raising():
     # a = q^-2: the factor 1 - a q^2 vanishes, so (a;q)_k = 0 from k = 3 on
     q = F(2, 3)
-    table = qpoch_multi_table((q**-2,), q, 5)
+    table = prefix_table((q**-2,), q, 5)
     assert table[:3] == [qpoch(q**-2, q, k) for k in range(3)]
     assert all(v != 0 for v in table[:3])
     assert table[3:] == [0, 0, 0]

@@ -1,12 +1,14 @@
 """Per-attempt differential of the registry between two source trees.
 
-    python tools/attempt_diff.py OLD_ROOT NEW_ROOT [CHECK_ID ...]
+    python tools/attempt_diff.py [--nmax N] [--mmax M] [--order K] OLD_ROOT NEW_ROOT [CHECK_ID ...]
 
 Each tree runs in a subprocess of its own, with only its `src` on the path.
 There every check (or each CHECK_ID given) runs its trials through that
 tree's own identities.run_trial, at master seed SEED, TRIALS trials and each
-height of HEIGHTS, and every attempt, resampled or not, is recorded: the seed
-of its point, and either the exception it raised or its residuals.  The
+height of HEIGHTS, at the check's default sizes with n_max, m_max and order
+replaced by --nmax, --mmax and --order where given, and every attempt,
+resampled or not, is recorded: the seed of its point, and either the
+exception it raised or its residuals.  The
 attempts of the two trees are then matched one by one, and for each check
 the script prints how many
 
@@ -26,6 +28,7 @@ The exit code is 1 when some attempt differs, and 0 otherwise.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -38,6 +41,7 @@ SEED = 0
 TRIALS = 20
 HEIGHTS = (2, 3, 40)
 KINDS = ("raised", "same", "values", "differ")
+SIZE_FLAGS = {"nmax": "n_max", "mmax": "m_max", "order": "order"}  # flag -> Sizes field
 
 
 def _residual(r, is_zero) -> dict:
@@ -52,8 +56,9 @@ def _residual(r, is_zero) -> dict:
     return out
 
 
-def _worker(root: str, check_ids: list[str]) -> None:
-    """Print one JSON record per attempt of the tree that is on the path."""
+def _worker(root: str, overrides: dict[str, int], check_ids: list[str]) -> None:
+    """Print one JSON record per attempt of the tree that is on the path,
+    with the Sizes fields in `overrides` replacing each check's defaults."""
     from dataclasses import replace
 
     import qident
@@ -64,7 +69,7 @@ def _worker(root: str, check_ids: list[str]) -> None:
     checks = [identities.CHECKS_BY_ID[i] for i in check_ids] or identities.REGISTRY
     for check in checks:
         for height in HEIGHTS:
-            sizes = replace(check.defaults, height=height)
+            sizes = replace(check.defaults, height=height, **overrides)
             for trial in range(TRIALS):
                 records = []
 
@@ -121,19 +126,27 @@ def classify(old: dict | None, new: dict | None) -> str:
     return "differ"
 
 
-def _attempts(root: Path, check_ids: list[str]) -> subprocess.Popen:
+def _attempts(root: Path, check_ids: list[str], overrides: dict[str, int]) -> subprocess.Popen:
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     return subprocess.Popen(
-        [sys.executable, __file__, "--worker", str(root), *check_ids],
+        [sys.executable, __file__, "--worker", str(root), json.dumps(overrides), *check_ids],
         env=env,
         stdout=subprocess.PIPE,
         text=True,
     )
 
 
-def compare(old_root: Path, new_root: Path, check_ids: list[str] = ()) -> dict[str, dict]:
-    """{check id: {kind: count}} over every attempt of either tree."""
-    runs = [_attempts(Path(root), list(check_ids)) for root in (old_root, new_root)]
+def compare(
+    old_root: Path,
+    new_root: Path,
+    check_ids: list[str] = (),
+    overrides: dict[str, int] | None = None,
+) -> dict[str, dict]:
+    """{check id: {kind: count}} over every attempt of either tree, at the
+    sizes `overrides` (Sizes fields) set over each check's defaults."""
+    runs = [
+        _attempts(Path(root), list(check_ids), overrides or {}) for root in (old_root, new_root)
+    ]
     trees = []
     for run in runs:
         out, _ = run.communicate()
@@ -151,12 +164,21 @@ def compare(old_root: Path, new_root: Path, check_ids: list[str] = ()) -> dict[s
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--worker"]:
-        _worker(argv[1], argv[2:])
+        _worker(argv[1], json.loads(argv[2]), argv[3:])
         return 0
-    if len(argv) < 2:
-        print(__doc__.splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    counts = compare(Path(argv[0]), Path(argv[1]), argv[2:])
+    parser = argparse.ArgumentParser(usage=__doc__.splitlines()[2].strip())
+    for flag in SIZE_FLAGS:
+        parser.add_argument(f"--{flag}", type=int)
+    parser.add_argument("old_root", type=Path)
+    parser.add_argument("new_root", type=Path)
+    parser.add_argument("check_ids", nargs="*")
+    args = parser.parse_args(argv)
+    overrides = {
+        field: getattr(args, flag)
+        for flag, field in SIZE_FLAGS.items()
+        if getattr(args, flag) is not None
+    }
+    counts = compare(args.old_root, args.new_root, args.check_ids, overrides)
     print(f"{'check':<24}{'attempts':>9}" + "".join(f"{k:>8}" for k in KINDS))
     total = dict.fromkeys(KINDS, 0)
     for check_id, row in counts.items():
