@@ -17,22 +17,26 @@ pair_swapped(M), whose row pairs are swapped.
 Each engine takes an optional prime modulus p, and puts each row over one
 denominator, its row scale, by scalar._common_denominator: exactly, or with
 p from entries that may be Fractions or scalar.Residues.  The same loop
-then runs on ints, or on ints mod p dividing by a pivot through its inverse
-mod p, and returns a canonical Fraction or a Residue: the exact value's
-numerator mod p over the exact scale's residue.  Both kinds of value come
-from scalar._ratio, as the closed forms' do.  A pivot that vanishes mod p
-is treated as zero, so a swap-free pass falls back there exactly as it does
-at an exact zero.  Only pivots are inverted, never an entry's denominator.
+then runs on ints, or on ints mod p, and returns a canonical Fraction or a
+Residue.  Mod p the loop divides by nothing: it leaves each step's rows
+times a product of earlier pivots, the pass's unit, which the Residue
+carries in its denominator.  A pivot that vanishes mod p is treated as
+zero, so a swap-free pass falls back there exactly as it does at an exact
+zero, and every pivot in a unit is nonzero mod p.  Both kinds of value come
+from scalar._ratio, as the closed forms' do.  The engines invert nothing
+mod p, neither a pivot nor an entry's denominator.
 
 Three oracles check the engines, each one algorithm that shares no code with
-them.  Each scales the whole matrix by the lcm of all its denominators and
-runs on ints over that one common denominator.  Cofactor expansion keeps
-each column-subset minor once and the matching expansion each partial
-matching once, so both cost O(n 2^n); they are capped at order 8.  Dodgson
-condensation reads every leading minor from one pass, dividing exactly by
-interior connected minors; where one of them vanishes, it leaves out the
-orders whose leading blocks contain the minor that divides by it.  The
-condensation relation is itself one of the verified identities, via
+them.  Each scales the whole matrix by one common denominator, and runs on
+ints over it: the lcm of all its denominators, or with a prime p their
+product mod p.  Cofactor expansion keeps each column-subset minor once and
+the matching expansion each partial matching once, so both cost O(n 2^n);
+they are capped at order 8.  Dodgson condensation reads every leading minor
+from one pass, dividing exactly by interior connected minors, or mod p
+multiplying by their inverses; where one of them vanishes (mod p, where it
+is ≡ 0), it leaves out the orders whose leading blocks contain the minor
+that divides by it.  The condensation relation is itself one of the
+verified identities, via
 
     det M * det M(interior) = det M(1,1) det M(n,n) - det M(1,n) det M(n,1),
 
@@ -128,7 +132,7 @@ class SkewMatrix(Matrix):
 
     @classmethod
     def from_upper(cls, order: int, fn: Callable[[int, int], Scalar]) -> "SkewMatrix":
-        """Build from the strict upper triangle, f(i,j) with i < j.  A
+        """Build from the strict upper triangle, f(i,j) with i < j.  An int or
         Residue entry is kept as it is; any other becomes a Fraction."""
         if order < 0:
             raise ValueError("dimensions must be nonnegative")
@@ -136,7 +140,7 @@ class SkewMatrix(Matrix):
         for i in range(order):
             for j in range(i + 1, order):
                 v = fn(i, j)
-                v = v if isinstance(v, Residue) else Fraction(v)
+                v = v if isinstance(v, (int, Residue)) else Fraction(v)
                 rows[i][j] = v
                 rows[j][i] = -v
         return cls._trusted(order, order, tuple([x for row in rows for x in row]))
@@ -168,30 +172,32 @@ def _require_square(M: Matrix):
         raise NonSquare(f"{M.rows}x{M.cols} matrix is not square")
 
 
-def _integer_rows(M: Matrix) -> tuple[list[list[int]], int]:
-    """The rows of L*M as ints, for L the lcm of the denominators of all entries.
+def _integer_rows(M: Matrix, p: int | None = None) -> tuple[list[list[int]], int]:
+    """The rows of L*M as ints, and L: the lcm of the denominators of all
+    entries, or with a prime p their product, the rows then reduced mod p.
 
     Only the oracles use this whole-matrix scaling; the engines they check
     scale their own way.
     """
-    flat, lcm = _common_denominator(M.entries)
-    return [flat[i * M.cols : (i + 1) * M.cols] for i in range(M.rows)], lcm
+    flat, scale = _common_denominator(M.entries, p)
+    return [flat[i * M.cols : (i + 1) * M.cols] for i in range(M.rows)], scale
 
 
-def det_cofactor(M: Matrix) -> Scalar:
+def det_cofactor(M: Matrix, p: int | None = None) -> Scalar | Residue:
     """Laplace expansion along rows 0..n-1; reference oracle, order <= 8.
 
     After row k, `minors` maps each (k+1)-subset of columns, as a bitmask, to
     the minor of L*M on rows 0..k and those columns: expanding that minor
     along row k gives a[k][j] times the minor on the other columns, with sign
     (-1)^(number of those columns right of j).  Each minor is formed once,
-    O(n 2^n) work, and det M = det(L*M) / L^n.
+    O(n 2^n) work, and det M = det(L*M) / L^n.  With a prime p the minors
+    are taken mod p and det M is a Residue.
     """
     _require_square(M)
     n = M.rows
     if n > COFACTOR_CAP:
         raise OrderTooLarge(f"cofactor expansion capped at order {COFACTOR_CAP}")
-    rows, lcm = _integer_rows(M)
+    rows, scale = _integer_rows(M, p)
     minors = {0: 1}
     for row in rows:
         nxt: dict[int, int] = {}
@@ -201,8 +207,8 @@ def det_cofactor(M: Matrix) -> Scalar:
                 if a and not cols & bit:
                     term = -a * d if (cols >> j).bit_count() & 1 else a * d
                     nxt[cols | bit] = nxt.get(cols | bit, 0) + term
-        minors = nxt
-    return Fraction(minors.get((1 << n) - 1, 0), lcm**n)
+        minors = nxt if p is None else {cols: d % p for cols, d in nxt.items()}
+    return _ratio([minors.get((1 << n) - 1, 0)], [scale] * n, p)
 
 
 def _row_scaled(M: Matrix, p: int | None = None) -> tuple[list[list[int]], list[int]]:
@@ -211,23 +217,32 @@ def _row_scaled(M: Matrix, p: int | None = None) -> tuple[list[list[int]], list[
     return [row for row, _ in scaled], [s for _, s in scaled]
 
 
-def _bareiss(a: list[list[int]], pivoting: bool, p: int | None = None) -> Iterator[int]:
+def _bareiss(
+    a: list[list[int]], pivoting: bool, p: int | None = None
+) -> Iterator[tuple[int, int]]:
     """Bareiss fraction-free elimination of the square int rows `a`, in place.
 
-    Yields the pivot of each step k = 0..n-1, read before the step, times the
-    sign of the row swaps so far.  By Sylvester's identity that pivot is the
-    determinant of the leading (k+1)x(k+1) block of the row-swapped matrix,
-    so every division is exact (``//``) and the last value is det a.  With a
-    prime p the rows are residues mod p and the division multiplies by the
-    inverse of the previous pivot, so each pivot is that determinant mod p.
-    With `pivoting`, a zero pivot is first swapped for a nonzero entry below
-    it.  A zero pivot that remains ends the elimination: the leading block,
-    and with pivoting the whole matrix, is singular (mod p, with a prime).
+    Yields (pivot, unit) for each step k = 0..n-1, read before the step, the
+    pivot times the sign of the row swaps so far.  By Sylvester's identity
+    pivot / unit is the determinant of the leading (k+1)x(k+1) block of the
+    row-swapped matrix, and the last one is det a.  Exactly, every unit is 1
+    and every division is exact (``//``).  With a prime p the rows are
+    residues mod p, and no pivot is inverted: step k stores its rows as the
+    Bareiss rows times e_k, with e_0 = e_1 = 1 and
+
+        e_(k+1) = e_k^2 * (stored pivot of step k-1),
+
+    so the update past pivot k multiplies by e_(k-1) where it would divide by
+    the previous pivot, and e_k is the unit of step k.  With `pivoting`, a
+    zero pivot is first swapped for a nonzero entry below it.  A zero pivot
+    that remains ends the elimination: the leading block, and with pivoting
+    the whole matrix, is singular (mod p, with a prime).  So every pivot in
+    a unit is nonzero mod p, and every unit is.
     """
     n = len(a)
     sign = 1
-    prev = 1
-    inv = 1
+    prev = 1  # the stored pivot of the previous step
+    unit = prev_unit = 1  # mod p: e_k and e_(k-1)
     for k in range(n):
         if pivoting and a[k][k] == 0:
             for r in range(k + 1, n):
@@ -237,19 +252,21 @@ def _bareiss(a: list[list[int]], pivoting: bool, p: int | None = None) -> Iterat
                     break
         pivot_row = a[k]
         pivot = pivot_row[k]
-        yield sign * pivot
+        yield sign * pivot, unit
         if pivot == 0:
             return
+        # mod p, both factors carry the multiplication by e_(k-1)
+        pe = pivot if p is None else pivot * prev_unit % p
         for i in range(k + 1, n):
             row = a[i]
-            f = row[k]
+            f = row[k] if p is None else row[k] * prev_unit % p
             for j in range(k + 1, n):
-                v = row[j] * pivot - f * pivot_row[j]
-                row[j] = v // prev if p is None else v * inv % p
+                v = row[j] * pe - f * pivot_row[j]
+                row[j] = v // prev if p is None else v % p
             row[k] = 0
+        if p is not None:
+            prev_unit, unit = unit, unit * unit * prev % p
         prev = pivot
-        if p is not None and k + 2 < n:  # the next step has rows to divide
-            inv = pow(pivot, -1, p)
 
 
 def det_fraction_free(M: Matrix, p: int | None = None) -> Scalar | Residue:
@@ -259,14 +276,14 @@ def det_fraction_free(M: Matrix, p: int | None = None) -> Scalar | Residue:
     Python ints; the scaling is divided out at the end.  A column with no
     available pivot proves the matrix singular, so the determinant is 0
     outright.  With a prime p the elimination runs mod p and returns det M
-    as a Residue.
+    as a Residue, over the row scales and the last pivot's unit.
     """
     _require_square(M)
     a, scales = _row_scaled(M, p)
-    det = 1
-    for det in _bareiss(a, pivoting=True, p=p):
+    det = unit = 1
+    for det, unit in _bareiss(a, pivoting=True, p=p):
         pass
-    return _ratio([det], scales, p)
+    return _ratio([det], [*scales, unit], p)
 
 
 def leading_minors(M: Matrix, p: int | None = None) -> list[Scalar | Residue]:
@@ -284,9 +301,9 @@ def leading_minors(M: Matrix, p: int | None = None) -> list[Scalar | Residue]:
     a, scales = _row_scaled(M, p)
     out = []
     scale = 1
-    for s, pivot in zip(scales, _bareiss(a, pivoting=False, p=p)):
+    for s, (pivot, unit) in zip(scales, _bareiss(a, pivoting=False, p=p)):
         scale *= s
-        out.append(_ratio([pivot], [scale], p))
+        out.append(_ratio([pivot], [scale, unit], p))
     for k in range(len(out) + 1, n + 1):
         out.append(det_fraction_free(M.leading(k), p))
     return out
@@ -306,7 +323,7 @@ def pair_swapped(M: Matrix) -> Matrix:
     return Matrix(M.rows, M.cols, tuple([x for i in range(M.rows) for x in M.row(i ^ 1)]))
 
 
-def det_condensation(M: Matrix) -> list[Scalar]:
+def det_condensation(M: Matrix, p: int | None = None) -> list[Scalar | Residue]:
     """det of the leading k x k block of M for k = 1..r, from one Dodgson
     condensation of the integer matrix L*M, where r <= n is the highest order
     whose block's own condensation divides by no zero.
@@ -318,17 +335,20 @@ def det_condensation(M: Matrix) -> list[Scalar]:
     vanishing interior entry leaves the connected minor that divides by it
     unknown, and with it every leading block that contains that minor's
     rows and columns: those orders are left out, so the list is shorter
-    than n exactly when some block's condensation divides by a zero.
+    than n exactly when some block's condensation divides by a zero.  With a
+    prime p the entries are residues mod p, each division multiplies by the
+    inverse of the interior entry, an interior entry ≡ 0 mod p leaves its
+    orders out as a zero does, and the minors are Residues.
     """
     _require_square(M)
-    cur, lcm = _integer_rows(M)
+    cur, common = _integer_rows(M, p)
     prev: list[list[int]] | None = None
     out = []
     scale = 1
     reach = M.rows
     while len(out) < reach:
-        scale *= lcm
-        out.append(Fraction(cur[0][0], scale))
+        scale *= common
+        out.append(_ratio([cur[0][0]], [scale], p))
         m = len(cur) - 1
         nxt = []
         for i in range(m):
@@ -341,8 +361,11 @@ def det_condensation(M: Matrix) -> list[Scalar]:
                     # the block of order len(out) + 1 + max(i, j)
                     j = interior.index(0)
                     reach = min(reach, len(out) + max(i, j))
-                row = [v // d if d else 0 for v, d in zip(row, interior)]
-            nxt.append(row)
+                if p is None:
+                    row = [v // d if d else 0 for v, d in zip(row, interior)]
+                else:
+                    row = [v * pow(d, -1, p) if d else 0 for v, d in zip(row, interior)]
+            nxt.append(row if p is None else [v % p for v in row])
         prev, cur = cur, nxt
     return out
 
@@ -372,19 +395,20 @@ def _check_even_skew(M: Matrix):
         raise OddOrder("Pfaffian requires even order")
 
 
-def pfaffian_matchings(M: Matrix) -> Scalar:
+def pfaffian_matchings(M: Matrix, p: int | None = None) -> Scalar | Residue:
     """Pfaffian as the signed sum over perfect matchings (order <= 8).
 
     Pairing the lowest unmatched index i with a later unmatched j takes sign
     (-1)^(unmatched indices between them).  `partial` maps each matched set,
     as a bitmask, to its signed sum of products of L*M, formed once: O(n 2^n)
-    work, and pf M = pf(L*M) / L^(n/2).
+    work, and pf M = pf(L*M) / L^(n/2).  With a prime p the sums are taken
+    mod p and pf M is a Residue.
     """
     _check_even_skew(M)
     n = M.rows
     if n > MATCHINGS_CAP:
         raise OrderTooLarge(f"matching enumeration capped at order {MATCHINGS_CAP}")
-    rows, lcm = _integer_rows(M)
+    rows, scale = _integer_rows(M, p)
     partial = {0: 1}
     for _ in range(n // 2):
         nxt: dict[int, int] = {}
@@ -399,8 +423,8 @@ def pfaffian_matchings(M: Matrix) -> Scalar:
                     key = used | 1 << i | 1 << j
                     nxt[key] = nxt.get(key, 0) + sign * a * v
                 sign = -sign
-        partial = nxt
-    return Fraction(partial.get((1 << n) - 1, 0), lcm ** (n // 2))
+        partial = nxt if p is None else {used: v % p for used, v in nxt.items()}
+    return _ratio([partial.get((1 << n) - 1, 0)], [scale] * (n // 2), p)
 
 
 def _skew_rows(M: Matrix, p: int | None) -> tuple[list[list[int]], list[int]]:
@@ -416,7 +440,9 @@ def _skew_rows(M: Matrix, p: int | None) -> tuple[list[list[int]], list[int]]:
     return [[v * s % p for v, s in zip(row, scales)] for row in rows], scales
 
 
-def _pfaffian_pairs(d: list[list[int]], pivoting: bool, p: int | None = None) -> Iterator[int]:
+def _pfaffian_pairs(
+    d: list[list[int]], pivoting: bool, p: int | None = None
+) -> Iterator[tuple[int, int]]:
     """Fraction-free block elimination of the even-order skew int rows `d`,
     in place, one row pair at a time.
 
@@ -427,19 +453,22 @@ def _pfaffian_pairs(d: list[list[int]], pivoting: bool, p: int | None = None) ->
         d'[i][j] = (a d[i][j] + d[2k+1][i] d[2k][j] - d[2k][i] d[2k+1][j]) / prev,
 
     with a = d[2k][2k+1] the pivot of pair k and prev that of pair k-1, so
-    every division is exact (``//``).  Yields the pivot of each pair times
-    the sign of the swaps so far: without swaps, the Pfaffian of the leading
-    (2k+2) x (2k+2) block, and the last one is pf d.  With `pivoting`, a zero
-    pivot is first replaced by swapping row and column 2k+1 with those of a
-    later nonzero entry of row 2k, which flips the sign.  A zero pivot that
-    remains ends the elimination: the leading block, and with pivoting the
-    whole matrix, has Pfaffian 0.  With a prime p the rows are residues mod p
-    and the division multiplies by the inverse of the previous pivot.
+    every division is exact (``//``).  Yields (pivot, unit) for each pair,
+    the pivot times the sign of the swaps so far: without swaps, pivot / unit
+    is the Pfaffian of the leading (2k+2) x (2k+2) block, and the last one
+    is pf d.  With `pivoting`, a zero pivot is first replaced by swapping
+    row and column 2k+1 with those of a later nonzero entry of row 2k, which
+    flips the sign.  A zero pivot that remains ends the elimination: the
+    leading block, and with pivoting the whole matrix, has Pfaffian 0.
+    Exactly, every unit is 1.  With a prime p the rows are residues mod p
+    and, as in _bareiss, no pivot is inverted: pair k stores its rows times
+    e_k, e_(k+1) = e_k^2 * (stored pivot of pair k-1), and the update
+    multiplies by e_(k-1) where it would divide by prev.
     """
     n = len(d)
     sign = 1
-    prev = 1
-    inv = 1
+    prev = 1  # the stored pivot of the previous pair
+    unit = prev_unit = 1  # mod p: e_k and e_(k-1)
     for k in range(0, n, 2):
         row0 = d[k]
         if pivoting and row0[k + 1] == 0:
@@ -451,22 +480,23 @@ def _pfaffian_pairs(d: list[list[int]], pivoting: bool, p: int | None = None) ->
                 sign = -sign
         row1 = d[k + 1]
         a = row0[k + 1]
-        yield sign * a
+        yield sign * a, unit
         if a == 0:
             return
-        # mod p, the three factors carry the division by prev instead
-        f = a if p is None else a * inv % p
+        # mod p, the three factors carry the multiplication by e_(k-1)
+        e = prev_unit
+        f = a if p is None else a * e % p
         for i in range(k + 2, n):
-            c0i, c1i = (row0[i], row1[i]) if p is None else (row0[i] * inv % p, row1[i] * inv % p)
+            c0i, c1i = (row0[i], row1[i]) if p is None else (row0[i] * e % p, row1[i] * e % p)
             row = d[i]
             for j in range(i + 1, n):
                 v = f * row[j] + c1i * row0[j] - c0i * row1[j]
                 v = v // prev if p is None else v % p
                 row[j] = v
                 d[j][i] = -v
+        if p is not None:
+            prev_unit, unit = unit, unit * unit * prev % p
         prev = a
-        if p is not None and k + 4 < n:  # the next pair has rows to divide
-            inv = pow(a, -1, p)
 
 
 def pfaffian_expansion(M: Matrix, p: int | None = None) -> Scalar | Residue:
@@ -475,14 +505,14 @@ def pfaffian_expansion(M: Matrix, p: int | None = None) -> Scalar | Residue:
     The elimination runs on the integer matrix S M S of _skew_rows, whose
     Pfaffian is (prod s_i) pf M, and divides that scale out at the end.  A
     zero row makes the Pfaffian 0.  With a prime p the elimination runs mod p
-    and the result is a Residue.
+    and the result is a Residue, over the scale and the last pivot's unit.
     """
     _check_even_skew(M)
     d, scales = _skew_rows(M, p)
-    pf = 1
-    for pf in _pfaffian_pairs(d, pivoting=True, p=p):
+    pf = unit = 1
+    for pf, unit in _pfaffian_pairs(d, pivoting=True, p=p):
         pass
-    return _ratio([pf], scales, p)
+    return _ratio([pf], [*scales, unit], p)
 
 
 def leading_pfaffians(M: Matrix, p: int | None = None) -> list[Scalar | Residue]:
@@ -498,9 +528,9 @@ def leading_pfaffians(M: Matrix, p: int | None = None) -> list[Scalar | Residue]
     d, scales = _skew_rows(M, p)
     out = []
     scale = 1
-    for k, pf in enumerate(_pfaffian_pairs(d, pivoting=False, p=p)):
+    for k, (pf, unit) in enumerate(_pfaffian_pairs(d, pivoting=False, p=p)):
         scale *= scales[2 * k] * scales[2 * k + 1]
-        out.append(_ratio([pf], [scale], p))
+        out.append(_ratio([pf], [scale, unit], p))
     for k in range(2 * len(out) + 2, M.rows + 1, 2):
         out.append(pfaffian_expansion(M.leading(k), p))
     return out

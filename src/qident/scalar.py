@@ -10,9 +10,11 @@ loops on plain-int numerator/denominator pairs and build one canonical
 products, without a gcd at every factor.  Every closed form of the paper, a
 monomial times a ratio of Pochhammer products, comes from one kernel,
 ``_closed_forms``, which reads the forms of every order at a point from one
-pass: one prefix table per Pochhammer group.  ``_closed_form`` is its
-one-order case.  The Askey-Wilson norm ratios h_n/h_0 are read by
-askey_wilson from a pair of prefix tables of their own.  The other
+pass: one prefix table per Pochhammer group, each order evaluated by
+``_form_value``.  ``_closed_form`` is its one-order case: it builds the
+tables of its one order and calls ``_form_value`` directly.  The
+Askey-Wilson norm ratios h_n/h_0 are read by askey_wilson from a pair of
+prefix tables of their own.  The other
 modules read a value's integer pair only through ``_pair`` (or its residues
 mod p through ``_pair_mod``), divide with a pole check through
 ``_quotient``, and take their tables from the helpers here: Pochhammer
@@ -30,8 +32,9 @@ The closed-form kernel given a prime takes its prefix tables mod p and builds
 no canonical Fraction; its poles are still decided on the exact entries.
 The modular matrix builders make each entry the same way, one ``_ratio`` of
 unreduced integer products, so their entries are Residues with no gcd, and
-the engines read an entry's pair mod p, whether it is a Fraction or a
-Residue, only through ``_pair_mod``.  The moment layer takes its
+the engines and oracles read an entry's pair mod p through
+``_common_denominator``: a Residue mod that p in place, any other value
+through ``_pair_mod``.  The moment layer takes its
 Pochhammer prefix tables mod p: each factor is formed exactly, and an entry
 is held as its residue in 1..p, or as 0 when the exact entry is zero, so a
 zero entry still means an exact zero.
@@ -188,30 +191,38 @@ def _closed_forms(
         for i, (_, _, ks) in enumerate((*nums, *dens)):
             tops[i] = max(tops[i], max(ks, default=0))
     tables = [_qpoch_multi_prefix(bases, q, top, prime) for (bases, q, _), top in zip(groups, tops)]
-    for powers, nums, dens in forms:
-        ups, downs = [], []
-        pole = False
-        for base, e in powers:
-            bn, bd = _pair(base) if e >= 0 else _pair(base)[::-1]
-            pole = pole or bd == 0  # a denominator is positive, so only e < 0
-            ups.append(pow(bn, abs(e), prime))
-            downs.append(pow(bd, abs(e), prime))
-        for (tn, td), (_, _, ks) in zip(tables, nums):
-            for k in ks:
-                ups.append(tn[k])
-                downs.append(td[k])
-        for (tn, td), (_, _, ks) in zip(tables[len(nums):], dens):
-            # a zero stays zero in a running product, so the last entry read decides
-            pole = pole or tn[max(ks, default=0)] == 0
-            for k in ks:
-                ups.append(td[k])
-                downs.append(tn[k])
-        if pole:
-            raise PoleError(f"{what} vanishes")
-        if prime is None:
-            yield Fraction(math.prod(ups), math.prod(downs))
-        else:  # every factor is already reduced mod p
-            yield Residue(math.prod(ups), math.prod(downs), prime)
+    for one in forms:
+        yield _form_value(one, tables, what, prime)
+
+
+def _form_value(
+    form: _Form, tables: Sequence[tuple[list[int], list[int]]], what: str, prime: int | None
+) -> Scalar | Residue:
+    """One order of _closed_forms: the form (powers, nums, dens) from the
+    prefix tables of its groups, nums' then dens', in order."""
+    powers, nums, dens = form
+    ups, downs = [], []
+    pole = False
+    for base, e in powers:
+        bn, bd = _pair(base) if e >= 0 else _pair(base)[::-1]
+        pole = pole or bd == 0  # a denominator is positive, so only e < 0
+        ups.append(pow(bn, abs(e), prime))
+        downs.append(pow(bd, abs(e), prime))
+    for (tn, td), (_, _, ks) in zip(tables, nums):
+        for k in ks:
+            ups.append(tn[k])
+            downs.append(td[k])
+    for (tn, td), (_, _, ks) in zip(tables[len(nums):], dens):
+        # a zero stays zero in a running product, so the last entry read decides
+        pole = pole or tn[max(ks, default=0)] == 0
+        for k in ks:
+            ups.append(td[k])
+            downs.append(tn[k])
+    if pole:
+        raise PoleError(f"{what} vanishes")
+    if prime is None:
+        return Fraction(math.prod(ups), math.prod(downs))
+    return Residue(math.prod(ups), math.prod(downs), prime)  # every factor is reduced mod p
 
 
 def _closed_form(
@@ -221,19 +232,21 @@ def _closed_form(
     what: str = "",
     prime: int | None = None,
 ) -> Scalar | Residue:
-    """One closed form: _closed_forms at a single order."""
-    return next(_closed_forms((0,), lambda _: (powers, nums, dens), what, prime))
+    """One closed form: _closed_forms at a single order, with each group's
+    table taken up to the largest k it reads."""
+    tables = [
+        _qpoch_multi_prefix(bases, q, max((0, *ks)), prime) for bases, q, ks in (*nums, *dens)
+    ]
+    return _form_value((powers, nums, dens), tables, what, prime)
 
 
 def _ratio(ups: list[int], downs: list[int], prime: int | None = None) -> Scalar | Residue:
     """prod ups / prod downs for nonzero integer factors `downs`: one canonical
-    Fraction, or with a prime the Residue of the two products, each factor
-    reduced mod p before it is multiplied."""
+    Fraction, or with a prime the Residue of the two products, each product
+    reduced mod p once."""
     if prime is None:
         return Fraction(math.prod(ups), math.prod(downs))
-    return Residue(
-        math.prod([x % prime for x in ups]), math.prod([x % prime for x in downs]), prime
-    )
+    return Residue(math.prod(ups), math.prod(downs), prime)
 
 
 def _ratio_table(
@@ -288,11 +301,16 @@ def _common_denominator(
     values: Sequence[Scalar | Residue], prime: int | None = None
 ) -> tuple[list[int], int]:
     """_over_one_denominator of the values' pairs: ints and Fractions, or
-    with a prime also Residues, read through _pair_mod."""
+    with a prime also Residues, a Residue mod that prime read in place and
+    any other value through _pair_mod."""
     if prime is None:  # the pairs are read in place, with no list of them
         lcm = math.lcm(*[v.denominator for v in values])
         return [v.numerator * (lcm // v.denominator) for v in values], lcm
-    return _over_one_denominator([_pair_mod(v, prime) for v in values], prime)
+    pairs = [
+        (v.num, v.den) if v.__class__ is Residue and v.p == prime else _pair_mod(v, prime)
+        for v in values
+    ]
+    return _over_one_denominator(pairs, prime)
 
 
 class Residue:

@@ -921,9 +921,9 @@ def test_a_zero_interior_minor_keeps_the_point_and_its_engine_comparisons(
     condensed, fallbacks = [], []
     real_condensation, real_det = identities.det_condensation, linalg.det_fraction_free
 
-    def condensation(M):
-        condensed.append((M.rows, len(real_condensation(M))))
-        return real_condensation(M)
+    def condensation(M, p=None):
+        condensed.append((M.rows, len(real_condensation(M, p))))
+        return real_condensation(M, p)
 
     def fallback(M, p=None):  # linalg's own calls: leading_minors past a zero pivot
         fallbacks.append(M.rows)
@@ -1015,6 +1015,7 @@ def test_modular_engine_off_by_one_fails_every_trial(monkeypatch, check_id, engi
         ("gram_to_bordered", "_decoration_det"),
         ("little_qjacobi_hankel", "_closed_form"),
         ("even_order_det", "_closed_form"),
+        ("pfaffian_eval", "_closed_form"),
         ("pfaffian_integer_exp", "_closed_form"),
     ],
 )
@@ -1024,7 +1025,8 @@ def test_modular_closed_form_off_by_one_fails_every_trial(monkeypatch, check_id,
     # alone, so these failures show the modular closed forms are compared.
     # _closed_form stands for the kernel at both of its entries, one order
     # and the one-pass _closed_forms the runners read every order from.
-    # pfaffian_eval compares an exact closed form only (see the next test)
+    # little_qjacobi_hankel and pfaffian_eval compare their exact closed
+    # forms at the top order only (see the tests below)
     primes = []
     for name in (closed_form, closed_form + "s"):
         real = getattr(identities, name, None)
@@ -1084,6 +1086,108 @@ def test_exact_arity_closed_form_stand_ins_fail_through_residuals(
     # would fail by a TypeError instead of by a nonzero residual
     monkeypatch.setattr(identities, name, stand_in)
     report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
+    assert report.failures == report.trials == 5
+
+
+@pytest.mark.parametrize(
+    "check_id, name", [("little_qjacobi_hankel", "rhs_hankel"), ("pfaffian_eval", "rhs_pfaffian")]
+)
+def test_the_exact_closed_form_is_called_once_per_point_at_the_top_order(
+    monkeypatch, check_id, name
+):
+    # every lower order is read from one pass mod p; the public exact form
+    # is called once, at the top order, with the exact arguments only
+    check = CHECKS_BY_ID[check_id]
+    real = getattr(identities, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(identities, name, counted)
+    for trial in range(5):
+        _, pt = run_trial(check, trial, check.defaults)
+        calls.clear()
+        residuals = check.run(pt, check.defaults)
+        assert len(calls) == 1
+        [args] = calls
+        top = check.defaults.n_max if name == "rhs_hankel" else check.defaults.m_max
+        assert args[0] == top and len(args) == (2 if name == "rhs_hankel" else 4)
+        assert residuals and all(identities._is_zero(r) for r in residuals)
+
+
+@pytest.mark.parametrize("order", (1, 2))
+@pytest.mark.parametrize(
+    "check_id, name",
+    [("little_qjacobi_hankel", "_hankel_forms"), ("pfaffian_eval", "_pfaffian_forms")],
+)
+def test_a_modular_closed_form_fault_below_the_top_order_fails_every_trial(
+    monkeypatch, check_id, name, order
+):
+    # one order below the top, and only in the pass mod p: the plain Hankel
+    # form alone (its decorated pass is left alone), the Pfaffian form of
+    # the order
+    real = getattr(identities, name)
+
+    def faulty(orders, *args):
+        *_, prime = args
+        extra = args[1] if name == "_hankel_forms" else ()
+        for n, value in zip(orders, real(orders, *args)):
+            yield value + 1 if n == order and prime is not None and not extra else value
+
+    monkeypatch.setattr(identities, name, faulty)
+    report = run_check(CHECKS_BY_ID[check_id], trials=5, seed=0)
+    assert report.failures == report.trials == 5
+
+
+def test_gamma_pfaffian_int_entries_give_the_fraction_entries_residuals(monkeypatch):
+    M = SkewMatrix.from_upper(4, lambda i, j: (j - i) * 3)
+    assert type(M[0, 1]) is int and M[1, 0] == -3 and M[0, 0] == 0
+    int_residuals = [check_gamma_pfaffian(5, a) for a in range(1, 5)]
+    real = SkewMatrix.from_upper.__func__
+
+    def as_fractions(cls, order, fn):
+        return real(cls, order, lambda i, j: F(fn(i, j)))
+
+    monkeypatch.setattr(SkewMatrix, "from_upper", classmethod(as_fractions))
+    fraction_residuals = [check_gamma_pfaffian(5, a) for a in range(1, 5)]
+    assert [[repr(r) for r in row] for rows in int_residuals for row in rows] == [
+        [repr(r) for r in row] for rows in fraction_residuals for row in rows
+    ]
+    assert all(len(rows) == 5 for rows in int_residuals)
+
+
+def test_a_row_scale_fault_in_the_engines_fails_bordered_det_through_its_oracles(monkeypatch):
+    # the oracles scale the whole matrix their own way, so an engine that
+    # scales one row wrong disagrees with both of them at every order
+    check = CHECKS_BY_ID["bordered_det"]
+    real_scaled, real_condensation = linalg._row_scaled, identities.det_condensation
+    reached = []
+
+    def mis_scaled(M, p=None):
+        rows, scales = real_scaled(M, p)
+        return rows, [2 * s if i == 0 else s for i, s in enumerate(scales)]
+
+    def condensation(M, p=None):
+        out = real_condensation(M, p)
+        reached.append(len(out))
+        return out
+
+    monkeypatch.setattr(identities, "det_condensation", condensation)
+    points = [run_trial(check, trial, check.defaults)[1] for trial in range(5)]
+    monkeypatch.setattr(linalg, "_row_scaled", mis_scaled)
+    for pt in points:
+        reached.clear()
+        residuals = iter(check.run(pt, check.defaults))
+        oracle_residuals = []
+        for n in range(1, check.defaults.n_max + 1):
+            next(residuals)  # against the closed form
+            oracle_residuals += [next(residuals) for _ in range(1 + (n <= reached[0]))]
+        assert next(residuals, None) is None
+        assert len(oracle_residuals) > check.defaults.n_max
+        assert not any(identities._is_zero(r) for r in oracle_residuals)
+    report = run_check(check, trials=5, seed=0)
     assert report.failures == report.trials == 5
 
 

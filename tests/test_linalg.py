@@ -576,9 +576,9 @@ def lcm_scaled_minors(M, p):
         rows.append([v % p for v in row])
         scales.append(s)
     out, scale = [], 1
-    for s, pivot in zip(scales, linalg._bareiss(rows, pivoting=False, p=p)):
+    for s, (pivot, unit) in zip(scales, linalg._bareiss(rows, pivoting=False, p=p)):
         scale *= s
-        out.append(Residue(pivot, scale, p))
+        out.append(Residue(pivot, scale * unit, p))
     return out
 
 
@@ -616,3 +616,52 @@ def test_product_row_scales_match_lcm_scales_mod_a_small_prime():
                     assert pfaffian_expansion(skew, p) == pfaffian_expansion(S)
                     assert leading_pfaffians(skew, p) == leading_pfaffians(S)
     assert fell_back > 10
+
+
+# The oracles mod p: each keeps its own algorithm and its whole-matrix
+# scaling, now the product of all entry denominators, and returns the
+# residue of its exact value.
+
+
+@pytest.mark.parametrize("height", [2, 3, 40])
+@pytest.mark.parametrize("seed", range(4))
+def test_modular_oracles_are_the_exact_values_mod_p(height, seed):
+    rng = random.Random(300 * height + seed)
+    p = trial_prime(seed)
+    for n in range(1, 9):
+        M = Matrix.build(n, n, lambda i, j: degenerate_entry(rng, height))
+        cofactor = det_cofactor(M, p)
+        assert isinstance(cofactor, Residue) and cofactor.p == p
+        assert cofactor == det_cofactor(M)
+        exact, modular = det_condensation(M), det_condensation(M, p)
+        # an interior entry that vanishes exactly vanishes mod p too, so every
+        # order the exact pass leaves out is left out
+        assert len(modular) <= len(exact)
+        assert all(isinstance(d, Residue) and d.p == p for d in modular)
+        assert modular == exact[: len(modular)]
+        if n % 2 == 0:
+            S = SkewMatrix.from_upper(n, lambda i, j: degenerate_entry(rng, height))
+            pf = pfaffian_matchings(S, p)
+            assert isinstance(pf, Residue) and pf.p == p
+            assert pf == pfaffian_matchings(S)
+
+
+def test_modular_condensation_leaves_out_orders_past_an_interior_entry_divisible_by_p():
+    # mod 7 interior minors vanish where the exact ones do not: those orders
+    # are left out as at an exact zero, and every order kept is the residue
+    # of the exact minor; no denominator is divisible by 7, so no scale
+    # vanishes
+    p = 7
+    rng = random.Random(8)
+    fewer = 0
+    for n in range(1, 9):
+        for _ in range(10):
+            M = Matrix.build(
+                n, n, lambda i, j: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 5, 6, 8, 9)))
+            )
+            exact, modular = det_condensation(M), det_condensation(M, p)
+            assert len(modular) <= len(exact)
+            assert modular == exact[: len(modular)]
+            fewer += len(modular) < len(exact)
+            assert det_cofactor(M, p) == det_cofactor(M)
+    assert fewer > 10
