@@ -1,5 +1,6 @@
 """The per-attempt differential in tools/attempt_diff.py: the repository
-against itself, and the classification of single attempts."""
+against itself, the classification of single attempts, and the golden
+attempt digests of tests/golden/attempts.json."""
 
 import importlib.util
 import json
@@ -7,7 +8,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from qident.identities import Sizes
+import pytest
+
+from qident.identities import REGISTRY, Sizes
+from qident.scalar import Residue
+from qident.series import SeriesResidue, TruncatedSeries
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("attempt_diff", ROOT / "tools" / "attempt_diff.py")
@@ -89,3 +94,47 @@ def test_size_flags_name_the_sizes_fields(capsys):
     assert attempt_diff.main(["--mmax", "1", str(ROOT), str(ROOT), "even_order_det"]) == 0
     assert "even_order_det" in capsys.readouterr().out
     assert set(attempt_diff.SIZE_FLAGS.values()) <= set(Sizes.__dataclass_fields__)
+
+
+def test_values_do_not_depend_on_the_pair_that_holds_them():
+    value = attempt_diff._value
+    # 3/5 and 6/10 mod 7 are 3 * 5^-1 = 3 * 3 = 2 mod 7
+    assert value(Residue(3, 5, 7)) == value(Residue(6, 10, 7)) == "2 mod 7"
+    assert value(Residue(3, 7, 7)) == value(Residue(4, 14, 7)) == "*/0 mod 7"
+    assert value(Residue(3, 5, 11)) != value(Residue(3, 5, 7))
+    assert value(Fraction(6, 10)) == "3/5" and value(3) == value(Fraction(3)) == "3"
+    # 10^-1 = 5 mod 7
+    assert value(SeriesResidue([3, 6, 7], 10, 7)) == ["1 mod 7", "2 mod 7", "0 mod 7"]
+    assert value(TruncatedSeries.from_integers([3, 6], 9)) == ["1/3", "2/3"]
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return attempt_diff.golden_digests()
+
+
+def test_golden_attempt_digests(digests):
+    # every check at heights 2, 3 and 40 (seed 0, 20 trials, default sizes)
+    # makes the attempts the file pins; a change that alters outcomes by
+    # design rewrites it with `python tools/attempt_diff.py --write-golden`
+    golden = json.loads(attempt_diff.GOLDEN.read_text())
+    assert (golden["seed"], golden["trials"]) == (attempt_diff.SEED, attempt_diff.TRIALS)
+    assert golden["heights"] == list(attempt_diff.HEIGHTS)
+    assert list(digests) == [check.id for check in REGISTRY]
+    assert digests == golden["digests"]
+
+
+def test_check_golden_names_each_changed_digest(digests, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(attempt_diff, "golden_digests", lambda: digests)
+    assert attempt_diff.main(["--check-golden"]) == 0
+    assert capsys.readouterr().out == ""
+    # --write-golden writes the committed file again, byte for byte
+    committed = attempt_diff.GOLDEN.read_text()
+    monkeypatch.setattr(attempt_diff, "GOLDEN", tmp_path / "golden" / "attempts.json")
+    assert attempt_diff.main(["--write-golden"]) == 0
+    assert attempt_diff.GOLDEN.read_text() == committed
+    golden = json.loads(committed)
+    golden["digests"]["orthogonality"]["3"]["sha256"] = "0" * 64
+    attempt_diff.GOLDEN.write_text(json.dumps(golden))
+    assert attempt_diff.main(["--check-golden"]) == 1
+    assert capsys.readouterr().out == "digest changed: orthogonality at height 3\n"

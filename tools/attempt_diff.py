@@ -1,6 +1,7 @@
 """Per-attempt differential of the registry between two source trees.
 
     python tools/attempt_diff.py [--nmax N] [--mmax M] [--order K] OLD_ROOT NEW_ROOT [CHECK_ID ...]
+    python tools/attempt_diff.py --write-golden | --check-golden
 
 Each tree runs in a subprocess of its own, with only its `src` on the path.
 There every check (or each CHECK_ID given) runs its trials through that
@@ -24,6 +25,17 @@ the script prints how many
 
 A refactor that must leave every residual unchanged shows 0 in `differ`.
 The exit code is 1 when some attempt differs, and 0 otherwise.
+
+The golden digests, tests/golden/attempts.json, pin the attempts of this
+tree at its default sizes: for each check and height, the attempt count,
+the raised count and a SHA-256 over the attempts in order, each its seed
+and either its exception's type and message or its residuals' zero pattern
+and values.  A value does not depend on the integer pair that holds it (see
+_value), so a change of unreduced pair keeps the digest and a change of
+value does not.  --write-golden rewrites the file from this tree.
+--check-golden recomputes the digests, prints each check and height whose
+digest changed, and exits 1 if there is one, 0 otherwise; it needs no
+pytest.  A change that alters outcomes by design rewrites the file.
 """
 
 from __future__ import annotations
@@ -42,13 +54,41 @@ TRIALS = 20
 HEIGHTS = (2, 3, 40)
 KINDS = ("raised", "same", "values", "differ")
 SIZE_FLAGS = {"nmax": "n_max", "mmax": "m_max", "order": "order"}  # flag -> Sizes field
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "attempts.json"
+
+
+def _residue_value(num: int, den: int, p: int) -> str:
+    """N/D mod p as N D^-1 mod p, or the marker */0 where D ≡ 0 mod p."""
+    if den % p == 0:
+        return f"*/0 mod {p}"
+    return f"{num * pow(den, -1, p) % p} mod {p}"
+
+
+def _value(r) -> str | list[str]:
+    """A residual's value, the same for every integer pair that holds it: an
+    int or a Fraction in lowest terms as its str, a Residue through
+    _residue_value, and a SeriesResidue or TruncatedSeries as the list of
+    its coefficients' values."""
+    p = getattr(r, "p", None)
+    if hasattr(r, "nums"):
+        if p is None:
+            return [str(Fraction(n, r.den)) for n in r.nums]
+        return [_residue_value(n, r.den, p) for n in r.nums]
+    if p is not None:
+        return _residue_value(r.num, r.den, p)
+    return str(r)
 
 
 def _residual(r, is_zero) -> dict:
-    """A residual's repr digest, whether it reads zero, for a residue mod p
-    its numerators, denominator and p, and for a Fraction its numerator and
-    denominator, with no p."""
-    out = {"repr": hashlib.sha256(repr(r).encode()).hexdigest(), "zero": bool(is_zero(r))}
+    """A residual's repr digest, whether it reads zero, its _value, for a
+    residue mod p its numerators, denominator and p, and for a Fraction its
+    numerator and denominator, with no p."""
+    out = {
+        "repr": hashlib.sha256(repr(r).encode()).hexdigest(),
+        "zero": bool(is_zero(r)),
+        "value": _value(r),
+    }
     if hasattr(r, "p") and hasattr(r, "den"):
         out["mod"] = [list(r.nums) if hasattr(r, "nums") else [r.num], r.den, r.p]
     elif isinstance(r, Fraction):
@@ -136,6 +176,14 @@ def _attempts(root: Path, check_ids: list[str], overrides: dict[str, int]) -> su
     )
 
 
+def _records(run: subprocess.Popen) -> list[dict]:
+    """The attempt records a worker printed."""
+    out, _ = run.communicate()
+    if run.returncode:
+        raise RuntimeError(f"a worker exited with {run.returncode}")
+    return [json.loads(line) for line in out.splitlines()]
+
+
 def compare(
     old_root: Path,
     new_root: Path,
@@ -147,14 +195,7 @@ def compare(
     runs = [
         _attempts(Path(root), list(check_ids), overrides or {}) for root in (old_root, new_root)
     ]
-    trees = []
-    for run in runs:
-        out, _ = run.communicate()
-        if run.returncode:
-            raise RuntimeError(f"a worker exited with {run.returncode}")
-        records = [json.loads(line) for line in out.splitlines()]
-        trees.append({tuple(r["key"]): r for r in records})
-    old, new = trees
+    old, new = [{tuple(r["key"]): r for r in _records(run)} for run in runs]
     counts: dict[str, dict] = {}
     for key in list(old) + [key for key in new if key not in old]:
         row = counts.setdefault(key[0], dict.fromkeys(KINDS, 0))
@@ -162,10 +203,54 @@ def compare(
     return counts
 
 
+def golden_digests() -> dict[str, dict[str, dict]]:
+    """{check id: {height: {"attempts", "raised", "sha256"}}} of this tree at
+    its default sizes, as the module docstring defines them."""
+    digests: dict[str, dict[str, dict]] = {}
+    hashes = {}
+    for record in _records(_attempts(ROOT, [], {})):
+        check_id, height = record["key"][0], str(record["key"][1])
+        row = digests.setdefault(check_id, {}).setdefault(height, {"attempts": 0, "raised": 0})
+        row["attempts"] += 1
+        if "raised" in record:
+            row["raised"] += 1
+            outcome = ["raised", record["raised"]]
+        else:
+            residuals = record["residuals"]
+            outcome = ["residuals", [r["zero"] for r in residuals], [r["value"] for r in residuals]]
+        line = json.dumps([record["seed"], outcome]) + "\n"
+        hashes.setdefault((check_id, height), hashlib.sha256()).update(line.encode())
+    for (check_id, height), digest in hashes.items():
+        digests[check_id][height]["sha256"] = digest.hexdigest()
+    return digests
+
+
+def check_golden() -> list[str]:
+    """'check at height h' for each digest of golden_digests() that differs
+    from the file GOLDEN, or is in only one of them."""
+    want, got = json.loads(GOLDEN.read_text())["digests"], golden_digests()
+    keys = {(c, h) for digests in (want, got) for c, rows in digests.items() for h in rows}
+    return [
+        f"{c} at height {h}"
+        for c, h in sorted(keys, key=lambda key: (key[0], int(key[1])))
+        if want.get(c, {}).get(h) != got.get(c, {}).get(h)
+    ]
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--worker"]:
         _worker(argv[1], json.loads(argv[2]), argv[3:])
         return 0
+    if argv == ["--write-golden"]:
+        header = {"seed": SEED, "trials": TRIALS, "heights": list(HEIGHTS)}
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps({**header, "digests": golden_digests()}, indent=1) + "\n")
+        return 0
+    if argv == ["--check-golden"]:
+        changed = check_golden()
+        for name in changed:
+            print(f"digest changed: {name}")
+        return 1 if changed else 0
     parser = argparse.ArgumentParser(usage=__doc__.splitlines()[2].strip())
     for flag in SIZE_FLAGS:
         parser.add_argument(f"--{flag}", type=int)
