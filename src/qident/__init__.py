@@ -8,7 +8,6 @@ from .scalar import (
     DomainError,
     SamplingExhausted,
     Scalar,
-    gamma_int,
     qpoch,
     qpoch_multi,
     sample_point,

@@ -31,9 +31,10 @@ decide them, and the fold then runs mod p; a check that needs
 several degrees at a point reads them from it, and the orthogonality check
 evaluates each p_m at the lattice nodes z_j = a q^j that way.
 aw_leading_coeff is the closed form of the x^n coefficient, so a degree
-drop is read without expanding p_n.  aw_poly_as_polynomial, which
+drop is read without expanding p_n; aw_poly_as_polynomial, which
 interpolates p_n to monomials, is the oracle for both p_n's values and its
-leading coefficient.
+leading coefficient.  The norm ratios h_n/h_0 of every order come from one
+pass of the closed-form kernel, scalar._closed_forms.
 
 L is applied in two ways, which check each other.  moment_functional applies
 the definition directly: it expands f on the basis by peeling off leading
@@ -53,9 +54,9 @@ Newton interpolation through free nodes and the connection coefficients
 read one node-difference table, _difference_table: the products
 prod_{r<=k, r!=j} (b_j - b_r) as integer pairs, column k from column k-1 by
 prefix products.  newton_coeffs sums the closed form of the divided
-differences over it, and _connection_table every u(n, k) up to a degree
-in one pass, with prod_{j<n} (b_r + a_j) as prefix products over n;
-connection_u reads one entry.  The lattice coefficients, the moment
+differences over it with scalar._pair_sum, and _connection_table every
+u(n, k) up to a degree in one pass, with prod_{j<n} (b_r + a_j) as prefix
+products over n; connection_u reads one entry.  The lattice coefficients, the moment
 weights and the connection coefficients run on integer pairs from
 scalar._pair and build one canonical Fraction, or one Residue, per value
 they return.  A PolynomialInX holds integer numerators over one positive
@@ -75,7 +76,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .scalar import (
     DomainError,
@@ -83,13 +84,17 @@ from .scalar import (
     Residue,
     Scalar,
     _closed_form,
+    _closed_forms,
+    _lowest_terms,
     _over_one_denominator,
     _pair,
+    _pair_sum,
     _qpoch_multi_prefix,
     _ratio,
     _ratio_table,
+    _reduced,
 )
-from .series import _IntegerVector, _lowest_terms, _reduced, _sum_of_products, _terminating_sum
+from .series import _IntegerVector, _sum_of_products, _terminating_sum
 
 
 class DuplicateNodes(ValueError):
@@ -289,35 +294,32 @@ def aw_poly_as_polynomial(n: int, p: AWParams) -> PolynomialInX:
 
 def aw_norm_ratio(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
     """h_n/h_0 for the orthogonality L(p_m p_n) = (h_n/h_0) delta_mn, or its
-    Residue mod `prime` when one is given: entry n of _aw_norm_ratios."""
-    *_, value = _aw_norm_ratios(p, n, prime, start=n)
-    return value
+    Residue mod `prime` when one is given: _aw_norm_ratios at order n."""
+    return next(_aw_norm_ratios(p, (n,), prime))
 
 
 def _aw_norm_ratios(
-    p: AWParams, top: int, prime: int | None = None, start: int = 0
+    p: AWParams, orders: Sequence[int], prime: int | None = None
 ) -> Iterator[Scalar | Residue]:
-    """h_n/h_0 for n = start..top, one at a time, from one pair of Pochhammer
-    prefix tables up to top:
+    """h_n/h_0 for each n of `orders` in turn, from one scalar._closed_forms pass:
 
         h_n/h_0 = (1 - abcd q^(n-1)) / (1 - abcd q^(2n-1))
                   * (q, ab, ac, ad, bc, bd, cd;q)_n / (abcd;q)_n.
 
-    Entry n raises PoleError("norm ratio denominator vanishes") only where
-    its own denominator does.  Each value is one scalar._ratio of the
-    integer factors a _closed_form of entry n would read: one canonical
-    Fraction, or their Residue mod `prime`."""
-    a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    abcd = p.abcd
-    pairs = (q, a * b, a * c, a * d, b * c, b * d, c * d)
-    tn, td = _qpoch_multi_prefix(pairs, q, top, prime)
-    un, ud = _qpoch_multi_prefix((abcd,), q, top, prime)
-    for n in range(start, top + 1):
-        sn, sd = _pair(q ** (n - 1) * abcd)
-        wn, wd = _pair(q ** (2 * n - 1) * abcd)
-        if wd == wn or un[n] == 0:
-            raise PoleError("norm ratio denominator vanishes")
-        yield _ratio([sd - sn, tn[n], wd, ud[n]], [sd, td[n], wd - wn, un[n]], prime)
+    Order n raises PoleError("norm ratio denominator vanishes") only where
+    its own denominator does."""
+    a, b, c, d, q, abcd = p.a, p.b, p.c, p.d, p.q, p.abcd
+    bases = (q, a * b, a * c, a * d, b * c, b * d, c * d)
+    return _closed_forms(
+        orders,
+        lambda n: (
+            ((1 - abcd * q ** (n - 1), 1), (1 - abcd * q ** (2 * n - 1), -1)),
+            ((bases, q, (n,)),),
+            (((abcd,), q, (n,)),),
+        ),
+        "norm ratio denominator",
+        prime,
+    )
 
 
 def basis_moment(n: int, p: AWParams) -> Scalar:
@@ -554,10 +556,8 @@ def _apply_weights(
     """sum_j w_j v_j for the weights (cn, cd, sn, sd) of one _weight_orders
     order and value pairs v_j, summed as unreduced integer pairs, or mod
     `prime` into a Residue when one is given."""
-    num, den = 0, 1
-    for (cn, cd, sn, sd), (xn, xd) in zip(weights, values):
-        tn, td = cn * sn * xn, cd * sd * xd
-        num, den = _reduced(num * td + tn * den, prime), _reduced(den * td, prime)
+    terms = ((cn * sn * xn, cd * sd * xd) for (cn, cd, sn, sd), (xn, xd) in zip(weights, values))
+    num, den = _pair_sum(terms, prime)
     return _ratio([num], [den], prime)
 
 
@@ -634,17 +634,6 @@ def _difference_table(pairs: Sequence[tuple[int, int]]) -> list[list[tuple[int, 
         columns.append(column)
         b_den *= kd
     return columns
-
-
-def _pair_sum(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """sum_i n_i / d_i for nonzero d_i, cross-multiplied: one unreduced pair.
-    Products of distinct node differences share few factors, so their lcm is
-    close to their product, and this skips the gcds of
-    scalar._over_one_denominator."""
-    num, den = 0, 1
-    for tn, td in terms:
-        num, den = num * td + tn * den, den * td
-    return num, den
 
 
 def newton_coeffs(nodes: Sequence[Scalar], values: Sequence[Scalar]) -> list[Scalar]:

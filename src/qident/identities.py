@@ -589,13 +589,6 @@ def _det_prefactors(
     )
 
 
-def rhs_det_formula(
-    n: int, p: AWParams, p_n: Scalar | Residue, prime: int | None = None
-) -> Scalar | Residue:
-    """Closed form D_n(a,b) * p_n(x; a,b,c,d; q), given the value p_n."""
-    return det_prefactor(n, p, prime) * p_n
-
-
 def _decoration_bases(p: AWParams) -> tuple[Scalar, ...]:
     """(ac, ad, bc, bd): the bases of the row and column decorations."""
     a, b, c, d = p.a, p.b, p.c, p.d
@@ -670,13 +663,6 @@ def gram_prefactor(n: int, p: AWParams, prime: int | None = None) -> Scalar | Re
            prod_i (ab,ac,ad,bc,bd,cd,q;q)_i / (abcd;q)_(n+i),
     that is (-1)^n D_n prod_i (ac,ad,bc,bd;q)_i."""
     return next(_det_prefactors((n,), p, -1, _decoration_bases(p), prime))
-
-
-def rhs_gram_formula(
-    n: int, p: AWParams, p_n: Scalar | Residue, prime: int | None = None
-) -> Scalar | Residue:
-    """Closed form C * p_n(x; a,b,c,d; q), given the value p_n."""
-    return gram_prefactor(n, p, prime) * p_n
 
 
 def gram_elimination_residuals(
@@ -884,13 +870,6 @@ def _pfaffian_forms(
         "(abq^2;q)_(2(k+m)-3)",
         prime,
     )
-
-
-def rhs_even_det(
-    m: int, a: Scalar, b: Scalar, q: Scalar, prime: int | None = None
-) -> Scalar | Residue:
-    """Closed form of the even-order determinant (the Pfaffian squared)."""
-    return rhs_pfaffian(m, a, b, q, prime) ** 2
 
 
 def build_integer_exp_pfaffian(
@@ -1369,7 +1348,7 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
          1 <= e <= 2d-1, which is a node collision at the same order, and
          both routes check the nodes first;
       4. the norm ratios h_n/h_0, n = 0..T, read from one _aw_norm_ratios
-         table after the weights: no residual before them can raise, so its
+         pass after the weights: no residual before them can raise, so its
          first pole is the one the per-n ratios raised in the loop.
     """
     p = _aw_from(pt)
@@ -1385,7 +1364,7 @@ def _run_orthogonality(pt: ParamPoint, sizes: Sizes) -> list:
     _, weights = moment_weights(p, 2 * top, pt.prime)
     weights = _common_denominator(weights, pt.prime)
     values = [_common_denominator(column, pt.prime) for column in zip(*rows)]
-    norms = list(_aw_norm_ratios(p, top, pt.prime))
+    norms = list(_aw_norm_ratios(p, range(top + 1), pt.prime))
     out = []
     for m in range(top + 1):
         for n in range(m, top + 1):

@@ -12,17 +12,17 @@ monomial times a ratio of Pochhammer products, comes from one kernel,
 ``_closed_forms``, which reads the forms of every order at a point from one
 pass: one prefix table per Pochhammer group, each order evaluated by
 ``_form_value``.  ``_closed_form`` is its one-order case: it builds the
-tables of its one order and calls ``_form_value`` directly.  The
-Askey-Wilson norm ratios h_n/h_0 are read by askey_wilson from a pair of
-prefix tables of their own.  The other
+tables of its one order and calls ``_form_value`` directly.  The other
 modules read a value's integer pair only through ``_pair`` (or its residues
 mod p through ``_pair_mod``), divide with a pole check through
-``_quotient``, and take their tables from the helpers here: Pochhammer
-prefix tables, Pochhammer ratio tables, and lists over one common
-denominator.  Identities are certified by
-evaluating both sides at random small-height rational points (Schwartz-Zippel
-style), so the sampler here is the only source of randomness and is fully
-deterministic in its seed: a point's seed fixes its values and its modulus.
+``_quotient``, and take their integer-pair helpers from here: Pochhammer
+prefix tables, Pochhammer ratio tables, lists over one common denominator,
+``_pair_sum`` (a sum of pairs, cross-multiplied), ``_reduced`` (an int mod
+p, or itself with no prime) and ``_lowest_terms``.  Identities are
+certified by evaluating both sides at random small-height rational points
+(Schwartz-Zippel style), so the sampler here is the only source of
+randomness and is fully deterministic in its seed: a point's seed fixes its
+values and its modulus.
 
 The engines, series and closed forms of the modular checks run modulo the
 trial's prime ``pt.prime``, which is ``trial_prime(pt.seed)`` drawn on first
@@ -88,6 +88,28 @@ def _pair_mod(x: Scalar | Residue, p: int) -> tuple[int, int]:
             raise ValueError("residues modulo different primes")
         return x.num, x.den
     return x.numerator % p, x.denominator % p
+
+
+def _reduced(x: int, prime: int | None) -> int:
+    """x mod `prime`, or x itself when there is none."""
+    return x if prime is None else x % prime
+
+
+def _lowest_terms(nums: Sequence[int], den: int) -> tuple[list[int], int]:
+    """nums / den, den > 0, with their one common factor divided out."""
+    g = math.gcd(den, *nums)
+    return [n // g for n in nums], den // g
+
+
+def _pair_sum(terms: Iterable[tuple[int, int]], prime: int | None = None) -> tuple[int, int]:
+    """sum_i n_i / d_i cross-multiplied: one unreduced pair, or with a prime
+    its integers mod p after each term.  Where the d_i share few factors, as
+    products of distinct node differences do, this skips the gcds of
+    _over_one_denominator."""
+    num, den = 0, 1
+    for tn, td in terms:
+        num, den = _reduced(num * td + tn * den, prime), _reduced(den * td, prime)
+    return num, den
 
 
 def _quotient(num: Scalar, den: Scalar, what: str) -> Scalar:
@@ -431,13 +453,6 @@ def trial_prime(seed: int) -> int:
     while not _is_prime(n):
         n += 2
     return n
-
-
-def gamma_int(n: int) -> Scalar:
-    """Gamma at a positive integer: Gamma(n) = (n-1)!."""
-    if n <= 0:
-        raise DomainError("gamma_int needs a positive integer")
-    return Fraction(math.factorial(n - 1))
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .scalar import (
-    PoleError, Scalar, _common_denominator, _over_one_denominator, _pair, qpoch_multi
+    PoleError, Scalar, _common_denominator, _over_one_denominator, _pair, _reduced, qpoch_multi
 )
 
 
@@ -173,17 +173,6 @@ class SeriesResidue:
 
     def __repr__(self) -> str:
         return f"SeriesResidue({self.nums!r}, {self.den}, {self.p})"
-
-
-def _reduced(x: int, prime: int | None) -> int:
-    """x mod `prime`, or x itself when there is none."""
-    return x if prime is None else x % prime
-
-
-def _lowest_terms(nums: Sequence[int], den: int) -> tuple[list[int], int]:
-    """nums / den, den > 0, with their one common factor divided out."""
-    g = math.gcd(den, *nums)
-    return [n // g for n in nums], den // g
 
 
 def phi_term(spec: HypergeometricSpec, n: int) -> Scalar:

@@ -1,10 +1,12 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from helpers import aw_leading_coeff, poly_power, rand_fraction, rand_q
+from qident import askey_wilson, identities
 from qident.askey_wilson import (
     AWParams,
     DegenerateLattice,
@@ -639,7 +641,7 @@ def test_norm_ratios_from_one_table_are_the_per_n_closed_forms(height):
                 map(repr, want)
             )
             first = next((i for i, w in enumerate(want) if w[0] != "value"), len(want))
-            values, ratios = [], _aw_norm_ratios(p, 6, prime)
+            values, ratios = [], _aw_norm_ratios(p, range(7), prime)
             raised = outcome(lambda: values.extend(ratios))
             assert list(map(repr, values)) == [repr(w[1]) for w in want[:first]]
             assert raised == (want[first] if first < len(want) else ("value", None))
@@ -647,3 +649,25 @@ def test_norm_ratios_from_one_table_are_the_per_n_closed_forms(height):
     assert "value" in kinds
     if height == 2:
         assert PoleError in kinds
+
+
+@pytest.mark.parametrize("height", (3, 40))
+def test_a_norm_ratio_exponent_slip_fails_orthogonality(monkeypatch, height):
+    # q^(2n-1) -> q^(2n) in the factor 1 - abcd q^(2n-1) that h_n/h_0
+    # divides by: orthogonality must fail in every trial
+    check = identities.CHECKS_BY_ID["orthogonality"]
+    sizes = replace(check.defaults, height=height)
+    assert identities.run_check(check, 20, 0, sizes).failures == 0
+    real = askey_wilson._closed_forms
+
+    def slipped(orders, form, what, prime):
+        def slipped_form(n):
+            (rise, (fall, e)), nums, dens = form(n)
+            q = nums[0][1]
+            return (rise, (1 - (1 - fall) * q, e)), nums, dens
+
+        assert what == "norm ratio denominator"
+        return real(orders, slipped_form, what, prime)
+
+    monkeypatch.setattr(askey_wilson, "_closed_forms", slipped)
+    assert identities.run_check(check, 20, 0, sizes).failures == 20

@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -31,8 +32,6 @@ from qident.identities import (
     gram_prefactor,
     main_quadratic_factors,
     mehta_wang_params,
-    rhs_det_formula,
-    rhs_gram_formula,
     rhs_hankel,
     rhs_hankel_decorated,
     rhs_mehta_wang,
@@ -523,7 +522,7 @@ def test_det_prefactor_ratios():
 def test_bordered_det_matches_formula():
     for n in range(1, 6):
         M = build_bordered_matrix(n, AW, X)
-        assert det_fraction_free(M) == rhs_det_formula(n, AW, aw_poly(n, AW, X))
+        assert det_fraction_free(M) == det_prefactor(n, AW) * aw_poly(n, AW, X)
 
 
 def test_gram_matrix_order_one():
@@ -550,7 +549,7 @@ def test_gram_prefactor_relates_to_det_prefactor():
 def test_gram_det_matches_formula():
     for n in range(1, 5):
         G = build_gram_matrix(n, AW, X)
-        assert det_fraction_free(G) == rhs_gram_formula(n, AW, aw_poly(n, AW, X))
+        assert det_fraction_free(G) == gram_prefactor(n, AW) * aw_poly(n, AW, X)
 
 
 def test_gram_prefactor_order_one():
@@ -613,9 +612,7 @@ def test_mehta_wang_c_equal_one_reduces_to_even_det():
         M_mw = build_mehta_wang_matrix(2 * m, pt)
         M_even = build_even_det(m, a, b, q)
         assert M_mw.entries == M_even.entries
-        from qident.identities import rhs_even_det
-
-        assert rhs_mehta_wang(2 * m, pt) == rhs_even_det(m, a, b, q)
+        assert rhs_mehta_wang(2 * m, pt) == rhs_pfaffian(m, a, b, q) ** 2
         assert det_fraction_free(M_mw) == rhs_mehta_wang(2 * m, pt)
 
 
@@ -668,12 +665,11 @@ def test_gamma_pfaffian_hand_values():
     assert check_gamma_pfaffian(1, 1) == [[0, 0]]
     M = build_integer_exp_pfaffian  # noqa: F841  (kept for symmetry of imports)
     from qident.linalg import SkewMatrix
-    from qident.scalar import gamma_int
 
-    M1 = SkewMatrix.from_upper(2, lambda i, j: F(j - i) * gamma_int(1 + i + j))
+    M1 = SkewMatrix.from_upper(2, lambda i, j: F(j - i) * math.factorial(i + j))
     assert pfaffian_matchings(M1) == 1
     # m = 1, a = 4: pf = Gamma(6)... entry (0,1) = (1-0) Gamma(4+0+1) = 24 = 1! Gamma(4+1)
-    M4 = SkewMatrix.from_upper(2, lambda i, j: F(j - i) * gamma_int(4 + i + j))
+    M4 = SkewMatrix.from_upper(2, lambda i, j: F(j - i) * math.factorial(3 + i + j))
     assert pfaffian_matchings(M4) == 24
     for m in (1, 2, 3):
         for a in (1, 2, 3, 4):
@@ -841,13 +837,13 @@ def test_witness_seed_replays_the_modular_residuals(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "check_id, rhs", [("bordered_det", "rhs_det_formula"), ("gram_det", "rhs_gram_formula")]
+    "check_id, prefactor", [("bordered_det", "det_prefactor"), ("gram_det", "gram_prefactor")]
 )
-def test_runners_hand_each_closed_form_aw_polys_p_n(monkeypatch, check_id, rhs):
+def test_runners_hand_each_closed_form_aw_polys_p_n(monkeypatch, check_id, prefactor):
     # each runner reads p_0..p_n mod the trial prime from one _aw_polys pass
     # and multiplies p_n into its one-pass prefactor: the pass must be at the
     # trial's point, and at every order its value must be aw_poly's p_n, which
-    # gives the public closed form rhs its exact value
+    # gives the public prefactor times p_n its exact value
     check = CHECKS_BY_ID[check_id]
     real, seen = identities._aw_polys, []
 
@@ -865,11 +861,11 @@ def test_runners_hand_each_closed_form_aw_polys_p_n(monkeypatch, check_id, rhs):
         [(p, x, kwargs, values)] = seen
         assert p == identities._aw_from(pt) and x == XPoint(pt["z"])
         assert kwargs == {"prime": pt.prime} and len(values) == sizes.n_max + 1
-        closed_form = getattr(identities, rhs)
+        closed_form = getattr(identities, prefactor)
         for n, p_n in enumerate(values):
             assert isinstance(p_n, Residue) and p_n.p == pt.prime
             assert p_n == aw_poly(n, p, x)
-            assert closed_form(n, p, p_n, pt.prime) == closed_form(n, p, aw_poly(n, p, x))
+            assert closed_form(n, p, pt.prime) * p_n == closed_form(n, p) * aw_poly(n, p, x)
 
 
 # each check whose matrix is built mod the trial prime, with its builders

@@ -72,9 +72,6 @@ from qident.identities import (
     gram_elimination_residuals,
     gram_prefactor,
     mehta_wang_params,
-    rhs_det_formula,
-    rhs_even_det,
-    rhs_gram_formula,
     rhs_hankel,
     rhs_hankel_decorated,
     rhs_integer_exp_pfaffian,
@@ -1568,8 +1565,8 @@ def test_closed_forms_match_fraction_products(seed):
         for fn, args in (
             (det_prefactor, (n, p)),
             (gram_prefactor, (n, p)),
-            (rhs_det_formula, (n, p, p_n)),
-            (rhs_gram_formula, (n, p, p_n)),
+            (lambda n, p, *pr: det_prefactor(n, p, *pr) * p_n, (n, p)),
+            (lambda n, p, *pr: gram_prefactor(n, p, *pr) * p_n, (n, p)),
             (rhs_hankel, (n, p)),
             (rhs_hankel_decorated, (n, p)),
             (rhs_mehta_wang, (n, pt)),
@@ -1580,7 +1577,7 @@ def test_closed_forms_match_fraction_products(seed):
         for fn, args in (
             (rhs_pfaffian, (m, a, b, q)),
             (rhs_pfaffian, (m, a, F(0), q)),
-            (rhs_even_det, (m, a, b, q)),
+            (lambda *args: rhs_pfaffian(*args) ** 2, (m, a, b, q)),
             *[(rhs_integer_exp_pfaffian, (m, alpha, q)) for alpha in range(5)],
         ):
             assert attempt_mod(prime, fn, *args) == attempt(fn, *args)
@@ -1634,7 +1631,7 @@ def test_closed_forms_mod_a_prime_dividing_a_denominator_entry(monkeypatch):
             (rhs_hankel_decorated, (n, p)),
             (rhs_mehta_wang, (n, pt)),
             (rhs_pfaffian, (n - 1, a, b, q)),
-            (rhs_even_det, (n - 1, a, b, q)),
+            (lambda *args: rhs_pfaffian(*args) ** 2, (n - 1, a, b, q)),
         ):
             got = fn(*args, 101)
             with monkeypatch.context() as patched:
@@ -2065,7 +2062,8 @@ def per_order_bordered(pt, sizes):
     out = []
     for n in range(1, sizes.n_max + 1):
         M = build_bordered_matrix(n, p, x)
-        rhs = rhs_det_formula(n, p, aw_poly(n, p, x))
+        p_n = aw_poly(n, p, x)
+        rhs = det_prefactor(n, p) * p_n
         d_ff = det_fraction_free(M)
         out.append(d_ff - rhs)
         condensed = det_condensation(M)
@@ -2087,7 +2085,7 @@ def per_order_gram(pt, sizes):
     p, x = _aw_from(pt), XPoint(pt["z"])
     return [
         det_fraction_free(build_gram_matrix(n, p, x))
-        - rhs_gram_formula(n, p, aw_poly(n, p, x))
+        - aw_poly(n, p, x) * gram_prefactor(n, p)
         for n in range(1, sizes.n_max + 1)
     ]
 

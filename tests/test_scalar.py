@@ -19,8 +19,8 @@ from qident.scalar import (
     _is_prime,
     _over_one_denominator,
     _pair,
+    _pair_sum,
     _quotient,
-    gamma_int,
     qpoch,
     qpoch_multi,
     sample_point,
@@ -195,12 +195,25 @@ def test_over_one_denominator_mod_p_cross_multiplies(seed):
         _common_denominator([Residue(1, 2, 11)], 7)
 
 
-def test_gamma_int():
-    assert gamma_int(1) == 1
-    assert gamma_int(2) == 1
-    assert gamma_int(5) == 24
-    with pytest.raises(DomainError):
-        gamma_int(0)
+@pytest.mark.parametrize("height", (2, 3, 40))
+def test_pair_sum_mod_p_is_the_exact_pair_reduced(height):
+    # exactly, the terms cross-multiplied over the product of the denominators;
+    # mod p, that pair's integers reduced, also where a denominator is ≡ 0 mod 7
+    names = tuple("abcdef")
+    hit = False
+    for seed in range(20):
+        pt = sample_point(names, seed, height)
+        terms = [_pair(x) for x in pt.values(names)]
+        num, den = _pair_sum(terms)
+        assert den == math.prod(d for _, d in terms) and F(num, den) == sum(pt.values(names))
+        for p in (7, pt.prime):
+            assert _pair_sum(terms, p) == (num % p, den % p)
+        hit = hit or den % 7 == 0
+    assert hit == (height == 40)
+    assert _pair_sum([]) == _pair_sum([], 7) == (0, 1)
+    # 3/7 + 1/2 = 13/14: mod 7 the denominator is 0 and the numerator is not
+    assert _pair_sum([(3, 7), (1, 2)]) == (13, 14)
+    assert _pair_sum([(3, 7), (1, 2)], 7) == (6, 0)
 
 
 def test_sample_point_deterministic():
