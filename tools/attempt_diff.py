@@ -1,41 +1,29 @@
-"""Per-attempt differential of the registry between two source trees.
+"""Digests of every check's attempts, compared between two source trees or
+with the golden file.
 
     python tools/attempt_diff.py [--nmax N] [--mmax M] [--order K] OLD_ROOT NEW_ROOT [CHECK_ID ...]
     python tools/attempt_diff.py --write-golden | --check-golden
 
-Each tree runs in a subprocess of its own, with only its `src` on the path.
-There every check (or each CHECK_ID given) runs its trials through that
-tree's own identities.run_trial, at master seed SEED, TRIALS trials and each
-height of HEIGHTS, at the check's default sizes with n_max, m_max and order
-replaced by --nmax, --mmax and --order where given, and every attempt,
-resampled or not, is recorded: the seed of its point, and either the
-exception it raised or its residuals.  The
-attempts of the two trees are then matched one by one, and for each check
-the script prints how many
+A worker, a subprocess with one tree's `src` alone on the path, runs every
+check (or each CHECK_ID) through that tree's identities.run_trial at seed
+SEED, TRIALS trials and each height of HEIGHTS, at the check's default sizes
+under --nmax, --mmax and --order.  Per check and height, digest() counts the
+attempts, resampled or not, and those that raised, and hashes each attempt's
+seed and either its exception's type and message or its residuals' zero
+pattern: alone into `outcomes`, and with each residual's value (_value, which
+no integer pair that holds the value changes) into `sha256`.  A change of the
+counts or of outcomes is an outcome change; one of sha256 alone, as from a
+port from Q to residues mod p, is a values change.
 
-  raised  raised the same exception type and message at the same seed;
-  same    returned residuals with identical reprs at the same seed;
-  values  returned the same zero pattern at the same seed, and every
-          residual whose repr differs is a Residue or SeriesResidue equal as
-          a value to the other tree's: N D' - N' D ≡ 0 mod p against its
-          N'/D', a residue mod the same p or a Fraction, so a residual
-          ported from ℚ to its residue mod p counts here;
-  differ  did anything else: another seed, exception or zero pattern, or an
-          attempt only one tree made.
-
-A refactor that must leave every residual unchanged shows 0 in `differ`.
-The exit code is 1 when some attempt differs, and 0 otherwise.
-
-The golden digests, tests/golden/attempts.json, pin the attempts of this
-tree at its default sizes: for each check and height, the attempt count,
-the raised count and a SHA-256 over the attempts in order, each its seed
-and either its exception's type and message or its residuals' zero pattern
-and values.  A value does not depend on the integer pair that holds it (see
-_value), so a change of unreduced pair keeps the digest and a change of
-value does not.  --write-golden rewrites the file from this tree.
---check-golden recomputes the digests, prints each check and height whose
-digest changed, and exits 1 if there is one, 0 otherwise; it needs no
-pytest.  A change that alters outcomes by design rewrites the file.
+Both modes print `outcomes changed: <check> at height <h>` or `values changed:
+...` per change, then one summary line.  OLD_ROOT NEW_ROOT runs both trees'
+workers at once and exits 1 only if some outcome changed.  --check-golden
+recomputes tests/golden/attempts.json, this tree's digests at each size set of
+SIZE_SETS, and exits 1 on either kind of change; it needs no pytest.
+--write-golden rewrites the file.  Bad input (an unknown CHECK_ID, sizes that
+identities.validate_run rejects, a root with no src/qident/__init__.py) prints
+one line on stderr and exits 2, as does a crashed worker after its traceback:
+exit 1 means only that something changed.
 """
 
 from __future__ import annotations
@@ -46,16 +34,21 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 SEED = 0
 TRIALS = 20
 HEIGHTS = (2, 3, 40)
-KINDS = ("raised", "same", "values", "differ")
 SIZE_FLAGS = {"nmax": "n_max", "mmax": "m_max", "order": "order"}  # flag -> Sizes field
+SIZE_SETS = {"defaults": {}, "--nmax 10 --mmax 5": {"n_max": 10, "m_max": 5}}
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "attempts.json"
+
+
+class BadRun(Exception):
+    """Bad input, or a worker that crashed: the tool exits 2."""
 
 
 def _residue_value(num: int, den: int, p: int) -> str:
@@ -70,208 +63,167 @@ def _value(r) -> str | list[str]:
     int or a Fraction in lowest terms as its str, a Residue through
     _residue_value, and a SeriesResidue or TruncatedSeries as the list of
     its coefficients' values."""
-    p = getattr(r, "p", None)
-    if hasattr(r, "nums"):
-        if p is None:
-            return [str(Fraction(n, r.den)) for n in r.nums]
-        return [_residue_value(n, r.den, p) for n in r.nums]
-    if p is not None:
-        return _residue_value(r.num, r.den, p)
-    return str(r)
+    p, nums = getattr(r, "p", None), getattr(r, "nums", None)
+    if nums is not None:
+        return [str(Fraction(n, r.den)) if p is None else _residue_value(n, r.den, p) for n in nums]
+    return str(r) if p is None else _residue_value(r.num, r.den, p)
 
 
-def _residual(r, is_zero) -> dict:
-    """A residual's repr digest, whether it reads zero, its _value, for a
-    residue mod p its numerators, denominator and p, and for a Fraction its
-    numerator and denominator, with no p."""
-    out = {
-        "repr": hashlib.sha256(repr(r).encode()).hexdigest(),
-        "zero": bool(is_zero(r)),
-        "value": _value(r),
-    }
-    if hasattr(r, "p") and hasattr(r, "den"):
-        out["mod"] = [list(r.nums) if hasattr(r, "nums") else [r.num], r.den, r.p]
-    elif isinstance(r, Fraction):
-        out["exact"] = [[r.numerator], r.denominator, None]
-    return out
+def digest(records: list[dict]) -> dict:
+    """The attempts, raised, outcomes and sha256 of one check at one height
+    from its attempt records in order, as the module docstring defines them."""
+    outcomes, values = hashlib.sha256(), hashlib.sha256()
+    for record in records:
+        if "raised" in record:
+            outcome = value = ["raised", record["raised"]]
+        else:
+            zeros = [r["zero"] for r in record["residuals"]]
+            outcome = ["residuals", zeros]
+            value = ["residuals", zeros, [r["value"] for r in record["residuals"]]]
+        outcomes.update((json.dumps([record["seed"], outcome]) + "\n").encode())
+        values.update((json.dumps([record["seed"], value]) + "\n").encode())
+    raised = sum("raised" in record for record in records)
+    hexes = {"outcomes": outcomes.hexdigest(), "sha256": values.hexdigest()}
+    return {"attempts": len(records), "raised": raised, **hexes}
 
 
-def _worker(root: str, overrides: dict[str, int], check_ids: list[str]) -> None:
-    """Print one JSON record per attempt of the tree that is on the path,
-    with the Sizes fields in `overrides` replacing each check's defaults."""
-    from dataclasses import replace
-
-    import qident
+def _check_records(check, sizes) -> list[dict]:
+    """The record of every attempt of one check's TRIALS trials at `sizes`."""
     from qident import identities
 
-    if not Path(qident.__file__).resolve().is_relative_to(Path(root).resolve()):
-        raise SystemExit(f"qident imported from {qident.__file__}, not from {root}")
-    checks = [identities.CHECKS_BY_ID[i] for i in check_ids] or identities.REGISTRY
-    for check in checks:
-        for height in HEIGHTS:
-            sizes = replace(check.defaults, height=height, **overrides)
-            for trial in range(TRIALS):
-                records = []
+    records = []
 
-                def run(pt, sizes, check=check):
-                    record = {"seed": pt.seed}
-                    records.append(record)
-                    try:
-                        residuals = check.run(pt, sizes)
-                    except Exception as exc:
-                        record["raised"] = f"{type(exc).__name__}: {exc}"
-                        raise
-                    record["residuals"] = [_residual(r, identities._is_zero) for r in residuals]
-                    return residuals
+    def run(pt, sizes):
+        record = {"seed": pt.seed}
+        records.append(record)
+        try:
+            residuals = check.run(pt, sizes)
+        except Exception as exc:
+            record["raised"] = f"{type(exc).__name__}: {exc}"
+            raise
+        record["residuals"] = [
+            {"zero": bool(identities._is_zero(r)), "value": _value(r)} for r in residuals
+        ]
+        return residuals
 
-                trial_seed = identities._trial_seed(check.id, SEED, trial)
-                try:
-                    identities.run_trial(replace(check, run=run), trial_seed, sizes)
-                except Exception:
-                    pass  # raised by the last attempt, or the resample cap's SamplingExhausted
-                for attempt, record in enumerate(records):
-                    key = [check.id, height, trial, attempt]
-                    print(json.dumps({"key": key, **record}))
+    recorded = replace(check, run=run)
+    for trial in range(TRIALS):
+        try:
+            identities.run_trial(recorded, identities._trial_seed(check.id, SEED, trial), sizes)
+        except Exception:
+            pass  # raised by the last attempt, or the resample cap's SamplingExhausted
+    return records
 
 
-def _equal_as_values(a: dict, b: dict) -> bool:
-    """Whether two residues mod the same p, or a residue mod p and a Fraction,
-    hold the same value: N D' - N' D ≡ 0 mod p for N/D and N'/D'."""
-    values = [r.get("mod") or r.get("exact") for r in (a, b)]
-    if None in values:
-        return False
-    (nums, den, p), (nums2, den2, p2) = values
-    primes = {p, p2} - {None}
-    if len(primes) != 1 or len(nums) != len(nums2):
-        return False
-    [p] = primes
-    return all((x * den2 - y * den) % p == 0 for x, y in zip(nums, nums2))
+def _worker(root: str, overrides: dict[str, int], check_ids: list[str]) -> int:
+    """Print {"<check> at height <h>": digest} of the tree on the path, with
+    the Sizes fields in `overrides` over each check's defaults, or on bad
+    input {"error": message} and return 2."""
+    from qident import identities
+
+    try:
+        checks = [identities.CHECKS_BY_ID[i] for i in check_ids] or identities.REGISTRY
+        plan = [(c, replace(c.defaults, height=h, **overrides)) for c in checks for h in HEIGHTS]
+        for _, sizes in plan:
+            identities.validate_run(TRIALS, sizes)
+    except (KeyError, identities.DomainError) as exc:
+        unknown = isinstance(exc, KeyError)
+        print(json.dumps({"error": f"unknown check id {exc} in {root}" if unknown else str(exc)}))
+        return 2
+    table = {f"{c.id} at height {s.height}": digest(_check_records(c, s)) for c, s in plan}
+    print(json.dumps(table))
+    return 0
 
 
-def classify(old: dict | None, new: dict | None) -> str:
-    """The kind of one attempt, as the module docstring defines it."""
-    if old is None or new is None or old["seed"] != new["seed"]:
-        return "differ"
-    if "raised" in old or "raised" in new:
-        return "raised" if old.get("raised") == new.get("raised") else "differ"
-    pairs = list(zip(old["residuals"], new["residuals"]))
-    if len(old["residuals"]) != len(new["residuals"]) or any(
-        a["zero"] != b["zero"] for a, b in pairs
-    ):
-        return "differ"
-    if all(a["repr"] == b["repr"] for a, b in pairs):
-        return "same"
-    if all(a["repr"] == b["repr"] or _equal_as_values(a, b) for a, b in pairs):
-        return "values"
-    return "differ"
-
-
-def _attempts(root: Path, check_ids: list[str], overrides: dict[str, int]) -> subprocess.Popen:
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    return subprocess.Popen(
-        [sys.executable, __file__, "--worker", str(root), json.dumps(overrides), *check_ids],
-        env=env,
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-
-
-def _records(run: subprocess.Popen) -> list[dict]:
-    """The attempt records a worker printed."""
-    out, _ = run.communicate()
-    if run.returncode:
-        raise RuntimeError(f"a worker exited with {run.returncode}")
-    return [json.loads(line) for line in out.splitlines()]
-
-
-def compare(
-    old_root: Path,
-    new_root: Path,
-    check_ids: list[str] = (),
-    overrides: dict[str, int] | None = None,
-) -> dict[str, dict]:
-    """{check id: {kind: count}} over every attempt of either tree, at the
-    sizes `overrides` (Sizes fields) set over each check's defaults."""
+def _tables(roots: list[Path], size_sets: list[dict[str, int]], check_ids=()) -> list[dict]:
+    """The digests of one worker per root and size set, all run at once;
+    BadRun for a root with no package, or a worker with bad input or a crash."""
+    for root in roots:
+        if not (root / "src" / "qident" / "__init__.py").is_file():
+            raise BadRun(f"{root} has no src/qident/__init__.py")
     runs = [
-        _attempts(Path(root), list(check_ids), overrides or {}) for root in (old_root, new_root)
+        subprocess.Popen(
+            [sys.executable, __file__, "--worker", str(root), json.dumps(sizes), *check_ids],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for root, sizes in zip(roots, size_sets)
     ]
-    old, new = [{tuple(r["key"]): r for r in _records(run)} for run in runs]
-    counts: dict[str, dict] = {}
-    for key in list(old) + [key for key in new if key not in old]:
-        row = counts.setdefault(key[0], dict.fromkeys(KINDS, 0))
-        row[classify(old.get(key), new.get(key))] += 1
-    return counts
+    tables = [json.loads(run.communicate()[0] or "{}") for run in runs]
+    for root, run, table in zip(roots, runs, tables):
+        if run.returncode:
+            raise BadRun(table.get("error", f"the worker of {root} exited with {run.returncode}"))
+    return tables
 
 
-def golden_digests() -> dict[str, dict[str, dict]]:
-    """{check id: {height: {"attempts", "raised", "sha256"}}} of this tree at
-    its default sizes, as the module docstring defines them."""
-    digests: dict[str, dict[str, dict]] = {}
-    hashes = {}
-    for record in _records(_attempts(ROOT, [], {})):
-        check_id, height = record["key"][0], str(record["key"][1])
-        row = digests.setdefault(check_id, {}).setdefault(height, {"attempts": 0, "raised": 0})
-        row["attempts"] += 1
-        if "raised" in record:
-            row["raised"] += 1
-            outcome = ["raised", record["raised"]]
-        else:
-            residuals = record["residuals"]
-            outcome = ["residuals", [r["zero"] for r in residuals], [r["value"] for r in residuals]]
-        line = json.dumps([record["seed"], outcome]) + "\n"
-        hashes.setdefault((check_id, height), hashlib.sha256()).update(line.encode())
-    for (check_id, height), digest in hashes.items():
-        digests[check_id][height]["sha256"] = digest.hexdigest()
-    return digests
+def _named(golden: dict[str, dict]) -> dict[str, dict]:
+    """All size sets' digests by name; names past the defaults end " with <size set>"."""
+    return {
+        name + (f" with {label}" if SIZE_SETS[label] else ""): row
+        for label, table in golden.items()
+        for name, row in table.items()
+    }
 
 
-def check_golden() -> list[str]:
-    """'check at height h' for each digest of golden_digests() that differs
-    from the file GOLDEN, or is in only one of them."""
-    want, got = json.loads(GOLDEN.read_text())["digests"], golden_digests()
-    keys = {(c, h) for digests in (want, got) for c, rows in digests.items() for h in rows}
-    return [
-        f"{c} at height {h}"
-        for c, h in sorted(keys, key=lambda key: (key[0], int(key[1])))
-        if want.get(c, {}).get(h) != got.get(c, {}).get(h)
-    ]
+def changes(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
+    """'outcomes changed: <name>', or else 'values changed: <name>', per name
+    whose digests differ between the two tables."""
+    lines = []
+    for name in {**old, **new}:
+        a, b = old.get(name, {}), new.get(name, {})
+        if any(a.get(field) != b.get(field) for field in ("attempts", "raised", "outcomes")):
+            lines.append(f"outcomes changed: {name}")
+        elif a.get("sha256") != b.get("sha256"):
+            lines.append(f"values changed: {name}")
+    return lines
+
+
+def golden_digests() -> dict[str, dict]:
+    """{size set: {"<check> at height <h>": digest}} of this tree."""
+    return dict(zip(SIZE_SETS, _tables([ROOT] * len(SIZE_SETS), list(SIZE_SETS.values()))))
+
+
+def _two_trees(argv: list[str]) -> list[dict[str, dict]]:
+    """The named digests of OLD_ROOT and NEW_ROOT at the sizes argv gives."""
+    parser = argparse.ArgumentParser(usage=__doc__.splitlines()[3].strip())
+    for flag in SIZE_FLAGS:
+        parser.add_argument(f"--{flag}", type=int)
+    parser.add_argument("roots", type=Path, nargs=2, metavar=("OLD_ROOT", "NEW_ROOT"))
+    parser.add_argument("check_ids", nargs="*")
+    args = parser.parse_args(argv)
+    sizes = {f: v for flag, f in SIZE_FLAGS.items() if (v := getattr(args, flag)) is not None}
+    return _tables(args.roots, [sizes, sizes], args.check_ids)
 
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--worker"]:
-        _worker(argv[1], json.loads(argv[2]), argv[3:])
-        return 0
-    if argv == ["--write-golden"]:
-        header = {"seed": SEED, "trials": TRIALS, "heights": list(HEIGHTS)}
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(json.dumps({**header, "digests": golden_digests()}, indent=1) + "\n")
-        return 0
-    if argv == ["--check-golden"]:
-        changed = check_golden()
-        for name in changed:
-            print(f"digest changed: {name}")
-        return 1 if changed else 0
-    parser = argparse.ArgumentParser(usage=__doc__.splitlines()[2].strip())
-    for flag in SIZE_FLAGS:
-        parser.add_argument(f"--{flag}", type=int)
-    parser.add_argument("old_root", type=Path)
-    parser.add_argument("new_root", type=Path)
-    parser.add_argument("check_ids", nargs="*")
-    args = parser.parse_args(argv)
-    overrides = {
-        field: getattr(args, flag)
-        for flag, field in SIZE_FLAGS.items()
-        if getattr(args, flag) is not None
-    }
-    counts = compare(args.old_root, args.new_root, args.check_ids, overrides)
-    print(f"{'check':<24}{'attempts':>9}" + "".join(f"{k:>8}" for k in KINDS))
-    total = dict.fromkeys(KINDS, 0)
-    for check_id, row in counts.items():
-        print(f"{check_id:<24}{sum(row.values()):>9}" + "".join(f"{row[k]:>8}" for k in KINDS))
-        for k in KINDS:
-            total[k] += row[k]
-    print(f"{'total':<24}{sum(total.values()):>9}" + "".join(f"{total[k]:>8}" for k in KINDS))
-    return 1 if total["differ"] else 0
+        return _worker(argv[1], json.loads(argv[2]), argv[3:])
+    golden = argv == ["--check-golden"]
+    try:
+        if argv == ["--write-golden"]:
+            header = {"seed": SEED, "trials": TRIALS, "heights": list(HEIGHTS)}
+            GOLDEN.write_text(json.dumps({**header, "digests": golden_digests()}, indent=1) + "\n")
+            return 0
+        if golden:
+            old, new = _named(json.loads(GOLDEN.read_text())["digests"]), _named(golden_digests())
+        else:
+            old, new = _two_trees(argv)
+    except (BadRun, OSError) as exc:  # OSError: no golden file to read
+        print(f"attempt_diff: {exc}", file=sys.stderr)
+        return 2
+    lines = changes(old, new)
+    outcome_changes = sum(line.startswith("outcomes") for line in lines)
+    counts = [sum(row[k] for row in t.values()) for t in (old, new) for k in ("attempts", "raised")]
+    print(
+        *lines,
+        "{} check-heights compared; old {} attempts, {} raised; new {} attempts, {} raised; "
+        "{} outcomes changed, {} values changed".format(
+            len({**old, **new}), *counts, outcome_changes, len(lines) - outcome_changes
+        ),
+        sep="\n",
+    )
+    return 1 if outcome_changes or (golden and lines) else 0
 
 
 if __name__ == "__main__":
