@@ -28,12 +28,8 @@ from .askey_wilson import (
     XPoint,
     aw_moment,
     aw_moments,
-    aw_norm_ratio,
     aw_poly,
     aw_poly_as_polynomial,
-    basis_moment,
-    connection_u,
-    moment_functional,
     newton_coeffs,
     newton_lattice_coeffs,
 )

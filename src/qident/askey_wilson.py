@@ -12,7 +12,7 @@ functional L is characterised algebraically by its values on the basis
 of the moment layer may instead be taken mod a prime p: _aw_polys,
 _lattice_denominators, _weight_orders, _apply_weights, aw_moment,
 aw_moments, moment_weights, _weighted_sum, _basis_moments,
-_peel_functional and aw_norm_ratio take an optional `prime`, and then
+_peel_functional and _aw_norm_ratios take an optional `prime`, and then
 return the scalar.Residue of the unreduced integer pair N/D their exact
 route would form, never inverting D.  Their poles and node collisions are
 still decided on exact integers: the nodes stay Fractions, and the
@@ -36,7 +36,7 @@ interpolates p_n to monomials, is the oracle for both p_n's values and its
 leading coefficient.  The norm ratios h_n/h_0 of every order come from one
 pass of the closed-form kernel, scalar._closed_forms.
 
-L is applied in two ways, which check each other.  moment_functional applies
+L is applied in two ways, which check each other.  _peel_functional applies
 the definition directly: it expands f on the basis by peeling off leading
 coefficients.  The lattice weights go through Newton interpolation on the
 q-quadratic lattice b_j = (q^j a + q^-j / a)/2 instead: w_j with
@@ -56,8 +56,8 @@ prod_{r<=k, r!=j} (b_j - b_r) as integer pairs, column k from column k-1 by
 prefix products.  newton_coeffs sums the closed form of the divided
 differences over it with scalar._pair_sum, and _connection_table every
 u(n, k) up to a degree in one pass, with prod_{j<n} (b_r + a_j) as prefix
-products over n; connection_u reads one entry.  The lattice coefficients, the moment
-weights and the connection coefficients run on integer pairs from
+products over n.  The lattice coefficients, the moment weights and the
+connection coefficients run on integer pairs from
 scalar._pair and build one canonical Fraction, or one Residue, per value
 they return.  A PolynomialInX holds integer numerators over one positive
 denominator, in lowest terms after one gcd per polynomial.  Polynomial
@@ -292,16 +292,12 @@ def aw_poly_as_polynomial(n: int, p: AWParams) -> PolynomialInX:
     return newton_to_monomial(cs, xs)
 
 
-def aw_norm_ratio(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
-    """h_n/h_0 for the orthogonality L(p_m p_n) = (h_n/h_0) delta_mn, or its
-    Residue mod `prime` when one is given: _aw_norm_ratios at order n."""
-    return next(_aw_norm_ratios(p, (n,), prime))
-
-
 def _aw_norm_ratios(
     p: AWParams, orders: Sequence[int], prime: int | None = None
 ) -> Iterator[Scalar | Residue]:
-    """h_n/h_0 for each n of `orders` in turn, from one scalar._closed_forms pass:
+    """h_n/h_0 for the orthogonality L(p_m p_n) = (h_n/h_0) delta_mn, for each
+    n of `orders` in turn, or its Residue mod `prime` when one is given, from
+    one scalar._closed_forms pass:
 
         h_n/h_0 = (1 - abcd q^(n-1)) / (1 - abcd q^(2n-1))
                   * (q, ab, ac, ad, bc, bd, cd;q)_n / (abcd;q)_n.
@@ -322,16 +318,10 @@ def _aw_norm_ratios(
     )
 
 
-def basis_moment(n: int, p: AWParams) -> Scalar:
-    """L((a*z, a/z; q)_n) = (ab,ac,ad;q)_n / (abcd;q)_n."""
-    if n < 0:
-        raise DomainError("basis_moment needs n >= 0")
-    return _basis_moments(n, p)[n]
-
-
 def _basis_moments(n: int, p: AWParams, prime: int | None = None) -> list[Scalar | Residue]:
-    """[L((a*z, a/z; q)_k) for k = 0..n], or their Residues mod `prime` when
-    one is given, from the pairs of _basis_moment_pairs."""
+    """[L((a*z, a/z; q)_k) = (ab,ac,ad;q)_k / (abcd;q)_k for k = 0..n], or
+    their Residues mod `prime` when one is given, from the pairs of
+    _basis_moment_pairs."""
     return [_ratio([x], [y], prime) for x, y in zip(*_basis_moment_pairs(n, p, prime))]
 
 
@@ -489,7 +479,8 @@ def moment_weights(
     loop that sums the double sum of Thm 4.3.  Raises DegenerateLattice when
     two of b_0..b_n coincide (the only way a lattice Newton denominator of
     order n vanishes) and PoleError when (abcd;q)_n vanishes; both persist as
-    n grows.  moment_functional reads no node, so it raises only the latter.
+    n grows.  The basis peel (_peel_functional on _basis_moments) reads no
+    node, so only the latter stops it.
     """
     nodes = _distinct_lattice_nodes(p.a, p.q, n)
     *_, weights = _weight_orders(p, n, prime)
@@ -506,27 +497,22 @@ def _weighted_sum(
     return _ratio([total], [math.prod(den for _, den in columns)], prime)
 
 
-def moment_functional(f: PolynomialInX, p: AWParams) -> Scalar:
-    """L(f) from L's definition on the basis: f = sum_k u_k (a*z, a/z; q)_k and
-    L(f) = sum_k u_k L((a*z, a/z; q)_k).
-
-    The u_k are peeled off from the top degree down: (a*z, a/z; q)_k has
-    leading coefficient (-2a)^k q^(k(k-1)/2), so u_k is the x^k coefficient
-    of what is left once the terms above k are subtracted.  No lattice node
-    enters, so this is independent of the lattice weights of moment_weights.
-    """
-    n = f.degree
-    return _peel_functional(f, pochhammer_basis_polys(p.a, p.q, n), _basis_moments(n, p))
-
-
 def _peel_functional(
     f: PolynomialInX,
     basis: list[PolynomialInX],
     moments: list[Scalar | Residue],
     prime: int | None = None,
 ) -> Scalar | Residue:
-    """moment_functional's peel, on basis and moment tables of any order >= deg f,
-    or its Residue mod `prime` when one is given, with the moments too.
+    """L(f) from L's definition on the basis: f = sum_k u_k (a*z, a/z; q)_k and
+    L(f) = sum_k u_k L((a*z, a/z; q)_k), on the basis polynomials
+    (pochhammer_basis_polys) and moments (_basis_moments) of any order
+    >= deg f, or its Residue mod `prime` when one is given, with the moments
+    too.
+
+    The u_k are peeled off from the top degree down: (a*z, a/z; q)_k has
+    leading coefficient (-2a)^k q^(k(k-1)/2), so u_k is the x^k coefficient
+    of what is left once the terms above k are subtracted.  No lattice node
+    enters, so this is independent of the lattice weights of moment_weights.
 
     What is left of f stays integers over one denominator.  With r = nums/den
     and b = basis[k], u_k = r_k / b_k, and r - u_k b is
@@ -672,9 +658,14 @@ def newton_to_monomial(coeffs: Sequence[Scalar], nodes: Sequence[Scalar]) -> Pol
 def _connection_table(
     a_nodes: Sequence[Scalar], b_nodes: Sequence[Scalar], n_top: int
 ) -> list[list[Scalar]]:
-    """Rows n = 0..n_top of connection coefficients: row n lists u(n, k) of
-    connection_u for k = 0..min(n, len(b_nodes) - 1).  Reads a_0..a_(n_top-1)
-    and raises DuplicateNodes when two b-nodes coincide.
+    """Rows n = 0..n_top of the connection coefficients between the bases
+    prod(x+a_j) and prod(x-b_j):
+
+        u(n,k) = sum_{r=0}^k prod_{j<n} (b_r + a_j) / prod_{j<=k, j!=r} (b_r - b_j).
+
+    Row n lists u(n, k) for k = 0..min(n, len(b_nodes) - 1), each reading
+    a_0..a_(n-1) and b_0..b_k.  The table reads a_0..a_(n_top-1) and raises
+    DuplicateNodes when two b-nodes coincide.
 
     With b_r = r_n/r_d, prod_{j<n} (b_r + a_j) is values[r] / (r_d^n A_n): the
     numerators gain one factor r_n a_d + a_n r_d per row, and A_n is the
@@ -703,20 +694,3 @@ def _connection_table(
             row.append(Fraction(num, a_den * den))
         rows.append(row)
     return rows
-
-
-def connection_u(
-    n: int, k: int, a_nodes: Sequence[Scalar], b_nodes: Sequence[Scalar]
-) -> Scalar:
-    """Connection coefficient between the bases prod(x+a_j) and prod(x-b_j):
-
-        u(n,k) = sum_{r=0}^k prod_{j<n} (b_r + a_j) / prod_{j<=k, j!=r} (b_r - b_j).
-
-    It reads a_0..a_(n-1) and b_0..b_k, and is entry (n, k) of
-    _connection_table on those nodes.
-    """
-    if not 0 <= k <= n:
-        raise DomainError("need 0 <= k <= n")
-    if len(b_nodes) <= k or len(a_nodes) < n:
-        raise DomainError("u(n, k) needs n a-nodes and k+1 b-nodes")
-    return _connection_table(a_nodes[:n], b_nodes[: k + 1], n)[n][k]

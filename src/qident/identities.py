@@ -9,14 +9,15 @@ deterministically when a point hits a pole of the identity under test; a
 nonzero residual is a failure and its seed is the reproduction witness.
 
 The six-term coefficients of the quadratic formula are the terms of the
-Cauchy products it compares: main_quadratic_factors returns the two
-basic hypergeometric series of each product, and the six-term checks read
-every coefficient from them.  The series checks read all their (r, s)
+Cauchy products it compares: _quadratic_shapes yields the two basic
+hypergeometric series of each product, and the six-term checks read every
+coefficient from them.  The series checks read all their (r, s)
 shapes at a point from one base, by one generator, _extended_shapes: the
 first shape's series by phi_series, each later one's by termwise products
 with two extension multipliers.  Each family (_quadratic_shapes,
 _specialization_shapes, _contiguous_shapes) only lists its base and
-assembles its output; a one-shape call is its own base.  main_quadratic,
+assembles its output; one shape is next() of its family over that shape
+alone, which is then its own base.  main_quadratic,
 quadratic_specialization and contiguous_relation build their series, and
 each residual series, mod the trial point's prime pt.prime
 (scalar.ParamPoint.prime), as SeriesResidues: at order 60 the exact
@@ -29,11 +30,12 @@ G_k and Xi, D_n and the Gram, Hankel, Mehta-Wang and Pfaffian products, the
 q-Watson sum and the contiguous prefactor) comes from the kernel
 scalar._closed_forms.  The matrix checks read the closed forms of every
 order at a point from one pass of it (_det_prefactors, _hankel_forms,
-_mehta_wang_forms, _pfaffian_forms, _integer_exp_pfaffians), and each
-public rhs_* or prefactor of order n reads entry n of the same pass; the
-six-term factors, the q-Watson sum and the contiguous prefactor are
-one-order calls, scalar._closed_form.  The matrix builders read their
-Pochhammer products from integer prefix tables
+_mehta_wang_forms, _pfaffian_forms, _integer_exp_pfaffians), and one order
+is next() of its pass over that order alone; the six-term factors, the
+q-Watson sum and the contiguous prefactor are one-order calls,
+scalar._closed_form.  rhs_hankel and rhs_pfaffian are the only public
+one-order closed forms, for the reason given below.  The matrix builders
+read their Pochhammer products from integer prefix tables
 (scalar._qpoch_multi_prefix), their ratios from
 scalar._ratio_table and other integer pairs from scalar._pair, and form each
 entry from unreduced integer products as one scalar._ratio: a canonical
@@ -47,7 +49,7 @@ h_(i+j), with c = 1 for the skew ones.
 
 The determinant and Pfaffian checks run their engines mod the same prime
 pt.prime, drawn from the trial point's seed.  They take the closed forms
-they compare mod the same prime (every rhs_* and prefactor takes an
+they compare mod the same prime (every closed-form pass takes an
 optional `prime`), and bordered_det and gram_det read p_1, ..., p_n mod it
 from one askey_wilson._aw_polys pass and multiply each into its prefactor.
 Seven build their matrices mod it too: bordered_det, gram_det,
@@ -115,7 +117,6 @@ from .askey_wilson import (
     aw_leading_coeff,
     aw_moment,
     aw_moments,
-    basis_moment,
     moment_weights,
     newton_coeffs,
     newton_lattice_coeffs,
@@ -311,10 +312,18 @@ def _extended_shapes(
 def _quadratic_shapes(
     pt: ParamPoint, shapes: Sequence[tuple[int, int]], order: int, prime: int | None = None
 ) -> Iterator[list[tuple]]:
-    """The (prefactor, F, G) of A, B and C, as main_quadratic_factors gives
-    them, for each (r, s) of `shapes` in turn: the _extended_shapes of the
-    e and f parameters, with base A's F, A's G, B's F, ... at the first
-    shape (r0, s0), each G shifted, at argument q^(s0-r0)."""
+    """The (prefactor, F, G) of A, B and C for each (r, s) of `shapes` in
+    turn: the two series (in z) of each prefactored product of the formula,
+    not yet multiplied; F and G are SeriesResidues mod `prime` when one is
+    given.
+
+    The series denominators are the six-term ones without their leading q,
+    because phi_series divides by (q;q)_k itself; G has argument q^(s-r) z.
+    The (k, n) six-term coefficient of a product is
+    (-1)^(s-r) prefactor F[k] G[n-k], the k-th term of its Cauchy product.
+    The series are the _extended_shapes of the e and f parameters, with base
+    A's F, A's G, B's F, ... at the first shape (r0, s0), each G shifted, at
+    argument q^(s0-r0)."""
     q = pt["q"]
     r0, s0 = shapes[0]
     specs = _six_term_specs(pt, r0, s0)
@@ -331,35 +340,11 @@ def _times(values: Sequence[Scalar], x: Scalar) -> tuple[Scalar, ...]:
     return tuple([v * x for v in values])
 
 
-def main_quadratic_factors(
-    pt: ParamPoint, r: int, s: int, order: int, prime: int | None = None
-) -> list[tuple[Scalar, TruncatedSeries | SeriesResidue, TruncatedSeries | SeriesResidue]]:
-    """(prefactor, F, G) of A, B and C: the two series (in z) of each
-    prefactored product of the formula, not yet multiplied; F and G are
-    SeriesResidues mod `prime` when one is given.
-
-    The series denominators are the six-term ones without their leading q,
-    because phi_series divides by (q;q)_k itself; G has argument q^(s-r) z.
-    The (k, n) six-term coefficient of a product is
-    (-1)^(s-r) prefactor F[k] G[n-k], the k-th term of its Cauchy product.
-    This is the one-shape entry of _quadratic_shapes, whose base it is.
-    """
-    return next(_quadratic_shapes(pt, ((r, s),), order, prime))
-
-
 def _quadratic_residual(factors: list[tuple], prime: int | None) -> TruncatedSeries | SeriesResidue:
     """LHS product - first RHS product + second RHS product of one shape."""
     return series_linear_combine(
         [(sign * pref, f, g) for sign, (pref, f, g) in zip((1, -1, 1), factors)], prime
     )
-
-
-def check_main_quadratic(
-    r: int, s: int, pt: ParamPoint, order: int, prime: int | None = None
-) -> TruncatedSeries | SeriesResidue:
-    """Residual series: LHS product - first RHS product + second RHS product,
-    exact or mod `prime`."""
-    return _quadratic_residual(main_quadratic_factors(pt, r, s, order, prime), prime)
 
 
 def _six_term_numerators(factors: list[tuple], r: int, s: int) -> tuple[list[list[int]], int]:
@@ -395,7 +380,7 @@ def _six_term_rows(pt: ParamPoint, top: int) -> Iterator[tuple[list[list[int]], 
 def _six_term_excesses(pt: ParamPoint, top: int, r: int, s: int) -> list[list[Scalar]]:
     """[[A_k - B_k + C_k for k = 0..n+1] for n = 0..top], one canonical
     Fraction each, from _six_term_numerators."""
-    rows, lcm = _six_term_numerators(main_quadratic_factors(pt, r, s, top), r, s)
+    rows, lcm = _six_term_numerators(next(_quadratic_shapes(pt, ((r, s),), top)), r, s)
     return [[Fraction(e, lcm) for e in row] for row in rows]
 
 
@@ -461,10 +446,17 @@ def _specialization_shapes(
     pt: ParamPoint, rs: Sequence[int], order: int, prime: int | None = None
 ) -> Iterator[list[tuple]]:
     """The (signed prefactor, F, G) of the three products of the (r+1)phi(r)
-    quadratic specialization, for each r of `rs` in turn: the
-    _extended_shapes of the a and b parameters at shapes (r, r), with base
-    t1, ..., t6 of check_quadratic_specialization at the first r, the
-    second factor of each product shifted."""
+    quadratic specialization, for each r of `rs` in turn:
+
+    (a0-1)(a1-b1) F[a0/q, a1; b1/q] F[a0 q, a1, ^q; b1 q, ^q]
+      = (a0-a1)(1-b1) F[a0, a1; b1] F[a0, a1, ^q; b1, ^q]
+      - (1-a1)(a0-b1) F[a0, a1/q; b1/q] F[a0, a1 q, ^q; b1 q, ^q],
+
+    where ^q marks the trailing parameters a2..ar / b2..br scaled by q in the
+    second factor of each product, and every series has argument z.  Call
+    the six series t1, ..., t6 in this order.  They are the _extended_shapes
+    of the a and b parameters at shapes (r, r), with base t1, ..., t6 at the
+    first r, the second factor of each product shifted."""
     q = pt["q"]
     a0, a1, b1 = pt["a0"], pt["a1"], pt["b1"]
     r0 = rs[0]
@@ -481,23 +473,6 @@ def _specialization_shapes(
     prefactors = ((a0 - 1) * (a1 - b1), -(a0 - a1) * (1 - b1), (1 - a1) * (a0 - b1))
     for series in _extended_shapes(pt, ("a", "b"), [(r, r) for r in rs], base, order, prime):
         yield list(zip(prefactors, series[::2], series[1::2]))
-
-
-def check_quadratic_specialization(
-    r: int, pt: ParamPoint, order: int, prime: int | None = None
-) -> TruncatedSeries | SeriesResidue:
-    """Residual of the (r+1)phi(r) quadratic specialization, exact or mod `prime`.
-
-    (a0-1)(a1-b1) F[a0/q, a1; b1/q] F[a0 q, a1, ^q; b1 q, ^q]
-      = (a0-a1)(1-b1) F[a0, a1; b1] F[a0, a1, ^q; b1, ^q]
-      - (1-a1)(a0-b1) F[a0, a1/q; b1/q] F[a0, a1 q, ^q; b1 q, ^q],
-
-    where ^q marks the trailing parameters a2..ar / b2..br scaled by q in the
-    second factor of each product, and every series has argument z.  Call
-    the six series t1, ..., t6 in this order.  This is the one-r entry of
-    _specialization_shapes.
-    """
-    return series_linear_combine(next(_specialization_shapes(pt, (r,), order, prime)), prime)
 
 
 def aw_quadratic_residuals(n_max: int, p: AWParams, pt: XPoint) -> list[Scalar]:
@@ -563,17 +538,21 @@ def build_bordered_matrix(n: int, p: AWParams, pt: XPoint, prime: int | None = N
     return Matrix(n, n, tuple(entries))
 
 
-def det_prefactor(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
-    """D_n = a^(n(n-1)/2) b^(n(n+1)/2) q^(n(n-1)(2n-1)/6)
-             prod_i (ab,cd,q;q)_i / (abcd;q)_(n+i)."""
-    return next(_det_prefactors((n,), p, 1, (), prime))
-
-
 def _det_prefactors(
     orders: Sequence[int], p: AWParams, sign: int, extra: tuple[Scalar, ...], prime: int | None
 ) -> Iterator[Scalar | Residue]:
     """sign^n D_n prod_i (extra;q)_i, D_n with more bases in its numerator,
-    at each order n of `orders`, from one _closed_forms pass."""
+    at each order n of `orders`, from one _closed_forms pass, where
+
+        D_n = a^(n(n-1)/2) b^(n(n+1)/2) q^(n(n-1)(2n-1)/6)
+              prod_i (ab,cd,q;q)_i / (abcd;q)_(n+i)
+
+    is the prefactor of bordered_det (sign 1, no extra bases).  gram_det's
+    prefactor C is sign -1 with extra bases (ac, ad, bc, bd):
+
+        C = (-1)^n a^(n(n-1)/2) b^(n(n+1)/2) q^(n(n-1)(2n-1)/6)
+            prod_i (ab,ac,ad,bc,bd,cd,q;q)_i / (abcd;q)_(n+i).
+    """
     a, b, q = p.a, p.b, p.q
     bases, abcd = (a * b, p.c * p.d, q) + extra, (p.abcd,)
     return _closed_forms(
@@ -658,13 +637,6 @@ def _gram_dets(G: Matrix, prime: int | None = None) -> list:
     return [-d if n % 2 else d for n, d in enumerate(leading_minors(lifted, prime)) if n]
 
 
-def gram_prefactor(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
-    """C = (-1)^n a^(n(n-1)/2) b^(n(n+1)/2) q^(n(n-1)(2n-1)/6)
-           prod_i (ab,ac,ad,bc,bd,cd,q;q)_i / (abcd;q)_(n+i),
-    that is (-1)^n D_n prod_i (ac,ad,bc,bd;q)_i."""
-    return next(_det_prefactors((n,), p, -1, _decoration_bases(p), prime))
-
-
 def gram_elimination_residuals(
     n_max: int, p: AWParams, pt: XPoint, prime: int | None = None
 ) -> list:
@@ -727,7 +699,9 @@ def _hankel_forms(
     orders: Sequence[int], p: AWParams, extra: tuple[Scalar, ...], prime: int | None
 ) -> Iterator[Scalar | Residue]:
     """rhs_hankel prod_k (extra;q)_k, the Hankel closed form with more bases
-    in its numerator, at each order n of `orders`, from one _closed_forms pass."""
+    in its numerator, at each order n of `orders`, from one _closed_forms pass.
+    With extra = (ac, ad, bc, bd) it is the closed form of the decorated
+    Hankel determinant, the plain one times prod_k (ac,ad,bc,bd;q)_k."""
     q = p.q
     ab = p.a * p.b
     bases, abcd = (q, ab, p.c * p.d) + extra, (p.abcd,)
@@ -747,11 +721,6 @@ def build_hankel_decorated(n: int, p: AWParams, prime: int | None = None) -> Mat
     """Hankel matrix with row factors (ac,ad;q)_i and column factors (bc,bd;q)_j,
     with Residue entries mod `prime` when one is given."""
     return Matrix(n, n, tuple(_decorated_hankel(n, n, p, prime)))
-
-
-def rhs_hankel_decorated(n: int, p: AWParams, prime: int | None = None) -> Scalar | Residue:
-    """Decorated closed form: plain closed form times prod_j (ac,ad,bc,bd;q)_j."""
-    return next(_hankel_forms((n,), p, _decoration_bases(p), prime))
 
 
 def mehta_wang_params(pt: ParamPoint) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar, Scalar]:
@@ -790,22 +759,19 @@ def _q_difference_hankel(
     )
 
 
-def rhs_mehta_wang(n: int, pt: ParamPoint, prime: int | None = None) -> Scalar | Residue:
-    """Closed form: prefactor times a terminating balanced 4phi3.
-
-    (-1)^n a^(n(n-3)/2) q^(n(n+1)(2n-5)/6) (u^2 v^2; q^2)_n
-    prod_k (q;q)_(k-1) (aq;q)_k (bq;q)_(k-2) / (abq^2;q)_(k+n-2)
-    * 4phi3[ q^-n, ab q^n, u, -u ; aq, uv, -uv ; q, q ].
-    """
-    return next(_mehta_wang_forms((n,), pt, prime))
-
-
 def _mehta_wang_forms(
     orders: Sequence[int], pt: ParamPoint, prime: int | None
 ) -> Iterator[Scalar | Residue]:
-    """rhs_mehta_wang at each order n of `orders` in turn: the prefactors from
-    one _closed_forms pass, each 4phi3 one series._terminating_sum over the
-    integer pairs of a, b, u, v and q, made one scalar._ratio."""
+    """The Mehta-Wang closed form at each order n of `orders` in turn, a
+    prefactor times a terminating balanced 4phi3:
+
+        (-1)^n a^(n(n-3)/2) q^(n(n+1)(2n-5)/6) (u^2 v^2; q^2)_n
+        prod_k (q;q)_(k-1) (aq;q)_k (bq;q)_(k-2) / (abq^2;q)_(k+n-2)
+        * 4phi3[ q^-n, ab q^n, u, -u ; aq, uv, -uv ; q, q ].
+
+    The prefactors come from one _closed_forms pass, each 4phi3 from one
+    series._terminating_sum over the integer pairs of a, b, u, v and q, made
+    one scalar._ratio."""
     a, b, _, u, v, q = mehta_wang_params(pt)
     squares, aq, bq, abq2 = (u**2 * v**2,), (a * q,), (b * q,), (a * b * q**2,)
     # (bq;q)_(k-2) at k = 1 is (bq;q)_(-1) = 1/(1-b), with a pole of its own
@@ -881,18 +847,12 @@ def build_integer_exp_pfaffian(
     return SkewMatrix.from_upper(2 * m, _q_difference_hankel(1, q, *table, prime))
 
 
-def rhs_integer_exp_pfaffian(
-    m: int, alpha: int, q: Scalar, prime: int | None = None
-) -> Scalar | Residue:
-    """q^(m(m-1)(alpha-1) + m(m-1)(4m+1)/3) prod_k (q, q^alpha; q)_(2k-1)."""
-    return next(_integer_exp_pfaffians((m,), alpha, q, prime))
-
-
 def _integer_exp_pfaffians(
     orders: Sequence[int], alpha: int, q: Scalar, prime: int | None
 ) -> Iterator[Scalar | Residue]:
-    """rhs_integer_exp_pfaffian at each order m of `orders`, from one
-    _closed_forms pass."""
+    """q^(m(m-1)(alpha-1) + m(m-1)(4m+1)/3) prod_k (q, q^alpha; q)_(2k-1), the
+    Pfaffian of build_integer_exp_pfaffian, at each order m of `orders`, from
+    one _closed_forms pass."""
     bases = (q, q**alpha)
     return _closed_forms(
         orders,
@@ -968,8 +928,14 @@ def check_andrews_watson(n: int, a: Scalar, b: Scalar, q: Scalar) -> Scalar:
 def _contiguous_shapes(
     pt: ParamPoint, shapes: Sequence[tuple[int, int]], order: int, prime: int | None = None
 ) -> Iterator[tuple]:
-    """(t1, t2, prefactor, t3) of check_contiguous for each (r, s) of `shapes`
-    in turn: t1 = F[aq, A; bq, B; z], t2 = F[a, A; b, B; z] and
+    """(t1, t2, prefactor, t3) of the contiguous relation
+
+        F[aq, A; bq, B; z] - F[a, A; b, B; z]
+          = (-1)^(1+s-r) z (a-b)/((1-b)(1-bq)) prod(1-A_i)/prod(1-B_i)
+            * F[aq, Aq; bq^2, Bq; q^(1+s-r) z],
+
+    where A, B are the trailing r-1 / s-1 parameters, for each (r, s) of
+    `shapes` in turn: t1 = F[aq, A; bq, B; z], t2 = F[a, A; b, B; z] and
     t3 = F[aq, Aq; bq^2, Bq; q^(1+s-r) z], the _extended_shapes of A and B at
     lengths (r-1, s-1), t3 shifted; each prefactor is formed after its series."""
     q, a, b = pt["q"], pt["a"], pt["b"]
@@ -996,24 +962,9 @@ def _contiguous_shapes(
 def _contiguous_residual(
     t1, t2, pref: Scalar, t3, prime: int | None
 ) -> TruncatedSeries | SeriesResidue:
+    """LHS - RHS of the contiguous relation, exact or mod `prime`."""
     z = TruncatedSeries.from_integers([int(n == 1) for n in range(t1.order + 1)], 1)  # the series z
     return series_linear_combine([(1, t1), (-1, t2), (-pref, z, t3)], prime)
-
-
-def check_contiguous(
-    r: int, s: int, pt: ParamPoint, order: int, prime: int | None = None
-) -> TruncatedSeries | SeriesResidue:
-    """Residual of the contiguous relation
-
-    F[aq, A; bq, B; z] - F[a, A; b, B; z]
-      = (-1)^(1+s-r) z (a-b)/((1-b)(1-bq)) prod(1-A_i)/prod(1-B_i)
-        * F[aq, Aq; bq^2, Bq; q^(1+s-r) z],
-
-    where A, B are the trailing r-1 / s-1 parameters.  The residual is
-    exact, or a SeriesResidue mod `prime` when one is given.  This is the
-    one-shape entry of _contiguous_shapes.
-    """
-    return _contiguous_residual(*next(_contiguous_shapes(pt, ((r, s),), order, prime)), prime)
 
 
 # ---------------------------------------------------------------------------
@@ -1252,7 +1203,7 @@ def _run_hankel(pt: ParamPoint, sizes: Sizes) -> list:
 @_check("moment_double_sum", "Thm 4.3 / Eq. (eq:mom)", ("a", "b", "c", "d", "q", "t"),
         Sizes(n_max=6), note="vs L on the (az, a/z; q)_k basis")
 def _run_moment_double_sum(pt: ParamPoint, sizes: Sizes) -> list:
-    """aw_moment(n) against moment_functional's peel of (t+x)^n, n = 0..n_max,
+    """aw_moment(n) against the basis peel of (t+x)^n, n = 0..n_max,
     with one basis and one moment table at n_max.  A zero (abcd;q)_n stays zero
     as n grows, so that table raises exactly when some order's would."""
     p = _aw_from(pt)
@@ -1292,9 +1243,9 @@ def _run_basis_moments(pt: ParamPoint, sizes: Sizes) -> list:
     and its symmetry in b, c and d, for n = 0..n_max.
 
     One moment_weights vector of order n_max is applied to every basis
-    polynomial; moment_functional would expand the basis polynomial on itself
-    and compare the closed form with itself.  Each parameter order reads its
-    moments from one _basis_moments table.
+    polynomial; the basis peel, _peel_functional, would expand the basis
+    polynomial on itself and compare the closed form with itself.  Each
+    parameter order reads its moments from one _basis_moments table.
 
     The one vector raises exactly when the weights of some order n <= n_max
     would.  A zero lattice Newton denominator at order n means a^2 q^e = 1
@@ -1304,7 +1255,7 @@ def _run_basis_moments(pt: ParamPoint, sizes: Sizes) -> list:
     """
     p = _aw_from(pt)
     a, b, c, d, q = p.a, p.b, p.c, p.d, p.q
-    out = [basis_moment(1, p) - (1 - a * b) * (1 - a * c) * (1 - a * d) / (1 - p.abcd)]
+    out = [_basis_moments(1, p)[1] - (1 - a * b) * (1 - a * c) * (1 - a * d) / (1 - p.abcd)]
     nodes, weights = moment_weights(p, sizes.n_max, pt.prime)
     weights = _common_denominator(weights, pt.prime)
     # symmetric in b, c, d

@@ -9,8 +9,14 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from qident.askey_wilson import AWParams, PolynomialInX
-from qident.identities import main_quadratic_factors
+from qident.askey_wilson import (
+    AWParams,
+    PolynomialInX,
+    _basis_moments,
+    _peel_functional,
+    pochhammer_basis_polys,
+)
+from qident.identities import _quadratic_shapes
 from qident.scalar import _qpoch_multi_prefix, qpoch
 from qident.series import HypergeometricSpec
 
@@ -35,13 +41,12 @@ def prefix_table(params, q, n) -> list[Fraction]:
 
 def six_term_parts(k, n, pt, r, s):
     """(A_k, B_k, C_k) at z^n: (-1)^(s-r) prefactor F[k] G[n-k] of each product of
-    main_quadratic_factors, with the series built up to n."""
+    shape (r, s) of _quadratic_shapes, with the series built up to n."""
     if k == n + 1:
         return (Fraction(0),) * 3
     sign = Fraction(-1) ** (s - r)
-    return tuple(
-        sign * pref * f[k] * g[n - k] for pref, f, g in main_quadratic_factors(pt, r, s, n)
-    )
+    factors = next(_quadratic_shapes(pt, ((r, s),), n))
+    return tuple(sign * pref * f[k] * g[n - k] for pref, f, g in factors)
 
 
 def perfect_matchings(items: Sequence[int]):
@@ -95,6 +100,14 @@ def poly_power(p: PolynomialInX, n: int) -> PolynomialInX:
     for _ in range(n):
         out = out * p
     return out
+
+
+def basis_peel(f: PolynomialInX, p: AWParams) -> Fraction:
+    """L(f) from L's definition on the basis (a*z, a/z; q)_k: the peel of
+    askey_wilson._peel_functional on the basis and moments of order deg f.
+    No lattice node enters, so it is independent of the lattice weights."""
+    n = f.degree
+    return _peel_functional(f, pochhammer_basis_polys(p.a, p.q, n), _basis_moments(n, p))
 
 
 def aw_leading_coeff(n: int, p: AWParams) -> Fraction:

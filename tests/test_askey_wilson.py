@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import aw_leading_coeff, poly_power, rand_fraction, rand_q
+from helpers import aw_leading_coeff, basis_peel, poly_power, rand_fraction, rand_q
 from qident import askey_wilson, identities
 from qident.askey_wilson import (
     AWParams,
@@ -15,19 +15,16 @@ from qident.askey_wilson import (
     XPoint,
     _aw_norm_ratios,
     _basis_moments,
+    _connection_table,
     _lattice_denominators,
     _peel_functional,
     _weight_orders,
     _weighted_sum,
     aw_moment,
     aw_moments,
-    aw_norm_ratio,
     aw_poly,
     aw_poly_as_polynomial,
-    basis_moment,
-    connection_u,
     lattice_nodes,
-    moment_functional,
     moment_weights,
     newton_coeffs,
     newton_lattice_coeffs,
@@ -123,7 +120,8 @@ def test_aw_poly_as_polynomial_contract():
 
 
 def test_aw_norm_ratio():
-    assert aw_norm_ratio(0, P) == 1
+    h_0, h_1 = _aw_norm_ratios(P, (0, 1))
+    assert h_0 == 1
     a, b, c, d, q = P.a, P.b, P.c, P.d, P.q
     abcd = P.abcd
     expected = (
@@ -132,17 +130,17 @@ def test_aw_norm_ratio():
         * (1 - b * c) * (1 - b * d) * (1 - c * d)
         / ((1 - q * abcd) * (1 - abcd))
     )
-    assert aw_norm_ratio(1, P) == expected
+    assert h_1 == expected
 
 
 def test_basis_moment():
-    assert basis_moment(0, P) == 1
+    moments = _basis_moments(4, P)
+    assert moments[0] == 1
     a, b, c, d = P.a, P.b, P.c, P.d
-    assert basis_moment(1, P) == (1 - a * b) * (1 - a * c) * (1 - a * d) / (1 - P.abcd)
+    assert moments[1] == (1 - a * b) * (1 - a * c) * (1 - a * d) / (1 - P.abcd)
     # symmetric under permutations of b, c, d
     for perm in (("a", "c", "b", "d"), ("a", "d", "c", "b"), ("a", "c", "d", "b")):
-        for n in range(5):
-            assert basis_moment(n, P.permuted(perm)) == basis_moment(n, P)
+        assert _basis_moments(4, P.permuted(perm)) == moments
 
 
 def test_aw_moment_degree_zero():
@@ -152,7 +150,7 @@ def test_aw_moment_degree_zero():
 def test_aw_moment_linear_against_basis_inversion():
     # (az, a/z; q)_1 = 1 + a^2 - 2ax, so L(x) = (1 + a^2 - L1)/(2a)
     a = P.a
-    lx = (1 + a**2 - basis_moment(1, P)) / (2 * a)
+    lx = (1 + a**2 - _basis_moments(1, P)[1]) / (2 * a)
     assert aw_moment(1, F(0), P) == lx
 
 
@@ -163,7 +161,7 @@ def test_aw_moment_ab_swap_invariance():
         assert aw_moment(n, t, P) == aw_moment(n, t, swapped)
         # same value through the swapped-basis functional route
         f = poly_power(poly_x_plus(t), n)
-        assert aw_moment(n, t, P) == moment_functional(f, swapped)
+        assert aw_moment(n, t, P) == basis_peel(f, swapped)
 
 
 def test_aw_moment_full_symmetry():
@@ -190,28 +188,28 @@ def test_aw_moment_takes_one_value_per_first_slot():
 
 
 def test_moment_functional_constant_and_monomials():
-    assert moment_functional(PolynomialInX([F(1)]), P) == 1
+    assert basis_peel(PolynomialInX([F(1)]), P) == 1
     for n in range(5):
         f = poly_power(poly_x_plus(F(0)), n)
-        assert moment_functional(f, P) == aw_moment(n, F(0), P)
+        assert basis_peel(f, P) == aw_moment(n, F(0), P)
 
 
 def test_moment_functional_kills_p1():
     # independent oracle: L(p_1) = c_0 + c_1 L(x) with L(x) from basis inversion
     p1 = aw_poly_as_polynomial(1, P)
     a = P.a
-    lx = (1 + a**2 - basis_moment(1, P)) / (2 * a)
+    lx = (1 + a**2 - _basis_moments(1, P)[1]) / (2 * a)
     assert p1.coeffs[0] + p1.coeffs[1] * lx == 0
-    assert moment_functional(p1, P) == 0
+    assert basis_peel(p1, P) == 0
 
 
 def test_orthogonality_small():
     p0 = aw_poly_as_polynomial(0, P)
     p1 = aw_poly_as_polynomial(1, P)
     p2 = aw_poly_as_polynomial(2, P)
-    assert moment_functional(p0 * p1, P) == 0
-    assert moment_functional(p1 * p2, P) == 0
-    assert moment_functional(p2 * p2, P) == aw_norm_ratio(2, P)
+    assert basis_peel(p0 * p1, P) == 0
+    assert basis_peel(p1 * p2, P) == 0
+    assert basis_peel(p2 * p2, P) == next(_aw_norm_ratios(P, (2,)))
 
 
 def test_newton_coeffs_constant():
@@ -245,7 +243,7 @@ def test_node_collisions_are_found_on_canonical_pairs():
     with pytest.raises(DuplicateNodes, match="^interpolation nodes must be distinct$"):
         newton_coeffs([3, F(1, 2), F(6, 2)], [F(1), F(2), F(3)])
     with pytest.raises(DuplicateNodes, match="^b-nodes must be distinct$"):
-        connection_u(2, 2, [F(1), F(2)], [2, F(1, 3), F(4, 2)])
+        _connection_table([F(1), F(2)], [2, F(1, 3), F(4, 2)], 2)
     assert newton_coeffs([F(1, 2), 3, F(7, 2)], [F(1), F(2), F(3)])
 
 
@@ -310,11 +308,12 @@ def test_newton_lattice_refuses_a_degree_above_the_order():
 def test_connection_u_boundary():
     a_nodes = [F(1, 2), F(2, 3), F(3, 4)]
     b_nodes = [F(1, 5), F(2, 5), F(3, 5), F(4, 5)]
-    assert connection_u(0, 0, a_nodes, b_nodes) == 1
+    u = _connection_table(a_nodes, b_nodes, 3)
+    assert u[0][0] == 1
     expected = (b_nodes[0] + a_nodes[0]) * (b_nodes[0] + a_nodes[1]) * (
         b_nodes[0] + a_nodes[2]
     )
-    assert connection_u(3, 0, a_nodes, b_nodes) == expected
+    assert u[3][0] == expected
 
 
 def test_connection_u_recurrence():
@@ -326,13 +325,10 @@ def test_connection_u_recurrence():
         v = rand_fraction(rng)
         if v not in b_nodes:
             b_nodes.append(v)
+    u = _connection_table(a_nodes, b_nodes, n)
     for nn in range(1, n + 1):
         for k in range(1, nn):
-            lhs = connection_u(nn, k, a_nodes, b_nodes)
-            rhs = connection_u(nn - 1, k - 1, a_nodes, b_nodes) + (
-                a_nodes[nn - 1] + b_nodes[k]
-            ) * connection_u(nn - 1, k, a_nodes, b_nodes)
-            assert lhs == rhs
+            assert u[nn][k] == u[nn - 1][k - 1] + (a_nodes[nn - 1] + b_nodes[k]) * u[nn - 1][k]
 
 
 def test_quadratic_relation_for_polynomials():
@@ -529,7 +525,7 @@ def moment_kernels(p, t, n):
         ("aw_moment", lambda *pr: aw_moment(n, t, p, *pr)),
         ("aw_moments", lambda *pr: aw_moments(t, p, n, *pr)),
         ("_peel_functional", peel),
-        ("aw_norm_ratio", lambda *pr: aw_norm_ratio(n, p, *pr)),
+        ("_aw_norm_ratios", lambda *pr: next(_aw_norm_ratios(p, (n,), *pr))),
     ]
 
 
@@ -630,16 +626,15 @@ def per_n_norm_ratio(n, p, prime=None):
 def test_norm_ratios_from_one_table_are_the_per_n_closed_forms(height):
     # every entry, exact and mod p, holds the per-n closed form's integers
     # (equal reprs); the table raises at the first n whose own denominator
-    # vanishes, with its message, and aw_norm_ratio(n) only at its own n
+    # vanishes, with its message, and a one-order pass only at its own n
     kinds = set()
     for seed in range(20):
         pt = sample_point(_MOMENT_NAMES, 900 + seed, height)
         p = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"])
         for prime in (None, 7, pt.prime):
             want = [outcome(per_n_norm_ratio, n, p, prime) for n in range(7)]
-            assert [repr(outcome(aw_norm_ratio, n, p, prime)) for n in range(7)] == list(
-                map(repr, want)
-            )
+            one_order = [outcome(lambda: next(_aw_norm_ratios(p, (n,), prime))) for n in range(7)]
+            assert list(map(repr, one_order)) == list(map(repr, want))
             first = next((i for i, w in enumerate(want) if w[0] != "value"), len(want))
             values, ratios = [], _aw_norm_ratios(p, range(7), prime)
             raised = outcome(lambda: values.extend(ratios))

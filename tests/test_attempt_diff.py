@@ -121,8 +121,26 @@ def test_two_trees_whose_outcomes_differ_exit_1_naming_each_check_and_height(tmp
             (ROOT, ROOT / "tests", "even_order_det"),
             f"{ROOT / 'tests'} has no src/qident/__init__.py",
         ),
+        ((), "the following arguments are required: OLD_ROOT, NEW_ROOT"),
+        ((ROOT,), "the following arguments are required: NEW_ROOT"),
+        (
+            ("--check-golden", "--nmax", 3),
+            "--write-golden and --check-golden each take no other argument",
+        ),
+        (
+            ("--write-golden", "--check-golden"),
+            "--write-golden and --check-golden each take no other argument",
+        ),
     ],
-    ids=["unknown_check_id", "rejected_sizes", "no_package"],
+    ids=[
+        "unknown_check_id",
+        "rejected_sizes",
+        "no_package",
+        "no_argument",
+        "one_root",
+        "check_golden_with_sizes",
+        "both_golden_modes",
+    ],
 )
 def test_bad_input_exits_2_with_one_line_on_stderr(args, error):
     done = run_tool(*args)

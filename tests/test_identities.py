@@ -23,25 +23,26 @@ from qident.identities import (
     build_integer_exp_pfaffian,
     build_mehta_wang_matrix,
     check_andrews_watson,
-    check_contiguous,
     check_gamma_pfaffian,
-    check_main_quadratic,
-    check_quadratic_specialization,
     check_three_term_kernel,
-    det_prefactor,
-    gram_prefactor,
-    main_quadratic_factors,
     mehta_wang_params,
     rhs_hankel,
-    rhs_hankel_decorated,
-    rhs_mehta_wang,
     rhs_pfaffian,
     run_check,
     six_term_g,
     six_term_xi,
     run_trial,
+    _contiguous_residual,
+    _contiguous_shapes,
+    _decoration_bases,
+    _det_prefactors,
+    _hankel_forms,
+    _mehta_wang_forms,
+    _quadratic_residual,
+    _quadratic_shapes,
     _six_term_excesses,
     _six_term_specs,
+    _specialization_shapes,
     _trial_seed,
 )
 from qident import linalg
@@ -107,9 +108,9 @@ def test_prefactor_identity_at_z0():
 
 @pytest.mark.parametrize("rs", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2)])
 def test_main_quadratic_residual_is_zero_series(rs):
-    res = check_main_quadratic(rs[0], rs[1], PT, 10)
-    assert res.is_zero()
-    assert check_main_quadratic(rs[0], rs[1], PT, 10, trial_prime(0)).is_zero()
+    for prime in (None, trial_prime(0)):
+        factors = next(_quadratic_shapes(PT, (rs,), 10, prime))
+        assert _quadratic_residual(factors, prime).is_zero()
 
 
 # Fraction constructions of one run_check(check, trials=2, seed=0) with every
@@ -139,7 +140,7 @@ def test_main_quadratic_coefficients_match_sums(rs):
     # (-1)^(s-r) * sum_k of the corresponding A/B/C term
     r, s = rs
     order = 6
-    factors = main_quadratic_factors(PT, r, s, order)
+    factors = next(_quadratic_shapes(PT, (rs,), order))
     sign = F(-1) ** (s - r)
     for n in range(order + 1):
         sums = [F(0), F(0), F(0)]
@@ -408,8 +409,9 @@ def test_quadratic_specialization_z0():
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_quadratic_specialization_zero(r):
-    assert check_quadratic_specialization(r, GZ_PT, 10).is_zero()
-    assert check_quadratic_specialization(r, GZ_PT, 10, trial_prime(0)).is_zero()
+    for prime in (None, trial_prime(0)):
+        factors = next(_specialization_shapes(GZ_PT, (r,), 10, prime))
+        assert series_linear_combine(factors, prime).is_zero()
 
 
 def test_quadratic_specialization_degenerate_prefactor():
@@ -446,7 +448,7 @@ def test_quadratic_specialization_embeds_in_main():
             "e1": F(0), "e2": a2, "f1": F(0), "f2": b2,
         }
     )
-    factors = main_quadratic_factors(main_pt, r, r, order)
+    factors = next(_quadratic_shapes(main_pt, ((r, r),), order))
     products = [series_linear_combine([(1, f, g)]) for _, f, g in factors]
     prefactors = [pref for pref, _, _ in factors]
 
@@ -479,8 +481,9 @@ def test_bordered_matrix_order_one():
     bracket = c + d - 2 * x + (1 - c * d) * (a + b) - a * b * (c + d - 2 * c * d * x)
     assert M[0, 0] == -b / (1 - AW.abcd) * bracket
     # D_1 = b/(1-abcd)
-    assert det_prefactor(1, AW) == b / (1 - AW.abcd)
-    assert det_fraction_free(M) == det_prefactor(1, AW) * aw_poly(1, AW, X)
+    d_1 = next(_det_prefactors((1,), AW, 1, (), None))
+    assert d_1 == b / (1 - AW.abcd)
+    assert det_fraction_free(M) == d_1 * aw_poly(1, AW, X)
 
 
 def test_det_prefactor_ratios():
@@ -488,16 +491,20 @@ def test_det_prefactor_ratios():
     a, b, q = AW.a, AW.b, AW.q
     cd = AW.c * AW.d
     abcd = AW.abcd
+    p_shift = replace(AW, a=a * q)
+    p_ab = replace(AW, a=a * q, b=b * q)
+    D, D_shift, D_ab = (
+        list(_det_prefactors(range(6), x, 1, (), None)) for x in (AW, p_shift, p_ab)
+    )
     for n in range(2, 6):
-        lhs = det_prefactor(n, AW) / det_prefactor(n - 1, AW)
+        lhs = D[n] / D[n - 1]
         rhs = (
             a ** (n - 1) * b**n * q ** ((n - 1) ** 2)
             * qpoch_multi((a * b, cd), q, n - 1) * qpoch(q, q, n - 1)
             / (qpoch(abcd * q ** (n - 1), q, n) * qpoch(abcd, q, 2 * n - 2))
         )
         assert lhs == rhs
-        p_shift = replace(AW, a=a * q)
-        lhs2 = det_prefactor(n, p_shift) / det_prefactor(n, AW)
+        lhs2 = D_shift[n] / D[n]
         rhs2 = (
             q ** (n * (n - 1) // 2)
             * qpoch(a * b * q, q, n - 1)
@@ -506,11 +513,8 @@ def test_det_prefactor_ratios():
         )
         assert lhs2 == rhs2
     # the two-step quotient that drives the induction
-    p_ab = replace(AW, a=a * q, b=b * q)
     for n in range(3, 6):
-        lhs = (det_prefactor(n, AW) / det_prefactor(n - 1, AW)) / (
-            det_prefactor(n - 1, p_ab) / det_prefactor(n - 2, p_ab)
-        )
+        lhs = (D[n] / D[n - 1]) / (D_ab[n - 1] / D_ab[n - 2])
         rhs = (
             a * b * qpoch(a * b, q, 2)
             * (1 - cd * q ** (n - 2)) * (1 - q ** (n - 1))
@@ -520,9 +524,10 @@ def test_det_prefactor_ratios():
 
 
 def test_bordered_det_matches_formula():
-    for n in range(1, 6):
+    orders = range(1, 6)
+    for n, d_n in zip(orders, _det_prefactors(orders, AW, 1, (), None)):
         M = build_bordered_matrix(n, AW, X)
-        assert det_fraction_free(M) == det_prefactor(n, AW) * aw_poly(n, AW, X)
+        assert det_fraction_free(M) == d_n * aw_poly(n, AW, X)
 
 
 def test_gram_matrix_order_one():
@@ -537,26 +542,34 @@ def test_gram_matrix_order_one():
     assert G[1, 1] == qpoch_multi((b * z, b / z), q, 1)
 
 
+def gram_prefactors(orders, p):
+    """The Gram prefactor C at each order of `orders`, from one _det_prefactors pass."""
+    return list(_det_prefactors(orders, p, -1, _decoration_bases(p), None))
+
+
 def test_gram_prefactor_relates_to_det_prefactor():
     a, b, c, d, q = AW.a, AW.b, AW.c, AW.d, AW.q
-    for n in range(1, 5):
+    orders = range(1, 5)
+    D = _det_prefactors(orders, AW, 1, (), None)
+    for n, c_n, d_n in zip(orders, gram_prefactors(orders, AW), D):
         prod = F(1)
         for i in range(n):
             prod *= qpoch_multi((a * c, a * d, b * c, b * d), q, i)
-        assert gram_prefactor(n, AW) == F(-1) ** n * det_prefactor(n, AW) * prod
+        assert c_n == F(-1) ** n * d_n * prod
 
 
 def test_gram_det_matches_formula():
-    for n in range(1, 5):
+    orders = range(1, 5)
+    for n, c_n in zip(orders, gram_prefactors(orders, AW)):
         G = build_gram_matrix(n, AW, X)
-        assert det_fraction_free(G) == gram_prefactor(n, AW) * aw_poly(n, AW, X)
+        assert det_fraction_free(G) == c_n * aw_poly(n, AW, X)
 
 
 def test_gram_prefactor_order_one():
     # C_1 = -b/(1-abcd): a enters as a^(n(n-1)/2) = a^0, and the determinant
     # itself confirms the normalization
     b = AW.b
-    assert gram_prefactor(1, AW) == -b / (1 - AW.abcd)
+    assert gram_prefactors((1,), AW) == [-b / (1 - AW.abcd)]
     G = build_gram_matrix(1, AW, X)
     assert det_cofactor(G) == -b / (1 - AW.abcd) * aw_poly(1, AW, X)
 
@@ -571,12 +584,13 @@ def test_hankel_little_qjacobi():
 
 def test_hankel_decorated_scaling():
     a, b, c, d, q = AW.a, AW.b, AW.c, AW.d, AW.q
-    for n in range(1, 6):
+    orders = range(1, 6)
+    for n, decorated in zip(orders, _hankel_forms(orders, AW, _decoration_bases(AW), None)):
         scale = F(1)
         for j in range(1, n):
             scale *= qpoch_multi((a * c, a * d, b * c, b * d), q, j)
-        assert rhs_hankel_decorated(n, AW) == rhs_hankel(n, AW) * scale
-        assert det_fraction_free(build_hankel_decorated(n, AW)) == rhs_hankel_decorated(n, AW)
+        assert decorated == rhs_hankel(n, AW) * scale
+        assert det_fraction_free(build_hankel_decorated(n, AW)) == decorated
 
 
 MW_PT = ParamPoint({"a": F(2, 3), "u": F(1, 5), "v": F(3, 7), "q": F(2, 7)})
@@ -586,13 +600,14 @@ def test_mehta_wang_order_one():
     a, b, c, u, v, q = mehta_wang_params(MW_PT)
     M = build_mehta_wang_matrix(1, MW_PT)
     assert M[0, 0] == 1 - c
-    assert rhs_mehta_wang(1, MW_PT) == 1 - c
+    assert next(_mehta_wang_forms((1,), MW_PT, None)) == 1 - c
 
 
 def test_mehta_wang_det():
-    for n in range(1, 6):
+    orders = range(1, 6)
+    for n, rhs in zip(orders, _mehta_wang_forms(orders, MW_PT, None)):
         M = build_mehta_wang_matrix(n, MW_PT)
-        assert det_fraction_free(M) == rhs_mehta_wang(n, MW_PT)
+        assert det_fraction_free(M) == rhs
 
 
 def test_mehta_wang_square_root_parametrization():
@@ -608,12 +623,12 @@ def test_mehta_wang_c_equal_one_reduces_to_even_det():
     pt = ParamPoint({"a": a, "u": u, "v": v, "q": q})
     _, b, c, _, _, _ = mehta_wang_params(pt)
     assert c == 1
-    for m in (1, 2):
+    for m, rhs in zip((1, 2), _mehta_wang_forms((2, 4), pt, None)):
         M_mw = build_mehta_wang_matrix(2 * m, pt)
         M_even = build_even_det(m, a, b, q)
         assert M_mw.entries == M_even.entries
-        assert rhs_mehta_wang(2 * m, pt) == rhs_pfaffian(m, a, b, q) ** 2
-        assert det_fraction_free(M_mw) == rhs_mehta_wang(2 * m, pt)
+        assert rhs == rhs_pfaffian(m, a, b, q) ** 2
+        assert det_fraction_free(M_mw) == rhs
 
 
 def test_even_det_order_two():
@@ -693,14 +708,17 @@ def test_andrews_watson_small_orders():
 
 def test_contiguous_relation():
     pt = ParamPoint({"a": F(2, 3), "b": F(1, 5), "q": F(2, 7), "A1": F(3, 4), "B1": F(5, 9)})
-    for r, s in ((1, 1), (2, 1), (2, 2)):
-        res = check_contiguous(r, s, pt, 10)
+    shapes = ((1, 1), (2, 1), (2, 2))
+    for series in _contiguous_shapes(pt, shapes, 10):
+        res = _contiguous_residual(*series, None)
         assert res[0] == 0  # z^0 coefficient: 1 - 1
         assert res.is_zero()
-        assert check_contiguous(r, s, pt, 10, trial_prime(0)).is_zero()
+    prime = trial_prime(0)
+    for series in _contiguous_shapes(pt, shapes, 10, prime):
+        assert _contiguous_residual(*series, prime).is_zero()
     # a = b: both sides vanish identically
     pt_eq = ParamPoint({"a": F(2, 3), "b": F(2, 3), "q": F(2, 7), "A1": F(3, 4), "B1": F(5, 9)})
-    assert check_contiguous(2, 2, pt_eq, 8).is_zero()
+    assert _contiguous_residual(*next(_contiguous_shapes(pt_eq, ((2, 2),), 8)), None).is_zero()
 
 
 def test_orthogonality_residuals():
@@ -843,7 +861,7 @@ def test_runners_hand_each_closed_form_aw_polys_p_n(monkeypatch, check_id, prefa
     # each runner reads p_0..p_n mod the trial prime from one _aw_polys pass
     # and multiplies p_n into its one-pass prefactor: the pass must be at the
     # trial's point, and at every order its value must be aw_poly's p_n, which
-    # gives the public prefactor times p_n its exact value
+    # gives the prefactor times p_n its exact value
     check = CHECKS_BY_ID[check_id]
     real, seen = identities._aw_polys, []
 
@@ -861,11 +879,16 @@ def test_runners_hand_each_closed_form_aw_polys_p_n(monkeypatch, check_id, prefa
         [(p, x, kwargs, values)] = seen
         assert p == identities._aw_from(pt) and x == XPoint(pt["z"])
         assert kwargs == {"prime": pt.prime} and len(values) == sizes.n_max + 1
-        closed_form = getattr(identities, prefactor)
+        # D_n, or the Gram prefactor C: -1 and the decoration bases
+        sign, extra = (1, ()) if prefactor == "det_prefactor" else (-1, _decoration_bases(p))
+        orders = range(len(values))
+        exact, modular = (
+            list(_det_prefactors(orders, p, sign, extra, prime)) for prime in (None, pt.prime)
+        )
         for n, p_n in enumerate(values):
             assert isinstance(p_n, Residue) and p_n.p == pt.prime
             assert p_n == aw_poly(n, p, x)
-            assert closed_form(n, p, pt.prime) * p_n == closed_form(n, p) * aw_poly(n, p, x)
+            assert modular[n] * p_n == exact[n] * aw_poly(n, p, x)
 
 
 # each check whose matrix is built mod the trial prime, with its builders

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (
+    basis_peel,
     from_rows,
     matching_sign,
     perfect_matchings,
@@ -29,17 +30,15 @@ from qident.askey_wilson import (
     DuplicateNodes,
     PolynomialInX,
     XPoint,
+    _aw_norm_ratios,
     _aw_polys,
     _connection_table,
     _lattice_denominators,
     aw_leading_coeff,
     aw_moment,
-    aw_norm_ratio,
     aw_poly,
     aw_poly_as_polynomial,
-    connection_u,
     lattice_nodes,
-    moment_functional,
     moment_weights,
     newton_coeffs,
     newton_lattice_coeffs,
@@ -53,6 +52,8 @@ from qident.identities import (
     RS_PAIRS,
     Sizes,
     _aw_from,
+    _contiguous_residual,
+    _contiguous_shapes,
     _decoration_det,
     _decorations,
     _gram_dets,
@@ -67,15 +68,9 @@ from qident.identities import (
     build_integer_exp_pfaffian,
     build_mehta_wang_matrix,
     check_andrews_watson,
-    check_contiguous,
-    det_prefactor,
     gram_elimination_residuals,
-    gram_prefactor,
     mehta_wang_params,
     rhs_hankel,
-    rhs_hankel_decorated,
-    rhs_integer_exp_pfaffian,
-    rhs_mehta_wang,
     rhs_pfaffian,
     run_check,
     six_term_g,
@@ -862,7 +857,7 @@ def test_aw_moment_and_weights_match_fraction_sums(seed):
         assert attempt(aw_moment, n, t, p) == attempt(ref_functional, power, p)
         f = PolynomialInX([rand_fraction(rng, 30) for _ in range(n + 1)])
         expected = attempt(ref_functional, list(f.coeffs), p)
-        got = attempt(moment_functional, f, p)
+        got = attempt(basis_peel, f, p)
         assert got == attempt(ref_basis_functional, list(f.coeffs), p)
         # the basis route reads no lattice node, so it has a value where the
         # Newton route's nodes collide and agrees with it everywhere else
@@ -905,7 +900,7 @@ def test_collided_lattice_and_zero_basis_moment_raise_as_before():
     p = AWParams(F(3), F(5), F(7), F(2, 105), F(1, 2))
     assert attempt(lambda n: moment_weights(p, n)[1], 1)[0] == "value"
     assert attempt(moment_weights, p, 2) == (PoleError, "(abcd;q)_n vanishes")
-    assert attempt(moment_functional, f, p) == (PoleError, "(abcd;q)_n vanishes")
+    assert attempt(basis_peel, f, p) == (PoleError, "(abcd;q)_n vanishes")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -915,29 +910,19 @@ def test_connection_u_matches_fraction_sums(seed):
     b_nodes = [entry(rng) for _ in range(7)]
     for n in range(7):
         for k in range(n + 1):
-            got = attempt(connection_u, n, k, a_nodes, b_nodes)
+            got = attempt(lambda: _connection_table(a_nodes, b_nodes[: k + 1], n)[n][k])
             assert got == attempt(ref_connection_u, n, k, a_nodes, b_nodes)
 
 
 def test_connection_u_duplicate_nodes_and_domain():
     with pytest.raises(DuplicateNodes):
-        connection_u(3, 2, [F(1, 2)] * 3, [F(1, 3), 2, F(2)])
-    assert canon([connection_u(3, 1, [F(1, 2)] * 3, [F(1, 3), 2, F(2)])]) == canon(
+        _connection_table([F(1, 2)] * 3, [F(1, 3), 2, F(2)], 3)
+    assert canon([_connection_table([F(1, 2)] * 3, [F(1, 3), 2], 3)[3][1]]) == canon(
         [ref_connection_u(3, 1, [F(1, 2)] * 3, [F(1, 3), 2, F(2)])]
     )
-    assert canon([connection_u(0, 0, [], [5])]) == canon([F(1)])
-    with pytest.raises(DomainError):
-        connection_u(2, 3, [1, 2], [1, 2, 3, 4])
-
-
-def test_connection_u_refuses_too_few_nodes():
-    # u(2, 2) reads b_0, b_1, b_2 and u(3, 1) reads a_0, a_1, a_2
-    for n, k in ((2, 2), (3, 1)):
-        with pytest.raises(DomainError, match="needs n a-nodes and k\\+1 b-nodes"):
-            connection_u(n, k, [1, 2], [3, 5])
-    assert canon([connection_u(2, 1, [1, 2], [3, 5])]) == canon(
-        [ref_connection_u(2, 1, [1, 2], [3, 5])]
-    )
+    assert canon(_connection_table([], [5], 0)[0]) == canon([F(1)])
+    # row n lists u(n, k) for k <= n only, however many b-nodes there are
+    assert [len(row) for row in _connection_table([1, 2], [1, 2, 3, 4], 2)] == [1, 2, 3]
 
 
 def test_newton_to_monomial_refuses_too_few_nodes():
@@ -1120,7 +1105,7 @@ def per_product_orthogonality(pt, sizes):
         for n in range(m, top + 1):
             value = ref_functional(list((polys[m] * polys[n]).coeffs), p)
             if m == n:
-                value -= aw_norm_ratio(n, p)
+                value -= next(_aw_norm_ratios(p, (n,)))
             out.append(value)
     return out
 
@@ -1541,35 +1526,37 @@ def test_closed_forms_match_fraction_products(seed):
     pt = point(seed, ("a", "b", "c", "d", "q", "u", "v"))
     p = AWParams(pt["a"], pt["b"], pt["c"], pt["d"], pt["q"])
     a, b, q = pt["a"], pt["b"], pt["q"]
+
+    def integer_exp(m, alpha, q, prime=None):
+        return next(identities._integer_exp_pfaffians((m,), alpha, q, prime))
+
     for n in range(6):
-        assert attempt(det_prefactor, n, p) == attempt(ref_det_prefactor, n, p)
-        assert attempt(gram_prefactor, n, p) == attempt(
+        assert attempt(one_order, "det_prefactor", pt, n) == attempt(ref_det_prefactor, n, p)
+        assert attempt(one_order, "gram_prefactor", pt, n) == attempt(
             lambda: F(-1) ** n * ref_det_prefactor(n, p) * ref_decoration_det(n, p)
         )
         assert attempt(rhs_hankel, n, p) == attempt(ref_rhs_hankel, n, p)
-        assert attempt(rhs_hankel_decorated, n, p) == attempt(
+        assert attempt(one_order, "rhs_hankel_decorated", pt, n) == attempt(
             lambda: ref_rhs_hankel(n, p) * ref_decoration_det(n, p)
         )
-        assert attempt(rhs_mehta_wang, n, pt) == attempt(ref_rhs_mehta_wang, n, pt)
+        assert attempt(one_order, "rhs_mehta_wang", pt, n) == attempt(ref_rhs_mehta_wang, n, pt)
     for m in range(5):
         assert attempt(rhs_pfaffian, m, a, b, q) == attempt(ref_rhs_pfaffian, m, a, b, q)
         assert attempt(rhs_pfaffian, m, a, F(0), q) == attempt(ref_rhs_pfaffian, m, a, F(0), q)
         for alpha in range(5):
-            assert attempt(rhs_integer_exp_pfaffian, m, alpha, q) == attempt(
-                ref_rhs_integer_exp, m, alpha, q
-            )
+            assert attempt(integer_exp, m, alpha, q) == attempt(ref_rhs_integer_exp, m, alpha, q)
     # every matrix closed form mod the trial prime: the Residue of the exact
     # value, or the exact form's exception (v stands in for p_n)
     prime, p_n = trial_prime(seed), pt["v"]
     for n in range(6):
         for fn, args in (
-            (det_prefactor, (n, p)),
-            (gram_prefactor, (n, p)),
-            (lambda n, p, *pr: det_prefactor(n, p, *pr) * p_n, (n, p)),
-            (lambda n, p, *pr: gram_prefactor(n, p, *pr) * p_n, (n, p)),
+            (one_order, ("det_prefactor", pt, n)),
+            (one_order, ("gram_prefactor", pt, n)),
+            (lambda *args: one_order(*args) * p_n, ("det_prefactor", pt, n)),
+            (lambda *args: one_order(*args) * p_n, ("gram_prefactor", pt, n)),
             (rhs_hankel, (n, p)),
-            (rhs_hankel_decorated, (n, p)),
-            (rhs_mehta_wang, (n, pt)),
+            (one_order, ("rhs_hankel_decorated", pt, n)),
+            (one_order, ("rhs_mehta_wang", pt, n)),
             (_decoration_det, (n, *_decorations(5, p))),
         ):
             assert attempt_mod(prime, fn, *args) == attempt(fn, *args)
@@ -1578,7 +1565,7 @@ def test_closed_forms_match_fraction_products(seed):
             (rhs_pfaffian, (m, a, b, q)),
             (rhs_pfaffian, (m, a, F(0), q)),
             (lambda *args: rhs_pfaffian(*args) ** 2, (m, a, b, q)),
-            *[(rhs_integer_exp_pfaffian, (m, alpha, q)) for alpha in range(5)],
+            *[(integer_exp, (m, alpha, q)) for alpha in range(5)],
         ):
             assert attempt_mod(prime, fn, *args) == attempt(fn, *args)
     # the six-term factors, the Askey-Wilson norm and p_n, and the q-Watson and
@@ -1589,6 +1576,10 @@ def test_closed_forms_match_fraction_products(seed):
     def with_(**changes):
         return ParamPoint({**pt.assignments, **changes}, pt.seed)
 
+    def contiguous(r, s, x, order):
+        series = next(_contiguous_shapes(x, ((r, s),), order))
+        return list(_contiguous_residual(*series, None).coeffs)
+
     for x in (pt, with_(a=1 / q, c=q / b), with_(a=q), with_(d=1 / (a * b * c * q))):
         for r, s in RS_PAIRS:
             for k in range(1, 6):
@@ -1596,7 +1587,8 @@ def test_closed_forms_match_fraction_products(seed):
                 assert attempt(six_term_xi, k, x, r, s) == attempt(ref_six_term_xi, k, x, r, s)
         p = _aw_from(x)
         for n in range(6):
-            assert attempt(aw_norm_ratio, n, p) == attempt(ref_aw_norm_ratio, n, p)
+            got = attempt(lambda: next(_aw_norm_ratios(p, (n,))))
+            assert got == attempt(ref_aw_norm_ratio, n, p)
     for x in (pt, with_(b=1 / (a * q)), with_(a=F(0))):
         p, z = _aw_from(x), XPoint(x["z"])
         for n in range(6):
@@ -1609,7 +1601,7 @@ def test_closed_forms_match_fraction_products(seed):
     for x in (pt, with_(b=F(1)), with_(B1=F(1))):
         for r, s in ((1, 1), (2, 1), (2, 2)):
             for order in (0, 3):
-                assert attempt(lambda: list(check_contiguous(r, s, x, order).coeffs)) == attempt(
+                assert attempt(contiguous, r, s, x, order) == attempt(
                     lambda: list(ref_contiguous(r, s, x, order).coeffs)
                 )
 
@@ -1619,17 +1611,18 @@ def test_closed_forms_mod_a_prime_dividing_a_denominator_entry(monkeypatch):
     # j >= 1 is ≡ 0 mod 101 but not zero, so it is no pole.  A Residue whose
     # denominator is ≡ 0 equals every value, so its fields are compared with
     # the same closed form built on the reference kernel
-    p = AWParams(F(-4), F(5), F(5), F(1), F(1, 2))
+    aw = ParamPoint({"a": F(-4), "b": F(5), "c": F(5), "d": F(1), "q": F(1, 2)})
+    p = _aw_from(aw)
     pt = ParamPoint({"a": F(-25), "u": F(3), "v": F(4), "q": F(1, 2)})
     a, b, _, _, _, q = mehta_wang_params(pt)
     assert 1 - p.abcd == 1 - a * b * q**2 == 101
     for n in range(2, 6):
         for fn, args in (
-            (det_prefactor, (n, p)),
-            (gram_prefactor, (n, p)),
+            (one_order, ("det_prefactor", aw, n)),
+            (one_order, ("gram_prefactor", aw, n)),
             (rhs_hankel, (n, p)),
-            (rhs_hankel_decorated, (n, p)),
-            (rhs_mehta_wang, (n, pt)),
+            (one_order, ("rhs_hankel_decorated", aw, n)),
+            (one_order, ("rhs_mehta_wang", pt, n)),
             (rhs_pfaffian, (n - 1, a, b, q)),
             (lambda *args: rhs_pfaffian(*args) ** 2, (n - 1, a, b, q)),
         ):
@@ -1703,6 +1696,11 @@ ONE_PASS_FAMILIES = {
         lambda pt, m: ref_rhs_integer_exp(m, 1 + pt["k"].numerator % 4, pt["q"]),
     ),
 }
+
+
+def one_order(family, pt, n, prime=None):
+    """Order n of a family: next() of its one pass over (n,) alone."""
+    return next(ONE_PASS_FAMILIES[family][1](pt, (n,), prime))
 
 
 def family_orders(family):
@@ -1956,7 +1954,8 @@ def test_builders_raise_only_at_denominators_they_read():
             assert got[0] == ("value" if n < first else PoleError)
         assert got == (PoleError, f"{what} vanishes")
     for closed, ref, first, what in (
-        (det_prefactor, ref_det_prefactor, 2, "(abcd;q)_(n+i)"),
+        (lambda n, p: next(identities._det_prefactors((n,), p, 1, (), None)),
+         ref_det_prefactor, 2, "(abcd;q)_(n+i)"),
         (rhs_hankel, ref_rhs_hankel, 3, "(abcd;q)_(k+n-1)"),
     ):
         for n in range(first + 2):
@@ -1983,9 +1982,9 @@ def test_even_det_does_not_read_its_last_denominator(m):
 def test_mehta_wang_closed_form_pole_at_b_one():
     for v in (F(1), F(-1)):
         pt = ParamPoint({"a": F(3, 5), "u": F(2, 7), "v": v, "q": F(-1, 3)})
-        assert attempt(rhs_mehta_wang, 0, pt)[0] == "value"
+        assert attempt(one_order, "rhs_mehta_wang", pt, 0)[0] == "value"
         for n in range(1, 4):
-            got = attempt(rhs_mehta_wang, n, pt)
+            got = attempt(one_order, "rhs_mehta_wang", pt, n)
             assert got == attempt(ref_rhs_mehta_wang, n, pt)
             assert got == (PoleError, "(a;q)_-1 undefined: factor 1 - a*q^k vanishes")
 
@@ -2063,7 +2062,7 @@ def per_order_bordered(pt, sizes):
     for n in range(1, sizes.n_max + 1):
         M = build_bordered_matrix(n, p, x)
         p_n = aw_poly(n, p, x)
-        rhs = det_prefactor(n, p) * p_n
+        rhs = one_order("det_prefactor", pt, n) * p_n
         d_ff = det_fraction_free(M)
         out.append(d_ff - rhs)
         condensed = det_condensation(M)
@@ -2076,7 +2075,7 @@ def per_order_bordered(pt, sizes):
 
 def per_order_mehta_wang(pt, sizes):
     return [
-        det_fraction_free(build_mehta_wang_matrix(n, pt)) - rhs_mehta_wang(n, pt)
+        det_fraction_free(build_mehta_wang_matrix(n, pt)) - one_order("rhs_mehta_wang", pt, n)
         for n in range(1, sizes.n_max + 1)
     ]
 
@@ -2085,7 +2084,7 @@ def per_order_gram(pt, sizes):
     p, x = _aw_from(pt), XPoint(pt["z"])
     return [
         det_fraction_free(build_gram_matrix(n, p, x))
-        - aw_poly(n, p, x) * gram_prefactor(n, p)
+        - aw_poly(n, p, x) * one_order("gram_prefactor", pt, n)
         for n in range(1, sizes.n_max + 1)
     ]
 
@@ -2121,7 +2120,8 @@ def per_order_hankel(pt, sizes):
     out = []
     for n in range(1, sizes.n_max + 1):
         out.append(det_fraction_free(build_hankel_little_qjacobi(n, p)) - rhs_hankel(n, p))
-        out.append(det_fraction_free(build_hankel_decorated(n, p)) - rhs_hankel_decorated(n, p))
+        decorated = one_order("rhs_hankel_decorated", pt, n)
+        out.append(det_fraction_free(build_hankel_decorated(n, p)) - decorated)
     return out
 
 

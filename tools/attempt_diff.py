@@ -20,10 +20,11 @@ Both modes print `outcomes changed: <check> at height <h>` or `values changed:
 workers at once and exits 1 only if some outcome changed.  --check-golden
 recomputes tests/golden/attempts.json, this tree's digests at each size set of
 SIZE_SETS, and exits 1 on either kind of change; it needs no pytest.
---write-golden rewrites the file.  Bad input (an unknown CHECK_ID, sizes that
-identities.validate_run rejects, a root with no src/qident/__init__.py) prints
-one line on stderr and exits 2, as does a crashed worker after its traceback:
-exit 1 means only that something changed.
+--write-golden rewrites the file.  Bad input (arguments that fit neither
+usage, an unknown CHECK_ID, sizes that identities.validate_run rejects, a root
+with no src/qident/__init__.py) prints one line on stderr and exits 2, as does
+a crashed worker after its traceback: exit 1 means only that something
+changed.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ GOLDEN = ROOT / "tests" / "golden" / "attempts.json"
 
 class BadRun(Exception):
     """Bad input, or a worker that crashed: the tool exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are BadRun, one line, not argparse's
+    usage and exit."""
+
+    def error(self, message):
+        raise BadRun(message)
 
 
 def _residue_value(num: int, den: int, p: int) -> str:
@@ -186,14 +195,17 @@ def golden_digests() -> dict[str, dict]:
 
 def _two_trees(argv: list[str]) -> list[dict[str, dict]]:
     """The named digests of OLD_ROOT and NEW_ROOT at the sizes argv gives."""
-    parser = argparse.ArgumentParser(usage=__doc__.splitlines()[3].strip())
+    parser = _Parser(usage=__doc__.splitlines()[3].strip())
     for flag in SIZE_FLAGS:
         parser.add_argument(f"--{flag}", type=int)
-    parser.add_argument("roots", type=Path, nargs=2, metavar=("OLD_ROOT", "NEW_ROOT"))
-    parser.add_argument("check_ids", nargs="*")
+    # one positional each: argparse cannot name a missing one of a tuple metavar
+    parser.add_argument("old_root", type=Path, metavar="OLD_ROOT")
+    parser.add_argument("new_root", type=Path, metavar="NEW_ROOT")
+    # given a default, argparse never counts it among the missing arguments
+    parser.add_argument("check_ids", nargs="*", default=[])
     args = parser.parse_args(argv)
     sizes = {f: v for flag, f in SIZE_FLAGS.items() if (v := getattr(args, flag)) is not None}
-    return _tables(args.roots, [sizes, sizes], args.check_ids)
+    return _tables([args.old_root, args.new_root], [sizes, sizes], args.check_ids)
 
 
 def main(argv: list[str]) -> int:
@@ -201,6 +213,8 @@ def main(argv: list[str]) -> int:
         return _worker(argv[1], json.loads(argv[2]), argv[3:])
     golden = argv == ["--check-golden"]
     try:
+        if {"--write-golden", "--check-golden"} & set(argv) and len(argv) > 1:
+            raise BadRun("--write-golden and --check-golden each take no other argument")
         if argv == ["--write-golden"]:
             header = {"seed": SEED, "trials": TRIALS, "heights": list(HEIGHTS)}
             GOLDEN.write_text(json.dumps({**header, "digests": golden_digests()}, indent=1) + "\n")
