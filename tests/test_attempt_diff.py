@@ -1,6 +1,7 @@
 """The attempt digests of tools/attempt_diff.py: digest() on synthetic
 records, the two-tree mode on the repository and on edited copies, bad input,
-and the golden attempt digests of tests/golden/attempts.json."""
+the golden attempt digests of tests/golden/attempts.json over the tool's
+table of runs, and the verdict the golden modes hold each run to."""
 
 import importlib.util
 import json
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -39,12 +41,19 @@ def sha256(*records):
     return attempt_diff.digest(list(records))["sha256"]
 
 
-def tree(tmp_path, appended):
-    """A copy of the repository's src with `appended` added to identities.py."""
+def tree(tmp_path, appended="", old="", new=""):
+    """A copy of the repository's src whose identities.py has its one `old`
+    replaced by `new` and `appended` added."""
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "src" / "qident" / "identities.py", "a") as f:
-        f.write(appended)
+    path = tmp_path / "src" / "qident" / "identities.py"
+    text = path.read_text()
+    assert not old or text.count(old) == 1
+    path.write_text(text.replace(old, new) + appended)
     return tmp_path
+
+
+# no residual reads zero in a tree with this appended, so every trial fails
+NO_ZERO = "\n\ndef _is_zero(residual):\n    return False\n"
 
 
 def run_tool(*args):
@@ -103,8 +112,8 @@ def test_each_outcome_field_changes_the_outcome_digest():
 
 
 def test_two_trees_whose_outcomes_differ_exit_1_naming_each_check_and_height(tmp_path):
-    # no residual reads zero in the new tree, so every pattern that had one changes
-    new = tree(tmp_path, "\n\ndef _is_zero(residual):\n    return False\n")
+    # every zero pattern that had a zero changes
+    new = tree(tmp_path, NO_ZERO)
     done = run_tool(ROOT, new, "contiguous_relation")
     assert done.returncode == 1, done.stderr
     *lines, summary = done.stdout.splitlines()
@@ -159,19 +168,25 @@ def test_size_overrides_reach_every_attempt():
     check = CHECKS_BY_ID["even_order_det"]
     for overrides, count in (({}, 3), ({"m_max": 2}, 2), ({"m_max": 5, "n_max": 1}, 5)):
         sizes = replace(check.defaults, height=40, **overrides)
-        records = attempt_diff._check_records(check, sizes)
-        assert len(records) == attempt_diff.TRIALS
+        records, verdicts = attempt_diff._check_records(check, sizes, 4)
+        assert len(records) == 4 and verdicts == ["passed"] * 4
         assert all(len(r["residuals"]) == count for r in records)
-        [worker] = attempt_diff._tables([ROOT], [overrides], ["even_order_det"])
-        assert worker["even_order_det at height 40"] == attempt_diff.digest(records)
+        row = attempt_diff.Row(("even_order_det",), 4, (40,), overrides)
+        [[[index, key, digest, _]]] = attempt_diff._results([row], [ROOT], 1)
+        assert (index, key) == (0, "even_order_det at height 40")
+        assert digest == attempt_diff.digest(records)
 
 
 def test_size_flags_name_the_sizes_fields(capsys):
     assert attempt_diff.main(["--mmax", "1", str(ROOT), str(ROOT), "even_order_det"]) == 0
     assert capsys.readouterr().out.startswith("3 check-heights compared; old 60 attempts")
     assert set(attempt_diff.SIZE_FLAGS.values()) <= set(Sizes.__dataclass_fields__)
-    for sizes in attempt_diff.SIZE_SETS.values():
-        assert set(sizes) <= set(attempt_diff.SIZE_FLAGS.values())
+    for row in attempt_diff.TABLE:
+        assert set(row.sizes) <= set(attempt_diff.SIZE_FLAGS.values())
+    # a label is the `qident verify` flags that replay its row
+    row = attempt_diff.Row((), 2, (40,), {"order": 0, "m_max": 8, "n_max": 15})
+    assert row.label == "--trials 2 --nmax 15 --mmax 8 --order 0"
+    assert row._replace(trials=attempt_diff.TRIALS, sizes={}).label == "defaults"
 
 
 def test_values_do_not_depend_on_the_pair_that_holds_them():
@@ -188,24 +203,26 @@ def test_values_do_not_depend_on_the_pair_that_holds_them():
 
 @pytest.fixture(scope="module")
 def digests():
-    return attempt_diff.golden_digests()
+    return attempt_diff.table_rows(ROOT, attempt_diff.TABLE)
 
 
 def test_golden_attempt_digests(digests):
-    # every check at heights 2, 3 and 40 (seed 0, 20 trials) at each size set
-    # makes the attempts the file pins; a change that alters outcomes or
-    # values by design rewrites it with `python tools/attempt_diff.py --write-golden`
+    # every row of the table makes the attempts the file pins, and every
+    # trial passes or exhausts its resamples; a change that alters outcomes
+    # or values by design rewrites the file with
+    # `python tools/attempt_diff.py --write-golden`
+    rows, failed = digests
     golden = json.loads(attempt_diff.GOLDEN.read_text())
-    assert (golden["seed"], golden["trials"]) == (attempt_diff.SEED, attempt_diff.TRIALS)
-    assert golden["heights"] == list(attempt_diff.HEIGHTS)
-    names = [f"{check.id} at height {h}" for check in REGISTRY for h in attempt_diff.HEIGHTS]
-    assert list(digests) == list(attempt_diff.SIZE_SETS)
-    assert all(list(table) == names for table in digests.values())
-    assert digests == golden["digests"]
+    assert golden["seed"] == attempt_diff.SEED and failed == []
+    for row, table_row in zip(rows, attempt_diff.TABLE, strict=True):
+        assert row["ids"] == list(table_row.ids) and row["label"] == table_row.label
+        ids = row["ids"] or [check.id for check in REGISTRY]
+        assert list(row["digests"]) == [f"{i} at height {h}" for i in ids for h in row["heights"]]
+    assert rows == golden["rows"]
 
 
 def test_check_golden_names_each_changed_digest(digests, monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(attempt_diff, "golden_digests", lambda: digests)
+    monkeypatch.setattr(attempt_diff, "table_rows", lambda root, rows: digests)
     assert attempt_diff.main(["--check-golden"]) == 0
     assert "0 outcomes changed, 0 values changed" in capsys.readouterr().out
     # --write-golden writes the committed file again, byte for byte
@@ -214,14 +231,14 @@ def test_check_golden_names_each_changed_digest(digests, monkeypatch, tmp_path, 
     assert attempt_diff.main(["--write-golden"]) == 0
     assert attempt_diff.GOLDEN.read_text() == committed
     golden = json.loads(committed)
-    defaults, gate = golden["digests"].values()
+    defaults, gate = golden["rows"][:2]
     # --check-golden exits 1 on a change of values alone, unlike the two-tree mode
-    defaults["orthogonality at height 3"]["sha256"] = "0" * 64
+    defaults["digests"]["orthogonality at height 3"]["sha256"] = "0" * 64
     attempt_diff.GOLDEN.write_text(json.dumps(golden))
     assert attempt_diff.main(["--check-golden"]) == 1
     *lines, summary = capsys.readouterr().out.splitlines()
     assert lines == ["values changed: orthogonality at height 3"]
-    gate["gram_det at height 40"]["outcomes"] = "0" * 64
+    gate["digests"]["gram_det at height 40"]["outcomes"] = "0" * 64
     attempt_diff.GOLDEN.write_text(json.dumps(golden))
     assert attempt_diff.main(["--check-golden"]) == 1
     *lines, summary = capsys.readouterr().out.splitlines()
@@ -234,3 +251,78 @@ def test_check_golden_names_each_changed_digest(digests, monkeypatch, tmp_path, 
     monkeypatch.setattr(attempt_diff, "GOLDEN", tmp_path / "missing.json")
     assert attempt_diff.main(["--check-golden"]) == 2
     assert capsys.readouterr().err.startswith("attempt_diff: [Errno 2]")
+
+
+def test_the_table_stays_lean_and_its_ci_rows_clean():
+    rows = json.loads(attempt_diff.GOLDEN.read_text())["rows"]
+    names = Counter(f"{key} with {row['label']}" for row in rows for key in row["digests"])
+    assert [name for name, count in names.items() if count > 1] == []
+    # no check pins the same attempts at one height in two rows
+    pinned = Counter((key, tuple(d.values())) for row in rows for key, d in row["digests"].items())
+    assert [key for (key, _), count in pinned.items() if count > 1] == []
+    # past the two size sets, every trial of every row finds a pole-free point:
+    # each trial ends in the one attempt that did not raise
+    for row in rows[2:]:
+        for key, d in row["digests"].items():
+            assert d["attempts"] - d["raised"] == row["trials"], (row["label"], key)
+
+
+def test_a_fault_only_the_large_sizes_reach(tmp_path):
+    # the Hankel closed forms lose their factors k >= 11 at orders above 11,
+    # which only the --nmax 15 row reaches
+    mutant = tree(
+        tmp_path,
+        old="((bases, q, range(n)),),\n            ((abcd, q, range(n - 1, 2 * n - 1)),)",
+        new="((bases, q, range(min(n, 11))),),\n            ((abcd, q, range(n - 1, 2 * n - 1)),)",
+    )
+    label = "--trials 2 --nmax 15 --mmax 8"
+    index = [row.label for row in attempt_diff.TABLE].index(label)
+    golden = json.loads(attempt_diff.GOLDEN.read_text())["rows"][index]
+    rows, failed = attempt_diff.table_rows(mutant, [attempt_diff.TABLE[index]])
+    name = f"little_qjacobi_hankel at height 40 with {label}"
+    old, new = attempt_diff._named([golden]), attempt_diff._named(rows)
+    assert attempt_diff.changes(old, new) == [f"outcomes changed: {name}"]
+    assert failed == [f"failed: {name}"]
+
+
+def test_golden_modes_hold_every_row_to_the_verdict(monkeypatch, tmp_path, capsys):
+    row = attempt_diff.Row(("contiguous_relation",), 2, (40,), {})
+    monkeypatch.setattr(attempt_diff, "TABLE", (row,))
+    monkeypatch.setattr(attempt_diff, "GOLDEN", tmp_path / "attempts.json")
+    assert attempt_diff.main(["--write-golden"]) == 0
+    written = attempt_diff.GOLDEN.read_text()
+    monkeypatch.setattr(attempt_diff, "ROOT", tree(tmp_path, NO_ZERO))
+    name = "contiguous_relation at height 40 with --trials 2"
+    assert attempt_diff.main(["--check-golden"]) == 1
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert lines == [f"outcomes changed: {name}", f"failed: {name}"]
+    assert attempt_diff.main(["--write-golden"]) == 1
+    assert capsys.readouterr().out == f"failed: {name}\n"
+    assert attempt_diff.GOLDEN.read_text() == written
+
+
+@pytest.mark.parametrize(
+    "run, error",
+    [
+        (
+            "lambda pt, sizes: 1 // 0",
+            "raised ZeroDivisionError: integer division or modulo by zero",
+        ),
+        ("lambda pt, sizes: []", "compared nothing"),
+    ],
+    ids=["raises", "compares_nothing"],
+)
+def test_a_trial_that_raises_or_compares_nothing_exits_2(run, error, monkeypatch, tmp_path, capsys):
+    check = "CHECKS_BY_ID['three_term_kernel']"
+    broken = tree(tmp_path, f"\n{check} = replace({check}, run={run})\n")
+    monkeypatch.setattr(attempt_diff, "ROOT", broken)
+    row = attempt_diff.Row(("three_term_kernel",), 2, (40,), {})
+    monkeypatch.setattr(attempt_diff, "TABLE", (row,))
+    monkeypatch.setattr(attempt_diff, "GOLDEN", tmp_path / "attempts.json")
+    attempt_diff.GOLDEN.write_text('{"seed": 0, "rows": []}')
+    for mode in ("--check-golden", "--write-golden"):
+        assert attempt_diff.main([mode]) == 2
+        out, err = capsys.readouterr()
+        name = "three_term_kernel at height 40 with --trials 2"
+        assert out == "" and err == f"attempt_diff: {name}: trial 0 {error}\n"
+    assert attempt_diff.GOLDEN.read_text() == '{"seed": 0, "rows": []}'

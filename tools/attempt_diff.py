@@ -1,30 +1,41 @@
-"""Digests of every check's attempts, compared between two source trees or
-with the golden file.
+"""Digests of every check's attempts over one table of runs, compared between
+two source trees or with the golden file.
 
     python tools/attempt_diff.py [--nmax N] [--mmax M] [--order K] OLD_ROOT NEW_ROOT [CHECK_ID ...]
     python tools/attempt_diff.py --write-golden | --check-golden
 
-A worker, a subprocess with one tree's `src` alone on the path, runs every
-check (or each CHECK_ID) through that tree's identities.run_trial at seed
-SEED, TRIALS trials and each height of HEIGHTS, at the check's default sizes
-under --nmax, --mmax and --order.  Per check and height, digest() counts the
-attempts, resampled or not, and those that raised, and hashes each attempt's
-seed and either its exception's type and message or its residuals' zero
-pattern: alone into `outcomes`, and with each residual's value (_value, which
-no integer pair that holds the value changes) into `sha256`.  A change of the
-counts or of outcomes is an outcome change; one of sha256 alone, as from a
-port from Q to residues mod p, is a values change.
+TABLE holds every run the repository gates on: a new gate run is a row of it,
+not a CI step.  A row runs each of its checks (every check where it names
+none) at each of its heights, its trials at seed SEED, with its Sizes fields
+over the check's defaults.  Its label is the `qident verify` flags besides
+--identity, --height and --seed that replay it, or `defaults` for none, and
+each check and height of it is named `<check> at height <h> with <label>`,
+without ` with defaults`.
 
-Both modes print `outcomes changed: <check> at height <h>` or `values changed:
-...` per change, then one summary line.  OLD_ROOT NEW_ROOT runs both trees'
-workers at once and exits 1 only if some outcome changed.  --check-golden
-recomputes tests/golden/attempts.json, this tree's digests at each size set of
-SIZE_SETS, and exits 1 on either kind of change; it needs no pytest.
---write-golden rewrites the file.  Bad input (arguments that fit neither
-usage, an unknown CHECK_ID, sizes that identities.validate_run rejects, a root
-with no src/qident/__init__.py) prints one line on stderr and exits 2, as does
-a crashed worker after its traceback: exit 1 means only that something
-changed.
+A worker, a subprocess with one tree's `src` alone on the path, runs rows
+through that tree's identities.run_trial.  Per check and height, digest()
+counts the attempts, resampled or not, and those that raised, and hashes each
+attempt's seed and either its exception's type and message or its residuals'
+zero pattern: alone into `outcomes`, and with each residual's value (_value,
+which no integer pair that holds the value changes) into `sha256`.  A change
+of the counts or of outcomes is an outcome change; one of sha256 alone, as
+from a port from Q to residues mod p, is a values change.
+
+Both modes print `outcomes changed: <name>` or `values changed: <name>` per
+change, then one summary line.  OLD_ROOT NEW_ROOT runs the defaults row, or
+its CHECK_IDs, under the size flags in both trees' workers at once and exits
+1 only if some outcome changed.  --check-golden recomputes every row of
+tests/golden/attempts.json, which holds each row's definition and digests, on
+two workers, and exits 1 on either kind of change or on a trial whose
+residuals are not all zero, which prints `failed: <name>`; it needs no pytest.
+--write-golden rewrites the file, unless a trial failed: then it prints the
+same lines, writes nothing and exits 1.
+
+Bad input prints one line on stderr and exits 2: arguments that fit neither
+usage, an unknown CHECK_ID, sizes that identities.validate_run rejects, a
+root with no src/qident/__init__.py, a crashed worker (after its traceback)
+and, in the golden modes, a trial that compared nothing or raised past
+PoleError, DegenerateLattice, DuplicateNodes and SamplingExhausted.
 """
 
 from __future__ import annotations
@@ -38,14 +49,73 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 SEED = 0
-TRIALS = 20
+TRIALS = 20  # `qident verify`'s default
 HEIGHTS = (2, 3, 40)
 SIZE_FLAGS = {"nmax": "n_max", "mmax": "m_max", "order": "order"}  # flag -> Sizes field
-SIZE_SETS = {"defaults": {}, "--nmax 10 --mmax 5": {"n_max": 10, "m_max": 5}}
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "attempts.json"
+
+
+class Row(NamedTuple):
+    """One run of the table: each of `ids` (every check where empty) at each
+    of `heights`, `trials` trials, with `sizes` over each check's defaults."""
+
+    ids: tuple[str, ...]
+    trials: int
+    heights: tuple[int, ...]
+    sizes: dict[str, int]  # Sizes fields
+
+    @property
+    def label(self) -> str:
+        flags = [] if self.trials == TRIALS else [f"--trials {self.trials}"]
+        flags += [f"--{flag} {self.sizes[f]}" for flag, f in SIZE_FLAGS.items() if f in self.sizes]
+        return " ".join(flags) or "defaults"
+
+
+MATRIX = (
+    "gram_det", "gram_to_bordered", "little_qjacobi_hankel", "mehta_wang_det", "even_order_det",
+    "pfaffian_eval", "pfaffian_integer_exp", "gamma_pfaffian", "bordered_det",
+)
+MOMENTS = ("basis_moments", "moment_double_sum", "moment_symmetry")
+SERIES = ("main_quadratic", "quadratic_specialization", "contiguous_relation")
+# A row names only checks whose attempts no other row runs: a check that
+# ignores or clamps a size the row sets would repeat another row's attempts.
+TABLE = (
+    Row((), TRIALS, HEIGHTS, {}),
+    # the other ten checks read only `order` or clamp n_max or m_max below these
+    Row(
+        (*MATRIX, "six_term_sums", "six_term_pairs", "six_term_factorization", "aw_quadratic",
+         "andrews_qwatson", *MOMENTS),
+        TRIALS, HEIGHTS, {"n_max": 10, "m_max": 5},
+    ),
+    # builders, engines, oracles, closed forms and Gram elimination mod a
+    # per-trial prime; pfaffian_eval's matrix, the top-order plain Hankel
+    # closed form and pfaffian_eval's top-order closed form stay exact
+    Row(MATRIX, 2, (40,), {"n_max": 15, "m_max": 8}),
+    # degenerate entries: the builders and closed forms mod p must raise
+    # exactly where the exact ones would
+    Row(MATRIX, TRIALS, (2, 3), {"n_max": 8, "m_max": 4}),
+    # Bareiss, the condensation oracle (its interior minors inverted mod p)
+    # and the cofactor oracle up to its cap; the moment functional mod p,
+    # where exact weight sums would grow to tens of thousands of bits
+    Row(("bordered_det", *MOMENTS), 2, (40,), {"n_max": 20}),
+    # products, differences and the basis peel of polynomials of degree 12,
+    # and p_n up to degree 12 from the 4phi3
+    Row((*MOMENTS, "aw_quadratic", "bordered_det", "gram_det"), 2, (40,), {"n_max": 12}),
+    # duplicate nodes and lattice collisions for every reader of the
+    # node-difference table; height 4 exhausts newton_interpolation's draws
+    Row(("newton_interpolation", "connection_coeffs"), TRIALS, (5,), {}),
+    # the series residuals at larger orders, mod p at order 60, where their
+    # integers stay below p^2
+    Row(SERIES, 2, (40,), {"order": 12}),
+    Row(SERIES, 2, (40,), {"order": 60}),
+    # every (r, s) shape read from one base per point where poles are
+    # frequent; at order 0 the contiguous prefactor is the one value that can raise
+    Row(SERIES, TRIALS, (2, 3), {"order": 0}),
+)
 
 
 class BadRun(Exception):
@@ -96,11 +166,13 @@ def digest(records: list[dict]) -> dict:
     return {"attempts": len(records), "raised": raised, **hexes}
 
 
-def _check_records(check, sizes) -> list[dict]:
-    """The record of every attempt of one check's TRIALS trials at `sizes`."""
+def _check_records(check, sizes, trials: int) -> tuple[list[dict], list[str]]:
+    """The record of every attempt of one check's `trials` trials at `sizes`,
+    and each trial's verdict: passed, failed, exhausted (SamplingExhausted),
+    compared nothing, or what it raised past the resample errors."""
     from qident import identities
 
-    records = []
+    records, verdicts = [], []
 
     def run(pt, sizes):
         record = {"seed": pt.seed}
@@ -116,63 +188,103 @@ def _check_records(check, sizes) -> list[dict]:
         return residuals
 
     recorded = replace(check, run=run)
-    for trial in range(TRIALS):
+    for trial in range(trials):
         try:
             identities.run_trial(recorded, identities._trial_seed(check.id, SEED, trial), sizes)
-        except Exception:
-            pass  # raised by the last attempt, or the resample cap's SamplingExhausted
-    return records
+        except identities.SamplingExhausted:
+            verdicts.append("exhausted")
+        except Exception as exc:
+            verdicts.append(f"raised {type(exc).__name__}: {exc}")
+        else:
+            zeros = [r["zero"] for r in records[-1]["residuals"]]
+            verdicts.append("failed" if not all(zeros) else "passed" if zeros else "compared nothing")
+    return records, verdicts
 
 
-def _worker(root: str, overrides: dict[str, int], check_ids: list[str]) -> int:
-    """Print {"<check> at height <h>": digest} of the tree on the path, with
-    the Sizes fields in `overrides` over each check's defaults, or on bad
-    input {"error": message} and return 2."""
+def _worker(root: str, rows: list[dict], part: int, parts: int) -> int:
+    """Print [row index, '<check> at height <h>', digest, verdicts] for every
+    parts-th check and height of `rows` from the part-th on, in the tree on
+    the path, or on bad input {"error": message} and return 2."""
     from qident import identities
 
     try:
-        checks = [identities.CHECKS_BY_ID[i] for i in check_ids] or identities.REGISTRY
-        plan = [(c, replace(c.defaults, height=h, **overrides)) for c in checks for h in HEIGHTS]
-        for _, sizes in plan:
-            identities.validate_run(TRIALS, sizes)
+        plan = [
+            (index, check, replace(check.defaults, height=h, **row["sizes"]), row["trials"])
+            for index, row in enumerate(rows)
+            for check in [identities.CHECKS_BY_ID[i] for i in row["ids"]] or identities.REGISTRY
+            for h in row["heights"]
+        ]
+        for *_, sizes, trials in plan:
+            identities.validate_run(trials, sizes)
     except (KeyError, identities.DomainError) as exc:
         unknown = isinstance(exc, KeyError)
         print(json.dumps({"error": f"unknown check id {exc} in {root}" if unknown else str(exc)}))
         return 2
-    table = {f"{c.id} at height {s.height}": digest(_check_records(c, s)) for c, s in plan}
-    print(json.dumps(table))
+    results = []
+    for index, check, sizes, trials in plan[part::parts]:
+        records, verdicts = _check_records(check, sizes, trials)
+        results.append([index, f"{check.id} at height {sizes.height}", digest(records), verdicts])
+    print(json.dumps(results))
     return 0
 
 
-def _tables(roots: list[Path], size_sets: list[dict[str, int]], check_ids=()) -> list[dict]:
-    """The digests of one worker per root and size set, all run at once;
-    BadRun for a root with no package, or a worker with bad input or a crash."""
+def _results(rows, roots: list[Path], parts: int) -> list[list]:
+    """The results of one worker per root over `rows`, all run at once, the
+    k-th taking part k % parts of `parts`; BadRun for a root with no package,
+    or a worker with bad input or a crash."""
     for root in roots:
         if not (root / "src" / "qident" / "__init__.py").is_file():
             raise BadRun(f"{root} has no src/qident/__init__.py")
+    definitions = json.dumps([row._asdict() for row in rows])
     runs = [
         subprocess.Popen(
-            [sys.executable, __file__, "--worker", str(root), json.dumps(sizes), *check_ids],
+            [sys.executable, __file__, "--worker", str(root), definitions, str(k % parts), str(parts)],
             env={**os.environ, "PYTHONPATH": str(root / "src")},
             stdout=subprocess.PIPE,
             text=True,
         )
-        for root, sizes in zip(roots, size_sets)
+        for k, root in enumerate(roots)
     ]
-    tables = [json.loads(run.communicate()[0] or "{}") for run in runs]
-    for root, run, table in zip(roots, runs, tables):
+    results = [json.loads(run.communicate()[0] or "{}") for run in runs]
+    for root, run, result in zip(roots, runs, results):
         if run.returncode:
-            raise BadRun(table.get("error", f"the worker of {root} exited with {run.returncode}"))
-    return tables
+            raise BadRun(result.get("error", f"the worker of {root} exited with {run.returncode}"))
+    return results
 
 
-def _named(golden: dict[str, dict]) -> dict[str, dict]:
-    """All size sets' digests by name; names past the defaults end " with <size set>"."""
-    return {
-        name + (f" with {label}" if SIZE_SETS[label] else ""): row
-        for label, table in golden.items()
-        for name, row in table.items()
-    }
+def _name(key: str, label: str) -> str:
+    return key if label == "defaults" else f"{key} with {label}"
+
+
+def _rows(rows, results: list[list]) -> list[dict]:
+    """The golden file's rows: each row's label, definition and digests."""
+    out = [{"label": row.label, **row._asdict(), "digests": {}} for row in rows]
+    for index, key, digest_, _ in results:
+        out[index]["digests"][key] = digest_
+    return json.loads(json.dumps(out))  # with the file's lists for tuples
+
+
+def _named(rows: list[dict]) -> dict[str, dict]:
+    """Every row's digests by name."""
+    return {_name(key, row["label"]): d for row in rows for key, d in row["digests"].items()}
+
+
+def table_rows(root: Path, rows) -> tuple[list[dict], list[str]]:
+    """The golden file's rows of `root` over `rows`, from two workers that
+    each take every second check and height, and 'failed: <name>' for each
+    with a trial whose residuals are not all zero; BadRun for a trial that
+    compared nothing or raised past the resample errors."""
+    shares = _results(rows, [root, root], 2)
+    results = [None] * sum(map(len, shares))
+    results[0::2], results[1::2] = shares
+    failed = []
+    for index, key, _, verdicts in results:
+        name = _name(key, rows[index].label)
+        for trial, verdict in enumerate(verdicts):
+            if verdict not in ("passed", "failed", "exhausted"):
+                raise BadRun(f"{name}: trial {trial} {verdict}")
+        failed += [f"failed: {name}"] if "failed" in verdicts else []
+    return _rows(rows, results), failed
 
 
 def changes(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
@@ -188,13 +300,9 @@ def changes(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
     return lines
 
 
-def golden_digests() -> dict[str, dict]:
-    """{size set: {"<check> at height <h>": digest}} of this tree."""
-    return dict(zip(SIZE_SETS, _tables([ROOT] * len(SIZE_SETS), list(SIZE_SETS.values()))))
-
-
 def _two_trees(argv: list[str]) -> list[dict[str, dict]]:
-    """The named digests of OLD_ROOT and NEW_ROOT at the sizes argv gives."""
+    """The named digests of OLD_ROOT and NEW_ROOT over the defaults row at the
+    sizes argv gives."""
     parser = _Parser(usage=__doc__.splitlines()[3].strip())
     for flag in SIZE_FLAGS:
         parser.add_argument(f"--{flag}", type=int)
@@ -205,22 +313,28 @@ def _two_trees(argv: list[str]) -> list[dict[str, dict]]:
     parser.add_argument("check_ids", nargs="*", default=[])
     args = parser.parse_args(argv)
     sizes = {f: v for flag, f in SIZE_FLAGS.items() if (v := getattr(args, flag)) is not None}
-    return _tables([args.old_root, args.new_root], [sizes, sizes], args.check_ids)
+    rows = [TABLE[0]._replace(ids=tuple(args.check_ids), sizes=sizes)]
+    return [_named(_rows(rows, r)) for r in _results(rows, [args.old_root, args.new_root], 1)]
 
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--worker"]:
-        return _worker(argv[1], json.loads(argv[2]), argv[3:])
-    golden = argv == ["--check-golden"]
+        return _worker(argv[1], json.loads(argv[2]), int(argv[3]), int(argv[4]))
+    golden, failed = argv == ["--check-golden"], []
     try:
         if {"--write-golden", "--check-golden"} & set(argv) and len(argv) > 1:
             raise BadRun("--write-golden and --check-golden each take no other argument")
         if argv == ["--write-golden"]:
-            header = {"seed": SEED, "trials": TRIALS, "heights": list(HEIGHTS)}
-            GOLDEN.write_text(json.dumps({**header, "digests": golden_digests()}, indent=1) + "\n")
+            rows, failed = table_rows(ROOT, TABLE)
+            if failed:
+                print(*failed, sep="\n")
+                return 1
+            GOLDEN.write_text(json.dumps({"seed": SEED, "rows": rows}, indent=1) + "\n")
             return 0
         if golden:
-            old, new = _named(json.loads(GOLDEN.read_text())["digests"]), _named(golden_digests())
+            old = _named(json.loads(GOLDEN.read_text())["rows"])
+            rows, failed = table_rows(ROOT, TABLE)
+            new = _named(rows)
         else:
             old, new = _two_trees(argv)
     except (BadRun, OSError) as exc:  # OSError: no golden file to read
@@ -231,13 +345,14 @@ def main(argv: list[str]) -> int:
     counts = [sum(row[k] for row in t.values()) for t in (old, new) for k in ("attempts", "raised")]
     print(
         *lines,
+        *failed,
         "{} check-heights compared; old {} attempts, {} raised; new {} attempts, {} raised; "
         "{} outcomes changed, {} values changed".format(
             len({**old, **new}), *counts, outcome_changes, len(lines) - outcome_changes
         ),
         sep="\n",
     )
-    return 1 if outcome_changes or (golden and lines) else 0
+    return 1 if outcome_changes or failed or (golden and lines) else 0
 
 
 if __name__ == "__main__":
