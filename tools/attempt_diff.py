@@ -197,7 +197,8 @@ def _check_records(check, sizes, trials: int) -> tuple[list[dict], list[str]]:
             verdicts.append(f"raised {type(exc).__name__}: {exc}")
         else:
             zeros = [r["zero"] for r in records[-1]["residuals"]]
-            verdicts.append("failed" if not all(zeros) else "passed" if zeros else "compared nothing")
+            verdict = "passed" if zeros else "compared nothing"
+            verdicts.append(verdict if all(zeros) else "failed")
     return records, verdicts
 
 
@@ -235,10 +236,11 @@ def _results(rows, roots: list[Path], parts: int) -> list[list]:
     for root in roots:
         if not (root / "src" / "qident" / "__init__.py").is_file():
             raise BadRun(f"{root} has no src/qident/__init__.py")
+    worker = [sys.executable, __file__, "--worker"]
     definitions = json.dumps([row._asdict() for row in rows])
     runs = [
         subprocess.Popen(
-            [sys.executable, __file__, "--worker", str(root), definitions, str(k % parts), str(parts)],
+            [*worker, str(root), definitions, str(k % parts), str(parts)],
             env={**os.environ, "PYTHONPATH": str(root / "src")},
             stdout=subprocess.PIPE,
             text=True,
