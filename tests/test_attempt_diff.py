@@ -121,6 +121,13 @@ def test_two_trees_whose_outcomes_differ_exit_1_naming_each_check_and_height(tmp
     assert summary.endswith("; 3 outcomes changed, 0 values changed")
 
 
+def test_size_flags_leave_the_two_tree_names_as_they_are(tmp_path, capsys):
+    new = tree(tmp_path, NO_ZERO)
+    assert attempt_diff.main(["--order", "4", str(ROOT), str(new), "contiguous_relation"]) == 1
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert lines == [f"outcomes changed: contiguous_relation at height {h}" for h in (2, 3, 40)]
+
+
 @pytest.mark.parametrize(
     "args, error",
     [
@@ -168,10 +175,11 @@ def test_size_overrides_reach_every_attempt():
     check = CHECKS_BY_ID["even_order_det"]
     for overrides, count in (({}, 3), ({"m_max": 2}, 2), ({"m_max": 5, "n_max": 1}, 5)):
         sizes = replace(check.defaults, height=40, **overrides)
-        records, verdicts = attempt_diff._check_records(check, sizes, 4)
-        assert len(records) == 4 and verdicts == ["passed"] * 4
+        trials = attempt_diff.TRIALS
+        records, verdicts = attempt_diff._check_records(check, sizes, trials)
+        assert len(records) == trials and verdicts == ["passed"] * trials
         assert all(len(r["residuals"]) == count for r in records)
-        row = attempt_diff.Row(("even_order_det",), 4, (40,), overrides)
+        row = attempt_diff.Row(("even_order_det",), trials, (40,), overrides)
         [[[index, key, digest, _]]] = attempt_diff._results([row], [ROOT], 1)
         assert (index, key) == (0, "even_order_det at height 40")
         assert digest == attempt_diff.digest(records)
@@ -260,9 +268,10 @@ def test_the_table_stays_lean_and_its_ci_rows_clean():
     # no check pins the same attempts at one height in two rows
     pinned = Counter((key, tuple(d.values())) for row in rows for key, d in row["digests"].items())
     assert [key for (key, _), count in pinned.items() if count > 1] == []
-    # past the two size sets, every trial of every row finds a pole-free point:
-    # each trial ends in the one attempt that did not raise
-    for row in rows[2:]:
+    # outside the two size sets, every trial of every row finds a pole-free
+    # point: each trial ends in the one attempt that did not raise
+    sweeps = {row.label for row in attempt_diff.SWEEPS}
+    for row in (row for row in rows if row["label"] not in sweeps):
         for key, d in row["digests"].items():
             assert d["attempts"] - d["raised"] == row["trials"], (row["label"], key)
 
@@ -299,6 +308,15 @@ def test_golden_modes_hold_every_row_to_the_verdict(monkeypatch, tmp_path, capsy
     assert attempt_diff.main(["--write-golden"]) == 1
     assert capsys.readouterr().out == f"failed: {name}\n"
     assert attempt_diff.GOLDEN.read_text() == written
+
+
+def test_a_trial_that_exhausts_its_draws_fails_outside_the_size_sets(monkeypatch):
+    # at height 2 every trial of connection_coeffs exhausts its draws
+    row = attempt_diff.Row(("connection_coeffs",), 2, (2,), {})
+    _, failed = attempt_diff.table_rows(ROOT, [row])
+    assert failed == ["failed: connection_coeffs at height 2 with --trials 2"]
+    monkeypatch.setattr(attempt_diff, "SWEEPS", (row,))
+    assert attempt_diff.table_rows(ROOT, [row])[1] == []
 
 
 @pytest.mark.parametrize(

@@ -23,13 +23,16 @@ from a port from Q to residues mod p, is a values change.
 
 Both modes print `outcomes changed: <name>` or `values changed: <name>` per
 change, then one summary line.  OLD_ROOT NEW_ROOT runs the defaults row, or
-its CHECK_IDs, under the size flags in both trees' workers at once and exits
-1 only if some outcome changed.  --check-golden recomputes every row of
+its CHECK_IDs, under the size flags in both trees' workers at once, names
+each `<check> at height <h>` whatever the flags, and exits 1 only if some
+outcome changed.  --check-golden recomputes every row of
 tests/golden/attempts.json, which holds each row's definition and digests, on
-two workers, and exits 1 on either kind of change or on a trial whose
-residuals are not all zero, which prints `failed: <name>`; it needs no pytest.
---write-golden rewrites the file, unless a trial failed: then it prints the
-same lines, writes nothing and exits 1.
+two workers, and exits 1 on either kind of change or on a failed trial,
+which prints `failed: <name>`; it needs no pytest.  A trial fails, as in
+`qident verify`, where its residuals are not all zero or, in a row outside
+SWEEPS, where it exhausted its draws (SamplingExhausted).  --write-golden
+rewrites the file, unless a trial failed: then it prints the same lines,
+writes nothing and exits 1.
 
 Bad input prints one line on stderr and exits 2: arguments that fit neither
 usage, an unknown CHECK_ID, sizes that identities.validate_run rejects, a
@@ -81,16 +84,23 @@ MATRIX = (
 )
 MOMENTS = ("basis_moments", "moment_double_sum", "moment_symmetry")
 SERIES = ("main_quadratic", "quadratic_specialization", "contiguous_relation")
-# A row names only checks whose attempts no other row runs: a check that
-# ignores or clamps a size the row sets would repeat another row's attempts.
-TABLE = (
+# The two size sets: every check, and the checks that --nmax 10 --mmax 5
+# changes (the other ten read only `order` or clamp n_max or m_max below
+# these), at heights 2, 3 and 40.  At heights 2 and 3 a few of their trials
+# exhaust their draws, which these rows pin; every other row fails on it,
+# as `qident verify` does.
+SWEEPS = (
     Row((), TRIALS, HEIGHTS, {}),
-    # the other ten checks read only `order` or clamp n_max or m_max below these
     Row(
         (*MATRIX, "six_term_sums", "six_term_pairs", "six_term_factorization", "aw_quadratic",
          "andrews_qwatson", *MOMENTS),
         TRIALS, HEIGHTS, {"n_max": 10, "m_max": 5},
     ),
+)
+# A row names only checks whose attempts no other row runs: a check that
+# ignores or clamps a size the row sets would repeat another row's attempts.
+TABLE = (
+    *SWEEPS,
     # builders, engines, oracles, closed forms and Gram elimination mod a
     # per-trial prime; pfaffian_eval's matrix, the top-order plain Hankel
     # closed form and pfaffian_eval's top-order closed form stay exact
@@ -258,35 +268,32 @@ def _name(key: str, label: str) -> str:
     return key if label == "defaults" else f"{key} with {label}"
 
 
-def _rows(rows, results: list[list]) -> list[dict]:
-    """The golden file's rows: each row's label, definition and digests."""
-    out = [{"label": row.label, **row._asdict(), "digests": {}} for row in rows]
-    for index, key, digest_, _ in results:
-        out[index]["digests"][key] = digest_
-    return json.loads(json.dumps(out))  # with the file's lists for tuples
-
-
 def _named(rows: list[dict]) -> dict[str, dict]:
     """Every row's digests by name."""
     return {_name(key, row["label"]): d for row in rows for key, d in row["digests"].items()}
 
 
 def table_rows(root: Path, rows) -> tuple[list[dict], list[str]]:
-    """The golden file's rows of `root` over `rows`, from two workers that
-    each take every second check and height, and 'failed: <name>' for each
-    with a trial whose residuals are not all zero; BadRun for a trial that
-    compared nothing or raised past the resample errors."""
+    """The golden file's rows of `root` over `rows`, each row's label,
+    definition and digests, from two workers that each take every second
+    check and height, and 'failed: <name>' for each with a trial whose
+    residuals are not all zero, or, outside SWEEPS, that exhausted its draws;
+    BadRun for a trial that compared nothing or raised past the resample
+    errors."""
     shares = _results(rows, [root, root], 2)
     results = [None] * sum(map(len, shares))
     results[0::2], results[1::2] = shares
+    out = [{"label": row.label, **row._asdict(), "digests": {}} for row in rows]
     failed = []
-    for index, key, _, verdicts in results:
+    for index, key, digest_, verdicts in results:
+        out[index]["digests"][key] = digest_
         name = _name(key, rows[index].label)
         for trial, verdict in enumerate(verdicts):
             if verdict not in ("passed", "failed", "exhausted"):
                 raise BadRun(f"{name}: trial {trial} {verdict}")
-        failed += [f"failed: {name}"] if "failed" in verdicts else []
-    return _rows(rows, results), failed
+        failing = {"failed"} if rows[index] in SWEEPS else {"failed", "exhausted"}
+        failed += [f"failed: {name}"] if failing & set(verdicts) else []
+    return json.loads(json.dumps(out)), failed  # with the file's lists for tuples
 
 
 def changes(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
@@ -303,8 +310,8 @@ def changes(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
 
 
 def _two_trees(argv: list[str]) -> list[dict[str, dict]]:
-    """The named digests of OLD_ROOT and NEW_ROOT over the defaults row at the
-    sizes argv gives."""
+    """The digests of OLD_ROOT and NEW_ROOT by `<check> at height <h>` over the
+    defaults row at the sizes argv gives."""
     parser = _Parser(usage=__doc__.splitlines()[3].strip())
     for flag in SIZE_FLAGS:
         parser.add_argument(f"--{flag}", type=int)
@@ -316,7 +323,8 @@ def _two_trees(argv: list[str]) -> list[dict[str, dict]]:
     args = parser.parse_args(argv)
     sizes = {f: v for flag, f in SIZE_FLAGS.items() if (v := getattr(args, flag)) is not None}
     rows = [TABLE[0]._replace(ids=tuple(args.check_ids), sizes=sizes)]
-    return [_named(_rows(rows, r)) for r in _results(rows, [args.old_root, args.new_root], 1)]
+    results = _results(rows, [args.old_root, args.new_root], 1)
+    return [{key: d for _, key, d, _ in result} for result in results]
 
 
 def main(argv: list[str]) -> int:
